@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Subcommands: gen, sparsify, verify, sketch (build/query), plan.
-Exit codes: 0 success, 1 verification failure, 2 input or structure error,
-3 enumeration budget exceeded.  All randomness flows from --seed; every
+Exit codes: 0 success, 1 verification failure, 2 input, structure or LP
+solver error, 3 enumeration budget exceeded.  All randomness flows from --seed; every
 command with an output file writes a run manifest next to it.
 """
 
@@ -22,6 +22,7 @@ from .generators import (
     gen_treewidth,
 )
 from .jsonio import load_demands, load_net, save_net, write_manifest
+from .lp import LPError
 from .merging import MergeError, profile_bucket_sparsifier, ratio_type_sparsifier
 from .network import NetworkError
 from .sampling import (
@@ -47,7 +48,7 @@ EXIT_BUDGET = 3
 
 _INPUT_ERRORS = (NetworkError, FlowError, MergeError, SamplingError,
                  StructureError, VerifyError, GeneratorError, SketchError,
-                 FileNotFoundError, json.JSONDecodeError, ValueError)
+                 LPError, FileNotFoundError, json.JSONDecodeError, ValueError)
 
 
 def main(argv=None) -> int:

@@ -7,9 +7,11 @@ generation: path constraints are priced by Dijkstra and added only when
 violated.  The primal flow is recovered from the multipliers of the
 generated path rows.
 
+The 2-hop flow, its dual and the terminal-free flow are restricted solves of
+the same oracle: paths may end at a terminal but never pass through one.
+
 Also here: exact single-commodity max flow (augmenting paths on rationals),
-the 2-hop restricted flow and its explicit dual, terminal-free concurrent
-flow, exact brute-force sparsest cut, and terminal-bipartition min cuts.
+exact brute-force sparsest cut, and terminal-bipartition min cuts.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from .lp import EQ, GE, LE, solve_lp
 from .network import DemandVector, TerminalNetwork, _pair
 
 FEAS_TOL = 1e-9       # absolute feasibility / separation tolerance
@@ -41,9 +42,6 @@ class FlowSolution:
 
     lam: float
     arc_flows: tuple[tuple[tuple[str, str], tuple[tuple[tuple[str, str], float], ...]], ...]
-
-    def commodity_flows(self) -> dict:
-        return {pair: dict(arcs) for pair, arcs in self.arc_flows}
 
     def edge_loads(self) -> dict[tuple[str, str], float]:
         loads: dict[tuple[str, str], float] = {}
@@ -132,7 +130,7 @@ class Cut:
     sparsity: float
 
 
-@dataclass
+@dataclass(frozen=True)
 class ConcurrentFlowResult:
     value: float
     flow: FlowSolution
@@ -203,13 +201,17 @@ def mincut_partition(net: TerminalNetwork, a_side, b_side) -> Fraction:
 # Concurrent flow via constraint generation on the edge-length dual
 # ---------------------------------------------------------------------------
 
-def _dijkstra(net: TerminalNetwork, lengths: dict, source: str):
+def _dijkstra(net: TerminalNetwork, lengths: dict, source: str,
+              stop: frozenset = frozenset()):
+    """Shortest paths from source; vertices in `stop` are reached, not left."""
     dist = {source: 0.0}
     parent: dict[str, str | None] = {source: None}
     heap = [(0.0, source)]
     while heap:
         d, u = heapq.heappop(heap)
         if d > dist.get(u, np.inf):
+            continue
+        if stop and u != source and u in stop:
             continue
         for v in net.adjacency[u]:
             w = lengths.get(_pair(u, v), 0.0)
@@ -233,18 +235,22 @@ def _extract_path(parent: dict, t: str) -> tuple[str, ...]:
     return tuple(reversed(path))
 
 
-def _bfs_path(net: TerminalNetwork, s: str, t: str) -> tuple[str, ...]:
+def _bfs_path(net: TerminalNetwork, s: str, t: str,
+              stop: frozenset = frozenset()) -> tuple[str, ...] | None:
+    """Fewest-edge s-t path with no internal vertex in `stop`, or None."""
     parent = {s: None}
     q = deque([s])
     while q:
         u = q.popleft()
         if u == t:
             return _extract_path(parent, t)
+        if stop and u != s and u in stop:
+            continue
         for v in sorted(net.adjacency[u]):
             if v not in parent:
                 parent[v] = u
                 q.append(v)
-    raise FlowError(f"no path between {s} and {t}")
+    return None
 
 
 _cache_lock = threading.Lock()
@@ -257,40 +263,41 @@ def clear_flow_cache() -> None:
         _flow_cache.clear()
 
 
-def concurrent_flow(net: TerminalNetwork, demand: DemandVector | dict,
-                    *, use_cache: bool = True) -> ConcurrentFlowResult:
-    """Concurrent-flow value of the demand, with primal and dual solutions.
-
-    Raises FlowError on the all-zero demand (the value is unbounded there).
-    """
+def _checked_demand(net: TerminalNetwork, demand) -> DemandVector:
     if not isinstance(demand, DemandVector):
         demand = DemandVector.of(demand)
     if demand.is_zero:
         raise FlowError("concurrent flow is undefined for the zero demand")
     if not demand.restricted_to(net.terminals):
         raise FlowError("demand involves non-terminal vertices")
+    return demand
 
-    key = None
-    if use_cache:
-        key = (net.cache_key, demand.entries)
-        with _cache_lock:
-            hit = _flow_cache.get(key)
-        if hit is not None:
-            return hit
+
+def concurrent_flow(net: TerminalNetwork, demand: DemandVector | dict) -> ConcurrentFlowResult:
+    """Concurrent-flow value of the demand, with primal and dual solutions.
+
+    Raises FlowError on the all-zero demand (the value is unbounded there).
+    """
+    demand = _checked_demand(net, demand)
+    key = (net.cache_key, demand.entries)
+    with _cache_lock:
+        hit = _flow_cache.get(key)
+    if hit is not None:
+        return hit
 
     result = _concurrent_flow_uncached(net, demand)
-    if use_cache:
-        with _cache_lock:
-            if len(_flow_cache) >= _FLOW_CACHE_MAX:
-                _flow_cache.clear()
-            _flow_cache[key] = result
+    with _cache_lock:
+        if len(_flow_cache) >= _FLOW_CACHE_MAX:
+            _flow_cache.clear()
+        _flow_cache[key] = result
     return result
 
 
 _PATHS_PER_PAIR_PER_ROUND = 16
 
 
-def _concurrent_flow_uncached(net, demand) -> ConcurrentFlowResult:
+def _concurrent_flow_uncached(net, demand,
+                              stop: frozenset = frozenset()) -> ConcurrentFlowResult:
     """Column generation on the path form of maximum concurrent flow.
 
     Rows are fixed (#pairs demand rows + #edges capacity rows), so a path
@@ -298,6 +305,9 @@ def _concurrent_flow_uncached(net, demand) -> ConcurrentFlowResult:
     valid; each round just continues the simplex.  The row multipliers are
     exactly the edge lengths / pair distances of the edge-length dual, and
     Dijkstra under those lengths prices out violated paths.
+
+    Paths may end at a vertex of `stop` but never pass through one; the
+    reported distances are shortest such paths.
     """
     from .lp import simplex_min
 
@@ -336,7 +346,10 @@ def _concurrent_flow_uncached(net, demand) -> ConcurrentFlowResult:
         return True
 
     for p in pairs:
-        add_path(p, _bfs_path(net, p[0], p[1]))
+        path = _bfs_path(net, p[0], p[1], stop)
+        if path is None:
+            raise FlowError(f"no path between {p[0]} and {p[1]}")
+        add_path(p, path)
 
     basis = np.arange(m)
     Binv = np.eye(m)
@@ -370,12 +383,12 @@ def _concurrent_flow_uncached(net, demand) -> ConcurrentFlowResult:
             if target <= FEAS_TOL:
                 continue
             if s not in src_cache:
-                src_cache[s] = _dijkstra(net, lengths, s)
+                src_cache[s] = _dijkstra(net, lengths, s, stop)
             ds, parent_s = src_cache[s]
             if ds.get(t, np.inf) >= target - FEAS_TOL:
                 continue
             if t not in src_cache:
-                src_cache[t] = _dijkstra(net, lengths, t)
+                src_cache[t] = _dijkstra(net, lengths, t, stop)
             dt, parent_t = src_cache[t]
             # candidate midpoints give many violated paths per round
             cand = sorted(net.vertices,
@@ -385,6 +398,8 @@ def _concurrent_flow_uncached(net, demand) -> ConcurrentFlowResult:
                 via = ds.get(v, np.inf) + dt.get(v, np.inf)
                 if via >= target - FEAS_TOL or taken >= _PATHS_PER_PAIR_PER_ROUND:
                     break
+                if stop and v in stop and v not in p:
+                    continue
                 left = _extract_path(parent_s, v)
                 right = _extract_path(parent_t, v)
                 path = left + tuple(reversed(right[:-1]))
@@ -425,7 +440,7 @@ def _concurrent_flow_uncached(net, demand) -> ConcurrentFlowResult:
     for p in all_pairs:
         s, t = p
         if s not in by_source:
-            by_source[s] = _dijkstra(net, lengths, s)[0]
+            by_source[s] = _dijkstra(net, lengths, s, stop)[0]
         dist_rows.append((p, float(by_source[s].get(t, np.inf))))
 
     flow = FlowSolution(lam=lam, arc_flows=tuple(arc_flows))
@@ -440,7 +455,7 @@ def lambda_value(net: TerminalNetwork, demand) -> float:
 
 
 # ---------------------------------------------------------------------------
-# 2-hop restricted flow and its dual (quasi-bipartite networks)
+# Restricted solves: 2-hop flow and its dual, terminal-free flow
 # ---------------------------------------------------------------------------
 
 def _require_quasi_bipartite(net: TerminalNetwork) -> None:
@@ -458,221 +473,57 @@ class TwoHopFlow:
     unroutable_pairs: tuple
 
 
+def _unroutable_pairs(net: TerminalNetwork, demand: DemandVector) -> tuple:
+    """Demand pairs joined by no path free of internal terminals."""
+    return tuple(p for p in demand.pairs()
+                 if _bfs_path(net, p[0], p[1], net.terminal_set) is None)
+
+
+# The restricted solves bypass the memo: its key does not encode the stop set.
+
 def lambda_2hop(net: TerminalNetwork, demand: DemandVector | dict) -> TwoHopFlow:
-    """Optimal concurrent flow along paths s-v-t only."""
+    """Optimal concurrent flow along paths s-v-t only.
+
+    With independent terminals on a quasi-bipartite network these are exactly
+    the paths with no internal terminal.
+    """
     _require_quasi_bipartite(net)
-    if not isinstance(demand, DemandVector):
-        demand = DemandVector.of(demand)
-    if demand.is_zero:
-        raise FlowError("zero demand")
-    ts = net.terminal_set
-    pairs = demand.pairs()
-
-    commodity_vars: list[tuple[tuple[str, str], str]] = []
-    unroutable = []
-    for p in pairs:
-        s, t = p
-        mids = [v for v in net.adjacency[s] if v not in ts and net.cap(v, t) > 0]
-        if not mids:
-            unroutable.append(p)
-        for v in sorted(mids):
-            commodity_vars.append((p, v))
+    demand = _checked_demand(net, demand)
+    unroutable = _unroutable_pairs(net, demand)
     if unroutable:
-        return TwoHopFlow(0.0, tuple(), tuple(unroutable))
-
-    nvar = len(commodity_vars) + 1   # + lambda (last column)
-    vidx = {cv: i for i, cv in enumerate(commodity_vars)}
-    rows = []
-    senses = []
-    b = []
-    for p in pairs:
-        row = np.zeros(nvar)
-        for (q, v), i in vidx.items():
-            if q == p:
-                row[i] = -1.0
-        row[-1] = demand[p]
-        rows.append(row)
-        senses.append(LE)
-        b.append(0.0)
-    for u, v, c in net.edges:
-        term, mid = (u, v) if u in ts else (v, u)
-        row = np.zeros(nvar)
-        touched = False
-        for (q, w), i in vidx.items():
-            if w == mid and term in q:
-                row[i] = 1.0
-                touched = True
-        if touched:
-            rows.append(row)
-            senses.append(LE)
-            b.append(float(c))
-    obj = np.zeros(nvar)
-    obj[-1] = 1.0
-    sol = solve_lp(obj, np.array(rows), np.array(b), senses, maximize=True)
-    per_pair: dict = {p: [] for p in pairs}
-    for (p, v), i in vidx.items():
-        f = float(sol.x[i])
-        if f > 1e-12:
-            per_pair[p].append((v, f))
-    flows = tuple((p, tuple(sorted(per_pair[p]))) for p in pairs)
-    return TwoHopFlow(float(sol.value), flows, tuple())
+        return TwoHopFlow(0.0, tuple(), unroutable)
+    res = _concurrent_flow_uncached(net, demand, net.terminal_set)
+    middle = tuple((p, tuple((v, f) for (u, v), f in arcs if u == p[0]))
+                   for p, arcs in res.flow.arc_flows)
+    return TwoHopFlow(res.value, middle, tuple())
 
 
 def dual_2hop(net: TerminalNetwork, demand: DemandVector | dict):
-    """Explicit dual of the 2-hop flow LP: edge lengths and pair distances.
+    """Dual of the 2-hop flow LP: edge lengths, plus the 2-hop distance of
+    every terminal pair under them (inf for a pair with no common neighbor).
 
     Requires every positive-demand pair to have a positive-capacity common
     neighbor (the primal must be feasible and bounded).
     Returns (value, DualSolution).
     """
     _require_quasi_bipartite(net)
-    if not isinstance(demand, DemandVector):
-        demand = DemandVector.of(demand)
-    if demand.is_zero:
-        raise FlowError("zero demand")
-    ts = net.terminal_set
-    pairs = demand.pairs()
-    triples = []
-    for p in pairs:
-        s, t = p
-        mids = [v for v in net.adjacency[s] if v not in ts and net.cap(v, t) > 0]
-        if not mids:
-            raise FlowError(f"pair {p} has no positive-capacity common neighbor")
-        triples.extend((p, v) for v in sorted(mids))
+    demand = _checked_demand(net, demand)
+    unroutable = _unroutable_pairs(net, demand)
+    if unroutable:
+        raise FlowError(f"pair {unroutable[0]} has no positive-capacity common neighbor")
+    res = _concurrent_flow_uncached(net, demand, net.terminal_set)
+    return res.dual.value, res.dual
 
-    edges = [_pair(u, v) for u, v, _ in net.edges]
-    eidx = {e: i for i, e in enumerate(edges)}
-    ne = len(edges)
-    pidx = {p: ne + i for i, p in enumerate(pairs)}
-    nvar = ne + len(pairs)
-
-    rows = [np.zeros(nvar)]
-    senses = [GE]
-    b = [1.0]
-    for p in pairs:
-        rows[0][pidx[p]] = demand[p]
-    for p, v in triples:
-        s, t = p
-        row = np.zeros(nvar)
-        row[pidx[p]] = 1.0
-        row[eidx[_pair(s, v)]] -= 1.0
-        row[eidx[_pair(v, t)]] -= 1.0
-        rows.append(row)
-        senses.append(LE)
-        b.append(0.0)
-    obj = np.concatenate([np.array([float(c) for _, _, c in net.edges]),
-                          np.zeros(len(pairs))])
-    sol = solve_lp(obj, np.array(rows), np.array(b), senses)
-    lengths = tuple(sorted((e, max(0.0, float(sol.x[i]))) for e, i in eidx.items()))
-    dists = tuple((p, float(sol.x[pidx[p]])) for p in pairs)
-    return float(sol.value), DualSolution(lengths=lengths, dists=dists,
-                                          value=float(sol.value))
-
-
-# ---------------------------------------------------------------------------
-# Terminal-free concurrent flow
-# ---------------------------------------------------------------------------
 
 def lambda_terminal_free(net: TerminalNetwork, demand: DemandVector | dict) -> float:
     """Concurrent flow restricted to paths with no internal terminal.
 
-    Flow decomposes into direct terminal-terminal edges plus, per component
-    of the graph minus terminals, flows staying inside that component.
+    The value is 0 when some demand pair has no such path.
     """
-    from .network import components_after_terminal_removal
-
-    if not isinstance(demand, DemandVector):
-        demand = DemandVector.of(demand)
-    if demand.is_zero:
-        raise FlowError("zero demand")
-    ts = net.terminal_set
-    pairs = demand.pairs()
-    comps = components_after_terminal_removal(net)
-
-    # variables: per (component, pair) arc flows; direct edge vars; lambda last
-    arc_vars: list[tuple[int, tuple[str, str], tuple[str, str]]] = []
-    direct_vars: list[tuple[str, str]] = []
-    for p in pairs:
-        s, t = p
-        if net.cap(s, t) > 0:
-            direct_vars.append(p)
-        for ci, comp in enumerate(comps):
-            s_in = [x for x in net.adjacency[s] if x in comp]
-            t_in = [x for x in net.adjacency[t] if x in comp]
-            if not s_in or not t_in:
-                continue
-            for x in sorted(s_in):
-                arc_vars.append((ci, p, (s, x)))
-            for x in sorted(t_in):
-                arc_vars.append((ci, p, (x, t)))
-            for x in sorted(comp):
-                for y in sorted(net.adjacency[x]):
-                    if y in comp:
-                        arc_vars.append((ci, p, (x, y)))
-    nvar = len(arc_vars) + len(direct_vars) + 1
-    aidx = {av: i for i, av in enumerate(arc_vars)}
-    didx = {p: len(arc_vars) + i for i, p in enumerate(direct_vars)}
-    lam_col = nvar - 1
-
-    rows, senses, b = [], [], []
-    for p in pairs:
-        s, t = p
-        row = np.zeros(nvar)
-        for (ci, q, (u, v)), i in aidx.items():
-            if q == p and u == s and v != t:
-                row[i] = -1.0
-        # direct s-t arcs for this pair
-        if p in didx:
-            row[didx[p]] = -1.0
-        for (ci, q, (u, v)), i in aidx.items():
-            if q == p and u == s and v == t:
-                row[i] = -1.0
-        row[lam_col] = demand[p]
-        rows.append(row)
-        senses.append(LE)
-        b.append(0.0)
-    # conservation inside components
-    for ci, comp in enumerate(comps):
-        for p in pairs:
-            for x in sorted(comp):
-                row = np.zeros(nvar)
-                touched = False
-                for (cj, q, (u, v)), i in aidx.items():
-                    if cj != ci or q != p:
-                        continue
-                    if v == x:
-                        row[i] += 1.0
-                        touched = True
-                    if u == x:
-                        row[i] -= 1.0
-                        touched = True
-                if touched:
-                    rows.append(row)
-                    senses.append(EQ)
-                    b.append(0.0)
-    # capacities
-    for u, v, c in net.edges:
-        row = np.zeros(nvar)
-        touched = False
-        for (ci, q, (a, bb)), i in aidx.items():
-            if _pair(a, bb) == _pair(u, v):
-                row[i] += 1.0
-                touched = True
-        if u in ts and v in ts:
-            p = _pair(u, v)
-            if p in didx:
-                row[didx[p]] += 1.0
-                touched = True
-        if touched:
-            rows.append(row)
-            senses.append(LE)
-            b.append(float(c))
-    obj = np.zeros(nvar)
-    obj[lam_col] = 1.0
-    if not rows:
+    demand = _checked_demand(net, demand)
+    if _unroutable_pairs(net, demand):
         return 0.0
-    sol = solve_lp(obj, np.array(rows), np.array(b), senses, maximize=True)
-    return float(sol.value)
+    return _concurrent_flow_uncached(net, demand, net.terminal_set).value
 
 
 # ---------------------------------------------------------------------------
@@ -742,9 +593,3 @@ def sparsest_terminal_cut(net: TerminalNetwork, demand: DemandVector | dict) -> 
         raise FlowError("no terminal bipartition separates positive demand")
     return best
 
-
-def flow_cut_gap_witness(net: TerminalNetwork, demand) -> float:
-    """Phi/lambda for one demand (>= 1 up to solver tolerance)."""
-    phi, _ = sparsest_cut(net, demand)
-    lam = concurrent_flow(net, demand).value
-    return phi / lam

@@ -72,12 +72,6 @@ def load_demands(path: str) -> list[DemandVector]:
     return out
 
 
-def save_demand(d: DemandVector, path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump([{"s": s, "t": t, "d": v} for (s, t), v in d.items()],
-                  fh, indent=1, sort_keys=True)
-
-
 def load_dimacs(path: str, terminals_path: str | None,
                 *, allow_disconnected: bool = False) -> TerminalNetwork:
     """DIMACS max-flow format: 'a u v cap' arc rows become undirected edges

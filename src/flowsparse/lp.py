@@ -1,27 +1,28 @@
-"""Dense two-phase revised simplex, plus an exact rational variant.
+"""The package's two LP kernels: a float revised simplex and an exact one.
 
-This is the only LP machinery in the package: everything that needs an LP
-(concurrent flow, 2-hop flow and its dual, capacity fitting) goes through
-`solve_lp` (float, numpy) or `solve_lp_exact` (Fraction, for small exact
-feasibility problems).
+`simplex_min` (float, numpy) serves column generation in the flow oracle:
+it continues the simplex from a feasible basis after columns are appended.
+`solve_lp_exact` (Fraction, full tableau) serves small exact feasibility and
+fitting problems where float drift is unacceptable.
 
 Conventions
 -----------
-Problems are given as
+`simplex_min` solves
+
+    min  c . x   s.t.   A x == b,   x >= 0
+
+from a feasible basis and returns row multipliers y = c_B B^-1, so that
+value == y . b at optimality.  `solve_lp_exact` takes
 
     min / max   c . x
     s.t.        A[i] . x  (<= | >= | ==)  b[i]      for every row i
                 x >= 0
 
-Returned duals `y` satisfy value == y . b at optimality, with the sign
-convention that for a minimisation problem rows with sense ">=" have y >= 0
-and rows with "<=" have y <= 0 (the reverse under maximisation); equality
-rows are unrestricted.
+and returns (x, value).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -48,117 +49,22 @@ class LPIterationLimit(LPError):
     pass
 
 
-@dataclass
-class LPSolution:
-    x: np.ndarray          # values of the original variables
-    value: float           # objective in the caller's orientation
-    duals: np.ndarray      # one multiplier per input row
-    iterations: int
+def simplex_min(cost, A, b, basis, *, Binv=None, tol=1e-9, max_iter=None):
+    """Continue the simplex on min cost.x s.t. Ax = b, x >= 0 from a feasible basis.
 
-
-def solve_lp(c, A, b, senses, *, maximize=False, tol=1e-9, max_iter=None) -> LPSolution:
-    """Solve the LP; raises LPInfeasible / LPUnbounded / LPIterationLimit."""
-    c = np.asarray(c, dtype=float)
-    A = np.asarray(A, dtype=float)
-    b = np.asarray(b, dtype=float).copy()
-    if A.ndim != 2:
-        A = A.reshape((len(b), -1))
-    m, n = A.shape
-    if len(senses) != m or len(b) != m or len(c) != n:
-        raise ValueError("inconsistent LP dimensions")
-
-    obj = -c if maximize else c.copy()
-
-    # Standard form: flip rows until b >= 0, then append slack/surplus columns.
-    A = A.copy()
-    senses = list(senses)
-    flipped = np.zeros(m, dtype=bool)
-    for i in range(m):
-        if b[i] < 0:
-            A[i] = -A[i]
-            b[i] = -b[i]
-            flipped[i] = True
-            if senses[i] == LE:
-                senses[i] = GE
-            elif senses[i] == GE:
-                senses[i] = LE
-
-    slack_cols = []
-    slack_of_row = {}
-    for i, s in enumerate(senses):
-        if s == LE:
-            col = np.zeros(m)
-            col[i] = 1.0
-            slack_of_row[i] = n + len(slack_cols)
-            slack_cols.append(col)
-        elif s == GE:
-            col = np.zeros(m)
-            col[i] = -1.0
-            slack_cols.append(col)
-        elif s != EQ:
-            raise ValueError(f"bad sense {s!r}")
-    full = np.hstack([A, np.column_stack(slack_cols)]) if slack_cols else A
-    n_real = full.shape[1]
-    cost = np.concatenate([obj, np.zeros(n_real - n)])
-
-    if max_iter is None:
-        max_iter = 200 * (m + n_real) + 2000
-
-    basis = np.empty(m, dtype=int)
-    art_rows = [i for i in range(m) if i not in slack_of_row]
-    for i in range(m):
-        if i in slack_of_row:
-            basis[i] = slack_of_row[i]
-    iters = 0
-
-    if art_rows:
-        art = np.zeros((m, len(art_rows)))
-        for j, i in enumerate(art_rows):
-            art[i, j] = 1.0
-            basis[i] = n_real + j
-        tab1 = np.hstack([full, art])
-        phase1_cost = np.zeros(tab1.shape[1])
-        phase1_cost[n_real:] = 1.0
-        basis, Binv, it = _simplex_core(phase1_cost, tab1, b, basis, tol,
-                                        max_iter, forbidden_from=n_real)
-        iters += it
-        xB = Binv @ b
-        if float(phase1_cost[basis] @ xB) > 1e-7:
-            raise LPInfeasible("phase-1 optimum is positive")
-        full, b, basis, keep_rows = _drive_out_artificials(tab1, b, basis, Binv,
-                                                           n_real, tol)
-    else:
-        keep_rows = list(range(m))
-
-    basis, Binv, it = _simplex_core(cost, full, b, basis, tol,
-                                    max_iter - iters, forbidden_from=n_real)
-    iters += it
-
-    xB = Binv @ b
-    x_full = np.zeros(n_real)
-    x_full[basis] = xB
-    x = x_full[:n]
-    y_kept = cost[basis] @ Binv
-
-    duals = np.zeros(m)
-    for pos, row in enumerate(keep_rows):
-        duals[row] = y_kept[pos]
-    duals[flipped] = -duals[flipped]
-    value = float(obj @ x)
-    if maximize:
-        value = -value
-        duals = -duals
-    return LPSolution(x=x, value=value, duals=duals, iterations=iters)
-
-
-def _simplex_core(cost, A, b, basis, tol, max_iter, forbidden_from, Binv=None):
-    """Revised simplex with Dantzig pricing; Bland's rule kicks in on stalls.
-
-    Columns with index >= forbidden_from (artificials) never enter the basis.
-    Returns (basis, Binv, iterations).
+    Revised simplex with Dantzig pricing; Bland's rule kicks in on stalls.
+    Intended for column generation: rows are fixed, columns may have been
+    appended since the last call, and `basis`/`Binv` from that call remain
+    valid.  Returns (x, value, y, basis, Binv, iterations); raises
+    LPUnbounded / LPIterationLimit / LPError on a singular basis.
     """
+    cost = np.asarray(cost, dtype=float)
+    A = np.asarray(A, dtype=float)
+    b = np.asarray(b, dtype=float)
     m = A.shape[0]
-    basis = basis.copy()
+    if max_iter is None:
+        max_iter = 200 * (m + A.shape[1]) + 2000
+    basis = np.array(basis, dtype=int)
     if Binv is None:
         Binv = _factorize(A, basis)
     bland = False
@@ -173,17 +79,15 @@ def _simplex_core(cost, A, b, basis, tol, max_iter, forbidden_from, Binv=None):
         y = cB @ Binv
         z = cost - y @ A
         z[basis] = 0.0
-        if forbidden_from < A.shape[1]:
-            z[forbidden_from:] = np.inf
         if bland:
             cand = np.flatnonzero(z < -tol)
             if cand.size == 0:
-                return basis, Binv, it
+                break
             j = int(cand[0])
         else:
             j = int(np.argmin(z))
             if z[j] >= -tol:
-                return basis, Binv, it
+                break
         d = Binv @ A[:, j]
         xB = Binv @ b
         pos = d > tol
@@ -214,6 +118,9 @@ def _simplex_core(cost, A, b, basis, tol, max_iter, forbidden_from, Binv=None):
         else:
             stall = 0
         last_obj = obj_now
+    x = np.zeros(A.shape[1])
+    x[basis] = Binv @ b
+    return x, float(cost @ x), y, basis, Binv, it
 
 
 def _factorize(A, basis):
@@ -221,53 +128,6 @@ def _factorize(A, basis):
         return np.linalg.inv(A[:, basis])
     except np.linalg.LinAlgError as exc:
         raise LPError(f"singular basis: {exc}") from exc
-
-
-def _drive_out_artificials(tab, b, basis, Binv, n_real, tol):
-    """Pivot artificials out of the basis; drop rows that turn out redundant.
-
-    Returns (A_without_artificials, b, basis, keep_rows).
-    """
-    m = tab.shape[0]
-    drop = []
-    for i in range(m):
-        if basis[i] < n_real:
-            continue
-        row = Binv[i] @ tab[:, :n_real]
-        cand = [j for j in np.flatnonzero(np.abs(row) > 1e-8) if j not in set(basis)]
-        if cand:
-            basis[i] = int(cand[0])
-            Binv = _factorize(tab, basis)
-        else:
-            drop.append(i)
-    keep_rows = [i for i in range(m) if i not in drop]
-    A2 = tab[np.ix_(keep_rows, range(n_real))]
-    b2 = b[keep_rows]
-    basis2 = np.array([basis[i] for i in keep_rows], dtype=int)
-    return A2, b2, basis2, keep_rows
-
-
-def simplex_min(cost, A, b, basis, *, Binv=None, tol=1e-9, max_iter=None):
-    """Continue the simplex on min cost.x s.t. Ax = b, x >= 0 from a feasible basis.
-
-    Intended for column generation: rows are fixed, columns may have been
-    appended since the last call, and `basis`/`Binv` from that call remain
-    valid.  Returns (x, value, y, basis, Binv, iterations).
-    """
-    cost = np.asarray(cost, dtype=float)
-    A = np.asarray(A, dtype=float)
-    b = np.asarray(b, dtype=float)
-    m = A.shape[0]
-    if max_iter is None:
-        max_iter = 200 * (m + A.shape[1]) + 2000
-    basis = np.asarray(basis, dtype=int)
-    basis, Binv, it = _simplex_core(cost, A, b, basis, tol, max_iter,
-                                    forbidden_from=A.shape[1], Binv=Binv)
-    xB = Binv @ b
-    x = np.zeros(A.shape[1])
-    x[basis] = xB
-    y = cost[basis] @ Binv
-    return x, float(cost @ x), y, basis, Binv, it
 
 
 # ---------------------------------------------------------------------------

@@ -148,9 +148,6 @@ class TerminalNetwork:
             n += 1
         return vid
 
-    def float_edges(self) -> list[tuple[str, str, float]]:
-        return [(u, v, float(c)) for u, v, c in self.edges]
-
 
 @dataclass(frozen=True)
 class DemandVector:

@@ -61,19 +61,6 @@ class FlowDecomposition:
             if load > cap + rel_tol * max(1, cap):
                 raise FlowError(f"decomposition overloads edge {e}")
 
-    def to_flow_solution(self, lam: float = 1.0) -> FlowSolution:
-        per_pair: dict[tuple[str, str], dict[tuple[str, str], float]] = {}
-        for p in self.paths:
-            acc = per_pair.setdefault(p.endpoints, {})
-            verts = p.vertices if p.vertices[0] <= p.vertices[-1] \
-                else tuple(reversed(p.vertices))
-            for u, v in zip(verts, verts[1:]):
-                acc[(u, v)] = acc.get((u, v), 0.0) + float(p.amount)
-        return FlowSolution(
-            lam=lam,
-            arc_flows=tuple((pair, tuple(sorted(arcs.items())))
-                            for pair, arcs in sorted(per_pair.items())))
-
 
 @dataclass(frozen=True)
 class SplitRecord:

@@ -96,6 +96,18 @@ class TestSparsifyVerify:
                   "random:3:1", "--claim", "1.5", "--out", rep])
         assert rc == 1
 
+    def test_lp_solver_failure_exit_2(self, qb_graph, tmp_path, monkeypatch, capsys):
+        import flowsparse.lp
+        from flowsparse.lp import LPIterationLimit
+
+        def stuck(*args, **kwargs):
+            raise LPIterationLimit("no convergence in 0 pivots")
+        monkeypatch.setattr(flowsparse.lp, "simplex_min", stuck)
+        rc = run(["verify", "--g", qb_graph, "--gp", qb_graph, "--demands",
+                  "random:2:1", "--claim", "1.5", "--out", tmp_path / "rep.json"])
+        assert rc == 2
+        assert "error: no convergence" in capsys.readouterr().err
+
     def test_sp_on_non_sp_graph_exit_2(self, tmp_path):
         vs = ["a", "b", "c", "d"]
         edges = [(u, v, 1) for i, u in enumerate(vs) for v in vs[i + 1:]]

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -24,8 +25,12 @@ from flowsparse.flow import FlowError
 from conftest import random_connected_net, random_demand, random_quasi_bipartite
 
 
-def scipy_lambda(net, demand):
-    """Independent concurrent-flow oracle: arc-flow LP solved by HiGHS."""
+def scipy_lambda(net, demand, terminal_free=False):
+    """Independent concurrent-flow oracle: arc-flow LP solved by HiGHS.
+
+    With `terminal_free`, commodity (s, t) may not use an arc that touches
+    any other terminal.
+    """
     arcs = []
     for u, v, c in net.edges:
         arcs.append((u, v))
@@ -55,10 +60,17 @@ def scipy_lambda(net, demand):
                 row[-1] = demand[(s, t)]
             A_eq.append(row)
             b_eq.append(0.0)
+    bounds = [(0, None)] * nv
+    if terminal_free:
+        for pi, pair in enumerate(pairs):
+            others = net.terminal_set - set(pair)
+            for ai, (u, v) in enumerate(arcs):
+                if u in others or v in others:
+                    bounds[pi * na + ai] = (0, 0)
     c_obj = [0.0] * nv
     c_obj[-1] = -1.0
     res = linprog(c_obj, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
-                  bounds=[(0, None)] * nv, method="highs")
+                  bounds=bounds, method="highs")
     assert res.status == 0, res.message
     return -res.fun
 
@@ -117,6 +129,14 @@ class TestConcurrentFlow:
             for alpha in (0.5, 2.0, 7.0):
                 scaled = concurrent_flow(net, d.scaled(alpha)).value
                 assert abs(scaled - base / alpha) <= 1e-9 * max(1.0, base)
+
+    def test_memo_result_is_frozen(self):
+        net = TerminalNetwork.make(["s", "v", "t"], ["s", "t"],
+                                   [("s", "v", 2), ("v", "t", 5)])
+        res = concurrent_flow(net, {("s", "t"): 1})
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            res.value = 123
+        assert concurrent_flow(net, {("s", "t"): 1}).value == pytest.approx(2.0)
 
     def test_zero_demand_rejected(self):
         net = TerminalNetwork.make(["s", "t"], ["s", "t"], [("s", "t", 1)])
@@ -253,6 +273,37 @@ class TestTerminalFree:
             tf = lambda_terminal_free(net, d)
             lam = concurrent_flow(net, d).value
             assert tf <= lam * (1 + 1e-7) + 1e-9
+
+
+class TestRestrictedAgainstScipy:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_terminal_free(self, seed):
+        rng = random.Random(400 + seed)
+        net = random_connected_net(rng, rng.randint(5, 11), rng.randint(2, 4))
+        d = random_demand(rng, net)
+        ref = scipy_lambda(net, d, terminal_free=True)
+        assert lambda_terminal_free(net, d) == pytest.approx(ref, rel=1e-7, abs=1e-9)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_two_hop_and_dual(self, seed):
+        rng = random.Random(500 + seed)
+        net = random_quasi_bipartite(rng, rng.randint(3, 5), rng.randint(6, 14))
+        d = random_demand(rng, net)
+        ref = scipy_lambda(net, d, terminal_free=True)
+        res = lambda_2hop(net, d)
+        assert res.value == pytest.approx(ref, rel=1e-7, abs=1e-9)
+        if res.unroutable_pairs:
+            with pytest.raises(FlowError):
+                dual_2hop(net, d)
+            return
+        assert dual_2hop(net, d)[0] == pytest.approx(ref, rel=1e-7)
+        assert [p for p, _ in res.middle_flows] == d.pairs()
+        for (s, t), mids in res.middle_flows:
+            want = res.value * d[(s, t)]
+            assert sum(f for _, f in mids) == pytest.approx(want, rel=1e-7)
+            for v, f in mids:
+                bound = float(min(net.cap(s, v), net.cap(v, t)))
+                assert f <= bound * (1 + 1e-9)
 
 
 class TestSolutionSerialization:

@@ -11,44 +11,51 @@ from flowsparse.lp import (
     LE,
     LPInfeasible,
     LPUnbounded,
-    solve_lp,
+    simplex_min,
     solve_lp_exact,
 )
 
 
+def slack_form(A):
+    """[A | I]: the columns of Ax + s = b, with the slacks last."""
+    A = np.asarray(A, dtype=float)
+    return np.hstack([A, np.eye(A.shape[0])])
+
+
 def test_basic_max():
-    s = solve_lp([1, 1], [[1, 2], [3, 1]], [4, 6], [LE, LE], maximize=True)
-    assert s.value == pytest.approx(2.8)
-    assert s.x == pytest.approx([1.6, 1.2])
-    assert s.duals @ np.array([4, 6]) == pytest.approx(2.8)
+    # max x + y  s.t.  x + 2y <= 4, 3x + y <= 6, from the slack basis
+    A = slack_form([[1, 2], [3, 1]])
+    b = np.array([4.0, 6.0])
+    x, value, y, basis, _, _ = simplex_min([-1, -1, 0, 0], A, b, [2, 3])
+    assert value == pytest.approx(-2.8)
+    assert x[:2] == pytest.approx([1.6, 1.2])
+    assert sorted(basis) == [0, 1]
+    assert y @ b == pytest.approx(-2.8)
 
 
 def test_basic_min_with_ge():
-    s = solve_lp([2, 3], [[1, 1], [1, 0]], [2, 0.5], [GE, GE])
-    assert s.value == pytest.approx(4.0)
-    assert (s.duals >= -1e-9).all()
+    # min 2x + 3y  s.t.  x + y - s1 = 2, x - s2 = 0.5, from the basis {x, y}
+    A = np.array([[1.0, 1.0, -1.0, 0.0], [1.0, 0.0, 0.0, -1.0]])
+    b = np.array([2.0, 0.5])
+    x, value, y, _, _, _ = simplex_min([2, 3, 0, 0], A, b, [0, 1])
+    assert value == pytest.approx(4.0)
+    assert x[:2] == pytest.approx([2.0, 0.0])
+    assert (y >= -1e-9).all()
+    assert y @ b == pytest.approx(4.0)
 
 
 def test_equality_row():
-    s = solve_lp([1, 2], [[1, 1]], [3], [EQ])
-    assert s.value == pytest.approx(3.0)
-    assert s.x[0] == pytest.approx(3.0)
-
-
-def test_infeasible():
-    with pytest.raises(LPInfeasible):
-        solve_lp([1], [[1], [1]], [1, 3], [LE, GE])
+    # min x + 2y  s.t.  x + y = 3, starting from y basic
+    x, value, _, basis, _, it = simplex_min([1, 2], [[1, 1]], [3], [1])
+    assert value == pytest.approx(3.0)
+    assert x[0] == pytest.approx(3.0)
+    assert list(basis) == [0] and it == 1
 
 
 def test_unbounded():
+    # min -x  s.t.  -x + s = 1
     with pytest.raises(LPUnbounded):
-        solve_lp([1], [[1]], [1], [GE], maximize=True)
-
-
-def test_negative_rhs_handled():
-    # x >= 0, -x <= -2  -> x >= 2, min x = 2
-    s = solve_lp([1], [[-1]], [-2], [LE])
-    assert s.value == pytest.approx(2.0)
+        simplex_min([-1, 0], slack_form([[-1]]), [1], [1])
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -58,34 +65,21 @@ def test_random_against_scipy(seed):
     m = rng.randint(2, 7)
     c = [rng.uniform(-3, 3) for _ in range(n)]
     A = [[rng.uniform(-2, 3) for _ in range(n)] for _ in range(m)]
-    b = [rng.uniform(0.5, 6) for _ in range(m)]
-    senses = [rng.choice([LE, GE, EQ]) for _ in range(m)]
-    kw = dict(A_ub=[], b_ub=[], A_eq=[], b_eq=[])
-    for row, rhs, s in zip(A, b, senses):
-        if s == LE:
-            kw["A_ub"].append(row)
-            kw["b_ub"].append(rhs)
-        elif s == GE:
-            kw["A_ub"].append([-v for v in row])
-            kw["b_ub"].append(-rhs)
-        else:
-            kw["A_eq"].append(row)
-            kw["b_eq"].append(rhs)
-    ref = linprog(c, A_ub=kw["A_ub"] or None, b_ub=kw["b_ub"] or None,
-                  A_eq=kw["A_eq"] or None, b_eq=kw["b_eq"] or None,
-                  bounds=[(0, None)] * n, method="highs")
-    if ref.status == 2:
-        with pytest.raises(LPInfeasible):
-            solve_lp(c, A, b, senses)
-        return
+    b = np.array([rng.uniform(0.5, 6) for _ in range(m)])
+    ref = linprog(c, A_ub=A, b_ub=b, bounds=[(0, None)] * n, method="highs")
+    cost = c + [0.0] * m
+    slack_basis = list(range(n, n + m))
     if ref.status == 3:
         with pytest.raises(LPUnbounded):
-            solve_lp(c, A, b, senses)
+            simplex_min(cost, slack_form(A), b, slack_basis)
         return
-    sol = solve_lp(c, A, b, senses)
-    assert sol.value == pytest.approx(ref.fun, rel=1e-7, abs=1e-7)
-    # strong duality in our sign convention
-    assert sol.duals @ np.array(b) == pytest.approx(sol.value, rel=1e-6, abs=1e-6)
+    assert ref.status == 0, ref.message
+    x, value, y, _, _, _ = simplex_min(cost, slack_form(A), b, slack_basis)
+    assert value == pytest.approx(ref.fun, rel=1e-7, abs=1e-7)
+    assert slack_form(A) @ x == pytest.approx(b, abs=1e-9)
+    assert (x >= -1e-9).all()
+    # strong duality: the row multipliers price the optimum
+    assert y @ b == pytest.approx(value, rel=1e-6, abs=1e-6)
 
 
 def test_exact_simplex_matches_float():
