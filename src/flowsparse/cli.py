@@ -111,7 +111,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="basis | random:N:SEED | disc:EPS:ETA | file.json")
     v.add_argument("--claim", type=float, required=True)
     v.add_argument("--out", required=True)
-    v.add_argument("--jobs", type=int, default=1)
     v.add_argument("--cuts", action="store_true",
                    help="also compare all terminal bipartition min cuts")
     v.set_defaults(func=cmd_verify)
@@ -220,8 +219,7 @@ def cmd_verify(args) -> int:
     else:
         demands = demand_grid(g, args.demands)
         spec = args.demands
-    report = certify(g, gp, demands, args.claim, jobs=args.jobs,
-                     demand_spec=spec)
+    report = certify(g, gp, demands, args.claim, demand_spec=spec)
     doc = report.to_json_dict()
     if args.cuts:
         doc["cuts"] = certify_cuts(g, gp).to_json_dict()

@@ -17,7 +17,6 @@ exact brute-force sparsest cut, and terminal-bipartition min cuts.
 from __future__ import annotations
 
 import heapq
-import itertools
 import threading
 from collections import deque
 from dataclasses import dataclass
@@ -25,7 +24,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .network import DemandVector, TerminalNetwork, _pair
+from .network import DemandVector, TerminalNetwork, _pair, terminal_bipartitions
 
 FEAS_TOL = 1e-9       # absolute feasibility / separation tolerance
 OPT_TOL = 1e-6        # relative optimality tolerance
@@ -34,6 +33,11 @@ _MAX_SEPARATION_ROUNDS = 500
 
 class FlowError(ValueError):
     pass
+
+
+def finite_or_none(x: float) -> float | None:
+    """JSON has no infinity or NaN; such values are written as null."""
+    return x if np.isfinite(x) else None
 
 
 @dataclass(frozen=True)
@@ -103,10 +107,10 @@ class DualSolution:
 
     def to_json_dict(self) -> dict:
         return {
-            "value": self.value,
-            "lengths": [{"u": e[0], "v": e[1], "length": l}
+            "value": finite_or_none(self.value),
+            "lengths": [{"u": e[0], "v": e[1], "length": finite_or_none(l)}
                         for e, l in self.lengths],
-            "distances": [{"s": p[0], "t": p[1], "dist": d}
+            "distances": [{"s": p[0], "t": p[1], "dist": finite_or_none(d)}
                           for p, d in self.dists],
         }
 
@@ -571,24 +575,17 @@ def sparsest_terminal_cut(net: TerminalNetwork, demand: DemandVector | dict) -> 
     sparsest cut, exact for min-cut ratio purposes."""
     if not isinstance(demand, DemandVector):
         demand = DemandVector.of(demand)
-    terms = net.terminals
     best = (np.inf, None)
-    t0 = terms[0]
-    rest = terms[1:]
-    for r in range(0, len(rest) + 1):
-        for combo in itertools.combinations(rest, r):
-            A = frozenset((t0,) + combo)
-            B = frozenset(terms) - A
-            if not B:
-                continue
-            sep = sum(val for (s, t), val in demand.items()
-                      if (s in A) != (t in A))
-            if sep <= 0:
-                continue
-            cut = float(mincut_partition(net, A, B))
-            ratio = cut / sep
-            if ratio < best[0]:
-                best = (ratio, (A, B))
+    for A, B in terminal_bipartitions(net.terminals):
+        A, B = frozenset(A), frozenset(B)
+        sep = sum(val for (s, t), val in demand.items()
+                  if (s in A) != (t in A))
+        if sep <= 0:
+            continue
+        cut = float(mincut_partition(net, A, B))
+        ratio = cut / sep
+        if ratio < best[0]:
+            best = (ratio, (A, B))
     if best[1] is None:
         raise FlowError("no terminal bipartition separates positive demand")
     return best

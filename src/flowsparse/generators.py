@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .network import TerminalNetwork
+from .network import TerminalNetwork, components
 from .structured import (
     SpLeaf,
     SpParallel,
@@ -57,23 +57,12 @@ def gen_quasi_bipartite(k: int, n: int, seed: int, *,
 
 
 def _component_terminals(net: TerminalNetwork) -> list[str]:
-    seen: set[str] = set()
-    reps = []
+    """The first terminal, in terminal order, of each component holding one."""
+    component_of = {v: i for i, comp in enumerate(components(net)) for v in comp}
+    reps: dict[int, str] = {}
     for t in net.terminals:
-        if t in seen:
-            continue
-        comp = {t}
-        stack = [t]
-        seen.add(t)
-        while stack:
-            u = stack.pop()
-            for w in net.adjacency[u]:
-                if w not in seen:
-                    seen.add(w)
-                    comp.add(w)
-                    stack.append(w)
-        reps.append(t)
-    return reps
+        reps.setdefault(component_of[t], t)
+    return list(reps.values())
 
 
 def gen_series_parallel(leaves: int, k: int, seed: int, *,
@@ -182,10 +171,3 @@ def gen_treewidth(k: int, n: int, w: int, seed: int, *,
     net = TerminalNetwork.make(verts, terms, edges)
     tdec = TreeDecomposition(bags=tuple(bags), edges=tuple(bag_edges))
     return net, tdec
-
-
-def gen_tree(k: int, n: int, seed: int, *, cap_lo: int = 1,
-             cap_hi: int = 10):
-    """Random tree (treewidth 1) with its path-of-bags decomposition and k
-    random terminals biased toward leaves.  Returns (net, tdec)."""
-    return gen_treewidth(k, n, 1, seed, cap_lo=cap_lo, cap_hi=cap_hi)

@@ -23,13 +23,7 @@ class NetworkError(ValueError):
 
 
 def _as_capacity(value) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, str):
-        return Fraction(value)
-    if isinstance(value, float):
-        return Fraction(value)
-    return Fraction(value)
+    return value if isinstance(value, Fraction) else Fraction(value)
 
 
 def _pair(u: str, v: str) -> tuple[str, str]:
@@ -51,7 +45,7 @@ class TerminalNetwork:
 
     @staticmethod
     def make(vertices: Iterable[str], terminals: Iterable[str], edges: Iterable,
-             *, normalize: bool = True, allow_disconnected: bool = False) -> "TerminalNetwork":
+             *, allow_disconnected: bool = False) -> "TerminalNetwork":
         vertices = tuple(str(v) for v in vertices)
         terminals = tuple(str(t) for t in terminals)
         vset = set(vertices)
@@ -62,7 +56,7 @@ class TerminalNetwork:
         for t in terminals:
             if t not in vset:
                 raise NetworkError(f"terminal {t!r} is not a vertex")
-        norm_edges = []
+        merged: dict[tuple[str, str], Fraction] = {}
         for e in edges:
             u, v, cap = str(e[0]), str(e[1]), _as_capacity(e[2])
             if u == v:
@@ -71,16 +65,11 @@ class TerminalNetwork:
                 raise NetworkError(f"edge endpoint missing: {u!r}-{v!r}")
             if cap < 0:
                 raise NetworkError(f"negative capacity on {u!r}-{v!r}")
-            a, b = _pair(u, v)
-            norm_edges.append((a, b, cap))
-        if normalize:
-            merged: dict[tuple[str, str], Fraction] = {}
-            for a, b, cap in norm_edges:
-                merged[(a, b)] = merged.get((a, b), Fraction(0)) + cap
-            norm_edges = [(a, b, c) for (a, b), c in sorted(merged.items()) if c > 0]
-            vertices = tuple(sorted(vertices))
-        net = TerminalNetwork(vertices=vertices, terminals=terminals,
-                              edges=tuple(norm_edges))
+            key = _pair(u, v)
+            merged[key] = merged.get(key, Fraction(0)) + cap
+        net = TerminalNetwork(
+            vertices=tuple(sorted(vertices)), terminals=terminals,
+            edges=tuple((a, b, c) for (a, b), c in sorted(merged.items()) if c > 0))
         if not allow_disconnected and not net.is_connected():
             raise NetworkError("network is disconnected "
                                "(pass allow_disconnected=True to override)")
@@ -107,9 +96,6 @@ class TerminalNetwork:
     def cap(self, u: str, v: str) -> Fraction:
         return self.adjacency.get(u, {}).get(v, Fraction(0))
 
-    def neighbors(self, v: str) -> tuple[str, ...]:
-        return tuple(sorted(self.adjacency[v]))
-
     def terminal_pairs(self) -> list[tuple[str, str]]:
         return [_pair(s, t) for s, t in itertools.combinations(self.terminals, 2)]
 
@@ -118,17 +104,7 @@ class TerminalNetwork:
         return len(self.terminals)
 
     def is_connected(self) -> bool:
-        if not self.vertices:
-            return True
-        seen = {self.vertices[0]}
-        stack = [self.vertices[0]]
-        while stack:
-            u = stack.pop()
-            for w in self.adjacency[u]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == len(self.vertices)
+        return len(components(self)) <= 1
 
     def is_quasi_bipartite(self) -> bool:
         """Non-terminals form an independent set."""
@@ -321,27 +297,41 @@ def phi_merge(g1: TerminalNetwork, g2: TerminalNetwork,
     return TerminalNetwork.make(vertices, terminals, edges, allow_disconnected=True)
 
 
-def components_after_terminal_removal(net: TerminalNetwork) -> list[frozenset[str]]:
-    """Connected components of the induced subgraph on non-terminals."""
-    ts = net.terminal_set
-    rest = [v for v in net.vertices if v not in ts]
-    seen: set[str] = set()
+def components(net: TerminalNetwork, removed: Iterable[str] = ()) -> list[frozenset[str]]:
+    """Connected components of `net` minus the `removed` vertices, sorted by
+    their smallest vertex id."""
+    seen = set(removed)
     comps = []
-    for start in rest:
+    for start in net.vertices:
         if start in seen:
             continue
-        comp = {start}
-        stack = [start]
         seen.add(start)
+        comp = [start]
+        stack = [start]
         while stack:
-            u = stack.pop()
-            for w in net.adjacency[u]:
-                if w not in ts and w not in seen:
+            for w in net.adjacency[stack.pop()]:
+                if w not in seen:
                     seen.add(w)
-                    comp.add(w)
+                    comp.append(w)
                     stack.append(w)
         comps.append(frozenset(comp))
-    return sorted(comps, key=lambda c: min(c))
+    return sorted(comps, key=min)
+
+
+def components_after_terminal_removal(net: TerminalNetwork) -> list[frozenset[str]]:
+    """Connected components of the induced subgraph on non-terminals."""
+    return components(net, net.terminal_set)
+
+
+def terminal_bipartitions(terminals: tuple[str, ...]):
+    """Every split (A, B) of the terminals into two nonempty sides, once each:
+    A holds the first terminal, both sides keep the input order, and A grows
+    by subset size, then in input order.  k terminals give 2^(k-1)-1."""
+    t0, rest = terminals[0], terminals[1:]
+    for r in range(len(rest)):
+        for combo in itertools.combinations(rest, r):
+            A = (t0,) + combo
+            yield A, tuple(t for t in rest if t not in combo)
 
 
 def induced_subgraph(net: TerminalNetwork, keep: Iterable[str],

@@ -85,9 +85,6 @@ class SamplingPlan:
         return {u.unit_id: unit_uniform(self.seed, u.unit_id) < u.p
                 for u in self.units}
 
-    def expected_kept(self) -> float:
-        return sum(u.p for u in self.units)
-
 
 def sampling_plan(net: TerminalNetwork, M: float, seed: int) -> SamplingPlan:
     """Per-vertex probabilities p_v = M * max_st F_{st,v} / F_st."""
@@ -95,58 +92,62 @@ def sampling_plan(net: TerminalNetwork, M: float, seed: int) -> SamplingPlan:
         raise SamplingError("oversampling factor must be positive")
     flows = two_hop_maxflows(net)
     ts = net.terminal_set
-    units = []
-    dropped = []
-    for v in net.vertices:
-        if v in ts:
+    shares: dict[str, dict] = {v: {} for v in net.vertices if v not in ts}
+    for pair, (_, per_v) in flows.items():
+        for v, share in per_v.items():
+            shares[v][pair] = share
+    return _plan(M, seed, [(v, (v,), per_pair) for v, per_pair in shares.items()],
+                 {pair: fst for pair, (fst, _) in flows.items()})
+
+
+def _plan(M: float, seed: int, units, totals) -> SamplingPlan:
+    """Keep probabilities from each unit's largest share of a pair's flow.
+
+    `units` lists (unit id, members, {pair: positive flow through the unit})
+    with the pairs in terminal-pair order, so ties go to the first pair;
+    `totals` holds each pair's flow summed over all units.  Units that carry
+    no flow are dropped.
+    """
+    plans = []
+    dropped: list[str] = []
+    for unit_id, members, flows in units:
+        if not flows:
+            dropped.extend(members)
             continue
-        best = None
-        for pair, (fst, per_v) in flows.items():
-            share = per_v.get(v)
-            if share and share > 0:
-                ratio = share / fst
-                if best is None or ratio > best[0]:
-                    best = (ratio, pair)
-        if best is None:
-            dropped.append(v)
-            continue
-        p_raw = M * float(best[0])
-        units.append(UnitPlan(unit_id=v, members=(v,), p_raw=p_raw,
-                              p=min(1.0, p_raw), best_pair=best[1]))
+        ratio, pair = max(((val / totals[p], p) for p, val in flows.items()),
+                          key=lambda rp: rp[0])
+        p_raw = M * float(ratio)
+        plans.append(UnitPlan(unit_id=unit_id, members=members, p_raw=p_raw,
+                              p=min(1.0, p_raw), best_pair=pair))
     if dropped:
         warnings.warn(f"{len(dropped)} non-terminal(s) carry no 2-hop flow "
-                      "and are dropped deterministically", stacklevel=2)
-    return SamplingPlan(M=float(M), seed=int(seed), units=tuple(units),
+                      "and are dropped deterministically", stacklevel=3)
+    return SamplingPlan(M=float(M), seed=int(seed), units=tuple(plans),
                         dropped=tuple(dropped))
 
 
 def _apply_plan(net: TerminalNetwork, plan: SamplingPlan, method: str,
                 extra_params: dict, notes: tuple[str, ...]) -> SparsifierResult:
+    """Delete the members of every unit not kept, and divide each remaining
+    edge once by the keep probability of each unit it touches."""
     keep = plan.keep_decisions()
-    member_of: dict[str, UnitPlan] = {}
-    for u in plan.units:
-        for v in u.members:
-            member_of[v] = u
     drop_set = set(plan.dropped)
-    scale: dict[str, Fraction] = {}
+    unit_of: dict[str, UnitPlan] = {}
     for u in plan.units:
-        factor = Fraction(1) if u.p >= 1.0 else 1 / Fraction(u.p)
-        for v in u.members:
-            if keep[u.unit_id]:
-                scale[v] = factor
-            else:
-                drop_set.add(v)
+        if keep[u.unit_id]:
+            unit_of.update((v, u) for v in u.members)
+        else:
+            drop_set.update(u.members)
     vertices = [v for v in net.vertices if v not in drop_set]
     edges = []
     for a, b, c in net.edges:
         if a in drop_set or b in drop_set:
             continue
-        f = Fraction(1)
-        if a in scale:
-            f *= scale[a]
-        if b in scale:
-            f *= scale[b]
-        edges.append((a, b, c * f))
+        ua, ub = unit_of.get(a), unit_of.get(b)
+        for u in (ua,) if ua is ub else (ua, ub):
+            if u is not None and u.p < 1.0:
+                c /= Fraction(u.p)
+        edges.append((a, b, c))
     sampled = TerminalNetwork.make(vertices, net.terminals, edges,
                                    allow_disconnected=True)
     params = {"M": plan.M, "seed": plan.seed,
@@ -178,10 +179,11 @@ def grouped_sampling_plan(net: TerminalNetwork, w: int, M: float,
             raise SamplingError(
                 f"component {sorted(comp)} has {len(comp)} > w = {w} vertices")
     pairs = net.terminal_pairs()
-    per_comp_flow: list[dict] = []
-    totals = {p: Fraction(0) for p in pairs}
     ts = net.terminal_set
+    units = []
+    totals = {p: Fraction(0) for p in pairs}
     for comp in comps:
+        members = tuple(sorted(comp))
         flows = {}
         adj_terms = sorted({t for v in comp for t in net.adjacency[v] if t in ts})
         for s, t in pairs:
@@ -192,28 +194,9 @@ def grouped_sampling_plan(net: TerminalNetwork, w: int, M: float,
             if val > 0:
                 flows[(s, t)] = val
                 totals[(s, t)] += val
-        per_comp_flow.append(flows)
-    units = []
-    dropped = []
-    for comp, flows in zip(comps, per_comp_flow):
-        members = tuple(sorted(comp))
-        unit_id = members[0] if len(members) == 1 else "|".join(members)
-        best = None
-        for pair, val in flows.items():
-            ratio = val / totals[pair]
-            if best is None or ratio > best[0]:
-                best = (ratio, pair)
-        if best is None:
-            dropped.extend(members)
-            continue
-        p_raw = M * float(best[0])
-        units.append(UnitPlan(unit_id=unit_id, members=members, p_raw=p_raw,
-                              p=min(1.0, p_raw), best_pair=best[1]))
-    if dropped:
-        warnings.warn(f"{len(dropped)} vertex(es) in flow-free components "
-                      "are dropped deterministically", stacklevel=2)
-    return SamplingPlan(M=float(M), seed=int(seed), units=tuple(units),
-                        dropped=tuple(dropped))
+        units.append((members[0] if len(members) == 1 else "|".join(members),
+                      members, flows))
+    return _plan(M, seed, units, totals)
 
 
 def grouped_sample_sparsifier(net: TerminalNetwork, w: int, M: float,
@@ -226,28 +209,10 @@ def grouped_sample_sparsifier(net: TerminalNetwork, w: int, M: float,
     scaling is an interpretation choice recorded in the result notes.
     """
     plan = grouped_sampling_plan(net, w, M, seed)
-    res = _apply_plan(
+    return _apply_plan(
         net, plan, "sample-grouped", {"w": w},
         notes=("component-level importance sampling",
                "internal component edges scaled like terminal-incident ones",))
-    # internal edges got the factor twice (both endpoints in the unit); undo one
-    fix_edges = []
-    member_unit = {}
-    for u in plan.units:
-        for v in u.members:
-            member_unit[v] = u
-    keep = plan.keep_decisions()
-    for a, b, c in res.net.edges:
-        ua, ub = member_unit.get(a), member_unit.get(b)
-        if ua is not None and ua is ub and ua.p < 1.0:
-            fix_edges.append((a, b, c * Fraction(ua.p)))
-        else:
-            fix_edges.append((a, b, c))
-    fixed = TerminalNetwork.make(res.net.vertices, res.net.terminals, fix_edges,
-                                 allow_disconnected=True)
-    return SparsifierResult(net=fixed, method=res.method,
-                            claimed_quality=res.claimed_quality,
-                            params=res.params, notes=res.notes)
 
 
 # ---------------------------------------------------------------------------

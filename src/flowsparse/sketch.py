@@ -36,7 +36,7 @@ from .flow import concurrent_flow, max_flow
 from .network import DemandVector, TerminalNetwork
 
 DEFAULT_BUDGET = 1_000_000
-DEFAULT_ORACLE_BUDGET = 2_000
+ORACLE_BUDGET = 2_000      # larger grids are enumerated against the hull
 _MEMBER_TOL = 1e-9
 
 
@@ -48,14 +48,14 @@ class BudgetExceeded(SketchError):
     pass
 
 
-def enumeration_budget(default: int = DEFAULT_BUDGET) -> int:
+def enumeration_budget() -> int:
     raw = os.environ.get("FLOWSPARSE_BUDGET")
     if raw:
         try:
             return int(raw)
         except ValueError:
             pass
-    return default
+    return DEFAULT_BUDGET
 
 
 def _exponent_floor(value: float, base: float) -> int:
@@ -294,8 +294,7 @@ class DemandSketch:
 # ---------------------------------------------------------------------------
 
 def build_sketch(net: TerminalNetwork, epsilon: float, *,
-                 budget: int | None = None,
-                 oracle_budget: int = DEFAULT_ORACLE_BUDGET) -> DemandSketch:
+                 budget: int | None = None) -> DemandSketch:
     """Preprocess the network into a DemandSketch.
 
     `epsilon` is the user-facing accuracy in (0, 1/2); the grid runs at
@@ -328,7 +327,7 @@ def build_sketch(net: TerminalNetwork, epsilon: float, *,
     for c in counts:
         candidates *= c + 1
 
-    if candidates <= min(oracle_budget, budget):
+    if candidates <= min(ORACLE_BUDGET, budget):
         members = _enumerate_with_oracle(net, pairs, jmins, counts, base)
         core = GridCore(jmins=tuple(jmins), counts=tuple(counts), members=members)
     elif candidates <= budget:

@@ -20,8 +20,10 @@ from .flow import mincut_partition
 from .lp import LE, EQ, LPError, solve_lp_exact
 from .network import (
     TerminalNetwork,
+    components,
     induced_subgraph,
     normalize,
+    terminal_bipartitions,
 )
 from .results import SparsifierResult
 from .splice import compose
@@ -63,22 +65,9 @@ def translate_cut_sparsifier(gp: TerminalNetwork, gamma_gp: float, beta: float,
 # Mimicking networks for k <= 4
 # ---------------------------------------------------------------------------
 
-def _bipartitions(terminals):
-    t0 = terminals[0]
-    rest = terminals[1:]
-    out = []
-    for r in range(len(rest) + 1):
-        for combo in itertools.combinations(rest, r):
-            A = (t0,) + combo
-            B = tuple(t for t in terminals if t not in A)
-            if B:
-                out.append((A, B))
-    return out
-
-
 def _cut_targets(net):
     return [((A, B), mincut_partition(net, A, B)) for A, B in
-            _bipartitions(net.terminals)]
+            terminal_bipartitions(net.terminals)]
 
 
 def _clique_cut_row(pairs, A):
@@ -239,8 +228,6 @@ SpNode = SpLeaf | SpSeries | SpParallel
 
 
 def sp_portals(node: SpNode) -> tuple[str, str]:
-    if isinstance(node, SpLeaf):
-        return node.u, node.v
     return node.u, node.v
 
 
@@ -565,7 +552,7 @@ def balanced_terminal_separator(net: TerminalNetwork, tdec: TreeDecomposition,
         outside = terms - bag
         limit = Fraction(2, 3) * len(outside)
         ok = True
-        for comp in _components_minus(net, bag):
+        for comp in components(net, bag):
             if len(comp & terms) > limit:
                 ok = False
                 break
@@ -576,27 +563,6 @@ def balanced_terminal_separator(net: TerminalNetwork, tdec: TreeDecomposition,
         raise StructureError("no bag is a balanced terminal separator "
                              "(invalid tree decomposition?)")
     return best
-
-
-def _components_minus(net: TerminalNetwork, removed) -> list[frozenset[str]]:
-    removed = set(removed)
-    comps = []
-    seen = set(removed)
-    for v in net.vertices:
-        if v in seen:
-            continue
-        comp = {v}
-        stack = [v]
-        seen.add(v)
-        while stack:
-            u = stack.pop()
-            for w in net.adjacency[u]:
-                if w not in seen:
-                    seen.add(w)
-                    comp.add(w)
-                    stack.append(w)
-        comps.append(frozenset(comp))
-    return sorted(comps, key=min)
 
 
 def identity_leaf(net: TerminalNetwork) -> SparsifierResult:
@@ -653,7 +619,7 @@ def _tw_build(net, tdec, w, leaf_builder, depth, leaf_threshold):
         res = leaf_builder(net)
         return res.net, res.claimed_quality, depth
     X = balanced_terminal_separator(net, tdec)
-    comps = _components_minus(net, X)
+    comps = components(net, X)
     if not comps:
         res = leaf_builder(net)
         return res.net, res.claimed_quality, depth

@@ -7,14 +7,13 @@ certification enumerates every terminal bipartition in rational arithmetic.
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .flow import concurrent_flow, max_flow, mincut_partition
-from .network import DemandVector, TerminalNetwork
+from .flow import concurrent_flow, finite_or_none, max_flow, mincut_partition
+from .network import DemandVector, TerminalNetwork, components, terminal_bipartitions
 
 DEFAULT_TOL = 1e-6
 
@@ -48,17 +47,18 @@ class QualityReport:
     def to_json_dict(self) -> dict:
         return {
             "version": 1,
-            "lower": self.lower,
-            "upper": self.upper,
-            "claimed_quality": self.claimed_quality,
+            "lower": finite_or_none(self.lower),
+            "upper": finite_or_none(self.upper),
+            "claimed_quality": finite_or_none(self.claimed_quality),
             "tol": self.tol,
             "verdict": "pass" if self.verdict else "fail",
             "demand_spec": self.demand_spec,
             "witness_set_only": self.witness_set_only,
             "records": [
                 {"demand": [[list(p), v] for p, v in r.demand],
-                 "lam_base": r.lam_base,
-                 "lam_candidate": r.lam_candidate} for r in self.records],
+                 "lam_base": finite_or_none(r.lam_base),
+                 "lam_candidate": finite_or_none(r.lam_candidate)}
+                for r in self.records],
         }
 
 
@@ -78,7 +78,7 @@ class CutReport:
     def to_json_dict(self) -> dict:
         return {
             "version": 1,
-            "beta": self.beta,
+            "beta": finite_or_none(self.beta),
             "all_exact": self.all_exact,
             "records": [{"A": list(r.side_a), "base": str(r.cut_base),
                          "candidate": str(r.cut_candidate)}
@@ -164,12 +164,14 @@ def demand_grid(net: TerminalNetwork, spec: str) -> list[DemandVector]:
 
 def certify(g: TerminalNetwork, gp: TerminalNetwork,
             demands: list[DemandVector] | str, claimed_q: float,
-            *, tol: float = DEFAULT_TOL, jobs: int = 1,
+            *, tol: float = DEFAULT_TOL,
             demand_spec: str = "explicit") -> QualityReport:
     """Per-demand flow comparison of candidate gp against base g.
 
     A quality-q sparsifier must never lose flow (lower <= 1+tol) and never
-    gain more than the claim (upper <= q * (1+tol)).
+    gain more than the claim (upper <= q * (1+tol)).  A demand with a pair
+    that gp disconnects routes nothing there: its candidate lambda is 0, so
+    lower is infinite and the verdict fails.
     """
     if set(g.terminals) != set(gp.terminals):
         raise VerifyError("terminal sets differ between base and candidate")
@@ -178,21 +180,18 @@ def certify(g: TerminalNetwork, gp: TerminalNetwork,
         demands = demand_grid(g, demands)
     if not demands:
         raise VerifyError("empty demand set")
+    component_of = {v: i for i, comp in enumerate(components(gp)) for v in comp}
 
-    def solve_pair(d):
-        lam_g = concurrent_flow(g, d).value
-        lam_gp = concurrent_flow(gp, d).value
-        return DemandRecord(demand=d.entries, lam_base=lam_g,
-                            lam_candidate=lam_gp)
+    records = []
+    for d in demands:
+        lam_base = concurrent_flow(g, d).value     # rejects malformed demands
+        split = any(component_of[s] != component_of[t] for s, t in d.pairs())
+        records.append(DemandRecord(
+            demand=d.entries, lam_base=lam_base,
+            lam_candidate=0.0 if split else concurrent_flow(gp, d).value))
 
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            records = list(pool.map(solve_pair, demands))
-    else:
-        records = [solve_pair(d) for d in demands]
-
-    lower = max(r.lam_base / r.lam_candidate for r in records)
+    lower = max(r.lam_base / r.lam_candidate if r.lam_candidate else math.inf
+                for r in records)
     upper = max(r.lam_candidate / r.lam_base for r in records)
     verdict = lower <= 1 + tol and upper <= claimed_q * (1 + tol)
     return QualityReport(lower=lower, upper=upper, claimed_quality=claimed_q,
@@ -202,33 +201,28 @@ def certify(g: TerminalNetwork, gp: TerminalNetwork,
 
 def certify_cuts(g: TerminalNetwork, gp: TerminalNetwork,
                  *, max_terminals: int = 16) -> CutReport:
-    """Exact bipartition min-cut comparison over all 2^(k-1)-1 bipartitions."""
+    """Exact bipartition min-cut comparison over all 2^(k-1)-1 bipartitions.
+
+    beta is the largest candidate/base cut ratio, infinite when the candidate
+    has capacity across a bipartition the base does not cut at all.
+    """
     if set(g.terminals) != set(gp.terminals):
         raise VerifyError("terminal sets differ between base and candidate")
     k = g.k
     if k > max_terminals:
         raise VerifyError(f"k={k} exceeds the bipartition budget {max_terminals}")
-    terms = g.terminals
-    t0 = terms[0]
-    rest = terms[1:]
     records = []
     beta = Fraction(0)
     all_exact = True
-    for r in range(len(rest) + 1):
-        for combo in itertools.combinations(rest, r):
-            A = (t0,) + combo
-            B = tuple(x for x in terms if x not in A)
-            if not B:
-                continue
-            base = mincut_partition(g, A, B)
-            cand = mincut_partition(gp, A, B)
-            records.append(CutRecord(side_a=A, cut_base=base,
-                                     cut_candidate=cand))
-            if base != cand:
-                all_exact = False
-            if base > 0:
-                beta = max(beta, Fraction(cand, 1) / base)
-            elif cand > 0:
-                beta = Fraction(10 ** 12)
+    for A, B in terminal_bipartitions(g.terminals):
+        base = mincut_partition(g, A, B)
+        cand = mincut_partition(gp, A, B)
+        records.append(CutRecord(side_a=A, cut_base=base, cut_candidate=cand))
+        if base != cand:
+            all_exact = False
+        if base > 0:
+            beta = max(beta, Fraction(cand, 1) / base)
+        elif cand > 0:
+            beta = math.inf
     return CutReport(beta=float(beta), all_exact=all_exact,
                      records=tuple(records))

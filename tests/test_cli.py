@@ -96,6 +96,22 @@ class TestSparsifyVerify:
                   "random:3:1", "--claim", "1.5", "--out", rep])
         assert rc == 1
 
+    def test_disconnected_candidate_exit_1(self, tmp_path):
+        g, h, rep = tmp_path / "g.json", tmp_path / "h.json", tmp_path / "rep.json"
+        assert run(["gen", "--kind", "quasi-bipartite", "--k", "5", "--n", "60",
+                    "--seed", "1", "--out", g]) == 0
+        assert run(["sparsify", "--method", "sample", "--M", "0.5", "--seed", "0",
+                    "--graph", g, "--out", h]) == 0
+        assert not load_net(str(h), allow_disconnected=True).is_connected()
+        rc = run(["verify", "--g", g, "--gp", h, "--demands", "random:5:1",
+                  "--claim", "1.5", "--out", rep])
+        assert rc == 1
+
+        def reject(name):
+            raise ValueError(f"non-finite number {name} in the report")
+        report = json.loads(rep.read_text(), parse_constant=reject)
+        assert report["verdict"] == "fail" and report["lower"] is None
+
     def test_lp_solver_failure_exit_2(self, qb_graph, tmp_path, monkeypatch, capsys):
         import flowsparse.lp
         from flowsparse.lp import LPIterationLimit

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -319,6 +320,16 @@ class TestSolutionSerialization:
         edges = {(row["u"], row["v"]) for row in ddoc["lengths"]}
         assert edges == {("s", "v"), ("t", "v")}
         assert ddoc["distances"] == [{"s": "s", "t": "t", "dist": 1.0}]
+
+    def test_unreachable_pair_distance_is_null(self):
+        net = TerminalNetwork.make(["a", "b", "c", "v"], ["a", "b", "c"],
+                                   [("a", "v", 1), ("v", "b", 1)],
+                                   allow_disconnected=True)
+        res = concurrent_flow(net, {("a", "b"): 1})
+        doc = json.loads(json.dumps(res.dual.to_json_dict(), allow_nan=False))
+        dists = {(row["s"], row["t"]): row["dist"] for row in doc["distances"]}
+        assert dists[("a", "c")] is None
+        assert dists[("a", "b")] == pytest.approx(1.0)
 
 
 class TestCuts:

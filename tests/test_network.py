@@ -17,6 +17,7 @@ from flowsparse import (
     subdivide_terminal_edges,
 )
 from flowsparse.flow import concurrent_flow, lambda_value, max_flow
+from flowsparse.network import components, terminal_bipartitions
 
 from conftest import random_connected_net, random_demand
 
@@ -66,10 +67,10 @@ class TestConstruction:
         assert net.cap("a", "b") == Fraction(7, 3)
 
     def test_normalize_preserves_lambda(self):
-        raw = TerminalNetwork.make(
-            ["s", "t", "v"], ["s", "t"],
-            [("s", "v", 1), ("s", "v", 2), ("v", "t", 4), ("s", "t", 0)],
-            normalize=False)
+        raw = TerminalNetwork(
+            vertices=("s", "t", "v"), terminals=("s", "t"),
+            edges=(("s", "v", Fraction(1)), ("s", "v", Fraction(2)),
+                   ("t", "v", Fraction(4)), ("s", "t", Fraction(0))))
         cooked = normalize(raw)
         assert cooked.cap("s", "v") == 3
         d = {("s", "t"): 1.0}
@@ -218,6 +219,37 @@ class TestComponents:
     def test_all_terminals(self):
         net = net_of(["s", "t"], ["s", "t"], [("s", "t", 1)])
         assert components_after_terminal_removal(net) == []
+
+    def test_components_sorted_by_smallest_vertex(self):
+        net = net_of(["a", "b", "c", "d", "e"], ["a"],
+                     [("e", "b", 1), ("c", "d", 1)], allow_disconnected=True)
+        assert components(net) == [frozenset("a"), frozenset("be"), frozenset("cd")]
+        assert not net.is_connected()
+
+    def test_components_skip_removed(self):
+        net = net_of(["a", "b", "c", "d"], ["a", "d"],
+                     [("a", "b", 1), ("b", "c", 1), ("c", "d", 1)])
+        assert components(net) == [frozenset("abcd")]
+        assert components(net, {"b"}) == [frozenset("a"), frozenset("cd")]
+        assert components(net, net.vertices) == []
+        assert (components(net, net.terminal_set)
+                == components_after_terminal_removal(net) == [frozenset("bc")])
+
+
+class TestTerminalBipartitions:
+    def test_count_and_order(self):
+        assert list(terminal_bipartitions(("a", "b", "c"))) == [
+            (("a",), ("b", "c")), (("a", "b"), ("c",)), (("a", "c"), ("b",))]
+        for k in range(2, 7):
+            terms = tuple(f"t{i}" for i in range(k))
+            splits = list(terminal_bipartitions(terms))
+            assert len(splits) == 2 ** (k - 1) - 1
+            assert len({frozenset(A) for A, _ in splits}) == len(splits)
+            for A, B in splits:
+                assert A[0] == "t0" and B and sorted(A + B) == list(terms)
+
+    def test_single_terminal_has_none(self):
+        assert list(terminal_bipartitions(("a",))) == []
 
 
 class TestDemandVector:

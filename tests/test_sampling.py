@@ -179,10 +179,10 @@ class TestGrouped:
             ["s", "t", "u", "w"], ["s", "t"],
             [("s", "u", 2), ("u", "w", 2), ("w", "t", 2)])
         res = grouped_sample_sparsifier(net, 2, 0.4, seed=2)
-        if len(res.net.vertices) == 4:   # component kept under this seed
-            factor = Fraction(1) / Fraction(0.4)
-            assert res.net.cap("u", "w") == Fraction(2) * factor
-            assert res.net.cap("s", "u") == Fraction(2) * factor
+        assert len(res.net.vertices) == 4    # seed 2 draws 0.167 < p = 0.4
+        factor = Fraction(1) / Fraction(0.4)
+        assert res.net.cap("u", "w") == Fraction(2) * factor
+        assert res.net.cap("s", "u") == Fraction(2) * factor
 
     def test_grouped_preserves_flow_when_all_kept(self):
         net = gen_bounded_component(4, 20, 3, seed=9)

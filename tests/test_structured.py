@@ -189,8 +189,8 @@ class TestTreewidth:
         X = balanced_terminal_separator(net, tdec)
         assert len(X) <= tdec.width + 1
         outside = set(net.terminals) - X
-        from flowsparse.structured import _components_minus
-        for comp in _components_minus(net, X):
+        from flowsparse.network import components
+        for comp in components(net, X):
             assert len(comp & set(net.terminals)) <= (2 / 3) * len(outside) + 1e-9
 
     def test_base_case_uses_leaf_builder(self):

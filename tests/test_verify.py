@@ -1,9 +1,12 @@
+import json
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from flowsparse import DemandVector, TerminalNetwork, concurrent_flow
+from flowsparse import DemandVector, TerminalNetwork, concurrent_flow, sample_sparsifier
+from flowsparse.generators import gen_quasi_bipartite
 from flowsparse.structured import mimick_small
 from flowsparse.verify import (
     VerifyError,
@@ -100,14 +103,25 @@ class TestCertify:
         with pytest.raises(VerifyError):
             certify(g, other, basis_demands(g), 1.0)
 
-    def test_jobs_parallel_same_answer(self):
-        rng = random.Random(4)
-        g = random_connected_net(rng, 9, 3)
-        gp = doubled(g)
-        ds = random_demands(g, 6, 1)
-        seq = certify(g, gp, ds, 2.0, jobs=1)
-        par = certify(g, gp, ds, 2.0, jobs=4)
-        assert seq.lower == par.lower and seq.upper == par.upper
+    def test_disconnected_candidate_is_a_failed_verdict(self):
+        g = gen_quasi_bipartite(5, 60, seed=1)
+        gp = sample_sparsifier(g, 0.5, 0).net
+        assert not gp.is_connected()
+        rep = certify(g, gp, "random:5:1", 1.5)
+        assert rep.lower == math.inf and not rep.verdict
+        assert all(r.lam_candidate == 0.0 for r in rep.records)
+        doc = json.loads(json.dumps(rep.to_json_dict(), allow_nan=False))
+        assert doc["lower"] is None and doc["verdict"] == "fail"
+
+    def test_split_pair_only_zeroes_its_demand(self):
+        g = star()
+        gp = TerminalNetwork.make(g.vertices, g.terminals,
+                                  [("v", "a", 2), ("v", "b", 2)],
+                                  allow_disconnected=True)
+        ab, ac = DemandVector.of({("a", "b"): 1.0}), DemandVector.of({("a", "c"): 1.0})
+        rep = certify(g, gp, [ab, ac], 1.0)
+        assert [r.lam_candidate for r in rep.records] == [2.0, 0.0]
+        assert rep.upper == 1.0 and rep.lower == math.inf and not rep.verdict
 
     def test_report_serializes(self):
         net = star()
@@ -135,6 +149,16 @@ class TestCertifyCuts:
         res = mimick_small(net)
         rep = certify_cuts(net, res.net)
         assert rep.all_exact
+
+    def test_cut_the_base_lacks_gives_infinite_beta(self):
+        g = TerminalNetwork.make(["a", "b", "c"], ["a", "b", "c"], [("a", "b", 1)],
+                                 allow_disconnected=True)
+        gp = TerminalNetwork.make(g.vertices, g.terminals,
+                                  [("a", "b", 1), ("b", "c", 1)])
+        rep = certify_cuts(g, gp)
+        assert rep.beta == math.inf and not rep.all_exact
+        doc = json.loads(json.dumps(rep.to_json_dict(), allow_nan=False))
+        assert doc["beta"] is None
 
     def test_budget_guard(self):
         rng = random.Random(6)
