@@ -7,6 +7,12 @@ generation: path constraints are priced by Dijkstra and added only when
 violated.  The primal flow is recovered from the multipliers of the
 generated path rows.
 
+The oracle keeps one record per network: a memo of finished results by
+demand, and a path pool, the paths that carried flow in earlier solves, which
+seed the next solve's columns.  The store holds at most _FLOW_CACHE_MAX memo
+entries over all networks and, when full, drops whole least-recently-used
+networks.
+
 The 2-hop flow, its dual and the terminal-free flow are restricted solves of
 the same oracle: paths may end at a terminal but never pass through one.
 
@@ -18,12 +24,13 @@ from __future__ import annotations
 
 import heapq
 import threading
-from collections import deque
-from dataclasses import dataclass
+from collections import OrderedDict, deque
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
+from .lp import LPError
 from .network import DemandVector, TerminalNetwork, _pair, terminal_bipartitions
 
 FEAS_TOL = 1e-9       # absolute feasibility / separation tolerance
@@ -257,14 +264,56 @@ def _bfs_path(net: TerminalNetwork, s: str, t: str,
     return None
 
 
+@dataclass
+class _NetState:
+    """What the oracle remembers about one network.
+
+    `memo` maps demand entries to the frozen result; `pool` maps a pair to
+    the paths that carried flow for it in earlier solves, in first-use order
+    (dict keys).  Only memoized solves feed the pool, so it grows with the
+    memo and leaves with it.
+    """
+
+    memo: dict = field(default_factory=dict)
+    pool: dict = field(default_factory=dict)
+
+
 _cache_lock = threading.Lock()
-_flow_cache: dict = {}
-_FLOW_CACHE_MAX = 60000
+_store: OrderedDict = OrderedDict()   # net.cache_key -> _NetState, LRU first
+_memo_entries = 0
+_FLOW_CACHE_MAX = 60000               # memo entries over all networks
 
 
 def clear_flow_cache() -> None:
+    """Forget every network's memo and path pool."""
+    global _memo_entries
     with _cache_lock:
-        _flow_cache.clear()
+        _store.clear()
+        _memo_entries = 0
+
+
+def _state(net: TerminalNetwork) -> _NetState:
+    """The network's record, now most recently used; call under the lock."""
+    state = _store.get(net.cache_key)
+    if state is None:
+        state = _store[net.cache_key] = _NetState()
+    else:
+        _store.move_to_end(net.cache_key)
+    return state
+
+
+def _remember(net: TerminalNetwork, entries: tuple, result) -> None:
+    """Memoize a result, first evicting least-recently-used networks whole
+    while the store is full."""
+    global _memo_entries
+    with _cache_lock:
+        if entries in _state(net).memo:
+            return
+        while _memo_entries >= _FLOW_CACHE_MAX:
+            _, old = _store.popitem(last=False)
+            _memo_entries -= len(old.memo)
+        _state(net).memo[entries] = result
+        _memo_entries += 1
 
 
 def _checked_demand(net: TerminalNetwork, demand) -> DemandVector:
@@ -283,17 +332,13 @@ def concurrent_flow(net: TerminalNetwork, demand: DemandVector | dict) -> Concur
     Raises FlowError on the all-zero demand (the value is unbounded there).
     """
     demand = _checked_demand(net, demand)
-    key = (net.cache_key, demand.entries)
     with _cache_lock:
-        hit = _flow_cache.get(key)
+        hit = _state(net).memo.get(demand.entries)
     if hit is not None:
         return hit
 
     result = _concurrent_flow_uncached(net, demand)
-    with _cache_lock:
-        if len(_flow_cache) >= _FLOW_CACHE_MAX:
-            _flow_cache.clear()
-        _flow_cache[key] = result
+    _remember(net, demand.entries, result)
     return result
 
 
@@ -310,8 +355,14 @@ def _concurrent_flow_uncached(net, demand,
     exactly the edge lengths / pair distances of the edge-length dual, and
     Dijkstra under those lengths prices out violated paths.
 
+    Unrestricted solves (empty `stop`) start from the network's path pool
+    as well as one BFS path per pair, and add the paths that carry flow to
+    the pool.  Restricted solves neither read nor write it.
+
     Paths may end at a vertex of `stop` but never pass through one; the
     reported distances are shortest such paths.
+
+    Raises LPError when the duality gap exceeds OPT_TOL.
     """
     from .lp import simplex_min
 
@@ -354,6 +405,12 @@ def _concurrent_flow_uncached(net, demand,
         if path is None:
             raise FlowError(f"no path between {p[0]} and {p[1]}")
         add_path(p, path)
+    if not stop:
+        with _cache_lock:
+            pool = _state(net).pool
+            pooled = [(p, path) for p in pairs for path in pool.get(p, ())]
+        for p, path in pooled:
+            add_path(p, path)
 
     basis = np.arange(m)
     Binv = np.eye(m)
@@ -418,6 +475,8 @@ def _concurrent_flow_uncached(net, demand,
     lam = -value
     dual_obj = float(sum(caps[i] * lengths[e] for e, i in eidx.items()))
     gap = abs(dual_obj - lam) / max(1.0, abs(lam))
+    if gap > OPT_TOL:
+        raise LPError(f"duality gap {gap:.3g} exceeds {OPT_TOL:g}")
 
     per_pair_paths: dict[tuple[str, str], list[tuple[tuple[str, ...], float]]] = {
         p: [] for p in pairs}
@@ -437,6 +496,12 @@ def _concurrent_flow_uncached(net, demand,
             for u, v in zip(path, path[1:]):
                 acc[(u, v)] = acc.get((u, v), 0.0) + f * scale
         arc_flows.append((p, tuple(sorted(acc.items()))))
+    if not stop:
+        with _cache_lock:
+            pool = _state(net).pool
+            for p in pairs:
+                pool.setdefault(p, {}).update(
+                    (path, None) for path, _ in per_pair_paths[p])
 
     all_pairs = net.terminal_pairs()
     dist_rows = []
@@ -483,7 +548,8 @@ def _unroutable_pairs(net: TerminalNetwork, demand: DemandVector) -> tuple:
                  if _bfs_path(net, p[0], p[1], net.terminal_set) is None)
 
 
-# The restricted solves bypass the memo: its key does not encode the stop set.
+# The restricted solves bypass the memo and the path pool, which are not
+# keyed by the stop set.
 
 def lambda_2hop(net: TerminalNetwork, demand: DemandVector | dict) -> TwoHopFlow:
     """Optimal concurrent flow along paths s-v-t only.

@@ -38,18 +38,14 @@ def gen_quasi_bipartite(k: int, n: int, seed: int, *,
         deg = rng.randint(2, min(4, k))
         for t in rng.sample(terms, deg):
             edges.append((v, t, _rand_cap(rng, cap_lo, cap_hi)))
-    # deterministically stitch terminal components together
+    # deterministically stitch terminal components together; every middle
+    # touches a terminal, so a disconnected net has two or more of them
     while True:
         net = TerminalNetwork.make(terms + mids, terms, edges,
                                    allow_disconnected=True)
         if net.is_connected():
             return net
         comp_reps = _component_terminals(net)
-        if len(comp_reps) < 2:
-            # some terminal saw no edge at all; hook it to the first middle
-            missing = [t for t in terms if not net.adjacency[t]]
-            edges.append((mids[0], missing[0], _rand_cap(rng, cap_lo, cap_hi)))
-            continue
         hub = f"v{len(mids)}"
         mids.append(hub)
         edges.append((hub, comp_reps[0], _rand_cap(rng, cap_lo, cap_hi)))

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .flow import finite_or_none
 from .network import TerminalNetwork
 
 
@@ -12,7 +13,8 @@ class SparsifierResult:
     """A constructed sparsifier plus its provenance.
 
     `claimed_quality` is what the construction promises (to be certified by
-    the verify module, never trusted blindly).
+    the verify module, never trusted blindly); NaN when it promises nothing,
+    written as null by `meta`.
     """
 
     net: TerminalNetwork
@@ -34,7 +36,7 @@ class SparsifierResult:
     def meta(self) -> dict:
         return {
             "method": self.method,
-            "claimed_quality": self.claimed_quality,
+            "claimed_quality": finite_or_none(self.claimed_quality),
             "params": {k: v for k, v in self.params},
             "notes": list(self.notes),
         }

@@ -25,6 +25,17 @@ def pytest_terminal_summary(terminalreporter):
             terminalreporter.write_line(line)
 
 
+def skew_duality_gap(monkeypatch):
+    """Make every float simplex report an objective 1% off its duals."""
+    import flowsparse.lp
+    real = flowsparse.lp.simplex_min
+
+    def skewed(*args, **kwargs):
+        x, value, y, basis, Binv, it = real(*args, **kwargs)
+        return x, value - 0.01 * max(1.0, abs(value)), y, basis, Binv, it
+    monkeypatch.setattr(flowsparse.lp, "simplex_min", skewed)
+
+
 def random_connected_net(rng: random.Random, n: int, k: int,
                          cap_lo: int = 1, cap_hi: int = 10,
                          extra_edges: int | None = None) -> TerminalNetwork:

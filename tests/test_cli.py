@@ -9,6 +9,8 @@ from flowsparse.cli import main
 from flowsparse.jsonio import load_net, save_net
 from flowsparse.network import TerminalNetwork
 
+from conftest import skew_duality_gap
+
 
 def run(args):
     return main([str(a) for a in args])
@@ -123,6 +125,27 @@ class TestSparsifyVerify:
                   "random:2:1", "--claim", "1.5", "--out", tmp_path / "rep.json"])
         assert rc == 2
         assert "error: no convergence" in capsys.readouterr().err
+
+    def test_duality_gap_above_tolerance_exit_2(self, qb_graph, tmp_path,
+                                                monkeypatch, capsys):
+        skew_duality_gap(monkeypatch)
+        rc = run(["verify", "--g", qb_graph, "--gp", qb_graph, "--demands",
+                  "random:2:1", "--claim", "1.5", "--out", tmp_path / "rep.json"])
+        assert rc == 2
+        assert "error: duality gap" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("method", ["sample", "sample-grouped"])
+    def test_sampled_graph_is_strict_json(self, method, tmp_path):
+        g, h = tmp_path / "g.json", tmp_path / "h.json"
+        assert run(["gen", "--kind", "quasi-bipartite", "--k", "3", "--n", "8",
+                    "--seed", "1", "--out", g]) == 0
+        assert run(["sparsify", "--method", method, "--M", "2", "--seed", "0",
+                    "--graph", g, "--out", h]) == 0
+
+        def reject(name):
+            raise ValueError(f"non-finite number {name} in the graph")
+        doc = json.loads(h.read_text(), parse_constant=reject)
+        assert doc["meta"]["claimed_quality"] is None
 
     def test_sp_on_non_sp_graph_exit_2(self, tmp_path):
         vs = ["a", "b", "c", "d"]

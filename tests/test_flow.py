@@ -2,6 +2,9 @@ import dataclasses
 import itertools
 import json
 import random
+import sys
+import threading
+import time
 from fractions import Fraction
 
 import networkx as nx
@@ -21,9 +24,13 @@ from flowsparse import (
     sparsest_cut,
     sparsest_terminal_cut,
 )
-from flowsparse.flow import FlowError
+from flowsparse import flow
+from flowsparse.flow import OPT_TOL, FlowError, clear_flow_cache
+from flowsparse.generators import gen_quasi_bipartite
+from flowsparse.lp import LPError
 
-from conftest import random_connected_net, random_demand, random_quasi_bipartite
+from conftest import (random_connected_net, random_demand, random_quasi_bipartite,
+                      skew_duality_gap)
 
 
 def scipy_lambda(net, demand, terminal_free=False):
@@ -176,6 +183,122 @@ class TestConcurrentFlow:
             smaller = DemandVector.of(entries)
             lam2 = concurrent_flow(net, smaller).value
             assert lam2 >= lam * (1 - 1e-9)
+
+
+def _pool_demands():
+    net = gen_quasi_bipartite(5, 40, seed=3)
+    rng = random.Random(5)
+    return net, [random_demand(rng, net) for _ in range(8)]
+
+
+def _record(net):
+    """The oracle's memo and path pool for `net`, as plain copies."""
+    state = flow._store.get(net.cache_key)
+    if state is None:
+        return None
+    return dict(state.memo), {p: list(paths) for p, paths in state.pool.items()}
+
+
+class TestPathPool:
+    def test_order_and_history_do_not_change_lambda(self):
+        net, demands = _pool_demands()
+        forward = [concurrent_flow(net, d) for d in demands]
+        clear_flow_cache()
+        backward = [concurrent_flow(net, d) for d in reversed(demands)][::-1]
+        cold = []
+        for d in demands:
+            clear_flow_cache()
+            cold.append(concurrent_flow(net, d))
+        for f, b, c in zip(forward, backward, cold):
+            assert f.value == pytest.approx(c.value, rel=1e-9)
+            assert b.value == pytest.approx(c.value, rel=1e-9)
+        # the pool is what makes the later solves short
+        assert sum(r.rounds for r in forward[1:]) < sum(r.rounds for r in cold[1:])
+
+    def test_warm_results_are_certified(self):
+        net, demands = _pool_demands()
+        for d in demands:
+            res = concurrent_flow(net, d)
+            assert res.duality_gap <= OPT_TOL
+            res.flow.check(net, d)
+            res.dual.check(net, d)
+
+    def test_clear_empties_memo_and_pool(self):
+        net, demands = _pool_demands()
+        concurrent_flow(net, demands[0])
+        memo, pool = _record(net)
+        assert memo and any(pool.values())
+        clear_flow_cache()
+        assert _record(net) is None
+
+    def test_lru_eviction_keeps_the_recent_network(self, monkeypatch):
+        monkeypatch.setattr(flow, "_FLOW_CACHE_MAX", 3)
+        net, demands = _pool_demands()
+        other = gen_quasi_bipartite(5, 30, seed=4)
+        third = gen_quasi_bipartite(5, 30, seed=5)
+        first = concurrent_flow(net, demands[0])
+        concurrent_flow(net, demands[1])
+        concurrent_flow(other, demands[0])
+        assert concurrent_flow(net, demands[0]) is first   # net is now the MRU
+        concurrent_flow(third, demands[0])                  # store full: evict
+        assert _record(other) is None
+        assert concurrent_flow(net, demands[0]) is first
+        assert len(_record(net)[0]) == 2 and len(_record(third)[0]) == 1
+
+    def test_threads_keep_the_store_consistent(self, monkeypatch):
+        monkeypatch.setattr(flow, "_FLOW_CACHE_MAX", 5)
+        rng = random.Random(8)
+        nets = [random_connected_net(rng, 7, 3) for _ in range(4)]
+        jobs = [(net, random_demand(rng, net)) for net in nets for _ in range(6)]
+        errors = []
+
+        def work(offset):
+            try:
+                for i in range(len(jobs)):
+                    net, d = jobs[(i + offset) % len(jobs)]
+                    concurrent_flow(net, d)
+            except Exception as exc:     # surfaced by the assertion below
+                errors.append(exc)
+        real_state = flow._state
+
+        def yielding_state(net):   # give other threads a turn mid-update
+            state = real_state(net)
+            time.sleep(0)
+            return state
+        monkeypatch.setattr(flow, "_state", yielding_state)
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(7 * i,)) for i in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads) and not errors
+        held = sum(len(state.memo) for state in flow._store.values())
+        assert held == flow._memo_entries <= 5
+
+    def test_restricted_solves_leave_the_pool_alone(self):
+        net, demands = _pool_demands()
+        lambda_2hop(net, demands[0])
+        dual_2hop(net, demands[0])
+        lambda_terminal_free(net, demands[0])
+        assert _record(net) is None
+        concurrent_flow(net, demands[0])
+        before = _record(net)
+        lambda_2hop(net, demands[1])
+        dual_2hop(net, demands[1])
+        lambda_terminal_free(net, demands[1])
+        assert _record(net) == before
+
+    def test_duality_gap_above_tolerance_raises(self, monkeypatch):
+        skew_duality_gap(monkeypatch)
+        net, demands = _pool_demands()
+        with pytest.raises(LPError, match="duality gap"):
+            concurrent_flow(net, demands[0])
+        assert _record(net) == ({}, {})
 
 
 class TestTwoHop:
