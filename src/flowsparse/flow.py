@@ -16,8 +16,10 @@ networks.
 The 2-hop flow, its dual and the terminal-free flow are restricted solves of
 the same oracle: paths may end at a terminal but never pass through one.
 
-Also here: exact single-commodity max flow (augmenting paths on rationals),
-exact brute-force sparsest cut, and terminal-bipartition min cuts.
+Also here: exact max flow between two vertices or two vertex sets
+(augmenting paths on rationals), which also gives the terminal-bipartition
+min cuts, and the exact sparsest cut, by brute force or over terminal
+bipartitions.
 """
 
 from __future__ import annotations
@@ -151,43 +153,51 @@ class ConcurrentFlowResult:
 
 
 # ---------------------------------------------------------------------------
-# Exact single-commodity max flow (augmenting paths over Fractions)
+# Exact max flow between vertices or vertex sets (Edmonds-Karp on Fractions)
 # ---------------------------------------------------------------------------
 
-def max_flow(net: TerminalNetwork, s: str, t: str) -> Fraction:
-    """Exact maximum s-t flow value via Edmonds-Karp on rational residuals."""
-    if s == t:
-        raise FlowError("source equals sink")
-    if s not in net.adjacency or t not in net.adjacency:
+def max_flow(net: TerminalNetwork, s, t) -> Fraction:
+    """Exact maximum flow value from `s` to `t`, Edmonds-Karp on rationals.
+
+    Each of `s` and `t` is a vertex or a set of vertices; a set acts as one
+    vertex joined to each member by unbounded capacity.
+    """
+    S = frozenset([s] if isinstance(s, str) else s)
+    T = frozenset([t] if isinstance(t, str) else t)
+    if not S or not T or S & T:
+        raise FlowError("source and sink must be nonempty and disjoint")
+    if not (S | T) <= net.adjacency.keys():
         raise FlowError("endpoint not in network")
-    residual: dict[str, dict[str, Fraction]] = {v: {} for v in net.vertices}
-    for u, v, c in net.edges:
-        residual[u][v] = residual[u].get(v, Fraction(0)) + c
-        residual[v][u] = residual[v].get(u, Fraction(0)) + c
+    residual = {u: dict(nbrs) for u, nbrs in net.adjacency.items()}
+    sources = sorted(S)
     total = Fraction(0)
     while True:
-        parent = {s: None}
-        q = deque([s])
-        while q and t not in parent:
+        parent = dict.fromkeys(sources)
+        q = deque(sources)
+        end = None
+        while q and end is None:
             u = q.popleft()
-            for v in sorted(residual[u]):
-                if v not in parent and residual[u][v] > 0:
+            for v, r in residual[u].items():
+                if v not in parent and r > 0:
                     parent[v] = u
+                    if v in T:
+                        end = v
+                        break
                     q.append(v)
-        if t not in parent:
+        if end is None:
             return total
         bottleneck = None
-        v = t
+        v = end
         while parent[v] is not None:
             u = parent[v]
             r = residual[u][v]
             bottleneck = r if bottleneck is None or r < bottleneck else bottleneck
             v = u
-        v = t
+        v = end
         while parent[v] is not None:
             u = parent[v]
             residual[u][v] -= bottleneck
-            residual[v][u] = residual[v].get(u, Fraction(0)) + bottleneck
+            residual[v][u] += bottleneck
             v = u
         total += bottleneck
 
@@ -198,14 +208,7 @@ def mincut_partition(net: TerminalNetwork, a_side, b_side) -> Fraction:
     B = frozenset(str(x) for x in b_side)
     if not A or not B or (A | B) != net.terminal_set or (A & B):
         raise FlowError("(A, B) must bipartition the terminal set into nonempty parts")
-    inf = sum((c for _, _, c in net.edges), Fraction(0)) + 1
-    src, snk = net.fresh_vertex("_src"), net.fresh_vertex("_snk")
-    vertices = list(net.vertices) + [src, snk]
-    edges = list(net.edges)
-    edges += [(src, a, inf) for a in sorted(A)]
-    edges += [(b, snk, inf) for b in sorted(B)]
-    aug = TerminalNetwork.make(vertices, [src, snk], edges, allow_disconnected=True)
-    return max_flow(aug, src, snk)
+    return max_flow(net, A, B)
 
 
 # ---------------------------------------------------------------------------
@@ -611,7 +614,7 @@ def sparsest_cut(net: TerminalNetwork, demand: DemandVector | dict,
     if n > max_vertices:
         raise FlowError(
             f"{n} vertices exceeds the brute-force bound {max_vertices}; "
-            "use sparsest_terminal_cut for a terminal-bipartition upper bound")
+            "use sparsest_terminal_cut, which is exact over terminal bipartitions")
     vidx = {v: i for i, v in enumerate(net.vertices)}
     count = 1 << (n - 1)
     masks = (np.arange(count, dtype=np.int64) << 1) | 1   # vertex 0 pinned inside
@@ -637,8 +640,11 @@ def sparsest_cut(net: TerminalNetwork, demand: DemandVector | dict,
 
 
 def sparsest_terminal_cut(net: TerminalNetwork, demand: DemandVector | dict) -> tuple[float, tuple]:
-    """Min over terminal bipartitions of mincut(A,B)/d(A,B); upper bound on the
-    sparsest cut, exact for min-cut ratio purposes."""
+    """Min over terminal bipartitions of mincut(A,B)/d(A,B): the sparsest cut.
+
+    A vertex set that separates demand splits the terminals into some (A, B),
+    separates exactly d(A, B) and costs at least mincut(A, B); a min cut of
+    (A, B) is such a set.  So the minimum equals `sparsest_cut`'s value."""
     if not isinstance(demand, DemandVector):
         demand = DemandVector.of(demand)
     best = (np.inf, None)

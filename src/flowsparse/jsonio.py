@@ -65,11 +65,11 @@ def load_demands(path: str) -> list[DemandVector]:
         raise NetworkError("demand file must be a JSON list")
     if data and isinstance(data[0], dict):
         data = [data]
-    out = []
-    for vec in data:
-        out.append(DemandVector.of({(row["s"], row["t"]): row["d"]
-                                    for row in vec}))
-    return out
+    try:
+        return [DemandVector.of({(row["s"], row["t"]): row["d"] for row in vec})
+                for vec in data]
+    except (KeyError, TypeError) as exc:
+        raise NetworkError(f"malformed demand file: {exc!r}") from exc
 
 
 def load_dimacs(path: str, terminals_path: str | None,

@@ -115,15 +115,6 @@ class TerminalNetwork:
         ts = self.terminal_set
         return not any(u in ts and v in ts for u, v, _ in self.edges)
 
-    def fresh_vertex(self, stem: str) -> str:
-        vid = stem
-        existing = set(self.vertices)
-        n = 1
-        while vid in existing:
-            vid = f"{stem}.{n}"
-            n += 1
-        return vid
-
 
 @dataclass(frozen=True)
 class DemandVector:

@@ -12,9 +12,10 @@ absorbing the extra (1+2*eps_int) factor the two-step decision costs.
 
 Membership structures
 ---------------------
-* grid core: the feasible grid vectors, enumerated explicitly and stored as
-  sorted integer codes.  Used when the candidate count fits the enumeration
-  budget (env FLOWSPARSE_BUDGET, default 10^6).
+* grid core: the feasible grid vectors, enumerated explicitly against a hull
+  core's certificates (spot-checked against the oracle) and stored as sorted
+  integer codes.  Used when the candidate count fits the enumeration budget
+  (env FLOWSPARSE_BUDGET, default 10^6).
 * hull core: a set of dual length certificates (rows delta / objective) whose
   pointwise minimum upper bound 1/max(row . d) reproduces the flow value;
   membership is `max(row . d) <= 1`.  Built adaptively against the oracle and
@@ -36,7 +37,6 @@ from .flow import concurrent_flow, max_flow
 from .network import DemandVector, TerminalNetwork
 
 DEFAULT_BUDGET = 1_000_000
-ORACLE_BUDGET = 2_000      # larger grids are enumerated against the hull
 _MEMBER_TOL = 1e-9
 
 
@@ -49,13 +49,13 @@ class BudgetExceeded(SketchError):
 
 
 def enumeration_budget() -> int:
+    """FLOWSPARSE_BUDGET if set (a non-negative integer), else DEFAULT_BUDGET."""
     raw = os.environ.get("FLOWSPARSE_BUDGET")
-    if raw:
-        try:
-            return int(raw)
-        except ValueError:
-            pass
-    return DEFAULT_BUDGET
+    if not raw:
+        return DEFAULT_BUDGET
+    if not raw.strip().isdecimal():
+        raise SketchError(f"FLOWSPARSE_BUDGET={raw!r} is not a non-negative integer")
+    return int(raw)
 
 
 def _exponent_floor(value: float, base: float) -> int:
@@ -293,8 +293,7 @@ class DemandSketch:
 # Building
 # ---------------------------------------------------------------------------
 
-def build_sketch(net: TerminalNetwork, epsilon: float, *,
-                 budget: int | None = None) -> DemandSketch:
+def build_sketch(net: TerminalNetwork, epsilon: float) -> DemandSketch:
     """Preprocess the network into a DemandSketch.
 
     `epsilon` is the user-facing accuracy in (0, 1/2); the grid runs at
@@ -304,8 +303,7 @@ def build_sketch(net: TerminalNetwork, epsilon: float, *,
         raise SketchError("epsilon must lie in (0, 1/2) so that the internal "
                           "grid parameter epsilon/4 stays below 1/8")
     eps = epsilon / 4.0
-    if budget is None:
-        budget = enumeration_budget()
+    budget = enumeration_budget()
     k = net.k
     if k < 2:
         raise SketchError("need at least two terminals")
@@ -327,15 +325,10 @@ def build_sketch(net: TerminalNetwork, epsilon: float, *,
     for c in counts:
         candidates *= c + 1
 
-    if candidates <= min(ORACLE_BUDGET, budget):
-        members = _enumerate_with_oracle(net, pairs, jmins, counts, base)
+    core = _build_hull(net, pairs, maxflows, eps)
+    if candidates <= budget:
+        members = _enumerate_with_hull(net, pairs, jmins, counts, base, core)
         core = GridCore(jmins=tuple(jmins), counts=tuple(counts), members=members)
-    elif candidates <= budget:
-        hull = _build_hull(net, pairs, maxflows, eps)
-        members = _enumerate_with_hull(net, pairs, jmins, counts, base, hull)
-        core = GridCore(jmins=tuple(jmins), counts=tuple(counts), members=members)
-    else:
-        core = _build_hull(net, pairs, maxflows, eps)
 
     return DemandSketch(epsilon=float(epsilon), eps_internal=eps,
                         terminals=tuple(net.terminals), pairs=pairs,
@@ -370,46 +363,13 @@ def _all_codes_and_vectors(jmins, counts, base):
     return codes, vecs
 
 
-def _enumerate_with_oracle(net, pairs, jmins, counts, base) -> np.ndarray:
-    """Small candidate sets: ask the flow oracle per vector, pruning by
-    down-monotonicity (dominating an infeasible vector is infeasible,
-    being dominated by a feasible one is feasible)."""
-    codes, vecs = _all_codes_and_vectors(jmins, counts, base)
-    order = np.argsort(vecs.sum(axis=1))
-    feasible = np.zeros(len(codes), dtype=bool)
-    known = np.zeros(len(codes), dtype=bool)
-    for idx in order:
-        if known[idx]:
-            continue
-        vec = vecs[idx]
-        if not vec.any():
-            known[idx] = True
-            feasible[idx] = False   # zero vector excluded from storage
-            continue
-        d = DemandVector.of({p: v for p, v in zip(pairs, vec) if v > 0})
-        lam = concurrent_flow(net, d).value
-        ok = lam >= 1.0 - 1e-9
-        dominated = np.all(vecs <= vec[None, :] * (1 + 1e-12), axis=1)
-        dominating = np.all(vecs >= vec[None, :] * (1 - 1e-12), axis=1)
-        if ok:
-            newly = dominated & ~known
-            feasible[newly] = True
-            known[newly] = True
-            feasible[idx] = True
-            known[idx] = True
-        else:
-            newly = dominating & ~known
-            feasible[newly] = False
-            known[newly] = True
-    zero_mask = ~vecs.any(axis=1)
-    feasible[zero_mask] = False
-    return np.sort(codes[feasible])
+_ACCEPT_CHUNK = 65536        # grid vectors scored against the hull at once
 
 
-def _hull_accept_mask(hull: HullCore, vecs: np.ndarray, chunk: int = 65536) -> np.ndarray:
+def _hull_accept_mask(hull: HullCore, vecs: np.ndarray) -> np.ndarray:
     out = np.empty(len(vecs), dtype=bool)
-    for lo in range(0, len(vecs), chunk):
-        hi = min(lo + chunk, len(vecs))
+    for lo in range(0, len(vecs), _ACCEPT_CHUNK):
+        hi = min(lo + _ACCEPT_CHUNK, len(vecs))
         scores = hull.rows @ vecs[lo:hi].T
         out[lo:hi] = scores.max(axis=0) <= 1.0 + _MEMBER_TOL
     return out
@@ -453,8 +413,11 @@ def _dual_certificate(net, pairs, demand: DemandVector) -> np.ndarray:
     return row / res.dual.value
 
 
-def _build_hull(net, pairs, maxflows, eps, *, validation_rounds: int = 30,
-                samples_per_round: int = 80) -> HullCore:
+_VALIDATION_ROUNDS = 30      # hull validation: rounds of seeded samples
+_SAMPLES_PER_ROUND = 80
+
+
+def _build_hull(net, pairs, maxflows, eps) -> HullCore:
     """Adaptive dual-certificate collection until the certified upper bound
     matches the oracle on a seeded validation schedule."""
     rows = []
@@ -465,9 +428,9 @@ def _build_hull(net, pairs, maxflows, eps, *, validation_rounds: int = 30,
     rng = random.Random(0xC0FFEE)
     hull = HullCore(rows=np.array(rows))
     scales = (1.0, 0.25, 0.0625)
-    for rnd in range(validation_rounds):
+    for rnd in range(_VALIDATION_ROUNDS):
         clean = True
-        for s in range(samples_per_round):
+        for s in range(_SAMPLES_PER_ROUND):
             scale = scales[s % len(scales)]
             vec = np.array([
                 (rng.uniform(0.05, 1.0) * maxflows[i] * scale

@@ -203,6 +203,37 @@ class TestSketchCli:
         d.write_text(json.dumps([{"s": "s", "t": "t", "d": 1.0}]))
         assert run(["sketch", "query", "--sk", sk, "--demand", d]) == 0
 
+    @pytest.mark.parametrize("value", ["abc", "-1"])
+    def test_budget_typo_exit_2(self, value, tmp_path, monkeypatch, capsys):
+        g = tmp_path / "g.json"
+        assert run(["gen", "--kind", "quasi-bipartite", "--k", "3", "--n", "6",
+                    "--seed", "1", "--out", g]) == 0
+        monkeypatch.setenv("FLOWSPARSE_BUDGET", value)
+        rc = run(["sketch", "build", "--graph", g, "--eps", "0.25",
+                  "--out", tmp_path / "g.sk"])
+        assert rc == 2
+        assert "error: FLOWSPARSE_BUDGET" in capsys.readouterr().err
+
+
+MALFORMED_DEMANDS = {
+    "row-without-d": [{"s": "s", "t": "t"}],
+    "list-of-numbers": [1, 2, 3],
+}
+
+
+@pytest.mark.parametrize("kind", sorted(MALFORMED_DEMANDS))
+def test_malformed_demand_file_exit_2(kind, tmp_path, capsys):
+    g, sk, d = tmp_path / "g.json", tmp_path / "g.sk", tmp_path / "d.json"
+    save_net(TerminalNetwork.make(["s", "t"], ["s", "t"], [("s", "t", 10)]), str(g))
+    d.write_text(json.dumps(MALFORMED_DEMANDS[kind]))
+    assert run(["sketch", "build", "--graph", g, "--eps", "0.1", "--out", sk]) == 0
+    capsys.readouterr()
+    for args in (["verify", "--g", g, "--gp", g, "--demands", d, "--claim", "1.5",
+                  "--out", tmp_path / "rep.json"],
+                 ["sketch", "query", "--sk", sk, "--demand", d]):
+        assert run(args) == 2
+        assert "error: malformed demand file" in capsys.readouterr().err
+
 
 class TestPlan:
     def test_prints_m(self, capsys):

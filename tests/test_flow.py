@@ -28,6 +28,7 @@ from flowsparse import flow
 from flowsparse.flow import OPT_TOL, FlowError, clear_flow_cache
 from flowsparse.generators import gen_quasi_bipartite
 from flowsparse.lp import LPError
+from flowsparse.network import terminal_bipartitions
 
 from conftest import (random_connected_net, random_demand, random_quasi_bipartite,
                       skew_duality_gap)
@@ -83,6 +84,26 @@ def scipy_lambda(net, demand, terminal_free=False):
     return -res.fun
 
 
+def rational_net(rng, n, k):
+    """Random connected net whose capacities are Fraction(a, b)."""
+    net = random_connected_net(rng, n, k)
+    return TerminalNetwork.make(
+        net.vertices, net.terminals,
+        [(u, v, Fraction(rng.randint(1, 30), rng.randint(1, 7)))
+         for u, v, _ in net.edges])
+
+
+def nx_set_flow(net, S, T):
+    """Exact max flow from vertex set S to T by networkx, through a super
+    source and sink joined by edges of unbounded capacity."""
+    g = nx.Graph()
+    for u, v, c in net.edges:
+        g.add_edge(u, v, capacity=c)
+    g.add_edges_from(("_S", a) for a in S)
+    g.add_edges_from((b, "_T") for b in T)
+    return nx.maximum_flow_value(g, "_S", "_T")
+
+
 class TestMaxFlow:
     def test_single_edge(self):
         net = TerminalNetwork.make(["s", "t"], ["s", "t"], [("s", "t", 10)])
@@ -114,6 +135,27 @@ class TestMaxFlow:
         s, t = net.terminals[0], net.terminals[1]
         ref = nx.maximum_flow_value(g, s, t)
         assert float(max_flow(net, s, t)) == pytest.approx(ref)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_set_endpoints(self, seed):
+        rng = random.Random(seed)
+        net = rational_net(rng, rng.randint(5, 12), 5)
+        S, T = set(net.terminals[:2]), set(net.terminals[2:])
+        assert max_flow(net, S, T) == nx_set_flow(net, S, T)
+        assert max_flow(net, S, net.terminals[4]) == nx_set_flow(net, S, {net.terminals[4]})
+        s, t = net.terminals[0], net.terminals[1]
+        assert max_flow(net, {s}, [t]) == max_flow(net, s, t)
+
+    def test_endpoint_errors(self):
+        net = TerminalNetwork.make(["s", "v", "t"], ["s", "t"],
+                                   [("s", "v", 2), ("v", "t", 5)])
+        for s, t in [("s", "s"), ({"s", "v"}, {"v", "t"}), ({"s"}, ["s"]),
+                     (set(), "t"), ("s", ())]:
+            with pytest.raises(FlowError, match="disjoint"):
+                max_flow(net, s, t)
+        for s, t in [("s", "x"), ({"s", "x"}, "t"), ("s", {"t", "x"})]:
+            with pytest.raises(FlowError, match="not in network"):
+                max_flow(net, s, t)
 
 
 class TestConcurrentFlow:
@@ -487,7 +529,7 @@ class TestCuts:
             sparsest_cut(net, d)
         ratio, (A, B) = sparsest_terminal_cut(net, d)
         phi_true, _ = sparsest_cut(net, d, max_vertices=25)
-        assert ratio >= phi_true - 1e-9
+        assert abs(ratio - phi_true) <= 1e-9
 
     def test_mincut_partition_star(self):
         net = TerminalNetwork.make(
@@ -502,3 +544,11 @@ class TestCuts:
             mincut_partition(net, ["s", "t"], [])
         with pytest.raises(FlowError):
             mincut_partition(net, ["s"], ["s", "t"])
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_mincut_partition_against_networkx(self, seed):
+        rng = random.Random(seed)
+        k = 2 + seed % 5
+        net = rational_net(rng, rng.randint(k, k + 8), k)
+        for A, B in terminal_bipartitions(net.terminals):
+            assert mincut_partition(net, A, B) == nx_set_flow(net, A, B)

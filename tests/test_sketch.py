@@ -66,10 +66,11 @@ class TestBuild:
         sk = build_sketch(net, 0.3)
         assert math.log(max(1, sk.stored_entries)) <= sk.storage_bound_log()
 
-    def test_budget_fallback_to_hull(self):
+    def test_budget_fallback_to_hull(self, monkeypatch):
         rng = random.Random(6)
         net = random_connected_net(rng, 8, 3)
-        sk = build_sketch(net, 0.25, budget=10)   # grid cannot fit
+        monkeypatch.setenv("FLOWSPARSE_BUDGET", "10")   # grid cannot fit
+        sk = build_sketch(net, 0.25)
         assert isinstance(sk.core, HullCore)
         with pytest.raises(SketchError):
             grid_demands(sk)
