@@ -17,9 +17,10 @@ The 2-hop flow, its dual and the terminal-free flow are restricted solves of
 the same oracle: paths may end at a terminal but never pass through one.
 
 Also here: exact max flow between two vertices or two vertex sets
-(augmenting paths on rationals), which also gives the terminal-bipartition
-min cuts, and the exact sparsest cut, by brute force or over terminal
-bipartitions.
+(shortest augmenting paths on integers: the rational capacities scaled by
+the LCM of their denominators, cached per network), which also gives the
+terminal-bipartition min cuts, and the exact sparsest cut, by brute force or
+over terminal bipartitions.
 """
 
 from __future__ import annotations
@@ -153,48 +154,54 @@ class ConcurrentFlowResult:
 
 
 # ---------------------------------------------------------------------------
-# Exact max flow between vertices or vertex sets (Edmonds-Karp on Fractions)
+# Exact max flow between vertices or vertex sets (Edmonds-Karp on integers)
 # ---------------------------------------------------------------------------
 
 def max_flow(net: TerminalNetwork, s, t) -> Fraction:
-    """Exact maximum flow value from `s` to `t`, Edmonds-Karp on rationals.
+    """Exact maximum flow value from `s` to `t`.
 
     Each of `s` and `t` is a vertex or a set of vertices; a set acts as one
-    vertex joined to each member by unbounded capacity.
+    vertex joined to each member by unbounded capacity.  Edmonds-Karp runs on
+    the network's cached `integer_view` (capacities scaled to integers), so
+    the value is exact: the integer flow over the scale, as a Fraction.
     """
     S = frozenset([s] if isinstance(s, str) else s)
     T = frozenset([t] if isinstance(t, str) else t)
     if not S or not T or S & T:
         raise FlowError("source and sink must be nonempty and disjoint")
-    if not (S | T) <= net.adjacency.keys():
+    scale, index, arcs = net.integer_view
+    if not (S | T) <= index.keys():
         raise FlowError("endpoint not in network")
-    residual = {u: dict(nbrs) for u, nbrs in net.adjacency.items()}
-    sources = sorted(S)
-    total = Fraction(0)
+    residual = [dict(nbrs) for nbrs in arcs]
+    sources = [index[v] for v in sorted(S)]
+    sinks = {index[v] for v in T}
+    total = 0
     while True:
-        parent = dict.fromkeys(sources)
-        q = deque(sources)
-        end = None
-        while q and end is None:
-            u = q.popleft()
+        parent = dict.fromkeys(sources, -1)
+        queue = list(sources)
+        end = -1
+        for u in queue:     # breadth first: also visits what is appended
             for v, r in residual[u].items():
-                if v not in parent and r > 0:
+                if r > 0 and v not in parent:
                     parent[v] = u
-                    if v in T:
+                    if v in sinks:
                         end = v
                         break
-                    q.append(v)
-        if end is None:
-            return total
+                    queue.append(v)
+            if end >= 0:
+                break
+        if end < 0:
+            return Fraction(total, scale)
         bottleneck = None
         v = end
-        while parent[v] is not None:
+        while parent[v] >= 0:
             u = parent[v]
             r = residual[u][v]
-            bottleneck = r if bottleneck is None or r < bottleneck else bottleneck
+            if bottleneck is None or r < bottleneck:
+                bottleneck = r
             v = u
         v = end
-        while parent[v] is not None:
+        while parent[v] >= 0:
             u = parent[v]
             residual[u][v] -= bottleneck
             residual[v][u] += bottleneck

@@ -2,8 +2,12 @@
 
 `simplex_min` (float, numpy) serves column generation in the flow oracle:
 it continues the simplex from a feasible basis after columns are appended.
-`solve_lp_exact` (Fraction, full tableau) serves small exact feasibility and
-fitting problems where float drift is unacceptable.
+`solve_lp_exact` (Fraction, full tableau, Bland's rule) serves small exact
+feasibility and fitting problems where float drift is unacceptable.  Its
+pivots are sparse: the pivot row is divided at its nonzero entries only, the
+other rows are updated in place at those columns only, and pricing sums over
+the basic rows whose cost is nonzero.  The skipped terms are exact zeros, so
+every reduced cost, ratio and pivot is the one the dense tableau gives.
 
 Conventions
 -----------
@@ -183,12 +187,17 @@ def solve_lp_exact(c, A, b, senses, *, maximize=False, max_iter=20000):
     T = [cols[i] + [b[i]] for i in range(m)]
 
     def pivot(pi, pj):
-        piv = T[pi][pj]
-        T[pi] = [v / piv for v in T[pi]]
+        row = T[pi]
+        piv = row[pj]
+        nz = [k for k, v in enumerate(row) if v]
+        for k in nz:
+            row[k] /= piv
         for r in range(m):
-            if r != pi and T[r][pj] != 0:
-                f = T[r][pj]
-                T[r] = [T[r][k] - f * T[pi][k] for k in range(n_total + 1)]
+            other = T[r]
+            f = other[pj]
+            if r != pi and f:
+                for k in nz:
+                    other[k] -= f * row[k]
         basis[pi] = pj
 
     def run(cost, allowed, limit):
@@ -196,12 +205,13 @@ def solve_lp_exact(c, A, b, senses, *, maximize=False, max_iter=20000):
         while True:
             if it > limit:
                 raise LPIterationLimit("exact simplex pivot limit")
-            cB = [cost[basis[r]] for r in range(m)]
+            priced = [(cost[basis[r]], T[r]) for r in range(m) if cost[basis[r]]]
+            in_basis = set(basis)
             entering = -1
             for j in range(allowed):
-                if j in basis:
+                if j in in_basis:
                     continue
-                zj = cost[j] - sum(cB[r] * T[r][j] for r in range(m))
+                zj = cost[j] - sum(cb * row[j] for cb, row in priced)
                 if zj < 0:
                     entering = j
                     break

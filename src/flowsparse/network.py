@@ -10,6 +10,7 @@ network.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -23,7 +24,12 @@ class NetworkError(ValueError):
 
 
 def _as_capacity(value) -> Fraction:
-    return value if isinstance(value, Fraction) else Fraction(value)
+    if isinstance(value, Fraction):
+        return value
+    try:
+        return Fraction(value)
+    except (ValueError, OverflowError, TypeError) as exc:
+        raise NetworkError(f"capacity {value!r} is not a finite number") from exc
 
 
 def _pair(u: str, v: str) -> tuple[str, str]:
@@ -86,6 +92,23 @@ class TerminalNetwork:
         return adj
 
     @cached_property
+    def integer_view(self) -> tuple[int, dict[str, int], list[dict[int, int]]]:
+        """(scale, index, arcs): the capacities times `scale`, the LCM of
+        their denominators, as ints.  `index` numbers the vertices and
+        `arcs[i]` maps each neighbour's index to the summed integer capacity
+        of the edges between them."""
+        caps = [(u, v, _as_capacity(c)) for u, v, c in self.edges]
+        scale = math.lcm(*(c.denominator for _, _, c in caps))
+        index = {v: i for i, v in enumerate(self.vertices)}
+        arcs: list[dict[int, int]] = [{} for _ in self.vertices]
+        for u, v, c in caps:
+            x = c.numerator * (scale // c.denominator)
+            i, j = index[u], index[v]
+            arcs[i][j] = arcs[i].get(j, 0) + x
+            arcs[j][i] = arcs[j].get(i, 0) + x
+        return scale, index, arcs
+
+    @cached_property
     def terminal_set(self) -> frozenset[str]:
         return frozenset(self.terminals)
 
@@ -131,6 +154,8 @@ class DemandVector:
             if s == t:
                 raise NetworkError(f"demand on identical endpoints {s!r}")
             val = float(val)
+            if not math.isfinite(val):
+                raise NetworkError(f"demand on {pair} is not a finite number")
             if val < 0:
                 raise NetworkError(f"negative demand on {pair}")
             key = _pair(str(s), str(t))

@@ -235,6 +235,39 @@ def test_malformed_demand_file_exit_2(kind, tmp_path, capsys):
         assert "error: malformed demand file" in capsys.readouterr().err
 
 
+NON_FINITE_CAPS = ["Infinity", "1e400"]
+
+
+@pytest.mark.parametrize("cap", NON_FINITE_CAPS)
+def test_non_finite_capacity_exit_2(cap, tmp_path, capsys):
+    g = tmp_path / "g.json"
+    g.write_text('{"vertices": ["s", "t"], "terminals": ["s", "t"], '
+                 '"edges": [{"u": "s", "v": "t", "cap": %s}]}' % cap)
+    rc = run(["sketch", "build", "--graph", g, "--eps", "0.1",
+              "--out", tmp_path / "g.sk"])
+    assert rc == 2
+    assert "error: capacity inf is not a finite number" in capsys.readouterr().err
+
+
+NON_FINITE_DEMANDS = ["NaN", "Infinity"]
+
+
+@pytest.mark.parametrize("value", NON_FINITE_DEMANDS)
+def test_non_finite_demand_exit_2(value, tmp_path, capsys):
+    g, sk, d = tmp_path / "g.json", tmp_path / "g.sk", tmp_path / "d.json"
+    save_net(TerminalNetwork.make(["s", "t"], ["s", "t"], [("s", "t", 10)]), str(g))
+    d.write_text('[{"s": "s", "t": "t", "d": %s}]' % value)
+    assert run(["sketch", "build", "--graph", g, "--eps", "0.1", "--out", sk]) == 0
+    capsys.readouterr()
+    for args in (["verify", "--g", g, "--gp", g, "--demands", d, "--claim", "1.5",
+                  "--out", tmp_path / "rep.json"],
+                 ["sketch", "query", "--sk", sk, "--demand", d]):
+        assert run(args) == 2
+        err = capsys.readouterr().err
+        assert "error: demand on ('s', 't') is not a finite number" in err
+        assert "Traceback" not in err
+
+
 class TestPlan:
     def test_prints_m(self, capsys):
         assert run(["plan", "--eps", "0.5", "--k", "5", "--fail", "0.1"]) == 0

@@ -104,6 +104,22 @@ def nx_set_flow(net, S, T):
     return nx.maximum_flow_value(g, "_S", "_T")
 
 
+PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+
+
+def prime_denominator_net(rng, n, k):
+    """Random connected net whose capacities are Fraction(a, p) in lowest
+    terms, the primes p up to 50 dealt to the edges in a shuffled cycle, so
+    that the integer view's scale is a product of many distinct primes."""
+    net = random_connected_net(rng, n, k)
+    primes = rng.sample(PRIMES, len(PRIMES))
+    edges = []
+    for i, (u, v, _) in enumerate(net.edges):
+        p = primes[i % len(primes)]
+        edges.append((u, v, Fraction(p * rng.randint(0, 3) + rng.randint(1, p - 1), p)))
+    return TerminalNetwork.make(net.vertices, net.terminals, edges)
+
+
 class TestMaxFlow:
     def test_single_edge(self):
         net = TerminalNetwork.make(["s", "t"], ["s", "t"], [("s", "t", 10)])
@@ -145,6 +161,37 @@ class TestMaxFlow:
         assert max_flow(net, S, net.terminals[4]) == nx_set_flow(net, S, {net.terminals[4]})
         s, t = net.terminals[0], net.terminals[1]
         assert max_flow(net, {s}, [t]) == max_flow(net, s, t)
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_large_scale_exact_against_networkx(self, seed):
+        rng = random.Random(700 + seed)
+        net = prime_denominator_net(rng, rng.randint(8, 14), 4)
+        assert net.integer_view[0] > 10 ** 6
+        t = net.terminals
+        for S, T in [({t[0]}, {t[1]}), ({t[0], t[2]}, {t[1], t[3]}),
+                     ({t[3]}, set(t[:3]))]:
+            value = max_flow(net, S, T)
+            assert type(value) is Fraction
+            assert value == nx_set_flow(net, S, T)
+
+    def test_value_is_a_fraction_on_integer_capacities(self):
+        net = TerminalNetwork.make(["s", "v", "t"], ["s", "t"],
+                                   [("s", "v", 2), ("v", "t", 5), ("s", "t", 1)])
+        assert type(max_flow(net, "s", "t")) is Fraction
+        raw = TerminalNetwork(vertices=("s", "t"), terminals=("s", "t"),
+                              edges=(("s", "t", 4),))
+        value = max_flow(raw, "s", "t")
+        assert type(value) is Fraction and value == 4
+
+    def test_raw_net_with_duplicated_edge_matches_make(self):
+        edges = (("s", "a", 3), ("a", "t", 2), ("s", "a", 1), ("a", "t", 4),
+                 ("a", "b", 2), ("b", "t", 7), ("s", "b", 1), ("s", "b", 1))
+        raw = TerminalNetwork(vertices=("a", "b", "s", "t"), terminals=("s", "t"),
+                              edges=edges)
+        made = TerminalNetwork.make(raw.vertices, raw.terminals, edges)
+        value = max_flow(raw, "s", "t")
+        assert type(value) is Fraction
+        assert value == max_flow(made, "s", "t") == 6
 
     def test_endpoint_errors(self):
         net = TerminalNetwork.make(["s", "v", "t"], ["s", "t"],

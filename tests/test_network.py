@@ -76,6 +76,38 @@ class TestConstruction:
         d = {("s", "t"): 1.0}
         assert lambda_value(cooked, d) == pytest.approx(3.0)
 
+    @pytest.mark.parametrize("cap", [float("inf"), float("-inf"), float("nan"),
+                                     1e400, "inf", "abc", None])
+    def test_rejects_non_finite_capacity(self, cap):
+        with pytest.raises(NetworkError, match="not a finite number"):
+            net_of(["a", "b"], ["a", "b"], [("a", "b", cap)])
+
+
+class TestIntegerView:
+    def test_scale_is_lcm_of_denominators(self):
+        net = net_of(["s", "v", "t"], ["s", "t"],
+                     [("s", "v", "1/3"), ("v", "t", "2/7"), ("s", "t", "1/2")])
+        scale, index, arcs = net.integer_view
+        assert scale == 42
+        assert index == {"s": 0, "t": 1, "v": 2}
+        assert arcs == [{2: 14, 1: 21}, {0: 21, 2: 12}, {0: 14, 1: 12}]
+
+    def test_integer_capacities_have_scale_one(self):
+        net = net_of(["a", "b"], ["a", "b"], [("a", "b", 5)])
+        assert net.integer_view == (1, {"a": 0, "b": 1}, [{1: 5}, {0: 5}])
+
+    def test_raw_net_sums_parallel_edges(self):
+        raw = TerminalNetwork(vertices=("a", "s", "t"), terminals=("s", "t"),
+                              edges=(("s", "a", 3), ("a", "t", 2), ("s", "a", 1),
+                                     ("t", "a", 4), ("t", "s", 0.5)))
+        made = net_of(raw.vertices, raw.terminals, raw.edges)
+        assert raw.integer_view == made.integer_view
+        assert raw.integer_view[0] == 2
+
+    def test_cached_per_network(self):
+        net = net_of(["a", "b"], ["a", "b"], [("a", "b", "3/4")])
+        assert net.integer_view is net.integer_view
+
 
 class TestSubdivide:
     def test_single_terminal_edge(self):
@@ -261,6 +293,11 @@ class TestDemandVector:
     def test_rejects_negative(self):
         with pytest.raises(NetworkError):
             DemandVector.of({("a", "b"): -1})
+
+    @pytest.mark.parametrize("val", [float("nan"), float("inf"), 1e400, "nan"])
+    def test_rejects_non_finite(self, val):
+        with pytest.raises(NetworkError, match="not a finite number"):
+            DemandVector.of({("a", "b"): val})
 
     def test_rejects_loop_pair(self):
         with pytest.raises(NetworkError):

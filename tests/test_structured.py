@@ -9,6 +9,7 @@ from flowsparse import (
     certify_cuts,
     concurrent_flow,
 )
+from flowsparse import structured
 from flowsparse.generators import gen_series_parallel, gen_treewidth
 from flowsparse.structured import (
     SpLeaf,
@@ -87,6 +88,76 @@ class TestMimick:
         net = random_connected_net(rng, 9, 5)
         with pytest.raises(StructureError):
             mimick_small(net)
+
+
+# Seeds of random_connected_net(rng, rng.randint(6, 10), 4) whose cut values
+# no clique fits, so mimick_small falls through to _fit_star_clique, with the
+# edges ("u-v:capacity") it returned before the exact simplex's pivots became
+# sparse.  Every pivot is meant to stay the same, so every fit must too.
+STAR_CLIQUE_FITS = {
+    0: ("_aux-v0:1/2 _aux-v1:1/2 _aux-v2:1/2 _aux-v3:1/2 v0-v1:9 "
+        "v0-v2:7/2 v1-v2:18 v1-v3:29/2"),
+    15: ("_aux-v0:4 _aux-v1:4 _aux-v2:4 _aux-v3:4 v0-v1:9 v0-v2:3 "
+         "v0-v3:3 v1-v3:12 v2-v3:6"),
+    53: ("_aux-v0:2 _aux-v1:2 _aux-v2:2 _aux-v3:2 v0-v1:8 v0-v2:3 "
+         "v1-v2:22 v1-v3:8 v2-v3:2"),
+    65: ("_aux-v0:3/2 _aux-v1:3/2 _aux-v2:3/2 _aux-v3:3/2 v0-v1:5 "
+         "v0-v2:9 v0-v3:1/2 v1-v3:19/2 v2-v3:21/2"),
+    79: ("_aux-v0:2 _aux-v1:2 _aux-v2:2 _aux-v3:2 v0-v1:8 v0-v2:27/2 "
+         "v0-v3:23/2 v2-v3:1/2"),
+    83: ("_aux-v0:1 _aux-v1:1 _aux-v2:1 _aux-v3:1 v0-v1:2 v0-v2:15 "
+         "v0-v3:1 v1-v2:4 v2-v3:13"),
+    94: ("_aux-v0:1 _aux-v1:1 _aux-v2:1 _aux-v3:1 v0-v1:6 v0-v2:4 "
+         "v0-v3:4 v1-v2:7 v1-v3:1 v2-v3:2"),
+    109: ("_aux-v0:4 _aux-v1:4 _aux-v2:4 _aux-v3:4 v0-v1:13 v0-v3:6 "
+          "v1-v2:9"),
+    116: ("_aux-v0:9/2 _aux-v1:9/2 _aux-v2:9/2 _aux-v3:9/2 v0-v1:11/2 "
+          "v0-v2:11 v1-v2:3/2 v1-v3:39/2"),
+    132: ("_aux-v0:2 _aux-v1:2 _aux-v2:2 _aux-v3:2 v0-v1:12 v0-v2:10 "
+          "v0-v3:5 v1-v2:3 v1-v3:8"),
+    151: ("_aux-v0:3/2 _aux-v1:3/2 _aux-v2:3/2 _aux-v3:3/2 v0-v1:6 "
+          "v0-v2:2 v0-v3:5/2 v1-v2:12 v1-v3:1/2 v2-v3:15/2"),
+    157: ("_aux-v0:3/2 _aux-v1:3/2 _aux-v2:3/2 _aux-v3:3/2 v0-v1:12 "
+          "v0-v2:1 v0-v3:15/2 v1-v2:4 v1-v3:1/2 v2-v3:3/2"),
+    159: ("_aux-v0:1 _aux-v1:1 _aux-v2:1 _aux-v3:1 v0-v1:8 v0-v2:19/2 "
+          "v0-v3:31/2 v2-v3:13/2"),
+    172: ("_aux-v0:1 _aux-v1:1 _aux-v2:1 _aux-v3:1 v0-v1:11 v0-v2:5/2 "
+          "v0-v3:5/2 v1-v2:8 v2-v3:11/2"),
+    195: ("_aux-v0:3/2 _aux-v1:3/2 _aux-v2:3/2 _aux-v3:3/2 v0-v1:5/2 "
+          "v0-v2:4 v1-v2:19/2 v1-v3:5/2"),
+    211: ("_aux-v0:6 _aux-v1:6 _aux-v2:6 _aux-v3:6 v0-v1:4 v0-v2:17/2 "
+          "v0-v3:1/2 v1-v3:7 v2-v3:39/2"),
+    225: ("_aux-v0:1/2 _aux-v1:1/2 _aux-v2:1/2 _aux-v3:1/2 v0-v1:29/2 "
+          "v0-v2:4 v1-v2:3/2 v1-v3:11/2"),
+    262: ("_aux-v0:1 _aux-v1:1 _aux-v2:1 _aux-v3:1 v0-v1:23/2 "
+          "v0-v3:21/2 v1-v2:6 v1-v3:11/2"),
+    264: ("_aux-v0:1 _aux-v1:1 _aux-v2:1 _aux-v3:1 v0-v1:9 v0-v2:25 "
+          "v0-v3:10 v1-v3:9 v2-v3:1"),
+    297: ("_aux-v0:1/2 _aux-v1:1/2 _aux-v2:1/2 _aux-v3:1/2 v0-v1:7 "
+          "v0-v2:6 v0-v3:17/2 v1-v3:3/2 v2-v3:9/2"),
+    320: ("_aux-v0:1 _aux-v1:1 _aux-v2:1 _aux-v3:1 v0-v1:11 v0-v3:8 "
+          "v1-v2:2 v1-v3:9"),
+    330: ("_aux-v0:3 _aux-v1:3 _aux-v2:3 _aux-v3:3 v0-v1:2 v0-v2:1/2 "
+          "v0-v3:21/2 v1-v2:9 v2-v3:9/2"),
+    340: ("_aux-v0:1 _aux-v1:1 _aux-v2:1 _aux-v3:1 v0-v1:12 v0-v2:10 "
+          "v1-v2:1 v1-v3:4 v2-v3:2"),
+    355: ("_aux-v0:1 _aux-v1:1 _aux-v2:1 _aux-v3:1 v0-v1:10 v0-v2:5 "
+          "v0-v3:15 v1-v2:22 v1-v3:6 v2-v3:1"),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(STAR_CLIQUE_FITS))
+def test_star_clique_fits_are_pinned(seed, monkeypatch):
+    calls = []
+    fit = structured._fit_star_clique
+    monkeypatch.setattr(structured, "_fit_star_clique",
+                        lambda *args: calls.append(1) or fit(*args))
+    rng = random.Random(seed)
+    net = random_connected_net(rng, rng.randint(6, 10), 4)
+    res = mimick_small(net)
+    assert calls, "the clique fit succeeded, so the star+clique fit was not reached"
+    got = " ".join(f"{u}-{v}:{c}" for u, v, c in res.net.edges)
+    assert got == STAR_CLIQUE_FITS[seed]
 
 
 class TestSpRecognize:
