@@ -151,6 +151,7 @@ class ConcurrentFlowResult:
     dual: DualSolution
     duality_gap: float
     rounds: int
+    pivots: int     # simplex pivots over all rounds
 
 
 # ---------------------------------------------------------------------------
@@ -222,30 +223,41 @@ def mincut_partition(net: TerminalNetwork, a_side, b_side) -> Fraction:
 # Concurrent flow via constraint generation on the edge-length dual
 # ---------------------------------------------------------------------------
 
-def _dijkstra(net: TerminalNetwork, lengths: dict, source: str,
+def _arcs(net: TerminalNetwork) -> dict[str, list[tuple[str, tuple[str, str]]]]:
+    """Per vertex, its (neighbour, canonical edge) pairs in adjacency order."""
+    return {u: [(v, _pair(u, v)) for v in nbrs] for u, nbrs in net.adjacency.items()}
+
+
+def _dijkstra(arcs: dict, lengths: dict, source: str,
               stop: frozenset = frozenset()):
-    """Shortest paths from source; vertices in `stop` are reached, not left."""
+    """Shortest paths from source over `_arcs` lists, with a length for every
+    edge in `lengths`; vertices in `stop` are reached, not left."""
+    inf = np.inf
+    push, pop = heapq.heappush, heapq.heappop
     dist = {source: 0.0}
+    get = dist.get
     parent: dict[str, str | None] = {source: None}
     heap = [(0.0, source)]
     while heap:
-        d, u = heapq.heappop(heap)
-        if d > dist.get(u, np.inf):
+        d, u = pop(heap)
+        if d > get(u, inf):
             continue
         if stop and u != source and u in stop:
             continue
-        for v in net.adjacency[u]:
-            w = lengths.get(_pair(u, v), 0.0)
-            nd = d + w
-            if nd < dist.get(v, np.inf) - 1e-15:
+        for v, e in arcs[u]:
+            nd = d + lengths[e]
+            if nd < get(v, inf) - 1e-15:
                 dist[v] = nd
                 parent[v] = u
-                heapq.heappush(heap, (nd, v))
+                push(heap, (nd, v))
     return dist, parent
 
 
 def _dijkstra_pair(net: TerminalNetwork, lengths: dict, s: str, t: str) -> float:
-    dist, _ = _dijkstra(net, lengths, s)
+    """s-t distance; an edge missing from `lengths` has length 0."""
+    full = {_pair(u, v): 0.0 for u, v, _ in net.edges}
+    full.update(lengths)
+    dist, _ = _dijkstra(_arcs(net), full, s)
     return dist.get(t, np.inf)
 
 
@@ -385,30 +397,40 @@ def _concurrent_flow_uncached(net, demand,
     m = np_ + ne
 
     b = np.concatenate([np.zeros(np_), caps])
+    arcs = _arcs(net)
+    row_of = {(u, v): np_ + eidx[e] for u, out in arcs.items() for v, e in out}
     # columns: lambda | path flows ... | slacks (identity)
-    lam_col = np.zeros(m)
-    for p in pairs:
-        lam_col[pidx[p]] = demand[p]
-    columns = [lam_col]
-    cost = [-1.0]
     col_paths: list[tuple[tuple[str, str], tuple[str, ...]] | None] = [None]
     seen_paths = set()
-
-    def path_column(pair, path):
-        col = np.zeros(m)
-        col[pidx[pair]] = -1.0
-        for u, v in zip(path, path[1:]):
-            col[np_ + eidx[_pair(u, v)]] += 1.0
-        return col
 
     def add_path(pair, path):
         if (pair, path) in seen_paths:
             return False
         seen_paths.add((pair, path))
-        columns.append(path_column(pair, path))
-        cost.append(0.0)
         col_paths.append((pair, path))
         return True
+
+    def grow(A, n_old, n_struct):
+        """[A's structural block | columns n_old..n_struct-1 | identity].
+
+        A path column holds -1 in its pair's row and 1 in each edge's row;
+        a simple path uses an edge at most once."""
+        grown = np.zeros((m, n_struct + m))
+        grown[:, :n_old] = A[:, :n_old]
+        new = range(max(n_old, 1), n_struct)
+        ones_r: list[int] = []
+        ones_c: list[int] = []
+        for j in new:
+            path = col_paths[j][1]
+            ones_r += [row_of[arc] for arc in zip(path, path[1:])]
+            ones_c += [j] * (len(path) - 1)
+        grown[[pidx[col_paths[j][0]] for j in new], new] = -1.0
+        grown[ones_r, ones_c] = 1.0
+        if n_old == 0:
+            grown[:np_, 0] = [demand[p] for p in pairs]
+        rows = np.arange(m)
+        grown[rows, n_struct + rows] = 1.0
+        return grown
 
     for p in pairs:
         path = _bfs_path(net, p[0], p[1], stop)
@@ -422,17 +444,19 @@ def _concurrent_flow_uncached(net, demand,
         for p, path in pooled:
             add_path(p, path)
 
+    A = np.zeros((m, 0))
     basis = np.arange(m)
     Binv = np.eye(m)
-    rounds = 0
+    rounds = pivots = 0
     n_struct_prev = 0
     while True:
         rounds += 1
         if rounds > _MAX_SEPARATION_ROUNDS:
             raise FlowError("column generation did not converge")
-        n_struct = len(columns)
-        A = np.hstack([np.column_stack(columns), np.eye(m)])
-        c_full = np.array(cost + [0.0] * m)
+        n_struct = len(col_paths)
+        A = grow(A, n_struct_prev, n_struct)
+        c_full = np.zeros(n_struct + m)
+        c_full[0] = -1.0
         if rounds == 1:
             basis = np.arange(n_struct, n_struct + m)
             Binv = np.eye(m)
@@ -440,7 +464,8 @@ def _concurrent_flow_uncached(net, demand,
             # slack block moved right by the freshly appended columns
             shift = n_struct - n_struct_prev
             basis = np.where(basis >= n_struct_prev, basis + shift, basis)
-        x, value, y, basis, Binv, _ = simplex_min(c_full, A, b, basis, Binv=Binv)
+        x, value, y, basis, Binv, it = simplex_min(c_full, A, b, basis, Binv=Binv)
+        pivots += it
         n_struct_prev = n_struct
 
         deltas = np.maximum(-y[:np_], 0.0)
@@ -454,12 +479,12 @@ def _concurrent_flow_uncached(net, demand,
             if target <= FEAS_TOL:
                 continue
             if s not in src_cache:
-                src_cache[s] = _dijkstra(net, lengths, s, stop)
+                src_cache[s] = _dijkstra(arcs, lengths, s, stop)
             ds, parent_s = src_cache[s]
             if ds.get(t, np.inf) >= target - FEAS_TOL:
                 continue
             if t not in src_cache:
-                src_cache[t] = _dijkstra(net, lengths, t, stop)
+                src_cache[t] = _dijkstra(arcs, lengths, t, stop)
             dt, parent_t = src_cache[t]
             # candidate midpoints give many violated paths per round
             cand = sorted(net.vertices,
@@ -519,14 +544,14 @@ def _concurrent_flow_uncached(net, demand,
     for p in all_pairs:
         s, t = p
         if s not in by_source:
-            by_source[s] = _dijkstra(net, lengths, s, stop)[0]
+            by_source[s] = _dijkstra(arcs, lengths, s, stop)[0]
         dist_rows.append((p, float(by_source[s].get(t, np.inf))))
 
     flow = FlowSolution(lam=lam, arc_flows=tuple(arc_flows))
     dual = DualSolution(lengths=tuple(sorted(lengths.items())),
                         dists=tuple(dist_rows), value=dual_obj)
     return ConcurrentFlowResult(value=lam, flow=flow, dual=dual,
-                                duality_gap=gap, rounds=rounds)
+                                duality_gap=gap, rounds=rounds, pivots=pivots)
 
 
 def lambda_value(net: TerminalNetwork, demand) -> float:

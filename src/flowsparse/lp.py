@@ -2,6 +2,10 @@
 
 `simplex_min` (float, numpy) serves column generation in the flow oracle:
 it continues the simplex from a feasible basis after columns are appended.
+Per pivot it prices every column once and computes `Binv @ b` once; at
+_SPARSE_UPDATE_ROWS rows or more, its rank-1 update of `Binv` skips the
+rows where the entering column is zero.  None of this changes a pivot or a
+rounding: the skipped work recomputed equal values or subtracted zeros.
 `solve_lp_exact` (Fraction, full tableau, Bland's rule) serves small exact
 feasibility and fitting problems where float drift is unacceptable.  Its
 pivots are sparse: the pivot row is divided at its nonzero entries only, the
@@ -35,6 +39,7 @@ LE, GE, EQ = "<=", ">=", "=="
 
 _REFACTOR_EVERY = 100
 _STALL_LIMIT = 60
+_SPARSE_UPDATE_ROWS = 100  # measured crossover: below it the full update is faster
 
 
 class LPError(Exception):
@@ -61,6 +66,14 @@ def simplex_min(cost, A, b, basis, *, Binv=None, tol=1e-9, max_iter=None):
     appended since the last call, and `basis`/`Binv` from that call remain
     valid.  Returns (x, value, y, basis, Binv, iterations); raises
     LPUnbounded / LPIterationLimit / LPError on a singular basis.
+
+    Each pivot computes the basic solution `Binv @ b` once: the one taken
+    for the stall test after a pivot is the next pivot's ratio-test input,
+    and the last one gives x.  The ratio test runs over the rows where the
+    entering column is positive.  With at least _SPARSE_UPDATE_ROWS rows,
+    the rank-1 update of `Binv` touches only the rows where that column is
+    nonzero; on the other rows it would subtract zeros, which changes no
+    value (at most the sign of a zero entry, which no comparison sees).
     """
     cost = np.asarray(cost, dtype=float)
     A = np.asarray(A, dtype=float)
@@ -71,41 +84,44 @@ def simplex_min(cost, A, b, basis, *, Binv=None, tol=1e-9, max_iter=None):
     basis = np.array(basis, dtype=int)
     if Binv is None:
         Binv = _factorize(A, basis)
+    sparse_update = m >= _SPARSE_UPDATE_ROWS
     bland = False
     stall = 0
     last_obj = np.inf
     it = 0
     since_refactor = 0
+    cB = cost[basis]
+    xB = Binv @ b
     while True:
         if it >= max_iter:
             raise LPIterationLimit(f"no convergence in {it} pivots")
-        cB = cost[basis]
         y = cB @ Binv
         z = cost - y @ A
         z[basis] = 0.0
         if bland:
-            cand = np.flatnonzero(z < -tol)
+            cand = (z < -tol).nonzero()[0]
             if cand.size == 0:
                 break
             j = int(cand[0])
         else:
-            j = int(np.argmin(z))
+            j = int(z.argmin())
             if z[j] >= -tol:
                 break
         d = Binv @ A[:, j]
-        xB = Binv @ b
-        pos = d > tol
-        if not pos.any():
+        pos = (d > tol).nonzero()[0]
+        if pos.size == 0:
             raise LPUnbounded("improving direction is unbounded")
-        ratios = np.full(m, np.inf)
-        ratios[pos] = np.maximum(xB[pos], 0.0) / d[pos]
-        rmin = ratios.min()
-        ties = np.flatnonzero(ratios <= rmin + tol)
-        l = int(ties[np.argmin(basis[ties])])
+        ratios = np.maximum(xB[pos], 0.0) / d[pos]
+        ties = pos[ratios <= ratios.min() + tol]
+        l = int(ties[basis[ties].argmin()])
 
         piv = d[l]
         binv_l = Binv[l].copy()
-        Binv -= np.outer(d / piv, binv_l)
+        if sparse_update:
+            rows = d.nonzero()[0]
+            Binv[rows] -= np.outer(d[rows] / piv, binv_l)
+        else:
+            Binv -= np.outer(d / piv, binv_l)
         Binv[l] = binv_l / piv
         basis[l] = j
 
@@ -114,7 +130,9 @@ def simplex_min(cost, A, b, basis, *, Binv=None, tol=1e-9, max_iter=None):
         if since_refactor >= _REFACTOR_EVERY:
             Binv = _factorize(A, basis)
             since_refactor = 0
-        obj_now = float(cost[basis] @ (Binv @ b))
+        cB = cost[basis]
+        xB = Binv @ b
+        obj_now = float(cB @ xB)
         if obj_now >= last_obj - tol:
             stall += 1
             if stall >= _STALL_LIMIT:
@@ -123,7 +141,7 @@ def simplex_min(cost, A, b, basis, *, Binv=None, tol=1e-9, max_iter=None):
             stall = 0
         last_obj = obj_now
     x = np.zeros(A.shape[1])
-    x[basis] = Binv @ b
+    x[basis] = xB
     return x, float(cost @ x), y, basis, Binv, it
 
 

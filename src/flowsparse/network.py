@@ -36,6 +36,29 @@ def _pair(u: str, v: str) -> tuple[str, str]:
     return (u, v) if u <= v else (v, u)
 
 
+class _HashedKey:
+    """A tuple hashed once: dict lookups by it skip re-hashing every
+    `Fraction` capacity, and equal keys compare by their tuples."""
+
+    __slots__ = ("parts", "_hash")
+
+    def __init__(self, parts: tuple):
+        self.parts = parts
+        self._hash = hash(parts)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other) -> bool:
+        return self is other or (isinstance(other, _HashedKey)
+                                 and self._hash == other._hash
+                                 and self.parts == other.parts)
+
+    def __reduce__(self):
+        # string hashes differ between processes: hash again on unpickling
+        return _HashedKey, (self.parts,)
+
+
 @dataclass(frozen=True)
 class TerminalNetwork:
     """Vertices, ordered terminal list, and canonical undirected edges.
@@ -113,8 +136,8 @@ class TerminalNetwork:
         return frozenset(self.terminals)
 
     @cached_property
-    def cache_key(self) -> tuple:
-        return (self.terminals, self.edges, tuple(sorted(self.vertices)))
+    def cache_key(self) -> "_HashedKey":
+        return _HashedKey((self.terminals, self.edges, tuple(sorted(self.vertices))))
 
     def cap(self, u: str, v: str) -> Fraction:
         return self.adjacency.get(u, {}).get(v, Fraction(0))

@@ -21,11 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .flow import max_flow
-from .network import (
-    TerminalNetwork,
-    components_after_terminal_removal,
-    induced_subgraph,
-)
+from .network import TerminalNetwork, components_after_terminal_removal
 from .results import SparsifierResult
 
 
@@ -168,7 +164,11 @@ def sample_sparsifier(net: TerminalNetwork, M: float, seed: int) -> SparsifierRe
 def grouped_sampling_plan(net: TerminalNetwork, w: int, M: float,
                           seed: int) -> SamplingPlan:
     """One sampling unit per component of the graph minus terminals; the
-    component's 2-hop role is played by its terminal-free s-t min cuts."""
+    component's 2-hop role is played by its terminal-free s-t min cuts.
+
+    With independent terminals every edge has a non-terminal end, so one
+    pass buckets the edges by component, and the subnetwork of a component
+    and a pair is that bucket less the edges to other terminals."""
     if M <= 0:
         raise SamplingError("oversampling factor must be positive")
     if not net.terminals_independent():
@@ -180,16 +180,24 @@ def grouped_sampling_plan(net: TerminalNetwork, w: int, M: float,
                 f"component {sorted(comp)} has {len(comp)} > w = {w} vertices")
     pairs = net.terminal_pairs()
     ts = net.terminal_set
+    comp_of = {v: i for i, comp in enumerate(comps) for v in comp}
+    comp_edges: list[list] = [[] for _ in comps]
+    for e in net.edges:
+        comp_edges[comp_of[e[1] if e[0] in ts else e[0]]].append(e)
     units = []
     totals = {p: Fraction(0) for p in pairs}
-    for comp in comps:
+    for comp, edges in zip(comps, comp_edges):
         members = tuple(sorted(comp))
         flows = {}
         adj_terms = sorted({t for v in comp for t in net.adjacency[v] if t in ts})
         for s, t in pairs:
             if s not in adj_terms or t not in adj_terms:
                 continue
-            sub = induced_subgraph(net, set(comp) | {s, t}, [s, t])
+            keep = comp | {s, t}
+            sub = TerminalNetwork.make(
+                sorted(keep), [s, t],
+                [e for e in edges if e[0] in keep and e[1] in keep],
+                allow_disconnected=True)
             val = max_flow(sub, s, t)
             if val > 0:
                 flows[(s, t)] = val

@@ -1,11 +1,15 @@
 import dataclasses
+import hashlib
 import itertools
 import json
+import os
 import random
+import subprocess
 import sys
 import threading
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import networkx as nx
 import pytest
@@ -388,6 +392,166 @@ class TestPathPool:
         with pytest.raises(LPError, match="duality gap"):
             concurrent_flow(net, demands[0])
         assert _record(net) == ({}, {})
+
+
+def _pin_groups():
+    """Oracle solves whose every output is pinned bit for bit, by group.
+
+    A group's solves run in order from a cold store, so the later qb
+    demands start from a warm path pool.  Each solve is (net, demand,
+    restricted); restricted solves are the 2-hop ones behind `lambda_2hop`
+    and `dual_2hop`."""
+    groups = {}
+    for seed in (11, 12, 13):
+        net = gen_quasi_bipartite(5, 60, seed=seed)
+        rng = random.Random(seed)
+        groups[f"qb-{seed}"] = [(net, random_demand(rng, net), False) for _ in range(4)]
+    for k, n, seed in ((3, 8, 1), (3, 12, 2), (4, 16, 3), (4, 20, 4)):
+        net = gen_quasi_bipartite(k, n, seed=seed)
+        groups[f"small-qb-{k}-{n}"] = [(net, random_demand(random.Random(seed), net), False)]
+    for k, n, seed in ((3, 10, 5), (3, 14, 6), (4, 12, 7), (4, 18, 8)):
+        rng = random.Random(seed)
+        net = random_connected_net(rng, n, k)
+        groups[f"small-connected-{k}-{n}"] = [(net, random_demand(rng, net), False)]
+    for k, n, seed in ((4, 20, 9), (4, 30, 10), (5, 30, 11), (5, 40, 12)):
+        net = gen_quasi_bipartite(k, n, seed=seed)
+        groups[f"2hop-{k}-{n}"] = [(net, random_demand(random.Random(seed), net), True)]
+    return groups
+
+
+def _pin_solve(net, demand, restricted):
+    if restricted:
+        return flow._concurrent_flow_uncached(net, demand, net.terminal_set)
+    return concurrent_flow(net, demand)
+
+
+def _fingerprint(res):
+    flows = repr((res.flow.arc_flows, res.dual.lengths, res.dual.dists))
+    return (res.value.hex(), res.rounds, res.pivots,
+            hashlib.sha256(flows.encode()).hexdigest()[:16])
+
+
+def _pin_fingerprints():
+    """Fingerprint every pinned solve in a fresh interpreter with one BLAS
+    thread: a multi-threaded matrix-vector product rounds differently."""
+    import flowsparse
+    tests = Path(__file__).resolve().parent
+    path = [str(Path(flowsparse.__file__).resolve().parent.parent), str(tests)]
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(path + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    code = ("import json, test_flow as T\n"
+            "out = {}\n"
+            "for group, solves in T._pin_groups().items():\n"
+            "    T.clear_flow_cache()\n"
+            "    out[group] = [T._fingerprint(T._pin_solve(*solve))\n"
+            "                  for solve in solves]\n"
+            "print(json.dumps(out))\n")
+    proc = subprocess.run([sys.executable, "-c", code], cwd=tests, env=env,
+                          capture_output=True, text=True, check=True)
+    return {group: [tuple(row) for row in rows]
+            for group, rows in json.loads(proc.stdout).items()}
+
+
+# (value.hex(), rounds, pivots, sha256 prefix of repr((arc flows, lengths,
+# distances))) per solve with one BLAS thread.  Work may be cut from the
+# simplex and the pricing only where these stay equal: a different pivot or
+# rounding changes them.
+PINNED_SOLVES = {
+    '2hop-4-20': [
+        ('0x1.e812546d14882p+2', 5, 27, '58239bdd16a8b9fb'),
+    ],
+    '2hop-4-30': [
+        ('0x1.1a33bdabc6f4bp+5', 3, 51, 'df24af28f26971d2'),
+    ],
+    '2hop-5-30': [
+        ('0x1.0bc3158aa14bap+3', 5, 27, '4fc073a80e9ebd30'),
+    ],
+    '2hop-5-40': [
+        ('0x1.6afcbe827b914p+3', 7, 153, '86bdc78ebe697745'),
+    ],
+    'qb-11': [
+        ('0x1.0e9375daf6555p+5', 11, 344, 'baff257a694e006b'),
+        ('0x1.93cc52f01ef7ap+4', 11, 526, '53b30e06ed57f979'),
+        ('0x1.3de6ec98cf848p+4', 2, 155, '404b2110d134ae21'),
+        ('0x1.4cdad5112ecbcp+4', 6, 323, '87fe57b38ecd78cf'),
+    ],
+    'qb-12': [
+        ('0x1.2bfa1a5faea07p+4', 9, 490, 'c32761f358755b75'),
+        ('0x1.1450f341c4394p+6', 9, 372, 'eb6038fba53a37c8'),
+        ('0x1.a02baa4d500dbp+4', 4, 338, '1b14ad68ca193893'),
+        ('0x1.c0f5e8c934da6p+4', 3, 351, '07f516e96f23eedc'),
+    ],
+    'qb-13': [
+        ('0x1.c3b29bf50a492p+4', 10, 452, 'e9e0a9b39045f3a8'),
+        ('0x1.9eb3abbaeb8d6p+4', 9, 274, '212ef6e037d0f078'),
+        ('0x1.9bc922bef3cc5p+4', 6, 310, '9101aa595022b426'),
+        ('0x1.2d653b70f22c8p+5', 7, 426, '2839fcccb1e313a4'),
+    ],
+    'small-connected-3-10': [
+        ('0x1.6127870c96f7ep+4', 3, 4, '8fed99d8a20bac9e'),
+    ],
+    'small-connected-3-14': [
+        ('0x1.bb16d124ce8fcp+2', 3, 11, 'd862774c346b344a'),
+    ],
+    'small-connected-4-12': [
+        ('0x1.eb9efc64055b2p-3', 1, 6, '08d2f344932e900c'),
+    ],
+    'small-connected-4-18': [
+        ('0x1.b3f9d73461425p+0', 3, 8, '614bae26f96d6923'),
+    ],
+    'small-qb-3-12': [
+        ('0x1.7dd2bd1bd8e9cp+6', 3, 8, '29023bc6dd4fb948'),
+    ],
+    'small-qb-3-8': [
+        ('0x1.de2073ff92290p+1', 4, 13, 'dd66dfb9a2958462'),
+    ],
+    'small-qb-4-16': [
+        ('0x1.3a6a3589c6b02p+3', 4, 48, 'f46cbaadea1eb8f6'),
+    ],
+    'small-qb-4-20': [
+        ('0x1.e53592c735f27p+4', 6, 52, '1e514e08d99b4300'),
+    ],
+}
+
+
+@pytest.fixture(scope="module")
+def pin_fingerprints():
+    return _pin_fingerprints()
+
+
+class TestPinnedOracle:
+    @pytest.mark.parametrize("group", sorted(PINNED_SOLVES))
+    def test_results_are_bit_identical(self, group, pin_fingerprints):
+        assert pin_fingerprints[group] == PINNED_SOLVES[group]
+
+    def test_pin_covers_enough_solves(self):
+        assert sum(map(len, PINNED_SOLVES.values())) >= 24
+        assert set(PINNED_SOLVES) == set(_pin_groups())
+
+    def test_two_hop_results_are_the_restricted_solve(self):
+        for group, solves in _pin_groups().items():
+            for net, demand, restricted in solves:
+                if restricted:
+                    res = _pin_solve(net, demand, restricted)
+                    assert lambda_2hop(net, demand).value == res.value
+                    assert dual_2hop(net, demand) == (res.dual.value, res.dual)
+
+    def test_pivots_sum_the_simplex_calls(self, monkeypatch):
+        import flowsparse.lp
+        real = flowsparse.lp.simplex_min
+        seen = []
+
+        def counting(*args, **kwargs):
+            out = real(*args, **kwargs)
+            seen.append(out[5])
+            return out
+        monkeypatch.setattr(flowsparse.lp, "simplex_min", counting)
+        net, demands = _pool_demands()
+        res = concurrent_flow(net, demands[0])
+        assert res.pivots == sum(seen) > 0 and len(seen) == res.rounds
+        assert concurrent_flow(net, demands[0]).pivots == res.pivots   # memo hit
+        assert len(seen) == res.rounds
 
 
 class TestTwoHop:

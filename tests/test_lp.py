@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -58,14 +59,21 @@ def test_unbounded():
         simplex_min([-1, 0], slack_form([[-1]]), [1], [1])
 
 
-@pytest.mark.parametrize("seed", range(20))
-def test_random_against_scipy(seed):
+def random_lp(seed):
+    """(c, A, b) of the LP min c.x s.t. A x <= b, x >= 0."""
     rng = random.Random(seed)
     n = rng.randint(2, 7)
     m = rng.randint(2, 7)
     c = [rng.uniform(-3, 3) for _ in range(n)]
     A = [[rng.uniform(-2, 3) for _ in range(n)] for _ in range(m)]
     b = np.array([rng.uniform(0.5, 6) for _ in range(m)])
+    return c, A, b
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_random_against_scipy(seed):
+    c, A, b = random_lp(seed)
+    n, m = len(c), len(b)
     ref = linprog(c, A_ub=A, b_ub=b, bounds=[(0, None)] * n, method="highs")
     cost = c + [0.0] * m
     slack_basis = list(range(n, n + m))
@@ -80,6 +88,52 @@ def test_random_against_scipy(seed):
     assert (x >= -1e-9).all()
     # strong duality: the row multipliers price the optimum
     assert y @ b == pytest.approx(value, rel=1e-6, abs=1e-6)
+
+
+def simplex_digest(seed):
+    """sha256 of the bytes of simplex_min's x, y, basis and pivot count on
+    random LP `seed` from the slack basis, or None if it is unbounded."""
+    c, A, b = random_lp(seed)
+    m = len(b)
+    try:
+        x, _, y, basis, _, it = simplex_min(c + [0.0] * m, slack_form(A), b,
+                                            list(range(len(c), len(c) + m)))
+    except LPUnbounded:
+        return None
+    parts = (x.tobytes(), y.tobytes(), basis.astype(np.int64).tobytes(),
+             int(it).to_bytes(4, "little"))
+    return hashlib.sha256(b"".join(parts)).hexdigest()[:16]
+
+
+# simplex_digest per seed: work cut from a pivot must leave the pivots and
+# every bit of the result as they are.
+PINNED_SIMPLEX = {
+    0: 'bb8ec73d73c6759a',
+    1: 'eeaef02a0407f8b0',
+    2: '165a91f7bc5ae5f6',
+    3: 'c6ec50371145b4fb',
+    4: '71a8802b2a4e8f43',
+    5: 'a1517affc500081b',
+    6: None,
+    7: 'c2ec3db7884f7733',
+    8: 'e8e43d44e2bfb9c7',
+    9: 'ed7ff7e4fbf16876',
+    10: None,
+    11: '7e3c517a65be2a62',
+    12: '2f2ac054be1e0ce0',
+    13: '60bd1259cd877c7a',
+    14: 'c1fc8535a5e9f363',
+    15: None,
+    16: '5e870ed9cae39541',
+    17: 'df9b457f3c1311e5',
+    18: 'fd5bf62994efe81f',
+    19: None,
+}
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_simplex_bits_are_pinned(seed):
+    assert simplex_digest(seed) == PINNED_SIMPLEX[seed]
 
 
 def test_exact_simplex_matches_float():

@@ -1,3 +1,4 @@
+import pickle
 import random
 from fractions import Fraction
 
@@ -81,6 +82,26 @@ class TestConstruction:
     def test_rejects_non_finite_capacity(self, cap):
         with pytest.raises(NetworkError, match="not a finite number"):
             net_of(["a", "b"], ["a", "b"], [("a", "b", cap)])
+
+
+class TestCacheKey:
+    def test_equal_networks_have_equal_keys(self):
+        edges = [("s", "v", Fraction(1, 3)), ("v", "t", 2)]
+        a = net_of(["s", "v", "t"], ["s", "t"], edges)
+        b = net_of(["t", "v", "s"], ["s", "t"], list(reversed(edges)))
+        c = net_of(["s", "v", "t"], ["s", "t"], [("s", "v", 1), ("v", "t", 2)])
+        assert a.cache_key == b.cache_key and hash(a.cache_key) == hash(b.cache_key)
+        assert a.cache_key != c.cache_key
+        assert a.cache_key != a.cache_key.parts
+        assert a.cache_key is a.cache_key      # computed once per network
+
+    def test_unpickled_key_is_hashed_again(self):
+        key = net_of(["s", "v", "t"], ["s", "t"],
+                     [("s", "v", 1), ("v", "t", 2)]).cache_key
+        stale = pickle.loads(pickle.dumps(key))
+        stale._hash += 1                        # as if hashed in another process
+        again = pickle.loads(pickle.dumps(stale))
+        assert again == key and hash(again) == hash(key.parts)
 
 
 class TestIntegerView:

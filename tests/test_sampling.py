@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 import warnings
@@ -189,6 +190,29 @@ class TestGrouped:
         res = grouped_sample_sparsifier(net, 3, 1e9, 1)
         assert res.net == normalize(net)
 
+
+# sha256 of the reprs of grouped_sampling_plan(gen_bounded_component(4, 24,
+# w, seed), w, M, seed) over seeds 0-7, as given by cutting each (component,
+# pair) subnetwork from the whole edge list with induced_subgraph.
+PINNED_GROUPED_PLANS = {
+    (1, 0.4): "2db99b83660a9a730b94bea0dbd7c3c70bbd1450db7fe449a4a16620d35a977a",
+    (1, 2): "f8606f0bc1601565436f91d17a2aa1f02d51b9b00ff53f8bdba8c2e5ef341fb4",
+    (1, 8): "e87e383844d1581627de60201a8b42e81ea29bcabea72be236541ca348a61a2e",
+    (3, 0.4): "5728276aced142db6c8e0e596ab105fc5f3832228e1c344ac18c06f2c1f4400f",
+    (3, 2): "0486e6b8a1af4542b4d9653c468afdfd4472595fb3f629b727b6ab2945b24a14",
+    (3, 8): "ebfe1e637a9670f2d619ba8e901fca451c8b33d22235daf72ce610a436156b65",
+}
+
+
+@pytest.mark.parametrize("w, M", sorted(PINNED_GROUPED_PLANS))
+def test_grouped_plans_are_pinned(w, M):
+    digest = hashlib.sha256()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for seed in range(8):
+            net = gen_bounded_component(4, 24, w, seed)
+            digest.update(repr(grouped_sampling_plan(net, w, M, seed)).encode())
+    assert digest.hexdigest() == PINNED_GROUPED_PLANS[(w, M)]
 
 class TestChernoffPlanner:
     def test_bound_formulas(self):
