@@ -46,7 +46,6 @@ from .structured import (
     mimick_small,
     sp_recognize,
     sp_sparsifier,
-    translate_cut_sparsifier,
     treewidth_sparsifier,
 )
 from .verify import certify, certify_cuts, demand_grid

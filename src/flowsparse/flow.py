@@ -20,7 +20,9 @@ Also here: exact max flow between two vertices or two vertex sets
 (shortest augmenting paths on integers: the rational capacities scaled by
 the LCM of their denominators, cached per network), which also gives the
 terminal-bipartition min cuts, and the exact sparsest cut, by brute force or
-over terminal bipartitions.
+over terminal bipartitions.  Flows between terminals run on the network's
+cached cut view, where non-terminals of degree at most 3 are eliminated
+without changing any terminal cut.
 """
 
 from __future__ import annotations
@@ -163,15 +165,19 @@ def max_flow(net: TerminalNetwork, s, t) -> Fraction:
 
     Each of `s` and `t` is a vertex or a set of vertices; a set acts as one
     vertex joined to each member by unbounded capacity.  Edmonds-Karp runs on
-    the network's cached `integer_view` (capacities scaled to integers), so
-    the value is exact: the integer flow over the scale, as a Fraction.
+    integers: on the network's cached `cut_view` when every endpoint is a
+    terminal, since that view keeps every cut between terminal sets, and on
+    its cached `integer_view` otherwise.  Either way the value is exact: the
+    integer flow over the view's scale, as a Fraction.
     """
     S = frozenset([s] if isinstance(s, str) else s)
     T = frozenset([t] if isinstance(t, str) else t)
     if not S or not T or S & T:
         raise FlowError("source and sink must be nonempty and disjoint")
-    scale, index, arcs = net.integer_view
-    if not (S | T) <= index.keys():
+    ends = S | T
+    scale, index, arcs = (net.cut_view if ends <= net.terminal_set
+                          else net.integer_view)
+    if not ends <= index.keys():
         raise FlowError("endpoint not in network")
     residual = [dict(nbrs) for nbrs in arcs]
     sources = [index[v] for v in sorted(S)]

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -130,6 +131,71 @@ class TerminalNetwork:
             arcs[i][j] = arcs[i].get(j, 0) + x
             arcs[j][i] = arcs[j].get(i, 0) + x
         return scale, index, arcs
+
+    @cached_property
+    def cut_view(self) -> tuple[int, dict[str, int], list[dict[int, int]]]:
+        """`integer_view` with non-terminals eliminated, in the same
+        (scale, index, arcs) layout: `index` numbers only the surviving
+        vertices.  Every min cut between two sets of terminals keeps its
+        value; cuts with a non-terminal side need `integer_view`.
+
+        Three rules run through a worklist until none applies; the degree
+        of a non-terminal v is its number of distinct neighbours.  Each
+        rule replaces v's edges by edges among its neighbours whose cut
+        equals, for every split of the neighbours, the cheapest side for v
+        to join, so every cut of the surviving vertices keeps its value.
+          - Degree <= 1: drop v.  It joins its neighbour's side for free.
+          - Degree 2, capacities c1, c2: one edge of capacity min(c1, c2),
+            what v pays when its two neighbours are split.
+          - Degree 3, neighbours a, b, c: a triangle.  First clip each of
+            c_a, c_b, c_c to the sum of the other two, since cutting off a
+            alone costs v min(c_a, c_b + c_c).  Then
+            x_ab = (c_a + c_b - c_c) / 2 and likewise, so cutting off a
+            costs x_ab + x_ac = c_a.  An odd clipped sum doubles the scale
+            and every capacity first, keeping the halves integers.
+        Parallel edges merge by adding capacities.
+        """
+        scale, index, arcs = self.integer_view
+        adj = [{j: c for j, c in nbrs.items() if j != i and c > 0}
+               for i, nbrs in enumerate(arcs)]
+        fixed = {index[t] for t in self.terminals if t in index}
+        alive = [True] * len(adj)
+
+        def join(i: int, j: int, c: int) -> None:
+            if c > 0:
+                adj[i][j] = adj[i].get(j, 0) + c
+                adj[j][i] = adj[j].get(i, 0) + c
+
+        work = deque(i for i in range(len(adj)) if i not in fixed)
+        while work:
+            v = work.popleft()
+            if not alive[v] or len(adj[v]) > 3:
+                continue
+            nbrs = list(adj[v].items())
+            alive[v] = False
+            adj[v] = {}
+            for u, _ in nbrs:
+                del adj[u][v]
+            if len(nbrs) == 2:
+                (a, ca), (b, cb) = nbrs
+                join(a, b, min(ca, cb))
+            elif len(nbrs) == 3:
+                (a, ca), (b, cb), (c, cc) = nbrs
+                ca, cb, cc = min(ca, cb + cc), min(cb, ca + cc), min(cc, ca + cb)
+                if (ca + cb + cc) % 2:
+                    scale *= 2
+                    for row in adj:
+                        for j in row:
+                            row[j] *= 2
+                    ca, cb, cc = 2 * ca, 2 * cb, 2 * cc
+                join(a, b, (ca + cb - cc) // 2)
+                join(a, c, (ca + cc - cb) // 2)
+                join(b, c, (cb + cc - ca) // 2)
+            work.extend(u for u, _ in nbrs if u not in fixed)
+        kept = [i for i in range(len(adj)) if alive[i]]
+        renumber = {i: n for n, i in enumerate(kept)}
+        return (scale, {self.vertices[i]: renumber[i] for i in kept},
+                [{renumber[j]: c for j, c in adj[i].items()} for i in kept])
 
     @cached_property
     def terminal_set(self) -> frozenset[str]:

@@ -1,5 +1,5 @@
-"""Structured sparsifiers: cut-to-flow translation, the exact small-terminal
-mimicking base case, series-parallel recursion, and the treewidth recursion.
+"""Structured sparsifiers: the exact small-terminal mimicking base case,
+series-parallel recursion, and the treewidth recursion.
 
 The mimicking construction fits a network on the terminals (plus at most one
 auxiliary vertex) whose terminal-bipartition min cuts match the input
@@ -31,34 +31,6 @@ from .splice import compose
 
 class StructureError(ValueError):
     pass
-
-
-# ---------------------------------------------------------------------------
-# Flow/cut translation
-# ---------------------------------------------------------------------------
-
-def translate_cut_sparsifier(gp: TerminalNetwork, gamma_gp: float, beta: float,
-                             gamma_g: float,
-                             contraction_based: bool) -> SparsifierResult:
-    """Turn a quality-beta cut sparsifier into a flow sparsifier.
-
-    Contraction-based sparsifiers never lose flow, so they are kept as-is
-    with quality beta * gamma(G,H); otherwise capacities are scaled up by
-    gamma(G',H) and the quality multiplies by it as well.
-    """
-    if beta < 1 or gamma_g < 1 or gamma_gp < 1:
-        raise StructureError("beta and the flow-cut gaps must be >= 1")
-    if contraction_based:
-        return SparsifierResult.of(gp, "cut-translation", beta * gamma_g,
-                                   params={"contraction_based": True})
-    scaled = TerminalNetwork.make(
-        gp.vertices, gp.terminals,
-        [(u, v, c * Fraction(gamma_gp)) for u, v, c in gp.edges],
-        allow_disconnected=True)
-    return SparsifierResult.of(scaled, "cut-translation",
-                               beta * gamma_g * gamma_gp,
-                               params={"contraction_based": False,
-                                       "capacity_scale": gamma_gp})
 
 
 # ---------------------------------------------------------------------------
@@ -95,7 +67,7 @@ def mimick_small(net: TerminalNetwork) -> SparsifierResult:
 
     candidate = _fit_clique(terminals, pairs, targets)
     if candidate is None:
-        candidate = _fit_star_clique(terminals, pairs, targets, net)
+        candidate = _fit_star_clique(terminals, pairs, targets)
     if candidate is None:
         raise StructureError("mimicking fit failed: no clique or star+clique "
                              "capacity assignment matches the cut values")
@@ -118,14 +90,29 @@ def _fit_clique(terminals, pairs, targets):
                                 allow_disconnected=True)
 
 
-def _fit_star_clique(terminals, pairs, targets, net):
+def _fit_star_clique(terminals, pairs, targets):
+    """Clique plus a star through one auxiliary vertex, or None.
+
+    A pattern names, per bipartition, the star side whose leaves attain the
+    star's cut; each pattern is one exact LP, tried in product order.  Only
+    patterns in which every singleton {t} attains its own cut are tried.
+    Were the other side to attain it, c_t would be at least the sum of the
+    other leaves, so the star would cut like the edges (t, u) of capacity
+    c_u and the whole candidate would be a clique.  The clique fit is unique
+    (x_ij = (f_i + f_j - f_ij|kl) / 2 at k = 4, f the target cuts), so
+    `_fit_clique`, which runs first, would have found it.  When c_t equals
+    that sum, both sides attain the cut.  At k = 4 this leaves the 8 choices
+    for the 3 pair splits, visited in the same relative order, so the
+    search returns the candidate the search over all 128 patterns would.
+    """
     k = len(terminals)
     nx = len(pairs)
     aux = "_aux"
     while aux in terminals:
         aux += "x"
-    n_bip = len(targets)
-    for pattern in itertools.product((0, 1), repeat=n_bip):
+    sides = [(0,) if len(A) == 1 < len(B) else (1,) if len(B) == 1 < len(A)
+             else (0, 1) for (A, B), _ in targets]
+    for pattern in itertools.product(*sides):
         # pattern[i] = 0: the A side of the star attains the minimum
         rows, senses, rhs = [], [], []
         for sel, ((A, B), val) in zip(pattern, targets):

@@ -30,7 +30,8 @@ from flowsparse import (
 )
 from flowsparse import flow
 from flowsparse.flow import OPT_TOL, FlowError, clear_flow_cache
-from flowsparse.generators import gen_quasi_bipartite
+from flowsparse.generators import (gen_quasi_bipartite, gen_series_parallel,
+                                   gen_treewidth)
 from flowsparse.lp import LPError
 from flowsparse.network import terminal_bipartitions
 
@@ -207,6 +208,95 @@ class TestMaxFlow:
         for s, t in [("s", "x"), ({"s", "x"}, "t"), ("s", {"t", "x"})]:
             with pytest.raises(FlowError, match="not in network"):
                 max_flow(net, s, t)
+
+
+def on_integer_view(net):
+    """A copy of `net` whose cut view is its integer view, so that
+    `max_flow` runs the same kernel on the unreduced network."""
+    ref = TerminalNetwork(net.vertices, net.terminals, net.edges)
+    ref.__dict__["cut_view"] = ref.integer_view
+    return ref
+
+
+CUT_VIEW_FAMILIES = {
+    "random-k4": lambda rng, seed: random_connected_net(rng, rng.randint(5, 16), 4),
+    "series-parallel": lambda rng, seed: gen_series_parallel(
+        rng.randint(6, 20), 4, seed)[0],
+    "treewidth": lambda rng, seed: gen_treewidth(
+        rng.randint(5, 9), 30, 1 + seed % 3, seed)[0],
+    "quasi-bipartite": lambda rng, seed: gen_quasi_bipartite(
+        rng.randint(3, 6), rng.randint(10, 30), seed),
+}
+
+
+class TestCutView:
+    @pytest.mark.parametrize("family", sorted(CUT_VIEW_FAMILIES))
+    def test_terminal_cuts_equal_the_integer_view(self, family):
+        vertices_in = vertices_out = 0
+        for seed in range(40):
+            net = CUT_VIEW_FAMILIES[family](random.Random(seed), seed)
+            ref = on_integer_view(net)
+            vertices_in += len(net.vertices)
+            vertices_out += len(net.cut_view[1])
+            assert net.terminal_set <= net.cut_view[1].keys()
+            for A, B in terminal_bipartitions(net.terminals):
+                assert max_flow(net, A, B) == max_flow(ref, A, B), (seed, A)
+            for s, t in itertools.combinations(net.terminals, 2):
+                assert max_flow(net, s, t) == max_flow(ref, s, t), (seed, s, t)
+        assert vertices_out < vertices_in
+
+    def test_odd_triangle_doubles_the_scale(self):
+        net = TerminalNetwork.make(["a", "b", "c", "v"], ["a", "b", "c"],
+                                   [("v", "a", 1), ("v", "b", 1), ("v", "c", 3)])
+        # c_c clips to 2; the clipped sum 4 is even, so no doubling here
+        assert net.cut_view == (1, {"a": 0, "b": 1, "c": 2},
+                                [{2: 1}, {2: 1}, {0: 1, 1: 1}])
+        odd = TerminalNetwork.make(["a", "b", "c", "v"], ["a", "b", "c"],
+                                   [("v", "a", 1), ("v", "b", 1), ("v", "c", 1),
+                                    ("a", "b", 2)])
+        # the triangle has capacities 1/2, so everything is doubled
+        assert odd.cut_view == (2, {"a": 0, "b": 1, "c": 2},
+                                [{1: 5, 2: 1}, {0: 5, 2: 1}, {0: 1, 1: 1}])
+        assert max_flow(odd, "a", "b") == 3
+        assert max_flow(odd, "c", ["a", "b"]) == 1
+        assert max_flow(odd, "a", "c") == Fraction(1)
+
+    def test_raw_net(self):
+        edges = (("s", "a", 3), ("a", "t", 2), ("s", "a", 1), ("a", "t", 4),
+                 ("a", "b", 2), ("b", "t", 7), ("s", "b", 1), ("s", "b", 1))
+        raw = TerminalNetwork(vertices=("a", "b", "s", "t"), terminals=("s", "t"),
+                              edges=edges)
+        made = TerminalNetwork.make(raw.vertices, raw.terminals, edges)
+        assert raw.cut_view[1].keys() == {"s", "t"}
+        assert raw.cut_view == made.cut_view
+        assert max_flow(raw, "s", "t") == max_flow(on_integer_view(raw), "s", "t") == 6
+
+    def test_isolated_non_terminal_is_dropped(self):
+        net = TerminalNetwork.make(["s", "t", "z"], ["s", "t"], [("s", "t", "3/2")],
+                                   allow_disconnected=True)
+        assert net.cut_view == (2, {"s": 0, "t": 1}, [{1: 3}, {0: 3}])
+        assert max_flow(net, "s", "t") == Fraction(3, 2)
+        assert max_flow(net, "s", "z") == 0
+
+    def test_eliminated_endpoint_uses_the_integer_view(self):
+        net = TerminalNetwork.make(["s", "v", "t"], ["s", "t"],
+                                   [("s", "v", 2), ("v", "t", 5)])
+        assert "v" not in net.cut_view[1]
+        assert max_flow(net, "s", "t") == 2
+        assert max_flow(net, "s", "v") == 2
+        assert max_flow(net, "v", "t") == 5
+        assert max_flow(net, {"s", "v"}, "t") == 5
+
+    def test_unknown_endpoint_raises(self):
+        net = TerminalNetwork.make(["s", "v", "t"], ["s", "t"],
+                                   [("s", "v", 2), ("v", "t", 5)])
+        for s, t in [("s", "x"), ("x", "t"), ({"s", "x"}, "t")]:
+            with pytest.raises(FlowError, match="endpoint not in network"):
+                max_flow(net, s, t)
+        raw = TerminalNetwork(vertices=("s", "v"), terminals=("s", "t"),
+                              edges=(("s", "v", 1),))
+        with pytest.raises(FlowError, match="endpoint not in network"):
+            max_flow(raw, "s", "t")
 
 
 class TestConcurrentFlow:

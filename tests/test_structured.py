@@ -24,35 +24,10 @@ from flowsparse.structured import (
     sp_recognize,
     sp_sparsifier,
     sp_tree_realizes,
-    translate_cut_sparsifier,
     treewidth_sparsifier,
 )
 
 from conftest import random_connected_net, random_demand
-
-
-class TestTranslate:
-    def net(self):
-        return TerminalNetwork.make(["a", "b"], ["a", "b"], [("a", "b", 4)])
-
-    def test_all_ones(self):
-        res = translate_cut_sparsifier(self.net(), 1.0, 1.0, 1.0, False)
-        assert res.claimed_quality == 1.0
-        assert res.net.cap("a", "b") == 4
-
-    def test_scaling_formula(self):
-        res = translate_cut_sparsifier(self.net(), 2.0, 1.0, 2.0, False)
-        assert res.net.cap("a", "b") == 8
-        assert res.claimed_quality == 4.0
-
-    def test_contraction_branch(self):
-        res = translate_cut_sparsifier(self.net(), 2.0, 1.0, 1.0, True)
-        assert res.net.cap("a", "b") == 4   # unchanged
-        assert res.claimed_quality == 1.0
-
-    def test_domain(self):
-        with pytest.raises(StructureError):
-            translate_cut_sparsifier(self.net(), 0.5, 1.0, 1.0, False)
 
 
 class TestMimick:
@@ -152,12 +127,40 @@ def test_star_clique_fits_are_pinned(seed, monkeypatch):
     fit = structured._fit_star_clique
     monkeypatch.setattr(structured, "_fit_star_clique",
                         lambda *args: calls.append(1) or fit(*args))
+    lps = count_exact_lps(monkeypatch)
     rng = random.Random(seed)
     net = random_connected_net(rng, rng.randint(6, 10), 4)
     res = mimick_small(net)
     assert calls, "the clique fit succeeded, so the star+clique fit was not reached"
+    assert len(lps) <= 8
     got = " ".join(f"{u}-{v}:{c}" for u, v, c in res.net.edges)
     assert got == STAR_CLIQUE_FITS[seed]
+
+
+def count_exact_lps(monkeypatch) -> list:
+    """Record one entry per `solve_lp_exact` call the mimicking fit makes."""
+    calls = []
+    solve = structured.solve_lp_exact
+    monkeypatch.setattr(structured, "solve_lp_exact",
+                        lambda *args: calls.append(1) or solve(*args))
+    return calls
+
+
+def test_star_fit_skips_patterns_the_clique_fit_covers(monkeypatch):
+    # two hubs x, y: no clique on a, b, c, d has these cuts.  The search
+    # over all 128 star patterns returned these edges after 8 exact LPs, the
+    # first 7 on patterns where a 3-terminal side attains a singleton cut.
+    # Here the first of the 8 remaining patterns fits.
+    net = TerminalNetwork.make(
+        ["x", "y", "a", "b", "c", "d"], ["a", "b", "c", "d"],
+        [("x", "a", 3), ("x", "b", 2), ("x", "y", 4), ("y", "c", 3),
+         ("y", "d", 2), ("a", "c", 1)])
+    lps = count_exact_lps(monkeypatch)
+    res = mimick_small(net)
+    assert len(lps) == 1
+    got = " ".join(f"{u}-{v}:{c}" for u, v, c in res.net.edges)
+    assert got == "_aux-a:3/2 _aux-b:3/2 _aux-c:3/2 _aux-d:3/2 a-b:1/2 a-c:2 c-d:1/2"
+    assert certify_cuts(net, res.net).all_exact
 
 
 class TestSpRecognize:
