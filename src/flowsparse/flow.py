@@ -8,8 +8,11 @@ violated.  The primal flow is recovered from the multipliers of the
 generated path rows.
 
 The oracle keeps one record per network: a memo of finished results by
-demand, and a path pool, the paths that carried flow in earlier solves, which
-seed the next solve's columns.  The store holds at most _FLOW_CACHE_MAX memo
+demand; a path pool, the paths that carried flow in earlier solves, which
+seed the next solve's columns; and what a solve needs of the network alone,
+built once: the LP shape (canonical edges with parallel edges summed, float
+capacities, arc lists, arc-to-edge map), one BFS start path per pair, and
+each pooled path's edge rows.  The store holds at most _FLOW_CACHE_MAX memo
 entries over all networks and, when full, drops whole least-recently-used
 networks.
 
@@ -79,9 +82,9 @@ class FlowSolution:
 
     def check(self, net: TerminalNetwork, demand: DemandVector,
               tol: float = 1e-6) -> None:
-        caps = {_pair(u, v): float(c) for u, v, c in net.edges}
         for e, load in self.edge_loads().items():
-            if load > caps.get(e, 0.0) + tol * max(1.0, caps.get(e, 0.0)):
+            cap = float(net.cap(*e))    # parallel edges summed
+            if load > cap + tol * max(1.0, cap):
                 raise FlowError(f"capacity violated on {e}")
         for pair, arcs in self.arc_flows:
             s, t = pair
@@ -229,15 +232,41 @@ def mincut_partition(net: TerminalNetwork, a_side, b_side) -> Fraction:
 # Concurrent flow via constraint generation on the edge-length dual
 # ---------------------------------------------------------------------------
 
-def _arcs(net: TerminalNetwork) -> dict[str, list[tuple[str, tuple[str, str]]]]:
-    """Per vertex, its (neighbour, canonical edge) pairs in adjacency order."""
-    return {u: [(v, _pair(u, v)) for v in nbrs] for u, nbrs in net.adjacency.items()}
+@dataclass(frozen=True)
+class _Shape:
+    """What a solve needs of the network alone.
+
+    `edges` are the canonical vertex pairs in first-occurrence order, one
+    per pair, and `caps` their float capacities with parallel edges summed;
+    edge i has LP row (number of demand pairs) + i.  `arcs` gives per vertex
+    its (neighbour, edge index) list in adjacency order, and `arc_edge` the
+    edge index of each directed arc.
+    """
+
+    edges: list
+    caps: list
+    arcs: dict
+    arc_edge: dict
+
+    def rows(self, path: tuple[str, ...]) -> tuple[int, ...]:
+        """The edge indices along a path."""
+        return tuple(map(self.arc_edge.__getitem__, zip(path, path[1:])))
 
 
-def _dijkstra(arcs: dict, lengths: dict, source: str,
+def _shape_of(net: TerminalNetwork) -> _Shape:
+    adj = net.adjacency
+    edges = list(dict.fromkeys(_pair(u, v) for u, v, _ in net.edges))
+    eidx = {e: i for i, e in enumerate(edges)}
+    arcs = {u: [(v, eidx[_pair(u, v)]) for v in nbrs] for u, nbrs in adj.items()}
+    return _Shape(edges=edges, caps=[float(adj[u][v]) for u, v in edges],
+                  arcs=arcs,
+                  arc_edge={(u, v): i for u, out in arcs.items() for v, i in out})
+
+
+def _dijkstra(arcs: dict, lengths: list, source: str,
               stop: frozenset = frozenset()):
-    """Shortest paths from source over `_arcs` lists, with a length for every
-    edge in `lengths`; vertices in `stop` are reached, not left."""
+    """Shortest paths from source over `_Shape.arcs` lists, `lengths[i]`
+    being edge i's length; vertices in `stop` are reached, not left."""
     inf = np.inf
     push, pop = heapq.heappush, heapq.heappop
     dist = {source: 0.0}
@@ -261,9 +290,8 @@ def _dijkstra(arcs: dict, lengths: dict, source: str,
 
 def _dijkstra_pair(net: TerminalNetwork, lengths: dict, s: str, t: str) -> float:
     """s-t distance; an edge missing from `lengths` has length 0."""
-    full = {_pair(u, v): 0.0 for u, v, _ in net.edges}
-    full.update(lengths)
-    dist, _ = _dijkstra(_arcs(net), full, s)
+    shape = _shape_of(net)
+    dist, _ = _dijkstra(shape.arcs, [lengths.get(e, 0.0) for e in shape.edges], s)
     return dist.get(t, np.inf)
 
 
@@ -297,13 +325,17 @@ class _NetState:
     """What the oracle remembers about one network.
 
     `memo` maps demand entries to the frozen result; `pool` maps a pair to
-    the paths that carried flow for it in earlier solves, in first-use order
-    (dict keys).  Only memoized solves feed the pool, so it grows with the
-    memo and leaves with it.
+    the paths that carried flow for it in earlier solves, in first-use order,
+    each with its edge-index rows (dict keys and values).  Only memoized
+    solves feed the pool, so it grows with the memo and leaves with it.
+    `shape` (built on the first solve) and `starts` (per pair, its BFS path
+    and rows) depend on the network alone.
     """
 
     memo: dict = field(default_factory=dict)
     pool: dict = field(default_factory=dict)
+    shape: _Shape | None = None
+    starts: dict = field(default_factory=dict)
 
 
 _cache_lock = threading.Lock()
@@ -383,9 +415,10 @@ def _concurrent_flow_uncached(net, demand,
     exactly the edge lengths / pair distances of the edge-length dual, and
     Dijkstra under those lengths prices out violated paths.
 
-    Unrestricted solves (empty `stop`) start from the network's path pool
-    as well as one BFS path per pair, and add the paths that carry flow to
-    the pool.  Restricted solves neither read nor write it.
+    Unrestricted solves (empty `stop`) take the network's shape and each
+    pair's BFS start path from its record, building them on first use, start
+    from the pooled paths as well, and add the paths that carry flow to the
+    pool.  Restricted solves neither read nor write the record.
 
     Paths may end at a vertex of `stop` but never pass through one; the
     reported distances are shortest such paths.
@@ -394,27 +427,51 @@ def _concurrent_flow_uncached(net, demand,
     """
     from .lp import simplex_min
 
-    edges = [_pair(u, v) for u, v, _ in net.edges]
-    caps = np.array([float(c) for _, _, c in net.edges])
-    eidx = {e: i for i, e in enumerate(edges)}
     pairs = demand.pairs()
     pidx = {p: i for i, p in enumerate(pairs)}
-    ne, np_ = len(edges), len(pairs)
-    m = np_ + ne
-
-    b = np.concatenate([np.zeros(np_), caps])
-    arcs = _arcs(net)
-    row_of = {(u, v): np_ + eidx[e] for u, out in arcs.items() for v, e in out}
     # columns: lambda | path flows ... | slacks (identity)
-    col_paths: list[tuple[tuple[str, str], tuple[str, ...]] | None] = [None]
+    col_paths: list[tuple[tuple[str, str], tuple[str, ...], tuple[int, ...]] | None] = [None]
     seen_paths = set()
 
-    def add_path(pair, path):
+    def add_path(pair, path, rows):
         if (pair, path) in seen_paths:
             return False
         seen_paths.add((pair, path))
-        col_paths.append((pair, path))
+        col_paths.append((pair, path, rows))
         return True
+
+    def start(shape, p):
+        path = _bfs_path(net, p[0], p[1], stop)
+        if path is None:
+            raise FlowError(f"no path between {p[0]} and {p[1]}")
+        return path, shape.rows(path)
+
+    if stop:
+        shape = _shape_of(net)
+        starts = [start(shape, p) for p in pairs]
+        pooled = []
+    else:
+        with _cache_lock:
+            state = _state(net)
+            if state.shape is None:
+                state.shape = _shape_of(net)
+            shape = state.shape
+            starts = []
+            for p in pairs:
+                if p not in state.starts:
+                    state.starts[p] = start(shape, p)
+                starts.append(state.starts[p])
+            pooled = [(p, path, rows) for p in pairs
+                      for path, rows in state.pool.get(p, {}).items()]
+    for p, (path, rows) in zip(pairs, starts):
+        add_path(p, path, rows)
+    for p, path, rows in pooled:
+        add_path(p, path, rows)
+
+    edges, arcs = shape.edges, shape.arcs
+    np_ = len(pairs)
+    m = np_ + len(edges)
+    b = np.concatenate([np.zeros(np_), shape.caps])
 
     def grow(A, n_old, n_struct):
         """[A's structural block | columns n_old..n_struct-1 | identity].
@@ -427,28 +484,16 @@ def _concurrent_flow_uncached(net, demand,
         ones_r: list[int] = []
         ones_c: list[int] = []
         for j in new:
-            path = col_paths[j][1]
-            ones_r += [row_of[arc] for arc in zip(path, path[1:])]
-            ones_c += [j] * (len(path) - 1)
+            edge_rows = col_paths[j][2]
+            ones_r += edge_rows
+            ones_c += [j] * len(edge_rows)
         grown[[pidx[col_paths[j][0]] for j in new], new] = -1.0
-        grown[ones_r, ones_c] = 1.0
+        grown[np_:][ones_r, ones_c] = 1.0
         if n_old == 0:
             grown[:np_, 0] = [demand[p] for p in pairs]
         rows = np.arange(m)
         grown[rows, n_struct + rows] = 1.0
         return grown
-
-    for p in pairs:
-        path = _bfs_path(net, p[0], p[1], stop)
-        if path is None:
-            raise FlowError(f"no path between {p[0]} and {p[1]}")
-        add_path(p, path)
-    if not stop:
-        with _cache_lock:
-            pool = _state(net).pool
-            pooled = [(p, path) for p in pairs for path in pool.get(p, ())]
-        for p, path in pooled:
-            add_path(p, path)
 
     A = np.zeros((m, 0))
     basis = np.arange(m)
@@ -474,14 +519,13 @@ def _concurrent_flow_uncached(net, demand,
         pivots += it
         n_struct_prev = n_struct
 
-        deltas = np.maximum(-y[:np_], 0.0)
-        lengths = {e: max(0.0, -float(y[np_ + i])) for e, i in eidx.items()}
+        deltas = np.maximum(-y[:np_], 0.0).tolist()
+        lengths = np.maximum(-y[np_:], 0.0).tolist()   # per edge index
 
         added = False
         src_cache: dict[str, tuple[dict, dict]] = {}
-        for p in pairs:
+        for p, target in zip(pairs, deltas):
             s, t = p
-            target = deltas[pidx[p]]
             if target <= FEAS_TOL:
                 continue
             if s not in src_cache:
@@ -507,33 +551,30 @@ def _concurrent_flow_uncached(net, demand,
                 path = left + tuple(reversed(right[:-1]))
                 if len(set(path)) != len(path):
                     continue
-                if add_path(p, path):
+                if add_path(p, path, shape.rows(path)):
                     taken += 1
                     added = True
         if not added:
             break
 
     lam = -value
-    dual_obj = float(sum(caps[i] * lengths[e] for e, i in eidx.items()))
+    dual_obj = float(sum(c * l for c, l in zip(shape.caps, lengths)))
     gap = abs(dual_obj - lam) / max(1.0, abs(lam))
     if gap > OPT_TOL:
         raise LPError(f"duality gap {gap:.3g} exceeds {OPT_TOL:g}")
 
-    per_pair_paths: dict[tuple[str, str], list[tuple[tuple[str, ...], float]]] = {
-        p: [] for p in pairs}
-    for j, meta in enumerate(col_paths):
-        if meta is None:
-            continue
-        f = float(x[j])
+    xs = x.tolist()
+    per_pair_paths: dict[tuple[str, str], list] = {p: [] for p in pairs}
+    for col, f in zip(col_paths[1:], xs[1:]):
         if f > 1e-12:
-            per_pair_paths[meta[0]].append((meta[1], f))
+            per_pair_paths[col[0]].append((col, f))
     arc_flows = []
     for p in pairs:
         want = lam * demand[p]
         got = sum(f for _, f in per_pair_paths[p])
         scale = want / got if got > want and got > 0 else 1.0
         acc: dict[tuple[str, str], float] = {}
-        for path, f in per_pair_paths[p]:
+        for (_, path, _), f in per_pair_paths[p]:
             for u, v in zip(path, path[1:]):
                 acc[(u, v)] = acc.get((u, v), 0.0) + f * scale
         arc_flows.append((p, tuple(sorted(acc.items()))))
@@ -542,19 +583,19 @@ def _concurrent_flow_uncached(net, demand,
             pool = _state(net).pool
             for p in pairs:
                 pool.setdefault(p, {}).update(
-                    (path, None) for path, _ in per_pair_paths[p])
+                    (path, rows) for (_, path, rows), _ in per_pair_paths[p])
 
-    all_pairs = net.terminal_pairs()
+    # the last pricing round ran Dijkstra under these same final lengths
+    by_source = {s: tree[0] for s, tree in src_cache.items()}
     dist_rows = []
-    by_source: dict[str, dict] = {}
-    for p in all_pairs:
+    for p in net.terminal_pairs():
         s, t = p
         if s not in by_source:
             by_source[s] = _dijkstra(arcs, lengths, s, stop)[0]
         dist_rows.append((p, float(by_source[s].get(t, np.inf))))
 
     flow = FlowSolution(lam=lam, arc_flows=tuple(arc_flows))
-    dual = DualSolution(lengths=tuple(sorted(lengths.items())),
+    dual = DualSolution(lengths=tuple(sorted(zip(edges, lengths))),
                         dists=tuple(dist_rows), value=dual_obj)
     return ConcurrentFlowResult(value=lam, flow=flow, dual=dual,
                                 duality_gap=gap, rounds=rounds, pivots=pivots)

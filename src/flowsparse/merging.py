@@ -255,11 +255,3 @@ def ratio_type_sparsifier(net: TerminalNetwork, epsilon) -> SparsifierResult:
         params={"epsilon": float(eps), "types": len(groups)},
         notes=("capacities rounded down to powers of 1+eps before typing",))
 
-
-def rounding_only(net: TerminalNetwork, epsilon) -> TerminalNetwork:
-    """Just the capacity-rounding step (for testing its isolated effect)."""
-    eps = Fraction(epsilon) if not isinstance(epsilon, Fraction) else epsilon
-    q = 1 + eps
-    edges = [(u, v, q ** _pow_floor_exact(c, q)) for u, v, c in net.edges]
-    return TerminalNetwork.make(net.vertices, net.terminals, edges,
-                                allow_disconnected=True)

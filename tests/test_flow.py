@@ -329,6 +329,17 @@ class TestConcurrentFlow:
             res.value = 123
         assert concurrent_flow(net, {("s", "t"): 1}).value == pytest.approx(2.0)
 
+    def test_raw_net_with_parallel_edges_matches_make(self):
+        edges = (("a", "m", 1), ("a", "m", 1), ("b", "m", 3))
+        raw = TerminalNetwork(vertices=("a", "b", "m"), terminals=("a", "b"),
+                              edges=edges)
+        made = TerminalNetwork.make(raw.vertices, raw.terminals, edges)
+        d = DemandVector.of({("a", "b"): 1})
+        res = concurrent_flow(raw, d)
+        assert res.value == max_flow(raw, "a", "b") == concurrent_flow(made, d).value == 2.0
+        res.flow.check(raw, d)
+        res.dual.check(raw, d)
+
     def test_zero_demand_rejected(self):
         net = TerminalNetwork.make(["s", "t"], ["s", "t"], [("s", "t", 1)])
         with pytest.raises(FlowError):
@@ -374,6 +385,23 @@ def _pool_demands():
     return net, [random_demand(rng, net) for _ in range(8)]
 
 
+def _count_calls(monkeypatch, name):
+    """Wrap flow.<name>, recording the calls: the pair for `_bfs_path`
+    (prefixed with "stop" under a stop set), the network otherwise."""
+    real = getattr(flow, name)
+    calls = []
+
+    def counting(net, *args):
+        if name == "_bfs_path":
+            s, t, *stop = args
+            calls.append(("stop", s, t) if stop and stop[0] else (s, t))
+        else:
+            calls.append(net)
+        return real(net, *args)
+    monkeypatch.setattr(flow, name, counting)
+    return calls
+
+
 def _record(net):
     """The oracle's memo and path pool for `net`, as plain copies."""
     state = flow._store.get(net.cache_key)
@@ -413,6 +441,49 @@ class TestPathPool:
         assert memo and any(pool.values())
         clear_flow_cache()
         assert _record(net) is None
+
+    def test_shape_and_start_paths_are_built_once_per_network(self, monkeypatch):
+        built = _count_calls(monkeypatch, "_shape_of")
+        bfs = _count_calls(monkeypatch, "_bfs_path")
+        net, demands = _pool_demands()
+        for d in demands:
+            concurrent_flow(net, d)
+        pairs = {p for d in demands for p in d.pairs()}
+        assert len(built) == 1 and sorted(bfs) == sorted(pairs)
+        state = flow._store[net.cache_key]
+        assert state.shape == flow._shape_of(net)
+        for p, (path, rows) in state.starts.items():
+            assert path == flow._bfs_path(net, *p) and rows == state.shape.rows(path)
+        for paths in state.pool.values():
+            assert all(rows == state.shape.rows(path) for path, rows in paths.items())
+
+    def test_restricted_solves_build_no_record_and_read_no_start_path(self, monkeypatch):
+        net, demands = _pool_demands()
+        concurrent_flow(net, demands[0])
+        state = flow._store[net.cache_key]
+        shape, starts = state.shape, dict(state.starts)
+        calls = _count_calls(monkeypatch, "_bfs_path")
+        flow._concurrent_flow_uncached(net, demands[0], net.terminal_set)
+        # one start path per pair, searched under the stop set
+        assert calls == [("stop",) + p for p in demands[0].pairs()]
+        assert state.shape is shape and state.starts == starts
+        clear_flow_cache()
+        lambda_2hop(net, demands[1])
+        assert _record(net) is None
+
+    def test_clear_and_eviction_drop_the_shape(self, monkeypatch):
+        monkeypatch.setattr(flow, "_FLOW_CACHE_MAX", 1)
+        built = _count_calls(monkeypatch, "_shape_of")
+        net, demands = _pool_demands()
+        other = gen_quasi_bipartite(5, 30, seed=4)
+        concurrent_flow(net, demands[0])
+        concurrent_flow(other, demands[0])      # evicts net whole
+        assert net.cache_key not in flow._store
+        concurrent_flow(net, demands[1])
+        assert len(built) == 3
+        clear_flow_cache()
+        concurrent_flow(net, demands[2])
+        assert len(built) == 4 and flow._store[net.cache_key].shape is not None
 
     def test_lru_eviction_keeps_the_recent_network(self, monkeypatch):
         monkeypatch.setattr(flow, "_FLOW_CACHE_MAX", 3)
@@ -462,6 +533,14 @@ class TestPathPool:
         assert not any(t.is_alive() for t in threads) and not errors
         held = sum(len(state.memo) for state in flow._store.values())
         assert held == flow._memo_entries <= 5
+        # a record re-created by a solve whose network was evicted mid-solve
+        # holds its memo entry and builds its shape on the next solve
+        by_key = {net.cache_key: net for net in nets}
+        for key, state in flow._store.items():
+            assert state.shape in (None, flow._shape_of(by_key[key]))
+            assert all(start == (flow._bfs_path(by_key[key], *p),
+                                 state.shape.rows(start[0]))
+                       for p, start in state.starts.items())
 
     def test_restricted_solves_leave_the_pool_alone(self):
         net, demands = _pool_demands()

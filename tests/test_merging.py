@@ -17,7 +17,7 @@ from flowsparse.merging import (
     profile_bucket_sparsifier,
     ratio_type_sparsifier,
     refine_partitions,
-    rounding_only,
+    _pow_floor_exact,
 )
 from flowsparse.sketch import BudgetExceeded
 from flowsparse.verify import disc_demands, random_demands
@@ -176,7 +176,11 @@ class TestRatioTypes:
         rng = random.Random(44)
         net = gen_quasi_bipartite(3, 12, seed=17)
         eps = 0.25
-        rounded = rounding_only(net, eps)
+        q = 1 + Fraction(eps)     # each capacity rounded down to a power of q
+        rounded = TerminalNetwork.make(
+            net.vertices, net.terminals,
+            [(u, v, q ** _pow_floor_exact(c, q)) for u, v, c in net.edges],
+            allow_disconnected=True)
         for _ in range(8):
             d = random_demand(rng, net)
             lam = concurrent_flow(net, d).value
