@@ -13,18 +13,15 @@ from .network import (
 )
 from .flow import (
     ConcurrentFlowResult,
-    Cut,
     DualSolution,
     FlowError,
     FlowSolution,
     concurrent_flow,
     dual_2hop,
     lambda_2hop,
-    lambda_terminal_free,
     lambda_value,
     max_flow,
     mincut_partition,
-    sparsest_cut,
     sparsest_terminal_cut,
 )
 from .results import SparsifierResult

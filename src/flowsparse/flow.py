@@ -7,25 +7,34 @@ generation: path constraints are priced by Dijkstra and added only when
 violated.  The primal flow is recovered from the multipliers of the
 generated path rows.
 
-The oracle keeps one record per network: a memo of finished results by
-demand; a path pool, the paths that carried flow in earlier solves, which
-seed the next solve's columns; and what a solve needs of the network alone,
-built once: the LP shape (canonical edges with parallel edges summed, float
-capacities, arc lists, arc-to-edge map), one BFS start path per pair, and
-each pooled path's edge rows.  The store holds at most _FLOW_CACHE_MAX memo
-entries over all networks and, when full, drops whole least-recently-used
-networks.
+Unrestricted solves run on the network's reduced view, `cut_view`: there
+non-terminals of degree at most 3 are eliminated (dropped, series-contracted,
+or replaced by a triangle), which keeps every terminal concurrent flow value.
+The solve's primal and dual are lifted back, so callers and the memo see
+flows and edge lengths on the network's own edges: a reduced edge's flow
+fills the edges and pieces it stands for in order, and its length is split
+over an eliminated vertex's sides so that no terminal distance changes and
+sum(c * l) does not grow.
 
-The 2-hop flow, its dual and the terminal-free flow are restricted solves of
-the same oracle: paths may end at a terminal but never pass through one.
+The oracle keeps one record per network: a memo of finished, lifted results
+by demand; a path pool, the reduced-net paths that carried flow in earlier
+solves, which seed the next solve's columns; and what a solve needs of the
+network alone, built once: the reduced LP shape (canonical edges with
+parallel edges summed, float capacities, arc lists, arc-to-edge map), the
+lift, one BFS start path per pair, and each pooled path's edge rows.  The
+store holds at most _FLOW_CACHE_MAX memo entries over all networks and, when
+full, drops whole least-recently-used networks; a network whose solves all
+raised keeps no record.
+
+The 2-hop flow and its dual are restricted solves of the same oracle, on the
+network itself: paths may end at a terminal but never pass through one.
 
 Also here: exact max flow between two vertices or two vertex sets
 (shortest augmenting paths on integers: the rational capacities scaled by
 the LCM of their denominators, cached per network), which also gives the
-terminal-bipartition min cuts, and the exact sparsest cut, by brute force or
-over terminal bipartitions.  Flows between terminals run on the network's
-cached cut view, where non-terminals of degree at most 3 are eliminated
-without changing any terminal cut.
+terminal-bipartition min cuts and the exact sparsest cut over terminal
+bipartitions.  Flows between terminals run on the cut view too, which keeps
+every terminal cut.
 """
 
 from __future__ import annotations
@@ -142,14 +151,6 @@ class DualSolution:
 
 
 @dataclass(frozen=True)
-class Cut:
-    side: frozenset[str]
-    capacity: float
-    separated_demand: float
-    sparsity: float
-
-
-@dataclass(frozen=True)
 class ConcurrentFlowResult:
     value: float
     flow: FlowSolution
@@ -234,7 +235,7 @@ def mincut_partition(net: TerminalNetwork, a_side, b_side) -> Fraction:
 
 @dataclass(frozen=True)
 class _Shape:
-    """What a solve needs of the network alone.
+    """What a solve needs of a network view.
 
     `edges` are the canonical vertex pairs in first-occurrence order, one
     per pair, and `caps` their float capacities with parallel edges summed;
@@ -253,14 +254,189 @@ class _Shape:
         return tuple(map(self.arc_edge.__getitem__, zip(path, path[1:])))
 
 
-def _shape_of(net: TerminalNetwork) -> _Shape:
-    adj = net.adjacency
-    edges = list(dict.fromkeys(_pair(u, v) for u, v, _ in net.edges))
-    eidx = {e: i for i, e in enumerate(edges)}
-    arcs = {u: [(v, eidx[_pair(u, v)]) for v in nbrs] for u, nbrs in adj.items()}
-    return _Shape(edges=edges, caps=[float(adj[u][v]) for u, v in edges],
-                  arcs=arcs,
+def _edge_index(view) -> tuple[list, dict, list]:
+    """(vertex names, canonical pair -> edge index, float capacities) of a
+    (scale, index, arcs) view.  Edges come in first-occurrence order over
+    the vertex numbering, which for a `make`-built network's
+    `integer_view` is its sorted edge order."""
+    scale, index, arcs = view
+    names = list(index)
+    eidx: dict = {}
+    caps = []
+    for i, nbrs in enumerate(arcs):
+        for j, c in nbrs.items():
+            e = _pair(names[i], names[j])
+            if e not in eidx:
+                eidx[e] = len(caps)
+                caps.append(c / scale)
+    return names, eidx, caps
+
+
+def _shape_of(view) -> _Shape:
+    """The shape of a network view: `integer_view` for the network itself,
+    `cut_view` for its reduction."""
+    names, eidx, caps = _edge_index(view)
+    arcs = {names[i]: [(names[j], eidx[_pair(names[i], names[j])]) for j in nbrs]
+            for i, nbrs in enumerate(view[2])}
+    return _Shape(edges=list(eidx), caps=caps, arcs=arcs,
                   arc_edge={(u, v): i for u, out in arcs.items() for v, i in out})
+
+
+@dataclass(frozen=True)
+class _Lift:
+    """How the edges of a network's `cut_view` stand for its own edges.
+
+    Replaying `TerminalNetwork.reduction`, every edge of the network being
+    reduced is a group of constituents: the original edge between its ends,
+    then one piece per eliminated vertex v whose series or triangle edge
+    a-b was merged into it, in elimination order.  Constituent c < len(edges)
+    is original edge c; constituent len(edges) + p is piece p, which runs
+    a-v-b through v's side groups a-v and v-b.  A group ends as an edge of
+    the reduced net (`top`) or as a side of the first of its ends to be
+    eliminated, so the groups form a forest that both lifts walk.
+    """
+
+    edges: list     # the network's canonical pairs, as `_edge_index` gives them
+    cap: list       # per constituent, its float capacity; edges first
+    owner: list     # per constituent, its group (-1: an edge of capacity <= 0)
+    members: list   # per group, its constituents in the order they joined
+    top: list       # per reduced edge index, its group
+    pieces: list    # per piece a-v-b, (a, v, group a-v, group v-b)
+    steps: list     # per elimination, ((group, capacity) per side, pieces)
+
+    def flows(self, shape: _Shape, reduced: list) -> tuple:
+        """Lift per-pair reduced arc flows {(a, b): f} to the network's arcs.
+
+        A reduced edge's flow fills its constituents in order, each up to
+        what is left of its capacity over all pairs of the solve; the last
+        takes the rest.  A piece's share goes a -> v -> b and fills v's side
+        groups the same way.  The loads fit: the pieces through side a-v
+        carry at most x_ab + x_ac <= c_a.
+        """
+        cap, members, pieces, top = list(self.cap), self.members, self.pieces, self.top
+        n_edges = len(self.edges)
+        out = []
+        for p, acc in reduced:
+            got: dict = {}
+            for arc, amount in acc.items():
+                stack = [(top[shape.arc_edge[arc]], *arc, amount)]
+                while stack:
+                    g, u, w, f = stack.pop()
+                    ids = members[g]
+                    last = ids[-1]
+                    for c in ids:
+                        if c == last:
+                            take = f
+                        else:
+                            r = cap[c]
+                            if r <= 0.0:
+                                continue
+                            take = f if f < r else r
+                        cap[c] -= take
+                        f -= take
+                        if c < n_edges:
+                            got[(u, w)] = got.get((u, w), 0.0) + take
+                        else:
+                            x, v, gx, gy = pieces[c - n_edges]
+                            if u != x:
+                                gx, gy = gy, gx
+                            stack.append((gy, v, w, take))
+                            stack.append((gx, u, v, take))
+                        if f <= 0.0:
+                            break
+            out.append((p, tuple(sorted(got.items()))))
+        return tuple(out)
+
+    def lengths(self, reduced: list) -> list:
+        """Lift reduced edge lengths to the network's edges, keeping every
+        terminal distance and costing at most sum(c * l) on the reduced net.
+
+        Each group starts at its reduced edge's length; then, in reverse
+        elimination order, each side of v gets a length from the lengths of
+        v's pieces.  Degree 2: the piece's length goes to the side of smaller
+        capacity (the first in name order on a tie), 0 to the other.
+        Degree 3: close the piece lengths d under the triangle inequality (a
+        missing piece is infinite); if c_a >= c_b + c_c, then l_a = 0,
+        l_b = d_ab and l_c = d_ac; otherwise l_a = (d_ab + d_ac - d_bc) / 2
+        and likewise.  Degree <= 1: 0.
+        """
+        glen = [0.0] * len(self.members)
+        for g, length in zip(self.top, reduced):
+            glen[g] = length
+        owner = self.owner
+        inf = np.inf
+        for sides, pp in reversed(self.steps):
+            if len(sides) == 2:
+                (ga, ca), (gb, cb) = sides
+                glen[ga if ca <= cb else gb] = glen[owner[pp[0]]]
+            elif len(sides) == 3:
+                d01, d02, d12 = (inf if p is None else glen[owner[p]] for p in pp)
+                d01, d02, d12 = (min(d01, d02 + d12), min(d02, d01 + d12),
+                                 min(d12, d01 + d02))
+                (g0, c0), (g1, c1), (g2, c2) = sides
+                if c0 >= c1 + c2:
+                    ls = (0.0, d01, d02)
+                elif c1 >= c0 + c2:
+                    ls = (d01, 0.0, d12)
+                elif c2 >= c0 + c1:
+                    ls = (d02, d12, 0.0)
+                else:
+                    ls = ((d01 + d02 - d12) / 2, (d01 + d12 - d02) / 2,
+                          (d02 + d12 - d01) / 2)
+                glen[g0], glen[g1], glen[g2] = (max(x, 0.0) for x in ls)
+        # an edge of capacity <= 0 is in no group: at no cost, it keeps every
+        # distance with an infinite length
+        return [glen[g] if g >= 0 else inf for g in owner[:len(self.edges)]]
+
+
+def _lift_of(net: TerminalNetwork, reduced: _Shape) -> _Lift:
+    """Replay the network's eliminations into groups of constituents."""
+    names, eidx, cap = _edge_index(net.integer_view)
+    owner = [-1] * len(cap)
+    members: list[list[int]] = []
+    live: dict = {}       # canonical pair -> its group, while both ends live
+    pieces = []
+
+    def join(e, c):
+        g = live.get(e)
+        if g is None:
+            g = live[e] = len(members)
+            members.append([])
+        members[g].append(c)
+        owner[c] = g
+
+    for e, i in eidx.items():
+        if cap[i] > 0:        # a self-loop's group is never reduced: length 0
+            join(e, i)
+
+    def piece(a, v, b, ga, gb, x):
+        cap.append(x)
+        owner.append(-1)
+        pieces.append((a, v, ga, gb))
+        join(_pair(a, b), len(cap) - 1)
+        return len(cap) - 1
+
+    steps = []
+    for v, nbrs, scale in net.reduction[1]:
+        v = names[v]
+        sides = sorted((names[u], live.pop(_pair(v, names[u])), c) for u, c in nbrs)
+        if len(sides) == 2:
+            (a, ga, ca), (b, gb, cb) = sides
+            pp = (piece(a, v, b, ga, gb, min(ca, cb) / scale),)
+        elif len(sides) == 3:
+            total = sum(c for _, _, c in sides)
+            clipped = [min(c, total - c) for _, _, c in sides]
+            pp = []
+            for i, j, k in ((0, 1, 2), (0, 2, 1), (1, 2, 0)):
+                x = clipped[i] + clipped[j] - clipped[k]
+                pp.append(piece(sides[i][0], v, sides[j][0], sides[i][1],
+                                sides[j][1], x / (2 * scale)) if x > 0 else None)
+        else:
+            pp = ()
+        steps.append((tuple((g, c) for _, g, c in sides), tuple(pp)))
+    return _Lift(edges=list(eidx), cap=cap, owner=owner,
+                 members=members, top=[live[e] for e in reduced.edges],
+                 pieces=pieces, steps=steps)
 
 
 def _dijkstra(arcs: dict, lengths: list, source: str,
@@ -290,7 +466,7 @@ def _dijkstra(arcs: dict, lengths: list, source: str,
 
 def _dijkstra_pair(net: TerminalNetwork, lengths: dict, s: str, t: str) -> float:
     """s-t distance; an edge missing from `lengths` has length 0."""
-    shape = _shape_of(net)
+    shape = _shape_of(net.integer_view)
     dist, _ = _dijkstra(shape.arcs, [lengths.get(e, 0.0) for e in shape.edges], s)
     return dist.get(t, np.inf)
 
@@ -302,9 +478,10 @@ def _extract_path(parent: dict, t: str) -> tuple[str, ...]:
     return tuple(reversed(path))
 
 
-def _bfs_path(net: TerminalNetwork, s: str, t: str,
+def _bfs_path(arcs: dict, s: str, t: str,
               stop: frozenset = frozenset()) -> tuple[str, ...] | None:
-    """Fewest-edge s-t path with no internal vertex in `stop`, or None."""
+    """Fewest-edge s-t path over `_Shape.arcs` lists, neighbours taken in
+    name order, with no internal vertex in `stop`; None if there is none."""
     parent = {s: None}
     q = deque([s])
     while q:
@@ -313,7 +490,7 @@ def _bfs_path(net: TerminalNetwork, s: str, t: str,
             return _extract_path(parent, t)
         if stop and u != s and u in stop:
             continue
-        for v in sorted(net.adjacency[u]):
+        for v in sorted(v for v, _ in arcs[u]):
             if v not in parent:
                 parent[v] = u
                 q.append(v)
@@ -324,17 +501,20 @@ def _bfs_path(net: TerminalNetwork, s: str, t: str,
 class _NetState:
     """What the oracle remembers about one network.
 
-    `memo` maps demand entries to the frozen result; `pool` maps a pair to
-    the paths that carried flow for it in earlier solves, in first-use order,
-    each with its edge-index rows (dict keys and values).  Only memoized
-    solves feed the pool, so it grows with the memo and leaves with it.
-    `shape` (built on the first solve) and `starts` (per pair, its BFS path
-    and rows) depend on the network alone.
+    `memo` maps demand entries to the frozen result, lifted to the network;
+    `pool` maps a pair to the reduced-net paths that carried flow for it in
+    earlier solves, in first-use order, each with its edge-index rows (dict
+    keys and values).  Only memoized solves feed the pool, so it grows with
+    the memo and leaves with it.  `shape`, the shape of the network's
+    `cut_view`, and `lift`, which maps its certificates back, are built on
+    the first solve; `starts` holds per pair its reduced-net BFS path and
+    rows.  All three depend on the network alone.
     """
 
     memo: dict = field(default_factory=dict)
     pool: dict = field(default_factory=dict)
     shape: _Shape | None = None
+    lift: _Lift | None = None
     starts: dict = field(default_factory=dict)
 
 
@@ -397,7 +577,14 @@ def concurrent_flow(net: TerminalNetwork, demand: DemandVector | dict) -> Concur
     if hit is not None:
         return hit
 
-    result = _concurrent_flow_uncached(net, demand)
+    try:
+        result = _concurrent_flow_uncached(net, demand)
+    except Exception:
+        with _cache_lock:     # a record with nothing memoized is not kept
+            state = _store.get(net.cache_key)
+            if state is not None and not state.memo:
+                del _store[net.cache_key]
+        raise
     _remember(net, demand.entries, result)
     return result
 
@@ -415,10 +602,14 @@ def _concurrent_flow_uncached(net, demand,
     exactly the edge lengths / pair distances of the edge-length dual, and
     Dijkstra under those lengths prices out violated paths.
 
-    Unrestricted solves (empty `stop`) take the network's shape and each
-    pair's BFS start path from its record, building them on first use, start
-    from the pooled paths as well, and add the paths that carry flow to the
-    pool.  Restricted solves neither read nor write the record.
+    Unrestricted solves (empty `stop`) run on the network's reduced view
+    (`cut_view`, which keeps every concurrent flow value): they take its
+    shape, its lift and each pair's BFS start path from the record, building
+    them on first use, start from the pooled paths as well, add the paths
+    that carry flow to the pool, and return the primal and dual lifted back
+    to the network.  Restricted solves run on the network itself, since a
+    reduced edge may stand for a path through a terminal, and neither read
+    nor write the record.
 
     Paths may end at a vertex of `stop` but never pass through one; the
     reported distances are shortest such paths.
@@ -441,21 +632,23 @@ def _concurrent_flow_uncached(net, demand,
         return True
 
     def start(shape, p):
-        path = _bfs_path(net, p[0], p[1], stop)
+        path = _bfs_path(shape.arcs, p[0], p[1], stop)
         if path is None:
             raise FlowError(f"no path between {p[0]} and {p[1]}")
         return path, shape.rows(path)
 
     if stop:
-        shape = _shape_of(net)
+        shape = _shape_of(net.integer_view)
+        lift = None
         starts = [start(shape, p) for p in pairs]
         pooled = []
     else:
         with _cache_lock:
             state = _state(net)
             if state.shape is None:
-                state.shape = _shape_of(net)
-            shape = state.shape
+                state.shape = _shape_of(net.cut_view)
+                state.lift = _lift_of(net, state.shape)
+            shape, lift = state.shape, state.lift
             starts = []
             for p in pairs:
                 if p not in state.starts:
@@ -468,9 +661,9 @@ def _concurrent_flow_uncached(net, demand,
     for p, path, rows in pooled:
         add_path(p, path, rows)
 
-    edges, arcs = shape.edges, shape.arcs
+    arcs = shape.arcs
     np_ = len(pairs)
-    m = np_ + len(edges)
+    m = np_ + len(shape.edges)
     b = np.concatenate([np.zeros(np_), shape.caps])
 
     def grow(A, n_old, n_struct):
@@ -537,7 +730,7 @@ def _concurrent_flow_uncached(net, demand,
                 src_cache[t] = _dijkstra(arcs, lengths, t, stop)
             dt, parent_t = src_cache[t]
             # candidate midpoints give many violated paths per round
-            cand = sorted(net.vertices,
+            cand = sorted(arcs,
                           key=lambda v: ds.get(v, np.inf) + dt.get(v, np.inf))
             taken = 0
             for v in cand:
@@ -558,7 +751,12 @@ def _concurrent_flow_uncached(net, demand,
             break
 
     lam = -value
-    dual_obj = float(sum(c * l for c, l in zip(shape.caps, lengths)))
+    if lift is None:
+        edges, edge_lengths = shape.edges, lengths
+        dual_obj = float(sum(c * l for c, l in zip(shape.caps, lengths)))
+    else:
+        edges, edge_lengths = lift.edges, lift.lengths(lengths)
+        dual_obj = float(sum(c * l for c, l in zip(lift.cap, edge_lengths) if c > 0))
     gap = abs(dual_obj - lam) / max(1.0, abs(lam))
     if gap > OPT_TOL:
         raise LPError(f"duality gap {gap:.3g} exceeds {OPT_TOL:g}")
@@ -568,7 +766,7 @@ def _concurrent_flow_uncached(net, demand,
     for col, f in zip(col_paths[1:], xs[1:]):
         if f > 1e-12:
             per_pair_paths[col[0]].append((col, f))
-    arc_flows = []
+    reduced_flows = []
     for p in pairs:
         want = lam * demand[p]
         got = sum(f for _, f in per_pair_paths[p])
@@ -577,7 +775,11 @@ def _concurrent_flow_uncached(net, demand,
         for (_, path, _), f in per_pair_paths[p]:
             for u, v in zip(path, path[1:]):
                 acc[(u, v)] = acc.get((u, v), 0.0) + f * scale
-        arc_flows.append((p, tuple(sorted(acc.items()))))
+        reduced_flows.append((p, acc))
+    if lift is None:
+        arc_flows = tuple((p, tuple(sorted(acc.items()))) for p, acc in reduced_flows)
+    else:
+        arc_flows = lift.flows(shape, reduced_flows)
     if not stop:
         with _cache_lock:
             pool = _state(net).pool
@@ -594,8 +796,8 @@ def _concurrent_flow_uncached(net, demand,
             by_source[s] = _dijkstra(arcs, lengths, s, stop)[0]
         dist_rows.append((p, float(by_source[s].get(t, np.inf))))
 
-    flow = FlowSolution(lam=lam, arc_flows=tuple(arc_flows))
-    dual = DualSolution(lengths=tuple(sorted(zip(edges, lengths))),
+    flow = FlowSolution(lam=lam, arc_flows=arc_flows)
+    dual = DualSolution(lengths=tuple(sorted(zip(edges, edge_lengths))),
                         dists=tuple(dist_rows), value=dual_obj)
     return ConcurrentFlowResult(value=lam, flow=flow, dual=dual,
                                 duality_gap=gap, rounds=rounds, pivots=pivots)
@@ -606,7 +808,7 @@ def lambda_value(net: TerminalNetwork, demand) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Restricted solves: 2-hop flow and its dual, terminal-free flow
+# Restricted solves: 2-hop flow and its dual
 # ---------------------------------------------------------------------------
 
 def _require_quasi_bipartite(net: TerminalNetwork) -> None:
@@ -626,8 +828,9 @@ class TwoHopFlow:
 
 def _unroutable_pairs(net: TerminalNetwork, demand: DemandVector) -> tuple:
     """Demand pairs joined by no path free of internal terminals."""
+    arcs = _shape_of(net.integer_view).arcs
     return tuple(p for p in demand.pairs()
-                 if _bfs_path(net, p[0], p[1], net.terminal_set) is None)
+                 if _bfs_path(arcs, p[0], p[1], net.terminal_set) is None)
 
 
 # The restricted solves bypass the memo and the path pool, which are not
@@ -667,63 +870,17 @@ def dual_2hop(net: TerminalNetwork, demand: DemandVector | dict):
     return res.dual.value, res.dual
 
 
-def lambda_terminal_free(net: TerminalNetwork, demand: DemandVector | dict) -> float:
-    """Concurrent flow restricted to paths with no internal terminal.
-
-    The value is 0 when some demand pair has no such path.
-    """
-    demand = _checked_demand(net, demand)
-    if _unroutable_pairs(net, demand):
-        return 0.0
-    return _concurrent_flow_uncached(net, demand, net.terminal_set).value
-
-
 # ---------------------------------------------------------------------------
 # Cuts
 # ---------------------------------------------------------------------------
-
-def sparsest_cut(net: TerminalNetwork, demand: DemandVector | dict,
-                 *, max_vertices: int = 20) -> tuple[float, Cut]:
-    """Exact sparsest cut by enumerating all vertex subsets (desk scale only)."""
-    if not isinstance(demand, DemandVector):
-        demand = DemandVector.of(demand)
-    if demand.is_zero:
-        raise FlowError("zero demand")
-    n = len(net.vertices)
-    if n > max_vertices:
-        raise FlowError(
-            f"{n} vertices exceeds the brute-force bound {max_vertices}; "
-            "use sparsest_terminal_cut, which is exact over terminal bipartitions")
-    vidx = {v: i for i, v in enumerate(net.vertices)}
-    count = 1 << (n - 1)
-    masks = (np.arange(count, dtype=np.int64) << 1) | 1   # vertex 0 pinned inside
-    caps = np.zeros(count)
-    for u, v, c in net.edges:
-        side_u = (masks >> vidx[u]) & 1
-        side_v = (masks >> vidx[v]) & 1
-        caps += float(c) * (side_u != side_v)
-    dem = np.zeros(count)
-    for (s, t), val in demand.items():
-        side_s = (masks >> vidx[s]) & 1
-        side_t = (masks >> vidx[t]) & 1
-        dem += val * (side_s != side_t)
-    sparsity = np.full(count, np.inf)
-    pos = dem > 0
-    sparsity[pos] = caps[pos] / dem[pos]
-    best = int(np.argmin(sparsity))
-    mask = int(masks[best])
-    side = frozenset(v for v, i in vidx.items() if (mask >> i) & 1)
-    cut = Cut(side=side, capacity=float(caps[best]),
-              separated_demand=float(dem[best]), sparsity=float(sparsity[best]))
-    return float(sparsity[best]), cut
-
 
 def sparsest_terminal_cut(net: TerminalNetwork, demand: DemandVector | dict) -> tuple[float, tuple]:
     """Min over terminal bipartitions of mincut(A,B)/d(A,B): the sparsest cut.
 
     A vertex set that separates demand splits the terminals into some (A, B),
     separates exactly d(A, B) and costs at least mincut(A, B); a min cut of
-    (A, B) is such a set.  So the minimum equals `sparsest_cut`'s value."""
+    (A, B) is such a set.  So the minimum is the sparsest cut over all
+    vertex sets."""
     if not isinstance(demand, DemandVector):
         demand = DemandVector.of(demand)
     best = (np.inf, None)

@@ -137,7 +137,17 @@ class TerminalNetwork:
         """`integer_view` with non-terminals eliminated, in the same
         (scale, index, arcs) layout: `index` numbers only the surviving
         vertices.  Every min cut between two sets of terminals keeps its
-        value; cuts with a non-terminal side need `integer_view`.
+        value; cuts with a non-terminal side need `integer_view`.  It is the
+        first half of `reduction`; the flow oracle solves on the same view
+        and lifts its certificates back through the second half."""
+        return self.reduction[0]
+
+    @cached_property
+    def reduction(self) -> tuple[tuple, tuple]:
+        """(`cut_view`, eliminations): the eliminations, in order, as
+        (v, ((u, c_u), ...), scale) with `integer_view` vertex numbers and
+        v's current integer capacities at the scale in force, before the
+        rule ran.
 
         Three rules run through a worklist until none applies; the degree
         of a non-terminal v is its number of distinct neighbours.  Each
@@ -153,13 +163,17 @@ class TerminalNetwork:
             x_ab = (c_a + c_b - c_c) / 2 and likewise, so cutting off a
             costs x_ab + x_ac = c_a.  An odd clipped sum doubles the scale
             and every capacity first, keeping the halves integers.
-        Parallel edges merge by adding capacities.
+        Parallel edges merge by adding capacities.  The degree-3 rule keeps
+        flows too: with three attachment vertices the cut condition
+        suffices for multiflows, so every terminal concurrent flow keeps
+        its value.
         """
         scale, index, arcs = self.integer_view
         adj = [{j: c for j, c in nbrs.items() if j != i and c > 0}
                for i, nbrs in enumerate(arcs)]
         fixed = {index[t] for t in self.terminals if t in index}
         alive = [True] * len(adj)
+        steps = []
 
         def join(i: int, j: int, c: int) -> None:
             if c > 0:
@@ -171,7 +185,8 @@ class TerminalNetwork:
             v = work.popleft()
             if not alive[v] or len(adj[v]) > 3:
                 continue
-            nbrs = list(adj[v].items())
+            nbrs = tuple(adj[v].items())
+            steps.append((v, nbrs, scale))
             alive[v] = False
             adj[v] = {}
             for u, _ in nbrs:
@@ -194,8 +209,9 @@ class TerminalNetwork:
             work.extend(u for u, _ in nbrs if u not in fixed)
         kept = [i for i in range(len(adj)) if alive[i]]
         renumber = {i: n for n, i in enumerate(kept)}
-        return (scale, {self.vertices[i]: renumber[i] for i in kept},
+        view = (scale, {self.vertices[i]: renumber[i] for i in kept},
                 [{renumber[j]: c for j, c in adj[i].items()} for i in kept])
+        return view, tuple(steps)
 
     @cached_property
     def terminal_set(self) -> frozenset[str]:

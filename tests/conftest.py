@@ -1,10 +1,12 @@
 import itertools
 import random
+from dataclasses import dataclass
 
+import numpy as np
 import pytest
 
 from flowsparse import DemandVector, TerminalNetwork
-from flowsparse.flow import clear_flow_cache
+from flowsparse.flow import FlowError, clear_flow_cache
 
 
 @pytest.fixture(autouse=True)
@@ -106,3 +108,48 @@ def random_demand(rng: random.Random, net: TerminalNetwork,
     if not dd:
         dd[(net.terminals[0], net.terminals[1])] = 1.0
     return DemandVector.of(dd)
+
+
+@dataclass(frozen=True)
+class Cut:
+    side: frozenset[str]
+    capacity: float
+    separated_demand: float
+    sparsity: float
+
+
+def sparsest_cut(net: TerminalNetwork, demand, *,
+                 max_vertices: int = 20) -> tuple[float, Cut]:
+    """Exact sparsest cut by enumerating all vertex subsets: the brute-force
+    reference for `sparsest_terminal_cut` and the flow-cut gap."""
+    if not isinstance(demand, DemandVector):
+        demand = DemandVector.of(demand)
+    if demand.is_zero:
+        raise FlowError("zero demand")
+    n = len(net.vertices)
+    if n > max_vertices:
+        raise FlowError(
+            f"{n} vertices exceeds the brute-force bound {max_vertices}; "
+            "use sparsest_terminal_cut, which is exact over terminal bipartitions")
+    vidx = {v: i for i, v in enumerate(net.vertices)}
+    count = 1 << (n - 1)
+    masks = (np.arange(count, dtype=np.int64) << 1) | 1   # vertex 0 pinned inside
+    caps = np.zeros(count)
+    for u, v, c in net.edges:
+        side_u = (masks >> vidx[u]) & 1
+        side_v = (masks >> vidx[v]) & 1
+        caps += float(c) * (side_u != side_v)
+    dem = np.zeros(count)
+    for (s, t), val in demand.items():
+        side_s = (masks >> vidx[s]) & 1
+        side_t = (masks >> vidx[t]) & 1
+        dem += val * (side_s != side_t)
+    sparsity = np.full(count, np.inf)
+    pos = dem > 0
+    sparsity[pos] = caps[pos] / dem[pos]
+    best = int(np.argmin(sparsity))
+    mask = int(masks[best])
+    side = frozenset(v for v, i in vidx.items() if (mask >> i) & 1)
+    cut = Cut(side=side, capacity=float(caps[best]),
+              separated_demand=float(dem[best]), sparsity=float(sparsity[best]))
+    return float(sparsity[best]), cut

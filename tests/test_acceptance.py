@@ -19,7 +19,6 @@ from flowsparse import (
     certify,
     certify_cuts,
     concurrent_flow,
-    sparsest_cut,
 )
 from flowsparse.generators import (
     gen_quasi_bipartite,
@@ -45,7 +44,7 @@ from flowsparse.splice import (
 from flowsparse.structured import mimick_small, sp_sparsifier, treewidth_sparsifier
 from flowsparse.verify import disc_demands
 
-from conftest import random_connected_net, random_demand
+from conftest import random_connected_net, random_demand, sparsest_cut
 
 
 RESULT_LINES: list[str] = []

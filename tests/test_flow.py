@@ -21,11 +21,9 @@ from flowsparse import (
     concurrent_flow,
     dual_2hop,
     lambda_2hop,
-    lambda_terminal_free,
     lambda_value,
     max_flow,
     mincut_partition,
-    sparsest_cut,
     sparsest_terminal_cut,
 )
 from flowsparse import flow
@@ -33,10 +31,10 @@ from flowsparse.flow import OPT_TOL, FlowError, clear_flow_cache
 from flowsparse.generators import (gen_quasi_bipartite, gen_series_parallel,
                                    gen_treewidth)
 from flowsparse.lp import LPError
-from flowsparse.network import terminal_bipartitions
+from flowsparse.network import _pair, terminal_bipartitions
 
 from conftest import (random_connected_net, random_demand, random_quasi_bipartite,
-                      skew_duality_gap)
+                      skew_duality_gap, sparsest_cut)
 
 
 def scipy_lambda(net, demand, terminal_free=False):
@@ -87,6 +85,14 @@ def scipy_lambda(net, demand, terminal_free=False):
                   bounds=bounds, method="highs")
     assert res.status == 0, res.message
     return -res.fun
+
+
+def terminal_free(net, demand):
+    """Concurrent flow over paths with no internal terminal (the oracle's
+    restricted solve), 0 when some demand pair has no such path."""
+    if flow._unroutable_pairs(net, demand):
+        return 0.0
+    return flow._concurrent_flow_uncached(net, demand, net.terminal_set).value
 
 
 def rational_net(rng, n, k):
@@ -379,6 +385,120 @@ class TestConcurrentFlow:
             assert lam2 >= lam * (1 - 1e-9)
 
 
+LIFT_FAMILIES = {
+    "quasi-bipartite": lambda rng, seed: gen_quasi_bipartite(
+        2 + seed % 5, rng.randint(8, 30), seed),
+    "random-connected": lambda rng, seed: random_connected_net(
+        rng, rng.randint(5, 13), rng.randint(2, 5)),
+    "rational": lambda rng, seed: rational_net(rng, rng.randint(5, 12), rng.randint(2, 5)),
+    "series-parallel": lambda rng, seed: gen_series_parallel(
+        rng.randint(6, 20), 4, seed)[0],
+    "treewidth": lambda rng, seed: gen_treewidth(
+        rng.randint(4, 8), 24, 1 + seed % 3, seed)[0],
+}
+
+
+def assert_lifted(net, d):
+    """The oracle's certificates hold on the network itself: λ equals the
+    arc-flow LP's, both checks pass, sum(c * l) over the network's edges is
+    λ, and every reported terminal distance is the network's shortest path
+    under the lifted lengths."""
+    res = concurrent_flow(net, d)
+    assert res.value == pytest.approx(scipy_lambda(net, d), rel=1e-7, abs=1e-9)
+    res.flow.check(net, d)
+    res.dual.check(net, d)
+    lengths = res.dual.length_map()
+    assert lengths.keys() == {(u, v) if u <= v else (v, u) for u, v, _ in net.edges}
+    assert res.flow.edge_loads().keys() <= lengths.keys()
+    cost = sum(float(net.cap(*e)) * l for e, l in lengths.items())
+    assert abs(cost - res.value) <= OPT_TOL * max(1.0, res.value)
+    assert res.dual.value == cost
+    for (s, t), dist in res.dual.dists:
+        assert flow._dijkstra_pair(net, lengths, s, t) == pytest.approx(dist, rel=1e-9)
+    return res
+
+
+class TestLift:
+    @pytest.mark.parametrize("family", sorted(LIFT_FAMILIES))
+    def test_lifted_certificates_hold_on_the_network(self, family):
+        vertices_in = vertices_out = 0
+        for seed in range(24):
+            rng = random.Random(900 + seed)
+            net = LIFT_FAMILIES[family](rng, seed)
+            vertices_in += len(net.vertices)
+            vertices_out += len(net.cut_view[1])
+            assert_lifted(net, random_demand(rng, net))
+            # a second component: its pair has no path, in the reduction too
+            cut_off = TerminalNetwork.make(
+                net.vertices + ("~x0", "~x1"), net.terminals + ("~x1",),
+                net.edges + (("~x0", "~x1", 1),), allow_disconnected=True)
+            with pytest.raises(FlowError, match="no path"):
+                concurrent_flow(cut_off, {(net.terminals[0], "~x1"): 1,
+                                          net.terminals[:2]: 1})
+        assert vertices_out < vertices_in
+
+    def test_raw_net_with_parallel_edges(self):
+        edges = (("a", "m", 1), ("a", "m", 1), ("b", "m", 3), ("c", "m", 2),
+                 ("b", "c", 1), ("b", "c", 2), ("c", "w", 1), ("w", "a", 4))
+        raw = TerminalNetwork(vertices=("a", "b", "c", "m", "w"),
+                              terminals=("a", "b", "c"), edges=edges)
+        assert raw.cut_view[1].keys() == {"a", "b", "c"}
+        d = DemandVector.of({("a", "b"): 1, ("a", "c"): 2, ("b", "c"): 0.5})
+        made = TerminalNetwork.make(raw.vertices, raw.terminals, edges)
+        assert assert_lifted(raw, d).value == pytest.approx(concurrent_flow(made, d).value)
+
+    def test_isolated_non_terminal(self):
+        net = TerminalNetwork.make(["s", "t", "u", "v", "z"], ["s", "t", "u"],
+                                   [("s", "v", 2), ("v", "t", 3), ("v", "u", 1),
+                                    ("s", "t", "3/2")], allow_disconnected=True)
+        assert "z" not in net.cut_view[1] and "v" not in net.cut_view[1]
+        assert_lifted(net, DemandVector.of({("s", "t"): 1, ("t", "u"): 1}))
+
+    def test_series_length_goes_to_the_smaller_capacity(self):
+        net = TerminalNetwork.make(["s", "v", "w", "t"], ["s", "t"],
+                                   [("s", "v", 2), ("v", "w", 5), ("w", "t", 2)])
+        res = assert_lifted(net, DemandVector.of({("s", "t"): 1}))
+        # v goes first: s-w (2) takes the length; then the tie at w gives
+        # it to s, the first side in name order
+        assert res.dual.length_map() == {("s", "v"): 1.0, ("v", "w"): 0.0,
+                                         ("t", "w"): 0.0}
+
+    def test_clipped_triangle_puts_no_length_on_the_clipped_side(self):
+        net = TerminalNetwork.make(["a", "b", "c", "v"], ["a", "b", "c"],
+                                   [("v", "a", 1), ("v", "b", 1), ("v", "c", 3)])
+        res = assert_lifted(net, DemandVector.of({("a", "c"): 1, ("b", "c"): 1}))
+        assert res.value == pytest.approx(1.0)
+        lengths = res.dual.length_map()
+        assert lengths[("c", "v")] == 0.0
+        assert lengths[("a", "v")] + lengths[("b", "v")] == pytest.approx(1.0)
+
+    def test_triangle_splits_lengths_by_gromov_products(self):
+        net = TerminalNetwork.make(["a", "b", "c", "v"], ["a", "b", "c"],
+                                   [("v", "a", 2), ("v", "b", 3), ("v", "c", 4)])
+        res = assert_lifted(net, DemandVector.of({("b", "c"): 1}))
+        assert res.value == pytest.approx(3.0)
+        # cutting b off is the only min cut; its length lands on b's side
+        l = res.dual.length_map()
+        assert l == {("a", "v"): 0.0, ("b", "v"): 1.0, ("c", "v"): 0.0}
+        dist = res.dual.dist_map()
+        for x, y, z in ("abc", "bac", "cab"):
+            gromov = (dist[_pair(x, y)] + dist[_pair(x, z)] - dist[_pair(y, z)]) / 2
+            assert l[(x, "v")] == pytest.approx(gromov)
+
+    def test_greedy_fill_keeps_flow_on_the_original_edge(self):
+        # v is a series piece merged into the s-t edge, after the edge itself
+        net = TerminalNetwork.make(["s", "v", "t", "u"], ["s", "t", "u"],
+                                   [("s", "t", 4), ("s", "v", 1), ("v", "t", 1),
+                                    ("t", "u", 1)])
+        res = assert_lifted(net, DemandVector.of({("s", "u"): 1}))
+        assert res.flow.arc_flows == ((("s", "u"), ((("s", "t"), 1.0),
+                                                     (("t", "u"), 1.0))),)
+        full = assert_lifted(net, DemandVector.of({("s", "t"): 1}))
+        assert full.flow.arc_flows == ((("s", "t"), ((("s", "t"), 4.0),
+                                                     (("s", "v"), 1.0),
+                                                     (("v", "t"), 1.0))),)
+
+
 def _pool_demands():
     net = gen_quasi_bipartite(5, 40, seed=3)
     rng = random.Random(5)
@@ -387,17 +507,17 @@ def _pool_demands():
 
 def _count_calls(monkeypatch, name):
     """Wrap flow.<name>, recording the calls: the pair for `_bfs_path`
-    (prefixed with "stop" under a stop set), the network otherwise."""
+    (prefixed with "stop" under a stop set), the first argument otherwise."""
     real = getattr(flow, name)
     calls = []
 
-    def counting(net, *args):
+    def counting(first, *args):
         if name == "_bfs_path":
             s, t, *stop = args
             calls.append(("stop", s, t) if stop and stop[0] else (s, t))
         else:
-            calls.append(net)
-        return real(net, *args)
+            calls.append(first)
+        return real(first, *args)
     monkeypatch.setattr(flow, name, counting)
     return calls
 
@@ -444,16 +564,22 @@ class TestPathPool:
 
     def test_shape_and_start_paths_are_built_once_per_network(self, monkeypatch):
         built = _count_calls(monkeypatch, "_shape_of")
+        lifts = _count_calls(monkeypatch, "_lift_of")
         bfs = _count_calls(monkeypatch, "_bfs_path")
         net, demands = _pool_demands()
         for d in demands:
             concurrent_flow(net, d)
         pairs = {p for d in demands for p in d.pairs()}
-        assert len(built) == 1 and sorted(bfs) == sorted(pairs)
+        assert built == [net.cut_view] and lifts == [net]
+        assert sorted(bfs) == sorted(pairs)
         state = flow._store[net.cache_key]
-        assert state.shape == flow._shape_of(net)
+        # the record holds the reduced shape, and its paths are reduced-net paths
+        assert state.shape == flow._shape_of(net.cut_view)
+        assert len(state.shape.arcs) < len(net.vertices)
+        assert state.lift == flow._lift_of(net, state.shape)
         for p, (path, rows) in state.starts.items():
-            assert path == flow._bfs_path(net, *p) and rows == state.shape.rows(path)
+            assert path == flow._bfs_path(state.shape.arcs, *p)
+            assert rows == state.shape.rows(path)
         for paths in state.pool.values():
             assert all(rows == state.shape.rows(path) for path, rows in paths.items())
 
@@ -474,16 +600,19 @@ class TestPathPool:
     def test_clear_and_eviction_drop_the_shape(self, monkeypatch):
         monkeypatch.setattr(flow, "_FLOW_CACHE_MAX", 1)
         built = _count_calls(monkeypatch, "_shape_of")
+        lifts = _count_calls(monkeypatch, "_lift_of")
         net, demands = _pool_demands()
         other = gen_quasi_bipartite(5, 30, seed=4)
         concurrent_flow(net, demands[0])
         concurrent_flow(other, demands[0])      # evicts net whole
         assert net.cache_key not in flow._store
         concurrent_flow(net, demands[1])
-        assert len(built) == 3
+        assert len(built) == len(lifts) == 3
         clear_flow_cache()
         concurrent_flow(net, demands[2])
-        assert len(built) == 4 and flow._store[net.cache_key].shape is not None
+        assert len(built) == len(lifts) == 4
+        state = flow._store[net.cache_key]
+        assert state.shape is not None and state.lift is not None
 
     def test_lru_eviction_keeps_the_recent_network(self, monkeypatch):
         monkeypatch.setattr(flow, "_FLOW_CACHE_MAX", 3)
@@ -537,8 +666,13 @@ class TestPathPool:
         # holds its memo entry and builds its shape on the next solve
         by_key = {net.cache_key: net for net in nets}
         for key, state in flow._store.items():
-            assert state.shape in (None, flow._shape_of(by_key[key]))
-            assert all(start == (flow._bfs_path(by_key[key], *p),
+            net = by_key[key]
+            if state.shape is None:
+                assert state.lift is None and not state.starts
+                continue
+            assert state.shape == flow._shape_of(net.cut_view)
+            assert state.lift == flow._lift_of(net, state.shape)
+            assert all(start == (flow._bfs_path(state.shape.arcs, *p),
                                  state.shape.rows(start[0]))
                        for p, start in state.starts.items())
 
@@ -546,13 +680,13 @@ class TestPathPool:
         net, demands = _pool_demands()
         lambda_2hop(net, demands[0])
         dual_2hop(net, demands[0])
-        lambda_terminal_free(net, demands[0])
+        terminal_free(net, demands[0])
         assert _record(net) is None
         concurrent_flow(net, demands[0])
         before = _record(net)
         lambda_2hop(net, demands[1])
         dual_2hop(net, demands[1])
-        lambda_terminal_free(net, demands[1])
+        terminal_free(net, demands[1])
         assert _record(net) == before
 
     def test_duality_gap_above_tolerance_raises(self, monkeypatch):
@@ -560,7 +694,21 @@ class TestPathPool:
         net, demands = _pool_demands()
         with pytest.raises(LPError, match="duality gap"):
             concurrent_flow(net, demands[0])
-        assert _record(net) == ({}, {})
+        assert _record(net) is None     # nothing memoized: no record kept
+
+    def test_failed_solves_keep_no_record(self):
+        for i in range(300):
+            net = TerminalNetwork.make(["a", "b", "c", f"m{i}"], ["a", "b", "c"],
+                                       [("a", f"m{i}", 1 + i), ("b", f"m{i}", 2)],
+                                       allow_disconnected=True)
+            with pytest.raises(FlowError, match="no path"):
+                concurrent_flow(net, {("a", "c"): 1})
+        assert len(flow._store) == flow._memo_entries == 0
+        # a failed solve on a network with memoized results keeps its record
+        concurrent_flow(net, {("a", "b"): 1})
+        with pytest.raises(FlowError, match="no path"):
+            concurrent_flow(net, {("b", "c"): 1})
+        assert len(_record(net)[0]) == 1
 
 
 def _pin_groups():
@@ -625,7 +773,9 @@ def _pin_fingerprints():
 # (value.hex(), rounds, pivots, sha256 prefix of repr((arc flows, lengths,
 # distances))) per solve with one BLAS thread.  Work may be cut from the
 # simplex and the pricing only where these stay equal: a different pivot or
-# rounding changes them.
+# rounding changes them.  The unrestricted groups solve on the reduced view
+# and return lifted certificates; the 2-hop groups and small-connected-4-12,
+# where the view eliminates nothing, keep the bits of the unreduced solve.
 PINNED_SOLVES = {
     '2hop-4-20': [
         ('0x1.e812546d14882p+2', 5, 27, '58239bdd16a8b9fb'),
@@ -640,47 +790,67 @@ PINNED_SOLVES = {
         ('0x1.6afcbe827b914p+3', 7, 153, '86bdc78ebe697745'),
     ],
     'qb-11': [
-        ('0x1.0e9375daf6555p+5', 11, 344, 'baff257a694e006b'),
-        ('0x1.93cc52f01ef7ap+4', 11, 526, '53b30e06ed57f979'),
-        ('0x1.3de6ec98cf848p+4', 2, 155, '404b2110d134ae21'),
-        ('0x1.4cdad5112ecbcp+4', 6, 323, '87fe57b38ecd78cf'),
+        ('0x1.0e9375daf653fp+5', 5, 54, '9d80a6d579b2da21'),
+        ('0x1.93cc52f01ef7ep+4', 7, 118, '620dce7fb4822bfb'),
+        ('0x1.3de6ec98cf84cp+4', 2, 55, '2a2bc02d5950af4d'),
+        ('0x1.4cdad5112ecc2p+4', 4, 89, '0c151aa4afc51d2a'),
     ],
     'qb-12': [
-        ('0x1.2bfa1a5faea07p+4', 9, 490, 'c32761f358755b75'),
-        ('0x1.1450f341c4394p+6', 9, 372, 'eb6038fba53a37c8'),
-        ('0x1.a02baa4d500dbp+4', 4, 338, '1b14ad68ca193893'),
-        ('0x1.c0f5e8c934da6p+4', 3, 351, '07f516e96f23eedc'),
+        ('0x1.2bfa1a5faea08p+4', 10, 160, 'ba3d88ac5753c965'),
+        ('0x1.1450f341c4384p+6', 4, 125, 'f708fdb4d3b124a5'),
+        ('0x1.a02baa4d500e0p+4', 3, 123, 'f368370cd8e5401e'),
+        ('0x1.c0f5e8c934da8p+4', 3, 143, '884f2fa4b11bc639'),
     ],
     'qb-13': [
-        ('0x1.c3b29bf50a492p+4', 10, 452, 'e9e0a9b39045f3a8'),
-        ('0x1.9eb3abbaeb8d6p+4', 9, 274, '212ef6e037d0f078'),
-        ('0x1.9bc922bef3cc5p+4', 6, 310, '9101aa595022b426'),
-        ('0x1.2d653b70f22c8p+5', 7, 426, '2839fcccb1e313a4'),
+        ('0x1.c3b29bf50a492p+4', 7, 55, 'df3d332e846b3cfe'),
+        ('0x1.9eb3abbaeb8d9p+4', 6, 54, 'da5890d67bda82cf'),
+        ('0x1.9bc922bef3ccbp+4', 5, 90, '0e63b984b832bfa5'),
+        ('0x1.2d653b70f22c5p+5', 3, 91, '3017ee8777ac5140'),
     ],
     'small-connected-3-10': [
-        ('0x1.6127870c96f7ep+4', 3, 4, '8fed99d8a20bac9e'),
+        ('0x1.6127870c96f7ep+4', 2, 3, '8fed99d8a20bac9e'),
     ],
     'small-connected-3-14': [
-        ('0x1.bb16d124ce8fcp+2', 3, 11, 'd862774c346b344a'),
+        ('0x1.bb16d124ce8fbp+2', 3, 11, 'b9c699511848e852'),
     ],
     'small-connected-4-12': [
         ('0x1.eb9efc64055b2p-3', 1, 6, '08d2f344932e900c'),
     ],
     'small-connected-4-18': [
-        ('0x1.b3f9d73461425p+0', 3, 8, '614bae26f96d6923'),
+        ('0x1.b3f9d73461425p+0', 2, 7, '7685c1dcfe8d32ef'),
     ],
     'small-qb-3-12': [
-        ('0x1.7dd2bd1bd8e9cp+6', 3, 8, '29023bc6dd4fb948'),
+        ('0x1.7dd2bd1bd8e9bp+6', 2, 3, 'c5860e6ce4d4f15f'),
     ],
     'small-qb-3-8': [
-        ('0x1.de2073ff92290p+1', 4, 13, 'dd66dfb9a2958462'),
+        ('0x1.de2073ff9228ep+1', 2, 5, '0f5d6eb539a1d620'),
     ],
     'small-qb-4-16': [
-        ('0x1.3a6a3589c6b02p+3', 4, 48, 'f46cbaadea1eb8f6'),
+        ('0x1.3a6a3589c6b09p+3', 4, 36, '88bd1e504caddab7'),
     ],
     'small-qb-4-20': [
-        ('0x1.e53592c735f27p+4', 6, 52, '1e514e08d99b4300'),
+        ('0x1.e53592c735f2ap+4', 4, 16, 'fda18e62f9e77190'),
     ],
+}
+
+# Each solve's value.hex() as the unreduced oracle returned it, before the
+# presolve: frozen, so that every re-recorded pin stays within 1e-9 of it.
+UNREDUCED_VALUES = {
+    '2hop-4-20': ['0x1.e812546d14882p+2'],
+    '2hop-4-30': ['0x1.1a33bdabc6f4bp+5'],
+    '2hop-5-30': ['0x1.0bc3158aa14bap+3'],
+    '2hop-5-40': ['0x1.6afcbe827b914p+3'],
+    'qb-11': ['0x1.0e9375daf6555p+5', '0x1.93cc52f01ef7ap+4', '0x1.3de6ec98cf848p+4', '0x1.4cdad5112ecbcp+4'],
+    'qb-12': ['0x1.2bfa1a5faea07p+4', '0x1.1450f341c4394p+6', '0x1.a02baa4d500dbp+4', '0x1.c0f5e8c934da6p+4'],
+    'qb-13': ['0x1.c3b29bf50a492p+4', '0x1.9eb3abbaeb8d6p+4', '0x1.9bc922bef3cc5p+4', '0x1.2d653b70f22c8p+5'],
+    'small-connected-3-10': ['0x1.6127870c96f7ep+4'],
+    'small-connected-3-14': ['0x1.bb16d124ce8fcp+2'],
+    'small-connected-4-12': ['0x1.eb9efc64055b2p-3'],
+    'small-connected-4-18': ['0x1.b3f9d73461425p+0'],
+    'small-qb-3-12': ['0x1.7dd2bd1bd8e9cp+6'],
+    'small-qb-3-8': ['0x1.de2073ff92290p+1'],
+    'small-qb-4-16': ['0x1.3a6a3589c6b02p+3'],
+    'small-qb-4-20': ['0x1.e53592c735f27p+4'],
 }
 
 
@@ -694,9 +864,19 @@ class TestPinnedOracle:
     def test_results_are_bit_identical(self, group, pin_fingerprints):
         assert pin_fingerprints[group] == PINNED_SOLVES[group]
 
+    @pytest.mark.parametrize("group", sorted(PINNED_SOLVES))
+    def test_values_match_the_unreduced_solve(self, group, pin_fingerprints):
+        new = [float.fromhex(row[0]) for row in pin_fingerprints[group]]
+        old = [float.fromhex(h) for h in UNREDUCED_VALUES[group]]
+        assert len(new) == len(old)
+        for a, b in zip(new, old):
+            assert abs(a - b) <= 1e-9 * abs(b)
+        if group.startswith("2hop") or group == "small-connected-4-12":
+            assert new == old
+
     def test_pin_covers_enough_solves(self):
         assert sum(map(len, PINNED_SOLVES.values())) >= 24
-        assert set(PINNED_SOLVES) == set(_pin_groups())
+        assert set(PINNED_SOLVES) == set(_pin_groups()) == set(UNREDUCED_VALUES)
 
     def test_two_hop_results_are_the_restricted_solve(self):
         for group, solves in _pin_groups().items():
@@ -801,22 +981,25 @@ class TestTerminalFree:
         for _ in range(6):
             net = random_quasi_bipartite(rng, 4, rng.randint(6, 12))
             d = random_demand(rng, net)
-            tf = lambda_terminal_free(net, d)
+            tf = scipy_lambda(net, d, terminal_free=True)
             th = lambda_2hop(net, d).value
             assert tf == pytest.approx(th, rel=1e-6, abs=1e-9)
 
     def test_path_through_terminal_gives_zero(self):
         net = TerminalNetwork.make(["s", "t", "u"], ["s", "t", "u"],
                                    [("s", "t", 1), ("t", "u", 1)])
-        assert lambda_terminal_free(net, {("s", "u"): 1}) == pytest.approx(0.0, abs=1e-9)
-        assert lambda_value(net, {("s", "u"): 1}) == pytest.approx(1.0)
+        d = DemandVector.of({("s", "u"): 1})
+        assert terminal_free(net, d) == 0.0
+        with pytest.raises(FlowError, match="no path"):
+            flow._concurrent_flow_uncached(net, d, net.terminal_set)
+        assert lambda_value(net, d) == pytest.approx(1.0)
 
     def test_restriction_bound(self):
         rng = random.Random(61)
         for _ in range(6):
             net = random_connected_net(rng, 8, 3)
             d = random_demand(rng, net)
-            tf = lambda_terminal_free(net, d)
+            tf = terminal_free(net, d)
             lam = concurrent_flow(net, d).value
             assert tf <= lam * (1 + 1e-7) + 1e-9
 
@@ -828,7 +1011,7 @@ class TestRestrictedAgainstScipy:
         net = random_connected_net(rng, rng.randint(5, 11), rng.randint(2, 4))
         d = random_demand(rng, net)
         ref = scipy_lambda(net, d, terminal_free=True)
-        assert lambda_terminal_free(net, d) == pytest.approx(ref, rel=1e-7, abs=1e-9)
+        assert terminal_free(net, d) == pytest.approx(ref, rel=1e-7, abs=1e-9)
 
     @pytest.mark.parametrize("seed", range(12))
     def test_two_hop_and_dual(self, seed):
