@@ -19,7 +19,6 @@ from .flow import (
     concurrent_flow,
     dual_2hop,
     lambda_2hop,
-    lambda_value,
     max_flow,
     mincut_partition,
     sparsest_terminal_cut,

@@ -1,4 +1,4 @@
-"""The flow oracle: concurrent flow, its dual, restricted variants, cuts.
+"""The flow oracle: concurrent flow, its dual, the 2-hop flow, cuts.
 
 `concurrent_flow` computes the concurrent multicommodity-flow value of a
 demand vector (the largest multiple of the demand that routes within the
@@ -26,8 +26,8 @@ store holds at most _FLOW_CACHE_MAX memo entries over all networks and, when
 full, drops whole least-recently-used networks; a network whose solves all
 raised keeps no record.
 
-The 2-hop flow and its dual are restricted solves of the same oracle, on the
-network itself: paths may end at a terminal but never pass through one.
+The 2-hop flow and its dual are one explicit LP over the paths s-v-t of the
+network itself, solved once with no pricing; it keeps no record.
 
 Also here: exact max flow between two vertices or two vertex sets
 (shortest augmenting paths on integers: the rational capacities scaled by
@@ -273,8 +273,8 @@ def _edge_index(view) -> tuple[list, dict, list]:
 
 
 def _shape_of(view) -> _Shape:
-    """The shape of a network view: `integer_view` for the network itself,
-    `cut_view` for its reduction."""
+    """The shape of a network view: `cut_view` for the oracle's solves,
+    `integer_view` for the 2-hop LP and for distances on the network."""
     names, eidx, caps = _edge_index(view)
     arcs = {names[i]: [(names[j], eidx[_pair(names[i], names[j])]) for j in nbrs]
             for i, nbrs in enumerate(view[2])}
@@ -439,10 +439,9 @@ def _lift_of(net: TerminalNetwork, reduced: _Shape) -> _Lift:
                  pieces=pieces, steps=steps)
 
 
-def _dijkstra(arcs: dict, lengths: list, source: str,
-              stop: frozenset = frozenset()):
+def _dijkstra(arcs: dict, lengths: list, source: str):
     """Shortest paths from source over `_Shape.arcs` lists, `lengths[i]`
-    being edge i's length; vertices in `stop` are reached, not left."""
+    being edge i's length."""
     inf = np.inf
     push, pop = heapq.heappush, heapq.heappop
     dist = {source: 0.0}
@@ -452,8 +451,6 @@ def _dijkstra(arcs: dict, lengths: list, source: str,
     while heap:
         d, u = pop(heap)
         if d > get(u, inf):
-            continue
-        if stop and u != source and u in stop:
             continue
         for v, e in arcs[u]:
             nd = d + lengths[e]
@@ -478,18 +475,15 @@ def _extract_path(parent: dict, t: str) -> tuple[str, ...]:
     return tuple(reversed(path))
 
 
-def _bfs_path(arcs: dict, s: str, t: str,
-              stop: frozenset = frozenset()) -> tuple[str, ...] | None:
+def _bfs_path(arcs: dict, s: str, t: str) -> tuple[str, ...] | None:
     """Fewest-edge s-t path over `_Shape.arcs` lists, neighbours taken in
-    name order, with no internal vertex in `stop`; None if there is none."""
+    name order; None if there is none."""
     parent = {s: None}
     q = deque([s])
     while q:
         u = q.popleft()
         if u == t:
             return _extract_path(parent, t)
-        if stop and u != s and u in stop:
-            continue
         for v in sorted(v for v, _ in arcs[u]):
             if v not in parent:
                 parent[v] = u
@@ -508,7 +502,7 @@ class _NetState:
     the memo and leaves with it.  `shape`, the shape of the network's
     `cut_view`, and `lift`, which maps its certificates back, are built on
     the first solve; `starts` holds per pair its reduced-net BFS path and
-    rows.  All three depend on the network alone.
+    rows.  All three depend on the network alone; every solve uses them.
     """
 
     memo: dict = field(default_factory=dict)
@@ -592,8 +586,7 @@ def concurrent_flow(net: TerminalNetwork, demand: DemandVector | dict) -> Concur
 _PATHS_PER_PAIR_PER_ROUND = 16
 
 
-def _concurrent_flow_uncached(net, demand,
-                              stop: frozenset = frozenset()) -> ConcurrentFlowResult:
+def _concurrent_flow_uncached(net, demand) -> ConcurrentFlowResult:
     """Column generation on the path form of maximum concurrent flow.
 
     Rows are fixed (#pairs demand rows + #edges capacity rows), so a path
@@ -602,17 +595,11 @@ def _concurrent_flow_uncached(net, demand,
     exactly the edge lengths / pair distances of the edge-length dual, and
     Dijkstra under those lengths prices out violated paths.
 
-    Unrestricted solves (empty `stop`) run on the network's reduced view
-    (`cut_view`, which keeps every concurrent flow value): they take its
-    shape, its lift and each pair's BFS start path from the record, building
-    them on first use, start from the pooled paths as well, add the paths
-    that carry flow to the pool, and return the primal and dual lifted back
-    to the network.  Restricted solves run on the network itself, since a
-    reduced edge may stand for a path through a terminal, and neither read
-    nor write the record.
-
-    Paths may end at a vertex of `stop` but never pass through one; the
-    reported distances are shortest such paths.
+    The solve runs on the network's reduced view (`cut_view`, which keeps
+    every concurrent flow value): it takes the view's shape, its lift and
+    each pair's BFS start path from the record, building them on first use,
+    starts from the pooled paths as well, adds the paths that carry flow to
+    the pool, and returns the primal and dual lifted back to the network.
 
     Raises LPError when the duality gap exceeds OPT_TOL.
     """
@@ -631,35 +618,22 @@ def _concurrent_flow_uncached(net, demand,
         col_paths.append((pair, path, rows))
         return True
 
-    def start(shape, p):
-        path = _bfs_path(shape.arcs, p[0], p[1], stop)
-        if path is None:
-            raise FlowError(f"no path between {p[0]} and {p[1]}")
-        return path, shape.rows(path)
-
-    if stop:
-        shape = _shape_of(net.integer_view)
-        lift = None
-        starts = [start(shape, p) for p in pairs]
-        pooled = []
-    else:
-        with _cache_lock:
-            state = _state(net)
-            if state.shape is None:
-                state.shape = _shape_of(net.cut_view)
-                state.lift = _lift_of(net, state.shape)
-            shape, lift = state.shape, state.lift
-            starts = []
-            for p in pairs:
-                if p not in state.starts:
-                    state.starts[p] = start(shape, p)
-                starts.append(state.starts[p])
-            pooled = [(p, path, rows) for p in pairs
-                      for path, rows in state.pool.get(p, {}).items()]
-    for p, (path, rows) in zip(pairs, starts):
-        add_path(p, path, rows)
-    for p, path, rows in pooled:
-        add_path(p, path, rows)
+    with _cache_lock:
+        state = _state(net)
+        if state.shape is None:
+            state.shape = _shape_of(net.cut_view)
+            state.lift = _lift_of(net, state.shape)
+        shape, lift = state.shape, state.lift
+        for p in pairs:
+            if p not in state.starts:
+                path = _bfs_path(shape.arcs, *p)
+                if path is None:
+                    raise FlowError(f"no path between {p[0]} and {p[1]}")
+                state.starts[p] = path, shape.rows(path)
+            add_path(p, *state.starts[p])
+        for p in pairs:
+            for path, rows in state.pool.get(p, {}).items():
+                add_path(p, path, rows)
 
     arcs = shape.arcs
     np_ = len(pairs)
@@ -722,12 +696,12 @@ def _concurrent_flow_uncached(net, demand,
             if target <= FEAS_TOL:
                 continue
             if s not in src_cache:
-                src_cache[s] = _dijkstra(arcs, lengths, s, stop)
+                src_cache[s] = _dijkstra(arcs, lengths, s)
             ds, parent_s = src_cache[s]
             if ds.get(t, np.inf) >= target - FEAS_TOL:
                 continue
             if t not in src_cache:
-                src_cache[t] = _dijkstra(arcs, lengths, t, stop)
+                src_cache[t] = _dijkstra(arcs, lengths, t)
             dt, parent_t = src_cache[t]
             # candidate midpoints give many violated paths per round
             cand = sorted(arcs,
@@ -737,8 +711,6 @@ def _concurrent_flow_uncached(net, demand,
                 via = ds.get(v, np.inf) + dt.get(v, np.inf)
                 if via >= target - FEAS_TOL or taken >= _PATHS_PER_PAIR_PER_ROUND:
                     break
-                if stop and v in stop and v not in p:
-                    continue
                 left = _extract_path(parent_s, v)
                 right = _extract_path(parent_t, v)
                 path = left + tuple(reversed(right[:-1]))
@@ -751,12 +723,8 @@ def _concurrent_flow_uncached(net, demand,
             break
 
     lam = -value
-    if lift is None:
-        edges, edge_lengths = shape.edges, lengths
-        dual_obj = float(sum(c * l for c, l in zip(shape.caps, lengths)))
-    else:
-        edges, edge_lengths = lift.edges, lift.lengths(lengths)
-        dual_obj = float(sum(c * l for c, l in zip(lift.cap, edge_lengths) if c > 0))
+    edge_lengths = lift.lengths(lengths)
+    dual_obj = float(sum(c * l for c, l in zip(lift.cap, edge_lengths) if c > 0))
     gap = abs(dual_obj - lam) / max(1.0, abs(lam))
     if gap > OPT_TOL:
         raise LPError(f"duality gap {gap:.3g} exceeds {OPT_TOL:g}")
@@ -776,16 +744,12 @@ def _concurrent_flow_uncached(net, demand,
             for u, v in zip(path, path[1:]):
                 acc[(u, v)] = acc.get((u, v), 0.0) + f * scale
         reduced_flows.append((p, acc))
-    if lift is None:
-        arc_flows = tuple((p, tuple(sorted(acc.items()))) for p, acc in reduced_flows)
-    else:
-        arc_flows = lift.flows(shape, reduced_flows)
-    if not stop:
-        with _cache_lock:
-            pool = _state(net).pool
-            for p in pairs:
-                pool.setdefault(p, {}).update(
-                    (path, rows) for (_, path, rows), _ in per_pair_paths[p])
+    arc_flows = lift.flows(shape, reduced_flows)
+    with _cache_lock:
+        pool = _state(net).pool
+        for p in pairs:
+            pool.setdefault(p, {}).update(
+                (path, rows) for (_, path, rows), _ in per_pair_paths[p])
 
     # the last pricing round ran Dijkstra under these same final lengths
     by_source = {s: tree[0] for s, tree in src_cache.items()}
@@ -793,31 +757,19 @@ def _concurrent_flow_uncached(net, demand,
     for p in net.terminal_pairs():
         s, t = p
         if s not in by_source:
-            by_source[s] = _dijkstra(arcs, lengths, s, stop)[0]
+            by_source[s] = _dijkstra(arcs, lengths, s)[0]
         dist_rows.append((p, float(by_source[s].get(t, np.inf))))
 
     flow = FlowSolution(lam=lam, arc_flows=arc_flows)
-    dual = DualSolution(lengths=tuple(sorted(zip(edges, edge_lengths))),
+    dual = DualSolution(lengths=tuple(sorted(zip(lift.edges, edge_lengths))),
                         dists=tuple(dist_rows), value=dual_obj)
     return ConcurrentFlowResult(value=lam, flow=flow, dual=dual,
                                 duality_gap=gap, rounds=rounds, pivots=pivots)
 
 
-def lambda_value(net: TerminalNetwork, demand) -> float:
-    return concurrent_flow(net, demand).value
-
-
 # ---------------------------------------------------------------------------
-# Restricted solves: 2-hop flow and its dual
+# 2-hop flow and its dual: one explicit LP over s-v-t paths
 # ---------------------------------------------------------------------------
-
-def _require_quasi_bipartite(net: TerminalNetwork) -> None:
-    if not net.is_quasi_bipartite():
-        raise FlowError("network is not quasi-bipartite")
-    if not net.terminals_independent():
-        raise FlowError("terminals are not independent "
-                        "(subdivide terminal-terminal edges first)")
-
 
 @dataclass(frozen=True)
 class TwoHopFlow:
@@ -826,31 +778,75 @@ class TwoHopFlow:
     unroutable_pairs: tuple
 
 
-def _unroutable_pairs(net: TerminalNetwork, demand: DemandVector) -> tuple:
-    """Demand pairs joined by no path free of internal terminals."""
-    arcs = _shape_of(net.integer_view).arcs
-    return tuple(p for p in demand.pairs()
-                 if _bfs_path(arcs, p[0], p[1], net.terminal_set) is None)
+def _two_hop(net: TerminalNetwork, demand) -> tuple[TwoHopFlow, DualSolution | None]:
+    """The 2-hop flow and its dual from one LP solve, with no pricing: a
+    column for lambda and one per (demand pair, middle v: a common neighbour
+    with both capacities positive), rows as in `_concurrent_flow_uncached`
+    over the network's edges.  A pair's distance is its least l_sv + l_vt.
+    With a demand pair that has no middle, the flow is 0 and the dual None.
+    Raises LPError when the duality gap exceeds OPT_TOL."""
+    from .lp import simplex_min
 
+    if not net.is_quasi_bipartite():
+        raise FlowError("network is not quasi-bipartite")
+    if not net.terminals_independent():
+        raise FlowError("terminals are not independent "
+                        "(subdivide terminal-terminal edges first)")
+    demand = _checked_demand(net, demand)
+    shape = _shape_of(net.integer_view)
+    near = {t: {v: e for v, e in shape.arcs[t] if shape.caps[e] > 0}
+            for t in net.terminals}
+    middles = {(s, t): sorted((v, e, near[t][v]) for v, e in near[s].items()
+                              if v in near[t])
+               for s, t in net.terminal_pairs()}
+    pairs = demand.pairs()
+    unroutable = tuple(p for p in pairs if not middles[p])
+    if unroutable:
+        return TwoHopFlow(0.0, (), unroutable), None
 
-# The restricted solves bypass the memo and the path pool, which are not
-# keyed by the stop set.
+    cols = [(i, e, f) for i, p in enumerate(pairs) for _, e, f in middles[p]]
+    np_, n = len(pairs), 1 + len(cols)
+    m = np_ + len(shape.edges)
+    A = np.zeros((m, n + m))
+    A[:np_, 0] = [demand[p] for p in pairs]
+    for j, (i, e, f) in enumerate(cols, 1):
+        A[i, j] = -1.0
+        A[np_ + e, j] = A[np_ + f, j] = 1.0
+    A[:, n:] = np.eye(m)
+    cost = np.zeros(n + m)
+    cost[0] = -1.0
+    b = np.concatenate([np.zeros(np_), shape.caps])
+    x, value, y, *_ = simplex_min(cost, A, b, np.arange(n, n + m), Binv=np.eye(m))
+
+    lam = -value
+    lengths = np.maximum(-y[np_:], 0.0).tolist()
+    dual_obj = float(sum(c * l for c, l in zip(shape.caps, lengths)))
+    gap = abs(dual_obj - lam) / max(1.0, abs(lam))
+    if gap > OPT_TOL:
+        raise LPError(f"duality gap {gap:.3g} exceeds {OPT_TOL:g}")
+
+    xs = iter(x[1:n].tolist())      # zip takes each pair's columns in turn
+    middle_flows = []
+    for p in pairs:
+        vf = [(v, f) for (v, _, _), f in zip(middles[p], xs) if f > 1e-12]
+        want, got = lam * demand[p], sum(f for _, f in vf)
+        scale = want / got if got > want else 1.0
+        middle_flows.append((p, tuple((v, f * scale) for v, f in vf)))
+    dists = tuple((p, min((lengths[e] + lengths[f] for _, e, f in mids), default=np.inf))
+                  for p, mids in middles.items())
+    dual = DualSolution(lengths=tuple(sorted(zip(shape.edges, lengths))),
+                        dists=dists, value=dual_obj)
+    return TwoHopFlow(lam, tuple(middle_flows), ()), dual
+
 
 def lambda_2hop(net: TerminalNetwork, demand: DemandVector | dict) -> TwoHopFlow:
     """Optimal concurrent flow along paths s-v-t only.
 
     With independent terminals on a quasi-bipartite network these are exactly
-    the paths with no internal terminal.
+    the paths with no internal terminal.  A demand pair with none makes the
+    value 0 and is listed in `unroutable_pairs`.
     """
-    _require_quasi_bipartite(net)
-    demand = _checked_demand(net, demand)
-    unroutable = _unroutable_pairs(net, demand)
-    if unroutable:
-        return TwoHopFlow(0.0, tuple(), unroutable)
-    res = _concurrent_flow_uncached(net, demand, net.terminal_set)
-    middle = tuple((p, tuple((v, f) for (u, v), f in arcs if u == p[0]))
-                   for p, arcs in res.flow.arc_flows)
-    return TwoHopFlow(res.value, middle, tuple())
+    return _two_hop(net, demand)[0]
 
 
 def dual_2hop(net: TerminalNetwork, demand: DemandVector | dict):
@@ -861,13 +857,11 @@ def dual_2hop(net: TerminalNetwork, demand: DemandVector | dict):
     neighbor (the primal must be feasible and bounded).
     Returns (value, DualSolution).
     """
-    _require_quasi_bipartite(net)
-    demand = _checked_demand(net, demand)
-    unroutable = _unroutable_pairs(net, demand)
-    if unroutable:
-        raise FlowError(f"pair {unroutable[0]} has no positive-capacity common neighbor")
-    res = _concurrent_flow_uncached(net, demand, net.terminal_set)
-    return res.dual.value, res.dual
+    two_hop, dual = _two_hop(net, demand)
+    if dual is None:
+        raise FlowError(f"pair {two_hop.unroutable_pairs[0]} has no "
+                        "positive-capacity common neighbor")
+    return dual.value, dual
 
 
 # ---------------------------------------------------------------------------

@@ -118,7 +118,7 @@ class LengthProfile:
     def of(work, v, lengths, lam, eps, exps) -> "LengthProfile":
         profile = []
         for t in work.terminals:
-            if work.cap(v, t) <= 0:
+            if t not in work.adjacency[v]:   # `make` keeps positive capacities only
                 profile.append(ABSENT)
             else:
                 lv = lengths.get(tuple(sorted((v, t))), 0.0) / lam

@@ -18,6 +18,7 @@ from functools import cached_property
 from typing import Iterable, Mapping
 
 Edge = tuple[str, str, Fraction]
+_ZERO = Fraction(0)    # one shared default: building a Fraction is not cheap
 
 
 class NetworkError(ValueError):
@@ -96,7 +97,7 @@ class TerminalNetwork:
             if cap < 0:
                 raise NetworkError(f"negative capacity on {u!r}-{v!r}")
             key = _pair(u, v)
-            merged[key] = merged.get(key, Fraction(0)) + cap
+            merged[key] = merged.get(key, _ZERO) + cap
         net = TerminalNetwork(
             vertices=tuple(sorted(vertices)), terminals=terminals,
             edges=tuple((a, b, c) for (a, b), c in sorted(merged.items()) if c > 0))
@@ -111,8 +112,8 @@ class TerminalNetwork:
     def adjacency(self) -> dict[str, dict[str, Fraction]]:
         adj: dict[str, dict[str, Fraction]] = {v: {} for v in self.vertices}
         for u, v, c in self.edges:
-            adj[u][v] = adj[u].get(v, Fraction(0)) + c
-            adj[v][u] = adj[v].get(u, Fraction(0)) + c
+            adj[u][v] = adj[u].get(v, _ZERO) + c
+            adj[v][u] = adj[v].get(u, _ZERO) + c
         return adj
 
     @cached_property
@@ -222,7 +223,7 @@ class TerminalNetwork:
         return _HashedKey((self.terminals, self.edges, tuple(sorted(self.vertices))))
 
     def cap(self, u: str, v: str) -> Fraction:
-        return self.adjacency.get(u, {}).get(v, Fraction(0))
+        return self.adjacency.get(u, {}).get(v, _ZERO)
 
     def terminal_pairs(self) -> list[tuple[str, str]]:
         return [_pair(s, t) for s, t in itertools.combinations(self.terminals, 2)]

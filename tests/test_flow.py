@@ -21,7 +21,6 @@ from flowsparse import (
     concurrent_flow,
     dual_2hop,
     lambda_2hop,
-    lambda_value,
     max_flow,
     mincut_partition,
     sparsest_terminal_cut,
@@ -85,14 +84,6 @@ def scipy_lambda(net, demand, terminal_free=False):
                   bounds=bounds, method="highs")
     assert res.status == 0, res.message
     return -res.fun
-
-
-def terminal_free(net, demand):
-    """Concurrent flow over paths with no internal terminal (the oracle's
-    restricted solve), 0 when some demand pair has no such path."""
-    if flow._unroutable_pairs(net, demand):
-        return 0.0
-    return flow._concurrent_flow_uncached(net, demand, net.terminal_set).value
 
 
 def rational_net(rng, n, k):
@@ -308,14 +299,20 @@ class TestCutView:
 class TestConcurrentFlow:
     def test_single_edge(self):
         net = TerminalNetwork.make(["s", "t"], ["s", "t"], [("s", "t", 10)])
-        assert lambda_value(net, {("s", "t"): 1}) == pytest.approx(10.0)
+        assert concurrent_flow(net, {("s", "t"): 1}).value == pytest.approx(10.0)
 
     def test_star_all_pairs(self):
         net = TerminalNetwork.make(
             ["v", "a", "b", "c"], ["a", "b", "c"],
             [("v", "a", 2), ("v", "b", 2), ("v", "c", 2)])
         d = {("a", "b"): 1, ("a", "c"): 1, ("b", "c"): 1}
-        assert lambda_value(net, d) == pytest.approx(1.0)
+        assert concurrent_flow(net, d).value == pytest.approx(1.0)
+
+    def test_path_through_terminal(self):
+        net = TerminalNetwork.make(["s", "t", "u"], ["s", "t", "u"],
+                                   [("s", "t", 1), ("t", "u", 1)])
+        d = DemandVector.of({("s", "u"): 1})
+        assert concurrent_flow(net, d).value == pytest.approx(1.0)
 
     def test_homogeneity_exact(self):
         rng = random.Random(5)
@@ -506,17 +503,13 @@ def _pool_demands():
 
 
 def _count_calls(monkeypatch, name):
-    """Wrap flow.<name>, recording the calls: the pair for `_bfs_path`
-    (prefixed with "stop" under a stop set), the first argument otherwise."""
+    """Wrap flow.<name>, recording the calls: the pair for `_bfs_path`, the
+    first argument otherwise."""
     real = getattr(flow, name)
     calls = []
 
     def counting(first, *args):
-        if name == "_bfs_path":
-            s, t, *stop = args
-            calls.append(("stop", s, t) if stop and stop[0] else (s, t))
-        else:
-            calls.append(first)
+        calls.append(tuple(args) if name == "_bfs_path" else first)
         return real(first, *args)
     monkeypatch.setattr(flow, name, counting)
     return calls
@@ -582,20 +575,6 @@ class TestPathPool:
             assert rows == state.shape.rows(path)
         for paths in state.pool.values():
             assert all(rows == state.shape.rows(path) for path, rows in paths.items())
-
-    def test_restricted_solves_build_no_record_and_read_no_start_path(self, monkeypatch):
-        net, demands = _pool_demands()
-        concurrent_flow(net, demands[0])
-        state = flow._store[net.cache_key]
-        shape, starts = state.shape, dict(state.starts)
-        calls = _count_calls(monkeypatch, "_bfs_path")
-        flow._concurrent_flow_uncached(net, demands[0], net.terminal_set)
-        # one start path per pair, searched under the stop set
-        assert calls == [("stop",) + p for p in demands[0].pairs()]
-        assert state.shape is shape and state.starts == starts
-        clear_flow_cache()
-        lambda_2hop(net, demands[1])
-        assert _record(net) is None
 
     def test_clear_and_eviction_drop_the_shape(self, monkeypatch):
         monkeypatch.setattr(flow, "_FLOW_CACHE_MAX", 1)
@@ -676,22 +655,27 @@ class TestPathPool:
                                  state.shape.rows(start[0]))
                        for p, start in state.starts.items())
 
-    def test_restricted_solves_leave_the_pool_alone(self):
+    def test_restricted_solves_leave_the_pool_alone(self, monkeypatch):
         net, demands = _pool_demands()
         lambda_2hop(net, demands[0])
         dual_2hop(net, demands[0])
-        terminal_free(net, demands[0])
-        assert _record(net) is None
+        assert not flow._store
         concurrent_flow(net, demands[0])
-        before = _record(net)
+        state = flow._store[net.cache_key]
+        before = _record(net), state.shape, state.lift, dict(state.starts)
+        searched = _count_calls(monkeypatch, "_bfs_path")
         lambda_2hop(net, demands[1])
         dual_2hop(net, demands[1])
-        terminal_free(net, demands[1])
-        assert _record(net) == before
+        assert not searched
+        assert list(flow._store) == [net.cache_key] and flow._store[net.cache_key] is state
+        assert (_record(net), state.shape, state.lift, state.starts) == before
 
     def test_duality_gap_above_tolerance_raises(self, monkeypatch):
         skew_duality_gap(monkeypatch)
         net, demands = _pool_demands()
+        for two_hop in (lambda_2hop, dual_2hop):
+            with pytest.raises(LPError, match="duality gap"):
+                two_hop(net, demands[0])
         with pytest.raises(LPError, match="duality gap"):
             concurrent_flow(net, demands[0])
         assert _record(net) is None     # nothing memoized: no record kept
@@ -714,32 +698,30 @@ class TestPathPool:
 def _pin_groups():
     """Oracle solves whose every output is pinned bit for bit, by group.
 
-    A group's solves run in order from a cold store, so the later qb
-    demands start from a warm path pool.  Each solve is (net, demand,
-    restricted); restricted solves are the 2-hop ones behind `lambda_2hop`
-    and `dual_2hop`."""
+    A group's (net, demand) solves run in order from a cold store, so the
+    later qb demands start from a warm path pool."""
     groups = {}
     for seed in (11, 12, 13):
         net = gen_quasi_bipartite(5, 60, seed=seed)
         rng = random.Random(seed)
-        groups[f"qb-{seed}"] = [(net, random_demand(rng, net), False) for _ in range(4)]
+        groups[f"qb-{seed}"] = [(net, random_demand(rng, net)) for _ in range(4)]
     for k, n, seed in ((3, 8, 1), (3, 12, 2), (4, 16, 3), (4, 20, 4)):
         net = gen_quasi_bipartite(k, n, seed=seed)
-        groups[f"small-qb-{k}-{n}"] = [(net, random_demand(random.Random(seed), net), False)]
+        groups[f"small-qb-{k}-{n}"] = [(net, random_demand(random.Random(seed), net))]
     for k, n, seed in ((3, 10, 5), (3, 14, 6), (4, 12, 7), (4, 18, 8)):
         rng = random.Random(seed)
         net = random_connected_net(rng, n, k)
-        groups[f"small-connected-{k}-{n}"] = [(net, random_demand(rng, net), False)]
-    for k, n, seed in ((4, 20, 9), (4, 30, 10), (5, 30, 11), (5, 40, 12)):
-        net = gen_quasi_bipartite(k, n, seed=seed)
-        groups[f"2hop-{k}-{n}"] = [(net, random_demand(random.Random(seed), net), True)]
+        groups[f"small-connected-{k}-{n}"] = [(net, random_demand(rng, net))]
     return groups
 
 
-def _pin_solve(net, demand, restricted):
-    if restricted:
-        return flow._concurrent_flow_uncached(net, demand, net.terminal_set)
-    return concurrent_flow(net, demand)
+def _two_hop_pin_groups():
+    """2-hop solves (`lambda_2hop` and `dual_2hop`) pinned bit for bit."""
+    groups = {}
+    for k, n, seed in ((4, 20, 9), (4, 30, 10), (5, 30, 11), (5, 40, 12)):
+        net = gen_quasi_bipartite(k, n, seed=seed)
+        groups[f"2hop-{k}-{n}"] = [(net, random_demand(random.Random(seed), net))]
+    return groups
 
 
 def _fingerprint(res):
@@ -748,9 +730,17 @@ def _fingerprint(res):
             hashlib.sha256(flows.encode()).hexdigest()[:16])
 
 
+def _two_hop_fingerprint(net, demand):
+    res = lambda_2hop(net, demand)
+    _, dual = dual_2hop(net, demand)
+    flows = repr((res.middle_flows, dual.lengths, dual.dists))
+    return (res.value.hex(), hashlib.sha256(flows.encode()).hexdigest()[:16])
+
+
 def _pin_fingerprints():
-    """Fingerprint every pinned solve in a fresh interpreter with one BLAS
-    thread: a multi-threaded matrix-vector product rounds differently."""
+    """Fingerprint every pinned oracle and 2-hop solve in a fresh interpreter
+    with one BLAS thread: a multi-threaded matrix-vector product rounds
+    differently."""
     import flowsparse
     tests = Path(__file__).resolve().parent
     path = [str(Path(flowsparse.__file__).resolve().parent.parent), str(tests)]
@@ -761,8 +751,10 @@ def _pin_fingerprints():
             "out = {}\n"
             "for group, solves in T._pin_groups().items():\n"
             "    T.clear_flow_cache()\n"
-            "    out[group] = [T._fingerprint(T._pin_solve(*solve))\n"
+            "    out[group] = [T._fingerprint(T.concurrent_flow(*solve))\n"
             "                  for solve in solves]\n"
+            "for group, solves in T._two_hop_pin_groups().items():\n"
+            "    out[group] = [T._two_hop_fingerprint(*solve) for solve in solves]\n"
             "print(json.dumps(out))\n")
     proc = subprocess.run([sys.executable, "-c", code], cwd=tests, env=env,
                           capture_output=True, text=True, check=True)
@@ -773,22 +765,10 @@ def _pin_fingerprints():
 # (value.hex(), rounds, pivots, sha256 prefix of repr((arc flows, lengths,
 # distances))) per solve with one BLAS thread.  Work may be cut from the
 # simplex and the pricing only where these stay equal: a different pivot or
-# rounding changes them.  The unrestricted groups solve on the reduced view
-# and return lifted certificates; the 2-hop groups and small-connected-4-12,
-# where the view eliminates nothing, keep the bits of the unreduced solve.
+# rounding changes them.  The groups solve on the reduced view and return
+# lifted certificates; small-connected-4-12, where the view eliminates
+# nothing, keeps the bits of the unreduced solve.
 PINNED_SOLVES = {
-    '2hop-4-20': [
-        ('0x1.e812546d14882p+2', 5, 27, '58239bdd16a8b9fb'),
-    ],
-    '2hop-4-30': [
-        ('0x1.1a33bdabc6f4bp+5', 3, 51, 'df24af28f26971d2'),
-    ],
-    '2hop-5-30': [
-        ('0x1.0bc3158aa14bap+3', 5, 27, '4fc073a80e9ebd30'),
-    ],
-    '2hop-5-40': [
-        ('0x1.6afcbe827b914p+3', 7, 153, '86bdc78ebe697745'),
-    ],
     'qb-11': [
         ('0x1.0e9375daf653fp+5', 5, 54, '9d80a6d579b2da21'),
         ('0x1.93cc52f01ef7ep+4', 7, 118, '620dce7fb4822bfb'),
@@ -833,8 +813,20 @@ PINNED_SOLVES = {
     ],
 }
 
+# (value.hex(), sha256 prefix of repr((middle flows, lengths, distances)))
+# per 2-hop solve with one BLAS thread.
+PINNED_TWO_HOP = {
+    '2hop-4-20': [('0x1.e812546d14883p+2', 'bc8b2b27f0cb2a31')],
+    '2hop-4-30': [('0x1.1a33bdabc6f4bp+5', '795bb4265f6148aa')],
+    '2hop-5-30': [('0x1.0bc3158aa14c0p+3', 'c132208098ec68cf')],
+    '2hop-5-40': [('0x1.6afcbe827b921p+3', 'e5d040089367bfd0')],
+}
+PINS = PINNED_SOLVES | PINNED_TWO_HOP
+
 # Each solve's value.hex() as the unreduced oracle returned it, before the
-# presolve: frozen, so that every re-recorded pin stays within 1e-9 of it.
+# presolve (for the 2hop groups, its column generation restricted to paths
+# with no internal terminal): frozen, so that every re-recorded pin stays
+# within 1e-9 of it.
 UNREDUCED_VALUES = {
     '2hop-4-20': ['0x1.e812546d14882p+2'],
     '2hop-4-30': ['0x1.1a33bdabc6f4bp+5'],
@@ -860,31 +852,25 @@ def pin_fingerprints():
 
 
 class TestPinnedOracle:
-    @pytest.mark.parametrize("group", sorted(PINNED_SOLVES))
+    @pytest.mark.parametrize("group", sorted(PINS))
     def test_results_are_bit_identical(self, group, pin_fingerprints):
-        assert pin_fingerprints[group] == PINNED_SOLVES[group]
+        assert pin_fingerprints[group] == PINS[group]
 
-    @pytest.mark.parametrize("group", sorted(PINNED_SOLVES))
+    @pytest.mark.parametrize("group", sorted(PINS))
     def test_values_match_the_unreduced_solve(self, group, pin_fingerprints):
         new = [float.fromhex(row[0]) for row in pin_fingerprints[group]]
         old = [float.fromhex(h) for h in UNREDUCED_VALUES[group]]
         assert len(new) == len(old)
         for a, b in zip(new, old):
             assert abs(a - b) <= 1e-9 * abs(b)
-        if group.startswith("2hop") or group == "small-connected-4-12":
+        if group == "small-connected-4-12":
             assert new == old
 
     def test_pin_covers_enough_solves(self):
-        assert sum(map(len, PINNED_SOLVES.values())) >= 24
-        assert set(PINNED_SOLVES) == set(_pin_groups()) == set(UNREDUCED_VALUES)
-
-    def test_two_hop_results_are_the_restricted_solve(self):
-        for group, solves in _pin_groups().items():
-            for net, demand, restricted in solves:
-                if restricted:
-                    res = _pin_solve(net, demand, restricted)
-                    assert lambda_2hop(net, demand).value == res.value
-                    assert dual_2hop(net, demand) == (res.dual.value, res.dual)
+        assert sum(map(len, PINS.values())) >= 24
+        assert PINNED_SOLVES.keys() == _pin_groups().keys()
+        assert PINNED_TWO_HOP.keys() == _two_hop_pin_groups().keys()
+        assert PINS.keys() == UNREDUCED_VALUES.keys()
 
     def test_pivots_sum_the_simplex_calls(self, monkeypatch):
         import flowsparse.lp
@@ -967,6 +953,15 @@ class TestTwoHop:
         v2, _ = dual_2hop(doubled, d)
         assert v2 == pytest.approx(2 * v1, rel=1e-6)
 
+    def test_zero_capacity_edge_makes_no_middle(self):
+        net = TerminalNetwork(vertices=("a", "b", "m"), terminals=("a", "b"),
+                              edges=(("a", "m", 0), ("b", "m", 1)))
+        res = lambda_2hop(net, {("a", "b"): 1})
+        assert res.unroutable_pairs == (("a", "b"),)
+        assert res.value == 0.0 and res.middle_flows == ()
+        with pytest.raises(FlowError, match="common neighbor"):
+            dual_2hop(net, {("a", "b"): 1})
+
     def test_dual_requires_common_neighbors(self):
         net = TerminalNetwork.make(
             ["a", "b", "c", "u", "w"], ["a", "b", "c"],
@@ -985,38 +980,13 @@ class TestTerminalFree:
             th = lambda_2hop(net, d).value
             assert tf == pytest.approx(th, rel=1e-6, abs=1e-9)
 
-    def test_path_through_terminal_gives_zero(self):
-        net = TerminalNetwork.make(["s", "t", "u"], ["s", "t", "u"],
-                                   [("s", "t", 1), ("t", "u", 1)])
-        d = DemandVector.of({("s", "u"): 1})
-        assert terminal_free(net, d) == 0.0
-        with pytest.raises(FlowError, match="no path"):
-            flow._concurrent_flow_uncached(net, d, net.terminal_set)
-        assert lambda_value(net, d) == pytest.approx(1.0)
-
-    def test_restriction_bound(self):
-        rng = random.Random(61)
-        for _ in range(6):
-            net = random_connected_net(rng, 8, 3)
-            d = random_demand(rng, net)
-            tf = terminal_free(net, d)
-            lam = concurrent_flow(net, d).value
-            assert tf <= lam * (1 + 1e-7) + 1e-9
-
 
 class TestRestrictedAgainstScipy:
-    @pytest.mark.parametrize("seed", range(12))
-    def test_terminal_free(self, seed):
-        rng = random.Random(400 + seed)
-        net = random_connected_net(rng, rng.randint(5, 11), rng.randint(2, 4))
-        d = random_demand(rng, net)
-        ref = scipy_lambda(net, d, terminal_free=True)
-        assert terminal_free(net, d) == pytest.approx(ref, rel=1e-7, abs=1e-9)
-
-    @pytest.mark.parametrize("seed", range(12))
+    @pytest.mark.parametrize("seed", range(100))
     def test_two_hop_and_dual(self, seed):
         rng = random.Random(500 + seed)
-        net = random_quasi_bipartite(rng, rng.randint(3, 5), rng.randint(6, 14))
+        k = 2 + seed % 5
+        net = random_quasi_bipartite(rng, k, rng.randint(k + 3, 16))
         d = random_demand(rng, net)
         ref = scipy_lambda(net, d, terminal_free=True)
         res = lambda_2hop(net, d)
@@ -1025,14 +995,27 @@ class TestRestrictedAgainstScipy:
             with pytest.raises(FlowError):
                 dual_2hop(net, d)
             return
-        assert dual_2hop(net, d)[0] == pytest.approx(ref, rel=1e-7)
+        value, dual = dual_2hop(net, d)
+        assert value == dual.value == pytest.approx(ref, rel=1e-7)
+        assert abs(dual.value - res.value) <= OPT_TOL * max(1.0, res.value)
         assert [p for p, _ in res.middle_flows] == d.pairs()
+        loads = {}
         for (s, t), mids in res.middle_flows:
             want = res.value * d[(s, t)]
             assert sum(f for _, f in mids) == pytest.approx(want, rel=1e-7)
             for v, f in mids:
-                bound = float(min(net.cap(s, v), net.cap(v, t)))
-                assert f <= bound * (1 + 1e-9)
+                for e in (_pair(s, v), _pair(v, t)):
+                    loads[e] = loads.get(e, 0.0) + f
+        for e, load in loads.items():
+            assert load <= float(net.cap(*e)) * (1 + 1e-9)
+        # the 2-hop distances: least l_sv + l_vt over common neighbours
+        lengths = dual.length_map()
+        dists = {(s, t): min((lengths[_pair(s, v)] + lengths[_pair(v, t)]
+                              for v in net.adjacency[s] if v in net.adjacency[t]),
+                             default=float("inf"))
+                 for s, t in net.terminal_pairs()}
+        assert dual.dist_map() == pytest.approx(dists, rel=1e-12)
+        assert sum(d[p] * dists[p] for p in d.pairs()) >= 1 - 1e-6
 
 
 class TestSolutionSerialization:

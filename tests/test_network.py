@@ -17,7 +17,7 @@ from flowsparse import (
     phi_merge,
     subdivide_terminal_edges,
 )
-from flowsparse.flow import concurrent_flow, lambda_value, max_flow
+from flowsparse.flow import concurrent_flow, max_flow
 from flowsparse.network import components, terminal_bipartitions
 
 from conftest import random_connected_net, random_demand
@@ -75,7 +75,7 @@ class TestConstruction:
         cooked = normalize(raw)
         assert cooked.cap("s", "v") == 3
         d = {("s", "t"): 1.0}
-        assert lambda_value(cooked, d) == pytest.approx(3.0)
+        assert concurrent_flow(cooked, d).value == pytest.approx(3.0)
 
     @pytest.mark.parametrize("cap", [float("inf"), float("-inf"), float("nan"),
                                      1e400, "inf", "abc", None])
@@ -136,8 +136,8 @@ class TestSubdivide:
         sub = subdivide_terminal_edges(net)
         assert sub.terminals_independent()
         assert len(sub.vertices) == 3
-        assert lambda_value(net, {("s", "t"): 1}) == pytest.approx(
-            lambda_value(sub, {("s", "t"): 1}))
+        assert concurrent_flow(net, {("s", "t"): 1}).value == pytest.approx(
+            concurrent_flow(sub, {("s", "t"): 1}).value)
 
     def test_no_terminal_edges_unchanged(self):
         net = net_of(["s", "t", "v"], ["s", "t"], [("s", "v", 1), ("v", "t", 2)])
@@ -152,13 +152,14 @@ class TestSubdivide:
         for d in ({("a", "b"): 1},
                   {("a", "b"): 1, ("b", "c"): 1},
                   {("a", "b"): 1, ("b", "c"): 2, ("a", "c"): 0.5}):
-            assert lambda_value(net, d) == pytest.approx(lambda_value(sub, d), rel=1e-9)
+            assert concurrent_flow(net, d).value == pytest.approx(
+                concurrent_flow(sub, d).value, rel=1e-9)
 
     def test_triangle_pairwise_value(self):
         net = net_of(["a", "b", "c"], ["a", "b", "c"],
                      [("a", "b", 1), ("b", "c", 1), ("a", "c", 1)])
         sub = subdivide_terminal_edges(net)
-        assert lambda_value(sub, {("a", "b"): 1}) == pytest.approx(2.0)
+        assert concurrent_flow(sub, {("a", "b"): 1}).value == pytest.approx(2.0)
 
 
 class TestMerge:
@@ -205,8 +206,8 @@ class TestMerge:
         rng = random.Random(1)
         for _ in range(8):
             d = {("a", "b"): rng.uniform(0.2, 4.0)}
-            assert lambda_value(net, d) == pytest.approx(
-                lambda_value(merged, d), rel=1e-9)
+            assert concurrent_flow(net, d).value == pytest.approx(
+                concurrent_flow(merged, d).value, rel=1e-9)
 
 
 class TestPhiMerge:
@@ -214,7 +215,7 @@ class TestPhiMerge:
         g1 = net_of(["s", "x"], ["s", "x"], [("s", "x", 3)])
         g2 = net_of(["x2", "t"], ["x2", "t"], [("x2", "t", 5)])
         glued = phi_merge(g1, g2, {"x": "x2"})
-        assert lambda_value(glued, {("s", "t"): 1}) == pytest.approx(3.0)
+        assert concurrent_flow(glued, {("s", "t"): 1}).value == pytest.approx(3.0)
 
     def test_parallel_pair_normalized(self):
         g1 = net_of(["s", "t"], ["s", "t"], [("s", "t", 3)])
@@ -239,8 +240,8 @@ class TestPhiMerge:
         assert sorted(float(c) for _, _, c in left.edges) == \
             sorted(float(c) for _, _, c in right.edges)
         d_left = {("b", "d"): 1.0}
-        assert lambda_value(left, d_left) == pytest.approx(
-            lambda_value(right, d_left), rel=1e-9)
+        assert concurrent_flow(left, d_left).value == pytest.approx(
+            concurrent_flow(right, d_left).value, rel=1e-9)
 
     def test_rejects_non_terminal_and_duplicates(self):
         g1 = net_of(["a", "b", "m"], ["a", "b"], [("a", "m", 2), ("m", "b", 3)])

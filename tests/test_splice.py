@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowsparse import DemandVector, TerminalNetwork, concurrent_flow, lambda_value
+from flowsparse import DemandVector, TerminalNetwork, concurrent_flow
 from flowsparse.flow import FlowError
 from flowsparse.splice import (
     FlowDecomposition,
@@ -181,7 +181,7 @@ class TestCompose:
             assert q == 1.0
             for _ in range(4):
                 val = rng.uniform(0.3, 3.0)
-                assert lambda_value(whole, {("a", "b"): val}) == pytest.approx(
+                assert concurrent_flow(whole, {("a", "b"): val}).value == pytest.approx(
                     float(min(c1, c2)) / val, rel=1e-9)
 
 
