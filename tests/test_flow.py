@@ -655,6 +655,31 @@ class TestPathPool:
                                  state.shape.rows(start[0]))
                        for p, start in state.starts.items())
 
+    def test_restricted_solves_build_no_record_and_read_no_start_path(self, monkeypatch):
+        net, demands = _pool_demands()
+        concurrent_flow(net, demands[0])
+        state = flow._store[net.cache_key]
+        shape, starts = state.shape, dict(state.starts)
+
+        class Unread(dict):
+            def __getitem__(self, key):
+                raise AssertionError(f"start path of {key} read")
+
+            def __contains__(self, key):
+                raise AssertionError(f"start path of {key} looked up")
+
+        state.starts = Unread(starts)
+        calls = _count_calls(monkeypatch, "_bfs_path")
+        lambda_2hop(net, demands[0])
+        dual_2hop(net, demands[0])
+        # the 2-hop LP is explicit: no path is searched, no start path read
+        assert calls == []
+        assert state.shape is shape and dict(state.starts) == starts
+        clear_flow_cache()
+        lambda_2hop(net, demands[1])
+        dual_2hop(net, demands[1])
+        assert _record(net) is None
+
     def test_restricted_solves_leave_the_pool_alone(self, monkeypatch):
         net, demands = _pool_demands()
         lambda_2hop(net, demands[0])
