@@ -16,6 +16,7 @@ never loses flow):
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -29,6 +30,13 @@ from .network import (
     subdivide_terminal_edges,
 )
 from .results import SparsifierResult
+from .sketch import (
+    BudgetExceeded,
+    _exponent_floor,
+    _grid_exponents,
+    build_sketch,
+    grid_demands,
+)
 
 ZERO = "zero"
 ABSENT = "absent"
@@ -78,18 +86,11 @@ def refine_partitions(parts: list[VertexPartition]) -> VertexPartition:
 # ---------------------------------------------------------------------------
 
 def _gamma_exponents(eps: float, demand_values: list[float]) -> list[int]:
-    """Integer exponents j with (1+eps)^j inside some [eps*d, d] interval."""
-    base = 1.0 + eps
+    """Sorted exponents j with (1+eps)^j inside some [eps*d, d], d > 0."""
     exps: set[int] = set()
     for d in demand_values:
-        if d <= 0:
-            continue
-        lo, hi = eps * d, d
-        j = math.floor(math.log(hi) / math.log(base) + 1e-12)
-        while base ** j >= lo * (1 - 1e-12):
-            if base ** j <= hi * (1 + 1e-12):
-                exps.add(j)
-            j -= 1
+        if d > 0:
+            exps.update(_grid_exponents(eps * d, d, 1.0 + eps))
     return sorted(exps)
 
 
@@ -97,14 +98,8 @@ def _round_down_to_gamma(value: float, eps: float, exps: list[int]):
     """Largest Gamma^eps element <= value; ZERO when below them all."""
     if value <= 0:
         return ZERO
-    base = 1.0 + eps
-    best = None
-    for j in exps:
-        if base ** j <= value * (1 + 1e-12):
-            best = j
-        else:
-            break
-    return ZERO if best is None else best
+    i = bisect.bisect_right(exps, _exponent_floor(value, 1.0 + eps))
+    return ZERO if i == 0 else exps[i - 1]
 
 
 @dataclass(frozen=True)
@@ -146,11 +141,9 @@ def profile_bucket_sparsifier(net: TerminalNetwork, epsilon: float,
         if epsilon >= 1 / 8:
             raise MergeError("default demand set (the discretized feasible "
                              "dictionary) needs epsilon < 1/8; pass demand_set")
-        from .sketch import build_sketch, grid_demands
         sk = build_sketch(work, 4 * epsilon)
         demand_set = grid_demands(sk, limit=dual_budget)
     if len(demand_set) > dual_budget:
-        from .sketch import BudgetExceeded
         raise BudgetExceeded(f"demand set of size {len(demand_set)} exceeds "
                              f"the dual-solve budget {dual_budget}")
     if not demand_set:

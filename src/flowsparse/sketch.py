@@ -12,10 +12,11 @@ absorbing the extra (1+2*eps_int) factor the two-step decision costs.
 
 Membership structures
 ---------------------
-* grid core: the feasible grid vectors, enumerated explicitly against a hull
-  core's certificates (spot-checked against the oracle) and stored as sorted
-  integer codes.  Used when the candidate count fits the enumeration budget
-  (env FLOWSPARSE_BUDGET, default 10^6).
+* grid core: the feasible grid vectors, stored as sorted mixed-radix integer
+  codes.  The builder walks the codes in chunks, decodes each chunk to grid
+  vectors and keeps those a hull core's certificates accept (spot-checked
+  against the oracle).  Used when the candidate count fits the enumeration
+  budget (env FLOWSPARSE_BUDGET, default 10^6).
 * hull core: a set of dual length certificates (rows delta / objective) whose
   pointwise minimum upper bound 1/max(row . d) reproduces the flow value;
   membership is `max(row . d) <= 1`.  Built adaptively against the oracle and
@@ -29,7 +30,7 @@ import json
 import math
 import os
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -73,6 +74,11 @@ def _exponent_ceil(value: float, base: float) -> int:
     return j if abs(base ** j - value) <= 1e-12 * value else j + 1
 
 
+def _grid_exponents(lo: float, hi: float, base: float) -> range:
+    """The j with base**j in [lo, hi] (0 < lo), up to the same float dust."""
+    return range(_exponent_ceil(lo, base), _exponent_floor(hi, base) + 1)
+
+
 @dataclass(frozen=True)
 class GridCore:
     """Explicit feasible grid set, one mixed-radix integer code per vector."""
@@ -94,6 +100,19 @@ class GridCore:
         code = self.encode(digits)
         i = int(np.searchsorted(self.members, code))
         return i < len(self.members) and int(self.members[i]) == code
+
+    def vectors(self, codes: np.ndarray, base: float) -> np.ndarray:
+        """One grid vector per code: digit d > 0 of pair i is
+        base**(jmins[i] + d - 1), digit 0 is a zero coordinate."""
+        rem = np.asarray(codes, dtype=np.int64)
+        columns = []
+        for jmin, c in reversed(list(zip(self.jmins, self.counts))):
+            lut = np.zeros(c + 1)
+            for d in range(1, c + 1):
+                lut[d] = base ** (jmin + d - 1)
+            columns.append(lut[rem % (c + 1)])
+            rem = rem // (c + 1)
+        return np.column_stack(columns[::-1])
 
     @property
     def size(self) -> int:
@@ -145,14 +164,8 @@ class DemandSketch:
         if all(e is None for e in exponents):
             return True      # the zero demand routes trivially
         if isinstance(self.core, GridCore):
-            digits = []
-            for i, e in enumerate(exponents):
-                if e is None:
-                    digits.append(0)
-                else:
-                    d = e - self.core.jmins[i] + 1
-                    digits.append(d)
-            return self.core.contains(digits)
+            return self.core.contains([0 if e is None else e - jmin + 1
+                                       for e, jmin in zip(exponents, self.core.jmins)])
         vec = np.zeros(len(self.pairs))
         for i, e in enumerate(exponents):
             if e is not None:
@@ -261,23 +274,26 @@ class DemandSketch:
 
     @staticmethod
     def from_json_dict(d: dict) -> "DemandSketch":
-        if d.get("version") != 1:
-            raise SketchError("unsupported sketch version")
-        core_d = d["core"]
-        if core_d["kind"] == "grid":
-            core = GridCore(jmins=tuple(core_d["jmins"]),
-                            counts=tuple(core_d["counts"]),
-                            members=np.array(sorted(core_d["members"]),
-                                             dtype=np.int64))
-        else:
-            core = HullCore(rows=np.array(core_d["rows"], dtype=float))
-        return DemandSketch(
-            epsilon=float(d["epsilon"]),
-            eps_internal=float(d["eps_internal"]),
-            terminals=tuple(d["terminals"]),
-            pairs=tuple((s, t) for s, t in d["pairs"]),
-            maxflows=tuple(float(x) for x in d["maxflows"]),
-            core=core)
+        try:
+            if d.get("version") != 1:
+                raise SketchError("unsupported sketch version")
+            core_d = d["core"]
+            if core_d["kind"] == "grid":
+                core = GridCore(jmins=tuple(core_d["jmins"]),
+                                counts=tuple(core_d["counts"]),
+                                members=np.sort(np.array(core_d["members"],
+                                                         dtype=np.int64)))
+            else:
+                core = HullCore(rows=np.array(core_d["rows"], dtype=float))
+            return DemandSketch(
+                epsilon=float(d["epsilon"]),
+                eps_internal=float(d["eps_internal"]),
+                terminals=tuple(d["terminals"]),
+                pairs=tuple((s, t) for s, t in d["pairs"]),
+                maxflows=tuple(float(x) for x in d["maxflows"]),
+                core=core)
+        except (KeyError, TypeError, AttributeError) as exc:
+            raise SketchError(f"malformed sketch JSON: {exc!r}") from exc
 
     def save(self, path: str) -> None:
         with open(path, "w") as fh:
@@ -313,94 +329,55 @@ def build_sketch(net: TerminalNetwork, epsilon: float) -> DemandSketch:
         raise SketchError("disconnected terminal pair")
     base = 1.0 + eps
 
-    jmins, jmaxs, counts = [], [], []
-    for m in maxflows:
-        lo = eps / (k * k) * m
-        jmin = _exponent_ceil(lo, base)
-        jmax = _exponent_floor(m, base)
-        jmins.append(jmin)
-        jmaxs.append(jmax)
-        counts.append(max(0, jmax - jmin + 1))
-    candidates = 1
-    for c in counts:
-        candidates *= c + 1
+    ranges = [_grid_exponents(eps / (k * k) * m, m, base) for m in maxflows]
+    grid = GridCore(jmins=tuple(r.start for r in ranges),
+                    counts=tuple(len(r) for r in ranges),
+                    members=np.empty(0, dtype=np.int64))
+    candidates = math.prod(c + 1 for c in grid.counts)
 
     core = _build_hull(net, pairs, maxflows, eps)
     if candidates <= budget:
-        members = _enumerate_with_hull(net, pairs, jmins, counts, base, core)
-        core = GridCore(jmins=tuple(jmins), counts=tuple(counts), members=members)
+        members = _enumerate_with_hull(net, pairs, grid, candidates, base, core)
+        core = replace(grid, members=members)
 
     return DemandSketch(epsilon=float(epsilon), eps_internal=eps,
                         terminals=tuple(net.terminals), pairs=pairs,
                         maxflows=maxflows, core=core)
 
 
-def _grid_values(jmins, counts, base):
-    """Per pair: numpy lookup from digit (0 = absent) to coordinate value."""
-    luts = []
-    for jmin, c in zip(jmins, counts):
-        lut = np.zeros(c + 1)
-        for d in range(1, c + 1):
-            lut[d] = base ** (jmin + d - 1)
-        luts.append(lut)
-    return luts
-
-
-def _all_codes_and_vectors(jmins, counts, base):
-    radices = [c + 1 for c in counts]
-    total = 1
-    for r in radices:
-        total *= r
-    codes = np.arange(total, dtype=np.int64)
-    digits = []
-    rem = codes.copy()
-    for r in reversed(radices):
-        digits.append(rem % r)
-        rem //= r
-    digits.reverse()
-    luts = _grid_values(jmins, counts, base)
-    vecs = np.column_stack([lut[dig] for lut, dig in zip(luts, digits)])
-    return codes, vecs
-
-
 _ACCEPT_CHUNK = 65536        # grid vectors scored against the hull at once
 
 
-def _hull_accept_mask(hull: HullCore, vecs: np.ndarray) -> np.ndarray:
-    out = np.empty(len(vecs), dtype=bool)
-    for lo in range(0, len(vecs), _ACCEPT_CHUNK):
-        hi = min(lo + _ACCEPT_CHUNK, len(vecs))
-        scores = hull.rows @ vecs[lo:hi].T
-        out[lo:hi] = scores.max(axis=0) <= 1.0 + _MEMBER_TOL
-    return out
-
-
-def _enumerate_with_hull(net, pairs, jmins, counts, base, hull: HullCore) -> np.ndarray:
-    codes, vecs = _all_codes_and_vectors(jmins, counts, base)
+def _enumerate_with_hull(net, pairs, grid: GridCore, candidates: int, base,
+                         hull: HullCore) -> np.ndarray:
+    """Sorted codes of the nonzero grid vectors the hull accepts."""
     rng = random.Random(0xF10A)
     rows = list(hull.rows)
     for attempt in range(4):
-        feasible = _hull_accept_mask(hull, vecs)
-        feasible &= vecs.any(axis=1)
-        idx_pool = np.flatnonzero(feasible)
-        if len(idx_pool) == 0:
-            break
+        accepted = []
+        for lo in range(0, candidates, _ACCEPT_CHUNK):
+            codes = np.arange(lo, min(lo + _ACCEPT_CHUNK, candidates), dtype=np.int64)
+            vecs = grid.vectors(codes, base)
+            keep = (hull.rows @ vecs.T).max(axis=0) <= 1.0 + _MEMBER_TOL
+            accepted.append(codes[keep & vecs.any(axis=1)])
+        pool = np.concatenate(accepted)
+        if len(pool) == 0:
+            return pool
         # spot check accepted vectors against the true oracle; rejection is
         # always sound (certificates upper-bound the flow value), acceptance
         # is what the validation must confirm
         bad = []
-        for _ in range(min(60, len(idx_pool))):
-            idx = int(idx_pool[rng.randrange(len(idx_pool))])
-            d = DemandVector.of({p: v for p, v in zip(pairs, vecs[idx]) if v > 0})
+        for _ in range(min(60, len(pool))):
+            i = rng.randrange(len(pool))
+            vec = grid.vectors(pool[i:i + 1], base)[0]
+            d = DemandVector.of({p: v for p, v in zip(pairs, vec) if v > 0})
             if concurrent_flow(net, d).value < 1.0 - 1e-6:
                 bad.append(d)
         if not bad:
-            return np.sort(codes[feasible])
+            return pool
         for d in bad:
             rows.append(_dual_certificate(net, pairs, d))
         hull = HullCore(rows=np.array(rows))
-    if len(idx_pool) == 0:
-        return np.sort(codes[feasible])
     raise SketchError("hull certificates kept disagreeing with the oracle")
 
 
@@ -456,19 +433,9 @@ def grid_demands(sk: DemandSketch, *, limit: int | None = None) -> list[DemandVe
         raise SketchError("sketch stores a hull core; no explicit grid to decode")
     if limit is not None and sk.core.size > limit:
         raise BudgetExceeded(f"{sk.core.size} stored vectors exceed limit {limit}")
-    radices = [c + 1 for c in sk.core.counts]
     out = []
-    for code in sk.core.members:
-        digits = []
-        rem = int(code)
-        for r in reversed(radices):
-            digits.append(rem % r)
-            rem //= r
-        digits.reverse()
-        entries = {}
-        for i, d in enumerate(digits):
-            if d > 0:
-                entries[sk.pairs[i]] = sk.base ** (sk.core.jmins[i] + d - 1)
+    for row in sk.core.vectors(sk.core.members, sk.base).tolist():
+        entries = {p: v for p, v in zip(sk.pairs, row) if v > 0}
         if entries:
             out.append(DemandVector.of(entries))
     return out

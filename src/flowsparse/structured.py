@@ -255,7 +255,10 @@ class SpTree:
                 return SpSeries(left=left, right=right, middle=nd["middle"],
                                 u=nd["u"], v=nd["v"])
             return SpParallel(left=left, right=right, u=nd["u"], v=nd["v"])
-        return SpTree(root=dec(d["root"]))
+        try:
+            return SpTree(root=dec(d["root"]))
+        except (KeyError, TypeError, AttributeError) as exc:
+            raise StructureError(f"malformed SP-tree JSON: {exc!r}") from exc
 
 
 def sp_vertices(node: SpNode) -> set[str]:
@@ -522,9 +525,12 @@ class TreeDecomposition:
 
     @staticmethod
     def from_json_dict(d: dict) -> "TreeDecomposition":
-        return TreeDecomposition(
-            bags=tuple(frozenset(b) for b in d["bags"]),
-            edges=tuple((int(i), int(j)) for i, j in d["edges"]))
+        try:
+            return TreeDecomposition(
+                bags=tuple(frozenset(b) for b in d["bags"]),
+                edges=tuple((int(i), int(j)) for i, j in d["edges"]))
+        except (KeyError, TypeError, AttributeError) as exc:
+            raise StructureError(f"malformed tree decomposition JSON: {exc!r}") from exc
 
 
 def balanced_terminal_separator(net: TerminalNetwork, tdec: TreeDecomposition,

@@ -14,6 +14,7 @@ from fractions import Fraction
 
 from .flow import concurrent_flow, finite_or_none, max_flow, mincut_partition
 from .network import DemandVector, TerminalNetwork, components, terminal_bipartitions
+from .sketch import _grid_exponents
 
 DEFAULT_TOL = 1e-6
 
@@ -118,9 +119,9 @@ def random_demands(net: TerminalNetwork, n: int, seed: int) -> list[DemandVector
 
 
 def disc_demands(net: TerminalNetwork, eps: float, eta: float) -> list[DemandVector]:
-    """Per pair, every power of 1+eps in [eta * F, F] (F the pair's 2-hop max
-    flow in quasi-bipartite nets, otherwise its max flow) times the pair's
-    basis vector."""
+    """Per pair in sorted order, every power of 1+eps in [eta * F, F],
+    largest first, times the pair's basis vector (F the pair's 2-hop max flow
+    in quasi-bipartite nets, otherwise its max flow)."""
     if not (0 < eps) or not (0 < eta < 1):
         raise VerifyError("need eps > 0 and eta in (0,1)")
     use_two_hop = net.is_quasi_bipartite() and net.terminals_independent()
@@ -133,12 +134,8 @@ def disc_demands(net: TerminalNetwork, eps: float, eta: float) -> list[DemandVec
     for p, F in sorted(flows.items()):
         if F <= 0:
             continue
-        j = math.floor(math.log(F) / math.log(1 + eps) + 1e-12)
-        while (1 + eps) ** j >= eta * F * (1 - 1e-12):
-            val = (1 + eps) ** j
-            if val <= F * (1 + 1e-12):
-                out.append(DemandVector.of({p: val}))
-            j -= 1
+        for j in reversed(_grid_exponents(eta * F, F, 1 + eps)):
+            out.append(DemandVector.of({p: (1 + eps) ** j}))
     return out
 
 

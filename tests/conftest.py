@@ -1,6 +1,8 @@
 import itertools
+import os
 import random
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +27,20 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance criteria")
         for line in RESULT_LINES:
             terminalreporter.write_line(line)
+
+
+def child_env(**extra) -> dict:
+    """Environment for a child interpreter that imports this flowsparse and
+    the test modules, whether or not PYTHONPATH names them."""
+    import flowsparse
+    path = [str(Path(flowsparse.__file__).resolve().parent.parent),
+            str(Path(__file__).resolve().parent)]
+    path += [p for p in [os.environ.get("PYTHONPATH")] if p]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(path), **extra)
+
+
+ONE_BLAS_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+                   "MKL_NUM_THREADS": "1"}
 
 
 def skew_duality_gap(monkeypatch):

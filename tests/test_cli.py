@@ -9,7 +9,7 @@ from flowsparse.cli import main
 from flowsparse.jsonio import load_net, save_net
 from flowsparse.network import TerminalNetwork
 
-from conftest import skew_duality_gap
+from conftest import child_env, skew_duality_gap
 
 
 def run(args):
@@ -235,6 +235,42 @@ def test_malformed_demand_file_exit_2(kind, tmp_path, capsys):
         assert "error: malformed demand file" in capsys.readouterr().err
 
 
+MALFORMED_SKETCHES = {
+    "no-core": {"version": 1},
+    "grid-core-without-jmins": {"version": 1, "core": {"kind": "grid"}},
+    "json-list": [1, 2],
+}
+
+
+@pytest.mark.parametrize("kind", sorted(MALFORMED_SKETCHES))
+def test_malformed_sketch_file_exit_2(kind, tmp_path, capsys):
+    sk, d = tmp_path / "g.sk", tmp_path / "d.json"
+    sk.write_text(json.dumps(MALFORMED_SKETCHES[kind]))
+    d.write_text(json.dumps([{"s": "s", "t": "t", "d": 1.0}]))
+    assert run(["sketch", "query", "--sk", sk, "--demand", d]) == 2
+    assert "error: malformed sketch JSON" in capsys.readouterr().err
+
+
+MALFORMED_STRUCTURES = {
+    "tdec-without-edges": ("treewidth", "--tdec", {"bags": [["a"]]},
+                           "malformed tree decomposition JSON"),
+    "sptree-leaf-without-u": ("sp", "--sptree", {"root": {"type": "leaf"}},
+                              "malformed SP-tree JSON"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(MALFORMED_STRUCTURES))
+def test_malformed_structure_file_exit_2(kind, tmp_path, capsys):
+    method, flag, doc, message = MALFORMED_STRUCTURES[kind]
+    g, f = tmp_path / "g.json", tmp_path / "f.json"
+    save_net(TerminalNetwork.make(["s", "t"], ["s", "t"], [("s", "t", 10)]), str(g))
+    f.write_text(json.dumps(doc))
+    rc = run(["sparsify", "--method", method, "--graph", g, flag, f,
+              "--out", tmp_path / "h.json"])
+    assert rc == 2
+    assert f"error: {message}" in capsys.readouterr().err
+
+
 NON_FINITE_CAPS = ["Infinity", "1e400"]
 
 
@@ -293,6 +329,6 @@ class TestDimacs:
 def test_console_entrypoint_runs():
     proc = subprocess.run([sys.executable, "-m", "flowsparse.cli", "plan",
                            "--eps", "0.5", "--k", "4", "--fail", "0.1"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=child_env())
     assert proc.returncode == 0
     assert "M " in proc.stdout

@@ -2,7 +2,6 @@ import dataclasses
 import hashlib
 import itertools
 import json
-import os
 import random
 import subprocess
 import sys
@@ -32,8 +31,8 @@ from flowsparse.generators import (gen_quasi_bipartite, gen_series_parallel,
 from flowsparse.lp import LPError
 from flowsparse.network import _pair, terminal_bipartitions
 
-from conftest import (random_connected_net, random_demand, random_quasi_bipartite,
-                      skew_duality_gap, sparsest_cut)
+from conftest import (ONE_BLAS_THREAD, child_env, random_connected_net, random_demand,
+                      random_quasi_bipartite, skew_duality_gap, sparsest_cut)
 
 
 def scipy_lambda(net, demand, terminal_free=False):
@@ -766,12 +765,8 @@ def _pin_fingerprints():
     """Fingerprint every pinned oracle and 2-hop solve in a fresh interpreter
     with one BLAS thread: a multi-threaded matrix-vector product rounds
     differently."""
-    import flowsparse
     tests = Path(__file__).resolve().parent
-    path = [str(Path(flowsparse.__file__).resolve().parent.parent), str(tests)]
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
-               MKL_NUM_THREADS="1",
-               PYTHONPATH=os.pathsep.join(path + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    env = child_env(**ONE_BLAS_THREAD)
     code = ("import json, test_flow as T\n"
             "out = {}\n"
             "for group, solves in T._pin_groups().items():\n"

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -12,7 +13,10 @@ from flowsparse import (
     concurrent_flow,
 )
 from flowsparse.merging import (
+    ZERO,
     MergeError,
+    _gamma_exponents,
+    _round_down_to_gamma,
     clump,
     profile_bucket_sparsifier,
     ratio_type_sparsifier,
@@ -194,3 +198,59 @@ class TestRatioTypes:
         r1 = ratio_type_sparsifier(net, 0.25)
         r2 = ratio_type_sparsifier(net, 0.25)
         assert r1.net == r2.net
+
+
+def _scan_gamma_exponents(eps, demand_values):
+    """Reference: every exponent in a wide window, tested as the original
+    loop tested each one (base**j in [eps*d, d] up to 1e-12 relative)."""
+    base = 1.0 + eps
+    exps = set()
+    for d in demand_values:
+        if d <= 0:
+            continue
+        top = round(math.log(d) / math.log(base))
+        for j in range(top - 200, top + 3):
+            if eps * d * (1 - 1e-12) <= base ** j <= d * (1 + 1e-12):
+                exps.add(j)
+    return sorted(exps)
+
+
+def _scan_round_down(value, eps, exps):
+    """Reference: the original linear scan over the sorted exponents."""
+    if value <= 0:
+        return ZERO
+    best = None
+    for j in exps:
+        if (1.0 + eps) ** j <= value * (1 + 1e-12):
+            best = j
+        else:
+            break
+    return ZERO if best is None else best
+
+
+def _values_near_powers(eps):
+    """Exact powers of 1+eps, the floats next to them, and points 1e-13 and
+    2e-12 (relative) to either side."""
+    out = []
+    for j in range(-40, 41, 3):
+        p = (1.0 + eps) ** j
+        out += [p, math.nextafter(p, math.inf), math.nextafter(p, 0.0),
+                p * (1 + 1e-13), p * (1 - 1e-13), p * (1 + 2e-12), p * (1 - 2e-12)]
+    return out
+
+
+class TestGammaGrid:
+    @pytest.mark.parametrize("eps", [0.05, 0.1, 0.25, 0.3])
+    def test_gamma_exponents_match_the_scan(self, eps):
+        values = _values_near_powers(eps)
+        for d in values:
+            assert _gamma_exponents(eps, [d]) == _scan_gamma_exponents(eps, [d]), d
+        ds = values[::5] + [0.0, -1.0]
+        assert _gamma_exponents(eps, ds) == _scan_gamma_exponents(eps, ds)
+
+    @pytest.mark.parametrize("eps", [0.05, 0.1, 0.25, 0.3])
+    def test_round_down_matches_the_scan(self, eps):
+        gapped = list(range(-30, -20)) + list(range(-5, 3)) + list(range(20, 31))
+        for exps in (list(range(-45, 46)), gapped, [7], []):
+            for v in _values_near_powers(eps) + [0.0, -2.0, 1e-300, 1e300]:
+                assert _round_down_to_gamma(v, eps, exps) == _scan_round_down(v, eps, exps), v

@@ -1,12 +1,20 @@
+import hashlib
+import json
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from flowsparse import DemandVector, TerminalNetwork
 from flowsparse.flow import concurrent_flow
+from flowsparse.generators import gen_quasi_bipartite
 from flowsparse.sketch import (
+    _exponent_floor,
     BudgetExceeded,
     DemandSketch,
     GridCore,
@@ -16,7 +24,7 @@ from flowsparse.sketch import (
     grid_demands,
 )
 
-from conftest import random_connected_net, random_demand
+from conftest import ONE_BLAS_THREAD, child_env, random_connected_net, random_demand
 
 
 def single_edge(cap=10):
@@ -161,3 +169,93 @@ class TestSerialization:
         for _ in range(10):
             d = random_demand(rng, net)
             assert sk2.query(d) == sk.query(d)
+
+
+def _sketch_pin_groups():
+    """Seeded `build_sketch` inputs: (net, epsilon, FLOWSPARSE_BUDGET)."""
+    qb3 = gen_quasi_bipartite(3, 8, seed=22)
+    return {
+        "qb-2-6": (gen_quasi_bipartite(2, 6, seed=21), 0.25, None),
+        "qb-3-8": (qb3, 0.45, None),
+        "connected-3-9": (random_connected_net(random.Random(23), 9, 3), 0.45, None),
+        "qb-3-8-budget-10": (qb3, 0.45, "10"),
+        "qb-4-10": (gen_quasi_bipartite(4, 10, seed=24), 0.45, None),
+    }
+
+
+def _sketch_fingerprint(net, eps, budget):
+    """Runs in the pinning child, so the budget it sets reaches no other test."""
+    os.environ.pop("FLOWSPARSE_BUDGET", None)
+    if budget is not None:
+        os.environ["FLOWSPARSE_BUDGET"] = budget
+    sk = build_sketch(net, eps)
+    doc = json.dumps(sk.to_json_dict(), sort_keys=True)
+    return [type(sk.core).__name__, hashlib.sha256(doc.encode()).hexdigest()[:16]]
+
+
+@pytest.fixture(scope="module")
+def sketch_fingerprints():
+    """Fingerprint every pinned build in a fresh interpreter with one BLAS
+    thread, as the oracle pins in test_flow.py do."""
+    tests = Path(__file__).resolve().parent
+    env = child_env(**ONE_BLAS_THREAD)
+    code = ("import json, test_sketch as T\n"
+            "print(json.dumps({g: T._sketch_fingerprint(*args)\n"
+            "                  for g, args in T._sketch_pin_groups().items()}))\n")
+    proc = subprocess.run([sys.executable, "-c", code], cwd=tests, env=env,
+                          capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout)
+
+
+# (core kind, sha256 prefix of the sorted-key JSON of to_json_dict()) per
+# build, with one BLAS thread.  A change to the grid exponents, the code
+# layout, the enumeration order or the hull certificates changes them.
+PINNED_SKETCHES = {
+    "qb-2-6": ["GridCore", "5ec0a8f1c2c1ca22"],
+    "qb-3-8": ["GridCore", "d568286a9f9887ca"],
+    "connected-3-9": ["GridCore", "c6ed368043d0fd13"],
+    "qb-3-8-budget-10": ["HullCore", "0d3694eb624c7722"],
+    "qb-4-10": ["HullCore", "34bda5546fb9b0e0"],
+}
+
+
+class TestPinnedBuilds:
+    def test_pins_cover_every_group(self):
+        assert PINNED_SKETCHES.keys() == _sketch_pin_groups().keys()
+        kinds = {kind for kind, _ in PINNED_SKETCHES.values()}
+        assert kinds == {"GridCore", "HullCore"}
+
+    @pytest.mark.parametrize("group", sorted(_sketch_pin_groups()))
+    def test_build_is_bit_identical(self, group, sketch_fingerprints):
+        assert sketch_fingerprints[group] == PINNED_SKETCHES[group]
+
+
+class TestGridCodes:
+    @pytest.mark.parametrize("jmins,counts,base", [
+        ((-3, 5, 0), (4, 0, 7), 1.1),
+        ((-12,), (30,), 1.0625),
+        ((2, -40, 7, 0), (3, 5, 1, 2), 1.3),
+    ])
+    def test_encode_inverts_vectors(self, jmins, counts, base):
+        core = GridCore(jmins=jmins, counts=counts, members=np.empty(0, np.int64))
+        codes = np.arange(math.prod(c + 1 for c in counts), dtype=np.int64)
+        vecs = core.vectors(codes, base)
+        assert vecs.shape == (len(codes), len(counts))
+        for code, row in zip(codes.tolist(), vecs.tolist()):
+            digits = [0 if v == 0 else _exponent_floor(v, base) - jmin + 1
+                      for v, jmin in zip(row, jmins)]
+            assert core.encode(digits) == code
+
+    def test_built_core_round_trips(self):
+        sk = build_sketch(gen_quasi_bipartite(3, 8, seed=22), 0.45)
+        core = sk.core
+        assert isinstance(core, GridCore)
+        vecs = core.vectors(core.members, sk.base)
+        for code, row in zip(core.members.tolist(), vecs.tolist()):
+            digits = [0 if v == 0 else _exponent_floor(v, sk.base) - jmin + 1
+                      for v, jmin in zip(row, core.jmins)]
+            assert core.encode(digits) == code
+            assert core.contains(digits)
+        assert [d.entries for d in grid_demands(sk)] == [
+            tuple((p, v) for p, v in zip(sk.pairs, row) if v > 0)
+            for row in vecs.tolist()]

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import random
@@ -6,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from flowsparse import DemandVector, TerminalNetwork, concurrent_flow, sample_sparsifier
-from flowsparse.generators import gen_quasi_bipartite
+from flowsparse.generators import gen_quasi_bipartite, gen_series_parallel
 from flowsparse.structured import mimick_small
 from flowsparse.verify import (
     VerifyError,
@@ -19,6 +20,11 @@ from flowsparse.verify import (
 )
 
 from conftest import random_connected_net, random_demand
+
+
+# (demand count per net, sha256 prefix of repr of their entries) for
+# test_disc_order_is_pinned
+DISC_PIN = ([31, 32], "b2fc99a7988d1282")
 
 
 def star():
@@ -53,6 +59,30 @@ class TestDemandGrids:
         assert all(abs(v - 1.5 ** round(__import__("math").log(v, 1.5))) < 1e-9
                    for v in vals)
         assert min(vals) >= 1.0 - 1e-9 and max(vals) <= 10 + 1e-9
+
+    def test_disc_order_is_pinned(self):
+        """Pairs in sorted order, each pair's powers largest first."""
+        nets = [gen_quasi_bipartite(3, 8, seed=5),
+                gen_series_parallel(10, 3, 6)[0]]
+        got = []
+        for net in nets:
+            ds = disc_demands(net, 0.25, 0.1)
+            keys = [(d.pairs()[0], -d[d.pairs()[0]]) for d in ds]
+            assert keys == sorted(keys) and len(set(keys)) == len(keys)
+            got.append([d.entries for d in ds])
+        assert [len(g) for g in got] == DISC_PIN[0]
+        assert hashlib.sha256(repr(got).encode()).hexdigest()[:16] == DISC_PIN[1]
+
+    @pytest.mark.parametrize("eps", [0.05, 0.1, 0.25])
+    def test_disc_keeps_the_power_just_above_f(self, eps):
+        """F a hair (1e-13 relative) below a power of 1+eps still lists
+        that power, as every other grid test allows 1e-12 of float dust."""
+        for j in (-3, 0, 4):
+            f = (1 + eps) ** j * (1 - 1e-13)
+            net = TerminalNetwork.make(["s", "t"], ["s", "t"],
+                                       [("s", "t", Fraction(f))])
+            ds = disc_demands(net, eps, 0.5)
+            assert ds[0][("s", "t")] == (1 + eps) ** j
 
     def test_spec_string_dispatch(self):
         assert len(demand_grid(star(), "basis")) == 3
