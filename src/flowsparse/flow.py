@@ -29,12 +29,14 @@ raised keeps no record.
 The 2-hop flow and its dual are one explicit LP over the paths s-v-t of the
 network itself, solved once with no pricing; it keeps no record.
 
-Also here: exact max flow between two vertices or two vertex sets
-(shortest augmenting paths on integers: the rational capacities scaled by
-the LCM of their denominators, cached per network), which also gives the
-terminal-bipartition min cuts and the exact sparsest cut over terminal
-bipartitions.  Flows between terminals run on the cut view too, which keeps
-every terminal cut.
+Also here: exact max flow between two vertices or two vertex sets, on
+integers (the rational capacities scaled by the LCM of their denominators,
+cached per network), which also gives the terminal-bipartition min cuts and
+the exact sparsest cut over terminal bipartitions.  Flows between terminals
+run on the cut view too, which keeps every terminal cut.  When no two
+vertices outside the endpoints are adjacent, each joins its cheaper side on
+its own and the value is a closed-form sum; otherwise shortest augmenting
+paths find it.
 """
 
 from __future__ import annotations
@@ -161,18 +163,23 @@ class ConcurrentFlowResult:
 
 
 # ---------------------------------------------------------------------------
-# Exact max flow between vertices or vertex sets (Edmonds-Karp on integers)
+# Exact max flow between vertices or vertex sets (integers: closed form or
+# Edmonds-Karp)
 # ---------------------------------------------------------------------------
 
 def max_flow(net: TerminalNetwork, s, t) -> Fraction:
     """Exact maximum flow value from `s` to `t`.
 
     Each of `s` and `t` is a vertex or a set of vertices; a set acts as one
-    vertex joined to each member by unbounded capacity.  Edmonds-Karp runs on
+    vertex joined to each member by unbounded capacity.  The flow runs on
     integers: on the network's cached `cut_view` when every endpoint is a
     terminal, since that view keeps every cut between terminal sets, and on
-    its cached `integer_view` otherwise.  Either way the value is exact: the
-    integer flow over the view's scale, as a Fraction.
+    its cached `integer_view` otherwise.  When no two of the view's vertices
+    outside S | T are adjacent (or there are none), each of them joins its
+    cheaper side on its own, so the value is the S-T crossing capacity plus,
+    per such v, min(c(v, S), c(v, T)).  Otherwise Edmonds-Karp runs.
+    Either way the value is exact: the integer flow over the view's scale,
+    as a Fraction.
     """
     S = frozenset([s] if isinstance(s, str) else s)
     T = frozenset([t] if isinstance(t, str) else t)
@@ -183,9 +190,17 @@ def max_flow(net: TerminalNetwork, s, t) -> Fraction:
                           else net.integer_view)
     if not ends <= index.keys():
         raise FlowError("endpoint not in network")
-    residual = [dict(nbrs) for nbrs in arcs]
     sources = [index[v] for v in sorted(S)]
     sinks = {index[v] for v in T}
+    src = set(sources)
+    inner = [nbrs for i, nbrs in enumerate(arcs) if i not in src and i not in sinks]
+    if not any(j not in src and j not in sinks for nbrs in inner for j in nbrs):
+        total = sum(c for i in src for j, c in arcs[i].items() if j in sinks)
+        for nbrs in inner:
+            total += min(sum(c for j, c in nbrs.items() if j in src),
+                         sum(c for j, c in nbrs.items() if j in sinks))
+        return Fraction(total, scale)
+    residual = [dict(nbrs) for nbrs in arcs]
     total = 0
     while True:
         parent = dict.fromkeys(sources, -1)
@@ -221,9 +236,10 @@ def max_flow(net: TerminalNetwork, s, t) -> Fraction:
 
 
 def mincut_partition(net: TerminalNetwork, a_side, b_side) -> Fraction:
-    """Exact min capacity of an edge cut separating terminal sets A from B."""
-    A = frozenset(str(x) for x in a_side)
-    B = frozenset(str(x) for x in b_side)
+    """Exact min capacity of an edge cut separating terminal sets A from B;
+    as in `max_flow`, a side given as a str is one terminal."""
+    A, B = (frozenset([x] if isinstance(x, str) else map(str, x))
+            for x in (a_side, b_side))
     if not A or not B or (A | B) != net.terminal_set or (A & B):
         raise FlowError("(A, B) must bipartition the terminal set into nonempty parts")
     return max_flow(net, A, B)

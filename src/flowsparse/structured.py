@@ -3,11 +3,13 @@ series-parallel recursion, and the treewidth recursion.
 
 The mimicking construction fits a network on the terminals (plus at most one
 auxiliary vertex) whose terminal-bipartition min cuts match the input
-exactly, in rational arithmetic: first a clique on the terminals, then a
-clique plus star through the auxiliary vertex, enumerating which star side
-attains each bipartition's minimum.  For up to four terminals the flow-cut
-gap is one, so cut-exact implies flow-exact; the verify module certifies
-that on demand grids rather than trusting it.
+exactly, in rational arithmetic: first a clique on the terminals, whose
+capacities have a closed form for k <= 4 (x_ij = (f_i + f_j - f_ij|rest) / 2
+from the target cuts f), then a clique plus star through the auxiliary
+vertex, enumerating which star side attains each bipartition's minimum.
+For up to four terminals the flow-cut gap is one, so cut-exact implies
+flow-exact; the verify module certifies that on demand grids rather than
+trusting it.
 """
 
 from __future__ import annotations
@@ -80,10 +82,18 @@ def mimick_small(net: TerminalNetwork) -> SparsifierResult:
 
 
 def _fit_clique(terminals, pairs, targets):
-    rows = [_clique_cut_row(pairs, A) for (A, _), _ in targets]
-    rhs = [val for _, val in targets]
-    sol = _solve_exact_equations(rows, rhs)
-    if sol is None or any(x < 0 for x in sol):
+    """The clique on the terminals whose bipartition cuts are the targets,
+    or None.  For k <= 4 the system has one solution, in closed form: with
+    f(X) the target cut of terminal set X (0 for the whole set),
+    x_ij = (f({i}) + f({j}) - f({i, j})) / 2, so x = f at k = 2.  None when
+    some x_ij < 0 or a bipartition equation fails (at k = 4 the 7 equations
+    in 6 unknowns need not be consistent)."""
+    f = {frozenset(side): val for sides, val in targets for side in sides}
+    sol = [(f[frozenset([i])] + f[frozenset([j])] - f.get(frozenset([i, j]), 0)) / 2
+           for i, j in pairs]
+    if any(x < 0 for x in sol) or any(
+            sum(x for (i, j), x in zip(pairs, sol) if (i in A) != (j in A)) != val
+            for (A, _), val in targets):
         return None
     edges = [(u, v, c) for (u, v), c in zip(pairs, sol) if c > 0]
     return TerminalNetwork.make(terminals, terminals, edges,
@@ -141,39 +151,6 @@ def _fit_star_clique(terminals, pairs, targets):
         if _cuts_match(cand, targets):
             return cand
     return None
-
-
-def _solve_exact_equations(rows, rhs):
-    """One exact solution of a (possibly overdetermined) linear system, or
-    None when inconsistent.  Free variables are pinned to zero."""
-    m, n = len(rows), len(rows[0]) if rows else 0
-    M = [list(r) + [b] for r, b in zip(rows, rhs)]
-    piv_cols = []
-    r = 0
-    for c in range(n):
-        piv = next((i for i in range(r, m) if M[i][c] != 0), None)
-        if piv is None:
-            continue
-        M[r], M[piv] = M[piv], M[r]
-        M[r] = [v / M[r][c] for v in M[r]]
-        for i in range(m):
-            if i != r and M[i][c] != 0:
-                f = M[i][c]
-                M[i] = [a - f * b for a, b in zip(M[i], M[r])]
-        piv_cols.append(c)
-        r += 1
-        if r == m:
-            break
-    for i in range(r, m):
-        if M[i][n] != 0:
-            return None
-    x = [Fraction(0)] * n
-    for i, c in enumerate(piv_cols):
-        x[c] = M[i][n]
-    for row, b in zip(rows, rhs):
-        if sum(a * v for a, v in zip(row, x)) != b:
-            return None
-    return x
 
 
 def _cuts_match(candidate, targets):

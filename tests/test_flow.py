@@ -96,10 +96,11 @@ def rational_net(rng, n, k):
 
 def nx_set_flow(net, S, T):
     """Exact max flow from vertex set S to T by networkx, through a super
-    source and sink joined by edges of unbounded capacity."""
+    source and sink joined by edges of unbounded capacity.  Parallel edges
+    of a raw net are summed."""
     g = nx.Graph()
     for u, v, c in net.edges:
-        g.add_edge(u, v, capacity=c)
+        g.add_edge(u, v, capacity=c + g.get_edge_data(u, v, {"capacity": 0})["capacity"])
     g.add_edges_from(("_S", a) for a in S)
     g.add_edges_from((b, "_T") for b in T)
     return nx.maximum_flow_value(g, "_S", "_T")
@@ -293,6 +294,103 @@ class TestCutView:
                               edges=(("s", "v", 1),))
         with pytest.raises(FlowError, match="endpoint not in network"):
             max_flow(raw, "s", "t")
+
+
+def closed_form_applies(net, S, T):
+    """Whether no two vertices outside S | T of the view `max_flow` takes
+    are adjacent, so that it answers in closed form."""
+    _, index, arcs = (net.cut_view if S | T <= net.terminal_set
+                      else net.integer_view)
+    ends = {index[v] for v in S | T}
+    return not any(j not in ends for i, nbrs in enumerate(arcs) if i not in ends
+                   for j in nbrs)
+
+
+def with_zero_capacity_edges(net, rng):
+    """A raw copy of `net` with a few zero-capacity edges added, some
+    between non-terminals."""
+    inner = [v for v in net.vertices if v not in net.terminal_set]
+    extra = [(*rng.sample(inner, 2), Fraction(0)) for _ in range(3)]
+    extra += [(rng.choice(net.terminals), rng.choice(inner), Fraction(0))]
+    return TerminalNetwork(net.vertices, net.terminals, net.edges + tuple(extra))
+
+
+def terminal_cases(net, rng):
+    """Every terminal bipartition and every terminal pair."""
+    return (list(terminal_bipartitions(net.terminals))
+            + [((s,), (t,)) for s, t in itertools.combinations(net.terminals, 2)])
+
+
+def mixed_cases(net, rng):
+    """Terminal cases with a random non-terminal added to one side, and
+    each terminal against a random non-terminal."""
+    inner = [v for v in net.vertices if v not in net.terminal_set]
+    cases = [(A + (rng.choice(inner),), B) for A, B in terminal_cases(net, rng)]
+    return cases + [((t,), (rng.choice(inner),)) for t in net.terminals]
+
+
+def bipartition(net, S, T):
+    return S | T == net.terminal_set
+
+
+# name -> (net from (rng, seed), its (S, T) cases, which cases must take the
+# closed form: with independent non-terminals, every terminal bipartition)
+CLOSED_FORM_FAMILIES = {
+    "quasi-bipartite": (lambda rng, seed: gen_quasi_bipartite(
+        rng.randint(2, 5), rng.randint(8, 20), seed), terminal_cases, bipartition),
+    "series-parallel": (lambda rng, seed: gen_series_parallel(
+        rng.randint(4, 16), rng.randint(2, 4), seed)[0], terminal_cases, None),
+    "random-k4": (lambda rng, seed: random_connected_net(
+        rng, rng.randint(8, 14), 4, extra_edges=rng.randint(8, 16)),
+        terminal_cases, None),
+    "raw-zero-capacity": (lambda rng, seed: with_zero_capacity_edges(
+        gen_quasi_bipartite(rng.randint(2, 4), rng.randint(8, 16), seed), rng),
+        terminal_cases, bipartition),
+    "raw-zero-capacity-mixed": (lambda rng, seed: with_zero_capacity_edges(
+        gen_quasi_bipartite(rng.randint(2, 4), rng.randint(8, 16), seed), rng),
+        mixed_cases, None),
+    "non-terminal-endpoints": (lambda rng, seed: rational_net(
+        rng, rng.randint(6, 12), rng.randint(2, 4)), mixed_cases, None),
+}
+
+
+class TestClosedFormMaxFlow:
+    """`max_flow` against networkx on nets where its closed form applies to
+    some or all endpoint pairs, and on nets where it falls back."""
+
+    @pytest.mark.parametrize("family", sorted(CLOSED_FORM_FAMILIES))
+    def test_matches_networkx(self, family):
+        make, cases, must_apply = CLOSED_FORM_FAMILIES[family]
+        applied = fell_back = 0
+        for seed in range(40):
+            rng = random.Random(1600 + seed)
+            net = make(rng, seed)
+            for S, T in cases(net, rng):
+                S, T = frozenset(S), frozenset(T)
+                if closed_form_applies(net, S, T):
+                    applied += 1
+                else:
+                    assert not (must_apply and must_apply(net, S, T)), (seed, S, T)
+                    fell_back += 1
+                assert max_flow(net, S, T) == nx_set_flow(net, S, T), (seed, S, T)
+        assert applied > 0 and fell_back > 0
+
+    def test_independent_vertex_joins_its_cheaper_side(self):
+        # v has degree 4, so the cut view keeps it; cutting it off from
+        # {c, d} costs 2 and from {a, b} costs 10
+        net = TerminalNetwork.make(
+            ["a", "b", "c", "d", "v"], ["a", "b", "c", "d"],
+            [("v", "a", 5), ("v", "b", 5), ("v", "c", 1), ("v", "d", 1), ("a", "c", 3)])
+        assert "v" in net.cut_view[1]
+        for S, T, want in [({"a", "b"}, {"c", "d"}, 5), ({"c", "d"}, {"a", "b"}, 5),
+                           ({"a", "c"}, {"b", "d"}, 6), ({"a"}, {"b", "c", "d"}, 8)]:
+            assert closed_form_applies(net, frozenset(S), frozenset(T))
+            assert max_flow(net, S, T) == want == nx_set_flow(net, S, T)
+        # a non-terminal endpoint: on the integer view, u joins T's side
+        path = TerminalNetwork.make(["s", "u", "t", "x"], ["s", "t"],
+                                    [("s", "u", 4), ("u", "t", 1), ("t", "x", 2)])
+        assert closed_form_applies(path, frozenset("s"), frozenset("tx"))
+        assert max_flow(path, "s", {"t", "x"}) == 1 == nx_set_flow(path, "s", "tx")
 
 
 class TestConcurrentFlow:
@@ -1110,6 +1208,16 @@ class TestCuts:
             mincut_partition(net, ["s", "t"], [])
         with pytest.raises(FlowError):
             mincut_partition(net, ["s"], ["s", "t"])
+
+    def test_mincut_partition_takes_a_str_side_as_one_terminal(self):
+        net = TerminalNetwork.make(
+            ["v", "t1", "t2", "t3"], ["t1", "t2", "t3"],
+            [("v", "t1", 2), ("v", "t2", 3), ("v", "t3", 4), ("t1", "t2", 1)])
+        assert mincut_partition(net, "t1", ["t2", "t3"]) == 3
+        assert mincut_partition(net, ["t1", "t2"], "t3") == 4
+        assert mincut_partition(net, "t2", {"t1", "t3"}) == 4
+        with pytest.raises(FlowError, match="bipartition"):
+            mincut_partition(net, "t1", "t2")
 
     @pytest.mark.parametrize("seed", range(30))
     def test_mincut_partition_against_networkx(self, seed):

@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -11,6 +13,7 @@ from flowsparse import (
 )
 from flowsparse import structured
 from flowsparse.generators import gen_series_parallel, gen_treewidth
+from flowsparse.network import terminal_bipartitions
 from flowsparse.structured import (
     SpLeaf,
     SpParallel,
@@ -161,6 +164,87 @@ def test_star_fit_skips_patterns_the_clique_fit_covers(monkeypatch):
     got = " ".join(f"{u}-{v}:{c}" for u, v, c in res.net.edges)
     assert got == "_aux-a:3/2 _aux-b:3/2 _aux-c:3/2 _aux-d:3/2 a-b:1/2 a-c:2 c-d:1/2"
     assert certify_cuts(net, res.net).all_exact
+
+
+def clique_targets(terminals, cut):
+    """Bipartition targets as `mimick_small` builds them, the cut value of
+    each split (A, B) given by `cut` on the side A."""
+    return [((A, B), Fraction(cut[A])) for A, B in terminal_bipartitions(terminals)]
+
+
+def fit_clique(terminals, targets):
+    pairs = list(itertools.combinations(terminals, 2))
+    return structured._fit_clique(terminals, pairs, targets)
+
+
+class TestCliqueFit:
+    def test_k2_is_the_cut(self):
+        fit = fit_clique(("a", "b"), clique_targets(("a", "b"), {("a",): "7/3"}))
+        assert fit.edges == (("a", "b", Fraction(7, 3)),)
+
+    def test_k3_halves_the_singleton_sums(self):
+        # x_ab = (3 + 5 - 6) / 2, x_ac = (3 + 6 - 5) / 2, x_bc = (5 + 6 - 3) / 2
+        cut = {("a",): 3, ("a", "b"): 6, ("a", "c"): 5}
+        fit = fit_clique(("a", "b", "c"), clique_targets(("a", "b", "c"), cut))
+        assert fit.edges == (("a", "b", 1), ("a", "c", 2), ("b", "c", 4))
+        # f_c above f_a + f_b would need x_ab < 0
+        cut = {("a",): 1, ("a", "b"): 5, ("a", "c"): 1}
+        assert fit_clique(("a", "b", "c"), clique_targets(("a", "b", "c"), cut)) is None
+
+    def test_k4_inconsistent_pair_splits(self):
+        # the pair splits sum to 13, the singletons to 12; every clique has
+        # both sums 2 * sum(x), so no clique fits, though every x_ij >= 0
+        terms = ("a", "b", "c", "d")
+        cut = {("a",): 3, ("a", "b"): 4, ("a", "c"): 4, ("a", "d"): 5,
+               ("a", "b", "c"): 3, ("a", "b", "d"): 3, ("a", "c", "d"): 3}
+        assert fit_clique(terms, clique_targets(terms, cut)) is None
+        cut[("a", "d")] = 4
+        fit = fit_clique(terms, clique_targets(terms, cut))
+        assert [c for _, _, c in fit.edges] == [1] * 6
+
+    def test_k4_star_is_no_clique(self, monkeypatch):
+        # singleton cuts 1 and pair splits 2 sum to 4 and 6, so no clique
+        # fits; mimick_small falls through to the star fit, which returns
+        # the star
+        net = TerminalNetwork.make(["v", "a", "b", "c", "d"], ["a", "b", "c", "d"],
+                                   [("v", t, 1) for t in "abcd"])
+        calls = []
+        fit = structured._fit_clique
+        monkeypatch.setattr(structured, "_fit_clique",
+                            lambda *args: calls.append(fit(*args)) or calls[-1])
+        res = mimick_small(net)
+        assert calls == [None]
+        got = " ".join(f"{u}-{v}:{c}" for u, v, c in res.net.edges)
+        assert got == "_aux-a:1 _aux-b:1 _aux-c:1 _aux-d:1"
+
+
+# sha256 prefix of the (k, repr(mimick_small(net).net.edges)) list below,
+# recorded while the clique fit still ran Gaussian elimination
+MIMICK_PIN = "bf01a25e8dccc6f8"
+
+
+def test_mimick_outputs_are_pinned(monkeypatch):
+    outs = []
+    real = structured.mimick_small
+
+    def recorded(net):
+        res = real(net)
+        outs.append((net.k, repr(res.net.edges)))
+        return res
+    monkeypatch.setattr(structured, "mimick_small", recorded)
+    for seed in range(60):
+        rng = random.Random(5000 + seed)
+        for k in (2, 3, 4):
+            recorded(random_connected_net(rng, rng.randint(k + 1, k + 8), k))
+    direct = len(outs)
+    for seed in range(60):      # the leaves the series-parallel recursion fits
+        rng = random.Random(6000 + seed)
+        net, tree = gen_series_parallel(rng.randint(10, 30), rng.randint(3, 8), seed)
+        sp_sparsifier(net, tree)
+    assert direct == 180 and len(outs) >= 300
+    assert {k for k, _ in outs[direct:]} == {2, 3, 4}
+    digest = hashlib.sha256(repr(outs).encode()).hexdigest()[:16]
+    assert digest == MIMICK_PIN
 
 
 class TestSpRecognize:
