@@ -17,8 +17,6 @@ from .flow import (
     FlowError,
     FlowSolution,
     concurrent_flow,
-    dual_2hop,
-    lambda_2hop,
     max_flow,
     mincut_partition,
     sparsest_terminal_cut,
@@ -28,7 +26,6 @@ from .sketch import DemandSketch, build_sketch
 from .merging import profile_bucket_sparsifier, ratio_type_sparsifier, refine_partitions
 from .splice import FlowDecomposition, FlowPath, compose, decompose_flow, splice, unsplice_route
 from .sampling import (
-    chernoff_bound,
     grouped_sample_sparsifier,
     plan_oversampling,
     sample_sparsifier,

@@ -240,7 +240,8 @@ def cmd_sketch_build(args) -> int:
     write_manifest(args.out, "sketch build", _params(args), None,
                    {"graph": args.graph}, started)
     core = type(sk.core).__name__
-    print(f"wrote {args.out}: {core} with {sk.stored_entries} entries")
+    print(f"wrote {args.out}: {core} with {sk.stored_entries} entries "
+          f"(log storage bound {sk.storage_bound_log():.6g})")
     return EXIT_OK
 
 

@@ -1,4 +1,4 @@
-"""The flow oracle: concurrent flow, its dual, the 2-hop flow, cuts.
+"""The flow oracle: concurrent flow, its dual, cuts.
 
 `concurrent_flow` computes the concurrent multicommodity-flow value of a
 demand vector (the largest multiple of the demand that routes within the
@@ -25,9 +25,6 @@ lift, one BFS start path per pair, and each pooled path's edge rows.  The
 store holds at most _FLOW_CACHE_MAX memo entries over all networks and, when
 full, drops whole least-recently-used networks; a network whose solves all
 raised keeps no record.
-
-The 2-hop flow and its dual are one explicit LP over the paths s-v-t of the
-network itself, solved once with no pricing; it keeps no record.
 
 Also here: exact max flow between two vertices or two vertex sets, on
 integers (the rational capacities scaled by the LCM of their denominators,
@@ -290,7 +287,7 @@ def _edge_index(view) -> tuple[list, dict, list]:
 
 def _shape_of(view) -> _Shape:
     """The shape of a network view: `cut_view` for the oracle's solves,
-    `integer_view` for the 2-hop LP and for distances on the network."""
+    `integer_view` for distances on the network."""
     names, eidx, caps = _edge_index(view)
     arcs = {names[i]: [(names[j], eidx[_pair(names[i], names[j])]) for j in nbrs]
             for i, nbrs in enumerate(view[2])}
@@ -781,103 +778,6 @@ def _concurrent_flow_uncached(net, demand) -> ConcurrentFlowResult:
                         dists=tuple(dist_rows), value=dual_obj)
     return ConcurrentFlowResult(value=lam, flow=flow, dual=dual,
                                 duality_gap=gap, rounds=rounds, pivots=pivots)
-
-
-# ---------------------------------------------------------------------------
-# 2-hop flow and its dual: one explicit LP over s-v-t paths
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class TwoHopFlow:
-    value: float
-    middle_flows: tuple  # ((pair, ((v, flow), ...)), ...)
-    unroutable_pairs: tuple
-
-
-def _two_hop(net: TerminalNetwork, demand) -> tuple[TwoHopFlow, DualSolution | None]:
-    """The 2-hop flow and its dual from one LP solve, with no pricing: a
-    column for lambda and one per (demand pair, middle v: a common neighbour
-    with both capacities positive), rows as in `_concurrent_flow_uncached`
-    over the network's edges.  A pair's distance is its least l_sv + l_vt.
-    With a demand pair that has no middle, the flow is 0 and the dual None.
-    Raises LPError when the duality gap exceeds OPT_TOL."""
-    from .lp import simplex_min
-
-    if not net.is_quasi_bipartite():
-        raise FlowError("network is not quasi-bipartite")
-    if not net.terminals_independent():
-        raise FlowError("terminals are not independent "
-                        "(subdivide terminal-terminal edges first)")
-    demand = _checked_demand(net, demand)
-    shape = _shape_of(net.integer_view)
-    near = {t: {v: e for v, e in shape.arcs[t] if shape.caps[e] > 0}
-            for t in net.terminals}
-    middles = {(s, t): sorted((v, e, near[t][v]) for v, e in near[s].items()
-                              if v in near[t])
-               for s, t in net.terminal_pairs()}
-    pairs = demand.pairs()
-    unroutable = tuple(p for p in pairs if not middles[p])
-    if unroutable:
-        return TwoHopFlow(0.0, (), unroutable), None
-
-    cols = [(i, e, f) for i, p in enumerate(pairs) for _, e, f in middles[p]]
-    np_, n = len(pairs), 1 + len(cols)
-    m = np_ + len(shape.edges)
-    A = np.zeros((m, n + m))
-    A[:np_, 0] = [demand[p] for p in pairs]
-    for j, (i, e, f) in enumerate(cols, 1):
-        A[i, j] = -1.0
-        A[np_ + e, j] = A[np_ + f, j] = 1.0
-    A[:, n:] = np.eye(m)
-    cost = np.zeros(n + m)
-    cost[0] = -1.0
-    b = np.concatenate([np.zeros(np_), shape.caps])
-    x, value, y, *_ = simplex_min(cost, A, b, np.arange(n, n + m), Binv=np.eye(m))
-
-    lam = -value
-    lengths = np.maximum(-y[np_:], 0.0).tolist()
-    dual_obj = float(sum(c * l for c, l in zip(shape.caps, lengths)))
-    gap = abs(dual_obj - lam) / max(1.0, abs(lam))
-    if gap > OPT_TOL:
-        raise LPError(f"duality gap {gap:.3g} exceeds {OPT_TOL:g}")
-
-    xs = iter(x[1:n].tolist())      # zip takes each pair's columns in turn
-    middle_flows = []
-    for p in pairs:
-        vf = [(v, f) for (v, _, _), f in zip(middles[p], xs) if f > 1e-12]
-        want, got = lam * demand[p], sum(f for _, f in vf)
-        scale = want / got if got > want else 1.0
-        middle_flows.append((p, tuple((v, f * scale) for v, f in vf)))
-    dists = tuple((p, min((lengths[e] + lengths[f] for _, e, f in mids), default=np.inf))
-                  for p, mids in middles.items())
-    dual = DualSolution(lengths=tuple(sorted(zip(shape.edges, lengths))),
-                        dists=dists, value=dual_obj)
-    return TwoHopFlow(lam, tuple(middle_flows), ()), dual
-
-
-def lambda_2hop(net: TerminalNetwork, demand: DemandVector | dict) -> TwoHopFlow:
-    """Optimal concurrent flow along paths s-v-t only.
-
-    With independent terminals on a quasi-bipartite network these are exactly
-    the paths with no internal terminal.  A demand pair with none makes the
-    value 0 and is listed in `unroutable_pairs`.
-    """
-    return _two_hop(net, demand)[0]
-
-
-def dual_2hop(net: TerminalNetwork, demand: DemandVector | dict):
-    """Dual of the 2-hop flow LP: edge lengths, plus the 2-hop distance of
-    every terminal pair under them (inf for a pair with no common neighbor).
-
-    Requires every positive-demand pair to have a positive-capacity common
-    neighbor (the primal must be feasible and bounded).
-    Returns (value, DualSolution).
-    """
-    two_hop, dual = _two_hop(net, demand)
-    if dual is None:
-        raise FlowError(f"pair {two_hop.unroutable_pairs[0]} has no "
-                        "positive-capacity common neighbor")
-    return dual.value, dual
 
 
 # ---------------------------------------------------------------------------

@@ -303,10 +303,6 @@ class VertexPartition:
     def of(blocks: Iterable[Iterable[str]]) -> "VertexPartition":
         return VertexPartition(tuple(frozenset(str(v) for v in b) for b in blocks))
 
-    @staticmethod
-    def singletons(net: TerminalNetwork) -> "VertexPartition":
-        return VertexPartition(tuple(frozenset([v]) for v in net.vertices))
-
     def validate_for(self, net: TerminalNetwork) -> None:
         seen: set[str] = set()
         for b in self.blocks:

@@ -227,20 +227,6 @@ def grouped_sample_sparsifier(net: TerminalNetwork, w: int, M: float,
 # Concentration planning
 # ---------------------------------------------------------------------------
 
-def chernoff_bound(eps: float, mean: float, b: float, direction: str) -> float:
-    """Tail bound for sums of independent variables that are each either
-    deterministic or in [0, b]."""
-    if not (0 < eps < 1):
-        raise SamplingError("eps must be in (0,1)")
-    if mean <= 0 or b <= 0:
-        raise SamplingError("mean and b must be positive")
-    if direction == "lower":
-        return math.exp(-eps * eps * mean / (2 * b))
-    if direction == "upper":
-        return math.exp(-eps * eps * mean / (3 * b))
-    raise SamplingError("direction must be 'lower' or 'upper'")
-
-
 @dataclass(frozen=True)
 class PlanReport:
     eps: float

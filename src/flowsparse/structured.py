@@ -67,15 +67,13 @@ def mimick_small(net: TerminalNetwork) -> SparsifierResult:
     targets = _cut_targets(net)
     pairs = [tuple(sorted(p)) for p in itertools.combinations(terminals, 2)]
 
+    # each fit returns only a candidate whose bipartition cuts are the targets
     candidate = _fit_clique(terminals, pairs, targets)
     if candidate is None:
         candidate = _fit_star_clique(terminals, pairs, targets)
     if candidate is None:
         raise StructureError("mimicking fit failed: no clique or star+clique "
                              "capacity assignment matches the cut values")
-    if not _cuts_match(candidate, targets):
-        raise StructureError("mimicking fit failed: fitted network does not "
-                             "reproduce the bipartition min cuts")
     return SparsifierResult.of(candidate, "mimick-small", 1.0,
                                params={"k": k,
                                        "aux": len(candidate.vertices) - k})

@@ -124,8 +124,7 @@ def disc_demands(net: TerminalNetwork, eps: float, eta: float) -> list[DemandVec
     in quasi-bipartite nets, otherwise its max flow)."""
     if not (0 < eps) or not (0 < eta < 1):
         raise VerifyError("need eps > 0 and eta in (0,1)")
-    use_two_hop = net.is_quasi_bipartite() and net.terminals_independent()
-    if use_two_hop:
+    if net.is_quasi_bipartite() and net.terminals_independent():
         from .sampling import two_hop_maxflows
         flows = {p: float(f) for p, (f, _) in two_hop_maxflows(net).items()}
     else:

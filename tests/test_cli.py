@@ -1,4 +1,6 @@
 import json
+import math
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -202,6 +204,20 @@ class TestSketchCli:
         d = tmp_path / "d.json"
         d.write_text(json.dumps([{"s": "s", "t": "t", "d": 1.0}]))
         assert run(["sketch", "query", "--sk", sk, "--demand", d]) == 0
+
+    @pytest.mark.parametrize("k, eps", [(2, 0.1), (3, 0.25)])
+    def test_build_prints_the_storage_bound(self, k, eps, tmp_path, capsys):
+        g, sk = tmp_path / "g.json", tmp_path / "g.sk"
+        assert run(["gen", "--kind", "quasi-bipartite", "--k", k, "--n", 8,
+                    "--seed", "1", "--out", g]) == 0
+        capsys.readouterr()
+        assert run(["sketch", "build", "--graph", g, "--eps", eps, "--out", sk]) == 0
+        m = re.search(r"with (\d+) entries \(log storage bound (\S+)\)$",
+                      capsys.readouterr().out.strip())
+        assert m, "no entry count and storage bound on the build line"
+        entries, bound = int(m[1]), float(m[2])
+        assert entries >= 1
+        assert math.log(max(1, entries)) <= bound
 
     @pytest.mark.parametrize("value", ["abc", "-1"])
     def test_budget_typo_exit_2(self, value, tmp_path, monkeypatch, capsys):

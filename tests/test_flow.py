@@ -18,8 +18,6 @@ from flowsparse import (
     DemandVector,
     TerminalNetwork,
     concurrent_flow,
-    dual_2hop,
-    lambda_2hop,
     max_flow,
     mincut_partition,
     sparsest_terminal_cut,
@@ -32,15 +30,11 @@ from flowsparse.lp import LPError
 from flowsparse.network import _pair, terminal_bipartitions
 
 from conftest import (ONE_BLAS_THREAD, child_env, random_connected_net, random_demand,
-                      random_quasi_bipartite, skew_duality_gap, sparsest_cut)
+                      skew_duality_gap, sparsest_cut)
 
 
-def scipy_lambda(net, demand, terminal_free=False):
-    """Independent concurrent-flow oracle: arc-flow LP solved by HiGHS.
-
-    With `terminal_free`, commodity (s, t) may not use an arc that touches
-    any other terminal.
-    """
+def scipy_lambda(net, demand):
+    """Independent concurrent-flow oracle: arc-flow LP solved by HiGHS."""
     arcs = []
     for u, v, c in net.edges:
         arcs.append((u, v))
@@ -71,12 +65,6 @@ def scipy_lambda(net, demand, terminal_free=False):
             A_eq.append(row)
             b_eq.append(0.0)
     bounds = [(0, None)] * nv
-    if terminal_free:
-        for pi, pair in enumerate(pairs):
-            others = net.terminal_set - set(pair)
-            for ai, (u, v) in enumerate(arcs):
-                if u in others or v in others:
-                    bounds[pi * na + ai] = (0, 0)
     c_obj = [0.0] * nv
     c_obj[-1] = -1.0
     res = linprog(c_obj, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
@@ -752,52 +740,9 @@ class TestPathPool:
                                  state.shape.rows(start[0]))
                        for p, start in state.starts.items())
 
-    def test_restricted_solves_build_no_record_and_read_no_start_path(self, monkeypatch):
-        net, demands = _pool_demands()
-        concurrent_flow(net, demands[0])
-        state = flow._store[net.cache_key]
-        shape, starts = state.shape, dict(state.starts)
-
-        class Unread(dict):
-            def __getitem__(self, key):
-                raise AssertionError(f"start path of {key} read")
-
-            def __contains__(self, key):
-                raise AssertionError(f"start path of {key} looked up")
-
-        state.starts = Unread(starts)
-        calls = _count_calls(monkeypatch, "_bfs_path")
-        lambda_2hop(net, demands[0])
-        dual_2hop(net, demands[0])
-        # the 2-hop LP is explicit: no path is searched, no start path read
-        assert calls == []
-        assert state.shape is shape and dict(state.starts) == starts
-        clear_flow_cache()
-        lambda_2hop(net, demands[1])
-        dual_2hop(net, demands[1])
-        assert _record(net) is None
-
-    def test_restricted_solves_leave_the_pool_alone(self, monkeypatch):
-        net, demands = _pool_demands()
-        lambda_2hop(net, demands[0])
-        dual_2hop(net, demands[0])
-        assert not flow._store
-        concurrent_flow(net, demands[0])
-        state = flow._store[net.cache_key]
-        before = _record(net), state.shape, state.lift, dict(state.starts)
-        searched = _count_calls(monkeypatch, "_bfs_path")
-        lambda_2hop(net, demands[1])
-        dual_2hop(net, demands[1])
-        assert not searched
-        assert list(flow._store) == [net.cache_key] and flow._store[net.cache_key] is state
-        assert (_record(net), state.shape, state.lift, state.starts) == before
-
     def test_duality_gap_above_tolerance_raises(self, monkeypatch):
         skew_duality_gap(monkeypatch)
         net, demands = _pool_demands()
-        for two_hop in (lambda_2hop, dual_2hop):
-            with pytest.raises(LPError, match="duality gap"):
-                two_hop(net, demands[0])
         with pytest.raises(LPError, match="duality gap"):
             concurrent_flow(net, demands[0])
         assert _record(net) is None     # nothing memoized: no record kept
@@ -837,30 +782,14 @@ def _pin_groups():
     return groups
 
 
-def _two_hop_pin_groups():
-    """2-hop solves (`lambda_2hop` and `dual_2hop`) pinned bit for bit."""
-    groups = {}
-    for k, n, seed in ((4, 20, 9), (4, 30, 10), (5, 30, 11), (5, 40, 12)):
-        net = gen_quasi_bipartite(k, n, seed=seed)
-        groups[f"2hop-{k}-{n}"] = [(net, random_demand(random.Random(seed), net))]
-    return groups
-
-
 def _fingerprint(res):
     flows = repr((res.flow.arc_flows, res.dual.lengths, res.dual.dists))
     return (res.value.hex(), res.rounds, res.pivots,
             hashlib.sha256(flows.encode()).hexdigest()[:16])
 
 
-def _two_hop_fingerprint(net, demand):
-    res = lambda_2hop(net, demand)
-    _, dual = dual_2hop(net, demand)
-    flows = repr((res.middle_flows, dual.lengths, dual.dists))
-    return (res.value.hex(), hashlib.sha256(flows.encode()).hexdigest()[:16])
-
-
 def _pin_fingerprints():
-    """Fingerprint every pinned oracle and 2-hop solve in a fresh interpreter
+    """Fingerprint every pinned oracle solve in a fresh interpreter
     with one BLAS thread: a multi-threaded matrix-vector product rounds
     differently."""
     tests = Path(__file__).resolve().parent
@@ -871,8 +800,6 @@ def _pin_fingerprints():
             "    T.clear_flow_cache()\n"
             "    out[group] = [T._fingerprint(T.concurrent_flow(*solve))\n"
             "                  for solve in solves]\n"
-            "for group, solves in T._two_hop_pin_groups().items():\n"
-            "    out[group] = [T._two_hop_fingerprint(*solve) for solve in solves]\n"
             "print(json.dumps(out))\n")
     proc = subprocess.run([sys.executable, "-c", code], cwd=tests, env=env,
                           capture_output=True, text=True, check=True)
@@ -931,25 +858,9 @@ PINNED_SOLVES = {
     ],
 }
 
-# (value.hex(), sha256 prefix of repr((middle flows, lengths, distances)))
-# per 2-hop solve with one BLAS thread.
-PINNED_TWO_HOP = {
-    '2hop-4-20': [('0x1.e812546d14883p+2', 'bc8b2b27f0cb2a31')],
-    '2hop-4-30': [('0x1.1a33bdabc6f4bp+5', '795bb4265f6148aa')],
-    '2hop-5-30': [('0x1.0bc3158aa14c0p+3', 'c132208098ec68cf')],
-    '2hop-5-40': [('0x1.6afcbe827b921p+3', 'e5d040089367bfd0')],
-}
-PINS = PINNED_SOLVES | PINNED_TWO_HOP
-
 # Each solve's value.hex() as the unreduced oracle returned it, before the
-# presolve (for the 2hop groups, its column generation restricted to paths
-# with no internal terminal): frozen, so that every re-recorded pin stays
-# within 1e-9 of it.
+# presolve: frozen, so that every re-recorded pin stays within 1e-9 of it.
 UNREDUCED_VALUES = {
-    '2hop-4-20': ['0x1.e812546d14882p+2'],
-    '2hop-4-30': ['0x1.1a33bdabc6f4bp+5'],
-    '2hop-5-30': ['0x1.0bc3158aa14bap+3'],
-    '2hop-5-40': ['0x1.6afcbe827b914p+3'],
     'qb-11': ['0x1.0e9375daf6555p+5', '0x1.93cc52f01ef7ap+4', '0x1.3de6ec98cf848p+4', '0x1.4cdad5112ecbcp+4'],
     'qb-12': ['0x1.2bfa1a5faea07p+4', '0x1.1450f341c4394p+6', '0x1.a02baa4d500dbp+4', '0x1.c0f5e8c934da6p+4'],
     'qb-13': ['0x1.c3b29bf50a492p+4', '0x1.9eb3abbaeb8d6p+4', '0x1.9bc922bef3cc5p+4', '0x1.2d653b70f22c8p+5'],
@@ -970,11 +881,11 @@ def pin_fingerprints():
 
 
 class TestPinnedOracle:
-    @pytest.mark.parametrize("group", sorted(PINS))
+    @pytest.mark.parametrize("group", sorted(PINNED_SOLVES))
     def test_results_are_bit_identical(self, group, pin_fingerprints):
-        assert pin_fingerprints[group] == PINS[group]
+        assert pin_fingerprints[group] == PINNED_SOLVES[group]
 
-    @pytest.mark.parametrize("group", sorted(PINS))
+    @pytest.mark.parametrize("group", sorted(PINNED_SOLVES))
     def test_values_match_the_unreduced_solve(self, group, pin_fingerprints):
         new = [float.fromhex(row[0]) for row in pin_fingerprints[group]]
         old = [float.fromhex(h) for h in UNREDUCED_VALUES[group]]
@@ -985,10 +896,8 @@ class TestPinnedOracle:
             assert new == old
 
     def test_pin_covers_enough_solves(self):
-        assert sum(map(len, PINS.values())) >= 24
-        assert PINNED_SOLVES.keys() == _pin_groups().keys()
-        assert PINNED_TWO_HOP.keys() == _two_hop_pin_groups().keys()
-        assert PINS.keys() == UNREDUCED_VALUES.keys()
+        assert sum(map(len, PINNED_SOLVES.values())) >= 20
+        assert PINNED_SOLVES.keys() == _pin_groups().keys() == UNREDUCED_VALUES.keys()
 
     def test_pivots_sum_the_simplex_calls(self, monkeypatch):
         import flowsparse.lp
@@ -1005,135 +914,6 @@ class TestPinnedOracle:
         assert res.pivots == sum(seen) > 0 and len(seen) == res.rounds
         assert concurrent_flow(net, demands[0]).pivots == res.pivots   # memo hit
         assert len(seen) == res.rounds
-
-
-class TestTwoHop:
-    def star(self):
-        return TerminalNetwork.make(
-            ["v", "a", "b", "c"], ["a", "b", "c"],
-            [("v", "a", 2), ("v", "b", 2), ("v", "c", 2)])
-
-    def test_star_matches_unrestricted(self):
-        d = {("a", "b"): 1, ("a", "c"): 1, ("b", "c"): 1}
-        res = lambda_2hop(self.star(), d)
-        assert res.value == pytest.approx(1.0)
-
-    def test_no_common_neighbor_flag(self):
-        net = TerminalNetwork.make(
-            ["a", "b", "c", "u", "w"], ["a", "b", "c"],
-            [("a", "u", 1), ("u", "b", 1), ("b", "w", 1), ("w", "c", 1)])
-        res = lambda_2hop(net, {("a", "c"): 1})
-        assert res.value == 0.0
-        assert res.unroutable_pairs == (("a", "c"),)
-
-    def test_single_middle_bottleneck(self):
-        net = TerminalNetwork.make(["s", "v", "t"], ["s", "t"],
-                                   [("s", "v", 2), ("v", "t", 5)])
-        res = lambda_2hop(net, {("s", "t"): 1})
-        assert res.value == pytest.approx(2.0)
-
-    def test_value_never_exceeds_lambda(self):
-        rng = random.Random(31)
-        for _ in range(8):
-            net = random_quasi_bipartite(rng, 4, rng.randint(6, 14))
-            d = random_demand(rng, net)
-            lam = concurrent_flow(net, d).value
-            lam2 = lambda_2hop(net, d).value
-            assert lam2 <= lam * (1 + 1e-7)
-
-    def test_dual_matches_primal(self):
-        star = self.star()
-        d = {("a", "b"): 1, ("a", "c"): 1, ("b", "c"): 1}
-        v, dual = dual_2hop(star, d)
-        assert v == pytest.approx(lambda_2hop(star, d).value, rel=1e-6)
-        assert v == pytest.approx(1.0)
-
-    def test_dual_unit_demand_equals_two_hop_maxflow(self):
-        rng = random.Random(41)
-        for _ in range(5):
-            net = random_quasi_bipartite(rng, 4, rng.randint(6, 12))
-            s, t = net.terminals[0], net.terminals[1]
-            mids = [v for v in net.adjacency[s]
-                    if v not in net.terminal_set and net.cap(v, t) > 0]
-            if not mids:
-                continue
-            fst = sum(min(net.cap(s, v), net.cap(v, t)) for v in mids)
-            v, _ = dual_2hop(net, {(s, t): 1})
-            assert v == pytest.approx(float(fst), rel=1e-6)
-
-    def test_dual_scales_with_capacities(self):
-        star = self.star()
-        doubled = TerminalNetwork.make(
-            star.vertices, star.terminals,
-            [(u, v, c * 2) for u, v, c in star.edges])
-        d = {("a", "b"): 1, ("a", "c"): 1, ("b", "c"): 1}
-        v1, _ = dual_2hop(star, d)
-        v2, _ = dual_2hop(doubled, d)
-        assert v2 == pytest.approx(2 * v1, rel=1e-6)
-
-    def test_zero_capacity_edge_makes_no_middle(self):
-        net = TerminalNetwork(vertices=("a", "b", "m"), terminals=("a", "b"),
-                              edges=(("a", "m", 0), ("b", "m", 1)))
-        res = lambda_2hop(net, {("a", "b"): 1})
-        assert res.unroutable_pairs == (("a", "b"),)
-        assert res.value == 0.0 and res.middle_flows == ()
-        with pytest.raises(FlowError, match="common neighbor"):
-            dual_2hop(net, {("a", "b"): 1})
-
-    def test_dual_requires_common_neighbors(self):
-        net = TerminalNetwork.make(
-            ["a", "b", "c", "u", "w"], ["a", "b", "c"],
-            [("a", "u", 1), ("u", "b", 1), ("b", "w", 1), ("w", "c", 1)])
-        with pytest.raises(FlowError):
-            dual_2hop(net, {("a", "c"): 1})
-
-
-class TestTerminalFree:
-    def test_equals_two_hop_on_quasi_bipartite(self):
-        rng = random.Random(51)
-        for _ in range(6):
-            net = random_quasi_bipartite(rng, 4, rng.randint(6, 12))
-            d = random_demand(rng, net)
-            tf = scipy_lambda(net, d, terminal_free=True)
-            th = lambda_2hop(net, d).value
-            assert tf == pytest.approx(th, rel=1e-6, abs=1e-9)
-
-
-class TestRestrictedAgainstScipy:
-    @pytest.mark.parametrize("seed", range(100))
-    def test_two_hop_and_dual(self, seed):
-        rng = random.Random(500 + seed)
-        k = 2 + seed % 5
-        net = random_quasi_bipartite(rng, k, rng.randint(k + 3, 16))
-        d = random_demand(rng, net)
-        ref = scipy_lambda(net, d, terminal_free=True)
-        res = lambda_2hop(net, d)
-        assert res.value == pytest.approx(ref, rel=1e-7, abs=1e-9)
-        if res.unroutable_pairs:
-            with pytest.raises(FlowError):
-                dual_2hop(net, d)
-            return
-        value, dual = dual_2hop(net, d)
-        assert value == dual.value == pytest.approx(ref, rel=1e-7)
-        assert abs(dual.value - res.value) <= OPT_TOL * max(1.0, res.value)
-        assert [p for p, _ in res.middle_flows] == d.pairs()
-        loads = {}
-        for (s, t), mids in res.middle_flows:
-            want = res.value * d[(s, t)]
-            assert sum(f for _, f in mids) == pytest.approx(want, rel=1e-7)
-            for v, f in mids:
-                for e in (_pair(s, v), _pair(v, t)):
-                    loads[e] = loads.get(e, 0.0) + f
-        for e, load in loads.items():
-            assert load <= float(net.cap(*e)) * (1 + 1e-9)
-        # the 2-hop distances: least l_sv + l_vt over common neighbours
-        lengths = dual.length_map()
-        dists = {(s, t): min((lengths[_pair(s, v)] + lengths[_pair(v, t)]
-                              for v in net.adjacency[s] if v in net.adjacency[t]),
-                             default=float("inf"))
-                 for s, t in net.terminal_pairs()}
-        assert dual.dist_map() == pytest.approx(dists, rel=1e-12)
-        assert sum(d[p] * dists[p] for p in d.pairs()) >= 1 - 1e-6
 
 
 class TestSolutionSerialization:

@@ -1,0 +1,94 @@
+"""Package-level guards that hold for the source tree as a whole."""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "flowsparse"
+
+# Functions that may have no caller in src/, bench/ or scripts/.
+TEST_ONLY_ALLOWED = {
+    "clear_flow_cache": "the documented reset of the oracle's memo",
+    "sparsest_terminal_cut": "the public exact sparsest cut that flow-equals-cut work builds on",
+    "FlowSolution.check": "primal certificate check, until exact lambda brackets replace it",
+    "DualSolution.check": "dual certificate check, until exact lambda brackets replace it",
+}
+
+
+class _Defs(ast.NodeVisitor):
+    """Every function and method: (qualified name, name, is a method)."""
+
+    def __init__(self):
+        self.scope: list[ast.AST] = []
+        self.found: list[tuple[str, str, bool]] = []
+
+    def _enter(self, node):
+        self.scope.append(node)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    def visit_ClassDef(self, node):
+        self._enter(node)
+
+    def visit_FunctionDef(self, node):
+        qual = ".".join([n.name for n in self.scope] + [node.name])
+        in_class = bool(self.scope) and isinstance(self.scope[-1], ast.ClassDef)
+        self.found.append((qual, node.name, in_class))
+        self._enter(node)
+
+    visit_AsyncFunctionDef = visit_FunctionDef
+
+
+class _Refs(ast.NodeVisitor):
+    """The names a module uses, apart from a function's uses of its own name
+    inside its body: `bare` holds variables and imported names, `attrs`
+    attributes and the last part of dotted-name strings (`"flow.max_flow"`).
+    A method counts as used only through `attrs`, so that a local variable
+    named like it does not hide it."""
+
+    def __init__(self):
+        self.inside: list[str] = []
+        self.bare: set[str] = set()
+        self.attrs: set[str] = set()
+
+    def _use(self, into, name):
+        if name not in self.inside:
+            into.add(name)
+
+    def visit_FunctionDef(self, node):
+        self.inside.append(node.name)
+        self.generic_visit(node)
+        self.inside.pop()
+
+    visit_AsyncFunctionDef = visit_FunctionDef
+
+    def visit_Name(self, node):
+        self._use(self.bare, node.id)
+
+    def visit_alias(self, node):
+        self._use(self.bare, node.name.rsplit(".", 1)[-1])
+
+    def visit_Attribute(self, node):
+        self._use(self.attrs, node.attr)
+        self.generic_visit(node)
+
+    def visit_Constant(self, node):
+        if isinstance(node.value, str) and all(
+                part.isidentifier() for part in node.value.split(".")):
+            self._use(self.attrs, node.value.rsplit(".", 1)[-1])
+
+
+def test_no_src_function_is_test_only():
+    defs = _Defs()
+    for path in sorted(SRC.glob("*.py")):
+        defs.visit(ast.parse(path.read_text(), filename=str(path)))
+    refs = _Refs()
+    for folder in ("src", "bench", "scripts"):
+        for path in sorted((ROOT / folder).rglob("*.py")):
+            if path.name != "__init__.py":
+                refs.visit(ast.parse(path.read_text(), filename=str(path)))
+    unused = {qual for qual, name, method in defs.found
+              if name not in refs.attrs | (set() if method else refs.bare)
+              and not (name.startswith("__") and name.endswith("__"))}
+    assert not unused - TEST_ONLY_ALLOWED.keys(), "only tests reach these"
+    assert not TEST_ONLY_ALLOWED.keys() - unused, "these now have a caller"
