@@ -71,6 +71,50 @@ def random_connected_net(rng: random.Random, n: int, k: int,
     return TerminalNetwork.make(vs, vs[:k], edges)
 
 
+def random_quasi_bipartite(rng: random.Random, k: int, n: int,
+                           cap_lo: int = 1, cap_hi: int = 10) -> TerminalNetwork:
+    """Random connected quasi-bipartite net with independent terminals."""
+    terms = [f"t{i}" for i in range(k)]
+    mids = [f"v{i}" for i in range(n - k)]
+    edges = []
+    for i, v in enumerate(mids):
+        deg = rng.randint(2, min(4, k))
+        for t in rng.sample(terms, deg):
+            edges.append((v, t, rng.randint(cap_lo * 100, cap_hi * 100) / 100))
+    net = TerminalNetwork.make(terms + mids, terms, edges, allow_disconnected=True)
+    # stitch terminal components together through extra middles
+    while not net.is_connected():
+        comps = _terminal_components(net)
+        hub = f"v{len(mids)}"
+        mids.append(hub)
+        edges.append((hub, min(comps[0]), cap_hi))
+        edges.append((hub, min(comps[1]), cap_hi))
+        net = TerminalNetwork.make(terms + mids, terms, edges, allow_disconnected=True)
+    return net
+
+
+def _terminal_components(net):
+    comps = []
+    seen = set()
+    for v in net.vertices:
+        if v in seen:
+            continue
+        comp = {v}
+        stack = [v]
+        seen.add(v)
+        while stack:
+            u = stack.pop()
+            for w in net.adjacency[u]:
+                if w not in seen:
+                    seen.add(w)
+                    comp.add(w)
+                    stack.append(w)
+        cterms = comp & net.terminal_set
+        if cterms:
+            comps.append(cterms)
+    return comps
+
+
 def random_demand(rng: random.Random, net: TerminalNetwork,
                   density: float = 0.8, lo: float = 0.1, hi: float = 3.0) -> DemandVector:
     dd = {}

@@ -28,13 +28,18 @@ from flowsparse.generators import (gen_quasi_bipartite, gen_series_parallel,
                                    gen_treewidth)
 from flowsparse.lp import LPError
 from flowsparse.network import _pair, terminal_bipartitions
+from flowsparse.sampling import two_hop_maxflows
 
 from conftest import (ONE_BLAS_THREAD, child_env, random_connected_net, random_demand,
-                      skew_duality_gap, sparsest_cut)
+                      random_quasi_bipartite, skew_duality_gap, sparsest_cut)
 
 
-def scipy_lambda(net, demand):
-    """Independent concurrent-flow oracle: arc-flow LP solved by HiGHS."""
+def scipy_lambda(net, demand, terminal_free=False):
+    """Independent concurrent-flow oracle: arc-flow LP solved by HiGHS.
+
+    With `terminal_free`, commodity (s, t) may not use an arc that touches
+    any other terminal.
+    """
     arcs = []
     for u, v, c in net.edges:
         arcs.append((u, v))
@@ -65,6 +70,12 @@ def scipy_lambda(net, demand):
             A_eq.append(row)
             b_eq.append(0.0)
     bounds = [(0, None)] * nv
+    if terminal_free:
+        for pi, pair in enumerate(pairs):
+            others = net.terminal_set - set(pair)
+            for ai, (u, v) in enumerate(arcs):
+                if u in others or v in others:
+                    bounds[pi * na + ai] = (0, 0)
     c_obj = [0.0] * nv
     c_obj[-1] = -1.0
     res = linprog(c_obj, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
@@ -914,6 +925,64 @@ class TestPinnedOracle:
         assert res.pivots == sum(seen) > 0 and len(seen) == res.rounds
         assert concurrent_flow(net, demands[0]).pivots == res.pivots   # memo hit
         assert len(seen) == res.rounds
+
+
+def _pair_only(net, s, t):
+    """The net with every terminal other than s and t removed."""
+    others = net.terminal_set - {s, t}
+    return TerminalNetwork.make(
+        [v for v in net.vertices if v not in others], [s, t],
+        [(u, v, c) for u, v, c in net.edges if u not in others and v not in others],
+        allow_disconnected=True)
+
+
+class TestRestrictedAgainstScipy:
+    """The terminal-free (2-hop) concurrent flow of a HiGHS arc-flow LP on
+    quasi-bipartite nets with independent terminals, against the planner's
+    closed-form 2-hop max flows and the oracle's solve and dual on each pair's
+    net without the other terminals."""
+
+    @pytest.mark.parametrize("seed", range(100))
+    def test_two_hop_and_dual(self, seed):
+        rng = random.Random(500 + seed)
+        k = 2 + seed % 5
+        net = random_quasi_bipartite(rng, k, rng.randint(k + 3, 16))
+        d = random_demand(rng, net)
+        ref = scipy_lambda(net, d, terminal_free=True)
+        flows = {p: (float(f), {v: float(c) for v, c in per_v.items()})
+                 for p, (f, per_v) in two_hop_maxflows(net).items()}
+        # a 2-hop flow is a flow of the whole net
+        assert ref <= concurrent_flow(net, d).value * (1 + 1e-7) + 1e-9
+        if any(flows[p][0] == 0 for p in d.pairs()):
+            assert ref == pytest.approx(0, abs=1e-9)
+        else:
+            # each pair alone routes at most F_st; time-sharing the pairs'
+            # max flows routes 1 / sum(d_st / F_st)
+            assert ref <= min(d[p] and flows[p][0] / d[p] for p in d.pairs()) * (1 + 1e-7)
+            assert ref >= 1 / sum(d[p] / flows[p][0] for p in d.pairs()) * (1 - 1e-7)
+        for p in d.pairs():
+            s, t = p
+            sub = _pair_only(net, s, t)
+            value, per_v = flows[p]
+            if value == 0:
+                with pytest.raises(FlowError):
+                    concurrent_flow(sub, {p: 1})
+                continue
+            res = concurrent_flow(sub, {p: 1})
+            assert res.value == pytest.approx(value, rel=1e-7)
+            assert res.dual.value == pytest.approx(value, rel=1e-7)
+            assert abs(res.dual.value - res.value) <= OPT_TOL * max(1.0, res.value)
+            # each middle vertex carries its closed-form share min(c_sv, c_vt)
+            loads = res.flow.edge_loads()
+            through = {v: loads.get(_pair(s, v), 0.0) for v in sub.adjacency[s]}
+            assert through == pytest.approx({v: per_v.get(v, 0.0) for v in through},
+                                            rel=1e-7, abs=1e-9)
+            # the dual's distance is the least l_sv + l_vt over common neighbours
+            lengths = res.dual.length_map()
+            dist = min(lengths[_pair(s, v)] + lengths[_pair(v, t)]
+                       for v in per_v)
+            assert res.dual.dist_map()[p] == pytest.approx(dist, rel=1e-12)
+            assert dist >= 1 - 1e-6
 
 
 class TestSolutionSerialization:
