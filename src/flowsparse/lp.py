@@ -1,4 +1,4 @@
-"""The package's two LP kernels: a float revised simplex and an exact one.
+"""The package's LP kernel: a float revised simplex.
 
 `simplex_min` (float, numpy) serves column generation in the flow oracle:
 it continues the simplex from a feasible basis after columns are appended.
@@ -6,12 +6,6 @@ Per pivot it prices every column once and computes `Binv @ b` once; at
 _SPARSE_UPDATE_ROWS rows or more, its rank-1 update of `Binv` skips the
 rows where the entering column is zero.  None of this changes a pivot or a
 rounding: the skipped work recomputed equal values or subtracted zeros.
-`solve_lp_exact` (Fraction, full tableau, Bland's rule) serves small exact
-feasibility and fitting problems where float drift is unacceptable.  Its
-pivots are sparse: the pivot row is divided at its nonzero entries only, the
-other rows are updated in place at those columns only, and pricing sums over
-the basic rows whose cost is nonzero.  The skipped terms are exact zeros, so
-every reduced cost, ratio and pivot is the one the dense tableau gives.
 
 Conventions
 -----------
@@ -20,22 +14,12 @@ Conventions
     min  c . x   s.t.   A x == b,   x >= 0
 
 from a feasible basis and returns row multipliers y = c_B B^-1, so that
-value == y . b at optimality.  `solve_lp_exact` takes
-
-    min / max   c . x
-    s.t.        A[i] . x  (<= | >= | ==)  b[i]      for every row i
-                x >= 0
-
-and returns (x, value).
+value == y . b at optimality.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 import numpy as np
-
-LE, GE, EQ = "<=", ">=", "=="
 
 _REFACTOR_EVERY = 100
 _STALL_LIMIT = 60
@@ -43,10 +27,6 @@ _SPARSE_UPDATE_ROWS = 100  # measured crossover: below it the full update is fas
 
 
 class LPError(Exception):
-    pass
-
-
-class LPInfeasible(LPError):
     pass
 
 
@@ -150,125 +130,3 @@ def _factorize(A, basis):
         return np.linalg.inv(A[:, basis])
     except np.linalg.LinAlgError as exc:
         raise LPError(f"singular basis: {exc}") from exc
-
-
-# ---------------------------------------------------------------------------
-# Exact rational simplex (full tableau, Bland's rule).  Intended for small
-# feasibility/fitting problems where float drift is unacceptable.
-# ---------------------------------------------------------------------------
-
-def solve_lp_exact(c, A, b, senses, *, maximize=False, max_iter=20000):
-    """Exact simplex over Fractions.  Returns (x, value); raises LPError family."""
-    m = len(b)
-    n = len(c)
-    c = [Fraction(v) for v in c]
-    A = [[Fraction(v) for v in row] for row in A]
-    b = [Fraction(v) for v in b]
-    senses = list(senses)
-    if maximize:
-        c = [-v for v in c]
-
-    for i in range(m):
-        if b[i] < 0:
-            A[i] = [-v for v in A[i]]
-            b[i] = -b[i]
-            if senses[i] == LE:
-                senses[i] = GE
-            elif senses[i] == GE:
-                senses[i] = LE
-
-    # Columns: original | slacks | artificials.
-    cols = [row[:] for row in A]
-    n_slack = 0
-    slack_of_row = {}
-    for i, s in enumerate(senses):
-        if s in (LE, GE):
-            for r in range(m):
-                cols[r].append(Fraction(1 if (r == i and s == LE) else
-                                        (-1 if (r == i and s == GE) else 0)))
-            if s == LE:
-                slack_of_row[i] = n + n_slack
-            n_slack += 1
-    n_real = n + n_slack
-    basis = [-1] * m
-    art_of_row = {}
-    for i in range(m):
-        if i in slack_of_row:
-            basis[i] = slack_of_row[i]
-        else:
-            for r in range(m):
-                cols[r].append(Fraction(1 if r == i else 0))
-            art_of_row[i] = n_real + len(art_of_row)
-            basis[i] = art_of_row[i]
-    n_total = n_real + len(art_of_row)
-
-    T = [cols[i] + [b[i]] for i in range(m)]
-
-    def pivot(pi, pj):
-        row = T[pi]
-        piv = row[pj]
-        nz = [k for k, v in enumerate(row) if v]
-        for k in nz:
-            row[k] /= piv
-        for r in range(m):
-            other = T[r]
-            f = other[pj]
-            if r != pi and f:
-                for k in nz:
-                    other[k] -= f * row[k]
-        basis[pi] = pj
-
-    def run(cost, allowed, limit):
-        it = 0
-        while True:
-            if it > limit:
-                raise LPIterationLimit("exact simplex pivot limit")
-            priced = [(cost[basis[r]], T[r]) for r in range(m) if cost[basis[r]]]
-            in_basis = set(basis)
-            entering = -1
-            for j in range(allowed):
-                if j in in_basis:
-                    continue
-                zj = cost[j] - sum(cb * row[j] for cb, row in priced)
-                if zj < 0:
-                    entering = j
-                    break
-            if entering < 0:
-                return
-            best = None
-            for r in range(m):
-                if T[r][entering] > 0:
-                    ratio = T[r][n_total] / T[r][entering]
-                    key = (ratio, basis[r])
-                    if best is None or key < best[0]:
-                        best = (key, r)
-            if best is None:
-                raise LPUnbounded("exact simplex: unbounded")
-            pivot(best[1], entering)
-            it += 1
-
-    if art_of_row:
-        p1 = [Fraction(0)] * n_real + [Fraction(1)] * len(art_of_row)
-        run(p1, n_total, max_iter)
-        if sum(p1[basis[r]] * T[r][n_total] for r in range(m)) > 0:
-            raise LPInfeasible("exact phase-1 optimum positive")
-        for i in range(m):
-            if basis[i] >= n_real:
-                for j in range(n_real):
-                    if j not in basis and T[i][j] != 0:
-                        pivot(i, j)
-                        break
-    p2 = c + [Fraction(0)] * (n_total - n)
-    for i in range(m):
-        if basis[i] >= n_real:
-            p2[basis[i]] = Fraction(0)
-    run(p2, n_real, max_iter)
-
-    x = [Fraction(0)] * n
-    for r in range(m):
-        if basis[r] < n:
-            x[basis[r]] = T[r][n_total]
-    value = sum(c[j] * x[j] for j in range(n))
-    if maximize:
-        value = -value
-    return x, value

@@ -47,17 +47,6 @@ class MergeError(ValueError):
     pass
 
 
-def clump(net: TerminalNetwork, partition: VertexPartition,
-          claimed_quality: float | None = None) -> SparsifierResult:
-    """Merge each partition block; the quality claim is caller-supplied
-    provenance and is not verified here."""
-    merged = merge_vertices(net, partition)
-    return SparsifierResult.of(
-        merged, "clump", claimed_quality if claimed_quality is not None else float("nan"),
-        params={"blocks": len(partition.blocks)},
-        notes=("quality claim is caller-supplied",))
-
-
 def refine_partitions(parts: list[VertexPartition]) -> VertexPartition:
     """Coarsest common refinement: same block iff same block in every input."""
     if not parts:

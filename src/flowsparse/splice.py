@@ -227,15 +227,14 @@ def splice(dec: FlowDecomposition, terminals) -> SpliceResult:
 
 def unsplice_route(net_b: TerminalNetwork, original_demand,
                    spliced_routing: FlowDecomposition | FlowSolution,
-                   result: SpliceResult,
-                   rho: Fraction = Fraction(1)) -> FlowDecomposition:
+                   result: SpliceResult) -> FlowDecomposition:
     """Reconnect a routing of the spliced demand into one of the original.
 
-    `spliced_routing` must route (spliced demand)/rho in net_b.  Undoes the
-    split log in reverse: each record takes its amount/rho of flow between
-    the two half pairs and concatenates through the splitting terminal.
-    Walks that revisit a vertex are simplified, which only lowers loads.
-    Returns a decomposition routing (original demand)/rho.
+    `spliced_routing` must route the spliced demand in net_b.  Undoes the
+    split log in reverse: each record takes its amount of flow between the
+    two half pairs and concatenates through the splitting terminal.  Walks
+    that revisit a vertex are simplified, which only lowers loads.  Returns
+    a decomposition routing the original demand.
     """
     if isinstance(spliced_routing, FlowSolution):
         spliced_routing = decompose_flow(net_b, spliced_routing)
@@ -263,9 +262,8 @@ def unsplice_route(net_b: TerminalNetwork, original_demand,
         return got
 
     for rec in reversed(result.log):
-        amt = rec.amount / rho
-        lefts = take(rec.left_pair, amt)
-        rights = take(rec.right_pair, amt)
+        lefts = take(rec.left_pair, rec.amount)
+        rights = take(rec.right_pair, rec.amount)
         for verts, a in _pair_up(lefts, rights, rec.at):
             pools.setdefault(_pair(verts[0], verts[-1]), []).append(
                 [verts, a])
@@ -277,7 +275,7 @@ def unsplice_route(net_b: TerminalNetwork, original_demand,
     target = {}
     items = original_demand.items() if hasattr(original_demand, "items") else original_demand
     for pair, v in items:
-        target[_pair(*pair)] = Fraction(v) / rho
+        target[_pair(*pair)] = Fraction(v)
     routed = out.induced_demand()
     for pair, want in target.items():
         got = routed.get(pair, Fraction(0))

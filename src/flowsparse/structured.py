@@ -1,15 +1,12 @@
 """Structured sparsifiers: the exact small-terminal mimicking base case,
 series-parallel recursion, and the treewidth recursion.
 
-The mimicking construction fits a network on the terminals (plus at most one
-auxiliary vertex) whose terminal-bipartition min cuts match the input
-exactly, in rational arithmetic: first a clique on the terminals, whose
-capacities have a closed form for k <= 4 (x_ij = (f_i + f_j - f_ij|rest) / 2
-from the target cuts f), then a clique plus star through the auxiliary
-vertex, enumerating which star side attains each bipartition's minimum.
-For up to four terminals the flow-cut gap is one, so cut-exact implies
-flow-exact; the verify module certifies that on demand grids rather than
-trusting it.
+The mimicking construction is a closed form in the input's terminal-
+bipartition min cuts, in rational arithmetic: a clique on the terminals and,
+at k = 4, a uniform star through one auxiliary vertex (`_fit_clique_star`
+gives the algebra and why every capacity is nonnegative).  It reproduces
+every bipartition cut, and for up to four terminals the flow-cut gap is one,
+so it is flow-exact: quality 1, proven.
 """
 
 from __future__ import annotations
@@ -19,7 +16,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .flow import mincut_partition
-from .lp import LE, EQ, LPError, solve_lp_exact
 from .network import (
     TerminalNetwork,
     components,
@@ -44,17 +40,12 @@ def _cut_targets(net):
             terminal_bipartitions(net.terminals)]
 
 
-def _clique_cut_row(pairs, A):
-    a_set = set(A)
-    return [Fraction(1) if (i in a_set) != (j in a_set) else Fraction(0)
-            for i, j in pairs]
-
-
 def mimick_small(net: TerminalNetwork) -> SparsifierResult:
     """Exact mimicking network on at most k+1 vertices for k <= 4.
 
     All 2^(k-1)-1 terminal-bipartition min cuts are reproduced exactly in
-    rational arithmetic; failure to fit raises (never a silent fallback).
+    rational arithmetic, so the quality 1 is proven: for k <= 4 the flow-cut
+    gap is one, and cut-exact implies flow-exact.
     """
     k = net.k
     if k > 4:
@@ -64,98 +55,55 @@ def mimick_small(net: TerminalNetwork) -> SparsifierResult:
         out = TerminalNetwork.make(terminals, terminals, [],
                                    allow_disconnected=True)
         return SparsifierResult.of(out, "mimick-small", 1.0, params={"k": k})
-    targets = _cut_targets(net)
-    pairs = [tuple(sorted(p)) for p in itertools.combinations(terminals, 2)]
-
-    # each fit returns only a candidate whose bipartition cuts are the targets
-    candidate = _fit_clique(terminals, pairs, targets)
-    if candidate is None:
-        candidate = _fit_star_clique(terminals, pairs, targets)
-    if candidate is None:
-        raise StructureError("mimicking fit failed: no clique or star+clique "
-                             "capacity assignment matches the cut values")
-    return SparsifierResult.of(candidate, "mimick-small", 1.0,
-                               params={"k": k,
-                                       "aux": len(candidate.vertices) - k})
+    out = _fit_clique_star(terminals, _cut_targets(net))
+    return SparsifierResult.of(out, "mimick-small", 1.0,
+                               params={"k": k, "aux": len(out.vertices) - k})
 
 
-def _fit_clique(terminals, pairs, targets):
-    """The clique on the terminals whose bipartition cuts are the targets,
-    or None.  For k <= 4 the system has one solution, in closed form: with
-    f(X) the target cut of terminal set X (0 for the whole set),
-    x_ij = (f({i}) + f({j}) - f({i, j})) / 2, so x = f at k = 2.  None when
-    some x_ij < 0 or a bipartition equation fails (at k = 4 the 7 equations
-    in 6 unknowns need not be consistent)."""
-    f = {frozenset(side): val for sides, val in targets for side in sides}
-    sol = [(f[frozenset([i])] + f[frozenset([j])] - f.get(frozenset([i, j]), 0)) / 2
-           for i, j in pairs]
-    if any(x < 0 for x in sol) or any(
-            sum(x for (i, j), x in zip(pairs, sol) if (i in A) != (j in A)) != val
-            for (A, _), val in targets):
-        return None
-    edges = [(u, v, c) for (u, v), c in zip(pairs, sol) if c > 0]
-    return TerminalNetwork.make(terminals, terminals, edges,
-                                allow_disconnected=True)
+def _fit_clique_star(terminals, targets):
+    """The clique on the terminals plus, at k = 4, a uniform star through one
+    auxiliary vertex, whose bipartition cuts are the targets.
 
+    With f(X) the target cut of terminal side X (0 for the whole set), the
+    clique gets x_ij = (f({i}) + f({j}) - f({i, j})) / 2, so x = f at k = 2;
+    at k <= 3 these are the only equations.  At k = 4 let S be the sum of the
+    4 singleton cuts and P the sum of the 3 pair-split cuts, and join every
+    terminal to the auxiliary vertex with c = (P - S) / 2.  The star cuts a
+    singleton in c and a pair split in 2c.  Summing x_tj over j != t gives
+    (3 f({t}) + (S - f({t})) - P) / 2 = f({t}) - c, so every singleton cut
+    is f({t}).  The pair split ij|kl cuts x_ik + x_il + x_jk + x_jl, the two
+    singleton sums of i and j less 2 x_ij, that is f({i, j}) - 2c, and the
+    star adds 2c.
 
-def _fit_star_clique(terminals, pairs, targets):
-    """Clique plus a star through one auxiliary vertex, or None.
-
-    A pattern names, per bipartition, the star side whose leaves attain the
-    star's cut; each pattern is one exact LP, tried in product order.  Only
-    patterns in which every singleton {t} attains its own cut are tried.
-    Were the other side to attain it, c_t would be at least the sum of the
-    other leaves, so the star would cut like the edges (t, u) of capacity
-    c_u and the whole candidate would be a clique.  The clique fit is unique
-    (x_ij = (f_i + f_j - f_ij|kl) / 2 at k = 4, f the target cuts), so
-    `_fit_clique`, which runs first, would have found it.  When c_t equals
-    that sum, both sides attain the cut.  At k = 4 this leaves the 8 choices
-    for the 3 pair splits, visited in the same relative order, so the
-    search returns the candidate the search over all 128 patterns would.
+    Every x_ij >= 0 because terminal min-cut functions are submodular.  And
+    c >= 0: take min cuts X1, X2, X3 of ab|cd, ac|bd and ad|bc, each holding
+    a.  U_a = X1 & X2 & X3, U_b = X1 - (X2 | X3), U_c = X2 - (X1 | X3) and
+    U_d = X3 - (X1 | X2) each hold only the terminal they are named after,
+    so S is at most the sum of their cut capacities.  Any two of them differ
+    in two of X1, X2, X3, so an edge crosses at most as many of their cuts
+    as of X1, X2, X3, and that sum is at most P.  Targets that are no
+    min-cut function can break either bound, and raise.
     """
-    k = len(terminals)
-    nx = len(pairs)
-    aux = "_aux"
-    while aux in terminals:
-        aux += "x"
-    sides = [(0,) if len(A) == 1 < len(B) else (1,) if len(B) == 1 < len(A)
-             else (0, 1) for (A, B), _ in targets]
-    for pattern in itertools.product(*sides):
-        # pattern[i] = 0: the A side of the star attains the minimum
-        rows, senses, rhs = [], [], []
-        for sel, ((A, B), val) in zip(pattern, targets):
-            crow = _clique_cut_row(pairs, A)
-            chosen, other = (A, B) if sel == 0 else (B, A)
-            srow = [Fraction(1) if t in chosen else Fraction(0)
-                    for t in terminals]
-            rows.append(crow + srow)
-            senses.append(EQ)
-            rhs.append(val)
-            diff = [(Fraction(1) if t in chosen else Fraction(0)) -
-                    (Fraction(1) if t in other else Fraction(0))
-                    for t in terminals]
-            rows.append([Fraction(0)] * nx + diff)
-            senses.append(LE)
-            rhs.append(Fraction(0))
-        try:
-            x, _ = solve_lp_exact([Fraction(0)] * (nx + k), rows, rhs, senses)
-        except LPError:
-            continue
-        edges = [(u, v, c) for (u, v), c in zip(pairs, x[:nx]) if c > 0]
-        edges += [(t, aux, c) for t, c in zip(terminals, x[nx:]) if c > 0]
-        verts = list(terminals) + ([aux] if any(c > 0 for c in x[nx:]) else [])
-        cand = TerminalNetwork.make(verts, terminals, edges,
-                                    allow_disconnected=True)
-        if _cuts_match(cand, targets):
-            return cand
-    return None
-
-
-def _cuts_match(candidate, targets):
-    for (A, B), val in targets:
-        if mincut_partition(candidate, A, B) != val:
-            return False
-    return True
+    f = {frozenset(side): val for sides, val in targets for side in sides}
+    pairs = [tuple(sorted(p)) for p in itertools.combinations(terminals, 2)]
+    caps = [(f[frozenset([i])] + f[frozenset([j])] - f.get(frozenset([i, j]), 0)) / 2
+            for i, j in pairs]
+    star = 0
+    if len(terminals) == 4:
+        star = (sum(val for (A, _), val in targets if len(A) == 2)
+                - sum(f[frozenset([t])] for t in terminals)) / 2
+    if min(caps + [star]) < 0:
+        raise StructureError("mimicking fit failed: the cut values are not "
+                             "a terminal min-cut function")
+    edges = [(u, v, c) for (u, v), c in zip(pairs, caps) if c > 0]
+    verts = list(terminals)
+    if star > 0:
+        aux = "_aux"
+        while aux in terminals:
+            aux += "x"
+        edges += [(t, aux, star) for t in terminals]
+        verts.append(aux)
+    return TerminalNetwork.make(verts, terminals, edges, allow_disconnected=True)
 
 
 # ---------------------------------------------------------------------------
@@ -223,10 +171,13 @@ class SpTree:
     @staticmethod
     def from_json_dict(d: dict) -> "SpTree":
         def dec(nd):
-            if nd["type"] == "leaf":
+            kind = nd["type"]
+            if kind == "leaf":
                 return SpLeaf(u=nd["u"], v=nd["v"], cap=Fraction(nd["cap"]))
+            if kind not in ("series", "parallel"):
+                raise StructureError(f"malformed SP-tree JSON: node type {kind!r}")
             left, right = dec(nd["left"]), dec(nd["right"])
-            if nd["type"] == "series":
+            if kind == "series":
                 return SpSeries(left=left, right=right, middle=nd["middle"],
                                 u=nd["u"], v=nd["v"])
             return SpParallel(left=left, right=right, u=nd["u"], v=nd["v"])
@@ -470,6 +421,9 @@ class TreeDecomposition:
         # occurrences of each vertex must form a subtree
         adj: dict[int, list[int]] = {i: [] for i in range(len(self.bags))}
         for i, j in self.edges:
+            if i not in adj or j not in adj:
+                raise StructureError(f"malformed tree decomposition: edge "
+                                     f"{i}-{j} names a bag it does not have")
             adj[i].append(j)
             adj[j].append(i)
         for x in net.vertices:

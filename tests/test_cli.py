@@ -272,6 +272,14 @@ MALFORMED_STRUCTURES = {
                            "malformed tree decomposition JSON"),
     "sptree-leaf-without-u": ("sp", "--sptree", {"root": {"type": "leaf"}},
                               "malformed SP-tree JSON"),
+    "tdec-edge-to-missing-bag": ("treewidth", "--tdec",
+                                 {"bags": [["s", "t"]], "edges": [[0, 999]]},
+                                 "malformed tree decomposition"),
+    "sptree-unknown-node-type": ("sp", "--sptree", {"root": {
+        "type": "serial", "u": "s", "v": "t",
+        "left": {"type": "leaf", "u": "s", "v": "t", "cap": "4"},
+        "right": {"type": "leaf", "u": "s", "v": "t", "cap": "6"}}},
+        "malformed SP-tree JSON"),
 }
 
 

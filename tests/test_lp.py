@@ -1,20 +1,11 @@
 import hashlib
 import random
-from fractions import Fraction
 
 import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from flowsparse.lp import (
-    EQ,
-    GE,
-    LE,
-    LPInfeasible,
-    LPUnbounded,
-    simplex_min,
-    solve_lp_exact,
-)
+from flowsparse.lp import LPUnbounded, simplex_min
 
 
 def slack_form(A):
@@ -134,86 +125,3 @@ PINNED_SIMPLEX = {
 @pytest.mark.parametrize("seed", range(20))
 def test_simplex_bits_are_pinned(seed):
     assert simplex_digest(seed) == PINNED_SIMPLEX[seed]
-
-
-def test_exact_simplex_matches_float():
-    x, v = solve_lp_exact([1, 1], [[1, 2], [3, 1]], [4, 6], [LE, LE], maximize=True)
-    assert v == Fraction(14, 5)
-    assert x == [Fraction(8, 5), Fraction(6, 5)]
-
-
-def test_exact_simplex_feasibility_problem():
-    # x + y == 5, x - y == 1, x,y >= 0  ->  x=3, y=2
-    x, v = solve_lp_exact([0, 0], [[1, 1], [1, -1]], [5, 1], [EQ, EQ])
-    assert x == [Fraction(3), Fraction(2)]
-
-
-def test_exact_simplex_infeasible():
-    with pytest.raises(LPInfeasible):
-        solve_lp_exact([0], [[1], [1]], [1, 3], [LE, GE])
-
-
-def random_exact_lp(seed):
-    """Small rational LP with mixed row senses.  Three seeds in four place
-    the right-hand side around a nonnegative point, so those are feasible;
-    the fourth draws it freely."""
-    rng = random.Random(seed)
-    m, n = rng.randint(2, 4), rng.randint(2, 4)
-
-    def frac(lo, hi):
-        return Fraction(rng.randint(lo, hi), rng.randint(1, 5))
-
-    A = [[frac(-3, 6) for _ in range(n)] for _ in range(m)]
-    senses = [rng.choice((LE, LE, GE, EQ)) for _ in range(m)]
-    if seed % 4 == 3:
-        b = [frac(-4, 12) for _ in range(m)]
-    else:
-        x0 = [frac(0, 4) for _ in range(n)]
-        slack = {LE: 1, GE: -1, EQ: 0}
-        b = [sum(a * x for a, x in zip(row, x0)) + slack[s] * frac(0, 3)
-             for row, s in zip(A, senses)]
-    c = [frac(-5, 5) for _ in range(n)]
-    return c, A, b, senses, rng.random() < 0.5
-
-
-def scipy_exact_lp(c, A, b, senses, maximize):
-    sign = -1 if maximize else 1
-    ub = [(row, v, 1 if s == LE else -1) for row, v, s in zip(A, b, senses) if s != EQ]
-    eq = [(row, v) for row, v, s in zip(A, b, senses) if s == EQ]
-    return linprog([sign * float(v) for v in c],
-                   A_ub=[[f * float(a) for a in row] for row, _, f in ub] or None,
-                   b_ub=[f * float(v) for _, v, f in ub] or None,
-                   A_eq=[[float(a) for a in row] for row, _ in eq] or None,
-                   b_eq=[float(v) for _, v in eq] or None,
-                   bounds=[(0, None)] * len(c), method="highs")
-
-
-EXACT_LP_SEEDS = range(40)
-
-
-@pytest.mark.parametrize("seed", EXACT_LP_SEEDS)
-def test_exact_simplex_against_scipy(seed):
-    c, A, b, senses, maximize = random_exact_lp(seed)
-    ref = scipy_exact_lp(c, A, b, senses, maximize)
-    if ref.status == 2:
-        with pytest.raises(LPInfeasible):
-            solve_lp_exact(c, A, b, senses, maximize=maximize)
-        return
-    if ref.status == 3:
-        with pytest.raises(LPUnbounded):
-            solve_lp_exact(c, A, b, senses, maximize=maximize)
-        return
-    assert ref.status == 0, ref.message
-    x, value = solve_lp_exact(c, A, b, senses, maximize=maximize)
-    assert all(type(v) is Fraction and v >= 0 for v in x)
-    for row, rhs, sense in zip(A, b, senses):
-        lhs = sum(a * v for a, v in zip(row, x))
-        assert {LE: lhs <= rhs, GE: lhs >= rhs, EQ: lhs == rhs}[sense]
-    assert value == sum(a * v for a, v in zip(c, x))
-    assert float(value) == pytest.approx((-1 if maximize else 1) * ref.fun,
-                                         rel=1e-9, abs=1e-9)
-
-
-def test_exact_lp_seeds_cover_every_outcome():
-    outcomes = {scipy_exact_lp(*random_exact_lp(seed)).status for seed in EXACT_LP_SEEDS}
-    assert outcomes == {0, 2, 3}

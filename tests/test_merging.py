@@ -17,7 +17,6 @@ from flowsparse.merging import (
     MergeError,
     _gamma_exponents,
     _round_down_to_gamma,
-    clump,
     profile_bucket_sparsifier,
     ratio_type_sparsifier,
     refine_partitions,
@@ -31,14 +30,6 @@ from conftest import random_demand
 
 
 class TestClumpAndRefine:
-    def test_clump_delegates_to_merge(self):
-        net = TerminalNetwork.make(["a", "v1", "v2"], ["a"],
-                                   [("a", "v1", 1), ("a", "v2", 2)])
-        res = clump(net, VertexPartition.of([{"a"}, {"v1", "v2"}]),
-                    claimed_quality=1.5)
-        assert len(res.net.vertices) == 2
-        assert res.claimed_quality == 1.5
-
     def test_refine_basic(self):
         p1 = VertexPartition.of([{"1", "2"}, {"3"}])
         p2 = VertexPartition.of([{"1"}, {"2", "3"}])
