@@ -10,14 +10,16 @@ generated path rows.
 Unrestricted solves run on the network's reduced view, `cut_view`: there
 non-terminals of degree at most 3 are eliminated (dropped, series-contracted,
 or replaced by a triangle), which keeps every terminal concurrent flow value.
-The solve's primal and dual are lifted back, so callers and the memo see
-flows and edge lengths on the network's own edges: a reduced edge's flow
-fills the edges and pieces it stands for in order, and its length is split
-over an eliminated vertex's sides so that no terminal distance changes and
-sum(c * l) does not grow.
+The solve's dual is lifted back, so callers and the memo see edge lengths
+on the network's own edges: a reduced edge's length is split over an
+eliminated vertex's sides so that no terminal distance changes and
+sum(c * l) does not grow.  The primal flow is lifted on first read of
+`ConcurrentFlowResult.flow`, since most callers read only the value and the
+dual: a reduced edge's flow fills the edges and pieces it stands for in
+order.
 
-The oracle keeps one record per network: a memo of finished, lifted results
-by demand; a path pool, the reduced-net paths that carried flow in earlier
+The oracle keeps one record per network: a memo of finished results by
+demand; a path pool, the reduced-net paths that carried flow in earlier
 solves, which seed the next solve's columns; and what a solve needs of the
 network alone, built once: the reduced LP shape (canonical edges with
 parallel edges summed, float capacities, arc lists, arc-to-edge map), the
@@ -42,6 +44,7 @@ import heapq
 import threading
 from collections import OrderedDict, deque
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 
 import numpy as np
@@ -152,11 +155,33 @@ class DualSolution:
 @dataclass(frozen=True)
 class ConcurrentFlowResult:
     value: float
-    flow: FlowSolution
     dual: DualSolution
     duality_gap: float
     rounds: int
     pivots: int     # simplex pivots over all rounds
+    # what lifting the primal needs, and nothing of the network itself:
+    # (reduced shape, lift, per pair (pair, value * d_p, ((reduced path,
+    # flow), ...)) over the paths that carry more than 1e-12)
+    _primal: tuple = field(compare=False, repr=False)
+
+    @cached_property
+    def flow(self) -> FlowSolution:
+        """The primal flow on the network's edges, lifted on first read.
+
+        A pair whose paths carry more than value * d_p is scaled down to it;
+        then `_Lift.flows` maps the reduced arc flows to the network's arcs.
+        """
+        shape, lift, paths = self._primal
+        reduced_flows = []
+        for p, want, carried in paths:
+            got = sum(f for _, f in carried)
+            scale = want / got if got > want and got > 0 else 1.0
+            acc: dict[tuple[str, str], float] = {}
+            for path, f in carried:
+                for u, v in zip(path, path[1:]):
+                    acc[(u, v)] = acc.get((u, v), 0.0) + f * scale
+            reduced_flows.append((p, acc))
+        return FlowSolution(lam=self.value, arc_flows=lift.flows(shape, reduced_flows))
 
 
 # ---------------------------------------------------------------------------
@@ -508,7 +533,8 @@ def _bfs_path(arcs: dict, s: str, t: str) -> tuple[str, ...] | None:
 class _NetState:
     """What the oracle remembers about one network.
 
-    `memo` maps demand entries to the frozen result, lifted to the network;
+    `memo` maps demand entries to the frozen result, its dual lifted to the
+    network;
     `pool` maps a pair to the reduced-net paths that carried flow for it in
     earlier solves, in first-use order, each with its edge-index rows (dict
     keys and values).  Only memoized solves feed the pool, so it grows with
@@ -574,7 +600,8 @@ def _checked_demand(net: TerminalNetwork, demand) -> DemandVector:
 
 
 def concurrent_flow(net: TerminalNetwork, demand: DemandVector | dict) -> ConcurrentFlowResult:
-    """Concurrent-flow value of the demand, with primal and dual solutions.
+    """Concurrent-flow value of the demand, with primal and dual solutions
+    (the primal lifted to the network on first read of `.flow`).
 
     Raises FlowError on the all-zero demand (the value is unbounded there).
     """
@@ -612,7 +639,9 @@ def _concurrent_flow_uncached(net, demand) -> ConcurrentFlowResult:
     every concurrent flow value): it takes the view's shape, its lift and
     each pair's BFS start path from the record, building them on first use,
     starts from the pooled paths as well, adds the paths that carry flow to
-    the pool, and returns the primal and dual lifted back to the network.
+    the pool, and returns the dual lifted back to the network.  The result
+    keeps the per-pair path flows with the shape and the lift, not the
+    network, and lifts the primal when `.flow` is first read.
 
     Raises LPError when the duality gap exceeds OPT_TOL.
     """
@@ -747,17 +776,6 @@ def _concurrent_flow_uncached(net, demand) -> ConcurrentFlowResult:
     for col, f in zip(col_paths[1:], xs[1:]):
         if f > 1e-12:
             per_pair_paths[col[0]].append((col, f))
-    reduced_flows = []
-    for p in pairs:
-        want = lam * demand[p]
-        got = sum(f for _, f in per_pair_paths[p])
-        scale = want / got if got > want and got > 0 else 1.0
-        acc: dict[tuple[str, str], float] = {}
-        for (_, path, _), f in per_pair_paths[p]:
-            for u, v in zip(path, path[1:]):
-                acc[(u, v)] = acc.get((u, v), 0.0) + f * scale
-        reduced_flows.append((p, acc))
-    arc_flows = lift.flows(shape, reduced_flows)
     with _cache_lock:
         pool = _state(net).pool
         for p in pairs:
@@ -773,11 +791,13 @@ def _concurrent_flow_uncached(net, demand) -> ConcurrentFlowResult:
             by_source[s] = _dijkstra(arcs, lengths, s)[0]
         dist_rows.append((p, float(by_source[s].get(t, np.inf))))
 
-    flow = FlowSolution(lam=lam, arc_flows=arc_flows)
     dual = DualSolution(lengths=tuple(sorted(zip(lift.edges, edge_lengths))),
                         dists=tuple(dist_rows), value=dual_obj)
-    return ConcurrentFlowResult(value=lam, flow=flow, dual=dual,
-                                duality_gap=gap, rounds=rounds, pivots=pivots)
+    primal = (shape, lift, tuple(
+        (p, lam * demand[p], tuple((path, f) for (_, path, _), f in per_pair_paths[p]))
+        for p in pairs))
+    return ConcurrentFlowResult(value=lam, dual=dual, duality_gap=gap, rounds=rounds,
+                                pivots=pivots, _primal=primal)
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,7 @@ Membership structures
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -35,7 +36,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .flow import concurrent_flow, max_flow
-from .network import DemandVector, TerminalNetwork
+from .network import DemandVector, TerminalNetwork, _pair
 
 DEFAULT_BUDGET = 1_000_000
 _MEMBER_TOL = 1e-9
@@ -59,9 +60,12 @@ def enumeration_budget() -> int:
     return int(raw)
 
 
-def _exponent_floor(value: float, base: float) -> int:
-    """Largest j with base**j <= value (value > 0), robust to float dust."""
-    j = int(math.floor(math.log(value) / math.log(base) + 1e-12))
+def _exponent_floor(value: float, base: float, log_base: float | None = None) -> int:
+    """Largest j with base**j <= value (value > 0), robust to float dust;
+    `log_base`, when given, is math.log(base)."""
+    if log_base is None:
+        log_base = math.log(base)
+    j = int(math.floor(math.log(value) / log_base + 1e-12))
     while base ** j > value * (1 + 1e-12):
         j -= 1
     while base ** (j + 1) <= value * (1 + 1e-12):
@@ -81,25 +85,13 @@ def _grid_exponents(lo: float, hi: float, base: float) -> range:
 
 @dataclass(frozen=True)
 class GridCore:
-    """Explicit feasible grid set, one mixed-radix integer code per vector."""
+    """Explicit feasible grid set, one mixed-radix integer code per vector:
+    pair i's digit has radix counts[i] + 1, and the first pair's digit is
+    the most significant."""
 
     jmins: tuple[int, ...]
     counts: tuple[int, ...]          # number of nonzero grid values per pair
     members: np.ndarray              # sorted int64 codes
-
-    def encode(self, digits) -> int:
-        code = 0
-        for d, c in zip(digits, self.counts):
-            code = code * (c + 1) + d
-        return code
-
-    def contains(self, digits) -> bool:
-        for d, c in zip(digits, self.counts):
-            if d < 0 or d > c:
-                return False
-        code = self.encode(digits)
-        i = int(np.searchsorted(self.members, code))
-        return i < len(self.members) and int(self.members[i]) == code
 
     def vectors(self, codes: np.ndarray, base: float) -> np.ndarray:
         """One grid vector per code: digit d > 0 of pair i is
@@ -157,28 +149,20 @@ class DemandSketch:
     def pair_index(self) -> dict[tuple[str, str], int]:
         return {p: i for i, p in enumerate(self.pairs)}
 
-    # -- membership of a concrete grid-rounded vector ----------------------
-
-    def _member(self, exponents: list[int | None]) -> bool:
-        """exponents[i] is the grid exponent of coordinate i, or None for 0."""
-        if all(e is None for e in exponents):
-            return True      # the zero demand routes trivially
-        if isinstance(self.core, GridCore):
-            return self.core.contains([0 if e is None else e - jmin + 1
-                                       for e, jmin in zip(exponents, self.core.jmins)])
-        vec = np.zeros(len(self.pairs))
-        for i, e in enumerate(exponents):
-            if e is not None:
-                vec[i] = self.base ** e
-        return self.core.contains(vec)
-
     # -- query -------------------------------------------------------------
 
     def query(self, demand: DemandVector | dict) -> float:
         return self.query_with_stats(demand)[0]
 
     def query_with_stats(self, demand: DemandVector | dict) -> tuple[float, int]:
-        """(1+eps)-approximation of the concurrent-flow value, probe count."""
+        """(1+eps)-approximation of the concurrent-flow value, probe count.
+
+        A probe at grid value lam rounds each demanded coordinate lam * d_i
+        down to a grid exponent, or zeroes it when it is at most
+        2 eps_int / k^2 of its pair's max flow, and asks the core whether
+        the rounded vector is feasible; the zero vector always is.  What a
+        probe needs besides lam is worked out once per query.
+        """
         if not isinstance(demand, DemandVector):
             demand = DemandVector.of(demand)
         if demand.is_zero:
@@ -198,6 +182,25 @@ class DemandSketch:
         dvals = [0.0] * len(self.pairs)
         for p, v in demand.items():
             dvals[pidx[p]] = v
+        log_base = math.log(base)
+        negligible = 2 * self.eps_internal / (k * k)
+        core = self.core
+        grid = isinstance(core, GridCore)
+        if grid:
+            # digit d = e - jmin + 1 of pair i adds d times the product of
+            # the later pairs' radices (count + 1) to the mixed-radix code
+            weights = [1] * len(core.counts)
+            for i in range(len(weights) - 2, -1, -1):
+                weights[i] = weights[i + 1] * (core.counts[i + 1] + 1)
+            terms = [(dv, negligible * self.maxflows[i], 1 - core.jmins[i],
+                      core.counts[i], weights[i])
+                     for i, dv in enumerate(dvals) if dv > 0]
+            members = core.members
+            search = members.searchsorted
+            n_members = len(members)
+        else:
+            terms = [(dv, negligible * self.maxflows[i], i)
+                     for i, dv in enumerate(dvals) if dv > 0]
 
         probes = 0
 
@@ -205,18 +208,31 @@ class DemandSketch:
             nonlocal probes
             probes += 1
             lam = base ** j
-            exps: list[int | None] = []
-            for i, dv in enumerate(dvals):
-                if dv <= 0:
-                    exps.append(None)
-                    continue
+            if grid:
+                code = 0
+                rounded = False
+                for dv, floor, offset, count, weight in terms:
+                    val = lam * dv
+                    if val <= floor:
+                        continue
+                    d = _exponent_floor(val, base, log_base) + offset
+                    if d < 0 or d > count:
+                        return False
+                    code += d * weight
+                    rounded = True
+                if not rounded:
+                    return True
+                i = int(search(code))
+                return i < n_members and int(members[i]) == code
+            vec = np.zeros(len(dvals))
+            rounded = False
+            for dv, floor, i in terms:
                 val = lam * dv
-                if val <= 2 * self.eps_internal / (k * k) * self.maxflows[i]:
-                    exps.append(None)
+                if val <= floor:
                     continue
-                e = _exponent_floor(val, base)
-                exps.append(e)
-            return self._member(exps)
+                vec[i] = base ** _exponent_floor(val, base, log_base)
+                rounded = True
+            return not rounded or core.contains(vec)
 
         lo, hi = jlo, jhi
         best = None
@@ -285,15 +301,38 @@ class DemandSketch:
                                                          dtype=np.int64)))
             else:
                 core = HullCore(rows=np.array(core_d["rows"], dtype=float))
-            return DemandSketch(
+            sk = DemandSketch(
                 epsilon=float(d["epsilon"]),
                 eps_internal=float(d["eps_internal"]),
                 terminals=tuple(d["terminals"]),
                 pairs=tuple((s, t) for s, t in d["pairs"]),
                 maxflows=tuple(float(x) for x in d["maxflows"]),
                 core=core)
-        except (KeyError, TypeError, AttributeError) as exc:
+        except (KeyError, TypeError, AttributeError, OverflowError) as exc:
             raise SketchError(f"malformed sketch JSON: {exc!r}") from exc
+        n = len(sk.pairs)
+        if sk.pairs != tuple(_pair(s, t) for s, t in itertools.combinations(sk.terminals, 2)):
+            problem = "pairs are not the terminal pairs"
+        elif not 0 < sk.eps_internal < 0.125:
+            problem = "eps_internal must lie in (0, 1/8)"
+        elif len(sk.maxflows) != n or not all(0 < m < math.inf for m in sk.maxflows):
+            problem = "maxflows must hold one positive finite value per pair"
+        elif isinstance(core, GridCore):
+            if len(core.jmins) != n or len(core.counts) != n:
+                problem = "grid jmins and counts must hold one entry per pair"
+            elif len(core.members) and not (
+                    0 <= core.members[0] and core.members[-1] < math.prod(
+                        c + 1 for c in core.counts)):
+                problem = "grid code outside [0, prod(counts + 1))"
+            else:
+                return sk
+        elif core.rows.ndim != 2 or len(core.rows) == 0:
+            problem = "hull core has no rows"
+        elif core.rows.shape[1] != n:
+            problem = "hull rows must hold one entry per pair"
+        else:
+            return sk
+        raise SketchError(f"malformed sketch JSON: {problem}")
 
     def save(self, path: str) -> None:
         with open(path, "w") as fh:

@@ -267,6 +267,63 @@ def test_malformed_sketch_file_exit_2(kind, tmp_path, capsys):
     assert "error: malformed sketch JSON" in capsys.readouterr().err
 
 
+def _cut_to_one(*keys):
+    def edit(doc):
+        for key in keys:
+            where = doc["core"] if key in doc["core"] else doc
+            where[key] = where[key][:1]
+    return edit
+
+
+def _set(key, value, in_core=False):
+    def edit(doc):
+        (doc["core"] if in_core else doc)[key] = value
+    return edit
+
+
+# Edits that leave a built k = 3 grid sketch parseable but inconsistent.
+# Before these were checked, "jmins-and-counts-short" answered a query with
+# exit 0 and a wrong value, and "maxflows-short" exited 1 on an IndexError.
+INCONSISTENT_SKETCHES = {
+    "pairs-not-terminal-pairs": _set("pairs", [["t0", "t1"], ["t1", "t2"], ["t0", "t2"]]),
+    "maxflows-short": _cut_to_one("maxflows"),
+    "maxflow-zero": _set("maxflows", [0.0, 1.0, 1.0]),
+    "eps-internal-zero": _set("eps_internal", 0.0),
+    "jmins-and-counts-short": _cut_to_one("jmins", "counts"),
+    "jmins-short": _cut_to_one("jmins"),
+    "counts-short": _cut_to_one("counts"),
+    "grid-code-negative": lambda doc: doc["core"]["members"].append(-1),
+    "grid-code-too-large": lambda doc: doc["core"]["members"].append(
+        math.prod(c + 1 for c in doc["core"]["counts"])),
+    "grid-code-past-int64": lambda doc: doc["core"]["members"].append(2 ** 70),
+    "hull-rows-too-narrow": _set("core", {"kind": "hull", "rows": [[1.0, 1.0]]}),
+    "hull-without-rows": _set("core", {"kind": "hull", "rows": []}),
+}
+
+
+@pytest.fixture(scope="module")
+def k3_grid_sketch():
+    from flowsparse.generators import gen_quasi_bipartite
+    from flowsparse.sketch import GridCore, build_sketch
+    sk = build_sketch(gen_quasi_bipartite(3, 6, seed=1), 0.45)
+    assert isinstance(sk.core, GridCore) and sk.pairs[0] == ("t0", "t1")
+    return json.dumps(sk.to_json_dict())
+
+
+@pytest.mark.parametrize("kind", sorted(INCONSISTENT_SKETCHES))
+def test_inconsistent_sketch_file_exit_2(kind, k3_grid_sketch, tmp_path, capsys):
+    sk, d = tmp_path / "g.sk", tmp_path / "d.json"
+    d.write_text(json.dumps([{"s": "t0", "t": "t1", "d": 1.0}]))
+    sk.write_text(k3_grid_sketch)
+    assert run(["sketch", "query", "--sk", sk, "--demand", d]) == 0
+    capsys.readouterr()
+    doc = json.loads(k3_grid_sketch)
+    INCONSISTENT_SKETCHES[kind](doc)
+    sk.write_text(json.dumps(doc))
+    assert run(["sketch", "query", "--sk", sk, "--demand", d]) == 2
+    assert "error: malformed sketch JSON" in capsys.readouterr().err
+
+
 MALFORMED_STRUCTURES = {
     "tdec-without-edges": ("treewidth", "--tdec", {"bags": [["a"]]},
                            "malformed tree decomposition JSON"),

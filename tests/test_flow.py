@@ -773,6 +773,59 @@ class TestPathPool:
         assert len(_record(net)[0]) == 1
 
 
+class TestLazyPrimal:
+    """The primal flow is lifted to the network only when `.flow` is read."""
+
+    @pytest.fixture()
+    def lifts(self, monkeypatch):
+        real = flow._Lift.flows
+        calls = []
+
+        def counting(lift, shape, reduced):
+            calls.append(len(reduced))
+            return real(lift, shape, reduced)
+        monkeypatch.setattr(flow._Lift, "flows", counting)
+        return calls
+
+    def test_value_only_callers_never_lift(self, lifts):
+        from flowsparse.merging import profile_bucket_sparsifier, ratio_type_sparsifier
+        from flowsparse.sampling import sample_sparsifier
+        from flowsparse.sketch import build_sketch
+        from flowsparse.verify import certify
+        build_sketch(gen_quasi_bipartite(3, 8, seed=22), 0.45)
+        net = gen_quasi_bipartite(4, 20, seed=3)
+        rng = random.Random(3)
+        demands = [random_demand(rng, net) for _ in range(3)]
+        candidates = [ratio_type_sparsifier(net, 0.25),
+                      profile_bucket_sparsifier(net, 0.25, demands),
+                      sample_sparsifier(net, 4, 1)]
+        for cand in candidates:
+            certify(net, cand.net, demands, cand.claimed_quality)
+        assert flow._memo_entries > 0 and lifts == []
+
+    def test_flow_is_lifted_once_per_result(self, lifts):
+        net, demands = _pool_demands()
+        res = concurrent_flow(net, demands[0])
+        assert lifts == []
+        first = res.flow
+        assert concurrent_flow(net, demands[0]) is res      # a memo hit
+        assert res.flow is first and concurrent_flow(net, demands[0]).flow is first
+        assert lifts == [len(demands[0].pairs())]
+        first.check(net, demands[0])
+
+    def test_memo_keeps_no_network_alive(self):
+        import gc
+        import weakref
+        net, demands = _pool_demands()
+        res = concurrent_flow(net, demands[0])
+        ref = weakref.ref(net)
+        del net
+        gc.collect()
+        assert ref() is None
+        assert flow._memo_entries == 1
+        assert res.flow.arc_flows        # the lift needs no network
+
+
 def _pin_groups():
     """Oracle solves whose every output is pinned bit for bit, by group.
 

@@ -183,25 +183,46 @@ def _sketch_pin_groups():
     }
 
 
-def _sketch_fingerprint(net, eps, budget):
+def _pinned_build(net, eps, budget):
     """Runs in the pinning child, so the budget it sets reaches no other test."""
     os.environ.pop("FLOWSPARSE_BUDGET", None)
     if budget is not None:
         os.environ["FLOWSPARSE_BUDGET"] = budget
-    sk = build_sketch(net, eps)
+    return build_sketch(net, eps)
+
+
+def _sketch_fingerprint(sk):
     doc = json.dumps(sk.to_json_dict(), sort_keys=True)
     return [type(sk.core).__name__, hashlib.sha256(doc.encode()).hexdigest()[:16]]
 
 
+def _query_fingerprint(sk, net):
+    """sha256 prefix of (answer, probes) over 300 seeded queries.  Each pair
+    is demanded with probability 0.8, at a size spread over four decades, so
+    that probes zero the coordinates at or below their pair's floor."""
+    rng = random.Random(31)
+    pairs = net.terminal_pairs()
+    out = []
+    for _ in range(300):
+        entries = {p: rng.uniform(0.1, 3.0) * 10 ** rng.uniform(-3, 1)
+                   for p in pairs if rng.random() < 0.8}
+        value, probes = sk.query_with_stats(entries or {pairs[0]: 1.0})
+        out.append((value.hex(), probes))
+    return hashlib.sha256(repr(out).encode()).hexdigest()[:16]
+
+
 @pytest.fixture(scope="module")
 def sketch_fingerprints():
-    """Fingerprint every pinned build in a fresh interpreter with one BLAS
-    thread, as the oracle pins in test_flow.py do."""
+    """Fingerprint every pinned build and its queries in a fresh interpreter
+    with one BLAS thread, as the oracle pins in test_flow.py do."""
     tests = Path(__file__).resolve().parent
     env = child_env(**ONE_BLAS_THREAD)
     code = ("import json, test_sketch as T\n"
-            "print(json.dumps({g: T._sketch_fingerprint(*args)\n"
-            "                  for g, args in T._sketch_pin_groups().items()}))\n")
+            "out = {}\n"
+            "for g, (net, eps, budget) in T._sketch_pin_groups().items():\n"
+            "    sk = T._pinned_build(net, eps, budget)\n"
+            "    out[g] = [T._sketch_fingerprint(sk), T._query_fingerprint(sk, net)]\n"
+            "print(json.dumps(out))\n")
     proc = subprocess.run([sys.executable, "-c", code], cwd=tests, env=env,
                           capture_output=True, text=True, check=True)
     return json.loads(proc.stdout)
@@ -219,15 +240,39 @@ PINNED_SKETCHES = {
 }
 
 
+# sha256 prefix of repr([(answer.hex(), probes), ...]) over each build's
+# 300 seeded queries (`_query_fingerprint`), with one BLAS thread.  Work may
+# be moved out of the probe loop only where these stay equal.
+PINNED_QUERIES = {
+    "qb-2-6": "9e975ac15b3735c9",
+    "qb-3-8": "bc0bd4a9e6e8d2d7",
+    "connected-3-9": "058c2be305f67083",
+    "qb-3-8-budget-10": "bc0bd4a9e6e8d2d7",
+    "qb-4-10": "56d64be440c589fb",
+}
+
+
 class TestPinnedBuilds:
     def test_pins_cover_every_group(self):
-        assert PINNED_SKETCHES.keys() == _sketch_pin_groups().keys()
+        assert PINNED_SKETCHES.keys() == PINNED_QUERIES.keys() == _sketch_pin_groups().keys()
         kinds = {kind for kind, _ in PINNED_SKETCHES.values()}
         assert kinds == {"GridCore", "HullCore"}
 
     @pytest.mark.parametrize("group", sorted(_sketch_pin_groups()))
     def test_build_is_bit_identical(self, group, sketch_fingerprints):
-        assert sketch_fingerprints[group] == PINNED_SKETCHES[group]
+        assert sketch_fingerprints[group][0] == PINNED_SKETCHES[group]
+
+    @pytest.mark.parametrize("group", sorted(_sketch_pin_groups()))
+    def test_queries_are_bit_identical(self, group, sketch_fingerprints):
+        assert sketch_fingerprints[group][1] == PINNED_QUERIES[group]
+
+
+def _encode(counts, digits):
+    """Mixed-radix code of grid digits: digit i has radix counts[i] + 1."""
+    code = 0
+    for d, c in zip(digits, counts):
+        code = code * (c + 1) + d
+    return code
 
 
 class TestGridCodes:
@@ -244,7 +289,7 @@ class TestGridCodes:
         for code, row in zip(codes.tolist(), vecs.tolist()):
             digits = [0 if v == 0 else _exponent_floor(v, base) - jmin + 1
                       for v, jmin in zip(row, jmins)]
-            assert core.encode(digits) == code
+            assert _encode(counts, digits) == code
 
     def test_built_core_round_trips(self):
         sk = build_sketch(gen_quasi_bipartite(3, 8, seed=22), 0.45)
@@ -254,8 +299,7 @@ class TestGridCodes:
         for code, row in zip(core.members.tolist(), vecs.tolist()):
             digits = [0 if v == 0 else _exponent_floor(v, sk.base) - jmin + 1
                       for v, jmin in zip(row, core.jmins)]
-            assert core.encode(digits) == code
-            assert core.contains(digits)
+            assert _encode(core.counts, digits) == code
         assert [d.entries for d in grid_demands(sk)] == [
             tuple((p, v) for p, v in zip(sk.pairs, row) if v > 0)
             for row in vecs.tolist()]
