@@ -24,7 +24,7 @@ from .flow import (
 from .results import SparsifierResult
 from .sketch import DemandSketch, build_sketch
 from .merging import profile_bucket_sparsifier, ratio_type_sparsifier, refine_partitions
-from .splice import FlowDecomposition, FlowPath, compose, decompose_flow, splice, unsplice_route
+from .splice import FlowDecomposition, FlowPath, compose, splice, unsplice_route
 from .sampling import (
     grouped_sample_sparsifier,
     plan_oversampling,

@@ -81,16 +81,6 @@ class FlowSolution:
                 loads[e] = loads.get(e, 0.0) + f
         return loads
 
-    def to_json_dict(self) -> dict:
-        return {
-            "lambda": self.lam,
-            "commodities": [
-                {"s": p[0], "t": p[1],
-                 "arcs": [{"from": u, "to": v, "flow": f}
-                          for (u, v), f in arcs]}
-                for p, arcs in self.arc_flows],
-        }
-
     def check(self, net: TerminalNetwork, demand: DemandVector,
               tol: float = 1e-6) -> None:
         for e, load in self.edge_loads().items():
@@ -130,15 +120,6 @@ class DualSolution:
 
     def dist_map(self) -> dict[tuple[str, str], float]:
         return dict(self.dists)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "value": finite_or_none(self.value),
-            "lengths": [{"u": e[0], "v": e[1], "length": finite_or_none(l)}
-                        for e, l in self.lengths],
-            "distances": [{"s": p[0], "t": p[1], "dist": finite_or_none(d)}
-                          for p, d in self.dists],
-        }
 
     def check(self, net: TerminalNetwork, demand: DemandVector,
               tol: float = 1e-6) -> None:

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
+_TOL = 1e-9            # pricing, ratio-test and stall tolerance
 _REFACTOR_EVERY = 100
 _STALL_LIMIT = 60
 _SPARSE_UPDATE_ROWS = 100  # measured crossover: below it the full update is faster
@@ -38,7 +39,7 @@ class LPIterationLimit(LPError):
     pass
 
 
-def simplex_min(cost, A, b, basis, *, Binv=None, tol=1e-9, max_iter=None):
+def simplex_min(cost, A, b, basis, *, Binv=None):
     """Continue the simplex on min cost.x s.t. Ax = b, x >= 0 from a feasible basis.
 
     Revised simplex with Dantzig pricing; Bland's rule kicks in on stalls.
@@ -59,8 +60,7 @@ def simplex_min(cost, A, b, basis, *, Binv=None, tol=1e-9, max_iter=None):
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
     m = A.shape[0]
-    if max_iter is None:
-        max_iter = 200 * (m + A.shape[1]) + 2000
+    max_iter = 200 * (m + A.shape[1]) + 2000
     basis = np.array(basis, dtype=int)
     if Binv is None:
         Binv = _factorize(A, basis)
@@ -79,20 +79,20 @@ def simplex_min(cost, A, b, basis, *, Binv=None, tol=1e-9, max_iter=None):
         z = cost - y @ A
         z[basis] = 0.0
         if bland:
-            cand = (z < -tol).nonzero()[0]
+            cand = (z < -_TOL).nonzero()[0]
             if cand.size == 0:
                 break
             j = int(cand[0])
         else:
             j = int(z.argmin())
-            if z[j] >= -tol:
+            if z[j] >= -_TOL:
                 break
         d = Binv @ A[:, j]
-        pos = (d > tol).nonzero()[0]
+        pos = (d > _TOL).nonzero()[0]
         if pos.size == 0:
             raise LPUnbounded("improving direction is unbounded")
         ratios = np.maximum(xB[pos], 0.0) / d[pos]
-        ties = pos[ratios <= ratios.min() + tol]
+        ties = pos[ratios <= ratios.min() + _TOL]
         l = int(ties[basis[ties].argmin()])
 
         piv = d[l]
@@ -113,7 +113,7 @@ def simplex_min(cost, A, b, basis, *, Binv=None, tol=1e-9, max_iter=None):
         cB = cost[basis]
         xB = Binv @ b
         obj_now = float(cB @ xB)
-        if obj_now >= last_obj - tol:
+        if obj_now >= last_obj - _TOL:
             stall += 1
             if stall >= _STALL_LIMIT:
                 bland = True

@@ -41,6 +41,7 @@ from .sketch import (
 ZERO = "zero"
 ABSENT = "absent"
 CAPPED = "capped"
+_DUAL_BUDGET = 500   # most demands profile_bucket_sparsifier solves duals for
 
 
 class MergeError(ValueError):
@@ -110,9 +111,9 @@ class LengthProfile:
         return LengthProfile(entries=tuple(profile))
 
 
-def profile_bucket_sparsifier(net: TerminalNetwork, epsilon: float,
-                              demand_set: list[DemandVector] | None = None,
-                              *, dual_budget: int = 500) -> SparsifierResult:
+def profile_bucket_sparsifier(
+        net: TerminalNetwork, epsilon: float,
+        demand_set: list[DemandVector] | None = None) -> SparsifierResult:
     """Bucket-and-merge sparsifier driven by per-demand dual roundings.
 
     For every demand, the concurrent-flow dual is normalised to value 1,
@@ -131,10 +132,10 @@ def profile_bucket_sparsifier(net: TerminalNetwork, epsilon: float,
             raise MergeError("default demand set (the discretized feasible "
                              "dictionary) needs epsilon < 1/8; pass demand_set")
         sk = build_sketch(work, 4 * epsilon)
-        demand_set = grid_demands(sk, limit=dual_budget)
-    if len(demand_set) > dual_budget:
+        demand_set = grid_demands(sk, limit=_DUAL_BUDGET)
+    if len(demand_set) > _DUAL_BUDGET:
         raise BudgetExceeded(f"demand set of size {len(demand_set)} exceeds "
-                             f"the dual-solve budget {dual_budget}")
+                             f"the dual-solve budget {_DUAL_BUDGET}")
     if not demand_set:
         raise MergeError("empty demand set")
 

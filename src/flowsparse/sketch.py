@@ -295,6 +295,11 @@ class DemandSketch:
                 raise SketchError("unsupported sketch version")
             core_d = d["core"]
             if core_d["kind"] == "grid":
+                # checked before the int64 cast, which truncates fractions
+                if not all(type(x) is int for key in ("jmins", "counts", "members")
+                           for x in core_d[key]):
+                    raise SketchError("malformed sketch JSON: grid jmins, counts "
+                                      "and members must be integers")
                 core = GridCore(jmins=tuple(core_d["jmins"]),
                                 counts=tuple(core_d["counts"]),
                                 members=np.sort(np.array(core_d["members"],
@@ -320,6 +325,8 @@ class DemandSketch:
         elif isinstance(core, GridCore):
             if len(core.jmins) != n or len(core.counts) != n:
                 problem = "grid jmins and counts must hold one entry per pair"
+            elif any(c < 0 for c in core.counts):
+                problem = "grid counts must be non-negative"
             elif len(core.members) and not (
                     0 <= core.members[0] and core.members[-1] < math.prod(
                         c + 1 for c in core.counts)):

@@ -1,6 +1,8 @@
-"""Flow-path surgery: decomposition, splicing at internal terminals, and the
-reverse reconnection, plus sparsifier composition by terminal gluing.
+"""Flow-path surgery: splicing at internal terminals and the reverse
+reconnection, plus sparsifier composition by terminal gluing.
 
+Both operations act on a `FlowDecomposition`, a tuple of weighted paths
+that the caller supplies; no flow is decomposed into paths here.
 Splicing replaces a flow path that passes through a terminal internally by
 its two halves, converting demand between the endpoints into demand on the
 two sub-pairs; per-edge loads are untouched.  The recorded split log makes
@@ -15,8 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .flow import FlowError, FlowSolution
+from .flow import FlowError
 from .network import TerminalNetwork, _pair
+
+_CAPACITY_REL_TOL = Fraction(1, 10**6)
 
 
 @dataclass(frozen=True)
@@ -54,11 +58,10 @@ class FlowDecomposition:
         ts = set(terminals)
         return sum(1 for p in self.paths for v in p.vertices[1:-1] if v in ts)
 
-    def check_capacities(self, net: TerminalNetwork,
-                         rel_tol: Fraction = Fraction(1, 10**6)) -> None:
+    def check_capacities(self, net: TerminalNetwork) -> None:
         for e, load in self.edge_loads().items():
             cap = net.cap(*e)
-            if load > cap + rel_tol * max(1, cap):
+            if load > cap + _CAPACITY_REL_TOL * max(1, cap):
                 raise FlowError(f"decomposition overloads edge {e}")
 
 
@@ -78,155 +81,35 @@ class SpliceResult:
 
 
 # ---------------------------------------------------------------------------
-# Decomposition
-# ---------------------------------------------------------------------------
-
-def decompose_flow(net: TerminalNetwork, sol: FlowSolution,
-                   tol: float = 1e-9) -> FlowDecomposition:
-    """Path decomposition of a feasible flow solution; at most |E| paths per
-    commodity (opposite arcs are netted and directed cycles cancelled first)."""
-    paths: list[FlowPath] = []
-    for pair, arcs in sol.arc_flows:
-        s, t = pair
-        net_arc: dict[tuple[str, str], Fraction] = {}
-        for (u, v), f in arcs:
-            if f < -tol:
-                raise FlowError("negative arc flow")
-            fu = Fraction(f)
-            rev = net_arc.get((v, u), Fraction(0))
-            if rev > 0:
-                m = min(rev, fu)
-                net_arc[(v, u)] = rev - m
-                fu -= m
-                if net_arc[(v, u)] == 0:
-                    del net_arc[(v, u)]
-            if fu > 0:
-                net_arc[(u, v)] = net_arc.get((u, v), Fraction(0)) + fu
-        _cancel_cycles(net_arc)
-        floor = Fraction(tol)
-        while True:
-            peeled = _peel_path(net_arc, s, t, floor)
-            if peeled is None:
-                break
-            verts, amount = peeled
-            paths.append(FlowPath(vertices=verts, amount=amount))
-    dec = FlowDecomposition(paths=tuple(paths))
-    dec.check_capacities(net)
-    return dec
-
-
-def _cancel_cycles(net_arc: dict) -> None:
-    """Remove directed cycles from the positive arc set (loads only drop)."""
-    while True:
-        cycle = _find_cycle(net_arc)
-        if cycle is None:
-            return
-        arcs = list(zip(cycle, cycle[1:]))
-        m = min(net_arc[a] for a in arcs)
-        for a in arcs:
-            net_arc[a] -= m
-            if net_arc[a] == 0:
-                del net_arc[a]
-
-
-def _find_cycle(net_arc: dict):
-    succ: dict[str, list[str]] = {}
-    for (u, v), f in net_arc.items():
-        if f > 0:
-            succ.setdefault(u, []).append(v)
-    color: dict[str, int] = {}
-    for start in sorted(succ):
-        if color.get(start, 0) != 0:
-            continue
-        stack = [(start, iter(sorted(succ.get(start, []))))]
-        trail = [start]
-        color[start] = 1
-        while stack:
-            u, it = stack[-1]
-            advanced = False
-            for v in it:
-                if color.get(v, 0) == 1:
-                    i = trail.index(v)
-                    return trail[i:] + [v]
-                if color.get(v, 0) == 0:
-                    color[v] = 1
-                    trail.append(v)
-                    stack.append((v, iter(sorted(succ.get(v, [])))))
-                    advanced = True
-                    break
-            if not advanced:
-                color[u] = 2
-                stack.pop()
-                trail.pop()
-    return None
-
-
-def _peel_path(net_arc: dict, s: str, t: str, floor: Fraction):
-    """Follow positive arcs from s to t (smallest-successor rule), subtract
-    the bottleneck.  Returns (vertices, amount) or None when no flow above
-    the dust floor leaves s."""
-    verts = [s]
-    seen = {s}
-    while verts[-1] != t:
-        u = verts[-1]
-        nxt = sorted(v for (a, v), f in net_arc.items()
-                     if a == u and f > floor and v not in seen)
-        if not nxt:
-            return None
-        v = nxt[0]
-        verts.append(v)
-        seen.add(v)
-    arcs = list(zip(verts, verts[1:]))
-    amount = min(net_arc[a] for a in arcs)
-    if amount <= floor:
-        for a in arcs:
-            net_arc[a] -= amount
-            if net_arc[a] <= 0:
-                del net_arc[a]
-        return _peel_path(net_arc, s, t, floor)
-    for a in arcs:
-        net_arc[a] -= amount
-        if net_arc[a] <= 0:
-            del net_arc[a]
-    return tuple(verts), amount
-
-
-# ---------------------------------------------------------------------------
 # Splicing and its inverse
 # ---------------------------------------------------------------------------
 
 def splice(dec: FlowDecomposition, terminals) -> SpliceResult:
-    """Split every path at its internal terminals until none remain inside;
+    """Cut every path at each of its internal terminals, in path order;
     per-edge loads are preserved exactly."""
     ts = set(terminals)
-    work = list(dec.paths)
     out: list[FlowPath] = []
     log: list[SplitRecord] = []
-    while work:
-        p = work.pop(0)
-        cut = None
-        for i, v in enumerate(p.vertices[1:-1], start=1):
-            if v in ts:
-                cut = i
-                break
-        if cut is None:
-            out.append(p)
-            continue
-        at = p.vertices[cut]
-        left = FlowPath(vertices=p.vertices[:cut + 1], amount=p.amount)
-        right = FlowPath(vertices=p.vertices[cut:], amount=p.amount)
-        log.append(SplitRecord(parent_pair=p.endpoints, at=at,
-                               left_pair=left.endpoints,
-                               right_pair=right.endpoints,
-                               amount=p.amount))
-        work.insert(0, right)
-        work.insert(0, left)
+    for p in dec.paths:
+        verts, end = p.vertices, p.vertices[-1]
+        start = 0
+        for i in range(1, len(verts) - 1):
+            if verts[i] in ts:
+                at = verts[i]
+                log.append(SplitRecord(parent_pair=_pair(verts[start], end), at=at,
+                                       left_pair=_pair(verts[start], at),
+                                       right_pair=_pair(at, end),
+                                       amount=p.amount))
+                out.append(FlowPath(vertices=verts[start:i + 1], amount=p.amount))
+                start = i
+        out.append(p if start == 0 else
+                   FlowPath(vertices=verts[start:], amount=p.amount))
     return SpliceResult(decomposition=FlowDecomposition(tuple(out)),
                         log=tuple(log))
 
 
 def unsplice_route(net_b: TerminalNetwork, original_demand,
-                   spliced_routing: FlowDecomposition | FlowSolution,
+                   spliced_routing: FlowDecomposition,
                    result: SpliceResult) -> FlowDecomposition:
     """Reconnect a routing of the spliced demand into one of the original.
 
@@ -236,8 +119,6 @@ def unsplice_route(net_b: TerminalNetwork, original_demand,
     that revisit a vertex are simplified, which only lowers loads.  Returns
     a decomposition routing the original demand.
     """
-    if isinstance(spliced_routing, FlowSolution):
-        spliced_routing = decompose_flow(net_b, spliced_routing)
     pools: dict[tuple[str, str], list[list]] = {}
     for p in spliced_routing.paths:
         pools.setdefault(p.endpoints, []).append([p.vertices, p.amount])

@@ -373,18 +373,15 @@ def _sp_build(node: SpNode, terms: frozenset[str], depth: int = 0):
         cur = nxt[0]
     s2, t2 = sp_portals(cur)
 
+    # a series node's children meet in its middle vertex, which must stay
+    # a terminal on both sides; parallel children meet in their portals
+    new_terms = terms | {s2, t2}
     if isinstance(cur, SpSeries):
-        new_terms = terms | {cur.middle, s2, t2}
-        h1, q1 = _sp_build(cur.left, frozenset(new_terms), depth + 1)
-        h2, q2 = _sp_build(cur.right, frozenset(new_terms), depth + 1)
-        shared = {cur.middle}
-        inner, q_inner = compose(h1, h2, {x: x for x in shared}, q1, q2)
-    else:
-        new_terms = terms | {s2, t2}
-        h1, q1 = _sp_build(cur.left, frozenset(new_terms), depth + 1)
-        h2, q2 = _sp_build(cur.right, frozenset(new_terms), depth + 1)
-        shared = set(h1.terminal_set) & set(h2.terminal_set)
-        inner, q_inner = compose(h1, h2, {x: x for x in sorted(shared)}, q1, q2)
+        new_terms |= {cur.middle}
+    h1, q1 = _sp_build(cur.left, new_terms, depth + 1)
+    h2, q2 = _sp_build(cur.right, new_terms, depth + 1)
+    shared = sorted(h1.terminal_set & h2.terminal_set)
+    inner, q_inner = compose(h1, h2, {x: x for x in shared}, q1, q2)
 
     if cur is node:
         return inner, q_inner

@@ -17,6 +17,7 @@ from .network import DemandVector, TerminalNetwork, components, terminal_biparti
 from .sketch import _grid_exponents
 
 DEFAULT_TOL = 1e-6
+_MAX_CUT_TERMINALS = 16   # certify_cuts enumerates 2^(k-1) - 1 bipartitions
 
 
 class VerifyError(ValueError):
@@ -28,10 +29,6 @@ class DemandRecord:
     demand: tuple
     lam_base: float
     lam_candidate: float
-
-    @property
-    def ratio(self) -> float:
-        return self.lam_candidate / self.lam_base
 
 
 @dataclass(frozen=True)
@@ -195,8 +192,7 @@ def certify(g: TerminalNetwork, gp: TerminalNetwork,
                          demand_spec=demand_spec)
 
 
-def certify_cuts(g: TerminalNetwork, gp: TerminalNetwork,
-                 *, max_terminals: int = 16) -> CutReport:
+def certify_cuts(g: TerminalNetwork, gp: TerminalNetwork) -> CutReport:
     """Exact bipartition min-cut comparison over all 2^(k-1)-1 bipartitions.
 
     beta is the largest candidate/base cut ratio, infinite when the candidate
@@ -205,8 +201,8 @@ def certify_cuts(g: TerminalNetwork, gp: TerminalNetwork,
     if set(g.terminals) != set(gp.terminals):
         raise VerifyError("terminal sets differ between base and candidate")
     k = g.k
-    if k > max_terminals:
-        raise VerifyError(f"k={k} exceeds the bipartition budget {max_terminals}")
+    if k > _MAX_CUT_TERMINALS:
+        raise VerifyError(f"k={k} exceeds the bipartition budget {_MAX_CUT_TERMINALS}")
     records = []
     beta = Fraction(0)
     all_exact = True

@@ -145,7 +145,7 @@ def test_acceptance_3_sampling_quality_and_size():
         res = sample_sparsifier(net, M, seed)
         rep = certify(net, res.net, demands, claimed_q=hi_band)
         # certified quality: worst-case per-demand ratio of candidate vs base
-        ratios = [r.ratio for r in rep.records]
+        ratios = [r.lam_candidate / r.lam_base for r in rep.records]
         if all(lo_band <= r <= hi_band for r in ratios):
             good_quality += 1
         if len(res.net.vertices) <= 10 * k * k * M:

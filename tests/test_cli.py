@@ -281,9 +281,17 @@ def _set(key, value, in_core=False):
     return edit
 
 
+def _add_half(key):
+    def edit(doc):
+        doc["core"][key] = [x + 0.5 for x in doc["core"][key]]
+    return edit
+
+
 # Edits that leave a built k = 3 grid sketch parseable but inconsistent.
 # Before these were checked, "jmins-and-counts-short" answered a query with
-# exit 0 and a wrong value, and "maxflows-short" exited 1 on an IndexError.
+# exit 0 and a wrong value, and "maxflows-short" exited 1 on an IndexError;
+# the "-fractional" edits answered with exit 0 (fractional members were
+# truncated by the int64 cast), and "jmins-strings" exited 1 on a TypeError.
 INCONSISTENT_SKETCHES = {
     "pairs-not-terminal-pairs": _set("pairs", [["t0", "t1"], ["t1", "t2"], ["t0", "t2"]]),
     "maxflows-short": _cut_to_one("maxflows"),
@@ -296,6 +304,11 @@ INCONSISTENT_SKETCHES = {
     "grid-code-too-large": lambda doc: doc["core"]["members"].append(
         math.prod(c + 1 for c in doc["core"]["counts"])),
     "grid-code-past-int64": lambda doc: doc["core"]["members"].append(2 ** 70),
+    "jmins-fractional": _add_half("jmins"),
+    "jmins-strings": lambda doc: doc["core"].update(
+        jmins=[str(j) for j in doc["core"]["jmins"]]),
+    "counts-fractional": _add_half("counts"),
+    "members-fractional": _add_half("members"),
     "hull-rows-too-narrow": _set("core", {"kind": "hull", "rows": [[1.0, 1.0]]}),
     "hull-without-rows": _set("core", {"kind": "hull", "rows": []}),
 }

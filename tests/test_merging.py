@@ -105,9 +105,10 @@ class TestProfileBuckets:
 
     def test_demand_budget(self):
         net = gen_quasi_bipartite(3, 10, seed=3)
-        ds = disc_demands(net, 0.25, 0.1)
+        ds = disc_demands(net, 0.01, 0.01)   # above the 500-demand budget
+        assert len(ds) > 500
         with pytest.raises(BudgetExceeded):
-            profile_bucket_sparsifier(net, 0.25, ds, dual_budget=2)
+            profile_bucket_sparsifier(net, 0.25, ds)
 
     def test_rejects_non_quasi_bipartite(self):
         net = TerminalNetwork.make(["a", "b", "u", "w"], ["a", "b"],

@@ -43,7 +43,8 @@ class _Refs(ast.NodeVisitor):
     """The names a module uses, apart from a function's uses of its own name
     inside its body: `bare` holds variables and imported names, `attrs`
     attributes and, with `strings` set, the last part of dotted-name strings
-    (`"flow.max_flow"`).  A method counts as used only through `attrs`, so
+    (`"flow.max_flow"`); a plain word such as the unit `"ratio"` names no
+    function.  A method counts as used only through `attrs`, so
     that a local variable named like it does not hide it."""
 
     def __init__(self):
@@ -74,9 +75,10 @@ class _Refs(ast.NodeVisitor):
         self.generic_visit(node)
 
     def visit_Constant(self, node):
-        if self.strings and isinstance(node.value, str) and all(
-                part.isidentifier() for part in node.value.split(".")):
-            self._use(self.attrs, node.value.rsplit(".", 1)[-1])
+        value = node.value
+        if (self.strings and isinstance(value, str) and "." in value
+                and all(part.isidentifier() for part in value.split("."))):
+            self._use(self.attrs, value.rsplit(".", 1)[-1])
 
 
 def test_no_src_function_is_test_only():
