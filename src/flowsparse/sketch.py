@@ -15,13 +15,19 @@ Membership structures
 * grid core: the feasible grid vectors, stored as sorted mixed-radix integer
   codes.  The builder walks the codes in chunks, decodes each chunk to grid
   vectors and keeps those a hull core's certificates accept (spot-checked
-  against the oracle).  Used when the candidate count fits the enumeration
-  budget (env FLOWSPARSE_BUDGET, default 10^6).
+  against the true flow value).  Used when the candidate count fits the
+  enumeration budget (env FLOWSPARSE_BUDGET, default 10^6).
 * hull core: a set of dual length certificates (rows delta / objective) whose
   pointwise minimum upper bound 1/max(row . d) reproduces the flow value;
-  membership is `max(row . d) <= 1`.  Built adaptively against the oracle and
-  used when the grid would not fit the budget (e.g. k=4 at fine grids, where
-  the feasible grid set is astronomically large).
+  membership is `max(row . d) <= 1`.  Built adaptively against the true flow
+  value and used when the grid would not fit the budget (e.g. k=4 at fine
+  grids, where the feasible grid set is astronomically large).
+
+For k <= 4 the cut condition suffices (Papernov; Lomonosov), so the true
+flow value is the exact sparsest terminal cut, read off the 2^(k-1)-1
+terminal min cuts taken once per build.  For k >= 5 flow and cut can
+differ, and the LP oracle gives it.  Either way only the LP oracle supplies
+certificate rows.
 """
 
 from __future__ import annotations
@@ -35,8 +41,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .flow import concurrent_flow, max_flow
-from .network import DemandVector, TerminalNetwork, _pair
+from .flow import concurrent_flow, max_flow, mincut_partition
+from .network import DemandVector, TerminalNetwork, _pair, terminal_bipartitions
 
 DEFAULT_BUDGET = 1_000_000
 _MEMBER_TOL = 1e-9
@@ -381,9 +387,11 @@ def build_sketch(net: TerminalNetwork, epsilon: float) -> DemandSketch:
                     members=np.empty(0, dtype=np.int64))
     candidates = math.prod(c + 1 for c in grid.counts)
 
-    core = _build_hull(net, pairs, maxflows, eps)
+    value = _flow_value(net, pairs)
+    core = _build_hull(net, pairs, maxflows, value)
     if candidates <= budget:
-        members = _enumerate_with_hull(net, pairs, grid, candidates, base, core)
+        members = _enumerate_with_hull(net, pairs, grid, candidates, base, core,
+                                       value)
         core = replace(grid, members=members)
 
     return DemandSketch(epsilon=float(epsilon), eps_internal=eps,
@@ -394,9 +402,35 @@ def build_sketch(net: TerminalNetwork, epsilon: float) -> DemandSketch:
 _ACCEPT_CHUNK = 65536        # grid vectors scored against the hull at once
 
 
+def _demand(pairs, vec) -> DemandVector:
+    return DemandVector.of({p: v for p, v in zip(pairs, vec) if v > 0})
+
+
+def _flow_value(net, pairs):
+    """The map from a nonzero demand vector over `pairs` to its concurrent-flow
+    value.  For k <= 4 it is the exact sparsest terminal cut: each terminal
+    bipartition's min cut is taken once, and a vector's value is the least
+    ratio of cut to separated demand.  For k >= 5 it is the LP oracle's."""
+    if net.k > 4:
+        return lambda vec: concurrent_flow(net, _demand(pairs, vec)).value
+    cuts, separates = [], []
+    for A, B in terminal_bipartitions(net.terminals):
+        cuts.append(float(mincut_partition(net, A, B)))
+        separates.append([(s in A) != (t in A) for s, t in pairs])
+    cuts, separates = np.array(cuts), np.array(separates, dtype=float)
+
+    def value(vec) -> float:
+        sep = separates @ vec
+        split = sep > 0
+        return float(np.min(cuts[split] / sep[split]))
+    return value
+
+
 def _enumerate_with_hull(net, pairs, grid: GridCore, candidates: int, base,
-                         hull: HullCore) -> np.ndarray:
-    """Sorted codes of the nonzero grid vectors the hull accepts."""
+                         hull: HullCore, value) -> np.ndarray:
+    """Sorted codes of the nonzero grid vectors the hull accepts; a sample
+    of them is checked against `value` (see `_flow_value`), and the LP
+    oracle adds a certificate row for each one that fails."""
     rng = random.Random(0xF10A)
     rows = list(hull.rows)
     for attempt in range(4):
@@ -409,16 +443,15 @@ def _enumerate_with_hull(net, pairs, grid: GridCore, candidates: int, base,
         pool = np.concatenate(accepted)
         if len(pool) == 0:
             return pool
-        # spot check accepted vectors against the true oracle; rejection is
-        # always sound (certificates upper-bound the flow value), acceptance
-        # is what the validation must confirm
+        # spot check accepted vectors against the true flow value; rejection
+        # is always sound (certificates upper-bound the flow value),
+        # acceptance is what the validation must confirm
         bad = []
         for _ in range(min(60, len(pool))):
             i = rng.randrange(len(pool))
             vec = grid.vectors(pool[i:i + 1], base)[0]
-            d = DemandVector.of({p: v for p, v in zip(pairs, vec) if v > 0})
-            if concurrent_flow(net, d).value < 1.0 - 1e-6:
-                bad.append(d)
+            if value(vec) < 1.0 - 1e-6:
+                bad.append(_demand(pairs, vec))
         if not bad:
             return pool
         for d in bad:
@@ -440,9 +473,10 @@ _VALIDATION_ROUNDS = 30      # hull validation: rounds of seeded samples
 _SAMPLES_PER_ROUND = 80
 
 
-def _build_hull(net, pairs, maxflows, eps) -> HullCore:
+def _build_hull(net, pairs, maxflows, value) -> HullCore:
     """Adaptive dual-certificate collection until the certified upper bound
-    matches the oracle on a seeded validation schedule."""
+    matches `value` (see `_flow_value`) on a seeded validation schedule; the
+    LP oracle supplies the seed rows and one row per sample that fails."""
     rows = []
     for i, p in enumerate(pairs):
         rows.append(_dual_certificate(net, pairs, DemandVector.of({p: 1.0})))
@@ -461,11 +495,8 @@ def _build_hull(net, pairs, maxflows, eps) -> HullCore:
                 for i in range(len(pairs))])
             if not vec.any():
                 continue
-            d = DemandVector.of({p: v for p, v in zip(pairs, vec) if v > 0})
-            lam = concurrent_flow(net, d).value
-            ub = hull.upper_bound(vec)
-            if ub > lam * (1 + 1e-7):
-                rows.append(_dual_certificate(net, pairs, d))
+            if hull.upper_bound(vec) > value(vec) * (1 + 1e-7):
+                rows.append(_dual_certificate(net, pairs, _demand(pairs, vec)))
                 hull = HullCore(rows=np.array(rows))
                 clean = False
         if clean:

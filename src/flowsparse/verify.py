@@ -16,7 +16,7 @@ from .flow import concurrent_flow, finite_or_none, max_flow, mincut_partition
 from .network import DemandVector, TerminalNetwork, components, terminal_bipartitions
 from .sketch import _grid_exponents
 
-DEFAULT_TOL = 1e-6
+DEFAULT_TOL = 1e-6        # certify's relative slack on both quality bounds
 _MAX_CUT_TERMINALS = 16   # certify_cuts enumerates 2^(k-1) - 1 bipartitions
 
 
@@ -36,7 +36,6 @@ class QualityReport:
     lower: float          # max over demands of lam_G / lam_G'
     upper: float          # max over demands of lam_G' / lam_G
     claimed_quality: float
-    tol: float
     verdict: bool
     records: tuple[DemandRecord, ...]
     demand_spec: str
@@ -48,7 +47,7 @@ class QualityReport:
             "lower": finite_or_none(self.lower),
             "upper": finite_or_none(self.upper),
             "claimed_quality": finite_or_none(self.claimed_quality),
-            "tol": self.tol,
+            "tol": DEFAULT_TOL,
             "verdict": "pass" if self.verdict else "fail",
             "demand_spec": self.demand_spec,
             "witness_set_only": self.witness_set_only,
@@ -157,14 +156,13 @@ def demand_grid(net: TerminalNetwork, spec: str) -> list[DemandVector]:
 
 def certify(g: TerminalNetwork, gp: TerminalNetwork,
             demands: list[DemandVector] | str, claimed_q: float,
-            *, tol: float = DEFAULT_TOL,
-            demand_spec: str = "explicit") -> QualityReport:
+            *, demand_spec: str = "explicit") -> QualityReport:
     """Per-demand flow comparison of candidate gp against base g.
 
     A quality-q sparsifier must never lose flow (lower <= 1+tol) and never
-    gain more than the claim (upper <= q * (1+tol)).  A demand with a pair
-    that gp disconnects routes nothing there: its candidate lambda is 0, so
-    lower is infinite and the verdict fails.
+    gain more than the claim (upper <= q * (1+tol)), with tol = DEFAULT_TOL.
+    A demand with a pair that gp disconnects routes nothing there: its
+    candidate lambda is 0, so lower is infinite and the verdict fails.
     """
     if set(g.terminals) != set(gp.terminals):
         raise VerifyError("terminal sets differ between base and candidate")
@@ -186,9 +184,9 @@ def certify(g: TerminalNetwork, gp: TerminalNetwork,
     lower = max(r.lam_base / r.lam_candidate if r.lam_candidate else math.inf
                 for r in records)
     upper = max(r.lam_candidate / r.lam_base for r in records)
-    verdict = lower <= 1 + tol and upper <= claimed_q * (1 + tol)
+    verdict = lower <= 1 + DEFAULT_TOL and upper <= claimed_q * (1 + DEFAULT_TOL)
     return QualityReport(lower=lower, upper=upper, claimed_quality=claimed_q,
-                         tol=tol, verdict=verdict, records=tuple(records),
+                         verdict=verdict, records=tuple(records),
                          demand_spec=demand_spec)
 
 

@@ -10,11 +10,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from flowsparse import DemandVector, TerminalNetwork
-from flowsparse.flow import concurrent_flow
+from flowsparse import DemandVector, TerminalNetwork, sketch
+from flowsparse.flow import concurrent_flow, sparsest_terminal_cut
 from flowsparse.generators import gen_quasi_bipartite
 from flowsparse.sketch import (
     _exponent_floor,
+    _flow_value,
     BudgetExceeded,
     DemandSketch,
     GridCore,
@@ -147,6 +148,77 @@ class TestQuery:
             entries[pair] *= rng.uniform(0.2, 0.9)
             smaller = DemandVector.of(entries)
             assert sk.query(smaller) >= sk.query(d) / slack * (1 - 1e-9)
+
+
+def _flow_cut_nets():
+    """120 seeded (net, demand) cases with k in {2, 3, 4}, half quasi-bipartite
+    and half random connected."""
+    rng = random.Random(2024)
+    for i in range(120):
+        k = 2 + i % 3
+        if i % 2:
+            net = gen_quasi_bipartite(k, rng.randint(k + 1, k + 9), rng.randrange(2 ** 31))
+        else:
+            net = random_connected_net(rng, rng.randint(k, k + 8), k)
+        yield net, random_demand(rng, net)
+
+
+class TestExactFlowValue:
+    """For k <= 4 the cut condition suffices, so the builder validates its
+    hull against the exact sparsest terminal cut; from k = 5 on it cannot."""
+
+    def test_flow_equals_cut_up_to_four_terminals(self):
+        for net, d in _flow_cut_nets():
+            pairs = tuple(net.terminal_pairs())
+            vec = np.array([d[p] for p in pairs])
+            cut = sparsest_terminal_cut(net, d)[0]
+            assert concurrent_flow(net, d).value == pytest.approx(cut, rel=1e-9)
+            assert _flow_value(net, pairs)(vec) == pytest.approx(cut, rel=1e-12)
+
+    def test_k23_flow_is_below_the_cut_bound(self):
+        # unit K_{2,3}, every vertex a terminal: the cut condition holds with
+        # slack 1, yet only 3/4 of the demand routes concurrently
+        net = TerminalNetwork.make(
+            ["a", "b", "x", "y", "z"], ["a", "b", "x", "y", "z"],
+            [(u, v, 1) for u in "ab" for v in "xyz"])
+        d = DemandVector.of({("a", "b"): 1, ("x", "y"): 1, ("x", "z"): 1,
+                             ("y", "z"): 1})
+        pairs = tuple(net.terminal_pairs())
+        vec = np.array([d[p] for p in pairs])
+        assert sparsest_terminal_cut(net, d)[0] == pytest.approx(1.0, rel=1e-12)
+        assert concurrent_flow(net, d).value == pytest.approx(0.75, rel=1e-9)
+        assert _flow_value(net, pairs)(vec) == pytest.approx(0.75, rel=1e-9)
+
+    @staticmethod
+    def _count_solves(monkeypatch, net):
+        calls = {"oracle": 0, "rows": 0}
+        oracle, certificate = sketch.concurrent_flow, sketch._dual_certificate
+
+        def counted_oracle(*args, **kwargs):
+            calls["oracle"] += 1
+            return oracle(*args, **kwargs)
+
+        def counted_certificate(*args, **kwargs):
+            calls["rows"] += 1
+            return certificate(*args, **kwargs)
+
+        monkeypatch.setattr(sketch, "concurrent_flow", counted_oracle)
+        monkeypatch.setattr(sketch, "_dual_certificate", counted_certificate)
+        sk = build_sketch(net, 0.45)
+        return type(sk.core), calls["oracle"], calls["rows"]
+
+    @pytest.mark.parametrize("k, n, core", [(3, 8, GridCore), (4, 10, HullCore)])
+    def test_lp_solves_only_certificate_rows_up_to_four_terminals(
+            self, monkeypatch, k, n, core):
+        kind, oracle, rows = self._count_solves(
+            monkeypatch, gen_quasi_bipartite(k, n, seed=24))
+        assert kind is core
+        assert 0 < oracle == rows
+
+    def test_five_terminals_validate_with_the_oracle(self, monkeypatch):
+        _, oracle, rows = self._count_solves(
+            monkeypatch, gen_quasi_bipartite(5, 8, seed=24))
+        assert (oracle, rows) == (91, 11)
 
 
 class TestSerialization:
