@@ -86,9 +86,11 @@ def load_dimacs(path: str, terminals_path: str | None,
             if not line or line.startswith("c"):
                 continue
             parts = line.split()
+            if len(parts) < {"p": 3, "a": 4, "n": 2}.get(parts[0], 0):
+                raise NetworkError(f"malformed DIMACS row: {line!r}")
             if parts[0] == "p":
                 n_declared = int(parts[2])
-            elif parts[0] == "a" and len(parts) >= 4:
+            elif parts[0] == "a":
                 edges.append((parts[1], parts[2], Fraction(parts[3])))
             elif parts[0] == "n":
                 node_terms.append(parts[1])

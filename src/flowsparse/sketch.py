@@ -13,21 +13,20 @@ absorbing the extra (1+2*eps_int) factor the two-step decision costs.
 Membership structures
 ---------------------
 * grid core: the feasible grid vectors, stored as sorted mixed-radix integer
-  codes.  The builder walks the codes in chunks, decodes each chunk to grid
-  vectors and keeps those a hull core's certificates accept (spot-checked
-  against the true flow value).  Used when the candidate count fits the
-  enumeration budget (env FLOWSPARSE_BUDGET, default 10^6).
+  codes.  Used when k <= 4 and the candidate count fits DEFAULT_BUDGET
+  (10^6), which for eps < 1/2 happens only at k <= 3.  For k <= 4 the cut
+  condition suffices (Papernov; Lomonosov), so a vector is feasible exactly
+  when it crosses no terminal bipartition by more than the bipartition's min
+  cut.  The builder takes the 2^(k-1)-1 terminal min cuts once, walks the
+  codes in chunks and keeps every vector that passes all of them: the core
+  is exact, and no LP runs.
 * hull core: a set of dual length certificates (rows delta / objective) whose
   pointwise minimum upper bound 1/max(row . d) reproduces the flow value;
-  membership is `max(row . d) <= 1`.  Built adaptively against the true flow
-  value and used when the grid would not fit the budget (e.g. k=4 at fine
-  grids, where the feasible grid set is astronomically large).
-
-For k <= 4 the cut condition suffices (Papernov; Lomonosov), so the true
-flow value is the exact sparsest terminal cut, read off the 2^(k-1)-1
-terminal min cuts taken once per build.  For k >= 5 flow and cut can
-differ, and the LP oracle gives it.  Either way only the LP oracle supplies
-certificate rows.
+  membership is `max(row . d) <= 1`.  Built adaptively and used otherwise
+  (k = 4 at every eps, where the grid is astronomically large, and k >= 5).
+  The LP oracle supplies the rows; they are validated against the exact
+  sparsest terminal cut for k = 4, and against the oracle's value for
+  k >= 5, where flow and cut can differ.
 """
 
 from __future__ import annotations
@@ -35,7 +34,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import os
 import random
 from dataclasses import dataclass, replace
 
@@ -54,16 +52,6 @@ class SketchError(ValueError):
 
 class BudgetExceeded(SketchError):
     pass
-
-
-def enumeration_budget() -> int:
-    """FLOWSPARSE_BUDGET if set (a non-negative integer), else DEFAULT_BUDGET."""
-    raw = os.environ.get("FLOWSPARSE_BUDGET")
-    if not raw:
-        return DEFAULT_BUDGET
-    if not raw.strip().isdecimal():
-        raise SketchError(f"FLOWSPARSE_BUDGET={raw!r} is not a non-negative integer")
-    return int(raw)
 
 
 def _exponent_floor(value: float, base: float, log_base: float | None = None) -> int:
@@ -180,8 +168,13 @@ class DemandSketch:
         base = self.base
         k = self.k
         beta = min(self.maxflows[pidx[p]] / v for p, v in demand.items())
-        jlo = _exponent_ceil(beta / (k * k), base)
-        jhi = _exponent_floor(beta, base)
+        try:
+            jlo = _exponent_ceil(beta / (k * k), base)
+            jhi = _exponent_floor(beta, base)
+        except OverflowError:
+            # beta is inf, or a grid power next to it is past the float range
+            raise SketchError(f"query demand is too small: max flow / demand "
+                              f"= {beta!r} overflows the grid") from None
         if jhi < jlo:
             jhi = jlo
 
@@ -365,13 +358,14 @@ def build_sketch(net: TerminalNetwork, epsilon: float) -> DemandSketch:
     """Preprocess the network into a DemandSketch.
 
     `epsilon` is the user-facing accuracy in (0, 1/2); the grid runs at
-    epsilon/4, which must stay below the standing 1/8 assumption.
+    epsilon/4, which must stay below the standing 1/8 assumption.  The core
+    is the exact feasible grid set when k <= 4 and the grid fits
+    DEFAULT_BUDGET (in practice k <= 3), and a certificate hull otherwise.
     """
     if not (0 < epsilon < 0.5):
         raise SketchError("epsilon must lie in (0, 1/2) so that the internal "
                           "grid parameter epsilon/4 stays below 1/8")
     eps = epsilon / 4.0
-    budget = enumeration_budget()
     k = net.k
     if k < 2:
         raise SketchError("need at least two terminals")
@@ -387,23 +381,34 @@ def build_sketch(net: TerminalNetwork, epsilon: float) -> DemandSketch:
                     members=np.empty(0, dtype=np.int64))
     candidates = math.prod(c + 1 for c in grid.counts)
 
-    value = _flow_value(net, pairs)
-    core = _build_hull(net, pairs, maxflows, value)
-    if candidates <= budget:
-        members = _enumerate_with_hull(net, pairs, grid, candidates, base, core,
-                                       value)
+    if k <= 4 and candidates <= DEFAULT_BUDGET:
+        cuts, separates = _terminal_cuts(net, pairs)
+        members = _enumerate_feasible(grid, candidates, base,
+                                      separates / cuts[:, None])
         core = replace(grid, members=members)
+    else:
+        core = _build_hull(net, pairs, maxflows, _flow_value(net, pairs))
 
     return DemandSketch(epsilon=float(epsilon), eps_internal=eps,
                         terminals=tuple(net.terminals), pairs=pairs,
                         maxflows=maxflows, core=core)
 
 
-_ACCEPT_CHUNK = 65536        # grid vectors scored against the hull at once
+_ACCEPT_CHUNK = 65536        # grid vectors scored against the cut rows at once
 
 
 def _demand(pairs, vec) -> DemandVector:
     return DemandVector.of({p: v for p, v in zip(pairs, vec) if v > 0})
+
+
+def _terminal_cuts(net, pairs):
+    """(cuts, separates): each terminal bipartition's min cut, and a 0/1 row
+    per bipartition marking the pairs it separates."""
+    cuts, separates = [], []
+    for A, B in terminal_bipartitions(net.terminals):
+        cuts.append(float(mincut_partition(net, A, B)))
+        separates.append([(s in A) != (t in A) for s, t in pairs])
+    return np.array(cuts), np.array(separates, dtype=float)
 
 
 def _flow_value(net, pairs):
@@ -413,11 +418,7 @@ def _flow_value(net, pairs):
     ratio of cut to separated demand.  For k >= 5 it is the LP oracle's."""
     if net.k > 4:
         return lambda vec: concurrent_flow(net, _demand(pairs, vec)).value
-    cuts, separates = [], []
-    for A, B in terminal_bipartitions(net.terminals):
-        cuts.append(float(mincut_partition(net, A, B)))
-        separates.append([(s in A) != (t in A) for s, t in pairs])
-    cuts, separates = np.array(cuts), np.array(separates, dtype=float)
+    cuts, separates = _terminal_cuts(net, pairs)
 
     def value(vec) -> float:
         sep = separates @ vec
@@ -426,38 +427,19 @@ def _flow_value(net, pairs):
     return value
 
 
-def _enumerate_with_hull(net, pairs, grid: GridCore, candidates: int, base,
-                         hull: HullCore, value) -> np.ndarray:
-    """Sorted codes of the nonzero grid vectors the hull accepts; a sample
-    of them is checked against `value` (see `_flow_value`), and the LP
-    oracle adds a certificate row for each one that fails."""
-    rng = random.Random(0xF10A)
-    rows = list(hull.rows)
-    for attempt in range(4):
-        accepted = []
-        for lo in range(0, candidates, _ACCEPT_CHUNK):
-            codes = np.arange(lo, min(lo + _ACCEPT_CHUNK, candidates), dtype=np.int64)
-            vecs = grid.vectors(codes, base)
-            keep = (hull.rows @ vecs.T).max(axis=0) <= 1.0 + _MEMBER_TOL
-            accepted.append(codes[keep & vecs.any(axis=1)])
-        pool = np.concatenate(accepted)
-        if len(pool) == 0:
-            return pool
-        # spot check accepted vectors against the true flow value; rejection
-        # is always sound (certificates upper-bound the flow value),
-        # acceptance is what the validation must confirm
-        bad = []
-        for _ in range(min(60, len(pool))):
-            i = rng.randrange(len(pool))
-            vec = grid.vectors(pool[i:i + 1], base)[0]
-            if value(vec) < 1.0 - 1e-6:
-                bad.append(_demand(pairs, vec))
-        if not bad:
-            return pool
-        for d in bad:
-            rows.append(_dual_certificate(net, pairs, d))
-        hull = HullCore(rows=np.array(rows))
-    raise SketchError("hull certificates kept disagreeing with the oracle")
+def _enumerate_feasible(grid: GridCore, candidates: int, base,
+                        cut_rows: np.ndarray) -> np.ndarray:
+    """Sorted codes of the nonzero grid vectors that cross no terminal
+    bipartition by more than its min cut (`cut_rows`: one row per
+    bipartition, its separated pairs over its cut).  For k <= 4 these are
+    exactly the feasible grid vectors, up to _MEMBER_TOL."""
+    accepted = []
+    for lo in range(0, candidates, _ACCEPT_CHUNK):
+        codes = np.arange(lo, min(lo + _ACCEPT_CHUNK, candidates), dtype=np.int64)
+        vecs = grid.vectors(codes, base)
+        keep = (cut_rows @ vecs.T).max(axis=0) <= 1.0 + _MEMBER_TOL
+        accepted.append(codes[keep & vecs.any(axis=1)])
+    return np.concatenate(accepted)
 
 
 def _dual_certificate(net, pairs, demand: DemandVector) -> np.ndarray:

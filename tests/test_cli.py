@@ -219,16 +219,21 @@ class TestSketchCli:
         assert entries >= 1
         assert math.log(max(1, entries)) <= bound
 
-    @pytest.mark.parametrize("value", ["abc", "-1"])
-    def test_budget_typo_exit_2(self, value, tmp_path, monkeypatch, capsys):
-        g = tmp_path / "g.json"
+    def test_tiny_demand_exit_2(self, tmp_path, capsys):
+        # max flow / 1e-320 overflows to inf before the grid exponents
+        g, sk, d = tmp_path / "g.json", tmp_path / "g.sk", tmp_path / "d.json"
         assert run(["gen", "--kind", "quasi-bipartite", "--k", "3", "--n", "6",
                     "--seed", "1", "--out", g]) == 0
-        monkeypatch.setenv("FLOWSPARSE_BUDGET", value)
-        rc = run(["sketch", "build", "--graph", g, "--eps", "0.25",
-                  "--out", tmp_path / "g.sk"])
-        assert rc == 2
-        assert "error: FLOWSPARSE_BUDGET" in capsys.readouterr().err
+        assert run(["sketch", "build", "--graph", g, "--eps", "0.25",
+                    "--out", sk]) == 0
+        assert json.loads(sk.read_text())["core"]["kind"] == "grid"
+        s, t = load_net(str(g)).terminals[:2]
+        d.write_text(json.dumps([{"s": s, "t": t, "d": 1e-320}]))
+        capsys.readouterr()
+        assert run(["sketch", "query", "--sk", sk, "--demand", d]) == 2
+        err = capsys.readouterr().err
+        assert "error: query demand is too small" in err
+        assert "Traceback" not in err
 
 
 MALFORMED_DEMANDS = {
@@ -418,6 +423,18 @@ class TestDimacs:
         assert rc == 0
         net = load_net(str(out), allow_disconnected=True)
         assert net.cap("1", "2") == 5
+
+    @pytest.mark.parametrize("row", ["p max", "n", "a 1 2"])
+    def test_short_row_exit_2(self, row, tmp_path, capsys):
+        dim = tmp_path / "g.dimacs"
+        dim.write_text(f"p max 3 2\nn 1 s\nn 3 t\na 1 2 5\na 2 3 7\n{row}\n")
+        rc = run(["sparsify", "--method", "sample", "--M", "100", "--seed",
+                  "1", "--graph", dim, "--format", "dimacs",
+                  "--out", tmp_path / "h.json"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "error: malformed DIMACS row" in err
+        assert "Traceback" not in err
 
 
 def test_console_entrypoint_runs():

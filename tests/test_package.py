@@ -98,3 +98,16 @@ def test_no_src_function_is_test_only():
               and not (name.startswith("__") and name.endswith("__"))}
     assert not unused - TEST_ONLY_ALLOWED.keys(), "only tests reach these"
     assert not TEST_ONLY_ALLOWED.keys() - unused, "these now have a caller"
+
+
+def test_src_reads_no_environment():
+    """The package has no environment knobs: what a caller can set is an
+    argument, and everything else is a module constant."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            name = (node.attr if isinstance(node, ast.Attribute)
+                    else node.name if isinstance(node, ast.alias) else None)
+            if name in ("environ", "getenv"):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, "these read the environment"

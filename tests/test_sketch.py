@@ -1,7 +1,6 @@
 import hashlib
 import json
 import math
-import os
 import random
 import subprocess
 import sys
@@ -10,12 +9,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import flowsparse.lp
 from flowsparse import DemandVector, TerminalNetwork, sketch
 from flowsparse.flow import concurrent_flow, sparsest_terminal_cut
 from flowsparse.generators import gen_quasi_bipartite
+from flowsparse.network import terminal_bipartitions
 from flowsparse.sketch import (
     _exponent_floor,
     _flow_value,
+    _grid_exponents,
     BudgetExceeded,
     DemandSketch,
     GridCore,
@@ -30,6 +32,26 @@ from conftest import ONE_BLAS_THREAD, child_env, random_connected_net, random_de
 
 def single_edge(cap=10):
     return TerminalNetwork.make(["s", "t"], ["s", "t"], [("s", "t", cap)])
+
+
+def _exact_cut_ratios(net, pairs, vecs):
+    """Per row of `vecs`, the least ratio of a terminal bipartition's min cut
+    to the demand it separates, with every min cut brute-forced over the
+    vertex subsets (the sketch's own cut code is not used)."""
+    vidx = {v: i for i, v in enumerate(net.vertices)}
+    masks = np.arange(1 << len(net.vertices), dtype=np.int64)
+
+    def inside(v):
+        return (masks >> vidx[v]) & 1 == 1
+
+    caps = sum(float(c) * (inside(u) != inside(v)) for u, v, c in net.edges)
+    ratios = np.full(len(vecs), np.inf)
+    for A, B in terminal_bipartitions(net.terminals):
+        fits = np.all([inside(t) for t in A] + [~inside(t) for t in B], axis=0)
+        sep = vecs @ np.array([(s in A) != (t in A) for s, t in pairs], dtype=float)
+        with np.errstate(divide="ignore"):
+            ratios = np.minimum(ratios, np.where(sep > 0, caps[fits].min() / sep, np.inf))
+    return ratios
 
 
 class TestBuild:
@@ -69,17 +91,37 @@ class TestBuild:
                 j = round(math.log(v) / math.log(sk.base))
                 assert v == pytest.approx(sk.base ** j, rel=1e-9)
 
+    @pytest.mark.parametrize("seed", [172, 213])
+    def test_grid_core_is_the_exact_feasible_grid(self, seed):
+        # flow equals cut for k = 3, so the stored set must be every nonzero
+        # grid vector whose exact cut ratio is at least 1, and nothing else
+        rng = random.Random(seed)
+        net = random_connected_net(rng, rng.randint(4, 11), 3)
+        sk = build_sketch(net, 0.3)
+        core = sk.core
+        assert isinstance(core, GridCore)
+        # code 0 is the zero vector, the one grid vector that is never stored
+        codes = np.arange(1, math.prod(c + 1 for c in core.counts), dtype=np.int64)
+        ratios = _exact_cut_ratios(net, sk.pairs, core.vectors(codes, sk.base))
+        stored = np.isin(codes, core.members)
+        assert stored.sum() == core.size
+        assert ratios[stored].min() >= 1 - 1e-9
+        assert ratios[~stored].max() < 1
+
     def test_storage_bound(self):
         rng = random.Random(5)
         net = random_connected_net(rng, 6, 3)
         sk = build_sketch(net, 0.3)
         assert math.log(max(1, sk.stored_entries)) <= sk.storage_bound_log()
 
-    def test_budget_fallback_to_hull(self, monkeypatch):
+    def test_budget_fallback_to_hull(self):
         rng = random.Random(6)
         net = random_connected_net(rng, 8, 3)
-        monkeypatch.setenv("FLOWSPARSE_BUDGET", "10")   # grid cannot fit
-        sk = build_sketch(net, 0.25)
+        sk = build_sketch(net, 0.1)
+        candidates = math.prod(
+            len(_grid_exponents(sk.eps_internal / sk.k ** 2 * m, m, sk.base)) + 1
+            for m in sk.maxflows)
+        assert candidates > sketch.DEFAULT_BUDGET
         assert isinstance(sk.core, HullCore)
         with pytest.raises(SketchError):
             grid_demands(sk)
@@ -191,32 +233,40 @@ class TestExactFlowValue:
 
     @staticmethod
     def _count_solves(monkeypatch, net):
-        calls = {"oracle": 0, "rows": 0}
-        oracle, certificate = sketch.concurrent_flow, sketch._dual_certificate
+        """Core kind and the calls to the oracle, to the certificate rows and
+        to the float simplex behind both, in one build."""
+        calls = {"oracle": 0, "rows": 0, "simplex": 0}
 
-        def counted_oracle(*args, **kwargs):
-            calls["oracle"] += 1
-            return oracle(*args, **kwargs)
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
 
-        def counted_certificate(*args, **kwargs):
-            calls["rows"] += 1
-            return certificate(*args, **kwargs)
-
-        monkeypatch.setattr(sketch, "concurrent_flow", counted_oracle)
-        monkeypatch.setattr(sketch, "_dual_certificate", counted_certificate)
+        monkeypatch.setattr(sketch, "concurrent_flow",
+                            counted("oracle", sketch.concurrent_flow))
+        monkeypatch.setattr(sketch, "_dual_certificate",
+                            counted("rows", sketch._dual_certificate))
+        monkeypatch.setattr(flowsparse.lp, "simplex_min",
+                            counted("simplex", flowsparse.lp.simplex_min))
         sk = build_sketch(net, 0.45)
-        return type(sk.core), calls["oracle"], calls["rows"]
+        return type(sk.core), calls["oracle"], calls["rows"], calls["simplex"]
 
     @pytest.mark.parametrize("k, n, core", [(3, 8, GridCore), (4, 10, HullCore)])
     def test_lp_solves_only_certificate_rows_up_to_four_terminals(
             self, monkeypatch, k, n, core):
-        kind, oracle, rows = self._count_solves(
+        kind, oracle, rows, simplex = self._count_solves(
             monkeypatch, gen_quasi_bipartite(k, n, seed=24))
         assert kind is core
-        assert 0 < oracle == rows
+        if core is GridCore:
+            # the grid is enumerated against the exact terminal cuts alone
+            assert oracle == rows == simplex == 0
+        else:
+            assert 0 < oracle == rows
+            assert simplex > 0
 
     def test_five_terminals_validate_with_the_oracle(self, monkeypatch):
-        _, oracle, rows = self._count_solves(
+        _, oracle, rows, _ = self._count_solves(
             monkeypatch, gen_quasi_bipartite(5, 8, seed=24))
         assert (oracle, rows) == (91, 11)
 
@@ -244,7 +294,8 @@ class TestSerialization:
 
 
 def _sketch_pin_groups():
-    """Seeded `build_sketch` inputs: (net, epsilon, FLOWSPARSE_BUDGET)."""
+    """Seeded `build_sketch` inputs: (net, epsilon, enumeration budget or
+    None for `sketch.DEFAULT_BUDGET`)."""
     qb3 = gen_quasi_bipartite(3, 8, seed=22)
     return {
         "qb-2-6": (gen_quasi_bipartite(2, 6, seed=21), 0.25, None),
@@ -256,11 +307,15 @@ def _sketch_pin_groups():
 
 
 def _pinned_build(net, eps, budget):
-    """Runs in the pinning child, so the budget it sets reaches no other test."""
-    os.environ.pop("FLOWSPARSE_BUDGET", None)
+    """Runs in the pinning child, so the budget it sets reaches no other test;
+    the next group builds under the default again."""
+    default = sketch.DEFAULT_BUDGET
     if budget is not None:
-        os.environ["FLOWSPARSE_BUDGET"] = budget
-    return build_sketch(net, eps)
+        sketch.DEFAULT_BUDGET = int(budget)
+    try:
+        return build_sketch(net, eps)
+    finally:
+        sketch.DEFAULT_BUDGET = default
 
 
 def _sketch_fingerprint(sk):
