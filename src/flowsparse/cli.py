@@ -48,7 +48,8 @@ EXIT_BUDGET = 3
 
 _INPUT_ERRORS = (NetworkError, FlowError, MergeError, SamplingError,
                  StructureError, VerifyError, GeneratorError, SketchError,
-                 LPError, FileNotFoundError, json.JSONDecodeError, ValueError)
+                 LPError, FileNotFoundError, json.JSONDecodeError, ValueError,
+                 OverflowError)
 
 
 def main(argv=None) -> int:

@@ -12,14 +12,15 @@ absorbing the extra (1+2*eps_int) factor the two-step decision costs.
 
 Membership structures
 ---------------------
-* grid core: the feasible grid vectors, stored as sorted mixed-radix integer
-  codes.  Used when k <= 4 and the candidate count fits DEFAULT_BUDGET
-  (10^6), which for eps < 1/2 happens only at k <= 3.  For k <= 4 the cut
-  condition suffices (Papernov; Lomonosov), so a vector is feasible exactly
-  when it crosses no terminal bipartition by more than the bipartition's min
-  cut.  The builder takes the 2^(k-1)-1 terminal min cuts once, walks the
-  codes in chunks and keeps every vector that passes all of them: the core
-  is exact, and no LP runs.
+* grid core: one boolean per grid vector, true where the vector is feasible.
+  Used when k <= 4 and the candidate count fits DEFAULT_BUDGET (10^6),
+  which for eps < 1/2 happens only at k <= 3.  For k <= 4 the cut condition
+  suffices (Papernov; Lomonosov), so a vector is feasible exactly when it
+  crosses no terminal bipartition by more than the bipartition's min cut.
+  The builder takes the 2^(k-1)-1 terminal min cuts once and scores the
+  whole grid against each, broadcast over the per-pair values: the core is
+  exact, and no LP runs.  Sketch files list the true entries' flat indices
+  as integer codes.
 * hull core: a set of dual length certificates (rows delta / objective) whose
   pointwise minimum upper bound 1/max(row . d) reproduces the flow value;
   membership is `max(row . d) <= 1`.  Built adaptively and used otherwise
@@ -35,7 +36,7 @@ import itertools
 import json
 import math
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -77,32 +78,41 @@ def _grid_exponents(lo: float, hi: float, base: float) -> range:
     return range(_exponent_ceil(lo, base), _exponent_floor(hi, base) + 1)
 
 
+def _axis_values(exponents: range, base: float) -> np.ndarray:
+    """One grid axis: a zero coordinate, then base**j for each exponent."""
+    return np.array([0.0] + [base ** j for j in exponents])
+
+
 @dataclass(frozen=True)
 class GridCore:
-    """Explicit feasible grid set, one mixed-radix integer code per vector:
-    pair i's digit has radix counts[i] + 1, and the first pair's digit is
+    """Explicit feasible grid set: `feasible` has one axis per pair, and
+    index d > 0 on axis i is the value base**(jmins[i] + d - 1), index 0 a
+    zero coordinate.  The zero vector is never stored.  In the sketch file a
+    vector's code is its C-order flat index, so the first pair's digit is
     the most significant."""
 
     jmins: tuple[int, ...]
-    counts: tuple[int, ...]          # number of nonzero grid values per pair
-    members: np.ndarray              # sorted int64 codes
+    feasible: np.ndarray             # bool, shape (counts[i] + 1, ...)
 
-    def vectors(self, codes: np.ndarray, base: float) -> np.ndarray:
-        """One grid vector per code: digit d > 0 of pair i is
-        base**(jmins[i] + d - 1), digit 0 is a zero coordinate."""
-        rem = np.asarray(codes, dtype=np.int64)
-        columns = []
-        for jmin, c in reversed(list(zip(self.jmins, self.counts))):
-            lut = np.zeros(c + 1)
-            for d in range(1, c + 1):
-                lut[d] = base ** (jmin + d - 1)
-            columns.append(lut[rem % (c + 1)])
-            rem = rem // (c + 1)
-        return np.column_stack(columns[::-1])
+    @property
+    def counts(self) -> tuple[int, ...]:
+        """Number of nonzero grid values per pair."""
+        return tuple(n - 1 for n in self.feasible.shape)
+
+    @property
+    def members(self) -> np.ndarray:
+        """The stored vectors' codes, in increasing order."""
+        return np.flatnonzero(self.feasible)
+
+    def vectors(self, base: float) -> np.ndarray:
+        """The stored vectors, one row each, in code order."""
+        return np.column_stack([
+            _axis_values(range(j, j + c), base)[index] for j, c, index in
+            zip(self.jmins, self.counts, np.nonzero(self.feasible))])
 
     @property
     def size(self) -> int:
-        return int(len(self.members))
+        return int(np.count_nonzero(self.feasible))
 
 
 @dataclass(frozen=True)
@@ -186,17 +196,11 @@ class DemandSketch:
         core = self.core
         grid = isinstance(core, GridCore)
         if grid:
-            # digit d = e - jmin + 1 of pair i adds d times the product of
-            # the later pairs' radices (count + 1) to the mixed-radix code
-            weights = [1] * len(core.counts)
-            for i in range(len(weights) - 2, -1, -1):
-                weights[i] = weights[i + 1] * (core.counts[i + 1] + 1)
+            # exponent e of pair i lies at index e - jmin + 1 on axis i
+            feasible = core.feasible
             terms = [(dv, negligible * self.maxflows[i], 1 - core.jmins[i],
-                      core.counts[i], weights[i])
+                      feasible.shape[i] - 1, i)
                      for i, dv in enumerate(dvals) if dv > 0]
-            members = core.members
-            search = members.searchsorted
-            n_members = len(members)
         else:
             terms = [(dv, negligible * self.maxflows[i], i)
                      for i, dv in enumerate(dvals) if dv > 0]
@@ -208,21 +212,18 @@ class DemandSketch:
             probes += 1
             lam = base ** j
             if grid:
-                code = 0
+                index = [0] * len(dvals)
                 rounded = False
-                for dv, floor, offset, count, weight in terms:
+                for dv, floor, offset, count, i in terms:
                     val = lam * dv
                     if val <= floor:
                         continue
                     d = _exponent_floor(val, base, log_base) + offset
                     if d < 0 or d > count:
                         return False
-                    code += d * weight
+                    index[i] = d
                     rounded = True
-                if not rounded:
-                    return True
-                i = int(search(code))
-                return i < n_members and int(members[i]) == code
+                return not rounded or bool(feasible[tuple(index)])
             vec = np.zeros(len(dvals))
             rounded = False
             for dv, floor, i in terms:
@@ -293,51 +294,52 @@ class DemandSketch:
             if d.get("version") != 1:
                 raise SketchError("unsupported sketch version")
             core_d = d["core"]
-            if core_d["kind"] == "grid":
+            grid = core_d["kind"] == "grid"
+            if grid:
                 # checked before the int64 cast, which truncates fractions
                 if not all(type(x) is int for key in ("jmins", "counts", "members")
                            for x in core_d[key]):
                     raise SketchError("malformed sketch JSON: grid jmins, counts "
                                       "and members must be integers")
-                core = GridCore(jmins=tuple(core_d["jmins"]),
-                                counts=tuple(core_d["counts"]),
-                                members=np.sort(np.array(core_d["members"],
-                                                         dtype=np.int64)))
+                jmins, counts = tuple(core_d["jmins"]), tuple(core_d["counts"])
+                members = np.array(core_d["members"], dtype=np.int64)
             else:
-                core = HullCore(rows=np.array(core_d["rows"], dtype=float))
-            sk = DemandSketch(
-                epsilon=float(d["epsilon"]),
-                eps_internal=float(d["eps_internal"]),
-                terminals=tuple(d["terminals"]),
-                pairs=tuple((s, t) for s, t in d["pairs"]),
-                maxflows=tuple(float(x) for x in d["maxflows"]),
-                core=core)
+                rows = np.array(core_d["rows"], dtype=float)
+            epsilon, eps_internal = float(d["epsilon"]), float(d["eps_internal"])
+            terminals, pairs = tuple(d["terminals"]), tuple((s, t) for s, t in d["pairs"])
+            maxflows = tuple(float(x) for x in d["maxflows"])
         except (KeyError, TypeError, AttributeError, OverflowError) as exc:
             raise SketchError(f"malformed sketch JSON: {exc!r}") from exc
-        n = len(sk.pairs)
-        if sk.pairs != tuple(_pair(s, t) for s, t in itertools.combinations(sk.terminals, 2)):
+        n = len(pairs)
+        if pairs != tuple(_pair(s, t) for s, t in itertools.combinations(terminals, 2)):
             problem = "pairs are not the terminal pairs"
-        elif not 0 < sk.eps_internal < 0.125:
+        elif not 0 < eps_internal < 0.125:
             problem = "eps_internal must lie in (0, 1/8)"
-        elif len(sk.maxflows) != n or not all(0 < m < math.inf for m in sk.maxflows):
+        elif len(maxflows) != n or not all(0 < m < math.inf for m in maxflows):
             problem = "maxflows must hold one positive finite value per pair"
-        elif isinstance(core, GridCore):
-            if len(core.jmins) != n or len(core.counts) != n:
+        elif grid:
+            candidates = math.prod(c + 1 for c in counts)
+            if len(jmins) != n or len(counts) != n:
                 problem = "grid jmins and counts must hold one entry per pair"
-            elif any(c < 0 for c in core.counts):
+            elif any(c < 0 for c in counts):
                 problem = "grid counts must be non-negative"
-            elif len(core.members) and not (
-                    0 <= core.members[0] and core.members[-1] < math.prod(
-                        c + 1 for c in core.counts)):
+            elif candidates > DEFAULT_BUDGET:
+                problem = (f"grid of {candidates} candidates exceeds the "
+                           f"build budget {DEFAULT_BUDGET}")
+            elif len(members) and not (
+                    0 <= members.min() and members.max() < candidates):
                 problem = "grid code outside [0, prod(counts + 1))"
             else:
-                return sk
-        elif core.rows.ndim != 2 or len(core.rows) == 0:
+                core = GridCore(jmins, np.zeros([c + 1 for c in counts], dtype=bool))
+                core.feasible.flat[members] = True
+                return DemandSketch(epsilon, eps_internal, terminals, pairs, maxflows, core)
+        elif rows.ndim != 2 or len(rows) == 0:
             problem = "hull core has no rows"
-        elif core.rows.shape[1] != n:
+        elif rows.shape[1] != n:
             problem = "hull rows must hold one entry per pair"
         else:
-            return sk
+            return DemandSketch(epsilon, eps_internal, terminals, pairs, maxflows,
+                                HullCore(rows))
         raise SketchError(f"malformed sketch JSON: {problem}")
 
     def save(self, path: str) -> None:
@@ -359,8 +361,9 @@ def build_sketch(net: TerminalNetwork, epsilon: float) -> DemandSketch:
 
     `epsilon` is the user-facing accuracy in (0, 1/2); the grid runs at
     epsilon/4, which must stay below the standing 1/8 assumption.  The core
-    is the exact feasible grid set when k <= 4 and the grid fits
-    DEFAULT_BUDGET (in practice k <= 3), and a certificate hull otherwise.
+    is the exact feasible grid, one boolean per candidate, when k <= 4 and
+    the grid fits DEFAULT_BUDGET (in practice k <= 3), and a certificate
+    hull otherwise.
     """
     if not (0 < epsilon < 0.5):
         raise SketchError("epsilon must lie in (0, 1/2) so that the internal "
@@ -376,25 +379,19 @@ def build_sketch(net: TerminalNetwork, epsilon: float) -> DemandSketch:
     base = 1.0 + eps
 
     ranges = [_grid_exponents(eps / (k * k) * m, m, base) for m in maxflows]
-    grid = GridCore(jmins=tuple(r.start for r in ranges),
-                    counts=tuple(len(r) for r in ranges),
-                    members=np.empty(0, dtype=np.int64))
-    candidates = math.prod(c + 1 for c in grid.counts)
+    candidates = math.prod(len(r) + 1 for r in ranges)
 
     if k <= 4 and candidates <= DEFAULT_BUDGET:
         cuts, separates = _terminal_cuts(net, pairs)
-        members = _enumerate_feasible(grid, candidates, base,
-                                      separates / cuts[:, None])
-        core = replace(grid, members=members)
+        feasible = _feasible_grid([_axis_values(r, base) for r in ranges],
+                                  separates / cuts[:, None])
+        core = GridCore(jmins=tuple(r.start for r in ranges), feasible=feasible)
     else:
         core = _build_hull(net, pairs, maxflows, _flow_value(net, pairs))
 
     return DemandSketch(epsilon=float(epsilon), eps_internal=eps,
                         terminals=tuple(net.terminals), pairs=pairs,
                         maxflows=maxflows, core=core)
-
-
-_ACCEPT_CHUNK = 65536        # grid vectors scored against the cut rows at once
 
 
 def _demand(pairs, vec) -> DemandVector:
@@ -427,19 +424,19 @@ def _flow_value(net, pairs):
     return value
 
 
-def _enumerate_feasible(grid: GridCore, candidates: int, base,
-                        cut_rows: np.ndarray) -> np.ndarray:
-    """Sorted codes of the nonzero grid vectors that cross no terminal
-    bipartition by more than its min cut (`cut_rows`: one row per
-    bipartition, its separated pairs over its cut).  For k <= 4 these are
-    exactly the feasible grid vectors, up to _MEMBER_TOL."""
-    accepted = []
-    for lo in range(0, candidates, _ACCEPT_CHUNK):
-        codes = np.arange(lo, min(lo + _ACCEPT_CHUNK, candidates), dtype=np.int64)
-        vecs = grid.vectors(codes, base)
-        keep = (cut_rows @ vecs.T).max(axis=0) <= 1.0 + _MEMBER_TOL
-        accepted.append(codes[keep & vecs.any(axis=1)])
-    return np.concatenate(accepted)
+def _feasible_grid(values, cut_rows: np.ndarray) -> np.ndarray:
+    """The grid over the per-pair axes `values` as a boolean array, true at
+    each nonzero vector that crosses no terminal bipartition by more than
+    its min cut (`cut_rows`: one row per bipartition, its separated pairs
+    over its cut).  For k <= 4 these are exactly the feasible grid vectors,
+    up to _MEMBER_TOL."""
+    axes = np.ix_(*values)
+    feasible = np.ones([len(v) for v in values], dtype=bool)
+    for row in cut_rows:
+        # summed in pair order, so no BLAS kernel picks the scores' bits
+        feasible &= sum(c * a for c, a in zip(row, axes)) <= 1.0 + _MEMBER_TOL
+    feasible.flat[0] = False
+    return feasible
 
 
 def _dual_certificate(net, pairs, demand: DemandVector) -> np.ndarray:
@@ -493,7 +490,7 @@ def grid_demands(sk: DemandSketch, *, limit: int | None = None) -> list[DemandVe
     if limit is not None and sk.core.size > limit:
         raise BudgetExceeded(f"{sk.core.size} stored vectors exceed limit {limit}")
     out = []
-    for row in sk.core.vectors(sk.core.members, sk.base).tolist():
+    for row in sk.core.vectors(sk.base).tolist():
         entries = {p: v for p, v in zip(sk.pairs, row) if v > 0}
         if entries:
             out.append(DemandVector.of(entries))

@@ -10,6 +10,7 @@ import pytest
 from flowsparse.cli import main
 from flowsparse.jsonio import load_net, save_net
 from flowsparse.network import TerminalNetwork
+from flowsparse.sketch import DEFAULT_BUDGET
 
 from conftest import child_env, skew_duality_gap
 
@@ -292,11 +293,20 @@ def _add_half(key):
     return edit
 
 
+def _first_count_past_budget(doc):
+    # the first pair's digit is the most significant, so every stored code
+    # keeps its vector
+    counts = doc["core"]["counts"]
+    counts[0] = DEFAULT_BUDGET // math.prod(c + 1 for c in counts[1:])
+
+
 # Edits that leave a built k = 3 grid sketch parseable but inconsistent.
 # Before these were checked, "jmins-and-counts-short" answered a query with
 # exit 0 and a wrong value, and "maxflows-short" exited 1 on an IndexError;
 # the "-fractional" edits answered with exit 0 (fractional members were
-# truncated by the int64 cast), and "jmins-strings" exited 1 on a TypeError.
+# truncated by the int64 cast), "jmins-strings" exited 1 on a TypeError, and
+# "grid-over-budget" (just over DEFAULT_BUDGET candidates, more than any
+# build makes) answered with exit 0.
 INCONSISTENT_SKETCHES = {
     "pairs-not-terminal-pairs": _set("pairs", [["t0", "t1"], ["t1", "t2"], ["t0", "t2"]]),
     "maxflows-short": _cut_to_one("maxflows"),
@@ -309,6 +319,7 @@ INCONSISTENT_SKETCHES = {
     "grid-code-too-large": lambda doc: doc["core"]["members"].append(
         math.prod(c + 1 for c in doc["core"]["counts"])),
     "grid-code-past-int64": lambda doc: doc["core"]["members"].append(2 ** 70),
+    "grid-over-budget": _first_count_past_budget,
     "jmins-fractional": _add_half("jmins"),
     "jmins-strings": lambda doc: doc["core"].update(
         jmins=[str(j) for j in doc["core"]["jmins"]]),
@@ -401,6 +412,33 @@ def test_non_finite_demand_exit_2(value, tmp_path, capsys):
         err = capsys.readouterr().err
         assert "error: demand on ('s', 't') is not a finite number" in err
         assert "Traceback" not in err
+
+
+# Finite capacities whose sums or ratios leave the float range: the max flow
+# here is 2e308.  Before OverflowError was an input error, each of these
+# exited 1 with a traceback.
+FLOAT_OVERFLOW_COMMANDS = {
+    "sketch-build": ["sketch", "build", "--eps", "0.3", "--graph", "{g}"],
+    "verify-basis": ["verify", "--demands", "basis"],
+    "verify-file": ["verify", "--demands", "{d}"],
+    "verify-disc": ["verify", "--demands", "disc:0.3:0.1"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(FLOAT_OVERFLOW_COMMANDS))
+def test_float_overflow_exit_2(command, tmp_path, capsys):
+    g, d, out = tmp_path / "g.json", tmp_path / "d.json", tmp_path / "out.json"
+    save_net(TerminalNetwork.make(["s", "t", "v"], ["s", "t"], [
+        ("s", "t", 1e308), ("s", "v", 1e308), ("v", "t", 1e308)]), str(g))
+    d.write_text(json.dumps([{"s": "s", "t": "t", "d": 1.0}]))
+    args = [a.format(g=g, d=d) for a in FLOAT_OVERFLOW_COMMANDS[command]]
+    if args[0] == "verify":
+        args += ["--g", g, "--gp", g, "--claim", "1.5"]
+    rc = run(args + ["--out", out])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
 
 
 class TestPlan:

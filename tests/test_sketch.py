@@ -4,6 +4,7 @@ import math
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -100,13 +101,31 @@ class TestBuild:
         sk = build_sketch(net, 0.3)
         core = sk.core
         assert isinstance(core, GridCore)
-        # code 0 is the zero vector, the one grid vector that is never stored
-        codes = np.arange(1, math.prod(c + 1 for c in core.counts), dtype=np.int64)
-        ratios = _exact_cut_ratios(net, sk.pairs, core.vectors(codes, sk.base))
-        stored = np.isin(codes, core.members)
-        assert stored.sum() == core.size
+        # every grid vector in code order, from the per-pair value tables;
+        # the first is the zero vector, the one grid vector never stored
+        tables = [[0.0] + [sk.base ** (j + d) for d in range(c)]
+                  for j, c in zip(core.jmins, core.counts)]
+        vecs = np.stack(np.meshgrid(*tables, indexing="ij"), axis=-1)
+        ratios = _exact_cut_ratios(net, sk.pairs, vecs.reshape(-1, len(tables))[1:])
+        assert not core.feasible.flat[0]
+        stored = core.feasible.ravel()[1:]
         assert ratios[stored].min() >= 1 - 1e-9
         assert ratios[~stored].max() < 1
+
+    def test_grid_build_memory_per_candidate(self):
+        # one float score per candidate (8 bytes) and the boolean masks fit
+        # in 12 bytes a candidate; a second candidate-sized float would not
+        net = gen_quasi_bipartite(3, 8, seed=22)
+        build_sketch(net, 0.25)                  # warms the network's caches
+        tracemalloc.start()
+        try:
+            sk = build_sketch(net, 0.25)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        candidates = math.prod(c + 1 for c in sk.core.counts)
+        assert candidates == 571_787
+        assert peak <= 12 * candidates
 
     def test_storage_bound(self):
         rng = random.Random(5)
@@ -409,11 +428,14 @@ class TestGridCodes:
         ((2, -40, 7, 0), (3, 5, 1, 2), 1.3),
     ])
     def test_encode_inverts_vectors(self, jmins, counts, base):
-        core = GridCore(jmins=jmins, counts=counts, members=np.empty(0, np.int64))
-        codes = np.arange(math.prod(c + 1 for c in counts), dtype=np.int64)
-        vecs = core.vectors(codes, base)
+        feasible = np.ones([c + 1 for c in counts], bool)
+        feasible.flat[0] = False
+        core = GridCore(jmins=jmins, feasible=feasible)
+        codes = list(range(1, math.prod(c + 1 for c in counts)))
+        assert core.members.tolist() == codes
+        vecs = core.vectors(base)
         assert vecs.shape == (len(codes), len(counts))
-        for code, row in zip(codes.tolist(), vecs.tolist()):
+        for code, row in zip(codes, vecs.tolist()):
             digits = [0 if v == 0 else _exponent_floor(v, base) - jmin + 1
                       for v, jmin in zip(row, jmins)]
             assert _encode(counts, digits) == code
@@ -422,7 +444,7 @@ class TestGridCodes:
         sk = build_sketch(gen_quasi_bipartite(3, 8, seed=22), 0.45)
         core = sk.core
         assert isinstance(core, GridCore)
-        vecs = core.vectors(core.members, sk.base)
+        vecs = core.vectors(sk.base)
         for code, row in zip(core.members.tolist(), vecs.tolist()):
             digits = [0 if v == 0 else _exponent_floor(v, sk.base) - jmin + 1
                       for v, jmin in zip(row, core.jmins)]
