@@ -7,7 +7,6 @@ from .network import (
     VertexPartition,
     components_after_terminal_removal,
     merge_vertices,
-    normalize,
     phi_merge,
     subdivide_terminal_edges,
 )

@@ -50,7 +50,8 @@ from fractions import Fraction
 import numpy as np
 
 from .lp import LPError
-from .network import DemandVector, TerminalNetwork, _pair, terminal_bipartitions
+from .network import (DemandVector, TerminalNetwork, _pair, terminal_bipartitions,
+                      to_float)
 
 FEAS_TOL = 1e-9       # absolute feasibility / separation tolerance
 OPT_TOL = 1e-6        # relative optimality tolerance
@@ -84,7 +85,7 @@ class FlowSolution:
     def check(self, net: TerminalNetwork, demand: DemandVector,
               tol: float = 1e-6) -> None:
         for e, load in self.edge_loads().items():
-            cap = float(net.cap(*e))    # parallel edges summed
+            cap = float(net.cap(*e))
             if load > cap + tol * max(1.0, cap):
                 raise FlowError(f"capacity violated on {e}")
         for pair, arcs in self.arc_flows:
@@ -276,8 +277,8 @@ class _Shape:
 def _edge_index(view) -> tuple[list, dict, list]:
     """(vertex names, canonical pair -> edge index, float capacities) of a
     (scale, index, arcs) view.  Edges come in first-occurrence order over
-    the vertex numbering, which for a `make`-built network's
-    `integer_view` is its sorted edge order."""
+    the vertex numbering, which for a network's `integer_view` is its
+    sorted edge order."""
     scale, index, arcs = view
     names = list(index)
     eidx: dict = {}
@@ -287,7 +288,7 @@ def _edge_index(view) -> tuple[list, dict, list]:
             e = _pair(names[i], names[j])
             if e not in eidx:
                 eidx[e] = len(caps)
-                caps.append(c / scale)
+                caps.append(to_float(c, "capacity", e, scale))
     return names, eidx, caps
 
 
@@ -317,7 +318,7 @@ class _Lift:
 
     edges: list     # the network's canonical pairs, as `_edge_index` gives them
     cap: list       # per constituent, its float capacity; edges first
-    owner: list     # per constituent, its group (-1: an edge of capacity <= 0)
+    owner: list     # per constituent, its group
     members: list   # per group, its constituents in the order they joined
     top: list       # per reduced edge index, its group
     pieces: list    # per piece a-v-b, (a, v, group a-v, group v-b)
@@ -403,36 +404,32 @@ class _Lift:
                     ls = ((d01 + d02 - d12) / 2, (d01 + d12 - d02) / 2,
                           (d02 + d12 - d01) / 2)
                 glen[g0], glen[g1], glen[g2] = (max(x, 0.0) for x in ls)
-        # an edge of capacity <= 0 is in no group: at no cost, it keeps every
-        # distance with an infinite length
-        return [glen[g] if g >= 0 else inf for g in owner[:len(self.edges)]]
+        return [glen[g] for g in owner[:len(self.edges)]]
 
 
 def _lift_of(net: TerminalNetwork, reduced: _Shape) -> _Lift:
     """Replay the network's eliminations into groups of constituents."""
     names, eidx, cap = _edge_index(net.integer_view)
-    owner = [-1] * len(cap)
+    owner: list[int] = []
     members: list[list[int]] = []
     live: dict = {}       # canonical pair -> its group, while both ends live
     pieces = []
 
-    def join(e, c):
+    def join(e):
         g = live.get(e)
         if g is None:
             g = live[e] = len(members)
             members.append([])
-        members[g].append(c)
-        owner[c] = g
+        members[g].append(len(owner))
+        owner.append(g)
 
-    for e, i in eidx.items():
-        if cap[i] > 0:        # a self-loop's group is never reduced: length 0
-            join(e, i)
+    for e in eidx:
+        join(e)
 
     def piece(a, v, b, ga, gb, x):
         cap.append(x)
-        owner.append(-1)
         pieces.append((a, v, ga, gb))
-        join(_pair(a, b), len(cap) - 1)
+        join(_pair(a, b))
         return len(cap) - 1
 
     steps = []
@@ -747,7 +744,7 @@ def _concurrent_flow_uncached(net, demand) -> ConcurrentFlowResult:
 
     lam = -value
     edge_lengths = lift.lengths(lengths)
-    dual_obj = float(sum(c * l for c, l in zip(lift.cap, edge_lengths) if c > 0))
+    dual_obj = float(sum(c * l for c, l in zip(lift.cap, edge_lengths)))
     gap = abs(dual_obj - lam) / max(1.0, abs(lam))
     if gap > OPT_TOL:
         raise LPError(f"duality gap {gap:.3g} exceeds {OPT_TOL:g}")

@@ -32,6 +32,7 @@ from .network import (
 from .results import SparsifierResult
 from .sketch import (
     BudgetExceeded,
+    GridCore,
     _exponent_floor,
     _grid_exponents,
     build_sketch,
@@ -132,6 +133,9 @@ def profile_bucket_sparsifier(
             raise MergeError("default demand set (the discretized feasible "
                              "dictionary) needs epsilon < 1/8; pass demand_set")
         sk = build_sketch(work, 4 * epsilon)
+        if not isinstance(sk.core, GridCore):
+            raise BudgetExceeded(f"the default demand set at k = {work.k} is too "
+                                 f"large to solve; pass a demand set (--demands)")
         demand_set = grid_demands(sk, limit=_DUAL_BUDGET)
     if len(demand_set) > _DUAL_BUDGET:
         raise BudgetExceeded(f"demand set of size {len(demand_set)} exceeds "

@@ -1,10 +1,12 @@
 """Terminal networks and the structural surgeries everything else builds on.
 
 A terminal network is an undirected, edge-capacitated graph with a
-distinguished ordered subset of terminal vertices.  Capacities are exact
-rationals internally (`Fraction`); LP-facing code converts to float at the
-boundary.  All types are immutable values; every operation returns a new
-network.
+distinguished ordered subset of terminal vertices.  Every network is in
+canonical form however it is built (see `TerminalNetwork`), so code reading
+one never re-sums, re-parses or filters its edges.  Capacities are exact
+rationals (`Fraction`); LP-facing code converts to float at the boundary,
+through `to_float`.  All types are immutable values; every operation returns
+a new network.
 """
 
 from __future__ import annotations
@@ -32,6 +34,16 @@ def _as_capacity(value) -> Fraction:
         return Fraction(value)
     except (ValueError, OverflowError, TypeError) as exc:
         raise NetworkError(f"capacity {value!r} is not a finite number") from exc
+
+
+def to_float(value, quantity: str, ends: tuple, scale: int = 1) -> float:
+    """`value / scale` (exact: int or `Fraction`) as a float, or `NetworkError`
+    naming the quantity and its two ends when it is past the float range."""
+    try:
+        return float(value) if scale == 1 else value / scale
+    except OverflowError:
+        raise NetworkError(f"{quantity} between {ends[0]} and {ends[1]} is "
+                           f"past the float range") from None
 
 
 def _pair(u: str, v: str) -> tuple[str, str]:
@@ -65,20 +77,21 @@ class _HashedKey:
 class TerminalNetwork:
     """Vertices, ordered terminal list, and canonical undirected edges.
 
-    Edges are stored canonically (u < v, sorted, at most one per vertex
-    pair) when built through `make`/`normalize`.  Use `make` rather than the
-    raw constructor; it validates the invariants.
+    The constructor validates its arguments and stores them in canonical
+    form, or raises `NetworkError`: vertices sorted; terminals distinct
+    vertices, in the order given; edges (u, v, c) with u < v, sorted, one
+    per vertex pair (parallel edges summed), c a positive `Fraction`.  Zero
+    capacities are dropped.  `make` also checks that the network is
+    connected.
     """
 
     vertices: tuple[str, ...]
     terminals: tuple[str, ...]
     edges: tuple[Edge, ...]
 
-    @staticmethod
-    def make(vertices: Iterable[str], terminals: Iterable[str], edges: Iterable,
-             *, allow_disconnected: bool = False) -> "TerminalNetwork":
-        vertices = tuple(str(v) for v in vertices)
-        terminals = tuple(str(t) for t in terminals)
+    def __post_init__(self):
+        vertices = tuple(str(v) for v in self.vertices)
+        terminals = tuple(str(t) for t in self.terminals)
         vset = set(vertices)
         if len(vset) != len(vertices):
             raise NetworkError("duplicate vertex ids")
@@ -88,7 +101,7 @@ class TerminalNetwork:
             if t not in vset:
                 raise NetworkError(f"terminal {t!r} is not a vertex")
         merged: dict[tuple[str, str], Fraction] = {}
-        for e in edges:
+        for e in self.edges:
             u, v, cap = str(e[0]), str(e[1]), _as_capacity(e[2])
             if u == v:
                 raise NetworkError(f"self-loop at {u!r}")
@@ -98,9 +111,15 @@ class TerminalNetwork:
                 raise NetworkError(f"negative capacity on {u!r}-{v!r}")
             key = _pair(u, v)
             merged[key] = merged.get(key, _ZERO) + cap
-        net = TerminalNetwork(
-            vertices=tuple(sorted(vertices)), terminals=terminals,
-            edges=tuple((a, b, c) for (a, b), c in sorted(merged.items()) if c > 0))
+        object.__setattr__(self, "vertices", tuple(sorted(vertices)))
+        object.__setattr__(self, "terminals", terminals)
+        object.__setattr__(self, "edges", tuple(
+            (a, b, c) for (a, b), c in sorted(merged.items()) if c > 0))
+
+    @staticmethod
+    def make(vertices: Iterable[str], terminals: Iterable[str], edges: Iterable,
+             *, allow_disconnected: bool = False) -> "TerminalNetwork":
+        net = TerminalNetwork(vertices, terminals, edges)
         if not allow_disconnected and not net.is_connected():
             raise NetworkError("network is disconnected "
                                "(pass allow_disconnected=True to override)")
@@ -112,25 +131,21 @@ class TerminalNetwork:
     def adjacency(self) -> dict[str, dict[str, Fraction]]:
         adj: dict[str, dict[str, Fraction]] = {v: {} for v in self.vertices}
         for u, v, c in self.edges:
-            adj[u][v] = adj[u].get(v, _ZERO) + c
-            adj[v][u] = adj[v].get(u, _ZERO) + c
+            adj[u][v] = adj[v][u] = c
         return adj
 
     @cached_property
     def integer_view(self) -> tuple[int, dict[str, int], list[dict[int, int]]]:
         """(scale, index, arcs): the capacities times `scale`, the LCM of
         their denominators, as ints.  `index` numbers the vertices and
-        `arcs[i]` maps each neighbour's index to the summed integer capacity
-        of the edges between them."""
-        caps = [(u, v, _as_capacity(c)) for u, v, c in self.edges]
-        scale = math.lcm(*(c.denominator for _, _, c in caps))
+        `arcs[i]` maps each neighbour's index to the integer capacity of the
+        edge between them."""
+        scale = math.lcm(*(c.denominator for _, _, c in self.edges))
         index = {v: i for i, v in enumerate(self.vertices)}
         arcs: list[dict[int, int]] = [{} for _ in self.vertices]
-        for u, v, c in caps:
-            x = c.numerator * (scale // c.denominator)
+        for u, v, c in self.edges:
             i, j = index[u], index[v]
-            arcs[i][j] = arcs[i].get(j, 0) + x
-            arcs[j][i] = arcs[j].get(i, 0) + x
+            arcs[i][j] = arcs[j][i] = c.numerator * (scale // c.denominator)
         return scale, index, arcs
 
     @cached_property
@@ -170,9 +185,8 @@ class TerminalNetwork:
         its value.
         """
         scale, index, arcs = self.integer_view
-        adj = [{j: c for j, c in nbrs.items() if j != i and c > 0}
-               for i, nbrs in enumerate(arcs)]
-        fixed = {index[t] for t in self.terminals if t in index}
+        adj = [dict(nbrs) for nbrs in arcs]
+        fixed = {index[t] for t in self.terminals}
         alive = [True] * len(adj)
         steps = []
 
@@ -220,7 +234,7 @@ class TerminalNetwork:
 
     @cached_property
     def cache_key(self) -> "_HashedKey":
-        return _HashedKey((self.terminals, self.edges, tuple(sorted(self.vertices))))
+        return _HashedKey((self.terminals, self.edges, self.vertices))
 
     def cap(self, u: str, v: str) -> Fraction:
         return self.adjacency.get(u, {}).get(v, _ZERO)
@@ -321,12 +335,6 @@ class VertexPartition:
 # ---------------------------------------------------------------------------
 # Surgeries
 # ---------------------------------------------------------------------------
-
-def normalize(net: TerminalNetwork) -> TerminalNetwork:
-    """Sum parallel edges, drop zero capacities, sort vertex/edge order."""
-    return TerminalNetwork.make(net.vertices, net.terminals, net.edges,
-                                allow_disconnected=True)
-
 
 def subdivide_terminal_edges(net: TerminalNetwork) -> TerminalNetwork:
     """Replace each terminal-terminal edge {s,t} by s-x-t with the same capacity."""
@@ -451,10 +459,3 @@ def terminal_bipartitions(terminals: tuple[str, ...]):
             A = (t0,) + combo
             yield A, tuple(t for t in rest if t not in combo)
 
-
-def induced_subgraph(net: TerminalNetwork, keep: Iterable[str],
-                     terminals: Iterable[str]) -> TerminalNetwork:
-    keep = set(keep)
-    edges = [(u, v, c) for u, v, c in net.edges if u in keep and v in keep]
-    return TerminalNetwork.make(sorted(keep), [t for t in terminals if t in keep],
-                                edges, allow_disconnected=True)

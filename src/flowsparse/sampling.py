@@ -51,11 +51,9 @@ def two_hop_maxflows(net: TerminalNetwork):
     out = {}
     for s, t in net.terminal_pairs():
         per_v = {}
-        for v in net.adjacency[s]:
-            if v in ts:
-                continue
-            c1, c2 = net.cap(s, v), net.cap(v, t)
-            if c1 > 0 and c2 > 0:
+        for v, c1 in net.adjacency[s].items():
+            c2 = net.cap(v, t)
+            if v not in ts and c2 > 0:
                 per_v[v] = min(c1, c2)
         out[(s, t)] = (sum(per_v.values(), Fraction(0)), per_v)
     return out

@@ -41,7 +41,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .flow import concurrent_flow, max_flow, mincut_partition
-from .network import DemandVector, TerminalNetwork, _pair, terminal_bipartitions
+from .network import (DemandVector, TerminalNetwork, _pair, terminal_bipartitions,
+                      to_float)
 
 DEFAULT_BUDGET = 1_000_000
 _MEMBER_TOL = 1e-9
@@ -373,7 +374,8 @@ def build_sketch(net: TerminalNetwork, epsilon: float) -> DemandSketch:
     if k < 2:
         raise SketchError("need at least two terminals")
     pairs = tuple(net.terminal_pairs())
-    maxflows = tuple(float(max_flow(net, s, t)) for s, t in pairs)
+    maxflows = tuple(to_float(max_flow(net, s, t), "max flow", (s, t))
+                     for s, t in pairs)
     if any(m <= 0 for m in maxflows):
         raise SketchError("disconnected terminal pair")
     base = 1.0 + eps
@@ -403,7 +405,8 @@ def _terminal_cuts(net, pairs):
     per bipartition marking the pairs it separates."""
     cuts, separates = [], []
     for A, B in terminal_bipartitions(net.terminals):
-        cuts.append(float(mincut_partition(net, A, B)))
+        cuts.append(to_float(mincut_partition(net, A, B), "min cut",
+                             (",".join(A), ",".join(B))))
         separates.append([(s in A) != (t in A) for s, t in pairs])
     return np.array(cuts), np.array(separates, dtype=float)
 

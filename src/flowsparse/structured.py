@@ -19,8 +19,6 @@ from .flow import mincut_partition
 from .network import (
     TerminalNetwork,
     components,
-    induced_subgraph,
-    normalize,
     terminal_bipartitions,
 )
 from .results import SparsifierResult
@@ -95,7 +93,7 @@ def _fit_clique_star(terminals, targets):
     if min(caps + [star]) < 0:
         raise StructureError("mimicking fit failed: the cut values are not "
                              "a terminal min-cut function")
-    edges = [(u, v, c) for (u, v), c in zip(pairs, caps) if c > 0]
+    edges = [(u, v, c) for (u, v), c in zip(pairs, caps)]
     verts = list(terminals)
     if star > 0:
         aux = "_aux"
@@ -310,8 +308,7 @@ def _sp_reduce(net: TerminalNetwork, s: str, t: str) -> SpTree | None:
 
 def sp_tree_realizes(tree: SpTree, net: TerminalNetwork) -> bool:
     realized = sp_realize(tree.root, net.terminals)
-    return (set(realized.vertices) == set(net.vertices)
-            and normalize(realized).edges == normalize(net).edges)
+    return realized.vertices == net.vertices and realized.edges == net.edges
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +341,7 @@ def sp_sparsifier(net: TerminalNetwork, tree: SpTree | None = None) -> Sparsifie
         raise StructureError(f"terminals {missing} lost during recursion")
     out = TerminalNetwork.make(built.vertices, ordered, built.edges,
                                allow_disconnected=True)
-    return SparsifierResult.of(normalize(out), "series-parallel", quality,
+    return SparsifierResult.of(out, "series-parallel", quality,
                                params={"leaves": tree.leaves(),
                                        "terminals": len(ordered)})
 
@@ -485,7 +482,7 @@ def balanced_terminal_separator(net: TerminalNetwork, tdec: TreeDecomposition,
 
 
 def identity_leaf(net: TerminalNetwork) -> SparsifierResult:
-    return SparsifierResult.of(normalize(net), "identity-leaf", 1.0)
+    return SparsifierResult.of(net, "identity-leaf", 1.0)
 
 
 def mimick_leaf(net: TerminalNetwork) -> SparsifierResult:
@@ -529,7 +526,7 @@ def treewidth_sparsifier(net: TerminalNetwork, tdec: TreeDecomposition,
         raise StructureError(f"terminals {missing} lost during recursion")
     out = TerminalNetwork.make(built.vertices, net.terminals, built.edges,
                                allow_disconnected=True)
-    return SparsifierResult.of(normalize(out), "treewidth", quality,
+    return SparsifierResult.of(out, "treewidth", quality,
                                params={"width": w, "depth": depth})
 
 
@@ -543,18 +540,13 @@ def _tw_build(net, tdec, w, leaf_builder, depth, leaf_threshold):
         res = leaf_builder(net)
         return res.net, res.claimed_quality, depth
     pieces = []
-    x_edges_assigned = False
-    for comp in comps:
-        keep = set(comp) | set(X)
-        sub_terms = sorted((set(net.terminals) & comp) | set(X))
-        sub = induced_subgraph(net, keep, sub_terms)
-        if x_edges_assigned:
-            edges = [(u, v, c) for u, v, c in sub.edges
-                     if not (u in X and v in X)]
-            sub = TerminalNetwork.make(sub.vertices, sub.terminals, edges,
-                                       allow_disconnected=True)
-        else:
-            x_edges_assigned = True
+    for n, comp in enumerate(comps):
+        # the separator's own edges go to the first piece only
+        keep = comp | X
+        edges = [(u, v, c) for u, v, c in net.edges if u in keep and v in keep
+                 and (n == 0 or u in comp or v in comp)]
+        sub = TerminalNetwork.make(keep, sorted((net.terminal_set & comp) | X),
+                                   edges, allow_disconnected=True)
         if sub.k >= net.k:
             raise StructureError("treewidth recursion failed to shrink the "
                                  "terminal count")

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .flow import concurrent_flow, finite_or_none, max_flow, mincut_partition
-from .network import DemandVector, TerminalNetwork, components, terminal_bipartitions
+from .network import (DemandVector, TerminalNetwork, components,
+                      terminal_bipartitions, to_float)
 from .sketch import _grid_exponents
 
 DEFAULT_TOL = 1e-6        # certify's relative slack on both quality bounds
@@ -91,7 +92,7 @@ def basis_demands(net: TerminalNetwork) -> list[DemandVector]:
     """One single-commodity vector per pair at its max-flow value."""
     out = []
     for s, t in net.terminal_pairs():
-        val = float(max_flow(net, s, t))
+        val = to_float(max_flow(net, s, t), "max flow", (s, t))
         if val > 0:
             out.append(DemandVector.of({(s, t): val}))
     return out
@@ -122,9 +123,11 @@ def disc_demands(net: TerminalNetwork, eps: float, eta: float) -> list[DemandVec
         raise VerifyError("need eps > 0 and eta in (0,1)")
     if net.is_quasi_bipartite() and net.terminals_independent():
         from .sampling import two_hop_maxflows
-        flows = {p: float(f) for p, (f, _) in two_hop_maxflows(net).items()}
+        flows = {p: to_float(f, "2-hop max flow", p)
+                 for p, (f, _) in two_hop_maxflows(net).items()}
     else:
-        flows = {p: float(max_flow(net, *p)) for p in net.terminal_pairs()}
+        flows = {p: to_float(max_flow(net, *p), "max flow", p)
+                 for p in net.terminal_pairs()}
     out = []
     for p, F in sorted(flows.items()):
         if F <= 0:

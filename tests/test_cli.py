@@ -193,6 +193,19 @@ class TestBudgetExit:
                   "--graph", g, "--out", tmp_path / "h.json"])
         assert rc == 3
 
+    def test_clump_default_demands_at_k4_exit_3(self, tmp_path, capsys):
+        # at k = 4 the default dictionary is never an explicit grid
+        g = tmp_path / "g.json"
+        assert run(["gen", "--kind", "quasi-bipartite", "--k", "4", "--n",
+                    "12", "--seed", "2", "--out", g]) == 0
+        capsys.readouterr()
+        rc = run(["sparsify", "--method", "clump", "--eps", "0.1",
+                  "--graph", g, "--out", tmp_path / "h.json"])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert err.startswith("budget exceeded: ") and "--demands" in err
+        assert "hull" not in err and "core" not in err
+
 
 class TestSketchCli:
     def test_build_and_query(self, tmp_path):
@@ -438,7 +451,28 @@ def test_float_overflow_exit_2(command, tmp_path, capsys):
     err = capsys.readouterr().err
     assert rc == 2
     assert err.startswith("error: ")
+    assert "between s and t is past the float range" in err
     assert "Traceback" not in err
+
+
+def test_float_overflow_of_a_terminal_cut_exit_2(tmp_path, capsys):
+    # every max flow fits a float; the cut around a is 2e308
+    g = tmp_path / "g.json"
+    save_net(TerminalNetwork.make(["a", "b", "c"], ["a", "b", "c"], [
+        ("a", "b", 1e308), ("a", "c", 1e308), ("b", "c", 1)]), str(g))
+    rc = run(["sketch", "build", "--eps", "0.3", "--graph", g,
+              "--out", tmp_path / "g.sk"])
+    assert rc == 2
+    assert "error: min cut between a and b,c is past the float range" in (
+        capsys.readouterr().err)
+
+
+def test_float_overflow_net_is_accepted_by_exact_commands(tmp_path):
+    # the range check sits at the float conversions, not at construction
+    g, out = tmp_path / "g.json", tmp_path / "h.json"
+    save_net(TerminalNetwork.make(["s", "t", "v"], ["s", "t"], [
+        ("s", "t", 1e308), ("s", "v", 1e308), ("v", "t", 1e308)]), str(g))
+    assert run(["sparsify", "--method", "sp", "--graph", g, "--out", out]) == 0
 
 
 class TestPlan:

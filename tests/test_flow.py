@@ -17,6 +17,7 @@ from scipy.optimize import linprog
 
 from flowsparse import (
     DemandVector,
+    NetworkError,
     TerminalNetwork,
     concurrent_flow,
     max_flow,
@@ -96,11 +97,9 @@ def rational_net(rng, n, k):
 
 def nx_set_flow(net, S, T):
     """Exact max flow from vertex set S to T by networkx, through a super
-    source and sink joined by edges of unbounded capacity.  Parallel edges
-    of a raw net are summed."""
+    source and sink joined by edges of unbounded capacity."""
     g = nx.Graph()
-    for u, v, c in net.edges:
-        g.add_edge(u, v, capacity=c + g.get_edge_data(u, v, {"capacity": 0})["capacity"])
+    g.add_edges_from((u, v, {"capacity": c}) for u, v, c in net.edges)
     g.add_edges_from(("_S", a) for a in S)
     g.add_edges_from((b, "_T") for b in T)
     return nx.maximum_flow_value(g, "_S", "_T")
@@ -290,10 +289,9 @@ class TestCutView:
         for s, t in [("s", "x"), ("x", "t"), ({"s", "x"}, "t")]:
             with pytest.raises(FlowError, match="endpoint not in network"):
                 max_flow(net, s, t)
-        raw = TerminalNetwork(vertices=("s", "v"), terminals=("s", "t"),
-                              edges=(("s", "v", 1),))
-        with pytest.raises(FlowError, match="endpoint not in network"):
-            max_flow(raw, "s", "t")
+        with pytest.raises(NetworkError, match="terminal 't' is not a vertex"):
+            TerminalNetwork(vertices=("s", "v"), terminals=("s", "t"),
+                            edges=(("s", "v", 1),))
 
 
 def closed_form_applies(net, S, T):
@@ -307,8 +305,8 @@ def closed_form_applies(net, S, T):
 
 
 def with_zero_capacity_edges(net, rng):
-    """A raw copy of `net` with a few zero-capacity edges added, some
-    between non-terminals."""
+    """`net` built again from its edges plus a few zero-capacity edges,
+    some between non-terminals, which the constructor drops."""
     inner = [v for v in net.vertices if v not in net.terminal_set]
     extra = [(*rng.sample(inner, 2), Fraction(0)) for _ in range(3)]
     extra += [(rng.choice(net.terminals), rng.choice(inner), Fraction(0))]
@@ -1075,13 +1073,20 @@ class TestCuts:
             assert phi >= lam * (1 - 1e-6)
 
     def test_size_guard_directs_to_terminal_mode(self):
+        # the guard raises before enumerating anything; the brute-force
+        # equality runs just past the default bound of 20 vertices, where
+        # it enumerates 2^20 subsets (at 25 vertices, 2^24 take seconds
+        # and over a GB)
         rng = random.Random(81)
         net = random_connected_net(rng, 25, 3)
+        with pytest.raises(FlowError, match="terminal"):
+            sparsest_cut(net, random_demand(rng, net))
+        net = random_connected_net(rng, 21, 3)
         d = random_demand(rng, net)
         with pytest.raises(FlowError, match="terminal"):
             sparsest_cut(net, d)
         ratio, (A, B) = sparsest_terminal_cut(net, d)
-        phi_true, _ = sparsest_cut(net, d, max_vertices=25)
+        phi_true, _ = sparsest_cut(net, d, max_vertices=21)
         assert abs(ratio - phi_true) <= 1e-9
 
     def test_mincut_partition_star(self):

@@ -13,7 +13,6 @@ from flowsparse import (
     VertexPartition,
     components_after_terminal_removal,
     merge_vertices,
-    normalize,
     phi_merge,
     subdivide_terminal_edges,
 )
@@ -27,6 +26,22 @@ def net_of(vertices, terminals, edges, **kw):
     return TerminalNetwork.make(vertices, terminals, edges, **kw)
 
 
+# the two ways to build a network; make also checks connectivity
+BUILDERS = {
+    "constructor": TerminalNetwork,
+    "make": lambda v, t, e: TerminalNetwork.make(v, t, e, allow_disconnected=True),
+}
+
+INVALID = {
+    "self-loop": (["a", "b"], ["a"], [("a", "b", 1), ("a", "a", 1)]),
+    "negative-capacity": (["a", "b"], ["a"], [("a", "b", -1)]),
+    "duplicate-vertex": (["a", "b", "a"], ["a"], [("a", "b", 1)]),
+    "duplicate-terminal": (["a", "b"], ["a", "a"], [("a", "b", 1)]),
+    "unknown-terminal": (["a", "b"], ["z"], [("a", "b", 1)]),
+    "unknown-endpoint": (["a", "b"], ["a"], [("a", "z", 1)]),
+}
+
+
 class TestConstruction:
     def test_parallel_edges_summed(self):
         net = net_of(["s", "t"], ["s", "t"], [("s", "t", 3), ("s", "t", 4)])
@@ -38,10 +53,30 @@ class TestConstruction:
         assert all(c > 0 for _, _, c in net.edges)
         assert net.cap("s", "u") == 0
 
-    def test_normalize_idempotent(self):
+    def test_canonical_form_is_a_fixed_point(self):
         net = net_of(["a", "b", "c"], ["a", "b"],
                      [("a", "b", 2), ("b", "c", 3), ("a", "c", 1)])
-        assert normalize(net) == net
+        assert TerminalNetwork(net.vertices, net.terminals, net.edges) == net
+
+    @pytest.mark.parametrize("builder", sorted(BUILDERS))
+    def test_builds_the_canonical_form(self, builder):
+        net = BUILDERS[builder](
+            ["v", "t", "z", "s"], ["t", "s"],
+            [("v", "s", 1), ("t", "v", "3/2"), ("s", "v", 0.5), ("z", "s", 0),
+             ("t", "s", 2), ("v", "t", Fraction(1, 2)), ("v", "z", 0)])
+        assert net.vertices == ("s", "t", "v", "z")
+        assert net.terminals == ("t", "s")
+        assert net.edges == (("s", "t", Fraction(2)), ("s", "v", Fraction(3, 2)),
+                             ("t", "v", Fraction(2)))
+        assert all(type(c) is Fraction for _, _, c in net.edges)
+        other = next(b for name, b in BUILDERS.items() if name != builder)
+        assert net == other(net.vertices[::-1], net.terminals, net.edges[::-1])
+
+    @pytest.mark.parametrize("builder", sorted(BUILDERS))
+    @pytest.mark.parametrize("case", sorted(INVALID))
+    def test_invalid_input_raises(self, builder, case):
+        with pytest.raises(NetworkError):
+            BUILDERS[builder](*INVALID[case])
 
     def test_rejects_self_loop(self):
         with pytest.raises(NetworkError):
@@ -67,15 +102,14 @@ class TestConstruction:
         net = net_of(["a", "b"], ["a", "b"], [("a", "b", "7/3")])
         assert net.cap("a", "b") == Fraction(7, 3)
 
-    def test_normalize_preserves_lambda(self):
-        raw = TerminalNetwork(
+    def test_canonical_form_preserves_lambda(self):
+        net = TerminalNetwork(
             vertices=("s", "t", "v"), terminals=("s", "t"),
             edges=(("s", "v", Fraction(1)), ("s", "v", Fraction(2)),
                    ("t", "v", Fraction(4)), ("s", "t", Fraction(0))))
-        cooked = normalize(raw)
-        assert cooked.cap("s", "v") == 3
+        assert net.edges == (("s", "v", 3), ("t", "v", 4))
         d = {("s", "t"): 1.0}
-        assert concurrent_flow(cooked, d).value == pytest.approx(3.0)
+        assert concurrent_flow(net, d).value == pytest.approx(3.0)
 
     @pytest.mark.parametrize("cap", [float("inf"), float("-inf"), float("nan"),
                                      1e400, "inf", "abc", None])
@@ -174,7 +208,7 @@ class TestMerge:
         rng = random.Random(0)
         net = random_connected_net(rng, 8, 3)
         singletons = VertexPartition.of([v] for v in net.vertices)
-        assert merge_vertices(net, singletons) == normalize(net)
+        assert merge_vertices(net, singletons) == net
 
     def test_rejects_block_with_two_terminals(self):
         net = net_of(["a", "b", "v"], ["a", "b"], [("a", "v", 1), ("v", "b", 1)])
@@ -339,6 +373,9 @@ def test_surgeries_preserve_flow_relations_on_100_demands():
     checked = 0
     while checked < 100:
         net = random_connected_net(rng, rng.randint(5, 12), rng.randint(2, 4))
+        # rebuilding from shuffled parts: the same network
+        assert TerminalNetwork(net.vertices[::-1], net.terminals,
+                               net.edges[::-1]) == net
         sub = subdivide_terminal_edges(net)
         non_terms = [v for v in net.vertices if v not in net.terminal_set]
         merged = None
@@ -350,9 +387,6 @@ def test_surgeries_preserve_flow_relations_on_100_demands():
         for _ in range(4):
             d = random_demand(rng, net)
             lam = concurrent_flow(net, d).value
-            # normalization: identical value
-            assert concurrent_flow(normalize(net), d).value == pytest.approx(
-                lam, rel=1e-6)
             # subdivision: identical value
             assert concurrent_flow(sub, d).value == pytest.approx(lam, rel=1e-6)
             # merging: never less

@@ -111,3 +111,37 @@ def test_src_reads_no_environment():
             if name in ("environ", "getenv"):
                 found.append(f"{path.name}:{node.lineno}")
     assert not found, "these read the environment"
+
+
+class _Builds(ast.NodeVisitor):
+    """Where a module calls the `TerminalNetwork` constructor: the qualified
+    name of each enclosing function."""
+
+    def __init__(self):
+        self.scope: list[str] = []
+        self.found: list[str] = []
+
+    def _enter(self, node):
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    visit_ClassDef = visit_FunctionDef = visit_AsyncFunctionDef = _enter
+
+    def visit_Call(self, node):
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        if name == "TerminalNetwork":
+            self.found.append(".".join(self.scope))
+        self.generic_visit(node)
+
+
+def test_src_builds_networks_through_make():
+    """Every network src builds goes through `TerminalNetwork.make`, the
+    layer the benchmark traces as `network.make`."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        builds = _Builds()
+        builds.visit(ast.parse(path.read_text(), filename=str(path)))
+        found += [f"{path.name}:{where}" for where in builds.found]
+    assert found == ["network.py:TerminalNetwork.make"]
