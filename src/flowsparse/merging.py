@@ -30,14 +30,7 @@ from .network import (
     subdivide_terminal_edges,
 )
 from .results import SparsifierResult
-from .sketch import (
-    BudgetExceeded,
-    GridCore,
-    _exponent_floor,
-    _grid_exponents,
-    build_sketch,
-    grid_demands,
-)
+from .sketch import BudgetExceeded, _exponent_floor, _grid_exponents, grid_demands, grid_sketch
 
 ZERO = "zero"
 ABSENT = "absent"
@@ -132,8 +125,8 @@ def profile_bucket_sparsifier(
         if epsilon >= 1 / 8:
             raise MergeError("default demand set (the discretized feasible "
                              "dictionary) needs epsilon < 1/8; pass demand_set")
-        sk = build_sketch(work, 4 * epsilon)
-        if not isinstance(sk.core, GridCore):
+        sk = grid_sketch(work, 4 * epsilon)
+        if sk is None:
             raise BudgetExceeded(f"the default demand set at k = {work.k} is too "
                                  f"large to solve; pass a demand set (--demands)")
         demand_set = grid_demands(sk, limit=_DUAL_BUDGET)

@@ -10,6 +10,9 @@ the membership structure.
 The user-facing accuracy is (1+eps): internally the grid runs at eps/4,
 absorbing the extra (1+2*eps_int) factor the two-step decision costs.
 
+Every build takes the 2^(k-1)-1 terminal min cuts once; that one table
+gives each pair's max flow, the grid core, and the first rows of a hull.
+
 Membership structures
 ---------------------
 * grid core: one boolean per grid vector, true where the vector is feasible.
@@ -17,17 +20,16 @@ Membership structures
   which for eps < 1/2 happens only at k <= 3.  For k <= 4 the cut condition
   suffices (Papernov; Lomonosov), so a vector is feasible exactly when it
   crosses no terminal bipartition by more than the bipartition's min cut.
-  The builder takes the 2^(k-1)-1 terminal min cuts once and scores the
-  whole grid against each, broadcast over the per-pair values: the core is
+  The builder scores the whole grid against each terminal cut: the core is
   exact, and no LP runs.  Sketch files list the true entries' flat indices
   as integer codes.
-* hull core: a set of dual length certificates (rows delta / objective) whose
-  pointwise minimum upper bound 1/max(row . d) reproduces the flow value;
-  membership is `max(row . d) <= 1`.  Built adaptively and used otherwise
-  (k = 4 at every eps, where the grid is astronomically large, and k >= 5).
-  The LP oracle supplies the rows; they are validated against the exact
-  sparsest terminal cut for k = 4, and against the oracle's value for
-  k >= 5, where flow and cut can differ.
+* hull core: rows with row . d <= 1 for every routable demand d; membership
+  is `max(row . d) <= 1`.  Used otherwise (k = 4 at every eps, where the
+  grid is astronomically large, and k >= 5).  The rows are the terminal cut
+  rows and the LP oracle's dual rows for each single pair and one mixed
+  demand.  At k <= 4 the cut rows alone are the feasible polytope, so the
+  hull is exact; at k >= 5 a seeded validation schedule adds oracle rows,
+  and the band there is sampled, not certified.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .flow import concurrent_flow, max_flow, mincut_partition
+from .flow import concurrent_flow, max_flow
 from .network import (DemandVector, TerminalNetwork, _pair, terminal_bipartitions,
                       to_float)
 
@@ -363,9 +365,32 @@ def build_sketch(net: TerminalNetwork, epsilon: float) -> DemandSketch:
     `epsilon` is the user-facing accuracy in (0, 1/2); the grid runs at
     epsilon/4, which must stay below the standing 1/8 assumption.  The core
     is the exact feasible grid, one boolean per candidate, when k <= 4 and
-    the grid fits DEFAULT_BUDGET (in practice k <= 3), and a certificate
-    hull otherwise.
+    the grid fits DEFAULT_BUDGET (in practice k <= 3), and a hull otherwise.
     """
+    eps, pairs, maxflows, cut_rows, core = _cut_table(net, epsilon)
+    if core is None:
+        core = _build_hull(net, pairs, maxflows, cut_rows)
+    return DemandSketch(float(epsilon), eps, tuple(net.terminals), pairs, maxflows, core)
+
+
+def grid_sketch(net: TerminalNetwork, epsilon: float) -> DemandSketch | None:
+    """`build_sketch(net, epsilon)` when its core is a grid, else None, which
+    is known before any LP would run."""
+    eps, pairs, maxflows, _, core = _cut_table(net, epsilon)
+    if core is None:
+        return None
+    return DemandSketch(float(epsilon), eps, tuple(net.terminals), pairs, maxflows, core)
+
+
+def _cut_table(net, epsilon):
+    """A build's first step, which runs no LP: check the arguments and take
+    the terminal cuts.  Returns (eps_internal, pairs, maxflows, cut_rows,
+    grid), where `grid` is the GridCore when the core is a grid (k <= 4 and
+    at most DEFAULT_BUDGET candidates), and None otherwise.
+
+    The grid is every nonzero grid vector that crosses no terminal
+    bipartition by more than its min cut; for k <= 4 these are exactly the
+    feasible grid vectors, up to _MEMBER_TOL."""
     if not (0 < epsilon < 0.5):
         raise SketchError("epsilon must lie in (0, 1/2) so that the internal "
                           "grid parameter epsilon/4 stays below 1/8")
@@ -374,72 +399,34 @@ def build_sketch(net: TerminalNetwork, epsilon: float) -> DemandSketch:
     if k < 2:
         raise SketchError("need at least two terminals")
     pairs = tuple(net.terminal_pairs())
-    maxflows = tuple(to_float(max_flow(net, s, t), "max flow", (s, t))
-                     for s, t in pairs)
-    if any(m <= 0 for m in maxflows):
-        raise SketchError("disconnected terminal pair")
-    base = 1.0 + eps
-
-    ranges = [_grid_exponents(eps / (k * k) * m, m, base) for m in maxflows]
-    candidates = math.prod(len(r) + 1 for r in ranges)
-
-    if k <= 4 and candidates <= DEFAULT_BUDGET:
-        cuts, separates = _terminal_cuts(net, pairs)
-        feasible = _feasible_grid([_axis_values(r, base) for r in ranges],
-                                  separates / cuts[:, None])
-        core = GridCore(jmins=tuple(r.start for r in ranges), feasible=feasible)
-    else:
-        core = _build_hull(net, pairs, maxflows, _flow_value(net, pairs))
-
-    return DemandSketch(epsilon=float(epsilon), eps_internal=eps,
-                        terminals=tuple(net.terminals), pairs=pairs,
-                        maxflows=maxflows, core=core)
-
-
-def _demand(pairs, vec) -> DemandVector:
-    return DemandVector.of({p: v for p, v in zip(pairs, vec) if v > 0})
-
-
-def _terminal_cuts(net, pairs):
-    """(cuts, separates): each terminal bipartition's min cut, and a 0/1 row
-    per bipartition marking the pairs it separates."""
-    cuts, separates = [], []
-    for A, B in terminal_bipartitions(net.terminals):
-        cuts.append(to_float(mincut_partition(net, A, B), "min cut",
-                             (",".join(A), ",".join(B))))
-        separates.append([(s in A) != (t in A) for s, t in pairs])
-    return np.array(cuts), np.array(separates, dtype=float)
-
-
-def _flow_value(net, pairs):
-    """The map from a nonzero demand vector over `pairs` to its concurrent-flow
-    value.  For k <= 4 it is the exact sparsest terminal cut: each terminal
-    bipartition's min cut is taken once, and a vector's value is the least
-    ratio of cut to separated demand.  For k >= 5 it is the LP oracle's."""
-    if net.k > 4:
-        return lambda vec: concurrent_flow(net, _demand(pairs, vec)).value
-    cuts, separates = _terminal_cuts(net, pairs)
-
-    def value(vec) -> float:
-        sep = separates @ vec
-        split = sep > 0
-        return float(np.min(cuts[split] / sep[split]))
-    return value
-
-
-def _feasible_grid(values, cut_rows: np.ndarray) -> np.ndarray:
-    """The grid over the per-pair axes `values` as a boolean array, true at
-    each nonzero vector that crosses no terminal bipartition by more than
-    its min cut (`cut_rows`: one row per bipartition, its separated pairs
-    over its cut).  For k <= 4 these are exactly the feasible grid vectors,
-    up to _MEMBER_TOL."""
-    axes = np.ix_(*values)
-    feasible = np.ones([len(v) for v in values], dtype=bool)
+    maxflows, cut_rows = _terminal_cuts(net, pairs)
+    ranges = [_grid_exponents(eps / (k * k) * m, m, 1.0 + eps) for m in maxflows]
+    if k > 4 or math.prod(len(r) + 1 for r in ranges) > DEFAULT_BUDGET:
+        return eps, pairs, maxflows, cut_rows, None
+    axes = np.ix_(*[_axis_values(r, 1.0 + eps) for r in ranges])
+    feasible = np.ones([len(r) + 1 for r in ranges], dtype=bool)
     for row in cut_rows:
         # summed in pair order, so no BLAS kernel picks the scores' bits
         feasible &= sum(c * a for c, a in zip(row, axes)) <= 1.0 + _MEMBER_TOL
     feasible.flat[0] = False
-    return feasible
+    return eps, pairs, maxflows, cut_rows, GridCore(tuple(r.start for r in ranges), feasible)
+
+
+def _terminal_cuts(net, pairs):
+    """(maxflows, cut_rows) from the 2^(k-1)-1 terminal min cuts, each taken
+    once.  A pair's max flow is the least cut that separates it.  A cut row
+    holds 1/mincut(A, B) at each pair that (A, B) separates and 0 elsewhere,
+    so row . d <= 1 says d(A, B) <= mincut(A, B)."""
+    cuts, separates = [], []
+    for A, B in terminal_bipartitions(net.terminals):
+        cuts.append(to_float(max_flow(net, A, B), "min cut",
+                             (",".join(A), ",".join(B))))
+        separates.append([(s in A) != (t in A) for s, t in pairs])
+    cuts, separates = np.array(cuts), np.array(separates)
+    maxflows = tuple(float(cuts[column].min()) for column in separates.T)
+    if any(m <= 0 for m in maxflows):
+        raise SketchError("disconnected terminal pair")
+    return maxflows, separates / cuts[:, None]
 
 
 def _dual_certificate(net, pairs, demand: DemandVector) -> np.ndarray:
@@ -451,23 +438,31 @@ def _dual_certificate(net, pairs, demand: DemandVector) -> np.ndarray:
     return row / res.dual.value
 
 
-_VALIDATION_ROUNDS = 30      # hull validation: rounds of seeded samples
+_VALIDATION_ROUNDS = 30      # hull validation at k >= 5: rounds of seeded samples
 _SAMPLES_PER_ROUND = 80
 
 
-def _build_hull(net, pairs, maxflows, value) -> HullCore:
-    """Adaptive dual-certificate collection until the certified upper bound
-    matches `value` (see `_flow_value`) on a seeded validation schedule; the
-    LP oracle supplies the seed rows and one row per sample that fails."""
-    rows = []
-    for i, p in enumerate(pairs):
+def _build_hull(net, pairs, maxflows, cut_rows) -> HullCore:
+    """The terminal cut rows, then the LP oracle's dual rows for each single
+    pair and one mixed demand: 2^(k-1)-1 + k(k-1)/2 + 1 rows.
+
+    For k <= 4 the cut condition suffices (Papernov; Lomonosov), so the cut
+    rows alone are the feasible polytope and the hull is exact; no
+    validation runs.  For k >= 5 flow and cut can differ, so a seeded
+    validation schedule compares the hull's bound with the oracle's value
+    and adds the oracle's row for each sample that fails.  The band there is
+    sampled, not certified."""
+    rows = list(cut_rows)
+    for p in pairs:
         rows.append(_dual_certificate(net, pairs, DemandVector.of({p: 1.0})))
     mix = DemandVector.of({p: 1.0 / maxflows[i] for i, p in enumerate(pairs)})
     rows.append(_dual_certificate(net, pairs, mix))
-    rng = random.Random(0xC0FFEE)
     hull = HullCore(rows=np.array(rows))
+    if net.k <= 4:
+        return hull
+    rng = random.Random(0xC0FFEE)
     scales = (1.0, 0.25, 0.0625)
-    for rnd in range(_VALIDATION_ROUNDS):
+    for _ in range(_VALIDATION_ROUNDS):
         clean = True
         for s in range(_SAMPLES_PER_ROUND):
             scale = scales[s % len(scales)]
@@ -477,8 +472,9 @@ def _build_hull(net, pairs, maxflows, value) -> HullCore:
                 for i in range(len(pairs))])
             if not vec.any():
                 continue
-            if hull.upper_bound(vec) > value(vec) * (1 + 1e-7):
-                rows.append(_dual_certificate(net, pairs, _demand(pairs, vec)))
+            demand = DemandVector.of({p: v for p, v in zip(pairs, vec) if v > 0})
+            if hull.upper_bound(vec) > concurrent_flow(net, demand).value * (1 + 1e-7):
+                rows.append(_dual_certificate(net, pairs, demand))
                 hull = HullCore(rows=np.array(rows))
                 clean = False
         if clean:

@@ -193,18 +193,35 @@ class TestBudgetExit:
                   "--graph", g, "--out", tmp_path / "h.json"])
         assert rc == 3
 
-    def test_clump_default_demands_at_k4_exit_3(self, tmp_path, capsys):
-        # at k = 4 the default dictionary is never an explicit grid
+    @staticmethod
+    def _clump_default_demands(tmp_path, capsys, monkeypatch, k, n, seed):
+        """Exit code and stderr of clump without --demands, with a tripwire
+        on the float simplex: the default demand set is known to be too
+        large before any LP."""
+        import flowsparse.lp
+
+        def tripwire(*args, **kwargs):
+            raise AssertionError("simplex_min ran for a demand set it throws away")
         g = tmp_path / "g.json"
-        assert run(["gen", "--kind", "quasi-bipartite", "--k", "4", "--n",
-                    "12", "--seed", "2", "--out", g]) == 0
+        assert run(["gen", "--kind", "quasi-bipartite", "--k", k, "--n", n,
+                    "--seed", seed, "--out", g]) == 0
         capsys.readouterr()
+        monkeypatch.setattr(flowsparse.lp, "simplex_min", tripwire)
         rc = run(["sparsify", "--method", "clump", "--eps", "0.1",
                   "--graph", g, "--out", tmp_path / "h.json"])
-        err = capsys.readouterr().err
+        return rc, capsys.readouterr().err
+
+    def test_clump_default_demands_at_k4_exit_3(self, tmp_path, capsys, monkeypatch):
+        # at k = 4 the default dictionary is never an explicit grid
+        rc, err = self._clump_default_demands(tmp_path, capsys, monkeypatch, 4, 12, 2)
         assert rc == 3
         assert err.startswith("budget exceeded: ") and "--demands" in err
         assert "hull" not in err and "core" not in err
+
+    def test_clump_default_demands_at_k5_exit_3(self, tmp_path, capsys, monkeypatch):
+        rc, err = self._clump_default_demands(tmp_path, capsys, monkeypatch, 5, 40, 1)
+        assert rc == 3
+        assert err.startswith("budget exceeded: ") and "--demands" in err
 
 
 class TestSketchCli:
@@ -232,6 +249,22 @@ class TestSketchCli:
         entries, bound = int(m[1]), float(m[2])
         assert entries >= 1
         assert math.log(max(1, entries)) <= bound
+
+    def test_k5_hull_answers_a_star_within_the_band(self, tmp_path, capsys):
+        # a star at t3 meets its singleton cut; a hull without the terminal
+        # cut rows answered 1 here, against lambda = 0.5206
+        g, sk, d = tmp_path / "g.json", tmp_path / "g.sk", tmp_path / "d.json"
+        assert run(["gen", "--kind", "quasi-bipartite", "--k", "5", "--n", "10",
+                    "--seed", "10003", "--out", g]) == 0
+        assert run(["sketch", "build", "--graph", g, "--eps", "0.25",
+                    "--out", sk]) == 0
+        d.write_text(json.dumps([
+            {"s": "t0", "t": "t3", "d": 16.69}, {"s": "t1", "t": "t3", "d": 11.38},
+            {"s": "t2", "t": "t3", "d": 1.37}, {"s": "t3", "t": "t4", "d": 11.24}]))
+        capsys.readouterr()
+        assert run(["sketch", "query", "--sk", sk, "--demand", d]) == 0
+        answer = float(capsys.readouterr().out.split()[0])
+        assert 0.5206 / 1.25 <= answer <= 0.5206 * 1.25
 
     def test_tiny_demand_exit_2(self, tmp_path, capsys):
         # max flow / 1e-320 overflows to inf before the grid exponents

@@ -34,6 +34,7 @@ BUILDERS = {
 
 INVALID = {
     "self-loop": (["a", "b"], ["a"], [("a", "b", 1), ("a", "a", 1)]),
+    "single-vertex-self-loop": (["a"], ["a"], [("a", "a", 1)]),
     "negative-capacity": (["a", "b"], ["a"], [("a", "b", -1)]),
     "duplicate-vertex": (["a", "b", "a"], ["a"], [("a", "b", 1)]),
     "duplicate-terminal": (["a", "b"], ["a", "a"], [("a", "b", 1)]),
@@ -77,18 +78,6 @@ class TestConstruction:
     def test_invalid_input_raises(self, builder, case):
         with pytest.raises(NetworkError):
             BUILDERS[builder](*INVALID[case])
-
-    def test_rejects_self_loop(self):
-        with pytest.raises(NetworkError):
-            net_of(["a"], ["a"], [("a", "a", 1)])
-
-    def test_rejects_negative_capacity(self):
-        with pytest.raises(NetworkError):
-            net_of(["a", "b"], ["a"], [("a", "b", -1)])
-
-    def test_rejects_unknown_terminal(self):
-        with pytest.raises(NetworkError):
-            net_of(["a", "b"], ["z"], [("a", "b", 1)])
 
     def test_rejects_disconnected_by_default(self):
         with pytest.raises(NetworkError):

@@ -17,8 +17,8 @@ from flowsparse.generators import gen_quasi_bipartite
 from flowsparse.network import terminal_bipartitions
 from flowsparse.sketch import (
     _exponent_floor,
-    _flow_value,
     _grid_exponents,
+    _terminal_cuts,
     BudgetExceeded,
     DemandSketch,
     GridCore,
@@ -211,6 +211,35 @@ class TestQuery:
             assert sk.query(smaller) >= sk.query(d) / slack * (1 - 1e-9)
 
 
+def star_and_pair_demands(net):
+    """Each terminal's star demand (1 to every other terminal), then each
+    single-pair demand: the stars meet the singleton terminal cuts, which
+    random demands rarely make tight."""
+    stars = [DemandVector.of({(t, u): 1.0 for u in net.terminals if u != t})
+             for t in net.terminals]
+    return stars + [DemandVector.of({p: 1.0}) for p in net.terminal_pairs()]
+
+
+# Two seeded k = 4 nets on which a hull without the terminal cut rows
+# answered x1.348 and x1.455 of lambda, on the first and second vector below
+HULL_BAND_NETS = (959636831, 47026748)
+HULL_BAND_VECTORS = (
+    {("t0", "t1"): 9.93, ("t1", "t2"): 19.71, ("t1", "t3"): 14.56},
+    {("t0", "t3"): 9.43, ("t1", "t3"): 13.11, ("t2", "t3"): 12.26},
+)
+
+
+@pytest.mark.parametrize("seed", HULL_BAND_NETS)
+def test_k4_hull_answers_stars_within_the_band(seed):
+    net = gen_quasi_bipartite(4, 8, seed)
+    eps = 0.25
+    sk = build_sketch(net, eps)
+    assert isinstance(sk.core, HullCore)
+    for d in star_and_pair_demands(net) + [DemandVector.of(v) for v in HULL_BAND_VECTORS]:
+        ratio = sk.query(d) / concurrent_flow(net, d).value
+        assert 1 / (1 + eps) <= ratio <= 1 + eps, (d, ratio)
+
+
 def _flow_cut_nets():
     """120 seeded (net, demand) cases with k in {2, 3, 4}, half quasi-bipartite
     and half random connected."""
@@ -225,8 +254,9 @@ def _flow_cut_nets():
 
 
 class TestExactFlowValue:
-    """For k <= 4 the cut condition suffices, so the builder validates its
-    hull against the exact sparsest terminal cut; from k = 5 on it cannot."""
+    """For k <= 4 the cut condition suffices, so the terminal cut rows alone
+    give the exact flow value and a k <= 4 hull needs no validation; from
+    k = 5 on they only bound it."""
 
     def test_flow_equals_cut_up_to_four_terminals(self):
         for net, d in _flow_cut_nets():
@@ -234,7 +264,8 @@ class TestExactFlowValue:
             vec = np.array([d[p] for p in pairs])
             cut = sparsest_terminal_cut(net, d)[0]
             assert concurrent_flow(net, d).value == pytest.approx(cut, rel=1e-9)
-            assert _flow_value(net, pairs)(vec) == pytest.approx(cut, rel=1e-12)
+            rows = _terminal_cuts(net, pairs)[1]
+            assert 1 / np.max(rows @ vec) == pytest.approx(cut, rel=1e-12)
 
     def test_k23_flow_is_below_the_cut_bound(self):
         # unit K_{2,3}, every vertex a terminal: the cut condition holds with
@@ -247,8 +278,9 @@ class TestExactFlowValue:
         pairs = tuple(net.terminal_pairs())
         vec = np.array([d[p] for p in pairs])
         assert sparsest_terminal_cut(net, d)[0] == pytest.approx(1.0, rel=1e-12)
+        assert 1 / np.max(_terminal_cuts(net, pairs)[1] @ vec) == pytest.approx(
+            1.0, rel=1e-12)
         assert concurrent_flow(net, d).value == pytest.approx(0.75, rel=1e-9)
-        assert _flow_value(net, pairs)(vec) == pytest.approx(0.75, rel=1e-9)
 
     @staticmethod
     def _count_solves(monkeypatch, net):
@@ -281,7 +313,9 @@ class TestExactFlowValue:
             # the grid is enumerated against the exact terminal cuts alone
             assert oracle == rows == simplex == 0
         else:
-            assert 0 < oracle == rows
+            # the cut rows are exact: one oracle row per pair and the mix,
+            # and no validation solve
+            assert oracle == rows == 7
             assert simplex > 0
 
     def test_five_terminals_validate_with_the_oracle(self, monkeypatch):
@@ -376,13 +410,14 @@ def sketch_fingerprints():
 
 # (core kind, sha256 prefix of the sorted-key JSON of to_json_dict()) per
 # build, with one BLAS thread.  A change to the grid exponents, the code
-# layout, the enumeration order or the hull certificates changes them.
+# layout, the enumeration order or the hull rows changes them.  Hull rows
+# are the terminal cut rows, then the oracle's per-pair and mix rows.
 PINNED_SKETCHES = {
     "qb-2-6": ["GridCore", "5ec0a8f1c2c1ca22"],
     "qb-3-8": ["GridCore", "d568286a9f9887ca"],
     "connected-3-9": ["GridCore", "c6ed368043d0fd13"],
-    "qb-3-8-budget-10": ["HullCore", "0d3694eb624c7722"],
-    "qb-4-10": ["HullCore", "34bda5546fb9b0e0"],
+    "qb-3-8-budget-10": ["HullCore", "3510ce8d6dae4580"],
+    "qb-4-10": ["HullCore", "e96d7ca914fc2dd9"],
 }
 
 
