@@ -79,6 +79,14 @@ class TestConstruction:
         with pytest.raises(NetworkError):
             BUILDERS[builder](*INVALID[case])
 
+    def test_rejects_negative_capacity(self):
+        with pytest.raises(NetworkError):
+            net_of(["a", "b"], ["a"], [("a", "b", -1)])
+
+    def test_rejects_unknown_terminal(self):
+        with pytest.raises(NetworkError):
+            net_of(["a", "b"], ["z"], [("a", "b", 1)])
+
     def test_rejects_disconnected_by_default(self):
         with pytest.raises(NetworkError):
             net_of(["a", "b", "c", "d"], ["a", "c"],
