@@ -4,13 +4,15 @@
 For random small networks this reports, per eps: the worst multiplicative
 query deviation over a random demand sample, the same over each terminal's
 star demand (1 to every other terminal) and each single-pair demand, the
-stored entry count, and which membership core the build chose.  Random
-demands rarely make a singleton terminal cut tight; stars do.
+stored entry count, the size of the sketch file in bytes, and which
+membership core the build chose.  Random demands rarely make a singleton
+terminal cut tight; stars do.
 
 Usage: python scripts/sketch_accuracy_experiment.py --k 3 --queries 100
 """
 
 import argparse
+import json
 import random
 
 from flowsparse import DemandVector, concurrent_flow
@@ -39,8 +41,8 @@ def main() -> None:
     stars = [DemandVector.of({(t, u): 1.0 for u in net.terminals if u != t})
              for t in net.terminals]
     fixed = stars + [DemandVector.of({p: 1.0}) for p in net.terminal_pairs()]
-    print(f"{'eps':>6} {'core':>8} {'entries':>9} {'worst dev':>10} "
-          f"{'star/pair':>10} {'band':>7}")
+    print(f"{'eps':>6} {'core':>8} {'entries':>9} {'file bytes':>10} "
+          f"{'worst dev':>10} {'star/pair':>10} {'band':>7}")
     for eps in (0.45, 0.4, 0.3, 0.25, 0.2, 0.15):
         sk = build_sketch(net, eps)
         worst = 1.0
@@ -51,8 +53,9 @@ def main() -> None:
                 worst = max(worst, deviation(sk, net, DemandVector.of(entries)))
         worst_fixed = max(deviation(sk, net, d) for d in fixed)
         core = "grid" if isinstance(sk.core, GridCore) else "hull"
-        print(f"{eps:>6} {core:>8} {sk.stored_entries:>9} {worst:>10.4f} "
-              f"{worst_fixed:>10.4f} {1 + eps:>7.2f}")
+        size = len(json.dumps(sk.to_json_dict()))
+        print(f"{eps:>6} {core:>8} {sk.stored_entries:>9} {size:>10} "
+              f"{worst:>10.4f} {worst_fixed:>10.4f} {1 + eps:>7.2f}")
 
 
 if __name__ == "__main__":

@@ -126,10 +126,10 @@ def profile_bucket_sparsifier(
             raise MergeError("default demand set (the discretized feasible "
                              "dictionary) needs epsilon < 1/8; pass demand_set")
         sk = grid_sketch(work, 4 * epsilon)
-        if sk is None:
+        if sk is None or sk.core.size > _DUAL_BUDGET:
             raise BudgetExceeded(f"the default demand set at k = {work.k} is too "
                                  f"large to solve; pass a demand set (--demands)")
-        demand_set = grid_demands(sk, limit=_DUAL_BUDGET)
+        demand_set = grid_demands(sk)
     if len(demand_set) > _DUAL_BUDGET:
         raise BudgetExceeded(f"demand set of size {len(demand_set)} exceeds "
                              f"the dual-solve budget {_DUAL_BUDGET}")

@@ -12,6 +12,8 @@ absorbing the extra (1+2*eps_int) factor the two-step decision costs.
 
 Every build takes the 2^(k-1)-1 terminal min cuts once; that one table
 gives each pair's max flow, the grid core, and the first rows of a hull.
+A sketch file stores the core's rows, never the grid: the loader rescores
+the grid from them with the function the build uses.
 
 Membership structures
 ---------------------
@@ -21,8 +23,7 @@ Membership structures
   suffices (Papernov; Lomonosov), so a vector is feasible exactly when it
   crosses no terminal bipartition by more than the bipartition's min cut.
   The builder scores the whole grid against each terminal cut: the core is
-  exact, and no LP runs.  Sketch files list the true entries' flat indices
-  as integer codes.
+  exact, and no LP runs.
 * hull core: rows with row . d <= 1 for every routable demand d; membership
   is `max(row . d) <= 1`.  Used otherwise (k = 4 at every eps, where the
   grid is astronomically large, and k >= 5).  The rows are the terminal cut
@@ -88,27 +89,22 @@ def _axis_values(exponents: range, base: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GridCore:
-    """Explicit feasible grid set: `feasible` has one axis per pair, and
-    index d > 0 on axis i is the value base**(jmins[i] + d - 1), index 0 a
-    zero coordinate.  The zero vector is never stored.  In the sketch file a
-    vector's code is its C-order flat index, so the first pair's digit is
-    the most significant."""
+    """Explicit feasible grid set, scored against the terminal cut `rows`:
+    `feasible` has one axis per pair, and index d > 0 on axis i is the value
+    base**(jmins[i] + d - 1), index 0 a zero coordinate.  The zero vector is
+    never stored.  A sketch file keeps only the rows."""
 
     jmins: tuple[int, ...]
     feasible: np.ndarray             # bool, shape (counts[i] + 1, ...)
+    rows: np.ndarray                 # (2^(k-1)-1, npairs)
 
     @property
     def counts(self) -> tuple[int, ...]:
         """Number of nonzero grid values per pair."""
         return tuple(n - 1 for n in self.feasible.shape)
 
-    @property
-    def members(self) -> np.ndarray:
-        """The stored vectors' codes, in increasing order."""
-        return np.flatnonzero(self.feasible)
-
     def vectors(self, base: float) -> np.ndarray:
-        """The stored vectors, one row each, in code order."""
+        """The stored vectors, one row each, in C order of their indices."""
         return np.column_stack([
             _axis_values(range(j, j + c), base)[index] for j, c, index in
             zip(self.jmins, self.counts, np.nonzero(self.feasible))])
@@ -272,42 +268,24 @@ class DemandSketch:
         return npairs * math.log(per_coord)
 
     def to_json_dict(self) -> dict:
-        d = {
-            "version": 1,
+        return {
+            "version": 2,
             "epsilon": self.epsilon,
             "eps_internal": self.eps_internal,
             "terminals": list(self.terminals),
             "pairs": [[s, t] for s, t in self.pairs],
             "maxflows": list(self.maxflows),
+            "rows": self.core.rows.tolist(),
         }
-        if isinstance(self.core, GridCore):
-            d["core"] = {
-                "kind": "grid",
-                "jmins": list(self.core.jmins),
-                "counts": list(self.core.counts),
-                "members": [int(m) for m in self.core.members],
-            }
-        else:
-            d["core"] = {"kind": "hull", "rows": self.core.rows.tolist()}
-        return d
 
     @staticmethod
     def from_json_dict(d: dict) -> "DemandSketch":
+        """The sketch a file holds.  JSON floats round-trip bit for bit, so a
+        grid core rescored from the stored cut rows is the one built."""
         try:
-            if d.get("version") != 1:
-                raise SketchError("unsupported sketch version")
-            core_d = d["core"]
-            grid = core_d["kind"] == "grid"
-            if grid:
-                # checked before the int64 cast, which truncates fractions
-                if not all(type(x) is int for key in ("jmins", "counts", "members")
-                           for x in core_d[key]):
-                    raise SketchError("malformed sketch JSON: grid jmins, counts "
-                                      "and members must be integers")
-                jmins, counts = tuple(core_d["jmins"]), tuple(core_d["counts"])
-                members = np.array(core_d["members"], dtype=np.int64)
-            else:
-                rows = np.array(core_d["rows"], dtype=float)
+            if d.get("version") != 2:
+                raise SketchError("unsupported sketch version; rebuild the sketch")
+            rows = np.array(d["rows"], dtype=float)
             epsilon, eps_internal = float(d["epsilon"]), float(d["eps_internal"])
             terminals, pairs = tuple(d["terminals"]), tuple((s, t) for s, t in d["pairs"])
             maxflows = tuple(float(x) for x in d["maxflows"])
@@ -320,29 +298,18 @@ class DemandSketch:
             problem = "eps_internal must lie in (0, 1/8)"
         elif len(maxflows) != n or not all(0 < m < math.inf for m in maxflows):
             problem = "maxflows must hold one positive finite value per pair"
-        elif grid:
-            candidates = math.prod(c + 1 for c in counts)
-            if len(jmins) != n or len(counts) != n:
-                problem = "grid jmins and counts must hold one entry per pair"
-            elif any(c < 0 for c in counts):
-                problem = "grid counts must be non-negative"
-            elif candidates > DEFAULT_BUDGET:
-                problem = (f"grid of {candidates} candidates exceeds the "
-                           f"build budget {DEFAULT_BUDGET}")
-            elif len(members) and not (
-                    0 <= members.min() and members.max() < candidates):
-                problem = "grid code outside [0, prod(counts + 1))"
-            else:
-                core = GridCore(jmins, np.zeros([c + 1 for c in counts], dtype=bool))
-                core.feasible.flat[members] = True
-                return DemandSketch(epsilon, eps_internal, terminals, pairs, maxflows, core)
         elif rows.ndim != 2 or len(rows) == 0:
-            problem = "hull core has no rows"
+            problem = "sketch has no rows"
         elif rows.shape[1] != n:
-            problem = "hull rows must hold one entry per pair"
+            problem = "rows must hold one entry per pair"
+        elif not (np.isfinite(rows).all() and rows.min() >= 0
+                  and rows.max(axis=1).min() > 0):
+            # every built row is a cut or dual row: finite, >= 0 and nonzero
+            problem = "rows must be finite and non-negative, each with a positive entry"
         else:
+            core = _grid_core(len(terminals), eps_internal, maxflows, rows)
             return DemandSketch(epsilon, eps_internal, terminals, pairs, maxflows,
-                                HullCore(rows))
+                                core or HullCore(rows))
         raise SketchError(f"malformed sketch JSON: {problem}")
 
     def save(self, path: str) -> None:
@@ -367,16 +334,17 @@ def build_sketch(net: TerminalNetwork, epsilon: float) -> DemandSketch:
     is the exact feasible grid, one boolean per candidate, when k <= 4 and
     the grid fits DEFAULT_BUDGET (in practice k <= 3), and a hull otherwise.
     """
-    eps, pairs, maxflows, cut_rows, core = _cut_table(net, epsilon)
-    if core is None:
-        core = _build_hull(net, pairs, maxflows, cut_rows)
+    eps, pairs, maxflows, cut_rows = _cut_table(net, epsilon)
+    core = (_grid_core(net.k, eps, maxflows, cut_rows)
+            or _build_hull(net, pairs, maxflows, cut_rows))
     return DemandSketch(float(epsilon), eps, tuple(net.terminals), pairs, maxflows, core)
 
 
 def grid_sketch(net: TerminalNetwork, epsilon: float) -> DemandSketch | None:
     """`build_sketch(net, epsilon)` when its core is a grid, else None, which
     is known before any LP would run."""
-    eps, pairs, maxflows, _, core = _cut_table(net, epsilon)
+    eps, pairs, maxflows, cut_rows = _cut_table(net, epsilon)
+    core = _grid_core(net.k, eps, maxflows, cut_rows)
     if core is None:
         return None
     return DemandSketch(float(epsilon), eps, tuple(net.terminals), pairs, maxflows, core)
@@ -384,13 +352,7 @@ def grid_sketch(net: TerminalNetwork, epsilon: float) -> DemandSketch | None:
 
 def _cut_table(net, epsilon):
     """A build's first step, which runs no LP: check the arguments and take
-    the terminal cuts.  Returns (eps_internal, pairs, maxflows, cut_rows,
-    grid), where `grid` is the GridCore when the core is a grid (k <= 4 and
-    at most DEFAULT_BUDGET candidates), and None otherwise.
-
-    The grid is every nonzero grid vector that crosses no terminal
-    bipartition by more than its min cut; for k <= 4 these are exactly the
-    feasible grid vectors, up to _MEMBER_TOL."""
+    the terminal cuts.  Returns (eps_internal, pairs, maxflows, cut_rows)."""
     if not (0 < epsilon < 0.5):
         raise SketchError("epsilon must lie in (0, 1/2) so that the internal "
                           "grid parameter epsilon/4 stays below 1/8")
@@ -399,17 +361,24 @@ def _cut_table(net, epsilon):
     if k < 2:
         raise SketchError("need at least two terminals")
     pairs = tuple(net.terminal_pairs())
-    maxflows, cut_rows = _terminal_cuts(net, pairs)
+    return (eps, pairs) + _terminal_cuts(net, pairs)
+
+
+def _grid_core(k, eps, maxflows, rows) -> GridCore | None:
+    """The grid core when k <= 4 and the grid has at most DEFAULT_BUDGET
+    candidates, else None: every nonzero grid vector that no row puts above
+    1.  On the terminal cut rows of a k <= 4 net these are exactly the
+    feasible grid vectors, up to _MEMBER_TOL."""
     ranges = [_grid_exponents(eps / (k * k) * m, m, 1.0 + eps) for m in maxflows]
     if k > 4 or math.prod(len(r) + 1 for r in ranges) > DEFAULT_BUDGET:
-        return eps, pairs, maxflows, cut_rows, None
+        return None
     axes = np.ix_(*[_axis_values(r, 1.0 + eps) for r in ranges])
     feasible = np.ones([len(r) + 1 for r in ranges], dtype=bool)
-    for row in cut_rows:
+    for row in rows:
         # summed in pair order, so no BLAS kernel picks the scores' bits
         feasible &= sum(c * a for c, a in zip(row, axes)) <= 1.0 + _MEMBER_TOL
     feasible.flat[0] = False
-    return eps, pairs, maxflows, cut_rows, GridCore(tuple(r.start for r in ranges), feasible)
+    return GridCore(tuple(r.start for r in ranges), feasible, rows)
 
 
 def _terminal_cuts(net, pairs):
@@ -482,12 +451,10 @@ def _build_hull(net, pairs, maxflows, cut_rows) -> HullCore:
     return hull
 
 
-def grid_demands(sk: DemandSketch, *, limit: int | None = None) -> list[DemandVector]:
+def grid_demands(sk: DemandSketch) -> list[DemandVector]:
     """Decode the stored grid vectors back into demand vectors (grid cores only)."""
     if not isinstance(sk.core, GridCore):
         raise SketchError("sketch stores a hull core; no explicit grid to decode")
-    if limit is not None and sk.core.size > limit:
-        raise BudgetExceeded(f"{sk.core.size} stored vectors exceed limit {limit}")
     out = []
     for row in sk.core.vectors(sk.base).tolist():
         entries = {p: v for p, v in zip(sk.pairs, row) if v > 0}

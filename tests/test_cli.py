@@ -10,7 +10,6 @@ import pytest
 from flowsparse.cli import main
 from flowsparse.jsonio import load_net, save_net
 from flowsparse.network import TerminalNetwork
-from flowsparse.sketch import DEFAULT_BUDGET
 
 from conftest import child_env, skew_duality_gap
 
@@ -271,9 +270,10 @@ class TestSketchCli:
         g, sk, d = tmp_path / "g.json", tmp_path / "g.sk", tmp_path / "d.json"
         assert run(["gen", "--kind", "quasi-bipartite", "--k", "3", "--n", "6",
                     "--seed", "1", "--out", g]) == 0
+        capsys.readouterr()
         assert run(["sketch", "build", "--graph", g, "--eps", "0.25",
                     "--out", sk]) == 0
-        assert json.loads(sk.read_text())["core"]["kind"] == "grid"
+        assert ": GridCore with " in capsys.readouterr().out
         s, t = load_net(str(g)).terminals[:2]
         d.write_text(json.dumps([{"s": s, "t": t, "d": 1e-320}]))
         capsys.readouterr()
@@ -304,8 +304,7 @@ def test_malformed_demand_file_exit_2(kind, tmp_path, capsys):
 
 
 MALFORMED_SKETCHES = {
-    "no-core": {"version": 1},
-    "grid-core-without-jmins": {"version": 1, "core": {"kind": "grid"}},
+    "no-core": {"version": 2},
     "json-list": [1, 2],
 }
 
@@ -319,60 +318,39 @@ def test_malformed_sketch_file_exit_2(kind, tmp_path, capsys):
     assert "error: malformed sketch JSON" in capsys.readouterr().err
 
 
-def _cut_to_one(*keys):
+def _cut_to_one(key):
     def edit(doc):
-        for key in keys:
-            where = doc["core"] if key in doc["core"] else doc
-            where[key] = where[key][:1]
+        doc[key] = doc[key][:1]
     return edit
 
 
-def _set(key, value, in_core=False):
+def _set(key, value):
     def edit(doc):
-        (doc["core"] if in_core else doc)[key] = value
+        doc[key] = value
     return edit
 
 
-def _add_half(key):
+def _set_rows(value):
     def edit(doc):
-        doc["core"][key] = [x + 0.5 for x in doc["core"][key]]
+        doc["rows"] = [[value(x) for x in row] for row in doc["rows"]]
     return edit
-
-
-def _first_count_past_budget(doc):
-    # the first pair's digit is the most significant, so every stored code
-    # keeps its vector
-    counts = doc["core"]["counts"]
-    counts[0] = DEFAULT_BUDGET // math.prod(c + 1 for c in counts[1:])
 
 
 # Edits that leave a built k = 3 grid sketch parseable but inconsistent.
-# Before these were checked, "jmins-and-counts-short" answered a query with
-# exit 0 and a wrong value, and "maxflows-short" exited 1 on an IndexError;
-# the "-fractional" edits answered with exit 0 (fractional members were
-# truncated by the int64 cast), "jmins-strings" exited 1 on a TypeError, and
-# "grid-over-budget" (just over DEFAULT_BUDGET candidates, more than any
-# build makes) answered with exit 0.
+# Before these were checked, "maxflows-short" exited 1 on an IndexError, and
+# negated or zeroed rows answered with exit 0 and a wrong value (on a k = 4
+# hull, x2.73 of lambda for the all-pairs unit demand).
 INCONSISTENT_SKETCHES = {
     "pairs-not-terminal-pairs": _set("pairs", [["t0", "t1"], ["t1", "t2"], ["t0", "t2"]]),
     "maxflows-short": _cut_to_one("maxflows"),
     "maxflow-zero": _set("maxflows", [0.0, 1.0, 1.0]),
     "eps-internal-zero": _set("eps_internal", 0.0),
-    "jmins-and-counts-short": _cut_to_one("jmins", "counts"),
-    "jmins-short": _cut_to_one("jmins"),
-    "counts-short": _cut_to_one("counts"),
-    "grid-code-negative": lambda doc: doc["core"]["members"].append(-1),
-    "grid-code-too-large": lambda doc: doc["core"]["members"].append(
-        math.prod(c + 1 for c in doc["core"]["counts"])),
-    "grid-code-past-int64": lambda doc: doc["core"]["members"].append(2 ** 70),
-    "grid-over-budget": _first_count_past_budget,
-    "jmins-fractional": _add_half("jmins"),
-    "jmins-strings": lambda doc: doc["core"].update(
-        jmins=[str(j) for j in doc["core"]["jmins"]]),
-    "counts-fractional": _add_half("counts"),
-    "members-fractional": _add_half("members"),
-    "hull-rows-too-narrow": _set("core", {"kind": "hull", "rows": [[1.0, 1.0]]}),
-    "hull-without-rows": _set("core", {"kind": "hull", "rows": []}),
+    "rows-too-narrow": _set("rows", [[1.0, 1.0]]),
+    "rows-empty": _set("rows", []),
+    "rows-negative": _set_rows(lambda x: -x),
+    "rows-zero": _set_rows(lambda x: 0.0),
+    "rows-nan": _set_rows(lambda x: math.nan),
+    "version-1": _set("version", 1),
 }
 
 
@@ -396,7 +374,9 @@ def test_inconsistent_sketch_file_exit_2(kind, k3_grid_sketch, tmp_path, capsys)
     INCONSISTENT_SKETCHES[kind](doc)
     sk.write_text(json.dumps(doc))
     assert run(["sketch", "query", "--sk", sk, "--demand", d]) == 2
-    assert "error: malformed sketch JSON" in capsys.readouterr().err
+    message = ("unsupported sketch version; rebuild the sketch" if kind == "version-1"
+               else "malformed sketch JSON")
+    assert f"error: {message}" in capsys.readouterr().err
 
 
 MALFORMED_STRUCTURES = {

@@ -19,7 +19,6 @@ from flowsparse.sketch import (
     _exponent_floor,
     _grid_exponents,
     _terminal_cuts,
-    BudgetExceeded,
     DemandSketch,
     GridCore,
     HullCore,
@@ -78,7 +77,7 @@ class TestBuild:
         rng = random.Random(4)
         net = random_connected_net(rng, 7, 3)
         sk = build_sketch(net, 0.4)
-        demands = grid_demands(sk, limit=100000)
+        demands = grid_demands(sk)
         assert demands, "dictionary should not be empty on a connected net"
         k = sk.k
         pidx = sk.pair_index()
@@ -359,16 +358,29 @@ def _sketch_pin_groups():
     }
 
 
-def _pinned_build(net, eps, budget):
-    """Runs in the pinning child, so the budget it sets reaches no other test;
-    the next group builds under the default again."""
+def _pinned_build_and_load(net, eps, budget):
+    """The pinned build, and what its JSON text loads back to under the same
+    budget.  Runs in the pinning child, so the budget it sets reaches no
+    other test; the next group builds under the default again."""
     default = sketch.DEFAULT_BUDGET
     if budget is not None:
         sketch.DEFAULT_BUDGET = int(budget)
     try:
-        return build_sketch(net, eps)
+        sk = build_sketch(net, eps)
+        return sk, DemandSketch.from_json_dict(json.loads(json.dumps(sk.to_json_dict())))
     finally:
         sketch.DEFAULT_BUDGET = default
+
+
+def _same_sketch(a, b):
+    """Equal fields, core type and core arrays."""
+    grid = isinstance(a.core, GridCore)
+    core_fields = ("jmins", "feasible", "rows") if grid else ("rows",)
+    return (type(a.core) is type(b.core)
+            and (a.epsilon, a.eps_internal, a.terminals, a.pairs, a.maxflows)
+            == (b.epsilon, b.eps_internal, b.terminals, b.pairs, b.maxflows)
+            and all(np.array_equal(getattr(a.core, f), getattr(b.core, f))
+                    for f in core_fields))
 
 
 def _sketch_fingerprint(sk):
@@ -393,15 +405,17 @@ def _query_fingerprint(sk, net):
 
 @pytest.fixture(scope="module")
 def sketch_fingerprints():
-    """Fingerprint every pinned build and its queries in a fresh interpreter
-    with one BLAS thread, as the oracle pins in test_flow.py do."""
+    """Fingerprint every pinned build, its queries, and its load from JSON
+    text in a fresh interpreter with one BLAS thread, as the oracle pins in
+    test_flow.py do."""
     tests = Path(__file__).resolve().parent
     env = child_env(**ONE_BLAS_THREAD)
     code = ("import json, test_sketch as T\n"
             "out = {}\n"
             "for g, (net, eps, budget) in T._sketch_pin_groups().items():\n"
-            "    sk = T._pinned_build(net, eps, budget)\n"
-            "    out[g] = [T._sketch_fingerprint(sk), T._query_fingerprint(sk, net)]\n"
+            "    sk, back = T._pinned_build_and_load(net, eps, budget)\n"
+            "    out[g] = [T._sketch_fingerprint(sk), T._query_fingerprint(sk, net),\n"
+            "              T._same_sketch(sk, back), T._query_fingerprint(back, net)]\n"
             "print(json.dumps(out))\n")
     proc = subprocess.run([sys.executable, "-c", code], cwd=tests, env=env,
                           capture_output=True, text=True, check=True)
@@ -409,15 +423,15 @@ def sketch_fingerprints():
 
 
 # (core kind, sha256 prefix of the sorted-key JSON of to_json_dict()) per
-# build, with one BLAS thread.  A change to the grid exponents, the code
-# layout, the enumeration order or the hull rows changes them.  Hull rows
-# are the terminal cut rows, then the oracle's per-pair and mix rows.
+# build, with one BLAS thread.  The file holds the core's rows: a change to
+# the file format, the cut rows or the hull rows changes them.  Hull rows are
+# the terminal cut rows, then the oracle's per-pair and mix rows.
 PINNED_SKETCHES = {
-    "qb-2-6": ["GridCore", "5ec0a8f1c2c1ca22"],
-    "qb-3-8": ["GridCore", "d568286a9f9887ca"],
-    "connected-3-9": ["GridCore", "c6ed368043d0fd13"],
-    "qb-3-8-budget-10": ["HullCore", "3510ce8d6dae4580"],
-    "qb-4-10": ["HullCore", "e96d7ca914fc2dd9"],
+    "qb-2-6": ["GridCore", "d80b7ac6817ceee9"],
+    "qb-3-8": ["GridCore", "3b07ba898c1408cd"],
+    "connected-3-9": ["GridCore", "f929e37ff4eeef3d"],
+    "qb-3-8-budget-10": ["HullCore", "a72b44a4cc399728"],
+    "qb-4-10": ["HullCore", "c4380e2e1a9f1be8"],
 }
 
 
@@ -447,13 +461,10 @@ class TestPinnedBuilds:
     def test_queries_are_bit_identical(self, group, sketch_fingerprints):
         assert sketch_fingerprints[group][1] == PINNED_QUERIES[group]
 
-
-def _encode(counts, digits):
-    """Mixed-radix code of grid digits: digit i has radix counts[i] + 1."""
-    code = 0
-    for d, c in zip(digits, counts):
-        code = code * (c + 1) + d
-    return code
+    @pytest.mark.parametrize("group", sorted(_sketch_pin_groups()))
+    def test_load_is_bit_identical(self, group, sketch_fingerprints):
+        # the loaded core is the built one, and answers every query alike
+        assert sketch_fingerprints[group][2:] == [True, PINNED_QUERIES[group]]
 
 
 class TestGridCodes:
@@ -462,28 +473,29 @@ class TestGridCodes:
         ((-12,), (30,), 1.0625),
         ((2, -40, 7, 0), (3, 5, 1, 2), 1.3),
     ])
-    def test_encode_inverts_vectors(self, jmins, counts, base):
-        feasible = np.ones([c + 1 for c in counts], bool)
+    def test_vectors_index_feasible_entries(self, jmins, counts, base):
+        rng = np.random.default_rng(len(counts))
+        feasible = rng.random([c + 1 for c in counts]) < 0.5
         feasible.flat[0] = False
-        core = GridCore(jmins=jmins, feasible=feasible)
-        codes = list(range(1, math.prod(c + 1 for c in counts)))
-        assert core.members.tolist() == codes
-        vecs = core.vectors(base)
-        assert vecs.shape == (len(codes), len(counts))
-        for code, row in zip(codes, vecs.tolist()):
-            digits = [0 if v == 0 else _exponent_floor(v, base) - jmin + 1
-                      for v, jmin in zip(row, jmins)]
-            assert _encode(counts, digits) == code
+        core = GridCore(jmins, feasible, np.empty((0, len(counts))))
+        self._check_decode(core, base)
 
     def test_built_core_round_trips(self):
         sk = build_sketch(gen_quasi_bipartite(3, 8, seed=22), 0.45)
         core = sk.core
         assert isinstance(core, GridCore)
-        vecs = core.vectors(sk.base)
-        for code, row in zip(core.members.tolist(), vecs.tolist()):
-            digits = [0 if v == 0 else _exponent_floor(v, sk.base) - jmin + 1
-                      for v, jmin in zip(row, core.jmins)]
-            assert _encode(core.counts, digits) == code
+        vecs = self._check_decode(core, sk.base)
         assert [d.entries for d in grid_demands(sk)] == [
             tuple((p, v) for p, v in zip(sk.pairs, row) if v > 0)
             for row in vecs.tolist()]
+
+    @staticmethod
+    def _check_decode(core, base):
+        """The decoded vectors index `size` distinct true entries of
+        `feasible`."""
+        vecs = core.vectors(base)
+        indices = {tuple(0 if v == 0 else _exponent_floor(v, base) - jmin + 1
+                         for v, jmin in zip(row, core.jmins)) for row in vecs.tolist()}
+        assert len(vecs) == len(indices) == core.size
+        assert all(core.feasible[index] for index in indices)
+        return vecs
