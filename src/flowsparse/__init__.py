@@ -4,7 +4,6 @@ from .network import (
     DemandVector,
     NetworkError,
     TerminalNetwork,
-    VertexPartition,
     components_after_terminal_removal,
     merge_vertices,
     phi_merge,
@@ -22,7 +21,7 @@ from .flow import (
 )
 from .results import SparsifierResult
 from .sketch import DemandSketch, build_sketch
-from .merging import profile_bucket_sparsifier, ratio_type_sparsifier, refine_partitions
+from .merging import profile_bucket_sparsifier, ratio_type_sparsifier
 from .splice import FlowDecomposition, FlowPath, compose, splice, unsplice_route
 from .sampling import (
     grouped_sample_sparsifier,

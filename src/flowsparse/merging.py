@@ -4,10 +4,9 @@ Two constructions, both of which only ever merge vertices (so the result
 never loses flow):
 
 * profile buckets: per demand, take an optimal dual of the concurrent-flow
-  LP, round the edge lengths down into a small value set derived from the
-  demand, and bucket non-terminals that agree with every terminal neighbor;
-  the partition imposed on the graph is the common refinement over the
-  demand set.
+  LP and round the edge lengths down into a small value set derived from
+  the demand; non-terminals merge when their rounded length profiles agree
+  under every demand of the set.
 * capacity-ratio types: round capacities down to powers of 1+eps, classify
   each non-terminal by (set of positively-connected terminals, vector of
   consecutive capacity ratios thresholded at k^2/eps + 1), and merge every
@@ -18,14 +17,12 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .flow import concurrent_flow
 from .network import (
     DemandVector,
     TerminalNetwork,
-    VertexPartition,
     merge_vertices,
     subdivide_terminal_edges,
 )
@@ -34,7 +31,6 @@ from .sketch import BudgetExceeded, _exponent_floor, _grid_exponents, grid_deman
 
 ZERO = "zero"
 ABSENT = "absent"
-CAPPED = "capped"
 _DUAL_BUDGET = 500   # most demands profile_bucket_sparsifier solves duals for
 
 
@@ -42,27 +38,15 @@ class MergeError(ValueError):
     pass
 
 
-def refine_partitions(parts: list[VertexPartition]) -> VertexPartition:
-    """Coarsest common refinement: same block iff same block in every input."""
-    if not parts:
-        raise MergeError("need at least one partition")
-    universe = set().union(*(set().union(*p.blocks) for p in parts[:1]))
-    for p in parts:
-        covered = set().union(*p.blocks)
-        if covered != universe:
-            raise MergeError("partitions cover different vertex sets")
-    signature: dict[str, tuple[int, ...]] = {v: () for v in universe}
-    for p in parts:
-        owner = {}
-        for bi, block in enumerate(p.blocks):
-            for v in block:
-                owner[v] = bi
-        for v in universe:
-            signature[v] = signature[v] + (owner[v],)
-    groups: dict[tuple[int, ...], set[str]] = {}
-    for v, sig in signature.items():
-        groups.setdefault(sig, set()).add(v)
-    return VertexPartition.of(sorted(groups.values(), key=min))
+def _merge_by_key(net: TerminalNetwork, key_of) -> TerminalNetwork:
+    """Merge the non-terminals with equal `key_of(v)`, each terminal kept
+    alone."""
+    groups: dict[object, set[str]] = {}
+    for v in net.vertices:
+        if v not in net.terminal_set:
+            groups.setdefault(key_of(v), set()).add(v)
+    blocks = [{t} for t in net.terminals] + list(groups.values())
+    return merge_vertices(net, blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -86,23 +70,17 @@ def _round_down_to_gamma(value: float, eps: float, exps: list[int]):
     return ZERO if i == 0 else exps[i - 1]
 
 
-@dataclass(frozen=True)
-class LengthProfile:
-    """Per-terminal rounded dual length: ABSENT when no edge, ZERO when the
-    length rounds below the grid, else the grid exponent."""
-
-    entries: tuple
-
-    @staticmethod
-    def of(work, v, lengths, lam, eps, exps) -> "LengthProfile":
-        profile = []
-        for t in work.terminals:
-            if t not in work.adjacency[v]:   # `make` keeps positive capacities only
-                profile.append(ABSENT)
-            else:
-                lv = lengths.get(tuple(sorted((v, t))), 0.0) / lam
-                profile.append(_round_down_to_gamma(lv, eps, exps))
-        return LengthProfile(entries=tuple(profile))
+def _length_profile(work, v, lengths, lam, eps, exps) -> tuple:
+    """v's rounded dual length to each terminal: ABSENT when no edge, ZERO
+    when the length rounds below the grid, else the grid exponent."""
+    profile = []
+    for t in work.terminals:
+        if t not in work.adjacency[v]:   # `make` keeps positive capacities only
+            profile.append(ABSENT)
+        else:
+            lv = lengths.get(tuple(sorted((v, t))), 0.0) / lam
+            profile.append(_round_down_to_gamma(lv, eps, exps))
+    return tuple(profile)
 
 
 def profile_bucket_sparsifier(
@@ -112,8 +90,8 @@ def profile_bucket_sparsifier(
 
     For every demand, the concurrent-flow dual is normalised to value 1,
     its terminal-incident edge lengths are rounded down into the demand's
-    length grid, and non-terminals agreeing on every terminal go to one
-    bucket.  Buckets are refined across the demand set and merged.
+    length grid.  Non-terminals whose rounded lengths agree on every
+    terminal under every demand are merged.
     """
     if not (0 < epsilon < 1 / 3):
         raise MergeError("epsilon must be in (0, 1/3)")
@@ -136,22 +114,17 @@ def profile_bucket_sparsifier(
     if not demand_set:
         raise MergeError("empty demand set")
 
-    ts = work.terminal_set
-    non_terminals = [v for v in work.vertices if v not in ts]
-    parts = []
+    profiles: dict[str, list[tuple]] = {
+        v: [] for v in work.vertices if v not in work.terminal_set}
     for d in demand_set:
         res = concurrent_flow(work, d)
         lam = res.value
         lengths = res.dual.length_map()
         # normalise to lambda(d') = 1: lengths scale by 1/lam, demand by lam
         exps = _gamma_exponents(epsilon, [lam * v for _, v in d.items()])
-        buckets: dict[LengthProfile, set[str]] = {}
-        for v in non_terminals:
-            profile = LengthProfile.of(work, v, lengths, lam, epsilon, exps)
-            buckets.setdefault(profile, set()).add(v)
-        blocks = [{t} for t in work.terminals] + sorted(buckets.values(), key=min)
-        parts.append(VertexPartition.of(blocks))
-    merged = merge_vertices(work, refine_partitions(parts))
+        for v, rows in profiles.items():
+            rows.append(_length_profile(work, v, lengths, lam, epsilon, exps))
+    merged = _merge_by_key(work, lambda v: tuple(profiles[v]))
     claimed = (1 + 3 * epsilon) * (1 + 5 * epsilon)
     return SparsifierResult.of(
         merged, "profile-bucket", claimed,
@@ -173,14 +146,6 @@ def _pow_floor_exact(value: Fraction, q: Fraction) -> int:
     while q ** (j + 1) <= value:
         j += 1
     return j
-
-
-@dataclass(frozen=True)
-class RatioType:
-    """Sorted positively-connected terminals and thresholded ratio exponents."""
-
-    super_type: tuple[str, ...]
-    ratios: tuple
 
 
 def ratio_type_sparsifier(net: TerminalNetwork, epsilon) -> SparsifierResult:
@@ -212,26 +177,19 @@ def ratio_type_sparsifier(net: TerminalNetwork, epsilon) -> SparsifierResult:
     rounded = TerminalNetwork.make(net.vertices, net.terminals, rounded_edges,
                                    allow_disconnected=True)
 
-    ts = rounded.terminal_set
-    groups: dict[RatioType, set[str]] = {}
-    for v in rounded.vertices:
-        if v in ts:
-            continue
-        nbrs = [(rounded.cap(v, t), t) for t in rounded.adjacency[v]]
-        nbrs.sort(key=lambda ct: (-ct[0], ct[1]))
-        sorted_terms = tuple(t for _, t in nbrs)
-        ratios = []
-        for (c_hi, _), (c_lo, _) in zip(nbrs, nbrs[1:]):
-            e = _pow_floor_exact(c_hi / c_lo, q)
-            ratios.append(CAPPED if e > cap_exp else e)
-        key = RatioType(super_type=sorted_terms, ratios=tuple(ratios))
-        groups.setdefault(key, set()).add(v)
+    def ratio_type(v):
+        """v's terminals by falling capacity, then the thresholded exponents
+        of the consecutive capacity ratios."""
+        nbrs = sorted(((c, t) for t, c in rounded.adjacency[v].items()),
+                      key=lambda ct: (-ct[0], ct[1]))
+        ratios = tuple(min(_pow_floor_exact(c_hi / c_lo, q), cap_exp + 1)
+                       for (c_hi, _), (c_lo, _) in zip(nbrs, nbrs[1:]))
+        return tuple(t for _, t in nbrs), ratios
 
-    blocks = [{t} for t in rounded.terminals] + sorted(groups.values(), key=min)
-    merged = merge_vertices(rounded, VertexPartition.of(blocks))
+    merged = _merge_by_key(rounded, ratio_type)
     claimed = float(1 + 5 * eps)
     return SparsifierResult.of(
         merged, "ratio-type", claimed,
-        params={"epsilon": float(eps), "types": len(groups)},
+        params={"epsilon": float(eps), "types": len(merged.vertices) - k},
         notes=("capacities rounded down to powers of 1+eps before typing",))
 

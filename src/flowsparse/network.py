@@ -307,31 +307,6 @@ class DemandVector:
         return all(s in ts and t in ts for (s, t), _ in self.entries)
 
 
-@dataclass(frozen=True)
-class VertexPartition:
-    """Disjoint blocks covering all vertices; no block holds two terminals."""
-
-    blocks: tuple[frozenset[str], ...]
-
-    @staticmethod
-    def of(blocks: Iterable[Iterable[str]]) -> "VertexPartition":
-        return VertexPartition(tuple(frozenset(str(v) for v in b) for b in blocks))
-
-    def validate_for(self, net: TerminalNetwork) -> None:
-        seen: set[str] = set()
-        for b in self.blocks:
-            if not b:
-                raise NetworkError("empty partition block")
-            if seen & b:
-                raise NetworkError("partition blocks overlap")
-            seen |= b
-            terms = b & net.terminal_set
-            if len(terms) > 1:
-                raise NetworkError(f"block merges terminals {sorted(terms)}")
-        if seen != set(net.vertices):
-            raise NetworkError("partition does not cover the vertex set")
-
-
 # ---------------------------------------------------------------------------
 # Surgeries
 # ---------------------------------------------------------------------------
@@ -359,27 +334,29 @@ def subdivide_terminal_edges(net: TerminalNetwork) -> TerminalNetwork:
                                 allow_disconnected=True)
 
 
-def merge_vertices(net: TerminalNetwork, partition: VertexPartition) -> TerminalNetwork:
+def merge_vertices(net: TerminalNetwork, blocks: Iterable[Iterable[str]]) -> TerminalNetwork:
     """Contract every block to one vertex; inter-block capacities are summed.
 
-    A block containing terminal t is named t; other blocks take their
-    smallest member id.  Merging never decreases any concurrent-flow value.
+    The blocks must be nonempty, disjoint and cover the vertices, with at
+    most one terminal each.  A block containing terminal t is named t; other
+    blocks take their smallest member id.  Merging never decreases any
+    concurrent-flow value.
     """
-    partition.validate_for(net)
     name: dict[str, str] = {}
-    block_names = []
-    for b in partition.blocks:
+    for b in map(frozenset, blocks):
+        if not b:
+            raise NetworkError("empty partition block")
+        if not name.keys().isdisjoint(b):
+            raise NetworkError("partition blocks overlap")
         terms = b & net.terminal_set
+        if len(terms) > 1:
+            raise NetworkError(f"block merges terminals {sorted(terms)}")
         bname = next(iter(terms)) if terms else min(b)
-        block_names.append(bname)
-        for v in b:
-            name[v] = bname
-    edges = []
-    for u, v, c in net.edges:
-        bu, bv = name[u], name[v]
-        if bu != bv:
-            edges.append((bu, bv, c))
-    return TerminalNetwork.make(block_names, net.terminals, edges,
+        name.update(dict.fromkeys(b, bname))
+    if name.keys() != set(net.vertices):
+        raise NetworkError("partition does not cover the vertex set")
+    edges = [(name[u], name[v], c) for u, v, c in net.edges if name[u] != name[v]]
+    return TerminalNetwork.make(set(name.values()), net.terminals, edges,
                                 allow_disconnected=True)
 
 

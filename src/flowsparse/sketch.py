@@ -296,6 +296,8 @@ class DemandSketch:
             problem = "pairs are not the terminal pairs"
         elif not 0 < eps_internal < 0.125:
             problem = "eps_internal must lie in (0, 1/8)"
+        elif 1.0 + eps_internal == 1.0:
+            problem = "1 + eps_internal rounds to 1, so the grid has no base"
         elif len(maxflows) != n or not all(0 < m < math.inf for m in maxflows):
             problem = "maxflows must hold one positive finite value per pair"
         elif rows.ndim != 2 or len(rows) == 0:
@@ -357,6 +359,9 @@ def _cut_table(net, epsilon):
         raise SketchError("epsilon must lie in (0, 1/2) so that the internal "
                           "grid parameter epsilon/4 stays below 1/8")
     eps = epsilon / 4.0
+    if 1.0 + eps == 1.0:
+        raise SketchError("epsilon is too small: 1 + epsilon/4 rounds to 1, "
+                          "so the grid has no base")
     k = net.k
     if k < 2:
         raise SketchError("need at least two terminals")

@@ -331,7 +331,7 @@ def sp_sparsifier(net: TerminalNetwork, tree: SpTree | None = None) -> Sparsifie
         raise StructureError("decomposition tree does not realize the network")
     s, t = tree.portals
     terms: set[str] = set(net.terminals) | {s, t}
-    built, quality = _sp_build(tree.root, frozenset(terms))
+    built = _sp_build(tree.root, frozenset(terms))
     # intermediate portals/middles promoted during the recursion are demoted
     # again: a sparsifier for a superset of terminals is one for the subset
     ordered = list(net.terminals)
@@ -341,7 +341,7 @@ def sp_sparsifier(net: TerminalNetwork, tree: SpTree | None = None) -> Sparsifie
         raise StructureError(f"terminals {missing} lost during recursion")
     out = TerminalNetwork.make(built.vertices, ordered, built.edges,
                                allow_disconnected=True)
-    return SparsifierResult.of(out, "series-parallel", quality,
+    return SparsifierResult.of(out, "series-parallel", 1.0,
                                params={"leaves": tree.leaves(),
                                        "terminals": len(ordered)})
 
@@ -352,15 +352,16 @@ def _children(node: SpNode):
     return [node.left, node.right]
 
 
-def _sp_build(node: SpNode, terms: frozenset[str], depth: int = 0):
+def _sp_build(node: SpNode, terms: frozenset[str], depth: int = 0) -> TerminalNetwork:
+    """An exact sparsifier of `node`'s realization for the terminals `terms`:
+    mimicking networks glued with `compose`, all of quality 1."""
     if depth > 10000:
         raise StructureError("series-parallel recursion failed to shrink")
     s, t = sp_portals(node)
     inside = (terms & sp_vertices(node)) - {s, t}
     if len(inside) <= 2:
         piece = sp_realize(node, sorted(inside | {s, t}))
-        res = mimick_small(piece)
-        return res.net, 1.0
+        return mimick_small(piece).net
 
     cur = node
     while True:
@@ -375,21 +376,20 @@ def _sp_build(node: SpNode, terms: frozenset[str], depth: int = 0):
     new_terms = terms | {s2, t2}
     if isinstance(cur, SpSeries):
         new_terms |= {cur.middle}
-    h1, q1 = _sp_build(cur.left, new_terms, depth + 1)
-    h2, q2 = _sp_build(cur.right, new_terms, depth + 1)
+    h1 = _sp_build(cur.left, new_terms, depth + 1)
+    h2 = _sp_build(cur.right, new_terms, depth + 1)
     shared = sorted(h1.terminal_set & h2.terminal_set)
-    inner, q_inner = compose(h1, h2, {x: x for x in shared}, q1, q2)
+    inner, _ = compose(h1, h2, {x: x for x in shared}, 1.0, 1.0)
 
     if cur is node:
-        return inner, q_inner
+        return inner
 
     rest_terms = sorted({s, t, s2, t2})
     rest = sp_realize(node, rest_terms, skip=cur, extra_vertices=(s2, t2, s, t))
-    rest_res = mimick_small(rest)
-    shared = set(rest_res.net.terminal_set) & set(inner.terminal_set)
-    glued, q = compose(rest_res.net, inner, {x: x for x in sorted(shared)},
-                       1.0, q_inner)
-    return glued, q
+    rest_net = mimick_small(rest).net
+    shared = sorted(rest_net.terminal_set & inner.terminal_set)
+    glued, _ = compose(rest_net, inner, {x: x for x in shared}, 1.0, 1.0)
+    return glued
 
 
 # ---------------------------------------------------------------------------

@@ -282,6 +282,19 @@ class TestSketchCli:
         assert "error: query demand is too small" in err
         assert "Traceback" not in err
 
+    def test_eps_below_float_resolution_exit_2(self, tmp_path, capsys):
+        # 1 + 1e-16/4 is 1.0, so the grid base has log 0; this build ended
+        # in a ZeroDivisionError traceback
+        g, sk = tmp_path / "g.json", tmp_path / "g.sk"
+        assert run(["gen", "--kind", "quasi-bipartite", "--k", "3", "--n", "6",
+                    "--seed", "1", "--out", g]) == 0
+        capsys.readouterr()
+        assert run(["sketch", "build", "--graph", g, "--eps", "1e-16",
+                    "--out", sk]) == 2
+        err = capsys.readouterr().err
+        assert "error: epsilon is too small" in err
+        assert "Traceback" not in err
+
 
 MALFORMED_DEMANDS = {
     "row-without-d": [{"s": "s", "t": "t"}],
@@ -306,6 +319,11 @@ def test_malformed_demand_file_exit_2(kind, tmp_path, capsys):
 MALFORMED_SKETCHES = {
     "no-core": {"version": 2},
     "json-list": [1, 2],
+    # 1 + 1e-17 is 1.0: loading this ended in a ZeroDivisionError traceback
+    "eps-internal-below-float-resolution": {
+        "version": 2, "epsilon": 4e-17, "eps_internal": 1e-17,
+        "terminals": ["s", "t"], "pairs": [["s", "t"]], "maxflows": [10.0],
+        "rows": [[0.1]]},
 }
 
 

@@ -1,17 +1,20 @@
+import hashlib
+import json
 import math
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from flowsparse import (
     DemandVector,
     TerminalNetwork,
-    VertexPartition,
     concurrent_flow,
 )
+from flowsparse.flow import clear_flow_cache
 from flowsparse.merging import (
     ZERO,
     MergeError,
@@ -19,54 +22,13 @@ from flowsparse.merging import (
     _round_down_to_gamma,
     profile_bucket_sparsifier,
     ratio_type_sparsifier,
-    refine_partitions,
     _pow_floor_exact,
 )
 from flowsparse.sketch import BudgetExceeded
 from flowsparse.verify import disc_demands, random_demands
 from flowsparse.generators import gen_quasi_bipartite
 
-from conftest import random_demand
-
-
-class TestClumpAndRefine:
-    def test_refine_basic(self):
-        p1 = VertexPartition.of([{"1", "2"}, {"3"}])
-        p2 = VertexPartition.of([{"1"}, {"2", "3"}])
-        ref = refine_partitions([p1, p2])
-        assert sorted(sorted(b) for b in ref.blocks) == [["1"], ["2"], ["3"]]
-
-    def test_refine_idempotent(self):
-        p = VertexPartition.of([{"1", "2"}, {"3", "4"}])
-        assert set(refine_partitions([p, p]).blocks) == set(p.blocks)
-
-    def test_refine_with_singletons(self):
-        p = VertexPartition.of([{"1", "2", "3"}])
-        singles = VertexPartition.of([{"1"}, {"2"}, {"3"}])
-        ref = refine_partitions([singles, p])
-        assert set(ref.blocks) == set(singles.blocks)
-
-    @settings(max_examples=40, deadline=None)
-    @given(st.lists(st.lists(st.integers(0, 3), min_size=6, max_size=6),
-                    min_size=1, max_size=4))
-    def test_refine_block_count_bound(self, labelings):
-        elems = [f"x{i}" for i in range(6)]
-        parts = []
-        for labels in labelings:
-            blocks: dict[int, set] = {}
-            for e, l in zip(elems, labels):
-                blocks.setdefault(l, set()).add(e)
-            parts.append(VertexPartition.of(blocks.values()))
-        ref = refine_partitions(parts)
-        bound = 1
-        for p in parts:
-            bound *= len(p.blocks)
-        assert len(ref.blocks) <= bound
-        # refinement property: same refined block => same block everywhere
-        for p in parts:
-            owner = {v: i for i, b in enumerate(p.blocks) for v in b}
-            for block in ref.blocks:
-                assert len({owner[v] for v in block}) == 1
+from conftest import ONE_BLAS_THREAD, child_env, random_demand
 
 
 class TestProfileBuckets:
@@ -190,6 +152,85 @@ class TestRatioTypes:
         r1 = ratio_type_sparsifier(net, 0.25)
         r2 = ratio_type_sparsifier(net, 0.25)
         assert r1.net == r2.net
+
+
+
+def _merge_cases():
+    """{case: (net, epsilon, demand set or None for the default set)}."""
+    cases = {}
+    # at k = 2 the ratio types merge 40 vertices to 15-17
+    for k, n, seed in ((5, 60, 11), (5, 60, 12), (5, 60, 13), (2, 40, 1), (2, 40, 2)):
+        net = gen_quasi_bipartite(k, n, seed=seed)
+        rng = random.Random(seed)
+        cases[f"qb-{k}-{n}-{seed}"] = (net, 0.25,
+                                       [random_demand(rng, net) for _ in range(8)])
+    # every rounded length of the nets above is ZERO, so they merge by
+    # neighbour set; with the capacities divided by 100 the demands' keys
+    # differ: 28-32 vertices under one demand, 35 under all eight
+    g = gen_quasi_bipartite(5, 60, seed=11)
+    net = TerminalNetwork.make(g.vertices, g.terminals,
+                               [(u, v, c / 100) for u, v, c in g.edges])
+    rng = random.Random(11)
+    cases["qb-5-60-11-cap100"] = (net, 0.25, [random_demand(rng, net) for _ in range(8)])
+    cases["default-2-12"] = (gen_quasi_bipartite(2, 12, seed=1), 0.1, None)
+    return cases
+
+
+def _merge_fingerprints():
+    """(vertex count, sha256 prefix of repr((vertices, terminals, edges,
+    params))) per case and construction, each case from a cold flow store."""
+    out = {}
+    for case, (net, eps, demands) in _merge_cases().items():
+        clear_flow_cache()
+        for name, res in (("ratio", ratio_type_sparsifier(net, eps)),
+                          ("profile", profile_bucket_sparsifier(net, eps, demands))):
+            h = res.net
+            text = repr((h.vertices, h.terminals, h.edges, res.params))
+            out[f"{case}-{name}"] = [len(h.vertices),
+                                     hashlib.sha256(text.encode()).hexdigest()[:16]]
+    return out
+
+
+@pytest.fixture(scope="module")
+def merge_fingerprints():
+    """The fingerprints from a fresh interpreter with one BLAS thread, where
+    the oracle's duals, and so the profile keys, have fixed bits."""
+    tests = Path(__file__).resolve().parent
+    code = "import json, test_merging as T\nprint(json.dumps(T._merge_fingerprints()))\n"
+    proc = subprocess.run([sys.executable, "-c", code], cwd=tests,
+                          env=child_env(**ONE_BLAS_THREAD),
+                          capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout)
+
+
+# A change that keeps the merge constructions' outputs keeps these equal.
+PINNED_MERGES = {
+    'qb-5-60-11-ratio': [60, '678326885222e2bb'],
+    'qb-5-60-11-profile': [26, 'a6802af3ed5f6532'],
+    'qb-5-60-12-ratio': [60, '4733b953d5954596'],
+    'qb-5-60-12-profile': [27, '4f16eba89594e185'],
+    'qb-5-60-13-ratio': [58, '3be68044741b3c41'],
+    'qb-5-60-13-profile': [27, '63d1eac67e0db762'],
+    'qb-2-40-1-ratio': [17, '366f6f4c09a70d24'],
+    'qb-2-40-1-profile': [3, '8362b909a2d9f8e4'],
+    'qb-2-40-2-ratio': [15, '47a4b4972d5d41ff'],
+    'qb-2-40-2-profile': [3, 'ff47ea52a35c37d0'],
+    'qb-5-60-11-cap100-ratio': [58, '70b38cd07c6bee1e'],
+    'qb-5-60-11-cap100-profile': [35, 'd3bd3279562d6839'],
+    'default-2-12-ratio': [11, '54fd0909b40b8edc'],
+    'default-2-12-profile': [3, '804830e3812f1820'],
+}
+
+
+class TestPinnedMerges:
+    @pytest.mark.parametrize("case", sorted(PINNED_MERGES))
+    def test_outputs_are_bit_identical(self, case, merge_fingerprints):
+        assert merge_fingerprints[case] == PINNED_MERGES[case]
+
+    def test_pin_covers_every_case(self, merge_fingerprints):
+        assert merge_fingerprints.keys() == PINNED_MERGES.keys()
+        default = _merge_cases()["default-2-12"][0]
+        assert merge_fingerprints["default-2-12-profile"][0] < len(default.vertices)
 
 
 def _scan_gamma_exponents(eps, demand_values):

@@ -10,7 +10,6 @@ from flowsparse import (
     DemandVector,
     NetworkError,
     TerminalNetwork,
-    VertexPartition,
     components_after_terminal_removal,
     merge_vertices,
     phi_merge,
@@ -196,7 +195,7 @@ class TestSubdivide:
 class TestMerge:
     def test_star_merge(self):
         net = net_of(["a", "v1", "v2"], ["a"], [("a", "v1", 1), ("a", "v2", 2)])
-        merged = merge_vertices(net, VertexPartition.of([{"a"}, {"v1", "v2"}]))
+        merged = merge_vertices(net, [{"a"}, {"v1", "v2"}])
         assert len(merged.vertices) == 2
         (u, v, c), = merged.edges
         assert c == Fraction(3)
@@ -204,13 +203,23 @@ class TestMerge:
     def test_singleton_partition_is_identity(self):
         rng = random.Random(0)
         net = random_connected_net(rng, 8, 3)
-        singletons = VertexPartition.of([v] for v in net.vertices)
-        assert merge_vertices(net, singletons) == net
+        assert merge_vertices(net, [[v] for v in net.vertices]) == net
 
     def test_rejects_block_with_two_terminals(self):
         net = net_of(["a", "b", "v"], ["a", "b"], [("a", "v", 1), ("v", "b", 1)])
         with pytest.raises(NetworkError):
-            merge_vertices(net, VertexPartition.of([{"a", "b"}, {"v"}]))
+            merge_vertices(net, [{"a", "b"}, {"v"}])
+
+    @pytest.mark.parametrize("blocks, message", [
+        ([{"a"}, {"b"}, {"v"}, set()], "empty partition block"),
+        ([{"a"}, {"b", "v"}, {"v"}], "partition blocks overlap"),
+        ([{"a"}, {"b"}], "partition does not cover the vertex set"),
+        ([{"a"}, {"b"}, {"v", "x"}], "partition does not cover the vertex set"),
+    ], ids=["empty", "overlap", "short", "extra-vertex"])
+    def test_rejects_invalid_blocks(self, blocks, message):
+        net = net_of(["a", "b", "v"], ["a", "b"], [("a", "v", 1), ("v", "b", 1)])
+        with pytest.raises(NetworkError, match=message):
+            merge_vertices(net, blocks)
 
     def test_merge_only_helps(self):
         rng = random.Random(3)
@@ -222,7 +231,7 @@ class TestMerge:
             blocks = [{t} for t in net.terminals]
             blocks.append(set(non_terms[:cut]))
             blocks.extend({v} for v in non_terms[cut:])
-            merged = merge_vertices(net, VertexPartition.of(blocks))
+            merged = merge_vertices(net, blocks)
             for _ in range(5):
                 d = random_demand(rng, net)
                 before = concurrent_flow(net, d).value
@@ -233,8 +242,7 @@ class TestMerge:
         # two identical non-terminals in a quasi-bipartite net
         net = net_of(["a", "b", "u", "w"], ["a", "b"],
                      [("a", "u", 2), ("u", "b", 3), ("a", "w", 2), ("w", "b", 3)])
-        merged = merge_vertices(
-            net, VertexPartition.of([{"a"}, {"b"}, {"u", "w"}]))
+        merged = merge_vertices(net, [{"a"}, {"b"}, {"u", "w"}])
         rng = random.Random(1)
         for _ in range(8):
             d = {("a", "b"): rng.uniform(0.2, 4.0)}
@@ -380,7 +388,7 @@ def test_surgeries_preserve_flow_relations_on_100_demands():
             blocks = [{t} for t in net.terminals]
             blocks.append(set(non_terms[:2]))
             blocks.extend({v} for v in non_terms[2:])
-            merged = merge_vertices(net, VertexPartition.of(blocks))
+            merged = merge_vertices(net, blocks)
         for _ in range(4):
             d = random_demand(rng, net)
             lam = concurrent_flow(net, d).value
@@ -397,15 +405,15 @@ def test_surgeries_preserve_flow_relations_on_100_demands():
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_partition_refinement_properties(data):
+    """Blocks from a labelling of the non-terminals merge to one vertex per
+    block, named by its smallest member, beside the untouched terminals."""
     n = data.draw(st.integers(3, 8))
-    elems = [f"x{i}" for i in range(n)]
+    net = random_connected_net(random.Random(n), n + 2, 2)
+    non_terms = [v for v in net.vertices if v not in net.terminal_set]
     labels = data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
     blocks: dict[int, set] = {}
-    for e, l in zip(elems, labels):
-        blocks.setdefault(l, set()).add(e)
-    part = VertexPartition.of(blocks.values())
-    seen = set()
-    for b in part.blocks:
-        assert not (seen & b)
-        seen |= b
-    assert seen == set(elems)
+    for v, l in zip(non_terms, labels):
+        blocks.setdefault(l, set()).add(v)
+    merged = merge_vertices(net, [{t} for t in net.terminals] + list(blocks.values()))
+    assert set(merged.vertices) == set(net.terminals) | {min(b) for b in blocks.values()}
+    assert merged.terminals == net.terminals
