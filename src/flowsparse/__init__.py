@@ -4,7 +4,6 @@ from .network import (
     DemandVector,
     NetworkError,
     TerminalNetwork,
-    components_after_terminal_removal,
     merge_vertices,
     phi_merge,
     subdivide_terminal_edges,

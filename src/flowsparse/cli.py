@@ -13,9 +13,7 @@ import json
 import sys
 import time
 
-from .flow import FlowError
 from .generators import (
-    GeneratorError,
     gen_bounded_component,
     gen_quasi_bipartite,
     gen_series_parallel,
@@ -23,15 +21,13 @@ from .generators import (
 )
 from .jsonio import load_demands, load_net, save_net, write_manifest
 from .lp import LPError
-from .merging import MergeError, profile_bucket_sparsifier, ratio_type_sparsifier
-from .network import NetworkError
+from .merging import profile_bucket_sparsifier, ratio_type_sparsifier
 from .sampling import (
-    SamplingError,
     grouped_sample_sparsifier,
     plan_oversampling,
     sample_sparsifier,
 )
-from .sketch import BudgetExceeded, DemandSketch, SketchError, build_sketch
+from .sketch import BudgetExceeded, DemandSketch, build_sketch
 from .structured import (
     SpTree,
     StructureError,
@@ -39,17 +35,15 @@ from .structured import (
     sp_sparsifier,
     treewidth_sparsifier,
 )
-from .verify import VerifyError, certify, certify_cuts, demand_grid
+from .verify import certify, certify_cuts, demand_grid
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
 EXIT_INPUT = 2
 EXIT_BUDGET = 3
 
-_INPUT_ERRORS = (NetworkError, FlowError, MergeError, SamplingError,
-                 StructureError, VerifyError, GeneratorError, SketchError,
-                 LPError, FileNotFoundError, json.JSONDecodeError, ValueError,
-                 OverflowError)
+# every module's error class, json.JSONDecodeError included, is a ValueError
+_INPUT_ERRORS = (ValueError, LPError, FileNotFoundError, OverflowError)
 
 
 def main(argv=None) -> int:
@@ -177,12 +171,7 @@ def cmd_sparsify(args) -> int:
     started = time.time()
     net = load_net(args.graph, fmt=args.format, terminals_path=args.terminals)
     if args.method == "clump":
-        demand_set = None
-        if args.demands:
-            if args.demands.endswith(".json"):
-                demand_set = load_demands(args.demands)
-            else:
-                demand_set = demand_grid(net, args.demands)
+        demand_set = _demand_set(net, args.demands) if args.demands else None
         res = profile_bucket_sparsifier(net, args.eps, demand_set)
     elif args.method == "ratio":
         res = ratio_type_sparsifier(net, args.eps)
@@ -194,7 +183,11 @@ def cmd_sparsify(args) -> int:
         tree = None
         if args.sptree:
             with open(args.sptree) as fh:
-                tree = SpTree.from_json_dict(json.load(fh))
+                try:
+                    tree = SpTree.from_json_dict(json.load(fh))
+                except RecursionError:
+                    raise StructureError("SP-tree JSON nests deeper than the "
+                                         "recursion limit allows") from None
         res = sp_sparsifier(net, tree)
     else:
         if not args.tdec:
@@ -214,13 +207,8 @@ def cmd_verify(args) -> int:
     started = time.time()
     g = load_net(args.g)
     gp = load_net(args.gp, allow_disconnected=True)
-    if args.demands.endswith(".json"):
-        demands = load_demands(args.demands)
-        spec = args.demands
-    else:
-        demands = demand_grid(g, args.demands)
-        spec = args.demands
-    report = certify(g, gp, demands, args.claim, demand_spec=spec)
+    report = certify(g, gp, _demand_set(g, args.demands), args.claim,
+                     demand_spec=args.demands)
     doc = report.to_json_dict()
     if args.cuts:
         doc["cuts"] = certify_cuts(g, gp).to_json_dict()
@@ -260,6 +248,11 @@ def cmd_plan(args) -> int:
     print(rep.summary())
     print(f"M {rep.M:.6g}")
     return EXIT_OK
+
+
+def _demand_set(net, spec: str) -> list:
+    """A --demands value: a demand file (.json) or a `demand_grid` spec."""
+    return load_demands(spec) if spec.endswith(".json") else demand_grid(net, spec)
 
 
 def _params(args) -> dict:

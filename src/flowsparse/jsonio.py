@@ -94,12 +94,9 @@ def load_dimacs(path: str, terminals_path: str | None,
                 edges.append((parts[1], parts[2], Fraction(parts[3])))
             elif parts[0] == "n":
                 node_terms.append(parts[1])
-    vertices = sorted({u for u, _, _ in edges} | {v for _, v, _ in edges},
-                      key=lambda x: (len(x), x))
+    vertices = {u for u, _, _ in edges} | {v for _, v, _ in edges}
     if n_declared is not None and len(vertices) < n_declared:
-        known = set(vertices)
-        vertices += [str(i) for i in range(1, n_declared + 1)
-                     if str(i) not in known]
+        vertices |= {str(i) for i in range(1, n_declared + 1)}
     if terminals_path:
         text = Path(terminals_path).read_text()
         try:

@@ -421,11 +421,6 @@ def components(net: TerminalNetwork, removed: Iterable[str] = ()) -> list[frozen
     return sorted(comps, key=min)
 
 
-def components_after_terminal_removal(net: TerminalNetwork) -> list[frozenset[str]]:
-    """Connected components of the induced subgraph on non-terminals."""
-    return components(net, net.terminal_set)
-
-
 def terminal_bipartitions(terminals: tuple[str, ...]):
     """Every split (A, B) of the terminals into two nonempty sides, once each:
     A holds the first terminal, both sides keep the input order, and A grows

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .flow import max_flow
-from .network import TerminalNetwork, components_after_terminal_removal
+from .network import TerminalNetwork, components
 from .results import SparsifierResult
 
 
@@ -171,7 +171,7 @@ def grouped_sampling_plan(net: TerminalNetwork, w: int, M: float,
         raise SamplingError("oversampling factor must be positive")
     if not net.terminals_independent():
         raise SamplingError("terminals must be independent")
-    comps = components_after_terminal_removal(net)
+    comps = components(net, net.terminal_set)
     for comp in comps:
         if len(comp) > w:
             raise SamplingError(

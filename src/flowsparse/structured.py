@@ -135,17 +135,13 @@ class SpParallel:
 SpNode = SpLeaf | SpSeries | SpParallel
 
 
-def sp_portals(node: SpNode) -> tuple[str, str]:
-    return node.u, node.v
-
-
 @dataclass(frozen=True)
 class SpTree:
     root: SpNode
 
     @property
     def portals(self) -> tuple[str, str]:
-        return sp_portals(self.root)
+        return self.root.u, self.root.v
 
     def leaves(self) -> int:
         def count(n):
@@ -219,8 +215,8 @@ def sp_validate(node: SpNode) -> None:
         if node.u == node.v:
             raise StructureError("leaf with identical endpoints")
         return
-    lu, lv = sp_portals(node.left)
-    ru, rv = sp_portals(node.right)
+    lu, lv = node.left.u, node.left.v
+    ru, rv = node.right.u, node.right.v
     if isinstance(node, SpSeries):
         if {node.u, node.middle} != {lu, lv} or {node.middle, node.v} != {ru, rv}:
             raise StructureError("series children portals inconsistent")
@@ -231,19 +227,13 @@ def sp_validate(node: SpNode) -> None:
     sp_validate(node.right)
 
 
-def sp_recognize(net: TerminalNetwork, s: str | None = None,
-                 t: str | None = None) -> SpTree:
+def sp_recognize(net: TerminalNetwork) -> SpTree:
     """Recognise an s-t series-parallel network by repeated parallel merges
     and degree-2 series contractions, logging the operations as a tree.
 
-    Without given portals, candidate pairs are tried (terminal pairs first);
-    raises "not series-parallel" when no pair works (e.g. K4).
+    Candidate portal pairs are tried terminal pairs first; raises "not
+    series-parallel" when no pair works (e.g. K4).
     """
-    if s is not None and t is not None:
-        tree = _sp_reduce(net, s, t)
-        if tree is None:
-            raise StructureError(f"not series-parallel between {s} and {t}")
-        return tree
     cands = list(itertools.combinations(net.terminals, 2))
     rest = [v for v in net.vertices if v not in net.terminal_set]
     cands += [(a, b) for a in net.terminals for b in rest]
@@ -322,62 +312,53 @@ def sp_sparsifier(net: TerminalNetwork, tree: SpTree | None = None) -> Sparsifie
     Recursion: descend to the deepest subtree still containing every internal
     terminal, mimick the 4-terminal remainder around it, recurse on its
     children (promoting portals and series middles to terminals), and glue
-    everything back with the composition lemma.
+    everything back with the composition lemma.  Every step recurses on the
+    tree, so a tree deeper than the interpreter's recursion limit raises.
     """
     if tree is None:
         tree = sp_recognize(net)
-    sp_validate(tree.root)
-    if not sp_tree_realizes(tree, net):
-        raise StructureError("decomposition tree does not realize the network")
-    s, t = tree.portals
-    terms: set[str] = set(net.terminals) | {s, t}
-    built = _sp_build(tree.root, frozenset(terms))
+    try:
+        sp_validate(tree.root)
+        if not sp_tree_realizes(tree, net):
+            raise StructureError("decomposition tree does not realize the network")
+        built = _sp_build(tree.root, frozenset(net.terminals) | set(tree.portals))
+        leaves = tree.leaves()
+    except RecursionError:
+        raise StructureError("series-parallel tree is deeper than the recursion "
+                             "limit allows") from None
     # intermediate portals/middles promoted during the recursion are demoted
     # again: a sparsifier for a superset of terminals is one for the subset
     ordered = list(net.terminals)
-    ordered += [x for x in (s, t) if x not in ordered]
-    missing = [x for x in ordered if x not in set(built.vertices)]
-    if missing:
-        raise StructureError(f"terminals {missing} lost during recursion")
+    ordered += [x for x in tree.portals if x not in ordered]
     out = TerminalNetwork.make(built.vertices, ordered, built.edges,
                                allow_disconnected=True)
     return SparsifierResult.of(out, "series-parallel", 1.0,
-                               params={"leaves": tree.leaves(),
+                               params={"leaves": leaves,
                                        "terminals": len(ordered)})
 
 
-def _children(node: SpNode):
-    if isinstance(node, SpLeaf):
-        return []
-    return [node.left, node.right]
-
-
-def _sp_build(node: SpNode, terms: frozenset[str], depth: int = 0) -> TerminalNetwork:
+def _sp_build(node: SpNode, terms: frozenset[str]) -> TerminalNetwork:
     """An exact sparsifier of `node`'s realization for the terminals `terms`:
     mimicking networks glued with `compose`, all of quality 1."""
-    if depth > 10000:
-        raise StructureError("series-parallel recursion failed to shrink")
-    s, t = sp_portals(node)
+    s, t = node.u, node.v
     inside = (terms & sp_vertices(node)) - {s, t}
     if len(inside) <= 2:
         piece = sp_realize(node, sorted(inside | {s, t}))
         return mimick_small(piece).net
 
+    # no leaf holds the three or more vertices of `inside`
     cur = node
-    while True:
-        nxt = [c for c in _children(cur) if inside <= sp_vertices(c)]
-        if not nxt:
-            break
+    while nxt := [c for c in (cur.left, cur.right) if inside <= sp_vertices(c)]:
         cur = nxt[0]
-    s2, t2 = sp_portals(cur)
+    s2, t2 = cur.u, cur.v
 
     # a series node's children meet in its middle vertex, which must stay
     # a terminal on both sides; parallel children meet in their portals
     new_terms = terms | {s2, t2}
     if isinstance(cur, SpSeries):
         new_terms |= {cur.middle}
-    h1 = _sp_build(cur.left, new_terms, depth + 1)
-    h2 = _sp_build(cur.right, new_terms, depth + 1)
+    h1 = _sp_build(cur.left, new_terms)
+    h2 = _sp_build(cur.right, new_terms)
     shared = sorted(h1.terminal_set & h2.terminal_set)
     inner, _ = compose(h1, h2, {x: x for x in shared}, 1.0, 1.0)
 
@@ -456,29 +437,17 @@ class TreeDecomposition:
             raise StructureError(f"malformed tree decomposition JSON: {exc!r}") from exc
 
 
-def balanced_terminal_separator(net: TerminalNetwork, tdec: TreeDecomposition,
-                                terminals=None) -> frozenset[str]:
+def balanced_terminal_separator(net: TerminalNetwork,
+                                tdec: TreeDecomposition) -> frozenset[str]:
     """A bag X such that every component of G - X holds at most 2/3 of the
     terminals outside X.  Verified by direct component counting, not assumed."""
-    terms = set(terminals if terminals is not None else net.terminals)
-    best = None
+    terms = net.terminal_set
     for bag in sorted(tdec.bags, key=sorted):
-        if not bag:
-            continue
-        outside = terms - bag
-        limit = Fraction(2, 3) * len(outside)
-        ok = True
-        for comp in components(net, bag):
-            if len(comp & terms) > limit:
-                ok = False
-                break
-        if ok:
-            best = frozenset(bag)
-            break
-    if best is None:
-        raise StructureError("no bag is a balanced terminal separator "
-                             "(invalid tree decomposition?)")
-    return best
+        limit = Fraction(2, 3) * len(terms - bag)
+        if bag and all(len(comp & terms) <= limit for comp in components(net, bag)):
+            return frozenset(bag)
+    raise StructureError("no bag is a balanced terminal separator "
+                         "(invalid tree decomposition?)")
 
 
 def identity_leaf(net: TerminalNetwork) -> SparsifierResult:
@@ -495,7 +464,7 @@ LEAF_BUILDERS = {"identity": identity_leaf, "mimick": mimick_leaf}
 
 
 def treewidth_sparsifier(net: TerminalNetwork, tdec: TreeDecomposition,
-                         leaf_builder="identity",
+                         leaf_builder: str = "identity",
                          leaf_threshold: int | None = None) -> SparsifierResult:
     """Recursive sparsifier for bounded-treewidth networks: split at a
     balanced bag separator, recurse on each component plus the separator
@@ -505,12 +474,12 @@ def treewidth_sparsifier(net: TerminalNetwork, tdec: TreeDecomposition,
     geometrically; a smaller threshold (>= w+2) exercises deeper recursion
     and stays correct because the separator condition and the shrink are
     verified at runtime.  The quality is the worst leaf quality.
+    `leaf_builder` names an entry of LEAF_BUILDERS.
     """
-    if isinstance(leaf_builder, str):
-        try:
-            leaf_builder = LEAF_BUILDERS[leaf_builder]
-        except KeyError:
-            raise StructureError(f"unknown leaf builder {leaf_builder!r}")
+    try:
+        leaf_builder = LEAF_BUILDERS[leaf_builder]
+    except KeyError:
+        raise StructureError(f"unknown leaf builder {leaf_builder!r}")
     tdec.validate_for(net)
     w = tdec.width
     if leaf_threshold is None:
@@ -521,9 +490,6 @@ def treewidth_sparsifier(net: TerminalNetwork, tdec: TreeDecomposition,
     built, quality, depth = _tw_build(net, tdec, w, leaf_builder, 0,
                                       leaf_threshold)
     # separator vertices promoted during the recursion are demoted again
-    missing = [x for x in net.terminals if x not in set(built.vertices)]
-    if missing:
-        raise StructureError(f"terminals {missing} lost during recursion")
     out = TerminalNetwork.make(built.vertices, net.terminals, built.edges,
                                allow_disconnected=True)
     return SparsifierResult.of(out, "treewidth", quality,
@@ -534,13 +500,10 @@ def _tw_build(net, tdec, w, leaf_builder, depth, leaf_threshold):
     if net.k <= leaf_threshold:
         res = leaf_builder(net)
         return res.net, res.claimed_quality, depth
+    # X has at most w + 1 < k vertices, so some terminal lies outside it
     X = balanced_terminal_separator(net, tdec)
-    comps = components(net, X)
-    if not comps:
-        res = leaf_builder(net)
-        return res.net, res.claimed_quality, depth
     pieces = []
-    for n, comp in enumerate(comps):
+    for n, comp in enumerate(components(net, X)):
         # the separator's own edges go to the first piece only
         keep = comp | X
         edges = [(u, v, c) for u, v, c in net.edges if u in keep and v in keep

@@ -158,7 +158,7 @@ def demand_grid(net: TerminalNetwork, spec: str) -> list[DemandVector]:
 # ---------------------------------------------------------------------------
 
 def certify(g: TerminalNetwork, gp: TerminalNetwork,
-            demands: list[DemandVector] | str, claimed_q: float,
+            demands: list[DemandVector], claimed_q: float,
             *, demand_spec: str = "explicit") -> QualityReport:
     """Per-demand flow comparison of candidate gp against base g.
 
@@ -169,9 +169,6 @@ def certify(g: TerminalNetwork, gp: TerminalNetwork,
     """
     if set(g.terminals) != set(gp.terminals):
         raise VerifyError("terminal sets differ between base and candidate")
-    if isinstance(demands, str):
-        demand_spec = demands
-        demands = demand_grid(g, demands)
     if not demands:
         raise VerifyError("empty demand set")
     component_of = {v: i for i, comp in enumerate(components(gp)) for v in comp}

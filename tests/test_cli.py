@@ -49,12 +49,12 @@ class TestGen:
         assert leaves(tree["root"]) == 16
 
     def test_bounded_component_w(self, tmp_path):
-        from flowsparse.network import components_after_terminal_removal
+        from flowsparse.network import components
         g = tmp_path / "g.json"
         assert run(["gen", "--kind", "bounded-component", "--k", "3",
                     "--n", "20", "--w", "3", "--seed", "3", "--out", g]) == 0
         net = load_net(str(g))
-        assert all(len(c) <= 3 for c in components_after_terminal_removal(net))
+        assert all(len(c) <= 3 for c in components(net, net.terminal_set))
 
     def test_manifest_written(self, qb_graph):
         manifest = json.loads(Path(f"{qb_graph}.manifest.json").read_text())
@@ -158,6 +158,41 @@ class TestSparsifyVerify:
         rc = run(["sparsify", "--method", "sp", "--graph", g,
                   "--out", tmp_path / "h.json"])
         assert rc == 2
+
+    @staticmethod
+    def _deep_path(tmp_path, n=1100):
+        """A path on n vertices with terminals at its ends, whose SP tree is
+        a chain of n - 2 series nodes, deeper than the recursion limit."""
+        vs = [f"v{i:04d}" for i in range(n)]
+        g = tmp_path / "path.json"
+        save_net(TerminalNetwork.make(vs, [vs[0], vs[-1]],
+                                      [(a, b, 1) for a, b in zip(vs, vs[1:])]), str(g))
+        return g, vs
+
+    def test_sp_tree_deeper_than_recursion_limit_exit_2(self, tmp_path, capsys):
+        g, _ = self._deep_path(tmp_path)
+        rc = run(["sparsify", "--method", "sp", "--graph", g,
+                  "--out", tmp_path / "h.json"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
+    def test_sp_tree_file_deeper_than_recursion_limit_exit_2(self, tmp_path, capsys):
+        g, vs = self._deep_path(tmp_path)
+        # written as a string: SpTree.to_json_dict recurses too
+        leaf = '{{"type": "leaf", "u": "{}", "v": "{}", "cap": "1"}}'
+        text = "".join(
+            f'{{"type": "series", "u": "{vs[i]}", "v": "{vs[-1]}", '
+            f'"middle": "{vs[i + 1]}", "left": {leaf.format(vs[i], vs[i + 1])}, '
+            f'"right": ' for i in range(len(vs) - 2))
+        text += leaf.format(vs[-2], vs[-1]) + "}" * (len(vs) - 2)
+        t = tmp_path / "t.json"
+        t.write_text('{"root": ' + text + "}")
+        rc = run(["sparsify", "--method", "sp", "--graph", g, "--sptree", t,
+                  "--out", tmp_path / "h.json"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: ") and err.count("\n") == 1, err
 
     def test_sp_pipeline(self, tmp_path):
         g, t, h, rep = (tmp_path / n for n in

@@ -10,7 +10,6 @@ from flowsparse import (
     DemandVector,
     NetworkError,
     TerminalNetwork,
-    components_after_terminal_removal,
     merge_vertices,
     phi_merge,
     subdivide_terminal_edges,
@@ -299,20 +298,20 @@ class TestComponents:
         net = net_of(["t0", "t1", "v0", "v1", "v2", "v3"], ["t0", "t1"],
                      [("t0", f"v{i}", 1) for i in range(4)] +
                      [(f"v{i}", "t1", 1) for i in range(4)])
-        comps = components_after_terminal_removal(net)
+        comps = components(net, net.terminal_set)
         assert len(comps) == 4 and all(len(c) == 1 for c in comps)
         assert net.is_quasi_bipartite()
 
     def test_nontrivial_component(self):
         net = net_of(["s", "t", "u", "v"], ["s", "t"],
                      [("s", "u", 1), ("u", "v", 1), ("v", "t", 1)])
-        comps = components_after_terminal_removal(net)
+        comps = components(net, net.terminal_set)
         assert comps == [frozenset({"u", "v"})]
         assert not net.is_quasi_bipartite()
 
     def test_all_terminals(self):
         net = net_of(["s", "t"], ["s", "t"], [("s", "t", 1)])
-        assert components_after_terminal_removal(net) == []
+        assert components(net, net.terminal_set) == []
 
     def test_components_sorted_by_smallest_vertex(self):
         net = net_of(["a", "b", "c", "d", "e"], ["a"],
@@ -326,8 +325,7 @@ class TestComponents:
         assert components(net) == [frozenset("abcd")]
         assert components(net, {"b"}) == [frozenset("a"), frozenset("cd")]
         assert components(net, net.vertices) == []
-        assert (components(net, net.terminal_set)
-                == components_after_terminal_removal(net) == [frozenset("bc")])
+        assert components(net, net.terminal_set) == [frozenset("bc")]
 
 
 class TestTerminalBipartitions:

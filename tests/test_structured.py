@@ -263,14 +263,14 @@ def test_mimick_outputs_are_pinned(monkeypatch):
 class TestSpRecognize:
     def test_single_edge(self):
         net = TerminalNetwork.make(["s", "t"], ["s", "t"], [("s", "t", 2)])
-        tree = sp_recognize(net, "s", "t")
+        tree = sp_recognize(net)
         assert isinstance(tree.root, SpLeaf)
 
     def test_parallel_paths(self):
         net = TerminalNetwork.make(
             ["s", "t", "m"], ["s", "t"],
             [("s", "m", 1), ("m", "t", 1), ("s", "t", 2)])
-        tree = sp_recognize(net, "s", "t")
+        tree = sp_recognize(net)
         assert isinstance(tree.root, SpParallel)
         assert sp_tree_realizes(tree, net)
 
@@ -285,7 +285,7 @@ class TestSpRecognize:
     def test_generated_instances_recognized(self, seed):
         net, tree = gen_series_parallel(rng_leaves(seed), 4, seed)
         assert sp_tree_realizes(tree, net)
-        rec = sp_recognize(net, "s", "t")
+        rec = sp_recognize(net)
         assert sp_tree_realizes(rec, net)
 
     def test_json_roundtrip(self):
@@ -388,17 +388,131 @@ class TestTreewidth:
         depth = dict(res.params)["depth"]
         assert depth <= math.log(net.k) / math.log(6 / 5)
 
-    def test_quality_bookkeeping_max(self):
+    def test_quality_bookkeeping_max(self, monkeypatch):
         net, tdec = gen_treewidth(10, 30, 1, seed=8)
 
         def q2_leaf(n):
             from flowsparse.results import SparsifierResult
             return SparsifierResult.of(n, "q2", 2.0)
 
-        res = treewidth_sparsifier(net, tdec, q2_leaf, leaf_threshold=8)
+        monkeypatch.setitem(structured.LEAF_BUILDERS, "q2", q2_leaf)
+        res = treewidth_sparsifier(net, tdec, "q2", leaf_threshold=8)
         assert res.claimed_quality == 2.0
 
     def test_mimick_leaf_builder(self):
         net, tdec = gen_treewidth(4, 12, 1, seed=9)
         res = treewidth_sparsifier(net, tdec, "mimick")
         assert certify_cuts(net, res.net).all_exact
+
+
+def _structured_cases():
+    """{case: thunk returning a SparsifierResult}: the SP recursion on given
+    and on recognised trees, and the treewidth recursion under both leaf
+    builders at the default leaf threshold and at 4(w+1)."""
+    cases = {}
+    for seed in range(20):
+        rng = random.Random(7000 + seed)
+        net, tree = gen_series_parallel(rng.randint(8, 30), 2 + seed % 5, seed)
+        cases[f"sp-tree-{seed}"] = lambda net=net, tree=tree: sp_sparsifier(net, tree)
+        if seed < 5:
+            cases[f"sp-recognized-{seed}"] = lambda net=net: sp_sparsifier(net)
+    # at k = 9 only w = 1 with threshold 8 recurses; k = 16 recurses at w = 2
+    for k, n, w in ((9, 30, 1), (9, 30, 2), (16, 40, 2)):
+        for seed in range(3):
+            net, tdec = gen_treewidth(k, n, w, seed=seed)
+            for leaf in ("identity", "mimick"):
+                for threshold in (None, 4 * (w + 1)):
+                    cases[f"tw-{k}-{w}-{seed}-{leaf}-{threshold or 'default'}"] = (
+                        lambda net=net, tdec=tdec, leaf=leaf, threshold=threshold:
+                        treewidth_sparsifier(net, tdec, leaf, leaf_threshold=threshold))
+    return cases
+
+
+def _structured_fingerprint(res):
+    """sha256 prefix of repr((vertices, terminals, edges, claimed quality,
+    params)); these constructions are exact arithmetic, so no child process
+    is needed to fix their bits."""
+    h = res.net
+    text = repr((h.vertices, h.terminals, h.edges, res.claimed_quality, res.params))
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+@pytest.fixture(scope="module")
+def structured_fingerprints():
+    return {case: _structured_fingerprint(build())
+            for case, build in _structured_cases().items()}
+
+
+# A change that keeps the structured constructions' outputs keeps these equal.
+PINNED_STRUCTURED = {
+    'sp-tree-0': '39ca975d282fe8c0',
+    'sp-recognized-0': '9fc165b40a801451',
+    'sp-tree-1': '242e3074f70f6d0d',
+    'sp-recognized-1': '68a0f79bb46a032d',
+    'sp-tree-2': '89d242fc5efc3294',
+    'sp-recognized-2': 'bb56f0c38aa5f757',
+    'sp-tree-3': '1477f15e94e5ca20',
+    'sp-recognized-3': 'ab5de0bb2433eb26',
+    'sp-tree-4': '8796ad0872d340ad',
+    'sp-recognized-4': 'd6d44f4261f23508',
+    'sp-tree-5': 'd9089c74857e5dc6',
+    'sp-tree-6': '10c793078c9b4d28',
+    'sp-tree-7': '27ad0c05c550de7c',
+    'sp-tree-8': '619dca070e34a17d',
+    'sp-tree-9': 'a26b0e52fea67819',
+    'sp-tree-10': '04b61ecfb9452da7',
+    'sp-tree-11': 'dc140978fb8085de',
+    'sp-tree-12': '6df355380feec945',
+    'sp-tree-13': 'f51dc9027fdab0b6',
+    'sp-tree-14': 'baeb153f05084387',
+    'sp-tree-15': 'f25f8429a2a7a599',
+    'sp-tree-16': 'd945c2f7c02607af',
+    'sp-tree-17': '2d8de377dcd9e962',
+    'sp-tree-18': '03a85af75fb0a3e8',
+    'sp-tree-19': '65956d7a3b227ba3',
+    'tw-9-1-0-identity-default': '29e3cf6847f68a69',
+    'tw-9-1-0-identity-8': 'cdf35a8dcfd99920',
+    'tw-9-1-0-mimick-default': '29e3cf6847f68a69',
+    'tw-9-1-0-mimick-8': 'bd52aa59328a9771',
+    'tw-9-1-1-identity-default': '1b11e5e49ed36635',
+    'tw-9-1-1-identity-8': '649c0795bbae3034',
+    'tw-9-1-1-mimick-default': '1b11e5e49ed36635',
+    'tw-9-1-1-mimick-8': 'b64d889d50419021',
+    'tw-9-1-2-identity-default': '462da23421e6b634',
+    'tw-9-1-2-identity-8': 'cbd6cb71be59cf79',
+    'tw-9-1-2-mimick-default': '462da23421e6b634',
+    'tw-9-1-2-mimick-8': 'dc894730b66bb417',
+    'tw-9-2-0-identity-default': '510fb81b34792f03',
+    'tw-9-2-0-identity-12': '510fb81b34792f03',
+    'tw-9-2-0-mimick-default': '510fb81b34792f03',
+    'tw-9-2-0-mimick-12': '510fb81b34792f03',
+    'tw-9-2-1-identity-default': '7d6cfb6889dc105c',
+    'tw-9-2-1-identity-12': '7d6cfb6889dc105c',
+    'tw-9-2-1-mimick-default': '7d6cfb6889dc105c',
+    'tw-9-2-1-mimick-12': '7d6cfb6889dc105c',
+    'tw-9-2-2-identity-default': 'ad39d39e899bbf62',
+    'tw-9-2-2-identity-12': 'ad39d39e899bbf62',
+    'tw-9-2-2-mimick-default': 'ad39d39e899bbf62',
+    'tw-9-2-2-mimick-12': 'ad39d39e899bbf62',
+    'tw-16-2-0-identity-default': 'a0da53b7c83c667f',
+    'tw-16-2-0-identity-12': '51e816b1a4bfc76c',
+    'tw-16-2-0-mimick-default': 'a0da53b7c83c667f',
+    'tw-16-2-0-mimick-12': 'f15bd64fb370ba3e',
+    'tw-16-2-1-identity-default': 'ac022925e08cb2f1',
+    'tw-16-2-1-identity-12': 'e50db3cbb7ebb4e1',
+    'tw-16-2-1-mimick-default': 'ac022925e08cb2f1',
+    'tw-16-2-1-mimick-12': 'b86ab97f8ab3bb2e',
+    'tw-16-2-2-identity-default': 'b291fbd97384e7a9',
+    'tw-16-2-2-identity-12': '9ec76906bdc59ffe',
+    'tw-16-2-2-mimick-default': 'b291fbd97384e7a9',
+    'tw-16-2-2-mimick-12': 'a490b6bd3605e08d',
+}
+
+
+class TestPinnedStructured:
+    @pytest.mark.parametrize("case", sorted(PINNED_STRUCTURED))
+    def test_outputs_are_bit_identical(self, case, structured_fingerprints):
+        assert structured_fingerprints[case] == PINNED_STRUCTURED[case]
+
+    def test_pin_covers_every_case(self, structured_fingerprints):
+        assert structured_fingerprints.keys() == PINNED_STRUCTURED.keys()

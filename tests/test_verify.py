@@ -137,7 +137,7 @@ class TestCertify:
         g = gen_quasi_bipartite(5, 60, seed=1)
         gp = sample_sparsifier(g, 0.5, 0).net
         assert not gp.is_connected()
-        rep = certify(g, gp, "random:5:1", 1.5)
+        rep = certify(g, gp, demand_grid(g, "random:5:1"), 1.5)
         assert rep.lower == math.inf and not rep.verdict
         assert all(r.lam_candidate == 0.0 for r in rep.records)
         doc = json.loads(json.dumps(rep.to_json_dict(), allow_nan=False))
