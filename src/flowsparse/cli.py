@@ -19,7 +19,7 @@ from .generators import (
     gen_series_parallel,
     gen_treewidth,
 )
-from .jsonio import load_demands, load_net, save_net, write_manifest
+from .jsonio import load_demands, load_net, read_json, save_net, write_manifest
 from .lp import LPError
 from .merging import profile_bucket_sparsifier, ratio_type_sparsifier
 from .sampling import (
@@ -43,7 +43,7 @@ EXIT_INPUT = 2
 EXIT_BUDGET = 3
 
 # every module's error class, json.JSONDecodeError included, is a ValueError
-_INPUT_ERRORS = (ValueError, LPError, FileNotFoundError, OverflowError)
+_INPUT_ERRORS = (ValueError, LPError, OSError, OverflowError)
 
 
 def main(argv=None) -> int:
@@ -182,18 +182,17 @@ def cmd_sparsify(args) -> int:
     elif args.method == "sp":
         tree = None
         if args.sptree:
-            with open(args.sptree) as fh:
-                try:
-                    tree = SpTree.from_json_dict(json.load(fh))
-                except RecursionError:
-                    raise StructureError("SP-tree JSON nests deeper than the "
-                                         "recursion limit allows") from None
+            doc = read_json(args.sptree)
+            try:
+                tree = SpTree.from_json_dict(doc)
+            except RecursionError:
+                raise StructureError("SP-tree JSON nests deeper than the "
+                                     "recursion limit allows") from None
         res = sp_sparsifier(net, tree)
     else:
         if not args.tdec:
             raise StructureError("--method treewidth needs --tdec")
-        with open(args.tdec) as fh:
-            tdec = TreeDecomposition.from_json_dict(json.load(fh))
+        tdec = TreeDecomposition.from_json_dict(read_json(args.tdec))
         res = treewidth_sparsifier(net, tdec, args.leaf)
     save_net(res.net, args.out, meta=res.meta())
     write_manifest(args.out, "sparsify", _params(args), args.seed,

@@ -39,6 +39,17 @@ def net_from_json_dict(d: dict, *, allow_disconnected: bool = False) -> Terminal
         raise NetworkError(f"malformed graph JSON: {exc}") from exc
 
 
+def read_json(path: str):
+    """`json.load` of the file at `path`; nesting past the recursion limit
+    raises `NetworkError`, not `RecursionError`."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise NetworkError(f"{path}: JSON nests deeper than the recursion "
+                               "limit allows") from None
+
+
 def save_net(net: TerminalNetwork, path: str, meta: dict | None = None) -> None:
     with open(path, "w") as fh:
         json.dump(net_to_json_dict(net, meta), fh, indent=1, sort_keys=True)
@@ -47,9 +58,8 @@ def save_net(net: TerminalNetwork, path: str, meta: dict | None = None) -> None:
 def load_net(path: str, *, fmt: str = "json", terminals_path: str | None = None,
              allow_disconnected: bool = False) -> TerminalNetwork:
     if fmt == "json":
-        with open(path) as fh:
-            return net_from_json_dict(json.load(fh),
-                                      allow_disconnected=allow_disconnected)
+        return net_from_json_dict(read_json(path),
+                                  allow_disconnected=allow_disconnected)
     if fmt == "dimacs":
         return load_dimacs(path, terminals_path,
                            allow_disconnected=allow_disconnected)
@@ -59,8 +69,7 @@ def load_net(path: str, *, fmt: str = "json", terminals_path: str | None = None,
 def load_demands(path: str) -> list[DemandVector]:
     """A demand file holds either one vector (list of {s,t,d} rows) or a list
     of such vectors."""
-    with open(path) as fh:
-        data = json.load(fh)
+    data = read_json(path)
     if not isinstance(data, list):
         raise NetworkError("demand file must be a JSON list")
     if data and isinstance(data[0], dict):

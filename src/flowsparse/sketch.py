@@ -44,6 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .flow import concurrent_flow, max_flow
+from .jsonio import read_json
 from .network import (DemandVector, TerminalNetwork, _pair, terminal_bipartitions,
                       to_float)
 
@@ -320,8 +321,7 @@ class DemandSketch:
 
     @staticmethod
     def load(path: str) -> "DemandSketch":
-        with open(path) as fh:
-            return DemandSketch.from_json_dict(json.load(fh))
+        return DemandSketch.from_json_dict(read_json(path))
 
 
 # ---------------------------------------------------------------------------

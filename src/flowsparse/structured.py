@@ -11,6 +11,7 @@ so it is flow-exact: quality 1, proven.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -228,17 +229,17 @@ def sp_validate(node: SpNode) -> None:
 
 
 def sp_recognize(net: TerminalNetwork) -> SpTree:
-    """Recognise an s-t series-parallel network by repeated parallel merges
-    and degree-2 series contractions, logging the operations as a tree.
+    """Recognise an s-t series-parallel network by series contractions and
+    the parallel merges they create, logging the operations as a tree.
 
-    Candidate portal pairs are tried terminal pairs first; raises "not
+    Candidate portal pairs are tried terminal pairs first, then a terminal
+    with a non-terminal, then two non-terminals, one pass each; raises "not
     series-parallel" when no pair works (e.g. K4).
     """
-    cands = list(itertools.combinations(net.terminals, 2))
     rest = [v for v in net.vertices if v not in net.terminal_set]
-    cands += [(a, b) for a in net.terminals for b in rest]
-    cands += list(itertools.combinations(rest, 2))
-    for a, b in cands:
+    for a, b in itertools.chain(itertools.combinations(net.terminals, 2),
+                                itertools.product(net.terminals, rest),
+                                itertools.combinations(rest, 2)):
         tree = _sp_reduce(net, a, b)
         if tree is not None:
             return tree
@@ -246,54 +247,44 @@ def sp_recognize(net: TerminalNetwork) -> SpTree:
 
 
 def _sp_reduce(net: TerminalNetwork, s: str, t: str) -> SpTree | None:
-    items: list[tuple[str, str, SpNode]] = [
-        (u, v, SpLeaf(u=u, v=v, cap=c)) for u, v, c in net.edges]
-    if not items:
-        return None
-    while len(items) > 1:
-        progress = False
-        # parallel merges
-        groups: dict[frozenset, list[int]] = {}
-        for i, (u, v, _) in enumerate(items):
-            groups.setdefault(frozenset((u, v)), []).append(i)
-        for key, idxs in sorted(groups.items(), key=lambda kv: sorted(kv[0])):
-            if len(idxs) >= 2:
-                i, j = idxs[0], idxs[1]
-                u, v, n1 = items[i]
-                _, _, n2 = items[j]
-                merged = (u, v, SpParallel(left=n1, right=n2, u=u, v=v))
-                items = [it for x, it in enumerate(items) if x not in (i, j)]
-                items.append(merged)
-                progress = True
-                break
-        if progress:
+    """One worklist pass: series-contract the least-named non-portal vertex
+    of degree 2 until none is left, merging the new item at once in parallel
+    with the one already on its pair, if any (the older item is `left` and
+    gives the orientation).  A canonical network has one edge per pair, so
+    no other parallel pair arises.  The tree, if the pass ends in one item
+    on {s, t}; else None."""
+    items: dict[int, tuple[str, str, SpNode]] = {}
+    nbrs: dict[str, dict[str, int]] = {x: {} for x in net.vertices}
+    ids = itertools.count()
+
+    def add(u, v, node):
+        i = next(ids)
+        items[i] = (u, v, node)
+        nbrs[u][v] = nbrs[v][u] = i
+
+    for u, v, c in net.edges:
+        add(u, v, SpLeaf(u=u, v=v, cap=c))
+    heap = [x for x, nb in nbrs.items() if len(nb) == 2 and x not in (s, t)]
+    heapq.heapify(heap)
+    while heap:
+        x = heapq.heappop(heap)
+        if len(nbrs[x]) != 2:
             continue
-        # series contractions at non-portal degree-2 vertices
-        degree: dict[str, list[int]] = {}
-        for i, (u, v, _) in enumerate(items):
-            degree.setdefault(u, []).append(i)
-            degree.setdefault(v, []).append(i)
-        for x in sorted(degree):
-            if x in (s, t) or len(degree[x]) != 2:
-                continue
-            i, j = degree[x]
-            u1, v1, n1 = items[i]
-            u2, v2, n2 = items[j]
-            a = u1 if v1 == x else v1
-            b = u2 if v2 == x else v2
-            if a == b:
-                continue   # becomes a parallel pair instead
-            merged = (a, b, SpSeries(left=n1, right=n2, middle=x, u=a, v=b))
-            items = [it for y, it in enumerate(items) if y not in (i, j)]
-            items.append(merged)
-            progress = True
-            break
-        if not progress:
-            return None
-    u, v, node = items[0]
-    if {u, v} != {s, t}:
+        (a, i), (b, j) = sorted(nbrs.pop(x).items(), key=lambda kv: kv[1])
+        del nbrs[a][x], nbrs[b][x]
+        node = SpSeries(left=items.pop(i)[2], right=items.pop(j)[2],
+                        middle=x, u=a, v=b)
+        if b in nbrs[a]:
+            a, b, older = items.pop(nbrs[a][b])
+            node = SpParallel(left=older, right=node, u=a, v=b)
+            for y in (a, b):
+                if len(nbrs[y]) == 2 and y not in (s, t):
+                    heapq.heappush(heap, y)
+        add(a, b, node)
+    if len(items) != 1:
         return None
-    return SpTree(root=node)
+    (u, v, node), = items.values()
+    return SpTree(root=node) if {u, v} == {s, t} else None
 
 
 def sp_tree_realizes(tree: SpTree, net: TerminalNetwork) -> bool:

@@ -211,7 +211,7 @@ def certify_cuts(g: TerminalNetwork, gp: TerminalNetwork) -> CutReport:
         if base != cand:
             all_exact = False
         if base > 0:
-            beta = max(beta, Fraction(cand, 1) / base)
+            beta = max(beta, cand / base)
         elif cand > 0:
             beta = math.inf
     return CutReport(beta=float(beta), all_exact=all_exact,

@@ -371,6 +371,35 @@ def test_malformed_sketch_file_exit_2(kind, tmp_path, capsys):
     assert "error: malformed sketch JSON" in capsys.readouterr().err
 
 
+def test_directory_as_graph_exit_2(tmp_path, capsys):
+    # open() on a directory raised IsADirectoryError, a traceback and exit 1
+    rc = run(["sparsify", "--method", "sp", "--graph", tmp_path,
+              "--out", tmp_path / "h.json"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("command", ["verify", "sketch-query"])
+def test_demand_file_deeper_than_recursion_limit_exit_2(command, tmp_path, capsys):
+    # json.load raised RecursionError, a traceback and exit 1
+    g, sk, d = tmp_path / "g.json", tmp_path / "g.sk", tmp_path / "d.json"
+    save_net(TerminalNetwork.make(["s", "t"], ["s", "t"], [("s", "t", 10)]), str(g))
+    d.write_text("[" * 1100 + "]" * 1100)
+    if command == "verify":
+        args = ["verify", "--g", g, "--gp", g, "--demands", d, "--claim", "1.5",
+                "--out", tmp_path / "rep.json"]
+    else:
+        assert run(["sketch", "build", "--graph", g, "--eps", "0.1",
+                    "--out", sk]) == 0
+        args = ["sketch", "query", "--sk", sk, "--demand", d]
+    capsys.readouterr()
+    rc = run(args)
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
 def _cut_to_one(key):
     def edit(doc):
         doc[key] = doc[key][:1]
