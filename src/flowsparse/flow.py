@@ -30,12 +30,13 @@ raised keeps no record.
 
 Also here: exact max flow between two vertices or two vertex sets, on
 integers (the rational capacities scaled by the LCM of their denominators,
-cached per network), which also gives the terminal-bipartition min cuts and
-the exact sparsest cut over terminal bipartitions.  Flows between terminals
-run on the cut view too, which keeps every terminal cut.  When no two
-vertices outside the endpoints are adjacent, each joins its cheaper side on
-its own and the value is a closed-form sum; otherwise shortest augmenting
-paths find it.
+cached per network), and the exact sparsest cut over terminal bipartitions.
+Flows between terminals run on the cut view too, which keeps every terminal
+cut.  A terminal-bipartition min cut is read from the network's cached
+`bipartition_cuts`, which takes all of them in one pass.  Past that table's
+bounds, and for other endpoints: when no two vertices outside the endpoints
+are adjacent, each joins its cheaper side on its own and the value is a
+closed-form sum; otherwise shortest augmenting paths find it.
 """
 
 from __future__ import annotations
@@ -50,8 +51,8 @@ from fractions import Fraction
 import numpy as np
 
 from .lp import LPError
-from .network import (DemandVector, TerminalNetwork, _pair, terminal_bipartitions,
-                      to_float)
+from .network import (DemandVector, TerminalNetwork, _bipartition_sides, _pair,
+                      terminal_bipartitions, to_float)
 
 FEAS_TOL = 1e-9       # absolute feasibility / separation tolerance
 OPT_TOL = 1e-6        # relative optimality tolerance
@@ -178,18 +179,25 @@ def max_flow(net: TerminalNetwork, s, t) -> Fraction:
     vertex joined to each member by unbounded capacity.  The flow runs on
     integers: on the network's cached `cut_view` when every endpoint is a
     terminal, since that view keeps every cut between terminal sets, and on
-    its cached `integer_view` otherwise.  When no two of the view's vertices
-    outside S | T are adjacent (or there are none), each of them joins its
-    cheaper side on its own, so the value is the S-T crossing capacity plus,
-    per such v, min(c(v, S), c(v, T)).  Otherwise Edmonds-Karp runs.
-    Either way the value is exact: the integer flow over the view's scale,
-    as a Fraction.
+    its cached `integer_view` otherwise.  When S | T is the whole terminal
+    set, the value is read from the network's cached `bipartition_cuts`,
+    which takes every bipartition's cut in one pass.  Otherwise, or where
+    that table is not taken: when no two of the view's vertices outside
+    S | T are adjacent (or there are none), each of them joins its cheaper
+    side on its own, so the value is the S-T crossing capacity plus, per
+    such v, min(c(v, S), c(v, T)); else Edmonds-Karp runs.  Either way the
+    value is exact: the integer flow over the view's scale, as a Fraction.
     """
     S = frozenset([s] if isinstance(s, str) else s)
     T = frozenset([t] if isinstance(t, str) else t)
     if not S or not T or S & T:
         raise FlowError("source and sink must be nonempty and disjoint")
     ends = S | T
+    if ends == net.terminal_set:
+        cuts = net.bipartition_cuts
+        if cuts is not None:
+            mask = sum(1 << i for i, v in enumerate(net.terminals) if v in S)
+            return Fraction(cuts[_bipartition_sides(net.k)[1][mask]], net.cut_view[0])
     scale, index, arcs = (net.cut_view if ends <= net.terminal_set
                           else net.integer_view)
     if not ends <= index.keys():
@@ -204,6 +212,13 @@ def max_flow(net: TerminalNetwork, s, t) -> Fraction:
             total += min(sum(c for j, c in nbrs.items() if j in src),
                          sum(c for j, c in nbrs.items() if j in sinks))
         return Fraction(total, scale)
+    return Fraction(_edmonds_karp(arcs, sources, sinks), scale)
+
+
+def _edmonds_karp(arcs: list, sources: list, sinks: set) -> int:
+    """The integer max flow from `sources` to `sinks` over the integer
+    capacities `arcs` of a (scale, index, arcs) view, by shortest
+    augmenting paths."""
     residual = [dict(nbrs) for nbrs in arcs]
     total = 0
     while True:
@@ -221,7 +236,7 @@ def max_flow(net: TerminalNetwork, s, t) -> Fraction:
             if end >= 0:
                 break
         if end < 0:
-            return Fraction(total, scale)
+            return total
         bottleneck = None
         v = end
         while parent[v] >= 0:
@@ -792,21 +807,24 @@ def sparsest_terminal_cut(net: TerminalNetwork, demand: DemandVector | dict) -> 
     A vertex set that separates demand splits the terminals into some (A, B),
     separates exactly d(A, B) and costs at least mincut(A, B); a min cut of
     (A, B) is such a set.  So the minimum is the sparsest cut over all
-    vertex sets."""
+    vertex sets.  The cuts come from the network's `bipartition_cuts` in
+    one pass, or from `max_flow` per bipartition where that table is not
+    taken."""
     if not isinstance(demand, DemandVector):
         demand = DemandVector.of(demand)
+    scale = net.cut_view[0]
+    splits = list(terminal_bipartitions(net.terminals))
+    cuts = net.bipartition_cuts
+    if cuts is None:
+        cuts = [int(max_flow(net, A, B) * scale) for A, B in splits]
     best = (np.inf, None)
-    for A, B in terminal_bipartitions(net.terminals):
-        A, B = frozenset(A), frozenset(B)
-        sep = sum(val for (s, t), val in demand.items()
-                  if (s in A) != (t in A))
+    for (A, B), cut in zip(splits, cuts):
+        sep = sum(val for (s, t), val in demand.items() if (s in A) != (t in A))
         if sep <= 0:
             continue
-        cut = float(mincut_partition(net, A, B))
-        ratio = cut / sep
+        ratio = cut / scale / sep
         if ratio < best[0]:
-            best = (ratio, (A, B))
+            best = (ratio, (frozenset(A), frozenset(B)))
     if best[1] is None:
         raise FlowError("no terminal bipartition separates positive demand")
     return best
-

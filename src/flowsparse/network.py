@@ -16,11 +16,17 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Iterable, Mapping
+
+import numpy as np
 
 Edge = tuple[str, str, Fraction]
 _ZERO = Fraction(0)    # one shared default: building a Fraction is not cheap
+# `bipartition_cuts` bounds: entries of any one matrix it builds, and the
+# view's total integer capacity (int64 stays exact below it)
+_CUT_TABLE_MAX_ENTRIES = 1 << 20
+_CUT_TABLE_MAX_CAPACITY = 1 << 61
 
 
 class NetworkError(ValueError):
@@ -157,6 +163,88 @@ class TerminalNetwork:
         first half of `reduction`; the flow oracle solves on the same view
         and lifts its certificates back through the second half."""
         return self.reduction[0]
+
+    @cached_property
+    def bipartition_cuts(self) -> tuple[int, ...] | None:
+        """The min cut of every terminal bipartition in `cut_view`, as ints at
+        the view's scale, in `terminal_bipartitions` order; None where the
+        table is not taken.
+
+        Once every terminal's side is fixed, each connected component of the
+        view's non-terminals joins the sides in its cheapest way on its own,
+        since no edge joins two components.  So a cut is the crossing
+        capacity between the terminals plus, per component, the least over
+        its 2^r side assignments.  One int64 product per component prices
+        every assignment against every bipartition: with W[v, b] = c(v, A_b)
+        and d_v = c(v, terminals), v costs W[v, b] on B's side and d_v - W on
+        A's.  A single vertex costs min(c(v, A), c(v, B)); all of those are
+        priced in one product.  None, and `max_flow` takes each cut on its
+        own, when a matrix of the pass would hold more than
+        `_CUT_TABLE_MAX_ENTRIES` entries (the bipartitions by k, a
+        component's 2^r assignments by r and by the bipartitions, or the
+        single vertices by the bipartitions), or when the view's total
+        capacity reaches `_CUT_TABLE_MAX_CAPACITY`, past which int64 sums
+        could overflow.
+        """
+        _, index, arcs = self.cut_view
+        k = len(self.terminals)
+        # the capacity sum counts every edge from both ends
+        if (((1 << (k - 1)) - 1) * k > _CUT_TABLE_MAX_ENTRIES or sum(
+                c for nbrs in arcs for c in nbrs.values()) >= 2 * _CUT_TABLE_MAX_CAPACITY):
+            return None
+        sides = _bipartition_sides(k)[0]
+        where = [-1] * len(arcs)    # a view vertex's terminal position
+        for p, t in enumerate(self.terminals):
+            where[index[t]] = p
+        between = np.zeros((k, k), dtype=np.int64)
+        for p, t in enumerate(self.terminals):
+            for j, c in arcs[index[t]].items():
+                if where[j] >= 0:
+                    between[p, where[j]] = c
+        cuts = ((sides @ between) * (1 - sides)).sum(1)
+        singles = []
+        seen = set()
+        for start, nbrs in enumerate(arcs):
+            if where[start] >= 0 or start in seen:
+                continue
+            comp = [start]
+            seen.add(start)
+            for u in comp:
+                for j in arcs[u]:
+                    if where[j] < 0 and j not in seen:
+                        seen.add(j)
+                        comp.append(j)
+            if len(comp) == 1:
+                singles.append(nbrs)
+                continue
+            r = len(comp)
+            if (1 << r) * max(r, len(sides)) > _CUT_TABLE_MAX_ENTRIES:
+                return None
+            local = {v: i for i, v in enumerate(comp)}
+            attach = np.zeros((r, k), dtype=np.int64)
+            inner = []
+            for i, v in enumerate(comp):
+                for j, c in arcs[v].items():
+                    if where[j] >= 0:
+                        attach[i, where[j]] = c
+                    elif local[j] > i:
+                        inner.append((i, local[j], c))
+            assign = (np.arange(1 << r)[:, None] >> np.arange(r)) & 1
+            us, vs, cs = (np.array(x) for x in zip(*inner))
+            W = attach @ sides.T
+            cost = assign @ (attach.sum(1)[:, None] - 2 * W)
+            cost += ((assign[:, us] != assign[:, vs]) @ cs)[:, None]
+            cuts += W.sum(0) + cost.min(0)
+        if len(singles) * len(sides) > _CUT_TABLE_MAX_ENTRIES:
+            return None
+        if singles:
+            attach = np.zeros((len(singles), k), dtype=np.int64)
+            for i, nbrs in enumerate(singles):
+                for j, c in nbrs.items():
+                    attach[i, where[j]] = c
+            W = attach @ sides.T
+            cuts += np.minimum(W, attach.sum(1)[:, None] - W).sum(0)
+        return tuple(cuts.tolist())
 
     @cached_property
     def reduction(self) -> tuple[tuple, tuple]:
@@ -431,3 +519,14 @@ def terminal_bipartitions(terminals: tuple[str, ...]):
             A = (t0,) + combo
             yield A, tuple(t for t in rest if t not in combo)
 
+
+@cache
+def _bipartition_sides(k: int) -> tuple[np.ndarray, dict[int, int]]:
+    """(sides, position) for k terminals, in `terminal_bipartitions` order:
+    row b of `sides` is 1 at the terminal positions in A_b and 0 in B_b, and
+    `position` maps the bitmask of either side's positions to b."""
+    masks = [sum(1 << i for i in A) for A, _ in terminal_bipartitions(tuple(range(k)))]
+    sides = (np.array(masks, dtype=np.int64)[:, None] >> np.arange(k)) & 1
+    sides.flags.writeable = False   # one array shared by every caller
+    full = (1 << k) - 1
+    return sides, {m: b for b, a in enumerate(masks) for m in (a, full ^ a)}

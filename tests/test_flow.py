@@ -29,7 +29,7 @@ from flowsparse.flow import OPT_TOL, FlowError, clear_flow_cache
 from flowsparse.generators import (gen_quasi_bipartite, gen_series_parallel,
                                    gen_treewidth)
 from flowsparse.lp import LPError
-from flowsparse.network import _pair, terminal_bipartitions
+from flowsparse.network import _CUT_TABLE_MAX_ENTRIES, _pair, terminal_bipartitions
 from flowsparse.sampling import two_hop_maxflows
 
 from conftest import (ONE_BLAS_THREAD, child_env, random_connected_net, random_demand,
@@ -206,12 +206,25 @@ class TestMaxFlow:
                 max_flow(net, s, t)
 
 
-def on_integer_view(net):
-    """A copy of `net` whose cut view is its integer view, so that
-    `max_flow` runs the same kernel on the unreduced network."""
-    ref = TerminalNetwork(net.vertices, net.terminals, net.edges)
-    ref.__dict__["cut_view"] = ref.integer_view
-    return ref
+def edmonds_karp(net, S, T):
+    """Max flow from vertex set S to T by Edmonds-Karp on the integer
+    view, so on the unreduced network and past any cut table or closed
+    form."""
+    scale, index, arcs = net.integer_view
+    return Fraction(flow._edmonds_karp(arcs, [index[v] for v in sorted(S)],
+                                       {index[v] for v in T}), scale)
+
+
+def assert_table_is_edmonds_karp(net):
+    """Every entry of `bipartition_cuts` equals Edmonds-Karp on the integer
+    view, and `max_flow` reads it."""
+    cuts = net.bipartition_cuts
+    splits = list(terminal_bipartitions(net.terminals))
+    assert cuts is not None and len(cuts) == len(splits) == 2 ** (net.k - 1) - 1
+    scale = net.cut_view[0]
+    for cut, (A, B) in zip(cuts, splits):
+        assert type(cut) is int
+        assert Fraction(cut, scale) == edmonds_karp(net, A, B) == max_flow(net, B, A), A
 
 
 CUT_VIEW_FAMILIES = {
@@ -231,14 +244,12 @@ class TestCutView:
         vertices_in = vertices_out = 0
         for seed in range(40):
             net = CUT_VIEW_FAMILIES[family](random.Random(seed), seed)
-            ref = on_integer_view(net)
             vertices_in += len(net.vertices)
             vertices_out += len(net.cut_view[1])
             assert net.terminal_set <= net.cut_view[1].keys()
-            for A, B in terminal_bipartitions(net.terminals):
-                assert max_flow(net, A, B) == max_flow(ref, A, B), (seed, A)
+            assert_table_is_edmonds_karp(net)
             for s, t in itertools.combinations(net.terminals, 2):
-                assert max_flow(net, s, t) == max_flow(ref, s, t), (seed, s, t)
+                assert max_flow(net, s, t) == edmonds_karp(net, {s}, {t}), (seed, s, t)
         assert vertices_out < vertices_in
 
     def test_odd_triangle_doubles_the_scale(self):
@@ -265,7 +276,7 @@ class TestCutView:
         made = TerminalNetwork.make(raw.vertices, raw.terminals, edges)
         assert raw.cut_view[1].keys() == {"s", "t"}
         assert raw.cut_view == made.cut_view
-        assert max_flow(raw, "s", "t") == max_flow(on_integer_view(raw), "s", "t") == 6
+        assert max_flow(raw, "s", "t") == edmonds_karp(raw, {"s"}, {"t"}) == 6
 
     def test_isolated_non_terminal_is_dropped(self):
         net = TerminalNetwork.make(["s", "t", "z"], ["s", "t"], [("s", "t", "3/2")],
@@ -294,9 +305,95 @@ class TestCutView:
                             edges=(("s", "v", 1),))
 
 
+def ring_net(rng, k, r, caps=None):
+    """k terminals and one component of r >= 5 non-terminals x0..x{r-1}:
+    each x_i is joined to x_{i+1}, x_{i+2} and terminal t_{i mod k}, so
+    every non-terminal has degree 5 and the cut view keeps them all.
+    Capacities are random in 1..9, or `caps` in edge order."""
+    ts, xs = [f"t{i}" for i in range(k)], [f"x{i}" for i in range(r)]
+    ends = [(xs[i], xs[(i + j) % r]) for i in range(r) for j in (1, 2)]
+    ends += [(xs[i], ts[i % k]) for i in range(r)]
+    ends += [(ts[i], ts[i + 1]) for i in range(k - 1)]
+    caps = caps or [rng.randint(1, 9) for _ in ends]
+    return TerminalNetwork.make(ts + xs, ts,
+                                [(u, v, c) for (u, v), c in zip(ends, caps, strict=True)])
+
+
+class TestBipartitionCuts:
+    """`bipartition_cuts` against Edmonds-Karp on the integer view, entry
+    by entry, and its two fallbacks to `max_flow`'s own kernels."""
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_fractional_capacities(self, seed):
+        rng = random.Random(2100 + seed)
+        net = rational_net(rng, rng.randint(6, 14), 2 + seed % 5)
+        assert net.cut_view[0] > 1
+        assert_table_is_edmonds_karp(net)
+
+    def test_two_terminals(self):
+        for seed in range(20):
+            rng = random.Random(2200 + seed)
+            net = rational_net(rng, rng.randint(3, 14), 2)
+            assert_table_is_edmonds_karp(net)
+            s, t = net.terminals
+            assert max_flow(net, s, t) == nx_set_flow(net, {s}, {t})
+
+    def test_sixteen_terminals(self):
+        # 2^5 x 32767 entries: the largest component the table takes at k = 16
+        net = ring_net(random.Random(2300), 16, 5)
+        assert len(net.cut_view[1]) == 21
+        assert_table_is_edmonds_karp(net)
+
+    def test_no_non_terminal_left(self):
+        tables = 0
+        for seed in range(20):
+            net = gen_series_parallel(random.Random(seed).randint(6, 16), 4, seed)[0]
+            if net.cut_view[1].keys() == net.terminal_set:
+                tables += 1
+                assert_table_is_edmonds_karp(net)
+        assert tables > 0
+
+    def test_matrices_past_the_entry_bound_fall_back(self):
+        # k = 8 has 127 bipartitions: 2^13 x 127 entries fit in 2^20, 2^14 x 127 do not
+        assert 2 ** 13 * 127 <= _CUT_TABLE_MAX_ENTRIES < 2 ** 14 * 127
+        assert_table_is_edmonds_karp(ring_net(random.Random(2400), 8, 13))
+        net = ring_net(random.Random(2401), 8, 14)
+        assert net.bipartition_cuts is None
+        for A, B in terminal_bipartitions(net.terminals):
+            assert max_flow(net, A, B) == edmonds_karp(net, A, B), A
+        # k = 16 has 32767 bipartitions: 32 single vertices fit, 33 do not;
+        # at k = 17 the 65535 bipartitions by 17 terminals alone do not
+        rng = random.Random(2402)
+        ts = [f"t{i}" for i in range(17)]
+        for k, singles, taken in [(16, 32, True), (16, 33, False), (17, 0, False)]:
+            edges = [(ts[i], ts[i + 1], rng.randint(1, 9)) for i in range(k - 1)]
+            edges += [(f"y{j}", t, rng.randint(1, 9)) for j in range(singles)
+                      for t in rng.sample(ts[:k], 4)]
+            net = TerminalNetwork.make({v for e in edges for v in e[:2]}, ts[:k], edges)
+            assert len(net.cut_view[1]) == k + singles
+            assert (net.bipartition_cuts is not None) is taken
+            for A, B in itertools.islice(terminal_bipartitions(net.terminals), 0, None, 997):
+                assert max_flow(net, A, B) == edmonds_karp(net, A, B), A
+
+    def test_capacity_past_the_int64_bound_falls_back(self):
+        rng = random.Random(2500)
+        # 21 edges; the last takes what brings the total to 2^61 - 1, the
+        # largest total the table takes
+        caps = [rng.randint(1, 2 ** 56) for _ in range(20)]
+        caps.append(2 ** 61 - 1 - sum(caps))
+        assert_table_is_edmonds_karp(ring_net(rng, 4, 6, caps))
+        caps[-1] += 1
+        assert ring_net(rng, 4, 6, caps).bipartition_cuts is None
+        net = ring_net(rng, 4, 6, [2 ** 62 + c for c in caps])
+        assert net.bipartition_cuts is None
+        for A, B in terminal_bipartitions(net.terminals):
+            assert max_flow(net, A, B) == edmonds_karp(net, A, B) == nx_set_flow(net, A, B)
+
+
 def closed_form_applies(net, S, T):
     """Whether no two vertices outside S | T of the view `max_flow` takes
-    are adjacent, so that it answers in closed form."""
+    are adjacent, so that it answers in closed form where it does not read
+    a bipartition from the cut table."""
     _, index, arcs = (net.cut_view if S | T <= net.terminal_set
                       else net.integer_view)
     ends = {index[v] for v in S | T}
@@ -354,7 +451,8 @@ CLOSED_FORM_FAMILIES = {
 
 class TestClosedFormMaxFlow:
     """`max_flow` against networkx on nets where its closed form applies to
-    some or all endpoint pairs, and on nets where it falls back."""
+    some or all endpoint pairs, and on nets where it falls back; terminal
+    bipartitions read the cut table."""
 
     @pytest.mark.parametrize("family", sorted(CLOSED_FORM_FAMILIES))
     def test_matches_networkx(self, family):
