@@ -8,6 +8,10 @@ whose hashes agree compute bit-identical outputs.  Floats are written with
 `float.hex`, reports and sketches as sorted-key JSON of `to_json_dict`,
 networks as their canonical fields with capacities as p/q.
 
+A fourth line, `sketch-probes`, hashes `query_with_stats` (answer and probe
+count) over the same sketch-small queries, since a query job returns the
+answer alone and a change to the probe counts would not show in its hash.
+
 Run it with a fixed hash seed and one BLAS thread, as the benchmark does:
 
     PYTHONHASHSEED=0 OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1 MKL_NUM_THREADS=1 \\
@@ -61,6 +65,15 @@ def main() -> int:
             for _, job in make(seed, workloads.REF_SECONDS):
                 digest.update(json.dumps(encode(job()), sort_keys=True).encode() + b"\n")
         print(f"{name} {digest.hexdigest()}")
+    digest = hashlib.sha256()
+    for seed in args.seeds:
+        clear_flow_cache()
+        for (_, _, query), job in workloads.sk_make(seed, workloads.REF_SECONDS):
+            if query is None:
+                sketch = job()
+            else:
+                digest.update(json.dumps(encode(sketch.query_with_stats(query))).encode() + b"\n")
+    print(f"sketch-probes {digest.hexdigest()}")
     return 0
 
 

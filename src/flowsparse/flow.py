@@ -32,11 +32,12 @@ Also here: exact max flow between two vertices or two vertex sets, on
 integers (the rational capacities scaled by the LCM of their denominators,
 cached per network), and the exact sparsest cut over terminal bipartitions.
 Flows between terminals run on the cut view too, which keeps every terminal
-cut.  A terminal-bipartition min cut is read from the network's cached
-`bipartition_cuts`, which takes all of them in one pass.  Past that table's
-bounds, and for other endpoints: when no two vertices outside the endpoints
-are adjacent, each joins its cheaper side on its own and the value is a
-closed-form sum; otherwise shortest augmenting paths find it.
+cut.  From k = 3 on, a terminal-bipartition min cut is read from the
+network's cached `bipartition_cuts`, which takes all of them in one pass.
+At k = 2, past that table's bounds, and for other endpoints: when no two
+vertices outside the endpoints are adjacent, each joins its cheaper side on
+its own and the value is a closed-form sum; otherwise shortest augmenting
+paths find it.
 """
 
 from __future__ import annotations
@@ -180,9 +181,10 @@ def max_flow(net: TerminalNetwork, s, t) -> Fraction:
     integers: on the network's cached `cut_view` when every endpoint is a
     terminal, since that view keeps every cut between terminal sets, and on
     its cached `integer_view` otherwise.  When S | T is the whole terminal
-    set, the value is read from the network's cached `bipartition_cuts`,
-    which takes every bipartition's cut in one pass.  Otherwise, or where
-    that table is not taken: when no two of the view's vertices outside
+    set of k >= 3 terminals, the value is read from the network's cached
+    `bipartition_cuts`, which takes every bipartition's cut in one pass; at
+    k = 2 that table would hold this one cut, so it is not built.
+    Otherwise, or where that table is not taken: when no two of the view's vertices outside
     S | T are adjacent (or there are none), each of them joins its cheaper
     side on its own, so the value is the S-T crossing capacity plus, per
     such v, min(c(v, S), c(v, T)); else Edmonds-Karp runs.  Either way the
@@ -193,7 +195,7 @@ def max_flow(net: TerminalNetwork, s, t) -> Fraction:
     if not S or not T or S & T:
         raise FlowError("source and sink must be nonempty and disjoint")
     ends = S | T
-    if ends == net.terminal_set:
+    if ends == net.terminal_set and net.k > 2:
         cuts = net.bipartition_cuts
         if cuts is not None:
             mask = sum(1 << i for i, v in enumerate(net.terminals) if v in S)

@@ -24,7 +24,7 @@ import numpy as np
 Edge = tuple[str, str, Fraction]
 _ZERO = Fraction(0)    # one shared default: building a Fraction is not cheap
 # `bipartition_cuts` bounds: entries of any one matrix it builds, and the
-# view's total integer capacity (int64 stays exact below it)
+# view's total integer capacity below which it sums in int64, not Python ints
 _CUT_TABLE_MAX_ENTRIES = 1 << 20
 _CUT_TABLE_MAX_CAPACITY = 1 << 61
 
@@ -182,21 +182,23 @@ class TerminalNetwork:
         own, when a matrix of the pass would hold more than
         `_CUT_TABLE_MAX_ENTRIES` entries (the bipartitions by k, a
         component's 2^r assignments by r and by the bipartitions, or the
-        single vertices by the bipartitions), or when the view's total
-        capacity reaches `_CUT_TABLE_MAX_CAPACITY`, past which int64 sums
-        could overflow.
+        single vertices by the bipartitions).  The pass runs on int64 while
+        the view's total capacity stays below `_CUT_TABLE_MAX_CAPACITY`,
+        past which int64 sums could overflow, and on Python ints (object
+        arrays) from there on.
         """
         _, index, arcs = self.cut_view
         k = len(self.terminals)
-        # the capacity sum counts every edge from both ends
-        if (((1 << (k - 1)) - 1) * k > _CUT_TABLE_MAX_ENTRIES or sum(
-                c for nbrs in arcs for c in nbrs.values()) >= 2 * _CUT_TABLE_MAX_CAPACITY):
+        if ((1 << (k - 1)) - 1) * k > _CUT_TABLE_MAX_ENTRIES:
             return None
+        # the capacity sum counts every edge from both ends
+        dtype = (np.int64 if sum(c for nbrs in arcs for c in nbrs.values())
+                 < 2 * _CUT_TABLE_MAX_CAPACITY else object)
         sides = _bipartition_sides(k)[0]
         where = [-1] * len(arcs)    # a view vertex's terminal position
         for p, t in enumerate(self.terminals):
             where[index[t]] = p
-        between = np.zeros((k, k), dtype=np.int64)
+        between = np.zeros((k, k), dtype=dtype)
         for p, t in enumerate(self.terminals):
             for j, c in arcs[index[t]].items():
                 if where[j] >= 0:
@@ -221,7 +223,7 @@ class TerminalNetwork:
             if (1 << r) * max(r, len(sides)) > _CUT_TABLE_MAX_ENTRIES:
                 return None
             local = {v: i for i, v in enumerate(comp)}
-            attach = np.zeros((r, k), dtype=np.int64)
+            attach = np.zeros((r, k), dtype=dtype)
             inner = []
             for i, v in enumerate(comp):
                 for j, c in arcs[v].items():
@@ -230,7 +232,8 @@ class TerminalNetwork:
                     elif local[j] > i:
                         inner.append((i, local[j], c))
             assign = (np.arange(1 << r)[:, None] >> np.arange(r)) & 1
-            us, vs, cs = (np.array(x) for x in zip(*inner))
+            us, vs, cs = zip(*inner)
+            us, vs, cs = np.array(us), np.array(vs), np.array(cs, dtype=dtype)
             W = attach @ sides.T
             cost = assign @ (attach.sum(1)[:, None] - 2 * W)
             cost += ((assign[:, us] != assign[:, vs]) @ cs)[:, None]
@@ -238,7 +241,7 @@ class TerminalNetwork:
         if len(singles) * len(sides) > _CUT_TABLE_MAX_ENTRIES:
             return None
         if singles:
-            attach = np.zeros((len(singles), k), dtype=np.int64)
+            attach = np.zeros((len(singles), k), dtype=dtype)
             for i, nbrs in enumerate(singles):
                 for j, c in nbrs.items():
                     attach[i, where[j]] = c

@@ -5,7 +5,10 @@ a membership structure for the feasible demand vectors whose nonzero
 coordinates are powers of (1+eps) inside a per-pair range.  A query runs a
 binary search over candidate flow values; each probe rescales the demand,
 zeroes negligible coordinates, rounds the rest down to grid powers, and asks
-the membership structure.
+the membership structure.  The rounding takes one log per demanded pair per
+query; after it, a probe costs one integer add per pair.  Only a pair whose
+log in the grid base lies within float dust of an integer (a unit demand,
+an exact grid power) is rounded afresh, exactly, at every probe.
 
 The user-facing accuracy is (1+eps): internally the grid runs at eps/4,
 absorbing the extra (1+2*eps_int) factor the two-step decision costs.
@@ -39,7 +42,9 @@ import itertools
 import json
 import math
 import random
+import sys
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -122,11 +127,11 @@ class HullCore:
     rows: np.ndarray                 # (m, npairs)
 
     def upper_bound(self, vec: np.ndarray) -> float:
-        denom = float(np.max(self.rows @ vec)) if len(self.rows) else 0.0
+        denom = float((self.rows @ vec).max()) if len(self.rows) else 0.0
         return math.inf if denom <= 0 else 1.0 / denom
 
     def contains(self, vec: np.ndarray) -> bool:
-        return float(np.max(self.rows @ vec)) <= 1.0 + _MEMBER_TOL
+        return float((self.rows @ vec).max()) <= 1.0 + _MEMBER_TOL
 
     @property
     def size(self) -> int:
@@ -150,6 +155,7 @@ class DemandSketch:
     def base(self) -> float:
         return 1.0 + self.eps_internal
 
+    @cached_property
     def pair_index(self) -> dict[tuple[str, str], int]:
         return {p: i for i, p in enumerate(self.pairs)}
 
@@ -171,13 +177,14 @@ class DemandSketch:
             demand = DemandVector.of(demand)
         if demand.is_zero:
             raise SketchError("query demand must be nonzero")
-        pidx = self.pair_index()
-        for p, _ in demand.items():
+        pidx = self.pair_index
+        for p, _ in demand.entries:
             if p not in pidx:
                 raise SketchError(f"demand pair {p} is not a terminal pair")
         base = self.base
         k = self.k
-        beta = min(self.maxflows[pidx[p]] / v for p, v in demand.items())
+        maxflows = self.maxflows
+        beta = min(maxflows[pidx[p]] / v for p, v in demand.entries)
         try:
             jlo = _exponent_ceil(beta / (k * k), base)
             jhi = _exponent_floor(beta, base)
@@ -188,22 +195,33 @@ class DemandSketch:
         if jhi < jlo:
             jhi = jlo
 
-        dvals = [0.0] * len(self.pairs)
-        for p, v in demand.items():
-            dvals[pidx[p]] = v
         log_base = math.log(base)
         negligible = 2 * self.eps_internal / (k * k)
+        # A probe at lam = base**j rounds lam * d_i down to the exponent
+        # floor(log_base(lam * d_i) + tol), where tol = 1e-12 / ln(base) is
+        # _exponent_floor's dust tolerance.  That is j + floor(f_i + tol),
+        # f_i = log_base(d_i), up to rounding: under tol / 2 in f_i, and about
+        # 3e-16 / ln(base) in the power and the product while lam and every
+        # undropped lam * d_i are normal floats (probes run from jlo - 3 up).
+        # So a pair whose f_i lies more than margin = 100 tol from an integer
+        # takes j + floor(f_i) at every probe, after one log per query; the
+        # margin is some 3e5 times the rounding of the power and the product.
+        # The rest, unit demands and exact grid powers among them, call
+        # _exponent_floor at every probe.
+        margin = 1e-10 / log_base
+        normal = min(base ** (jlo - 3), negligible * min(maxflows)) >= sys.float_info.min
+        terms = []
+        for p, dv in demand.entries:
+            i = pidx[p]
+            f = math.log(dv) / log_base
+            c = math.floor(f)
+            terms.append((dv, negligible * maxflows[i],
+                          c if normal and margin < f - c < 1 - margin else None, i))
         core = self.core
         grid = isinstance(core, GridCore)
         if grid:
             # exponent e of pair i lies at index e - jmin + 1 on axis i
-            feasible = core.feasible
-            terms = [(dv, negligible * self.maxflows[i], 1 - core.jmins[i],
-                      feasible.shape[i] - 1, i)
-                     for i, dv in enumerate(dvals) if dv > 0]
-        else:
-            terms = [(dv, negligible * self.maxflows[i], i)
-                     for i, dv in enumerate(dvals) if dv > 0]
+            feasible, jmins, counts = core.feasible, core.jmins, core.counts
 
         probes = 0
 
@@ -211,28 +229,24 @@ class DemandSketch:
             nonlocal probes
             probes += 1
             lam = base ** j
-            if grid:
-                index = [0] * len(dvals)
-                rounded = False
-                for dv, floor, offset, count, i in terms:
-                    val = lam * dv
-                    if val <= floor:
-                        continue
-                    d = _exponent_floor(val, base, log_base) + offset
-                    if d < 0 or d > count:
-                        return False
-                    index[i] = d
-                    rounded = True
-                return not rounded or bool(feasible[tuple(index)])
-            vec = np.zeros(len(dvals))
+            # per pair: its axis index on a grid, its rounded value on a hull
+            key = [0] * len(maxflows)
             rounded = False
-            for dv, floor, i in terms:
+            for dv, floor, c, i in terms:
                 val = lam * dv
                 if val <= floor:
                     continue
-                vec[i] = base ** _exponent_floor(val, base, log_base)
+                e = j + c if c is not None else _exponent_floor(val, base, log_base)
+                if grid:
+                    e += 1 - jmins[i]
+                    if e < 0 or e > counts[i]:
+                        return False
+                    key[i] = e
+                else:
+                    key[i] = base ** e
                 rounded = True
-            return not rounded or core.contains(vec)
+            return not rounded or (bool(feasible[tuple(key)]) if grid
+                                   else core.contains(np.array(key)))
 
         lo, hi = jlo, jhi
         best = None

@@ -12,6 +12,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import networkx as nx
+import numpy as np
 import pytest
 from scipy.optimize import linprog
 
@@ -168,6 +169,8 @@ class TestMaxFlow:
         rng = random.Random(700 + seed)
         net = prime_denominator_net(rng, rng.randint(8, 14), 4)
         assert net.integer_view[0] > 10 ** 6
+        # 10 of these 24 nets sum past the int64 bound, on Python ints
+        assert_table_is_edmonds_karp(net)
         t = net.terminals
         for S, T in [({t[0]}, {t[1]}), ({t[0], t[2]}, {t[1], t[3]}),
                      ({t[3]}, set(t[:3]))]:
@@ -321,7 +324,8 @@ def ring_net(rng, k, r, caps=None):
 
 class TestBipartitionCuts:
     """`bipartition_cuts` against Edmonds-Karp on the integer view, entry
-    by entry, and its two fallbacks to `max_flow`'s own kernels."""
+    by entry: in int64, in Python ints past the int64 bound, and past the
+    entry bounds, where `max_flow` falls back to its own kernels."""
 
     @pytest.mark.parametrize("seed", range(20))
     def test_fractional_capacities(self, seed):
@@ -337,6 +341,18 @@ class TestBipartitionCuts:
             assert_table_is_edmonds_karp(net)
             s, t = net.terminals
             assert max_flow(net, s, t) == nx_set_flow(net, {s}, {t})
+
+    def test_two_terminals_skip_the_table(self):
+        # one bipartition gains nothing from a table: max_flow answers alone
+        for seed in range(20):
+            rng = random.Random(2250 + seed)
+            net = rational_net(rng, rng.randint(3, 14), 2)
+            s, t = net.terminals
+            value = max_flow(net, s, t)
+            assert "bipartition_cuts" not in net.__dict__
+            assert mincut_partition(net, [t], [s]) == value
+            assert "bipartition_cuts" not in net.__dict__
+            assert value == Fraction(net.bipartition_cuts[0], net.cut_view[0])
 
     def test_sixteen_terminals(self):
         # 2^5 x 32767 entries: the largest component the table takes at k = 16
@@ -375,19 +391,37 @@ class TestBipartitionCuts:
             for A, B in itertools.islice(terminal_bipartitions(net.terminals), 0, None, 997):
                 assert max_flow(net, A, B) == edmonds_karp(net, A, B), A
 
-    def test_capacity_past_the_int64_bound_falls_back(self):
+    def test_capacity_past_the_int64_bound_sums_python_ints(self, monkeypatch):
         rng = random.Random(2500)
         # 21 edges; the last takes what brings the total to 2^61 - 1, the
-        # largest total the table takes
+        # largest total summed in int64
         caps = [rng.randint(1, 2 ** 56) for _ in range(20)]
         caps.append(2 ** 61 - 1 - sum(caps))
-        assert_table_is_edmonds_karp(ring_net(rng, 4, 6, caps))
+        net = ring_net(rng, 4, 6, caps)
+        assert table_dtypes(monkeypatch, net) == {np.int64}
+        assert_table_is_edmonds_karp(net)
         caps[-1] += 1
-        assert ring_net(rng, 4, 6, caps).bipartition_cuts is None
+        net = ring_net(rng, 4, 6, caps)
+        assert table_dtypes(monkeypatch, net) == {object}
+        assert_table_is_edmonds_karp(net)
         net = ring_net(rng, 4, 6, [2 ** 62 + c for c in caps])
-        assert net.bipartition_cuts is None
+        assert table_dtypes(monkeypatch, net) == {object}
+        assert_table_is_edmonds_karp(net)
+        assert max(net.bipartition_cuts) >= 2 ** 63    # past int64 itself
         for A, B in terminal_bipartitions(net.terminals):
-            assert max_flow(net, A, B) == edmonds_karp(net, A, B) == nx_set_flow(net, A, B)
+            assert max_flow(net, A, B) == nx_set_flow(net, A, B)
+
+
+def table_dtypes(monkeypatch, net):
+    """The dtypes of the arrays that `net.bipartition_cuts` allocates."""
+    net.cut_view
+    seen = set()
+    zeros = np.zeros
+    with monkeypatch.context() as patch:
+        patch.setattr(np, "zeros", lambda shape, dtype=float: seen.add(dtype)
+                      or zeros(shape, dtype))
+        net.bipartition_cuts
+    return seen
 
 
 def closed_form_applies(net, S, T):

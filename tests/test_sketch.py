@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -80,7 +81,7 @@ class TestBuild:
         demands = grid_demands(sk)
         assert demands, "dictionary should not be empty on a connected net"
         k = sk.k
-        pidx = sk.pair_index()
+        pidx = sk.pair_index
         sample = random.Random(1).sample(demands, min(25, len(demands)))
         for d in sample:
             lam = concurrent_flow(net, d).value
@@ -208,6 +209,177 @@ class TestQuery:
             entries[pair] *= rng.uniform(0.2, 0.9)
             smaller = DemandVector.of(entries)
             assert sk.query(smaller) >= sk.query(d) / slack * (1 - 1e-9)
+
+
+def _query_probe_by_probe(sk, demand):
+    """(answer, probes) of `DemandSketch.query_with_stats`, but rounding each
+    undropped lam * d_i with `_exponent_floor` at every probe, as the query
+    did before it took each pair's exponent once per query."""
+    base, k, n = sk.base, sk.k, len(sk.pairs)
+    dvals = [0.0] * n
+    for p, v in DemandVector.of(demand).items():
+        dvals[sk.pair_index[p]] = v
+    beta = min(m / v for m, v in zip(sk.maxflows, dvals) if v > 0)
+    jlo = sketch._exponent_ceil(beta / (k * k), base)
+    jhi = max(jlo, _exponent_floor(beta, base))
+    floors = [2 * sk.eps_internal / (k * k) * m for m in sk.maxflows]
+    probes = 0
+
+    def decide(j):
+        nonlocal probes
+        probes += 1
+        lam = base ** j
+        exps = {i: _exponent_floor(lam * dv, base) for i, dv in enumerate(dvals)
+                if dv > 0 and lam * dv > floors[i]}
+        if not exps:
+            return True
+        if isinstance(sk.core, GridCore):
+            index = [0] * n
+            for i, e in exps.items():
+                index[i] = e - sk.core.jmins[i] + 1
+                if not 0 <= index[i] < sk.core.feasible.shape[i]:
+                    return False
+            return bool(sk.core.feasible[tuple(index)])
+        vec = np.zeros(n)
+        for i, e in exps.items():
+            vec[i] = base ** e
+        return float(np.max(sk.core.rows @ vec)) <= 1.0 + sketch._MEMBER_TOL
+
+    lo, hi, best = jlo, jhi, None
+    while lo <= hi:
+        mid = (lo + hi) // 2
+        if decide(mid):
+            best, lo = mid, mid + 1
+        else:
+            hi = mid - 1
+    if best is None:
+        best = next(j for j in range(jlo - 1, jlo - 4, -1) if decide(j))
+    return float(base ** best), probes
+
+
+def _shift_test_sketches():
+    """Grid and hull sketches at eps in {0.1, 0.25, 0.45} on k = 3 and 4
+    quasi-bipartite nets.  Each k = 3 grid also answers through a hull of
+    its cut rows, which are exact at k = 3.  At eps = 0.1 a k = 3 grid is
+    past DEFAULT_BUDGET, so a k = 2 net gives the grid there.  Last, a hull
+    at eps = 0.001, where the dust tolerance 1e-12 / ln(base), 4e-9 in
+    exponent units, is wider than a margin of 1e-9 would be."""
+    out = []
+    for eps in (0.1, 0.25, 0.45):
+        for k in (2, 3, 4) if eps == 0.1 else (3, 4):
+            sk = build_sketch(gen_quasi_bipartite(k, k + 5, seed=40 + k), eps)
+            out.append(sk)
+            if isinstance(sk.core, GridCore) and k == 3:
+                out.append(dataclasses.replace(sk, core=HullCore(sk.core.rows)))
+    hull = next(sk for sk in out if sk.k == 3 and isinstance(sk.core, HullCore))
+    out.append(dataclasses.replace(hull, epsilon=0.001, eps_internal=0.00025))
+    return out
+
+
+def _near_powers(sk, m):
+    """base**m off by 1e-15 to 1e-7 relative, both ways."""
+    return [sk.base ** m * (1 + sign * r * 10.0 ** -s) for s in range(8, 16)
+            for r in (1.0, 2.5, 6.3) for sign in (-1, 1)]
+
+
+def _shift_test_demands(sk, rng, count):
+    """Demands mixing exact grid powers, grid powers off by 1e-15 to 1e-7
+    relative, integers, uniform values and the extremes 1e-300, 1e300 and
+    1e308; each query leaves one pair under its negligible floor with odds
+    1/4.  Then single-pair demands next to grid powers, where an exponent
+    off by one moves the answer by a grid step."""
+    def value():
+        kind = rng.randrange(6)
+        if kind == 0:
+            return sk.base ** rng.randint(-40, 40)
+        if kind == 1:
+            return rng.choice(_near_powers(sk, rng.randint(-40, 40)))
+        if kind == 2:
+            return float(rng.randint(1, 12))
+        if kind == 3:
+            return rng.uniform(0.05, 3.0)
+        return rng.choice((1e-300, 1e300, 1e308)) if rng.random() < 0.1 else 1.0
+    out = []
+    for _ in range(count):
+        entries = {p: value() for p in sk.pairs if rng.random() < 0.8}
+        if not entries:
+            entries = {sk.pairs[0]: value()}
+        if len(sk.pairs) > 1 and rng.random() < 0.25:
+            entries[rng.choice(sk.pairs)] = 1e-9 * min(entries.values())
+        out.append(entries)
+    return out + [{rng.choice(sk.pairs): v} for v in _near_powers(sk, rng.randint(-40, 40))]
+
+
+def _exponent_floor_calls(monkeypatch):
+    """Patch `sketch._exponent_floor` to log the `log_base` argument of each
+    call: None for beta's two roundings, the log of the base for a probe's."""
+    calls = []
+
+    def logged(value, base, log_base=None):
+        calls.append(log_base)
+        return _exponent_floor(value, base, log_base)
+
+    monkeypatch.setattr(sketch, "_exponent_floor", logged)
+    return calls
+
+
+def _check_against_probe_by_probe(sk, demand, calls):
+    """The query equals the probe-by-probe reference bit for bit; returns
+    how many of its roundings took `_exponent_floor` at a probe."""
+    del calls[:]
+    got = sk.query_with_stats(demand)
+    exact = len(calls) - calls.count(None)
+    want = _query_probe_by_probe(sk, demand)
+    assert (got[0].hex(), got[1]) == (want[0].hex(), want[1]), demand
+    return exact
+
+
+def test_exponent_shift_matches_rounding_at_every_probe(monkeypatch):
+    """Taking each pair's exponent once per query leaves every answer and
+    every probe count as `_exponent_floor` at every probe gives them, on
+    grid and hull cores alike; some queries round a pair exactly at every
+    probe, and some shift every pair."""
+    calls = _exponent_floor_calls(monkeypatch)
+    rng = random.Random(32)
+    kinds, shifted, exact = set(), 0, 0
+    for sk in _shift_test_sketches():
+        kinds.add((type(sk.core).__name__, sk.epsilon))
+        for demand in _shift_test_demands(sk, rng, 150):
+            if _check_against_probe_by_probe(sk, demand, calls):
+                exact += 1
+            else:
+                shifted += 1
+    assert kinds >= {(kind, eps) for kind in ("GridCore", "HullCore")
+                     for eps in (0.1, 0.25, 0.45)}
+    assert exact > 100 and shifted > 100, (exact, shifted)
+
+
+def _scaled_hull(sk, scale, eps_internal):
+    """`sk`'s hull for the net with every capacity times `scale`, at grid
+    parameter `eps_internal`."""
+    return dataclasses.replace(
+        sk, epsilon=4 * eps_internal, eps_internal=eps_internal,
+        maxflows=tuple(m * scale for m in sk.maxflows), core=HullCore(sk.core.rows / scale))
+
+
+def test_exponent_shift_waits_for_normal_floats(monkeypatch):
+    """Where a probe's lam or an undropped lam * d_i can be subnormal, its
+    rounding is too coarse for the shift, so every pair takes
+    `_exponent_floor` at every probe.  lam: capacities near 1e-12 and a
+    demand next to a grid power from 1e307 to 1e308.  lam * d_i:
+    capacities near 1e-305 at eps_int = 1e-8, where the negligible floors
+    are subnormal."""
+    calls = _exponent_floor_calls(monkeypatch)
+    sk = build_sketch(gen_quasi_bipartite(3, 8, seed=43), 0.25)
+    rng = random.Random(33)
+    tiny_lam = _scaled_hull(sk, 1e-12, sk.eps_internal)
+    cases = [(tiny_lam, {sk.pairs[m % 3]: v}) for m in range(11_670, 11_700)
+             for v in _near_powers(sk, m)]
+    tiny_vals = _scaled_hull(sk, 1e-305, 1e-8)
+    cases += [(tiny_vals, {sk.pairs[0]: 1.5, sk.pairs[1]: rng.uniform(0.2, 1) * 1e-8,
+                           sk.pairs[2]: rng.uniform(0.2, 1) * 1e-7}) for _ in range(20)]
+    for hull, demand in cases:
+        assert _check_against_probe_by_probe(hull, demand, calls) > 0
 
 
 def star_and_pair_demands(net):
