@@ -2,13 +2,16 @@
 
 A sketch stores, per terminal pair, the single-commodity max-flow value, and
 a membership structure for the feasible demand vectors whose nonzero
-coordinates are powers of (1+eps) inside a per-pair range.  A query runs a
-binary search over candidate flow values; each probe rescales the demand,
-zeroes negligible coordinates, rounds the rest down to grid powers, and asks
-the membership structure.  The rounding takes one log per demanded pair per
-query; after it, a probe costs one integer add per pair.  Only a pair whose
-log in the grid base lies within float dust of an integer (a unit demand,
-an exact grid power) is rounded afresh, exactly, at every probe.
+coordinates are powers of (1+eps) inside a per-pair range.  A query probes
+candidate flow values base**j; each probe rescales the demand, zeroes
+negligible coordinates, rounds the rest down to grid powers, and asks the
+membership structure.  A probe's verdict is monotone in j, so the query
+walks from one exponent above its bound 1 / max(rows . d), up while probes
+accept or else down, and mostly ends after one or two probes.  The rounding
+takes one log per demanded pair per query; after it, a probe costs one
+integer add per pair.  Only a pair whose log in the grid base lies within
+float dust of an integer (a unit demand, an exact grid power) is rounded
+afresh, exactly, at every probe.
 
 The user-facing accuracy is (1+eps): internally the grid runs at eps/4,
 absorbing the extra (1+2*eps_int) factor the two-step decision costs.
@@ -25,8 +28,8 @@ Membership structures
   which for eps < 1/2 happens only at k <= 3.  For k <= 4 the cut condition
   suffices (Papernov; Lomonosov), so a vector is feasible exactly when it
   crosses no terminal bipartition by more than the bipartition's min cut.
-  The builder scores the whole grid against each terminal cut: the core is
-  exact, and no LP runs.
+  The builder scores the whole grid against each terminal cut, on the axes
+  of the pairs the cut separates: the core is exact, and no LP runs.
 * hull core: rows with row . d <= 1 for every routable demand d; membership
   is `max(row . d) <= 1`.  Used otherwise (k = 4 at every eps, where the
   grid is astronomically large, and k >= 5).  The rows are the terminal cut
@@ -130,7 +133,8 @@ class HullCore:
         denom = float((self.rows @ vec).max()) if len(self.rows) else 0.0
         return math.inf if denom <= 0 else 1.0 / denom
 
-    def contains(self, vec: np.ndarray) -> bool:
+    def contains(self, vec: np.ndarray | list[float]) -> bool:
+        """Whether no row puts `vec` above 1."""
         return float((self.rows @ vec).max()) <= 1.0 + _MEMBER_TOL
 
     @property
@@ -158,6 +162,11 @@ class DemandSketch:
     @cached_property
     def pair_index(self) -> dict[tuple[str, str], int]:
         return {p: i for i, p in enumerate(self.pairs)}
+
+    @cached_property
+    def _row_columns(self) -> list[list[float]]:
+        """The core's rows, one list of floats per pair."""
+        return self.core.rows.T.tolist()
 
     # -- query -------------------------------------------------------------
 
@@ -211,12 +220,17 @@ class DemandSketch:
         margin = 1e-10 / log_base
         normal = min(base ** (jlo - 3), negligible * min(maxflows)) >= sys.float_info.min
         terms = []
+        columns = self._row_columns
+        scores = None                            # rows . d, one per row
         for p, dv in demand.entries:
             i = pidx[p]
             f = math.log(dv) / log_base
             c = math.floor(f)
             terms.append((dv, negligible * maxflows[i],
                           c if normal and margin < f - c < 1 - margin else None, i))
+            column = columns[i]
+            scores = ([r * dv for r in column] if scores is None
+                      else [s + r * dv for s, r in zip(scores, column)])
         core = self.core
         grid = isinstance(core, GridCore)
         if grid:
@@ -246,27 +260,32 @@ class DemandSketch:
                     key[i] = base ** e
                 rounded = True
             return not rounded or (bool(feasible[tuple(key)]) if grid
-                                   else core.contains(np.array(key)))
+                                   else core.contains(key))
 
-        lo, hi = jlo, jhi
-        best = None
-        while lo <= hi:
-            mid = (lo + hi) // 2
-            if decide(mid):
-                best = mid
-                lo = mid + 1
-            else:
-                hi = mid - 1
-        if best is None:
-            # theory guarantees the lowest probe accepts; tolerate float dust
-            for j in range(jlo - 1, jlo - 4, -1):
-                if decide(j):
-                    best = j
-                    break
-        if best is None:
-            raise SketchError("binary search found no feasible probe; "
-                              "the sketch is inconsistent with its source")
-        return float(base ** best), probes
+        # A probe's verdict is monotone in j: the rounded vector only grows
+        # with j, and the core is down-closed.  So a walk from any start in
+        # [jlo, jhi] finds the largest j there that accepts, else the first
+        # below jlo, as a binary search over [jlo, jhi] would.  The core
+        # accepts the rounding of lam * d for every lam up to
+        # 1 / max(rows . d), so the walk starts one exponent above that
+        # bound's and mostly ends after one or two probes.  Where the bound
+        # is no positive finite float (a pair whose rows are all 0, rows . d
+        # past the float range), it starts at jhi.
+        top = max(scores)
+        j = jhi
+        if 0 < top < math.inf:
+            j = min(max(math.floor(-math.log(top) / log_base) + 1, jlo), jhi)
+        if decide(j):
+            while j < jhi and decide(j + 1):
+                j += 1
+            return float(base ** j), probes
+        # theory guarantees jlo accepts; three more probes tolerate float dust
+        for j in range(j - 1, jlo - 4, -1):
+            if decide(j):
+                return float(base ** j), probes
+        raise SketchError("no probe down to three grid steps below the "
+                          "query's grid range accepted; the sketch is "
+                          "inconsistent with its source")
 
     # -- bookkeeping ---------------------------------------------------
 
@@ -394,8 +413,10 @@ def _grid_core(k, eps, maxflows, rows) -> GridCore | None:
     axes = np.ix_(*[_axis_values(r, 1.0 + eps) for r in ranges])
     feasible = np.ones([len(r) + 1 for r in ranges], dtype=bool)
     for row in rows:
-        # summed in pair order, so no BLAS kernel picks the scores' bits
-        feasible &= sum(c * a for c, a in zip(row, axes)) <= 1.0 + _MEMBER_TOL
+        # summed in pair order, so no BLAS kernel picks the scores' bits;
+        # a zero term would add 0.0, which changes no bit, so a row is
+        # scored on its nonzero axes alone and broadcast over the rest
+        feasible &= sum(c * a for c, a in zip(row, axes) if c) <= 1.0 + _MEMBER_TOL
     feasible.flat[0] = False
     return GridCore(tuple(r.start for r in ranges), feasible, rows)
 

@@ -55,6 +55,22 @@ def _exact_cut_ratios(net, pairs, vecs):
     return ratios
 
 
+def _dense_feasible(k, eps, maxflows, rows):
+    """A grid core's feasible array scored as `_grid_core` once did: each
+    row summed in pair order over every axis, zero terms included, into one
+    float score per candidate."""
+    base = 1.0 + eps
+    ranges = [_grid_exponents(eps / (k * k) * m, m, base) for m in maxflows]
+    axes = np.ix_(*[np.array([0.0] + [base ** j for j in r]) for r in ranges])
+    feasible = np.ones([len(r) + 1 for r in ranges], dtype=bool)
+    for row in rows:
+        score = sum(c * a for c, a in zip(row, axes))
+        assert score.shape == feasible.shape
+        feasible &= score <= 1.0 + sketch._MEMBER_TOL
+    feasible.flat[0] = False
+    return feasible
+
+
 class TestBuild:
     def test_epsilon_domain(self):
         net = single_edge()
@@ -113,8 +129,9 @@ class TestBuild:
         assert ratios[~stored].max() < 1
 
     def test_grid_build_memory_per_candidate(self):
-        # one float score per candidate (8 bytes) and the boolean masks fit
-        # in 12 bytes a candidate; a second candidate-sized float would not
+        # the boolean feasible array and a boolean mask fit in 2 bytes a
+        # candidate; a k = 3 cut row is 0 on one pair, so its float scores
+        # span two axes and no candidate-sized float array is made
         net = gen_quasi_bipartite(3, 8, seed=22)
         build_sketch(net, 0.25)                  # warms the network's caches
         tracemalloc.start()
@@ -125,7 +142,35 @@ class TestBuild:
             tracemalloc.stop()
         candidates = math.prod(c + 1 for c in sk.core.counts)
         assert candidates == 571_787
-        assert peak <= 12 * candidates
+        assert peak <= 2 * candidates
+
+    @pytest.mark.parametrize("eps", [0.1, 0.25, 0.45])
+    def test_grid_scores_match_the_dense_broadcast(self, eps):
+        """`_grid_core` scores each row on its nonzero axes alone; its
+        feasible array equals scoring every row over the whole grid, on built
+        k = 2 and k = 3 sketches (a k = 3 grid at eps = 0.1 is past
+        DEFAULT_BUDGET) and on hand-made rows with more zeros, a -0.0 and an
+        all-zero row."""
+        cases = []
+        for k in (2, 3) if eps > 0.1 else (2,):
+            sk = build_sketch(gen_quasi_bipartite(k, k + 5, seed=40 + k), eps)
+            cases.append((k, sk.eps_internal, sk.maxflows, sk.core.rows))
+        eps_int = eps / 4
+        if eps > 0.1:
+            # the last row but one puts axis 0's top value at 1, so that its
+            # small term on axis 2 decides the verdict
+            top = (1 + eps_int) ** _grid_exponents(eps_int / 9 * 3.0, 3.0, 1 + eps_int)[-1]
+            cases.append((3, eps_int, (3.0, 0.7, 12.5), np.array(
+                [[0.1, 0.0, 0.0], [0.0, 0.0, 0.3], [0.05, 0.02, 0.0], [0.0, -0.0, 0.04],
+                 [0.01, 0.2, 0.03], [1 / top, 0.0, 1e-6], [0.0, 0.0, 0.0]])))
+        cases.append((2, eps_int, (5.0,), np.array([[0.0], [0.25], [-0.0]])))
+        for k, eps_int, maxflows, rows in cases:
+            core = sketch._grid_core(k, eps_int, maxflows, rows)
+            assert isinstance(core, GridCore)
+            want = _dense_feasible(k, eps_int, maxflows, rows)
+            assert core.feasible.shape == want.shape
+            assert np.array_equal(core.feasible, want)
+            assert core.size > 0
 
     def test_storage_bound(self):
         rng = random.Random(5)
@@ -212,9 +257,10 @@ class TestQuery:
 
 
 def _query_probe_by_probe(sk, demand):
-    """(answer, probes) of `DemandSketch.query_with_stats`, but rounding each
-    undropped lam * d_i with `_exponent_floor` at every probe, as the query
-    did before it took each pair's exponent once per query."""
+    """(answer, probes) of a binary search over [jlo, jhi], then up to three
+    probes below jlo, that rounds each undropped lam * d_i with
+    `_exponent_floor` at every probe: the query before it took each pair's
+    exponent once per query and walked from its rows' bound."""
     base, k, n = sk.base, sk.k, len(sk.pairs)
     dvals = [0.0] * n
     for p, v in DemandVector.of(demand).items():
@@ -324,34 +370,56 @@ def _exponent_floor_calls(monkeypatch):
 
 
 def _check_against_probe_by_probe(sk, demand, calls):
-    """The query equals the probe-by-probe reference bit for bit; returns
-    how many of its roundings took `_exponent_floor` at a probe."""
+    """The query's answer equals the probe-by-probe reference's bit for bit;
+    returns how many of its roundings took `_exponent_floor` at a probe, its
+    probe count and the reference's."""
     del calls[:]
     got = sk.query_with_stats(demand)
     exact = len(calls) - calls.count(None)
     want = _query_probe_by_probe(sk, demand)
-    assert (got[0].hex(), got[1]) == (want[0].hex(), want[1]), demand
-    return exact
+    assert got[0].hex() == want[0].hex(), demand
+    return exact, got[1], want[1]
 
 
 def test_exponent_shift_matches_rounding_at_every_probe(monkeypatch):
-    """Taking each pair's exponent once per query leaves every answer and
-    every probe count as `_exponent_floor` at every probe gives them, on
-    grid and hull cores alike; some queries round a pair exactly at every
-    probe, and some shift every pair."""
+    """Taking each pair's exponent once per query and walking from the rows'
+    bound leave every answer as a binary search with `_exponent_floor` at
+    every probe gives it, on grid and hull cores alike, in fewer probes;
+    some queries round a pair exactly at every probe, and some shift every
+    pair."""
     calls = _exponent_floor_calls(monkeypatch)
     rng = random.Random(32)
-    kinds, shifted, exact = set(), 0, 0
+    kinds, shifted, exact, probes, reference = set(), 0, 0, 0, 0
     for sk in _shift_test_sketches():
         kinds.add((type(sk.core).__name__, sk.epsilon))
         for demand in _shift_test_demands(sk, rng, 150):
-            if _check_against_probe_by_probe(sk, demand, calls):
+            rounded, got, want = _check_against_probe_by_probe(sk, demand, calls)
+            if rounded:
                 exact += 1
             else:
                 shifted += 1
+            probes, reference = probes + got, reference + want
     assert kinds >= {(kind, eps) for kind in ("GridCore", "HullCore")
                      for eps in (0.1, 0.25, 0.45)}
     assert exact > 100 and shifted > 100, (exact, shifted)
+    assert probes < reference, (probes, reference)
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1e6])
+def test_walk_answers_alike_from_any_start(scale):
+    """The walk's answer does not depend on where it starts: with the row
+    columns behind its start scaled by 1e-6 it starts at jhi and walks down,
+    and by 1e6 it starts at jlo and walks up; either way every answer is
+    the binary search's.  The last sketch, at eps = 0.001, is left out: its
+    range is some 9 000 steps long."""
+    rng = random.Random(34)
+    for sk in _shift_test_sketches()[:-1]:
+        moved = dataclasses.replace(sk)
+        moved.__dict__["_row_columns"] = [[r * scale for r in column]
+                                          for column in sk._row_columns]
+        for demand in _shift_test_demands(sk, rng, 20):
+            want = _query_probe_by_probe(sk, demand)[0].hex()
+            assert moved.query(demand).hex() == sk.query(demand).hex() == want, demand
 
 
 def _scaled_hull(sk, scale, eps_internal):
@@ -368,7 +436,8 @@ def test_exponent_shift_waits_for_normal_floats(monkeypatch):
     `_exponent_floor` at every probe.  lam: capacities near 1e-12 and a
     demand next to a grid power from 1e307 to 1e308.  lam * d_i:
     capacities near 1e-305 at eps_int = 1e-8, where the negligible floors
-    are subnormal."""
+    are subnormal.  The rows there hold entries near 1e12 and 1e305, so
+    rows . d can pass the float range."""
     calls = _exponent_floor_calls(monkeypatch)
     sk = build_sketch(gen_quasi_bipartite(3, 8, seed=43), 0.25)
     rng = random.Random(33)
@@ -378,8 +447,47 @@ def test_exponent_shift_waits_for_normal_floats(monkeypatch):
     tiny_vals = _scaled_hull(sk, 1e-305, 1e-8)
     cases += [(tiny_vals, {sk.pairs[0]: 1.5, sk.pairs[1]: rng.uniform(0.2, 1) * 1e-8,
                            sk.pairs[2]: rng.uniform(0.2, 1) * 1e-7}) for _ in range(20)]
+    probes, reference = 0, 0
     for hull, demand in cases:
-        assert _check_against_probe_by_probe(hull, demand, calls) > 0
+        rounded, got, want = _check_against_probe_by_probe(hull, demand, calls)
+        assert rounded > 0
+        probes, reference = probes + got, reference + want
+    assert probes < reference, (probes, reference)
+
+
+def test_a_pair_with_zero_rows_answers_as_the_binary_search(tmp_path):
+    """A version-2 file may leave a pair's whole column of rows at 0.  A
+    demand on that pair alone has rows . d = 0, so the walk starts at jhi.
+    On a loaded grid and a loaded hull, every answer equals the binary
+    search's and the one pinned from it."""
+    answers = []
+    for k, eps in ((3, 0.45), (4, 0.25)):
+        sk = build_sketch(gen_quasi_bipartite(k, k + 5, seed=40 + k), eps)
+        doc = sk.to_json_dict()
+        for row in doc["rows"]:
+            row[0] = 0.0
+        path = tmp_path / f"zero-column-{k}.json"
+        path.write_text(json.dumps(doc))
+        loaded = DemandSketch.load(str(path))
+        assert type(loaded.core) is type(sk.core)
+        assert not loaded.core.rows[:, 0].any()
+        pair, other = loaded.pairs[0], loaded.pairs[-1]
+        for demand in ({pair: 1.0}, {pair: 0.37}, {pair: 2.0, other: 1e-9},
+                       {pair: 1.0, other: 0.5}, {other: 3.0}):
+            answer = loaded.query(demand)
+            assert answer.hex() == _query_probe_by_probe(loaded, demand)[0].hex()
+            answers.append(answer.hex())
+    assert answers == ZERO_COLUMN_ANSWERS
+
+
+# The answers of the zero-column test, taken from the binary search that
+# the walk replaced.
+ZERO_COLUMN_ANSWERS = [
+    "0x1.e527a20f626dbp+2", "0x1.6039ad8550e41p+4", "0x1.ffcfccc4f2d59p+1",
+    "0x1.e527a20f626dbp+2", "0x1.4e203b3b51dc2p+1", "0x1.80451de209afdp+3",
+    "0x1.0d4204dd24b36p+5", "0x1.8a8043284eec8p+2", "0x1.80451de209afdp+3",
+    "0x1.021324bc502c7p+2",
+]
 
 
 def star_and_pair_demands(net):
@@ -561,18 +669,20 @@ def _sketch_fingerprint(sk):
 
 
 def _query_fingerprint(sk, net):
-    """sha256 prefix of (answer, probes) over 300 seeded queries.  Each pair
-    is demanded with probability 0.8, at a size spread over four decades, so
-    that probes zero the coordinates at or below their pair's floor."""
+    """sha256 prefixes of the answers and of the probe counts over 300
+    seeded queries.  Each pair is demanded with probability 0.8, at a size
+    spread over four decades, so that probes zero the coordinates at or
+    below their pair's floor."""
     rng = random.Random(31)
     pairs = net.terminal_pairs()
-    out = []
+    answers, probes = [], []
     for _ in range(300):
         entries = {p: rng.uniform(0.1, 3.0) * 10 ** rng.uniform(-3, 1)
                    for p in pairs if rng.random() < 0.8}
-        value, probes = sk.query_with_stats(entries or {pairs[0]: 1.0})
-        out.append((value.hex(), probes))
-    return hashlib.sha256(repr(out).encode()).hexdigest()[:16]
+        value, count = sk.query_with_stats(entries or {pairs[0]: 1.0})
+        answers.append(value.hex())
+        probes.append(count)
+    return [hashlib.sha256(repr(out).encode()).hexdigest()[:16] for out in (answers, probes)]
 
 
 @pytest.fixture(scope="module")
@@ -607,21 +717,36 @@ PINNED_SKETCHES = {
 }
 
 
-# sha256 prefix of repr([(answer.hex(), probes), ...]) over each build's
-# 300 seeded queries (`_query_fingerprint`), with one BLAS thread.  Work may
-# be moved out of the probe loop only where these stay equal.
-PINNED_QUERIES = {
-    "qb-2-6": "9e975ac15b3735c9",
-    "qb-3-8": "bc0bd4a9e6e8d2d7",
-    "connected-3-9": "058c2be305f67083",
-    "qb-3-8-budget-10": "bc0bd4a9e6e8d2d7",
-    "qb-4-10": "56d64be440c589fb",
+# sha256 prefix of repr([answer.hex(), ...]) over each build's 300 seeded
+# queries (`_query_fingerprint`), with one BLAS thread.  Work may be moved
+# out of the probe loop, and probes may be skipped, only where these stay
+# equal.
+PINNED_ANSWERS = {
+    "qb-2-6": "e2cc5247f52aad6f",
+    "qb-3-8": "8d8ddf99b2fe747c",
+    "connected-3-9": "cd5f584aeee96263",
+    "qb-3-8-budget-10": "8d8ddf99b2fe747c",
+    "qb-4-10": "83ec3ad609792734",
+}
+
+
+# sha256 prefix of repr([probes, ...]) over the same queries.  The query
+# walks from one exponent above its rows' bound 1 / max(rows . d) instead of
+# binary-searching [jlo, jhi], so these moved when the walk came in, while
+# every answer above stayed.
+PINNED_PROBES = {
+    "qb-2-6": "6e7601f602122027",
+    "qb-3-8": "b3d6d9f1b5c92ae7",
+    "connected-3-9": "93e35e8eb50c8572",
+    "qb-3-8-budget-10": "b3d6d9f1b5c92ae7",
+    "qb-4-10": "9e5d60617dcdecc5",
 }
 
 
 class TestPinnedBuilds:
     def test_pins_cover_every_group(self):
-        assert PINNED_SKETCHES.keys() == PINNED_QUERIES.keys() == _sketch_pin_groups().keys()
+        assert (PINNED_SKETCHES.keys() == PINNED_ANSWERS.keys() == PINNED_PROBES.keys()
+                == _sketch_pin_groups().keys())
         kinds = {kind for kind, _ in PINNED_SKETCHES.values()}
         assert kinds == {"GridCore", "HullCore"}
 
@@ -631,12 +756,17 @@ class TestPinnedBuilds:
 
     @pytest.mark.parametrize("group", sorted(_sketch_pin_groups()))
     def test_queries_are_bit_identical(self, group, sketch_fingerprints):
-        assert sketch_fingerprints[group][1] == PINNED_QUERIES[group]
+        assert sketch_fingerprints[group][1][0] == PINNED_ANSWERS[group]
+
+    @pytest.mark.parametrize("group", sorted(_sketch_pin_groups()))
+    def test_probe_counts_are_pinned(self, group, sketch_fingerprints):
+        assert sketch_fingerprints[group][1][1] == PINNED_PROBES[group]
 
     @pytest.mark.parametrize("group", sorted(_sketch_pin_groups()))
     def test_load_is_bit_identical(self, group, sketch_fingerprints):
         # the loaded core is the built one, and answers every query alike
-        assert sketch_fingerprints[group][2:] == [True, PINNED_QUERIES[group]]
+        assert sketch_fingerprints[group][2:] == [
+            True, [PINNED_ANSWERS[group], PINNED_PROBES[group]]]
 
 
 class TestGridCodes:
