@@ -2,11 +2,13 @@
 """Print one sha256 per benchmark workload over the outputs of its jobs.
 
 Builds the jobs of bench/workloads.py (qb-certify, sketch-small, exact-cuts)
-for each seed at the reference scale, runs them in order from a cold flow
-memo, as one benchmark worker does, and hashes what they return.  Two trees
-whose hashes agree compute bit-identical outputs.  Floats are written with
-`float.hex`, reports and sketches as sorted-key JSON of `to_json_dict`,
-networks as their canonical fields with capacities as p/q.
+for each seed at the reference scale, runs them in order, as one benchmark
+worker does, and hashes what they return.  Each seed's jobs build their own
+network objects, and the flow oracle keeps its memo on the network, so every
+seed starts from a cold memo as a fresh worker does.  Two trees whose hashes
+agree compute bit-identical outputs.  Floats are written with `float.hex`,
+reports and sketches as sorted-key JSON of `to_json_dict`, networks as their
+canonical fields with capacities as p/q.
 
 A fourth line, `sketch-probes`, hashes `query_with_stats` (answer and probe
 count) over the same sketch-small queries, since a query job returns the
@@ -30,7 +32,6 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
 import workloads  # noqa: E402
-from flowsparse.flow import clear_flow_cache  # noqa: E402
 from flowsparse.network import TerminalNetwork  # noqa: E402
 
 
@@ -61,13 +62,11 @@ def main() -> int:
     for name, (make, _) in workloads.WORKLOADS.items():
         digest = hashlib.sha256()
         for seed in args.seeds:
-            clear_flow_cache()
             for _, job in make(seed, workloads.REF_SECONDS):
                 digest.update(json.dumps(encode(job()), sort_keys=True).encode() + b"\n")
         print(f"{name} {digest.hexdigest()}")
     digest = hashlib.sha256()
     for seed in args.seeds:
-        clear_flow_cache()
         for (_, _, query), job in workloads.sk_make(seed, workloads.REF_SECONDS):
             if query is None:
                 sketch = job()

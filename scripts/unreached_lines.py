@@ -82,12 +82,10 @@ def readme_blocks() -> list[str]:
 
 def run_bench(seeds) -> str:
     import workloads
-    from flowsparse.flow import clear_flow_cache
 
     counts = Counter()
     for name, (make, check) in workloads.WORKLOADS.items():
         for seed in seeds:
-            clear_flow_cache()
             jobs = make(seed, workloads.REF_SECONDS)
             outputs = [job() for _, job in jobs]
             counts[name] += len(check(seed, jobs, outputs))

@@ -18,15 +18,14 @@ sum(c * l) does not grow.  The primal flow is lifted on first read of
 dual: a reduced edge's flow fills the edges and pieces it stands for in
 order.
 
-The oracle keeps one record per network: a memo of finished results by
-demand; a path pool, the reduced-net paths that carried flow in earlier
-solves, which seed the next solve's columns; and what a solve needs of the
-network alone, built once: the reduced LP shape (canonical edges with
-parallel edges summed, float capacities, arc lists, arc-to-edge map), the
-lift, one BFS start path per pair, and each pooled path's edge rows.  The
-store holds at most _FLOW_CACHE_MAX memo entries over all networks and, when
-full, drops whole least-recently-used networks; a network whose solves all
-raised keeps no record.
+The oracle keeps one record per network, on the network object: it is
+built on the first solve, as `cut_view` is, and freed with the network.  It
+holds a memo of finished results by demand; a path pool, the reduced-net
+paths that carried flow in earlier solves, which seed the next solve's
+columns; and what a solve needs of the network alone, built once: the
+reduced LP shape (canonical edges with parallel edges summed, float
+capacities, arc lists, arc-to-edge map), the lift, one BFS start path per
+pair, and each pooled path's edge rows.  A failed solve memoizes nothing.
 
 Also here: exact max flow between two vertices or two vertex sets, on
 integers (the rational capacities scaled by the LCM of their denominators,
@@ -44,7 +43,7 @@ from __future__ import annotations
 
 import heapq
 import threading
-from collections import OrderedDict, deque
+from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
@@ -526,17 +525,18 @@ def _bfs_path(arcs: dict, s: str, t: str) -> tuple[str, ...] | None:
 
 @dataclass
 class _NetState:
-    """What the oracle remembers about one network.
+    """What the oracle remembers about one network, kept on the network.
 
     `memo` maps demand entries to the frozen result, its dual lifted to the
     network;
     `pool` maps a pair to the reduced-net paths that carried flow for it in
     earlier solves, in first-use order, each with its edge-index rows (dict
-    keys and values).  Only memoized solves feed the pool, so it grows with
-    the memo and leaves with it.  `shape`, the shape of the network's
-    `cut_view`, and `lift`, which maps its certificates back, are built on
-    the first solve; `starts` holds per pair its reduced-net BFS path and
-    rows.  All three depend on the network alone; every solve uses them.
+    keys and values).  Only memoized solves feed the pool.  `shape`, the
+    shape of the network's `cut_view`, and `lift`, which maps its
+    certificates back, are built on the first solve; `starts` holds per pair
+    its reduced-net BFS path and rows.  All three depend on the network
+    alone; every solve uses them.  Nothing here refers to the network, so
+    the record leaves with it.
     """
 
     memo: dict = field(default_factory=dict)
@@ -546,46 +546,16 @@ class _NetState:
     starts: dict = field(default_factory=dict)
 
 
-_cache_lock = threading.Lock()
-# Keyed by `cache_key`, not by object: `profile_bucket_sparsifier` solves on
-# `subdivide_terminal_edges(net)`, a new object equal to `net` when no edge
-# joins two terminals, and shares `net`'s memo.  That is 32 of the 128 memo
-# hits per seed on qb-certify (seeds 1 and 2, reference scale).
-_store: OrderedDict = OrderedDict()   # net.cache_key -> _NetState, LRU first
-_memo_entries = 0
-_FLOW_CACHE_MAX = 60000               # memo entries over all networks
-
-
-def clear_flow_cache() -> None:
-    """Forget every network's memo and path pool."""
-    global _memo_entries
-    with _cache_lock:
-        _store.clear()
-        _memo_entries = 0
+_cache_lock = threading.Lock()    # threads solving on one network share its record
 
 
 def _state(net: TerminalNetwork) -> _NetState:
-    """The network's record, now most recently used; call under the lock."""
-    state = _store.get(net.cache_key)
+    """The network's record, kept in its instance dict as `cached_property`
+    keeps `cut_view`, and made on first use; call under the lock."""
+    state = net.__dict__.get("_flow_state")
     if state is None:
-        state = _store[net.cache_key] = _NetState()
-    else:
-        _store.move_to_end(net.cache_key)
+        state = net.__dict__["_flow_state"] = _NetState()
     return state
-
-
-def _remember(net: TerminalNetwork, entries: tuple, result) -> None:
-    """Memoize a result, first evicting least-recently-used networks whole
-    while the store is full."""
-    global _memo_entries
-    with _cache_lock:
-        if entries in _state(net).memo:
-            return
-        while _memo_entries >= _FLOW_CACHE_MAX:
-            _, old = _store.popitem(last=False)
-            _memo_entries -= len(old.memo)
-        _state(net).memo[entries] = result
-        _memo_entries += 1
 
 
 def _checked_demand(net: TerminalNetwork, demand) -> DemandVector:
@@ -610,15 +580,9 @@ def concurrent_flow(net: TerminalNetwork, demand: DemandVector | dict) -> Concur
     if hit is not None:
         return hit
 
-    try:
-        result = _concurrent_flow_uncached(net, demand)
-    except Exception:
-        with _cache_lock:     # a record with nothing memoized is not kept
-            state = _store.get(net.cache_key)
-            if state is not None and not state.memo:
-                del _store[net.cache_key]
-        raise
-    _remember(net, demand.entries, result)
+    result = _concurrent_flow_uncached(net, demand)
+    with _cache_lock:
+        _state(net).memo.setdefault(demand.entries, result)
     return result
 
 

@@ -403,7 +403,11 @@ class DemandVector:
 # ---------------------------------------------------------------------------
 
 def subdivide_terminal_edges(net: TerminalNetwork) -> TerminalNetwork:
-    """Replace each terminal-terminal edge {s,t} by s-x-t with the same capacity."""
+    """Replace each terminal-terminal edge {s,t} by s-x-t with the same
+    capacity; `net` itself, with its cached views and flow record, when no
+    edge joins two terminals."""
+    if net.terminals_independent():
+        return net
     ts = net.terminal_set
     vertices = list(net.vertices)
     edges: list[Edge] = []

@@ -123,7 +123,9 @@ def _plan(M: float, seed: int, units, totals) -> SamplingPlan:
 def _apply_plan(net: TerminalNetwork, plan: SamplingPlan, method: str,
                 extra_params: dict, notes: tuple[str, ...]) -> SparsifierResult:
     """Delete the members of every unit not kept, and divide each remaining
-    edge once by the keep probability of each unit it touches."""
+    edge once by the keep probability of each unit it touches.  When no
+    vertex goes and every unit is kept at p = 1, the sample is `net` itself,
+    with its flow record."""
     keep = plan.keep_decisions()
     drop_set = set(plan.dropped)
     unit_of: dict[str, UnitPlan] = {}
@@ -142,8 +144,10 @@ def _apply_plan(net: TerminalNetwork, plan: SamplingPlan, method: str,
             if u is not None and u.p < 1.0:
                 c /= Fraction(u.p)
         edges.append((a, b, c))
-    sampled = TerminalNetwork.make(vertices, net.terminals, edges,
-                                   allow_disconnected=True)
+    sampled = net
+    if drop_set or any(u.p < 1.0 for u in plan.units):
+        sampled = TerminalNetwork.make(vertices, net.terminals, edges,
+                                       allow_disconnected=True)
     params = {"M": plan.M, "seed": plan.seed,
               "kept_units": sum(keep.values()), "units": len(plan.units)}
     params.update(extra_params)

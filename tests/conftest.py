@@ -8,13 +8,7 @@ import numpy as np
 import pytest
 
 from flowsparse import DemandVector, TerminalNetwork
-from flowsparse.flow import FlowError, clear_flow_cache
-
-
-@pytest.fixture(autouse=True)
-def _fresh_cache():
-    clear_flow_cache()
-    yield
+from flowsparse.flow import FlowError
 
 
 def pytest_terminal_summary(terminalreporter):

@@ -26,7 +26,7 @@ from flowsparse import (
     sparsest_terminal_cut,
 )
 from flowsparse import flow
-from flowsparse.flow import OPT_TOL, FlowError, clear_flow_cache
+from flowsparse.flow import OPT_TOL, FlowError
 from flowsparse.generators import (gen_quasi_bipartite, gen_series_parallel,
                                    gen_treewidth)
 from flowsparse.lp import LPError
@@ -743,10 +743,8 @@ def _count_calls(monkeypatch, name):
 
 
 def _record(net):
-    """The oracle's memo and path pool for `net`, as plain copies."""
-    state = flow._store.get(net.cache_key)
-    if state is None:
-        return None
+    """The oracle's memo and path pool on `net`, as plain copies."""
+    state = flow._state(net)
     return dict(state.memo), {p: list(paths) for p, paths in state.pool.items()}
 
 
@@ -754,12 +752,12 @@ class TestPathPool:
     def test_order_and_history_do_not_change_lambda(self):
         net, demands = _pool_demands()
         forward = [concurrent_flow(net, d) for d in demands]
-        clear_flow_cache()
-        backward = [concurrent_flow(net, d) for d in reversed(demands)][::-1]
-        cold = []
-        for d in demands:
-            clear_flow_cache()
-            cold.append(concurrent_flow(net, d))
+
+        def fresh():    # an equal network object, with an empty record
+            return TerminalNetwork(net.vertices, net.terminals, net.edges)
+        again = fresh()
+        backward = [concurrent_flow(again, d) for d in reversed(demands)][::-1]
+        cold = [concurrent_flow(fresh(), d) for d in demands]
         for f, b, c in zip(forward, backward, cold):
             assert f.value == pytest.approx(c.value, rel=1e-9)
             assert b.value == pytest.approx(c.value, rel=1e-9)
@@ -774,14 +772,6 @@ class TestPathPool:
             res.flow.check(net, d)
             res.dual.check(net, d)
 
-    def test_clear_empties_memo_and_pool(self):
-        net, demands = _pool_demands()
-        concurrent_flow(net, demands[0])
-        memo, pool = _record(net)
-        assert memo and any(pool.values())
-        clear_flow_cache()
-        assert _record(net) is None
-
     def test_shape_and_start_paths_are_built_once_per_network(self, monkeypatch):
         built = _count_calls(monkeypatch, "_shape_of")
         lifts = _count_calls(monkeypatch, "_lift_of")
@@ -792,7 +782,7 @@ class TestPathPool:
         pairs = {p for d in demands for p in d.pairs()}
         assert built == [net.cut_view] and lifts == [net]
         assert sorted(bfs) == sorted(pairs)
-        state = flow._store[net.cache_key]
+        state = flow._state(net)
         # the record holds the reduced shape, and its paths are reduced-net paths
         assert state.shape == flow._shape_of(net.cut_view)
         assert len(state.shape.arcs) < len(net.vertices)
@@ -803,39 +793,7 @@ class TestPathPool:
         for paths in state.pool.values():
             assert all(rows == state.shape.rows(path) for path, rows in paths.items())
 
-    def test_clear_and_eviction_drop_the_shape(self, monkeypatch):
-        monkeypatch.setattr(flow, "_FLOW_CACHE_MAX", 1)
-        built = _count_calls(monkeypatch, "_shape_of")
-        lifts = _count_calls(monkeypatch, "_lift_of")
-        net, demands = _pool_demands()
-        other = gen_quasi_bipartite(5, 30, seed=4)
-        concurrent_flow(net, demands[0])
-        concurrent_flow(other, demands[0])      # evicts net whole
-        assert net.cache_key not in flow._store
-        concurrent_flow(net, demands[1])
-        assert len(built) == len(lifts) == 3
-        clear_flow_cache()
-        concurrent_flow(net, demands[2])
-        assert len(built) == len(lifts) == 4
-        state = flow._store[net.cache_key]
-        assert state.shape is not None and state.lift is not None
-
-    def test_lru_eviction_keeps_the_recent_network(self, monkeypatch):
-        monkeypatch.setattr(flow, "_FLOW_CACHE_MAX", 3)
-        net, demands = _pool_demands()
-        other = gen_quasi_bipartite(5, 30, seed=4)
-        third = gen_quasi_bipartite(5, 30, seed=5)
-        first = concurrent_flow(net, demands[0])
-        concurrent_flow(net, demands[1])
-        concurrent_flow(other, demands[0])
-        assert concurrent_flow(net, demands[0]) is first   # net is now the MRU
-        concurrent_flow(third, demands[0])                  # store full: evict
-        assert _record(other) is None
-        assert concurrent_flow(net, demands[0]) is first
-        assert len(_record(net)[0]) == 2 and len(_record(third)[0]) == 1
-
     def test_threads_keep_the_store_consistent(self, monkeypatch):
-        monkeypatch.setattr(flow, "_FLOW_CACHE_MAX", 5)
         rng = random.Random(8)
         nets = [random_connected_net(rng, 7, 3) for _ in range(4)]
         jobs = [(net, random_demand(rng, net)) for net in nets for _ in range(6)]
@@ -866,42 +824,24 @@ class TestPathPool:
         finally:
             sys.setswitchinterval(old)
         assert not any(t.is_alive() for t in threads) and not errors
-        held = sum(len(state.memo) for state in flow._store.values())
-        assert held == flow._memo_entries <= 5
-        # a record re-created by a solve whose network was evicted mid-solve
-        # holds its memo entry and builds its shape on the next solve
-        by_key = {net.cache_key: net for net in nets}
-        for key, state in flow._store.items():
-            net = by_key[key]
-            if state.shape is None:
-                assert state.lift is None and not state.starts
-                continue
+        # every job's result is memoized on its network, none lost to a race
+        for net in nets:
+            state = flow._state(net)
+            assert set(state.memo) == {d.entries for n, d in jobs if n is net}
             assert state.shape == flow._shape_of(net.cut_view)
             assert state.lift == flow._lift_of(net, state.shape)
             assert all(start == (flow._bfs_path(state.shape.arcs, *p),
                                  state.shape.rows(start[0]))
                        for p, start in state.starts.items())
+            assert all(rows == state.shape.rows(path)
+                       for paths in state.pool.values() for path, rows in paths.items())
 
     def test_duality_gap_above_tolerance_raises(self, monkeypatch):
         skew_duality_gap(monkeypatch)
         net, demands = _pool_demands()
         with pytest.raises(LPError, match="duality gap"):
             concurrent_flow(net, demands[0])
-        assert _record(net) is None     # nothing memoized: no record kept
-
-    def test_failed_solves_keep_no_record(self):
-        for i in range(300):
-            net = TerminalNetwork.make(["a", "b", "c", f"m{i}"], ["a", "b", "c"],
-                                       [("a", f"m{i}", 1 + i), ("b", f"m{i}", 2)],
-                                       allow_disconnected=True)
-            with pytest.raises(FlowError, match="no path"):
-                concurrent_flow(net, {("a", "c"): 1})
-        assert len(flow._store) == flow._memo_entries == 0
-        # a failed solve on a network with memoized results keeps its record
-        concurrent_flow(net, {("a", "b"): 1})
-        with pytest.raises(FlowError, match="no path"):
-            concurrent_flow(net, {("b", "c"): 1})
-        assert len(_record(net)[0]) == 1
+        assert _record(net) == ({}, {})     # nothing memoized, nothing pooled
 
 
 class TestLazyPrimal:
@@ -932,7 +872,7 @@ class TestLazyPrimal:
                       sample_sparsifier(net, 4, 1)]
         for cand in candidates:
             certify(net, cand.net, demands, cand.claimed_quality)
-        assert flow._memo_entries > 0 and lifts == []
+        assert _record(net)[0] and lifts == []
 
     def test_flow_is_lifted_once_per_result(self, lifts):
         net, demands = _pool_demands()
@@ -945,23 +885,26 @@ class TestLazyPrimal:
         first.check(net, demands[0])
 
     def test_memo_keeps_no_network_alive(self):
+        """The record, with the memoized results no caller holds, is freed
+        with its network; a result a caller holds still lifts its flow."""
         import gc
         import weakref
         net, demands = _pool_demands()
         res = concurrent_flow(net, demands[0])
-        ref = weakref.ref(net)
+        refs = [weakref.ref(x) for x in (net, flow._state(net),
+                                         concurrent_flow(net, demands[1]))]
         del net
         gc.collect()
-        assert ref() is None
-        assert flow._memo_entries == 1
+        assert [ref() for ref in refs] == [None] * 3
         assert res.flow.arc_flows        # the lift needs no network
 
 
 def _pin_groups():
     """Oracle solves whose every output is pinned bit for bit, by group.
 
-    A group's (net, demand) solves run in order from a cold store, so the
-    later qb demands start from a warm path pool."""
+    A group's (net, demand) solves run in order on a network of its own,
+    from an empty record, so the later qb demands start from a warm path
+    pool."""
     groups = {}
     for seed in (11, 12, 13):
         net = gen_quasi_bipartite(5, 60, seed=seed)
@@ -992,7 +935,6 @@ def _pin_fingerprints():
     code = ("import json, test_flow as T\n"
             "out = {}\n"
             "for group, solves in T._pin_groups().items():\n"
-            "    T.clear_flow_cache()\n"
             "    out[group] = [T._fingerprint(T.concurrent_flow(*solve))\n"
             "                  for solve in solves]\n"
             "print(json.dumps(out))\n")

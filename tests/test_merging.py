@@ -14,7 +14,6 @@ from flowsparse import (
     TerminalNetwork,
     concurrent_flow,
 )
-from flowsparse.flow import clear_flow_cache
 from flowsparse.merging import (
     ZERO,
     MergeError,
@@ -178,10 +177,10 @@ def _merge_cases():
 
 def _merge_fingerprints():
     """(vertex count, sha256 prefix of repr((vertices, terminals, edges,
-    params))) per case and construction, each case from a cold flow store."""
+    params))) per case and construction, each case on its own network
+    objects, so from a cold flow record."""
     out = {}
     for case, (net, eps, demands) in _merge_cases().items():
-        clear_flow_cache()
         for name, res in (("ratio", ratio_type_sparsifier(net, eps)),
                           ("profile", profile_bucket_sparsifier(net, eps, demands))):
             h = res.net

@@ -102,9 +102,13 @@ class TestPlan:
 
 class TestSample:
     def test_all_kept_identity(self):
+        # every unit kept at p = 1: the network itself, with its flow record,
+        # equal to the network the kept vertices and unscaled edges rebuild
         net = gen_quasi_bipartite(4, 25, seed=3)
         res = sample_sparsifier(net, 1e9, 7)
-        assert res.net == net
+        assert res.net is net
+        assert TerminalNetwork.make(net.vertices, net.terminals, list(net.edges),
+                                    allow_disconnected=True) == net
 
     def test_seed_reproducibility(self):
         net = gen_quasi_bipartite(5, 40, seed=4)
@@ -185,7 +189,7 @@ class TestGrouped:
     def test_grouped_preserves_flow_when_all_kept(self):
         net = gen_bounded_component(4, 20, 3, seed=9)
         res = grouped_sample_sparsifier(net, 3, 1e9, 1)
-        assert res.net == net
+        assert res.net is net
 
 
 # sha256 of the reprs of grouped_sampling_plan(gen_bounded_component(4, 24,
