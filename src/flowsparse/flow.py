@@ -33,6 +33,11 @@ cached per network), and the exact sparsest cut over terminal bipartitions.
 Flows between terminals run on the cut view too, which keeps every terminal
 cut.  From k = 3 on, a terminal-bipartition min cut is read from the
 network's cached `bipartition_cuts`, which takes all of them in one pass.
+`verify.certify_cuts` and the mimicking fit (`structured._cut_targets`)
+read that table whole; they look up one bipartition at a time here only at
+k = 2, where the table is not taken, and for a candidate whose terminals
+are in another order than the base's.  The sketch builder
+(`sketch._terminal_cuts`) looks up each of its cut rows here.
 At k = 2, past that table's bounds, and for other endpoints: when no two
 vertices outside the endpoints are adjacent, each joins its cheaper side on
 its own and the value is a closed-form sum; otherwise shortest augmenting
@@ -183,11 +188,12 @@ def max_flow(net: TerminalNetwork, s, t) -> Fraction:
     set of k >= 3 terminals, the value is read from the network's cached
     `bipartition_cuts`, which takes every bipartition's cut in one pass; at
     k = 2 that table would hold this one cut, so it is not built.
-    Otherwise, or where that table is not taken: when no two of the view's vertices outside
-    S | T are adjacent (or there are none), each of them joins its cheaper
-    side on its own, so the value is the S-T crossing capacity plus, per
-    such v, min(c(v, S), c(v, T)); else Edmonds-Karp runs.  Either way the
-    value is exact: the integer flow over the view's scale, as a Fraction.
+    Otherwise, or where that table is not taken: when no two of the view's
+    vertices outside S | T are adjacent (or there are none), each of them
+    joins its cheaper side on its own, so the value is the S-T crossing
+    capacity plus, per such v, min(c(v, S), c(v, T)); else Edmonds-Karp
+    runs.  Either way the value is exact: the integer flow over the view's
+    scale, as a Fraction.
     """
     S = frozenset([s] if isinstance(s, str) else s)
     T = frozenset([t] if isinstance(t, str) else t)

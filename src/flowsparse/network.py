@@ -116,7 +116,7 @@ class TerminalNetwork:
             if cap < 0:
                 raise NetworkError(f"negative capacity on {u!r}-{v!r}")
             key = _pair(u, v)
-            merged[key] = merged.get(key, _ZERO) + cap
+            merged[key] = merged[key] + cap if key in merged else cap
         object.__setattr__(self, "vertices", tuple(sorted(vertices)))
         object.__setattr__(self, "terminals", terminals)
         object.__setattr__(self, "edges", tuple(

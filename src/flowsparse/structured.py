@@ -35,8 +35,14 @@ class StructureError(ValueError):
 # ---------------------------------------------------------------------------
 
 def _cut_targets(net):
-    return [((A, B), mincut_partition(net, A, B)) for A, B in
-            terminal_bipartitions(net.terminals)]
+    """Each terminal bipartition with its min cut, read from the network's
+    `bipartition_cuts` at k >= 3 where that table is taken."""
+    splits = list(terminal_bipartitions(net.terminals))
+    cuts = net.bipartition_cuts if net.k > 2 else None
+    if cuts is None:
+        return [((A, B), mincut_partition(net, A, B)) for A, B in splits]
+    scale = net.cut_view[0]
+    return [(split, Fraction(cut, scale)) for split, cut in zip(splits, cuts)]
 
 
 def mimick_small(net: TerminalNetwork) -> SparsifierResult:
@@ -480,9 +486,13 @@ def treewidth_sparsifier(net: TerminalNetwork, tdec: TreeDecomposition,
                              "a shrinking terminal count")
     built, quality, depth = _tw_build(net, tdec, w, leaf_builder, 0,
                                       leaf_threshold)
-    # separator vertices promoted during the recursion are demoted again
+    # separator vertices promoted during the recursion are demoted again;
+    # an output equal to `net` is `net` itself, with its cached views and
+    # flow record
     out = TerminalNetwork.make(built.vertices, net.terminals, built.edges,
                                allow_disconnected=True)
+    if out == net:
+        out = net
     return SparsifierResult.of(out, "treewidth", quality,
                                params={"width": w, "depth": depth})
 

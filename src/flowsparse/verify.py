@@ -2,7 +2,8 @@
 
 Certification is over a finite witness demand set, never the universal
 quantifier: reports carry an explicit disclaimer field.  Exact cut
-certification enumerates every terminal bipartition in rational arithmetic.
+certification compares the min cuts of every terminal bipartition exactly,
+as integers at each network's cut scale.
 """
 
 from __future__ import annotations
@@ -194,25 +195,41 @@ def certify_cuts(g: TerminalNetwork, gp: TerminalNetwork) -> CutReport:
     """Exact bipartition min-cut comparison over all 2^(k-1)-1 bipartitions.
 
     beta is the largest candidate/base cut ratio, infinite when the candidate
-    has capacity across a bipartition the base does not cut at all.
+    has capacity across a bipartition the base does not cut at all.  From
+    k = 3 on, each network's `bipartition_cuts` table is read whole, gp's
+    only when its terminals are in g's order (a sparsifier keeps its
+    input's order); otherwise, at k = 2 and where a table is not taken, each
+    cut comes from `mincut_partition`.  The cuts are compared as integers:
+    base / scale_g against cand / scale_gp, cross-multiplied.
     """
     if set(g.terminals) != set(gp.terminals):
         raise VerifyError("terminal sets differ between base and candidate")
     k = g.k
     if k > _MAX_CUT_TERMINALS:
         raise VerifyError(f"k={k} exceeds the bipartition budget {_MAX_CUT_TERMINALS}")
+    splits = list(terminal_bipartitions(g.terminals))
+    g_scale, gp_scale = g.cut_view[0], gp.cut_view[0]
+    # at k = 2 a table would hold the one cut: none is built
+    g_cuts = g.bipartition_cuts if k > 2 else None
+    gp_cuts = gp.bipartition_cuts if k > 2 and gp.terminals == g.terminals else None
+    if g_cuts is None:
+        g_cuts = [int(mincut_partition(g, A, B) * g_scale) for A, B in splits]
+    if gp_cuts is None:
+        gp_cuts = [int(mincut_partition(gp, A, B) * gp_scale) for A, B in splits]
+    # beta is num / den, the largest cand / base so far; den = 0 once infinite
     records = []
-    beta = Fraction(0)
+    num, den = 0, 1
     all_exact = True
-    for A, B in terminal_bipartitions(g.terminals):
-        base = mincut_partition(g, A, B)
-        cand = mincut_partition(gp, A, B)
-        records.append(CutRecord(side_a=A, cut_base=base, cut_candidate=cand))
+    for (A, _), base, cand in zip(splits, g_cuts, gp_cuts):
+        records.append(CutRecord(side_a=A, cut_base=Fraction(base, g_scale),
+                                 cut_candidate=Fraction(cand, gp_scale)))
+        base, cand = base * gp_scale, cand * g_scale
         if base != cand:
             all_exact = False
         if base > 0:
-            beta = max(beta, cand / base)
+            if cand * den > num * base:
+                num, den = cand, base
         elif cand > 0:
-            beta = math.inf
-    return CutReport(beta=float(beta), all_exact=all_exact,
-                     records=tuple(records))
+            num, den = 1, 0
+    beta = num / den if den else math.inf
+    return CutReport(beta=beta, all_exact=all_exact, records=tuple(records))

@@ -2,6 +2,7 @@ import itertools
 import os
 import random
 from dataclasses import dataclass
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -63,6 +64,20 @@ def random_connected_net(rng: random.Random, n: int, k: int,
         i, j = rng.sample(range(n), 2)
         edges.append((vs[i], vs[j], rng.randint(cap_lo, cap_hi)))
     return TerminalNetwork.make(vs, vs[:k], edges)
+
+
+def rational_net(rng: random.Random, n: int, k: int, shift: int = 0) -> TerminalNetwork:
+    """Random connected net whose capacities are Fraction(a, b) * 2^shift."""
+    net = random_connected_net(rng, n, k)
+    return TerminalNetwork.make(
+        net.vertices, net.terminals,
+        [(u, v, Fraction(rng.randint(1, 30) << shift, rng.randint(1, 7)))
+         for u, v, _ in net.edges])
+
+
+def fresh(net: TerminalNetwork) -> TerminalNetwork:
+    """An equal network object, with no cached view, table or flow record."""
+    return TerminalNetwork(net.vertices, net.terminals, net.edges)
 
 
 def random_quasi_bipartite(rng: random.Random, k: int, n: int,

@@ -33,8 +33,9 @@ from flowsparse.lp import LPError
 from flowsparse.network import _CUT_TABLE_MAX_ENTRIES, _pair, terminal_bipartitions
 from flowsparse.sampling import two_hop_maxflows
 
-from conftest import (ONE_BLAS_THREAD, child_env, random_connected_net, random_demand,
-                      random_quasi_bipartite, skew_duality_gap, sparsest_cut)
+from conftest import (ONE_BLAS_THREAD, child_env, fresh, random_connected_net,
+                      random_demand, random_quasi_bipartite, rational_net,
+                      skew_duality_gap, sparsest_cut)
 
 
 def scipy_lambda(net, demand, terminal_free=False):
@@ -85,15 +86,6 @@ def scipy_lambda(net, demand, terminal_free=False):
                   bounds=bounds, method="highs")
     assert res.status == 0, res.message
     return -res.fun
-
-
-def rational_net(rng, n, k):
-    """Random connected net whose capacities are Fraction(a, b)."""
-    net = random_connected_net(rng, n, k)
-    return TerminalNetwork.make(
-        net.vertices, net.terminals,
-        [(u, v, Fraction(rng.randint(1, 30), rng.randint(1, 7)))
-         for u, v, _ in net.edges])
 
 
 def nx_set_flow(net, S, T):
@@ -753,11 +745,9 @@ class TestPathPool:
         net, demands = _pool_demands()
         forward = [concurrent_flow(net, d) for d in demands]
 
-        def fresh():    # an equal network object, with an empty record
-            return TerminalNetwork(net.vertices, net.terminals, net.edges)
-        again = fresh()
+        again = fresh(net)
         backward = [concurrent_flow(again, d) for d in reversed(demands)][::-1]
-        cold = [concurrent_flow(fresh(), d) for d in demands]
+        cold = [concurrent_flow(fresh(net), d) for d in demands]
         for f, b, c in zip(forward, backward, cold):
             assert f.value == pytest.approx(c.value, rel=1e-9)
             assert b.value == pytest.approx(c.value, rel=1e-9)

@@ -46,6 +46,22 @@ class TestConstruction:
         net = net_of(["s", "t"], ["s", "t"], [("s", "t", 3), ("s", "t", 4)])
         assert net.edges == (("s", "t", Fraction(7)),)
 
+    def test_parallel_and_repeated_edges_sum_exactly(self):
+        third = Fraction(1, 3)
+        net = TerminalNetwork(["a", "b", "c"], ["a", "c"],
+                              [("a", "b", third), ("b", "a", "1/6"), ("a", "b", third),
+                               ("b", "c", 0.25), ("c", "b", 2), ("c", "b", 0)])
+        assert net.edges == (("a", "b", Fraction(5, 6)), ("b", "c", Fraction(9, 4)))
+        assert all(type(c) is Fraction for _, _, c in net.edges)
+
+    @pytest.mark.parametrize("cap", [Fraction(22, 7), 3, "5/2", 0.75])
+    def test_single_edge_keeps_its_capacity(self, cap):
+        net = TerminalNetwork(["a", "b"], ["a", "b"], [("b", "a", cap)])
+        (_, _, got), = net.edges
+        assert type(got) is Fraction and got == Fraction(cap)
+        if isinstance(cap, Fraction):
+            assert got is cap
+
     def test_zero_capacity_edge_removed(self):
         net = net_of(["s", "t", "u"], ["s", "t"],
                      [("s", "t", 5), ("s", "u", 0)], allow_disconnected=True)
@@ -157,6 +173,28 @@ class TestIntegerView:
     def test_cached_per_network(self):
         net = net_of(["a", "b"], ["a", "b"], [("a", "b", "3/4")])
         assert net.integer_view is net.integer_view
+
+    def test_scales_are_pinned(self):
+        # (integer_view, cut_view) scales of rational nets with parallel
+        # edges; seed 2's degree-3 elimination doubles the cut view's scale
+        scales = [(n.integer_view[0], n.cut_view[0])
+                  for n in map(rational_multinet, range(6))]
+        assert scales == [(180, 180), (660, 660), (13860, 27720), (1320, 1320),
+                          (24, 24), (60, 60)]
+
+
+def rational_multinet(seed):
+    """A random spanning tree with rational capacities, chords, and three
+    of its edges repeated end to end."""
+    rng = random.Random(7000 + seed)
+    n = rng.randint(6, 12)
+    vs = [f"v{i}" for i in range(n)]
+    edges = [(vs[i], vs[rng.randrange(i)], Fraction(rng.randint(1, 20), rng.randint(1, 12)))
+             for i in range(1, n)]
+    edges += [(vs[i], vs[j], rng.randint(1, 9))
+              for i, j in (rng.sample(range(n), 2) for _ in range(n // 2))]
+    edges += [(v, u, Fraction(1, rng.randint(1, 6))) for u, v, _ in rng.sample(edges, 3)]
+    return TerminalNetwork.make(vs, vs[:rng.randint(2, 5)], edges)
 
 
 class TestSubdivide:

@@ -10,7 +10,7 @@ from flowsparse import (
     certify_cuts,
     concurrent_flow,
 )
-from flowsparse import structured
+from flowsparse import network, structured
 from flowsparse.generators import gen_series_parallel, gen_treewidth
 from flowsparse.network import terminal_bipartitions
 from flowsparse.structured import (
@@ -29,7 +29,7 @@ from flowsparse.structured import (
     treewidth_sparsifier,
 )
 
-from conftest import random_connected_net, random_demand
+from conftest import fresh, random_connected_net, random_demand, rational_net
 
 
 class TestMimick:
@@ -59,6 +59,24 @@ class TestMimick:
             lg = concurrent_flow(net, d).value
             lh = concurrent_flow(res.net, d).value
             assert lh == pytest.approx(lg, rel=1e-6)
+
+    def test_cut_targets_read_the_table_whole(self, monkeypatch):
+        # at k >= 3 the targets come from the cut table, at k = 2 from the
+        # one cut alone; either way they equal a cut per bipartition
+        for seed in range(30):
+            rng = random.Random(8200 + seed)
+            k = 2 + seed % 3
+            net = rational_net(rng, rng.randint(k + 1, k + 8), k, shift=61 if seed >= 15 else 0)
+            targets = structured._cut_targets(net)
+            assert ("bipartition_cuts" in net.__dict__) is (net.k > 2)
+            fit = mimick_small(net).net
+            with monkeypatch.context() as patch:
+                patch.setattr(network, "_CUT_TABLE_MAX_ENTRIES", 0)
+                alone = fresh(net)
+                assert structured._cut_targets(alone) == targets
+                assert alone.k == 2 or alone.bipartition_cuts is None
+                assert mimick_small(alone).net == fit
+            assert all(type(cut) is Fraction for _, cut in targets)
 
     def test_k5_rejected(self):
         rng = random.Random(1)
@@ -431,6 +449,18 @@ class TestTreewidth:
             lg = concurrent_flow(net, d).value
             lh = concurrent_flow(res.net, d).value
             assert lh == pytest.approx(lg, rel=1e-6)
+
+    @pytest.mark.parametrize("threshold", [None, 8])
+    def test_identity_output_is_the_network(self, threshold):
+        # an output equal to net is net itself, so solves hit net's memo
+        rng = random.Random(11)
+        net, tdec = gen_treewidth(10, 30, 1, seed=6)
+        d = random_demand(rng, net)
+        first = concurrent_flow(net, d)
+        res = treewidth_sparsifier(net, tdec, "identity", leaf_threshold=threshold)
+        assert dict(res.params)["depth"] == (0 if threshold is None else 1)
+        assert res.net is net
+        assert concurrent_flow(res.net, d) is first
 
     def test_depth_bound(self):
         net, tdec = gen_treewidth(14, 40, 1, seed=7)

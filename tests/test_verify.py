@@ -7,9 +7,14 @@ from fractions import Fraction
 import pytest
 
 from flowsparse import DemandVector, TerminalNetwork, concurrent_flow, sample_sparsifier
+from flowsparse import network
+from flowsparse.flow import mincut_partition
 from flowsparse.generators import gen_quasi_bipartite, gen_series_parallel
 from flowsparse.structured import mimick_small
+from flowsparse.network import terminal_bipartitions
 from flowsparse.verify import (
+    CutRecord,
+    CutReport,
     VerifyError,
     basis_demands,
     certify,
@@ -19,7 +24,7 @@ from flowsparse.verify import (
     random_demands,
 )
 
-from conftest import random_connected_net, random_demand
+from conftest import fresh, random_connected_net, random_demand, rational_net
 
 
 # (demand count per net, sha256 prefix of repr of their entries) for
@@ -195,3 +200,103 @@ class TestCertifyCuts:
         net = random_connected_net(rng, 20, 17)   # above the 16-terminal budget
         with pytest.raises(VerifyError):
             certify_cuts(net, net)
+
+
+def certify_cuts_per_split(g, gp):
+    """`certify_cuts` as one `mincut_partition` per bipartition and network,
+    compared as Fractions."""
+    records, beta, all_exact = [], Fraction(0), True
+    for A, B in terminal_bipartitions(g.terminals):
+        base, cand = mincut_partition(g, A, B), mincut_partition(gp, A, B)
+        records.append(CutRecord(side_a=A, cut_base=base, cut_candidate=cand))
+        all_exact = all_exact and base == cand
+        if base > 0:
+            beta = max(beta, cand / base)
+        elif cand > 0:
+            beta = math.inf
+    return CutReport(beta=float(beta), all_exact=all_exact, records=tuple(records))
+
+
+def cut_certificate_cases():
+    """(g, gp) pairs on 30 seeded nets with k = 2-5, every third with
+    capacities past 2^61: gp is g, its mimicking network (k <= 4) or g with
+    one capacity raised and one lowered, each also with its terminals
+    shuffled; and two bases that leave a bipartition uncut, which gp cuts."""
+    cases = []
+    for seed in range(30):
+        rng = random.Random(8100 + seed)
+        k = 2 + seed % 4
+        g = rational_net(rng, rng.randint(k + 1, k + 8), k, shift=61 if seed % 3 == 2 else 0)
+        edges = list(g.edges)
+        for i, factor in zip(rng.sample(range(len(edges)), 2), (Fraction(3, 2), Fraction(1, 2))):
+            u, v, c = edges[i]
+            edges[i] = (u, v, c * factor)
+        gps = [g, TerminalNetwork.make(g.vertices, g.terminals, edges)]
+        if g.k <= 4:
+            gps.append(mimick_small(g).net)
+        for gp in gps:
+            order = list(gp.terminals)
+            rng.shuffle(order)
+            cases += [(g, gp), (g, TerminalNetwork.make(gp.vertices, order, gp.edges))]
+    g = TerminalNetwork.make(["a", "b", "c", "d"], ["a", "b", "c", "d"],
+                             [("a", "b", 1), ("c", "d", "2/3")], allow_disconnected=True)
+    gp = TerminalNetwork.make(g.vertices, ["d", "b", "c", "a"],
+                              [("a", "b", 1), ("b", "c", "1/5"), ("c", "d", "2/3")])
+    cases.append((g, gp))
+    g = TerminalNetwork.make(["a", "b", "c"], ["a", "b", "c"], [("a", "b", 1)],
+                             allow_disconnected=True)
+    cases.append((g, TerminalNetwork.make(g.vertices, ["c", "a", "b"],
+                                          [("a", "b", 1), ("a", "c", 4)])))
+    return cases
+
+
+class TestCertifyCutsTable:
+    """`certify_cuts` reads the cut tables whole at k >= 3 (the candidate's
+    when its terminals are in the base's order); its report equals the one
+    built from a cut per bipartition in every case."""
+
+    @pytest.fixture(scope="class")
+    def cases(self):
+        return cut_certificate_cases()
+
+    def test_cases_cover_every_path(self, cases):
+        assert len({g for g, _ in cases}) >= 30
+        assert {g.k for g, _ in cases} == {2, 3, 4, 5}
+        assert any(gp.terminals != g.terminals for g, gp in cases if g.k == 2)
+        assert sum(gp.terminals != g.terminals for g, gp in cases if g.k > 2) >= 30
+        assert any(max(g.bipartition_cuts) >= 2 ** 63 for g, _ in cases if g.k > 2)
+        reps = [certify_cuts(g, gp) for g, gp in cases]
+        assert sum(r.all_exact for r in reps) >= 30
+        assert sum(math.isinf(r.beta) for r in reps) == 2
+
+    def test_table_read_equals_a_cut_per_bipartition(self, cases, monkeypatch):
+        with monkeypatch.context() as patch:
+            # no table anywhere: each cut by its own flow
+            patch.setattr(network, "_CUT_TABLE_MAX_ENTRIES", 0)
+            want = [certify_cuts_per_split(fresh(g), fresh(gp)) for g, gp in cases]
+            assert [certify_cuts(fresh(g), fresh(gp)) for g, gp in cases] == want
+        for (g, gp), rep in zip(cases, want):
+            g, gp = fresh(g), fresh(gp)
+            got = certify_cuts(g, gp)
+            assert got == rep
+            assert all(type(c) is Fraction for r in got.records
+                       for c in (r.cut_base, r.cut_candidate))
+            if g.k == 2:    # one bipartition: no table is built
+                assert "bipartition_cuts" not in g.__dict__
+                assert "bipartition_cuts" not in gp.__dict__
+            else:
+                assert g.__dict__["bipartition_cuts"] is not None
+                assert gp.__dict__["bipartition_cuts"] is not None
+
+    def test_one_table_not_taken(self, cases, monkeypatch):
+        for g, gp in cases:
+            if g.k == 2:
+                continue
+            want = certify_cuts(fresh(g), fresh(gp))
+            for side in (0, 1):
+                pair = [fresh(g), fresh(gp)]
+                assert pair[side].bipartition_cuts is not None
+                with monkeypatch.context() as patch:
+                    patch.setattr(network, "_CUT_TABLE_MAX_ENTRIES", 0)
+                    assert certify_cuts(*pair) == want
+                assert pair[1 - side].bipartition_cuts is None
