@@ -5,8 +5,8 @@ Runs three drivers under one line tracer:
 
 - the jobs and output checks of bench/workloads.py for the given seeds, at
   the reference scale, each seed from a cold flow memo;
-- the CLI forms of README.md's CLI section, in order, then one sparsify and
-  one verify per `--method`, all in a temporary directory;
+- the CLI forms of README.md's CLI section, in order, then the sparsify and
+  verify forms it leaves out, all in a temporary directory;
 - the two experiment scripts with the arguments README.md gives them.
 
 Then prints, per src file, each outermost statement none of them reached,
@@ -34,16 +34,11 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "flowsparse"
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
-# Each method's sparsify and verify, after README.md's forms have written
-# g.json, sp.json and tw.json.
+# The sparsify and verify forms README.md's CLI block leaves out, run after
+# it has written g.json, sample.json, sp.json and tw.json.
 METHOD_FORMS = [
-    "gen --kind bounded-component --k 4 --n 40 --w 3 --seed 4 --out bc.json",
-    "sparsify --method clump --eps 0.25 --demands disc:0.25:0.1 --graph g.json --out clump.json",
-    "verify --g g.json --gp clump.json --demands random:10:1 --claim 2.25 --out clump.rep.json",
-    "sparsify --method ratio --eps 0.25 --graph g.json --out ratio.json",
-    "verify --g g.json --gp ratio.json --demands random:10:1 --claim 1.5 --out ratio.rep.json",
-    "sparsify --method sample --M 50 --seed 7 --graph g.json --out sample.json",
     "verify --g g.json --gp sample.json --demands random:10:1 --claim 1.5 --out sample.rep.json",
+    "gen --kind bounded-component --k 4 --n 40 --w 3 --seed 4 --out bc.json",
     "sparsify --method sample-grouped --w 3 --M 50 --seed 7 --graph bc.json --out grouped.json",
     "verify --g bc.json --gp grouped.json --demands random:10:1 --claim 1.5 --out grouped.rep.json",
     "sparsify --method sp --graph sp.json --out sp.h.json",
@@ -51,8 +46,6 @@ METHOD_FORMS = [
     "sparsify --method treewidth --graph tw.json --tdec tw.td.json --leaf mimick --out tw.h.json",
     "verify --g tw.json --gp tw.h.json --demands basis --claim 1 --cuts --out tw.rep.json",
 ]
-# README.md's `sketch query` form reads this demand file
-DEMAND_FILE = '[{"s": "t0", "t": "t1", "d": 1.0}, {"s": "t1", "t": "t2", "d": 0.5}]'
 
 reached: set[tuple[str, int]] = set()
 
@@ -93,22 +86,35 @@ def run_bench(seeds) -> str:
 
 
 def run_cli() -> str:
+    """Runs the forms in order; an `echo TEXT > FILE` line writes the file.
+    Names each form that exits non-zero, with its first stderr line (its
+    last stdout line when stderr is empty, as for a failed verdict)."""
     from flowsparse.cli import main
 
-    forms = [shlex.split(line, comments=True)[1:] for line in readme_blocks()
-             if line.startswith("flowsparse ")]
-    forms += [shlex.split(form) for form in METHOD_FORMS]
-    codes = Counter()
+    forms = [shlex.split(line, comments=True) for line in readme_blocks()
+             if line.startswith(("flowsparse ", "echo "))]
+    forms += [["flowsparse", *shlex.split(form)] for form in METHOD_FORMS]
+    codes, failed = Counter(), []
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
         try:
-            Path("d.json").write_text(DEMAND_FILE)
             for argv in forms:
-                codes[main(argv)] += 1
+                if argv[0] == "echo":
+                    Path(argv[3]).write_text(argv[1])
+                    continue
+                with contextlib.redirect_stdout(io.StringIO()) as out, \
+                        contextlib.redirect_stderr(io.StringIO()) as err:
+                    code = main(argv[1:])
+                codes[code] += 1
+                if code:
+                    said = (err.getvalue().splitlines()[:1]
+                            or out.getvalue().splitlines()[-1:] or [""])[0]
+                    failed.append(f"  exit {code}: {shlex.join(argv)}: {said}")
         finally:
             os.chdir(cwd)
-    return f"cli: {len(forms)} forms, exit codes {dict(sorted(codes.items()))}"
+    return "\n".join([f"cli: {sum(codes.values())} forms, exit codes "
+                      f"{dict(sorted(codes.items()))}", *failed])
 
 
 def run_experiments() -> str:

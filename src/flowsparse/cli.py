@@ -35,7 +35,7 @@ from .structured import (
     sp_sparsifier,
     treewidth_sparsifier,
 )
-from .verify import certify, certify_cuts, demand_grid
+from .verify import certify, certify_cuts, demand_grid, require_same_terminals
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -49,6 +49,7 @@ _INPUT_ERRORS = (ValueError, LPError, OSError, OverflowError)
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # exits 3 and 2 are the error contract; no driver's input is too large or malformed
     try:
         return args.func(args)
     except BudgetExceeded as exc:
@@ -85,8 +86,6 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["clump", "ratio", "sample", "sample-grouped",
                             "sp", "treewidth"])
     s.add_argument("--graph", required=True)
-    s.add_argument("--format", default="json", choices=["json", "dimacs"])
-    s.add_argument("--terminals", help="sidecar terminal file for dimacs")
     s.add_argument("--out", required=True)
     s.add_argument("--eps", type=float, default=0.25)
     s.add_argument("--M", type=float, default=50.0)
@@ -114,8 +113,6 @@ def build_parser() -> argparse.ArgumentParser:
     sks = sk.add_subparsers(dest="sketch_cmd", required=True)
     skb = sks.add_parser("build")
     skb.add_argument("--graph", required=True)
-    skb.add_argument("--format", default="json", choices=["json", "dimacs"])
-    skb.add_argument("--terminals")
     skb.add_argument("--eps", type=float, required=True)
     skb.add_argument("--out", required=True)
     skb.set_defaults(func=cmd_sketch_build)
@@ -169,7 +166,7 @@ def cmd_gen(args) -> int:
 
 def cmd_sparsify(args) -> int:
     started = time.time()
-    net = load_net(args.graph, fmt=args.format, terminals_path=args.terminals)
+    net = load_net(args.graph)
     if args.method == "clump":
         demand_set = _demand_set(net, args.demands) if args.demands else None
         res = profile_bucket_sparsifier(net, args.eps, demand_set)
@@ -206,6 +203,7 @@ def cmd_verify(args) -> int:
     started = time.time()
     g = load_net(args.g)
     gp = load_net(args.gp, allow_disconnected=True)
+    require_same_terminals(g, gp)   # before the demand set's LP solves
     report = certify(g, gp, _demand_set(g, args.demands), args.claim,
                      demand_spec=args.demands)
     doc = report.to_json_dict()
@@ -222,7 +220,7 @@ def cmd_verify(args) -> int:
 
 def cmd_sketch_build(args) -> int:
     started = time.time()
-    net = load_net(args.graph, fmt=args.format, terminals_path=args.terminals)
+    net = load_net(args.graph)
     sk = build_sketch(net, args.eps)
     sk.save(args.out)
     write_manifest(args.out, "sketch build", _params(args), None,

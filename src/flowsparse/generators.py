@@ -40,6 +40,7 @@ def gen_quasi_bipartite(k: int, n: int, seed: int, *,
             edges.append((v, t, _rand_cap(rng, cap_lo, cap_hi)))
     # deterministically stitch terminal components together; every middle
     # touches a terminal, so a disconnected net has two or more of them
+    # (kept without a driver: no seeded net needs it, but user seeds may)
     while True:
         net = TerminalNetwork.make(terms + mids, terms, edges,
                                    allow_disconnected=True)
@@ -123,7 +124,8 @@ def gen_bounded_component(k: int, n: int, w: int, seed: int, *,
             edges.append((rng.choice(comp), t, _rand_cap(rng, cap_lo, cap_hi)))
     net = TerminalNetwork.make(vertices, terms, edges, allow_disconnected=True)
     if not net.is_connected():
-        # anchor terminals pairwise through the first component
+        # anchor terminals pairwise through the first component (kept without
+        # a driver: no seeded net needs it, but user seeds may)
         first = [v for v in vertices if v.startswith("c0_")][0]
         for t in terms:
             if not net.adjacency[t]:

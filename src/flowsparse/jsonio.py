@@ -1,5 +1,5 @@
 """File formats: graph JSON (the contract for every CLI command), demand
-files, DIMACS max-flow import, and run manifests."""
+files and run manifests."""
 
 from __future__ import annotations
 
@@ -7,7 +7,6 @@ import hashlib
 import json
 import time
 from fractions import Fraction
-from pathlib import Path
 
 from .network import DemandVector, NetworkError, TerminalNetwork
 
@@ -55,15 +54,9 @@ def save_net(net: TerminalNetwork, path: str, meta: dict | None = None) -> None:
         json.dump(net_to_json_dict(net, meta), fh, indent=1, sort_keys=True)
 
 
-def load_net(path: str, *, fmt: str = "json", terminals_path: str | None = None,
-             allow_disconnected: bool = False) -> TerminalNetwork:
-    if fmt == "json":
-        return net_from_json_dict(read_json(path),
-                                  allow_disconnected=allow_disconnected)
-    if fmt == "dimacs":
-        return load_dimacs(path, terminals_path,
-                           allow_disconnected=allow_disconnected)
-    raise NetworkError(f"unknown graph format {fmt!r}")
+def load_net(path: str, *, allow_disconnected: bool = False) -> TerminalNetwork:
+    return net_from_json_dict(read_json(path),
+                              allow_disconnected=allow_disconnected)
 
 
 def load_demands(path: str) -> list[DemandVector]:
@@ -79,45 +72,6 @@ def load_demands(path: str) -> list[DemandVector]:
                 for vec in data]
     except (KeyError, TypeError) as exc:
         raise NetworkError(f"malformed demand file: {exc!r}") from exc
-
-
-def load_dimacs(path: str, terminals_path: str | None,
-                *, allow_disconnected: bool = False) -> TerminalNetwork:
-    """DIMACS max-flow format: 'a u v cap' arc rows become undirected edges
-    (parallel arcs summed); terminals come from the sidecar file (JSON list
-    or newline-separated), falling back to the instance's 'n' rows."""
-    edges = []
-    node_terms = []
-    n_declared = None
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("c"):
-                continue
-            parts = line.split()
-            if len(parts) < {"p": 3, "a": 4, "n": 2}.get(parts[0], 0):
-                raise NetworkError(f"malformed DIMACS row: {line!r}")
-            if parts[0] == "p":
-                n_declared = int(parts[2])
-            elif parts[0] == "a":
-                edges.append((parts[1], parts[2], Fraction(parts[3])))
-            elif parts[0] == "n":
-                node_terms.append(parts[1])
-    vertices = {u for u, _, _ in edges} | {v for _, v, _ in edges}
-    if n_declared is not None and len(vertices) < n_declared:
-        vertices |= {str(i) for i in range(1, n_declared + 1)}
-    if terminals_path:
-        text = Path(terminals_path).read_text()
-        try:
-            terminals = [str(x) for x in json.loads(text)]
-        except json.JSONDecodeError:
-            terminals = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    elif node_terms:
-        terminals = node_terms
-    else:
-        raise NetworkError("dimacs import needs a terminal sidecar file")
-    return TerminalNetwork.make(vertices, terminals, edges,
-                                allow_disconnected=allow_disconnected)
 
 
 def sha256_file(path: str) -> str:

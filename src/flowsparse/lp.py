@@ -78,7 +78,7 @@ def simplex_min(cost, A, b, basis, *, Binv=None):
         y = cB @ Binv
         z = cost - y @ A
         z[basis] = 0.0
-        if bland:
+        if bland:   # anti-cycling safety net: no seeded LP stalls this long
             cand = (z < -_TOL).nonzero()[0]
             if cand.size == 0:
                 break

@@ -326,6 +326,7 @@ class DemandSketch:
         except (KeyError, TypeError, AttributeError, OverflowError) as exc:
             raise SketchError(f"malformed sketch JSON: {exc!r}") from exc
         n = len(pairs)
+        # no build writes a file these reject; they are the input-error contract
         if pairs != tuple(_pair(s, t) for s, t in itertools.combinations(terminals, 2)):
             problem = "pairs are not the terminal pairs"
         elif not 0 < eps_internal < 0.125:

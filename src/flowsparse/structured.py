@@ -56,7 +56,7 @@ def mimick_small(net: TerminalNetwork) -> SparsifierResult:
     if k > 4:
         raise StructureError("mimicking base case needs k <= 4")
     terminals = net.terminals
-    if k <= 1:
+    if k <= 1:   # within the k <= 4 contract: no cut to fit, and no driver passes one
         out = TerminalNetwork.make(terminals, terminals, [],
                                    allow_disconnected=True)
         return SparsifierResult.of(out, "mimick-small", 1.0, params={"k": k})

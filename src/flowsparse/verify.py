@@ -158,6 +158,12 @@ def demand_grid(net: TerminalNetwork, spec: str) -> list[DemandVector]:
 # Certification
 # ---------------------------------------------------------------------------
 
+def require_same_terminals(g: TerminalNetwork, gp: TerminalNetwork) -> None:
+    """Raise `VerifyError` unless base and candidate share their terminals."""
+    if set(g.terminals) != set(gp.terminals):
+        raise VerifyError("terminal sets differ between base and candidate")
+
+
 def certify(g: TerminalNetwork, gp: TerminalNetwork,
             demands: list[DemandVector], claimed_q: float,
             *, demand_spec: str = "explicit") -> QualityReport:
@@ -168,8 +174,7 @@ def certify(g: TerminalNetwork, gp: TerminalNetwork,
     A demand with a pair that gp disconnects routes nothing there: its
     candidate lambda is 0, so lower is infinite and the verdict fails.
     """
-    if set(g.terminals) != set(gp.terminals):
-        raise VerifyError("terminal sets differ between base and candidate")
+    require_same_terminals(g, gp)
     if not demands:
         raise VerifyError("empty demand set")
     component_of = {v: i for i, comp in enumerate(components(gp)) for v in comp}
@@ -202,8 +207,7 @@ def certify_cuts(g: TerminalNetwork, gp: TerminalNetwork) -> CutReport:
     cut comes from `mincut_partition`.  The cuts are compared as integers:
     base / scale_g against cand / scale_gp, cross-multiplied.
     """
-    if set(g.terminals) != set(gp.terminals):
-        raise VerifyError("terminal sets differ between base and candidate")
+    require_same_terminals(g, gp)
     k = g.k
     if k > _MAX_CUT_TERMINALS:
         raise VerifyError(f"k={k} exceeds the bipartition budget {_MAX_CUT_TERMINALS}")

@@ -100,6 +100,23 @@ class TestSparsifyVerify:
                   "random:3:1", "--claim", "1.5", "--out", rep])
         assert rc == 1
 
+    def test_terminal_mismatch_exit_2_before_any_lp(self, qb_graph, tmp_path,
+                                                    monkeypatch, capsys):
+        import flowsparse.lp
+
+        def tripwire(*args, **kwargs):
+            raise AssertionError("simplex_min ran for a candidate it rejects")
+        other = tmp_path / "k3.json"
+        assert run(["gen", "--kind", "quasi-bipartite", "--k", "3", "--n", "8",
+                    "--seed", "1", "--out", other]) == 0
+        capsys.readouterr()
+        monkeypatch.setattr(flowsparse.lp, "simplex_min", tripwire)
+        rc = run(["verify", "--g", qb_graph, "--gp", other, "--demands",
+                  "random:5:1", "--claim", "1.5", "--out", tmp_path / "rep.json"])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: terminal sets differ between base and candidate\n")
+
     def test_disconnected_candidate_exit_1(self, tmp_path):
         g, h, rep = tmp_path / "g.json", tmp_path / "h.json", tmp_path / "rep.json"
         assert run(["gen", "--kind", "quasi-bipartite", "--k", "5", "--n", "60",
@@ -575,33 +592,6 @@ class TestPlan:
         assert run(["plan", "--eps", "0.5", "--k", "5", "--fail", "0.1"]) == 0
         out = capsys.readouterr().out
         assert "M " in out and "predicted failure" in out
-
-
-class TestDimacs:
-    def test_import(self, tmp_path):
-        dim = tmp_path / "g.dimacs"
-        dim.write_text("c tiny instance\np max 3 2\na 1 2 5\na 2 3 7\n")
-        side = tmp_path / "terms.json"
-        side.write_text(json.dumps(["1", "3"]))
-        out = tmp_path / "h.json"
-        rc = run(["sparsify", "--method", "sample", "--M", "100", "--seed",
-                  "1", "--graph", dim, "--format", "dimacs", "--terminals",
-                  side, "--out", out])
-        assert rc == 0
-        net = load_net(str(out), allow_disconnected=True)
-        assert net.cap("1", "2") == 5
-
-    @pytest.mark.parametrize("row", ["p max", "n", "a 1 2"])
-    def test_short_row_exit_2(self, row, tmp_path, capsys):
-        dim = tmp_path / "g.dimacs"
-        dim.write_text(f"p max 3 2\nn 1 s\nn 3 t\na 1 2 5\na 2 3 7\n{row}\n")
-        rc = run(["sparsify", "--method", "sample", "--M", "100", "--seed",
-                  "1", "--graph", dim, "--format", "dimacs",
-                  "--out", tmp_path / "h.json"])
-        err = capsys.readouterr().err
-        assert rc == 2
-        assert "error: malformed DIMACS row" in err
-        assert "Traceback" not in err
 
 
 def test_console_entrypoint_runs():

@@ -24,7 +24,7 @@ from flowsparse.merging import (
     _pow_floor_exact,
 )
 from flowsparse.sketch import BudgetExceeded
-from flowsparse.verify import disc_demands, random_demands
+from flowsparse.verify import certify, disc_demands, random_demands
 from flowsparse.generators import gen_quasi_bipartite
 
 from conftest import ONE_BLAS_THREAD, child_env, random_demand
@@ -63,6 +63,16 @@ class TestProfileBuckets:
         net = gen_quasi_bipartite(3, 10, seed=3)
         with pytest.raises(MergeError):
             profile_bucket_sparsifier(net, 0.25)   # default demands need eps < 1/8
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_default_demand_set_certifies_at_k2(self, seed):
+        # at k = 2 the sketch's grid dictionary fits the dual-solve budget
+        net = gen_quasi_bipartite(2, 12, seed)
+        res = profile_bucket_sparsifier(net, 0.1)
+        assert 0 < res.params_dict()["demands"] <= 500
+        rep = certify(net, res.net, disc_demands(net, 0.1, 0.1),
+                      res.claimed_quality)
+        assert rep.verdict, (rep.lower, rep.upper)
 
     def test_demand_budget(self):
         net = gen_quasi_bipartite(3, 10, seed=3)
