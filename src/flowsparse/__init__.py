@@ -6,7 +6,6 @@ from .network import (
     TerminalNetwork,
     merge_vertices,
     phi_merge,
-    subdivide_terminal_edges,
 )
 from .flow import (
     ConcurrentFlowResult,

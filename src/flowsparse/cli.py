@@ -74,8 +74,6 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--leaves", type=int, default=16)
     g.add_argument("--w", type=int, default=2)
     g.add_argument("--seed", type=int, default=0)
-    g.add_argument("--cap-lo", type=int, default=1)
-    g.add_argument("--cap-hi", type=int, default=10)
     g.add_argument("--out", required=True)
     g.add_argument("--sptree-out")
     g.add_argument("--tdec-out")
@@ -132,25 +130,21 @@ def build_parser() -> argparse.ArgumentParser:
 def cmd_gen(args) -> int:
     started = time.time()
     if args.kind == "quasi-bipartite":
-        net = gen_quasi_bipartite(args.k, args.n or 50, args.seed,
-                                  cap_lo=args.cap_lo, cap_hi=args.cap_hi)
+        net = gen_quasi_bipartite(args.k, args.n or 50, args.seed)
         extra = {}
     elif args.kind == "sp":
-        net, tree = gen_series_parallel(args.leaves, args.k, args.seed,
-                                        cap_lo=args.cap_lo, cap_hi=args.cap_hi)
+        net, tree = gen_series_parallel(args.leaves, args.k, args.seed)
         extra = {}
         if args.sptree_out:
             with open(args.sptree_out, "w") as fh:
                 json.dump(tree.to_json_dict(), fh, indent=1, sort_keys=True)
             extra["sptree"] = args.sptree_out
     elif args.kind == "bounded-component":
-        net = gen_bounded_component(args.k, args.n or 50, args.w, args.seed,
-                                    cap_lo=args.cap_lo, cap_hi=args.cap_hi)
+        net = gen_bounded_component(args.k, args.n or 50, args.w, args.seed)
         extra = {}
     else:
         w = 1 if args.kind == "tree" else args.w
-        net, tdec = gen_treewidth(args.k, args.n or 30, w, args.seed,
-                                  cap_lo=args.cap_lo, cap_hi=args.cap_hi)
+        net, tdec = gen_treewidth(args.k, args.n or 30, w, args.seed)
         extra = {}
         if args.tdec_out:
             with open(args.tdec_out, "w") as fh:

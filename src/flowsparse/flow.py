@@ -38,10 +38,8 @@ read that table whole; they look up one bipartition at a time here only at
 k = 2, where the table is not taken, and for a candidate whose terminals
 are in another order than the base's.  The sketch builder
 (`sketch._terminal_cuts`) looks up each of its cut rows here.
-At k = 2, past that table's bounds, and for other endpoints: when no two
-vertices outside the endpoints are adjacent, each joins its cheaper side on
-its own and the value is a closed-form sum; otherwise shortest augmenting
-paths find it.
+At k = 2, past that table's bounds, and for other endpoints, shortest
+augmenting paths (Edmonds-Karp) find the flow.
 """
 
 from __future__ import annotations
@@ -173,8 +171,8 @@ class ConcurrentFlowResult:
 
 
 # ---------------------------------------------------------------------------
-# Exact max flow between vertices or vertex sets (integers: closed form or
-# Edmonds-Karp)
+# Exact max flow between vertices or vertex sets (integers: the cut table
+# or Edmonds-Karp)
 # ---------------------------------------------------------------------------
 
 def max_flow(net: TerminalNetwork, s, t) -> Fraction:
@@ -188,12 +186,9 @@ def max_flow(net: TerminalNetwork, s, t) -> Fraction:
     set of k >= 3 terminals, the value is read from the network's cached
     `bipartition_cuts`, which takes every bipartition's cut in one pass; at
     k = 2 that table would hold this one cut, so it is not built.
-    Otherwise, or where that table is not taken: when no two of the view's
-    vertices outside S | T are adjacent (or there are none), each of them
-    joins its cheaper side on its own, so the value is the S-T crossing
-    capacity plus, per such v, min(c(v, S), c(v, T)); else Edmonds-Karp
-    runs.  Either way the value is exact: the integer flow over the view's
-    scale, as a Fraction.
+    Otherwise, or where that table is not taken, Edmonds-Karp runs.  Either
+    way the value is exact: the integer flow over the view's scale, as a
+    Fraction.
     """
     S = frozenset([s] if isinstance(s, str) else s)
     T = frozenset([t] if isinstance(t, str) else t)
@@ -209,17 +204,8 @@ def max_flow(net: TerminalNetwork, s, t) -> Fraction:
                           else net.integer_view)
     if not ends <= index.keys():
         raise FlowError("endpoint not in network")
-    sources = [index[v] for v in sorted(S)]
-    sinks = {index[v] for v in T}
-    src = set(sources)
-    inner = [nbrs for i, nbrs in enumerate(arcs) if i not in src and i not in sinks]
-    if not any(j not in src and j not in sinks for nbrs in inner for j in nbrs):
-        total = sum(c for i in src for j, c in arcs[i].items() if j in sinks)
-        for nbrs in inner:
-            total += min(sum(c for j, c in nbrs.items() if j in src),
-                         sum(c for j, c in nbrs.items() if j in sinks))
-        return Fraction(total, scale)
-    return Fraction(_edmonds_karp(arcs, sources, sinks), scale)
+    return Fraction(_edmonds_karp(arcs, [index[v] for v in sorted(S)],
+                                  {index[v] for v in T}), scale)
 
 
 def _edmonds_karp(arcs: list, sources: list, sinks: set) -> int:

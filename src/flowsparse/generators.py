@@ -20,12 +20,11 @@ class GeneratorError(ValueError):
     pass
 
 
-def _rand_cap(rng: random.Random, lo: int = 1, hi: int = 10) -> Fraction:
-    return Fraction(rng.randint(lo * 100, hi * 100), 100)
+def _rand_cap(rng: random.Random) -> Fraction:
+    return Fraction(rng.randint(100, 1000), 100)
 
 
-def gen_quasi_bipartite(k: int, n: int, seed: int, *,
-                        cap_lo: int = 1, cap_hi: int = 10) -> TerminalNetwork:
+def gen_quasi_bipartite(k: int, n: int, seed: int) -> TerminalNetwork:
     """Connected quasi-bipartite net: k terminals, n-k independent middles,
     each attached to 2..min(4,k) random terminals."""
     if k < 2 or n <= k:
@@ -37,7 +36,7 @@ def gen_quasi_bipartite(k: int, n: int, seed: int, *,
     for v in mids:
         deg = rng.randint(2, min(4, k))
         for t in rng.sample(terms, deg):
-            edges.append((v, t, _rand_cap(rng, cap_lo, cap_hi)))
+            edges.append((v, t, _rand_cap(rng)))
     # deterministically stitch terminal components together; every middle
     # touches a terminal, so a disconnected net has two or more of them
     # (kept without a driver: no seeded net needs it, but user seeds may)
@@ -49,8 +48,8 @@ def gen_quasi_bipartite(k: int, n: int, seed: int, *,
         comp_reps = _component_terminals(net)
         hub = f"v{len(mids)}"
         mids.append(hub)
-        edges.append((hub, comp_reps[0], _rand_cap(rng, cap_lo, cap_hi)))
-        edges.append((hub, comp_reps[1], _rand_cap(rng, cap_lo, cap_hi)))
+        edges.append((hub, comp_reps[0], _rand_cap(rng)))
+        edges.append((hub, comp_reps[1], _rand_cap(rng)))
 
 
 def _component_terminals(net: TerminalNetwork) -> list[str]:
@@ -62,8 +61,7 @@ def _component_terminals(net: TerminalNetwork) -> list[str]:
     return list(reps.values())
 
 
-def gen_series_parallel(leaves: int, k: int, seed: int, *,
-                        cap_lo: int = 1, cap_hi: int = 10):
+def gen_series_parallel(leaves: int, k: int, seed: int):
     """Random series-parallel net with the given leaf count; terminals are
     the two portals plus k-2 random internal vertices.
     Returns (net, SpTree)."""
@@ -78,7 +76,7 @@ def gen_series_parallel(leaves: int, k: int, seed: int, *,
 
     def build(u: str, v: str, n: int):
         if n == 1:
-            return SpLeaf(u=u, v=v, cap=_rand_cap(rng, cap_lo, cap_hi))
+            return SpLeaf(u=u, v=v, cap=_rand_cap(rng))
         n1 = rng.randint(1, n - 1)
         if rng.random() < 0.5:
             m = fresh()
@@ -100,8 +98,7 @@ def gen_series_parallel(leaves: int, k: int, seed: int, *,
     return net, tree
 
 
-def gen_bounded_component(k: int, n: int, w: int, seed: int, *,
-                          cap_lo: int = 1, cap_hi: int = 10) -> TerminalNetwork:
+def gen_bounded_component(k: int, n: int, w: int, seed: int) -> TerminalNetwork:
     """Net whose non-terminal components have at most w vertices each."""
     if k < 2 or w < 1 or n <= k:
         raise GeneratorError("need k >= 2, w >= 1, n > k")
@@ -117,11 +114,11 @@ def gen_bounded_component(k: int, n: int, w: int, seed: int, *,
         vertices.extend(comp)
         for i in range(1, size):
             j = rng.randrange(i)
-            edges.append((comp[i], comp[j], _rand_cap(rng, cap_lo, cap_hi)))
+            edges.append((comp[i], comp[j], _rand_cap(rng)))
         # attach the component to >= 2 terminals (or all of them for k=2)
         anchors = rng.sample(terms, min(k, rng.randint(2, min(4, k))))
         for t in anchors:
-            edges.append((rng.choice(comp), t, _rand_cap(rng, cap_lo, cap_hi)))
+            edges.append((rng.choice(comp), t, _rand_cap(rng)))
     net = TerminalNetwork.make(vertices, terms, edges, allow_disconnected=True)
     if not net.is_connected():
         # anchor terminals pairwise through the first component (kept without
@@ -129,18 +126,17 @@ def gen_bounded_component(k: int, n: int, w: int, seed: int, *,
         first = [v for v in vertices if v.startswith("c0_")][0]
         for t in terms:
             if not net.adjacency[t]:
-                edges.append((first, t, _rand_cap(rng, cap_lo, cap_hi)))
+                edges.append((first, t, _rand_cap(rng)))
         net = TerminalNetwork.make(vertices, terms, edges,
                                    allow_disconnected=True)
         if not net.is_connected():
             for t in terms[1:]:
-                edges.append((first, t, _rand_cap(rng, cap_lo, cap_hi)))
+                edges.append((first, t, _rand_cap(rng)))
             net = TerminalNetwork.make(vertices, terms, edges)
     return net
 
 
-def gen_treewidth(k: int, n: int, w: int, seed: int, *,
-                  cap_lo: int = 1, cap_hi: int = 10):
+def gen_treewidth(k: int, n: int, w: int, seed: int):
     """Partial w-tree plus its (width-w) tree decomposition, built
     constructively, with k random terminals.  Returns (net, tdec)."""
     if k < 2 or w < 1 or n < max(k, w + 1):
@@ -153,7 +149,7 @@ def gen_treewidth(k: int, n: int, w: int, seed: int, *,
     base = verts[:w + 1]
     for i in range(len(base)):
         for j in range(i + 1, len(base)):
-            edges.append((base[i], base[j], _rand_cap(rng, cap_lo, cap_hi)))
+            edges.append((base[i], base[j], _rand_cap(rng)))
     bags.append(frozenset(base))
     cliques = [tuple(base)]
     for v in verts[w + 1:]:
@@ -161,7 +157,7 @@ def gen_treewidth(k: int, n: int, w: int, seed: int, *,
         host = cliques[host_idx]
         sub = tuple(sorted(rng.sample(host, min(w, len(host)))))
         for u in sub:
-            edges.append((v, u, _rand_cap(rng, cap_lo, cap_hi)))
+            edges.append((v, u, _rand_cap(rng)))
         bags.append(frozenset(sub + (v,)))
         bag_edges.append((host_idx, len(bags) - 1))
         cliques.append(sub + (v,))

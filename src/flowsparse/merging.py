@@ -11,6 +11,9 @@ never loses flow):
   each non-terminal by (set of positively-connected terminals, vector of
   consecutive capacity ratios thresholded at k^2/eps + 1), and merge every
   class.
+
+Quasi-bipartite means the non-terminals are independent; an edge between
+two terminals is taken as it is, since merging never touches terminals.
 """
 
 from __future__ import annotations
@@ -20,12 +23,7 @@ import math
 from fractions import Fraction
 
 from .flow import concurrent_flow
-from .network import (
-    DemandVector,
-    TerminalNetwork,
-    merge_vertices,
-    subdivide_terminal_edges,
-)
+from .network import DemandVector, TerminalNetwork, merge_vertices
 from .results import SparsifierResult
 from .sketch import BudgetExceeded, _exponent_floor, _grid_exponents, grid_demands, grid_sketch
 
@@ -70,12 +68,12 @@ def _round_down_to_gamma(value: float, eps: float, exps: list[int]):
     return ZERO if i == 0 else exps[i - 1]
 
 
-def _length_profile(work, v, lengths, lam, eps, exps) -> tuple:
+def _length_profile(net, v, lengths, lam, eps, exps) -> tuple:
     """v's rounded dual length to each terminal: ABSENT when no edge, ZERO
     when the length rounds below the grid, else the grid exponent."""
     profile = []
-    for t in work.terminals:
-        if t not in work.adjacency[v]:   # `make` keeps positive capacities only
+    for t in net.terminals:
+        if t not in net.adjacency[v]:   # `make` keeps positive capacities only
             profile.append(ABSENT)
         else:
             lv = lengths.get(tuple(sorted((v, t))), 0.0) / lam
@@ -97,15 +95,14 @@ def profile_bucket_sparsifier(
         raise MergeError("epsilon must be in (0, 1/3)")
     if not net.is_quasi_bipartite():
         raise MergeError("profile buckets need a quasi-bipartite network")
-    work = subdivide_terminal_edges(net)
 
     if demand_set is None:
         if epsilon >= 1 / 8:
             raise MergeError("default demand set (the discretized feasible "
                              "dictionary) needs epsilon < 1/8; pass demand_set")
-        sk = grid_sketch(work, 4 * epsilon)
+        sk = grid_sketch(net, 4 * epsilon)
         if sk is None or sk.core.size > _DUAL_BUDGET:
-            raise BudgetExceeded(f"the default demand set at k = {work.k} is too "
+            raise BudgetExceeded(f"the default demand set at k = {net.k} is too "
                                  f"large to solve; pass a demand set (--demands)")
         demand_set = grid_demands(sk)
     if len(demand_set) > _DUAL_BUDGET:
@@ -115,16 +112,16 @@ def profile_bucket_sparsifier(
         raise MergeError("empty demand set")
 
     profiles: dict[str, list[tuple]] = {
-        v: [] for v in work.vertices if v not in work.terminal_set}
+        v: [] for v in net.vertices if v not in net.terminal_set}
     for d in demand_set:
-        res = concurrent_flow(work, d)
+        res = concurrent_flow(net, d)
         lam = res.value
         lengths = res.dual.length_map()
         # normalise to lambda(d') = 1: lengths scale by 1/lam, demand by lam
-        exps = _gamma_exponents(epsilon, [lam * v for _, v in d.items()])
+        exps = _gamma_exponents(epsilon, [v for _, v in d.scaled(lam).items()])
         for v, rows in profiles.items():
-            rows.append(_length_profile(work, v, lengths, lam, epsilon, exps))
-    merged = _merge_by_key(work, lambda v: tuple(profiles[v]))
+            rows.append(_length_profile(net, v, lengths, lam, epsilon, exps))
+    merged = _merge_by_key(net, lambda v: tuple(profiles[v]))
     claimed = (1 + 3 * epsilon) * (1 + 5 * epsilon)
     return SparsifierResult.of(
         merged, "profile-bucket", claimed,
@@ -162,9 +159,6 @@ def ratio_type_sparsifier(net: TerminalNetwork, epsilon) -> SparsifierResult:
         raise MergeError("epsilon must be in (0, 1/3)")
     if not net.is_quasi_bipartite():
         raise MergeError("ratio types need a quasi-bipartite network")
-    if not net.terminals_independent():
-        raise MergeError("terminals must be independent "
-                         "(subdivide terminal-terminal edges first)")
     q = 1 + eps
     k = net.k
     m_cap = Fraction(k * k) / eps + 1

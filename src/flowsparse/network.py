@@ -402,33 +402,6 @@ class DemandVector:
 # Surgeries
 # ---------------------------------------------------------------------------
 
-def subdivide_terminal_edges(net: TerminalNetwork) -> TerminalNetwork:
-    """Replace each terminal-terminal edge {s,t} by s-x-t with the same
-    capacity; `net` itself, with its cached views and flow record, when no
-    edge joins two terminals."""
-    if net.terminals_independent():
-        return net
-    ts = net.terminal_set
-    vertices = list(net.vertices)
-    edges: list[Edge] = []
-    taken = set(vertices)
-    for u, v, c in net.edges:
-        if u in ts and v in ts:
-            x = f"{u}~{v}"
-            n = 1
-            while x in taken:
-                x = f"{u}~{v}.{n}"
-                n += 1
-            taken.add(x)
-            vertices.append(x)
-            edges.append((u, x, c))
-            edges.append((x, v, c))
-        else:
-            edges.append((u, v, c))
-    return TerminalNetwork.make(vertices, net.terminals, edges,
-                                allow_disconnected=True)
-
-
 def merge_vertices(net: TerminalNetwork, blocks: Iterable[Iterable[str]]) -> TerminalNetwork:
     """Contract every block to one vertex; inter-block capacities are summed.
 

@@ -5,7 +5,8 @@ Each non-terminal v carries 2-hop flow min(c_sv, c_vt) for a pair (s,t); its
 sampling probability is the oversampling factor M times the largest share v
 contributes to any pair's 2-hop max flow.  Kept vertices have their incident
 capacities scaled by the inverse keep probability, which makes the sampled
-2-hop flow an unbiased estimator of the original.
+2-hop flow an unbiased estimator of the original.  An edge between two
+terminals belongs to no unit, so it is kept at its full capacity.
 
 Randomness is a counter-mode PRF (BLAKE2b over "seed:unit"), one independent
 substream per sampled unit, so adding or removing vertices never perturbs
@@ -35,18 +36,11 @@ def unit_uniform(seed: int, unit_id: str) -> float:
     return int.from_bytes(digest, "big") / 2.0 ** 64
 
 
-def _require_sampling_input(net: TerminalNetwork) -> None:
-    if not net.is_quasi_bipartite():
-        raise SamplingError("sampling needs a quasi-bipartite network")
-    if not net.terminals_independent():
-        raise SamplingError("terminals must be independent "
-                            "(subdivide terminal-terminal edges first)")
-
-
 def two_hop_maxflows(net: TerminalNetwork):
     """Per pair: (F_st, {v: min(c_sv, c_vt)}), the 2-hop max flow and its
     edge-disjoint per-middle-vertex split."""
-    _require_sampling_input(net)
+    if not net.is_quasi_bipartite():
+        raise SamplingError("sampling needs a quasi-bipartite network")
     ts = net.terminal_set
     out = {}
     for s, t in net.terminal_pairs():
@@ -168,13 +162,11 @@ def grouped_sampling_plan(net: TerminalNetwork, w: int, M: float,
     """One sampling unit per component of the graph minus terminals; the
     component's 2-hop role is played by its terminal-free s-t min cuts.
 
-    With independent terminals every edge has a non-terminal end, so one
-    pass buckets the edges by component, and the subnetwork of a component
-    and a pair is that bucket less the edges to other terminals."""
+    One pass buckets the edges with a non-terminal end by component, and
+    the subnetwork of a component and a pair is that bucket less the edges
+    to other terminals; an edge between two terminals is in no unit."""
     if M <= 0:
         raise SamplingError("oversampling factor must be positive")
-    if not net.terminals_independent():
-        raise SamplingError("terminals must be independent")
     comps = components(net, net.terminal_set)
     for comp in comps:
         if len(comp) > w:
@@ -185,7 +177,8 @@ def grouped_sampling_plan(net: TerminalNetwork, w: int, M: float,
     comp_of = {v: i for i, comp in enumerate(comps) for v in comp}
     comp_edges: list[list] = [[] for _ in comps]
     for e in net.edges:
-        comp_edges[comp_of[e[1] if e[0] in ts else e[0]]].append(e)
+        if e[0] not in ts or e[1] not in ts:
+            comp_edges[comp_of[e[1] if e[0] in ts else e[0]]].append(e)
     units = []
     totals = {p: Fraction(0) for p in pairs}
     for comp, edges in zip(comps, comp_edges):

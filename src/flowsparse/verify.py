@@ -100,8 +100,9 @@ def basis_demands(net: TerminalNetwork) -> list[DemandVector]:
 
 
 def random_demands(net: TerminalNetwork, n: int, seed: int) -> list[DemandVector]:
-    """Uniform coordinates, rescaled so the demand sits on the feasibility
-    boundary (lambda = 1)."""
+    """Uniform coordinates in [0.05, 1] on a random subset of the pairs,
+    not rescaled: `certify`'s ratios do not depend on a demand's scale, so
+    drawing solves no LP."""
     rng = random.Random(seed)
     pairs = net.terminal_pairs()
     out = []
@@ -110,9 +111,7 @@ def random_demands(net: TerminalNetwork, n: int, seed: int) -> list[DemandVector
                    if rng.random() < 0.85}
         if not entries:
             entries = {pairs[rng.randrange(len(pairs))]: 1.0}
-        d = DemandVector.of(entries)
-        lam = concurrent_flow(net, d).value
-        out.append(d.scaled(lam))
+        out.append(DemandVector.of(entries))
     return out
 
 

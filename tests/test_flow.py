@@ -203,8 +203,7 @@ class TestMaxFlow:
 
 def edmonds_karp(net, S, T):
     """Max flow from vertex set S to T by Edmonds-Karp on the integer
-    view, so on the unreduced network and past any cut table or closed
-    form."""
+    view, so on the unreduced network and past any cut table."""
     scale, index, arcs = net.integer_view
     return Fraction(flow._edmonds_karp(arcs, [index[v] for v in sorted(S)],
                                        {index[v] for v in T}), scale)
@@ -416,17 +415,6 @@ def table_dtypes(monkeypatch, net):
     return seen
 
 
-def closed_form_applies(net, S, T):
-    """Whether no two vertices outside S | T of the view `max_flow` takes
-    are adjacent, so that it answers in closed form where it does not read
-    a bipartition from the cut table."""
-    _, index, arcs = (net.cut_view if S | T <= net.terminal_set
-                      else net.integer_view)
-    ends = {index[v] for v in S | T}
-    return not any(j not in ends for i, nbrs in enumerate(arcs) if i not in ends
-                   for j in nbrs)
-
-
 def with_zero_capacity_edges(net, rng):
     """`net` built again from its edges plus a few zero-capacity edges,
     some between non-terminals, which the constructor drops."""
@@ -450,52 +438,41 @@ def mixed_cases(net, rng):
     return cases + [((t,), (rng.choice(inner),)) for t in net.terminals]
 
 
-def bipartition(net, S, T):
-    return S | T == net.terminal_set
-
-
-# name -> (net from (rng, seed), its (S, T) cases, which cases must take the
-# closed form: with independent non-terminals, every terminal bipartition)
+# name -> (net from (rng, seed), its (S, T) cases)
 CLOSED_FORM_FAMILIES = {
     "quasi-bipartite": (lambda rng, seed: gen_quasi_bipartite(
-        rng.randint(2, 5), rng.randint(8, 20), seed), terminal_cases, bipartition),
+        rng.randint(2, 5), rng.randint(8, 20), seed), terminal_cases),
     "series-parallel": (lambda rng, seed: gen_series_parallel(
-        rng.randint(4, 16), rng.randint(2, 4), seed)[0], terminal_cases, None),
+        rng.randint(4, 16), rng.randint(2, 4), seed)[0], terminal_cases),
     "random-k4": (lambda rng, seed: random_connected_net(
         rng, rng.randint(8, 14), 4, extra_edges=rng.randint(8, 16)),
-        terminal_cases, None),
+        terminal_cases),
     "raw-zero-capacity": (lambda rng, seed: with_zero_capacity_edges(
         gen_quasi_bipartite(rng.randint(2, 4), rng.randint(8, 16), seed), rng),
-        terminal_cases, bipartition),
+        terminal_cases),
     "raw-zero-capacity-mixed": (lambda rng, seed: with_zero_capacity_edges(
         gen_quasi_bipartite(rng.randint(2, 4), rng.randint(8, 16), seed), rng),
-        mixed_cases, None),
+        mixed_cases),
     "non-terminal-endpoints": (lambda rng, seed: rational_net(
-        rng, rng.randint(6, 12), rng.randint(2, 4)), mixed_cases, None),
+        rng, rng.randint(6, 12), rng.randint(2, 4)), mixed_cases),
 }
 
 
 class TestClosedFormMaxFlow:
-    """`max_flow` against networkx on nets where its closed form applies to
-    some or all endpoint pairs, and on nets where it falls back; terminal
-    bipartitions read the cut table."""
+    """`max_flow` against networkx on nets whose min cuts have a closed form
+    (independent non-terminals, each on its cheaper side) and on nets whose
+    cuts have none; terminal bipartitions read the cut table, and the rest
+    runs Edmonds-Karp."""
 
     @pytest.mark.parametrize("family", sorted(CLOSED_FORM_FAMILIES))
     def test_matches_networkx(self, family):
-        make, cases, must_apply = CLOSED_FORM_FAMILIES[family]
-        applied = fell_back = 0
+        make, cases = CLOSED_FORM_FAMILIES[family]
         for seed in range(40):
             rng = random.Random(1600 + seed)
             net = make(rng, seed)
             for S, T in cases(net, rng):
                 S, T = frozenset(S), frozenset(T)
-                if closed_form_applies(net, S, T):
-                    applied += 1
-                else:
-                    assert not (must_apply and must_apply(net, S, T)), (seed, S, T)
-                    fell_back += 1
                 assert max_flow(net, S, T) == nx_set_flow(net, S, T), (seed, S, T)
-        assert applied > 0 and fell_back > 0
 
     def test_independent_vertex_joins_its_cheaper_side(self):
         # v has degree 4, so the cut view keeps it; cutting it off from
@@ -506,12 +483,10 @@ class TestClosedFormMaxFlow:
         assert "v" in net.cut_view[1]
         for S, T, want in [({"a", "b"}, {"c", "d"}, 5), ({"c", "d"}, {"a", "b"}, 5),
                            ({"a", "c"}, {"b", "d"}, 6), ({"a"}, {"b", "c", "d"}, 8)]:
-            assert closed_form_applies(net, frozenset(S), frozenset(T))
             assert max_flow(net, S, T) == want == nx_set_flow(net, S, T)
         # a non-terminal endpoint: on the integer view, u joins T's side
         path = TerminalNetwork.make(["s", "u", "t", "x"], ["s", "t"],
                                     [("s", "u", 4), ("u", "t", 1), ("t", "x", 2)])
-        assert closed_form_applies(path, frozenset("s"), frozenset("tx"))
         assert max_flow(path, "s", {"t", "x"}) == 1 == nx_set_flow(path, "s", "tx")
 
 

@@ -23,6 +23,7 @@ from flowsparse.merging import (
     ratio_type_sparsifier,
     _pow_floor_exact,
 )
+from flowsparse.sampling import grouped_sample_sparsifier, sample_sparsifier
 from flowsparse.sketch import BudgetExceeded
 from flowsparse.verify import certify, disc_demands, random_demands
 from flowsparse.generators import gen_quasi_bipartite
@@ -88,11 +89,13 @@ class TestProfileBuckets:
             profile_bucket_sparsifier(net, 0.1, [DemandVector.of({("a", "b"): 1})])
 
     def test_subdivides_terminal_edges_itself(self):
+        # the terminal edge is taken as it is, so no vertex is added
         net = TerminalNetwork.make(["a", "b", "u"], ["a", "b"],
                                    [("a", "b", 4), ("a", "u", 2), ("u", "b", 3)])
         ds = [DemandVector.of({("a", "b"): 1.0})]
         res = profile_bucket_sparsifier(net, 0.1, ds)
-        assert res.net.terminals_independent()
+        assert len(res.net.vertices) <= len(net.vertices)
+        assert res.net.cap("a", "b") == 4
 
 
 class TestRatioTypes:
@@ -162,6 +165,46 @@ class TestRatioTypes:
         r2 = ratio_type_sparsifier(net, 0.25)
         assert r1.net == r2.net
 
+
+
+def with_terminal_edges(seed):
+    """`gen_quasi_bipartite(5, 40, 100 + seed)` plus 4 to 8 edges between
+    distinct terminal pairs."""
+    net = gen_quasi_bipartite(5, 40, 100 + seed)
+    rng = random.Random(seed)
+    pairs = rng.sample(net.terminal_pairs(), rng.randint(4, 8))
+    extra = [(s, t, Fraction(rng.randint(100, 1000), 100)) for s, t in pairs]
+    return TerminalNetwork.make(net.vertices, net.terminals, list(net.edges) + extra)
+
+
+PASS_THROUGH = {
+    "sample": lambda net, ds: sample_sparsifier(net, 8, 1),
+    "sample-grouped": lambda net, ds: grouped_sample_sparsifier(net, 1, 8, 1),
+    "ratio": lambda net, ds: ratio_type_sparsifier(net, Fraction(1, 4)),
+    "clump": lambda net, ds: profile_bucket_sparsifier(net, 0.25, ds),
+}
+
+
+@pytest.mark.parametrize("method", sorted(PASS_THROUGH))
+@pytest.mark.parametrize("seed", range(4))
+def test_terminal_edges_pass_through(method, seed):
+    """Quasi-bipartite constructions take terminal-terminal edges as they
+    are: each survives exactly (ratio types round it up by at most 1 + eps),
+    the output is no larger than the input, and merging loses no flow."""
+    net = with_terminal_edges(seed)
+    ts = net.terminal_set
+    assert net.is_quasi_bipartite() and not net.terminals_independent()
+    ds = random_demands(net, 6, seed)
+    res = PASS_THROUGH[method](net, ds)
+    assert len(res.net.vertices) <= len(net.vertices)
+    for s, t, c in net.edges:
+        if s in ts and t in ts:
+            if method == "ratio":
+                assert c <= res.net.cap(s, t) <= c * Fraction(5, 4)
+            else:
+                assert res.net.cap(s, t) == c
+    if method in ("ratio", "clump"):
+        assert certify(net, res.net, ds, claimed_q=2.0).lower <= 1 + 1e-6
 
 
 def _merge_cases():

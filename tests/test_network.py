@@ -12,7 +12,6 @@ from flowsparse import (
     TerminalNetwork,
     merge_vertices,
     phi_merge,
-    subdivide_terminal_edges,
 )
 from flowsparse.flow import concurrent_flow, max_flow
 from flowsparse.network import components, terminal_bipartitions
@@ -195,39 +194,6 @@ def rational_multinet(seed):
               for i, j in (rng.sample(range(n), 2) for _ in range(n // 2))]
     edges += [(v, u, Fraction(1, rng.randint(1, 6))) for u, v, _ in rng.sample(edges, 3)]
     return TerminalNetwork.make(vs, vs[:rng.randint(2, 5)], edges)
-
-
-class TestSubdivide:
-    def test_single_terminal_edge(self):
-        net = net_of(["s", "t"], ["s", "t"], [("s", "t", 10)])
-        sub = subdivide_terminal_edges(net)
-        assert sub.terminals_independent()
-        assert len(sub.vertices) == 3
-        assert concurrent_flow(net, {("s", "t"): 1}).value == pytest.approx(
-            concurrent_flow(sub, {("s", "t"): 1}).value)
-
-    def test_no_terminal_edges_unchanged(self):
-        # the network itself, so its cached views and flow record carry over
-        net = net_of(["s", "t", "v"], ["s", "t"], [("s", "v", 1), ("v", "t", 2)])
-        assert subdivide_terminal_edges(net) is net
-
-    def test_terminal_triangle_preserves_lambda(self):
-        net = net_of(["a", "b", "c"], ["a", "b", "c"],
-                     [("a", "b", 1), ("b", "c", 1), ("a", "c", 1)])
-        sub = subdivide_terminal_edges(net)
-        assert len(sub.edges) == 6
-        assert sub.terminals_independent()
-        for d in ({("a", "b"): 1},
-                  {("a", "b"): 1, ("b", "c"): 1},
-                  {("a", "b"): 1, ("b", "c"): 2, ("a", "c"): 0.5}):
-            assert concurrent_flow(net, d).value == pytest.approx(
-                concurrent_flow(sub, d).value, rel=1e-9)
-
-    def test_triangle_pairwise_value(self):
-        net = net_of(["a", "b", "c"], ["a", "b", "c"],
-                     [("a", "b", 1), ("b", "c", 1), ("a", "c", 1)])
-        sub = subdivide_terminal_edges(net)
-        assert concurrent_flow(sub, {("a", "b"): 1}).value == pytest.approx(2.0)
 
 
 class TestMerge:
@@ -418,7 +384,6 @@ def test_surgeries_preserve_flow_relations_on_100_demands():
         # rebuilding from shuffled parts: the same network
         assert TerminalNetwork(net.vertices[::-1], net.terminals,
                                net.edges[::-1]) == net
-        sub = subdivide_terminal_edges(net)
         non_terms = [v for v in net.vertices if v not in net.terminal_set]
         merged = None
         if len(non_terms) >= 2:
@@ -429,8 +394,6 @@ def test_surgeries_preserve_flow_relations_on_100_demands():
         for _ in range(4):
             d = random_demand(rng, net)
             lam = concurrent_flow(net, d).value
-            # subdivision: identical value
-            assert concurrent_flow(sub, d).value == pytest.approx(lam, rel=1e-6)
             # merging: never less
             if merged is not None:
                 assert concurrent_flow(merged, d).value >= lam * (1 - 1e-6)

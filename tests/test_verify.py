@@ -50,12 +50,17 @@ class TestDemandGrids:
     def test_random_empty(self):
         assert random_demands(star(), 0, 1) == []
 
-    def test_random_deterministic_and_feasible(self):
+    def test_random_deterministic_and_feasible(self, monkeypatch):
+        # drawn without an LP: certify's ratios do not depend on scale
+        import flowsparse.lp
+
+        def tripwire(*args, **kwargs):
+            raise AssertionError("simplex_min ran while drawing demands")
+        monkeypatch.setattr(flowsparse.lp, "simplex_min", tripwire)
         a = random_demands(star(), 5, 7)
         b = random_demands(star(), 5, 7)
         assert a == b
-        for d in a:
-            assert concurrent_flow(star(), d).value == pytest.approx(1.0, rel=1e-6)
+        assert all(not d.is_zero and d.restricted_to(star().terminals) for d in a)
 
     def test_disc_single_edge(self):
         net = TerminalNetwork.make(["s", "t"], ["s", "t"], [("s", "t", 10)])
