@@ -14,19 +14,28 @@ A fourth line, `sketch-probes`, hashes `query_with_stats` (answer and probe
 count) over the same sketch-small queries, since a query job returns the
 answer alone and a change to the probe counts would not show in its hash.
 
-Run it with a fixed hash seed and one BLAS thread, as the benchmark does:
+The outputs depend on the string hash seed and on the BLAS thread count,
+so the script runs with PYTHONHASHSEED=0 and one BLAS thread, as the
+benchmark does: started in any other environment, it runs itself again
+with those set before it imports numpy.
 
-    PYTHONHASHSEED=0 OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1 MKL_NUM_THREADS=1 \\
-        python3 scripts/output_hashes.py --seeds 1 2 3
+    python3 scripts/output_hashes.py --seeds 1 2 3
 """
 
 import argparse
 import dataclasses
 import hashlib
 import json
+import os
 import sys
 from fractions import Fraction
 from pathlib import Path
+
+PINNED_ENV = {"PYTHONHASHSEED": "0", "OPENBLAS_NUM_THREADS": "1",
+              "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+if __name__ == "__main__" and any(os.environ.get(k) != v for k, v in PINNED_ENV.items()):
+    os.execve(sys.executable, [sys.executable, *sys.orig_argv[1:]],
+              {**os.environ, **PINNED_ENV})
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]

@@ -34,10 +34,10 @@ Flows between terminals run on the cut view too, which keeps every terminal
 cut.  From k = 3 on, a terminal-bipartition min cut is read from the
 network's cached `bipartition_cuts`, which takes all of them in one pass.
 `verify.certify_cuts` and the mimicking fit (`structured._cut_targets`)
-read that table whole; they look up one bipartition at a time here only at
-k = 2, where the table is not taken, and for a candidate whose terminals
-are in another order than the base's.  The sketch builder
-(`sketch._terminal_cuts`) looks up each of its cut rows here.
+read that table whole as ints and build `Fraction`s only for what they
+return; they look up one bipartition at a time here only at k = 2 and for
+a candidate whose terminals are in another order than the base's.  The
+sketch builder (`sketch._terminal_cuts`) looks up each of its cut rows here.
 At k = 2, past that table's bounds, and for other endpoints, shortest
 augmenting paths (Edmonds-Karp) find the flow.
 """

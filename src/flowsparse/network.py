@@ -113,14 +113,14 @@ class TerminalNetwork:
                 raise NetworkError(f"self-loop at {u!r}")
             if u not in vset or v not in vset:
                 raise NetworkError(f"edge endpoint missing: {u!r}-{v!r}")
-            if cap < 0:
+            if cap.numerator < 0:
                 raise NetworkError(f"negative capacity on {u!r}-{v!r}")
             key = _pair(u, v)
             merged[key] = merged[key] + cap if key in merged else cap
         object.__setattr__(self, "vertices", tuple(sorted(vertices)))
         object.__setattr__(self, "terminals", terminals)
         object.__setattr__(self, "edges", tuple(
-            (a, b, c) for (a, b), c in sorted(merged.items()) if c > 0))
+            (a, b, c) for (a, b), c in sorted(merged.items()) if c.numerator > 0))
 
     @staticmethod
     def make(vertices: Iterable[str], terminals: Iterable[str], edges: Iterable,

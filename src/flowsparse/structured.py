@@ -35,14 +35,14 @@ class StructureError(ValueError):
 # ---------------------------------------------------------------------------
 
 def _cut_targets(net):
-    """Each terminal bipartition with its min cut, read from the network's
-    `bipartition_cuts` at k >= 3 where that table is taken."""
+    """(scale, targets): each terminal bipartition with its min cut as an int
+    at the cut scale, read from `bipartition_cuts` at k >= 3 where taken."""
     splits = list(terminal_bipartitions(net.terminals))
+    scale = net.cut_view[0]
     cuts = net.bipartition_cuts if net.k > 2 else None
     if cuts is None:
-        return [((A, B), mincut_partition(net, A, B)) for A, B in splits]
-    scale = net.cut_view[0]
-    return [(split, Fraction(cut, scale)) for split, cut in zip(splits, cuts)]
+        cuts = [int(mincut_partition(net, A, B) * scale) for A, B in splits]
+    return scale, list(zip(splits, cuts))
 
 
 def mimick_small(net: TerminalNetwork) -> SparsifierResult:
@@ -60,14 +60,15 @@ def mimick_small(net: TerminalNetwork) -> SparsifierResult:
         out = TerminalNetwork.make(terminals, terminals, [],
                                    allow_disconnected=True)
         return SparsifierResult.of(out, "mimick-small", 1.0, params={"k": k})
-    out = _fit_clique_star(terminals, _cut_targets(net))
+    out = _fit_clique_star(terminals, *_cut_targets(net))
     return SparsifierResult.of(out, "mimick-small", 1.0,
                                params={"k": k, "aux": len(out.vertices) - k})
 
 
-def _fit_clique_star(terminals, targets):
+def _fit_clique_star(terminals, scale, targets):
     """The clique on the terminals plus, at k = 4, a uniform star through one
-    auxiliary vertex, whose bipartition cuts are the targets.
+    auxiliary vertex, whose bipartition cuts are the targets: ints at
+    `scale`, fitted as ints over 2 * scale, one `Fraction` per output edge.
 
     With f(X) the target cut of terminal side X (0 for the whole set), the
     clique gets x_ij = (f({i}) + f({j}) - f({i, j})) / 2, so x = f at k = 2;
@@ -91,22 +92,22 @@ def _fit_clique_star(terminals, targets):
     """
     f = {frozenset(side): val for sides, val in targets for side in sides}
     pairs = [tuple(sorted(p)) for p in itertools.combinations(terminals, 2)]
-    caps = [(f[frozenset([i])] + f[frozenset([j])] - f.get(frozenset([i, j]), 0)) / 2
+    caps = [f[frozenset([i])] + f[frozenset([j])] - f.get(frozenset([i, j]), 0)
             for i, j in pairs]
     star = 0
     if len(terminals) == 4:
         star = (sum(val for (A, _), val in targets if len(A) == 2)
-                - sum(f[frozenset([t])] for t in terminals)) / 2
+                - sum(f[frozenset([t])] for t in terminals))
     if min(caps + [star]) < 0:
         raise StructureError("mimicking fit failed: the cut values are not "
                              "a terminal min-cut function")
-    edges = [(u, v, c) for (u, v), c in zip(pairs, caps)]
+    edges = [(u, v, Fraction(c, 2 * scale)) for (u, v), c in zip(pairs, caps)]
     verts = list(terminals)
     if star > 0:
         aux = "_aux"
         while aux in terminals:
             aux += "x"
-        edges += [(t, aux, star) for t in terminals]
+        edges += [(t, aux, Fraction(star, 2 * scale)) for t in terminals]
         verts.append(aux)
     return TerminalNetwork.make(verts, terminals, edges, allow_disconnected=True)
 

@@ -68,11 +68,22 @@ class CutRecord:
     cut_candidate: Fraction
 
 
-@dataclass(frozen=True)
 class CutReport:
-    beta: float
-    all_exact: bool
-    records: tuple[CutRecord, ...]
+    """beta, all_exact and one `CutRecord` per bipartition.  `records` may be
+    given as a function returning them, called on the first read."""
+
+    def __init__(self, beta: float, all_exact: bool, records):
+        self.beta, self.all_exact, self._records = beta, all_exact, records
+
+    @property
+    def records(self) -> tuple[CutRecord, ...]:
+        if callable(records := self._records):
+            records = self._records = records()
+        return records
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, CutReport) and (self.beta, self.all_exact, self.records) == (
+            other.beta, other.all_exact, other.records)
 
     def to_json_dict(self) -> dict:
         return {
@@ -204,35 +215,38 @@ def certify_cuts(g: TerminalNetwork, gp: TerminalNetwork) -> CutReport:
     only when its terminals are in g's order (a sparsifier keeps its
     input's order); otherwise, at k = 2 and where a table is not taken, each
     cut comes from `mincut_partition`.  The cuts are compared as integers:
-    base / scale_g against cand / scale_gp, cross-multiplied.
+    base / scale_g against cand / scale_gp, cross-multiplied.  The report
+    builds its records from them on first read.
     """
     require_same_terminals(g, gp)
     k = g.k
     if k > _MAX_CUT_TERMINALS:
         raise VerifyError(f"k={k} exceeds the bipartition budget {_MAX_CUT_TERMINALS}")
-    splits = list(terminal_bipartitions(g.terminals))
     g_scale, gp_scale = g.cut_view[0], gp.cut_view[0]
     # at k = 2 a table would hold the one cut: none is built
     g_cuts = g.bipartition_cuts if k > 2 else None
     gp_cuts = gp.bipartition_cuts if k > 2 and gp.terminals == g.terminals else None
     if g_cuts is None:
-        g_cuts = [int(mincut_partition(g, A, B) * g_scale) for A, B in splits]
+        g_cuts = [int(mincut_partition(g, A, B) * g_scale)
+                  for A, B in terminal_bipartitions(g.terminals)]
     if gp_cuts is None:
-        gp_cuts = [int(mincut_partition(gp, A, B) * gp_scale) for A, B in splits]
+        gp_cuts = [int(mincut_partition(gp, A, B) * gp_scale)
+                   for A, B in terminal_bipartitions(g.terminals)]
     # beta is num / den, the largest cand / base so far; den = 0 once infinite
-    records = []
     num, den = 0, 1
     all_exact = True
-    for (A, _), base, cand in zip(splits, g_cuts, gp_cuts):
-        records.append(CutRecord(side_a=A, cut_base=Fraction(base, g_scale),
-                                 cut_candidate=Fraction(cand, gp_scale)))
+    for base, cand in zip(g_cuts, gp_cuts):
         base, cand = base * gp_scale, cand * g_scale
-        if base != cand:
-            all_exact = False
+        all_exact = all_exact and base == cand
         if base > 0:
             if cand * den > num * base:
                 num, den = cand, base
         elif cand > 0:
             num, den = 1, 0
     beta = num / den if den else math.inf
-    return CutReport(beta=beta, all_exact=all_exact, records=tuple(records))
+
+    def records():
+        return tuple(CutRecord(A, Fraction(base, g_scale), Fraction(cand, gp_scale))
+                     for (A, _), base, cand in zip(terminal_bipartitions(g.terminals),
+                                                    g_cuts, gp_cuts))
+    return CutReport(beta=beta, all_exact=all_exact, records=records)

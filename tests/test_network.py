@@ -33,6 +33,9 @@ INVALID = {
     "self-loop": (["a", "b"], ["a"], [("a", "b", 1), ("a", "a", 1)]),
     "single-vertex-self-loop": (["a"], ["a"], [("a", "a", 1)]),
     "negative-capacity": (["a", "b"], ["a"], [("a", "b", -1)]),
+    "negative-fraction": (["a", "b"], ["a"], [("a", "b", Fraction(-1, 3))]),
+    "negative-float": (["a", "b"], ["a"], [("a", "b", -0.5)]),
+    "negative-string": (["a", "b"], ["a"], [("a", "b", "-2/7")]),
     "duplicate-vertex": (["a", "b", "a"], ["a"], [("a", "b", 1)]),
     "duplicate-terminal": (["a", "b"], ["a", "a"], [("a", "b", 1)]),
     "unknown-terminal": (["a", "b"], ["z"], [("a", "b", 1)]),
@@ -67,6 +70,13 @@ class TestConstruction:
         assert all(c > 0 for _, _, c in net.edges)
         assert net.cap("s", "u") == 0
 
+    @pytest.mark.parametrize("builder", sorted(BUILDERS))
+    @pytest.mark.parametrize("zero", [0, -0.0, Fraction(0)], ids=repr)
+    def test_zero_capacities_dropped_in_every_form(self, builder, zero):
+        net = BUILDERS[builder](["a", "b", "c"], ["a", "b"],
+                                [("a", "b", 2), ("b", "c", zero), ("c", "b", zero)])
+        assert net.edges == (("a", "b", Fraction(2)),)
+
     def test_canonical_form_is_a_fixed_point(self):
         net = net_of(["a", "b", "c"], ["a", "b"],
                      [("a", "b", 2), ("b", "c", 3), ("a", "c", 1)])
@@ -89,7 +99,8 @@ class TestConstruction:
     @pytest.mark.parametrize("builder", sorted(BUILDERS))
     @pytest.mark.parametrize("case", sorted(INVALID))
     def test_invalid_input_raises(self, builder, case):
-        with pytest.raises(NetworkError):
+        match = "negative capacity" if case.startswith("negative") else None
+        with pytest.raises(NetworkError, match=match):
             BUILDERS[builder](*INVALID[case])
 
     def test_rejects_negative_capacity(self):

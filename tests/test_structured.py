@@ -11,6 +11,7 @@ from flowsparse import (
     concurrent_flow,
 )
 from flowsparse import network, structured
+from flowsparse.flow import mincut_partition
 from flowsparse.generators import gen_series_parallel, gen_treewidth
 from flowsparse.network import terminal_bipartitions
 from flowsparse.structured import (
@@ -62,21 +63,25 @@ class TestMimick:
 
     def test_cut_targets_read_the_table_whole(self, monkeypatch):
         # at k >= 3 the targets come from the cut table, at k = 2 from the
-        # one cut alone; either way they equal a cut per bipartition
+        # one cut alone; either way they are the cut per bipartition, as
+        # ints at the network's cut scale
         for seed in range(30):
             rng = random.Random(8200 + seed)
             k = 2 + seed % 3
             net = rational_net(rng, rng.randint(k + 1, k + 8), k, shift=61 if seed >= 15 else 0)
-            targets = structured._cut_targets(net)
+            scale, targets = structured._cut_targets(net)
             assert ("bipartition_cuts" in net.__dict__) is (net.k > 2)
             fit = mimick_small(net).net
             with monkeypatch.context() as patch:
                 patch.setattr(network, "_CUT_TABLE_MAX_ENTRIES", 0)
                 alone = fresh(net)
-                assert structured._cut_targets(alone) == targets
+                assert structured._cut_targets(alone) == (scale, targets)
                 assert alone.k == 2 or alone.bipartition_cuts is None
                 assert mimick_small(alone).net == fit
-            assert all(type(cut) is Fraction for _, cut in targets)
+                assert targets == [((A, B), mincut_partition(alone, A, B) * scale)
+                                   for A, B in terminal_bipartitions(net.terminals)]
+            assert scale == net.cut_view[0]
+            assert all(type(cut) is int for _, cut in targets)
 
     def test_k5_rejected(self):
         rng = random.Random(1)
@@ -197,13 +202,16 @@ def test_k4_closed_form_is_cut_exact(family):
 
 
 def clique_targets(terminals, cut):
-    """Bipartition targets as `mimick_small` builds them, the cut value of
-    each split (A, B) given by `cut` on the side A."""
-    return [((A, B), Fraction(cut[A])) for A, B in terminal_bipartitions(terminals)]
+    """(scale, targets) as `_cut_targets` returns them, the cut of each split
+    (A, B) given by `cut` on the side A, as ints at the least common
+    denominator of the cuts."""
+    cuts = {A: Fraction(c) for A, c in cut.items()}
+    scale = math.lcm(*(c.denominator for c in cuts.values()))
+    return scale, [((A, B), int(cuts[A] * scale)) for A, B in terminal_bipartitions(terminals)]
 
 
 def fit_clique(terminals, targets):
-    return structured._fit_clique_star(terminals, targets)
+    return structured._fit_clique_star(terminals, *targets)
 
 
 class TestCliqueFit:

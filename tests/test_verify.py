@@ -305,3 +305,21 @@ class TestCertifyCutsTable:
                     patch.setattr(network, "_CUT_TABLE_MAX_ENTRIES", 0)
                     assert certify_cuts(*pair) == want
                 assert pair[1 - side].bipartition_cuts is None
+
+    def test_records_are_built_on_first_read(self, cases, monkeypatch):
+        made = []
+        init = CutRecord.__init__
+
+        def counted(self, *args, **kwargs):
+            made.append(self)
+            init(self, *args, **kwargs)
+        monkeypatch.setattr(CutRecord, "__init__", counted)
+        for g, gp in cases:
+            want = certify_cuts_per_split(fresh(g), fresh(gp))
+            made.clear()
+            got = certify_cuts(fresh(g), fresh(gp))
+            assert not made and (got.beta, got.all_exact) == (want.beta, want.all_exact)
+            assert got.records == want.records
+            assert len(made) == len(want.records)
+            assert got.records is got.records and len(made) == len(want.records)
+            assert got.to_json_dict() == want.to_json_dict()
