@@ -8,6 +8,7 @@ import json
 import time
 from fractions import Fraction
 
+from .flow import finite_or_none
 from .network import DemandVector, NetworkError, TerminalNetwork
 
 
@@ -65,7 +66,9 @@ def load_demands(path: str) -> list[DemandVector]:
     data = read_json(path)
     if not isinstance(data, list):
         raise NetworkError("demand file must be a JSON list")
-    if data and isinstance(data[0], dict):
+    if not data:
+        raise NetworkError("malformed demand file: no demand vector")
+    if isinstance(data[0], dict):
         data = [data]
     try:
         return [DemandVector.of({(row["s"], row["t"]): row["d"] for row in vec})
@@ -85,11 +88,14 @@ def sha256_file(path: str) -> str:
 def write_manifest(out_path: str, command: str, params: dict,
                    seed: int | None, inputs: dict[str, str],
                    started: float) -> str:
+    """Write `<out_path>.manifest.json`; a non-finite float parameter is
+    written as null."""
     from . import __version__
 
     manifest = {
         "command": command,
-        "parameters": {k: v for k, v in sorted(params.items())},
+        "parameters": {k: finite_or_none(v) if isinstance(v, float) else v
+                       for k, v in sorted(params.items())},
         "seed": seed,
         "input_hashes": {name: sha256_file(p) for name, p in sorted(inputs.items())},
         "tool_version": __version__,

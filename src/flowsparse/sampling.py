@@ -1,12 +1,15 @@
 """Importance sampling of non-terminals in quasi-bipartite networks, and the
-bounded-component extension.
+bounded-component extension, planned by one function.
 
-Each non-terminal v carries 2-hop flow min(c_sv, c_vt) for a pair (s,t); its
-sampling probability is the oversampling factor M times the largest share v
-contributes to any pair's 2-hop max flow.  Kept vertices have their incident
-capacities scaled by the inverse keep probability, which makes the sampled
-2-hop flow an unbiased estimator of the original.  An edge between two
-terminals belongs to no unit, so it is kept at its full capacity.
+`sampling_plan` makes one sampling unit per component of the network minus
+its terminals.  At w = 1 a unit is one non-terminal v, which carries 2-hop
+flow min(c_sv, c_vt) for a pair (s,t); a larger component carries its s-t
+max flow over its own edges.  A unit's sampling probability is the
+oversampling factor M times the largest share it contributes to any pair's
+flow summed over all units.  Kept units have their incident capacities
+scaled by the inverse keep probability, which makes the sampled flow an
+unbiased estimator of the original.  An edge between two terminals belongs
+to no unit, so it is kept at its full capacity.
 
 Randomness is a counter-mode PRF (BLAKE2b over "seed:unit"), one independent
 substream per sampled unit, so adding or removing vertices never perturbs
@@ -74,42 +77,62 @@ class SamplingPlan:
                 for u in self.units}
 
 
-def sampling_plan(net: TerminalNetwork, M: float, seed: int) -> SamplingPlan:
-    """Per-vertex probabilities p_v = M * max_st F_{st,v} / F_st."""
-    if M <= 0:
-        raise SamplingError("oversampling factor must be positive")
-    flows = two_hop_maxflows(net)
-    ts = net.terminal_set
-    shares: dict[str, dict] = {v: {} for v in net.vertices if v not in ts}
-    for pair, (_, per_v) in flows.items():
-        for v, share in per_v.items():
-            shares[v][pair] = share
-    return _plan(M, seed, [(v, (v,), per_pair) for v, per_pair in shares.items()],
-                 {pair: fst for pair, (fst, _) in flows.items()})
+def sampling_plan(net: TerminalNetwork, M: float, seed: int,
+                  w: int = 1) -> SamplingPlan:
+    """One unit per component of `net` minus its terminals, each of at most
+    w vertices, kept with p = M * its largest share of a pair's flow.
 
-
-def _plan(M: float, seed: int, units, totals) -> SamplingPlan:
-    """Keep probabilities from each unit's largest share of a pair's flow.
-
-    `units` lists (unit id, members, {pair: positive flow through the unit})
-    with the pairs in terminal-pair order, so ties go to the first pair;
-    `totals` holds each pair's flow summed over all units.  Units that carry
-    no flow are dropped.
+    A single vertex v carries min(c_sv, c_vt) for a pair (s, t), its 2-hop
+    flow; a larger component carries its s-t max flow over its own edges
+    and those to s and t.  A pair's total is its flow summed over all
+    units, and ties go to the first pair in terminal-pair order.  Units
+    that carry no flow are dropped.
     """
+    if not 0 < M < math.inf:
+        raise SamplingError("oversampling factor must be positive and finite")
+    ts = net.terminal_set
+    pairs = net.terminal_pairs()
+    units = []
+    totals = dict.fromkeys(pairs, Fraction(0))
+    for comp in components(net, ts):
+        if len(comp) > w:
+            raise SamplingError(
+                f"component {sorted(comp)} has {len(comp)} > w = {w} vertices")
+        if len(comp) == 1:
+            adj = net.adjacency[next(iter(comp))]
+            flows = {(s, t): min(adj[s], adj[t]) for s, t in pairs
+                     if s in adj and t in adj}
+        else:
+            flows = {}
+            near = {u for v in comp for u in net.adjacency[v] if u in ts}
+            for s, t in pairs:
+                if s not in near or t not in near:
+                    continue
+                edges = [(v, u, c) for v in comp
+                         for u, c in net.adjacency[v].items()
+                         if u == s or u == t or (u in comp and v < u)]
+                sub = TerminalNetwork.make(comp | {s, t}, [s, t],
+                                           edges, allow_disconnected=True)
+                val = max_flow(sub, s, t)
+                if val > 0:
+                    flows[(s, t)] = val
+        for pair, val in flows.items():
+            totals[pair] += val
+        units.append((tuple(sorted(comp)), flows))
     plans = []
     dropped: list[str] = []
-    for unit_id, members, flows in units:
+    for members, flows in units:
         if not flows:
             dropped.extend(members)
             continue
         ratio, pair = max(((val / totals[p], p) for p, val in flows.items()),
                           key=lambda rp: rp[0])
         p_raw = M * float(ratio)
-        plans.append(UnitPlan(unit_id=unit_id, members=members, p_raw=p_raw,
-                              p=min(1.0, p_raw), best_pair=pair))
+        plans.append(UnitPlan(unit_id="|".join(members), members=members,
+                              p_raw=p_raw, p=min(1.0, p_raw), best_pair=pair))
     if dropped:
         warnings.warn(f"{len(dropped)} non-terminal(s) carry no 2-hop flow "
-                      "and are dropped deterministically", stacklevel=3)
+                      "and are dropped deterministically", stacklevel=2)
     return SamplingPlan(M=float(M), seed=int(seed), units=tuple(plans),
                         dropped=tuple(dropped))
 
@@ -157,51 +180,6 @@ def sample_sparsifier(net: TerminalNetwork, M: float, seed: int) -> SparsifierRe
                        notes=("vertex-level importance sampling",))
 
 
-def grouped_sampling_plan(net: TerminalNetwork, w: int, M: float,
-                          seed: int) -> SamplingPlan:
-    """One sampling unit per component of the graph minus terminals; the
-    component's 2-hop role is played by its terminal-free s-t min cuts.
-
-    One pass buckets the edges with a non-terminal end by component, and
-    the subnetwork of a component and a pair is that bucket less the edges
-    to other terminals; an edge between two terminals is in no unit."""
-    if M <= 0:
-        raise SamplingError("oversampling factor must be positive")
-    comps = components(net, net.terminal_set)
-    for comp in comps:
-        if len(comp) > w:
-            raise SamplingError(
-                f"component {sorted(comp)} has {len(comp)} > w = {w} vertices")
-    pairs = net.terminal_pairs()
-    ts = net.terminal_set
-    comp_of = {v: i for i, comp in enumerate(comps) for v in comp}
-    comp_edges: list[list] = [[] for _ in comps]
-    for e in net.edges:
-        if e[0] not in ts or e[1] not in ts:
-            comp_edges[comp_of[e[1] if e[0] in ts else e[0]]].append(e)
-    units = []
-    totals = {p: Fraction(0) for p in pairs}
-    for comp, edges in zip(comps, comp_edges):
-        members = tuple(sorted(comp))
-        flows = {}
-        adj_terms = sorted({t for v in comp for t in net.adjacency[v] if t in ts})
-        for s, t in pairs:
-            if s not in adj_terms or t not in adj_terms:
-                continue
-            keep = comp | {s, t}
-            sub = TerminalNetwork.make(
-                sorted(keep), [s, t],
-                [e for e in edges if e[0] in keep and e[1] in keep],
-                allow_disconnected=True)
-            val = max_flow(sub, s, t)
-            if val > 0:
-                flows[(s, t)] = val
-                totals[(s, t)] += val
-        units.append((members[0] if len(members) == 1 else "|".join(members),
-                      members, flows))
-    return _plan(M, seed, units, totals)
-
-
 def grouped_sample_sparsifier(net: TerminalNetwork, w: int, M: float,
                               seed: int) -> SparsifierResult:
     """Component-level sampling for graphs whose terminal-free components
@@ -211,7 +189,7 @@ def grouped_sample_sparsifier(net: TerminalNetwork, w: int, M: float,
     are scaled by the same inverse keep probability; the internal-edge
     scaling is an interpretation choice recorded in the result notes.
     """
-    plan = grouped_sampling_plan(net, w, M, seed)
+    plan = sampling_plan(net, M, seed, w)
     return _apply_plan(
         net, plan, "sample-grouped", {"w": w},
         notes=("component-level importance sampling",

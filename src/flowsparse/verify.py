@@ -182,11 +182,14 @@ def certify(g: TerminalNetwork, gp: TerminalNetwork,
     A quality-q sparsifier must never lose flow (lower <= 1+tol) and never
     gain more than the claim (upper <= q * (1+tol)), with tol = DEFAULT_TOL.
     A demand with a pair that gp disconnects routes nothing there: its
-    candidate lambda is 0, so lower is infinite and the verdict fails.
+    candidate lambda is 0, so lower is infinite and the verdict fails.  An
+    empty demand set or a NaN claim raises `VerifyError`.
     """
     require_same_terminals(g, gp)
     if not demands:
         raise VerifyError("empty demand set")
+    if math.isnan(claimed_q):
+        raise VerifyError("claimed quality is NaN")
     component_of = {v: i for i, comp in enumerate(components(gp)) for v in comp}
 
     records = []

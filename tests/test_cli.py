@@ -166,6 +166,62 @@ class TestSparsifyVerify:
         doc = json.loads(h.read_text(), parse_constant=reject)
         assert doc["meta"]["claimed_quality"] is None
 
+    @pytest.mark.parametrize("M", ["nan", "inf"])
+    @pytest.mark.parametrize("method", ["sample", "sample-grouped"])
+    def test_non_finite_M_exit_2(self, method, M, tmp_path, capsys):
+        # each kept every vertex, exited 0 and wrote NaN or Infinity into the
+        # graph's meta and the manifest
+        g, h = tmp_path / "g.json", tmp_path / "h.json"
+        assert run(["gen", "--kind", "quasi-bipartite", "--k", "3", "--n", "8",
+                    "--seed", "1", "--out", g]) == 0
+        capsys.readouterr()
+        assert run(["sparsify", "--method", method, "--M", M,
+                    "--graph", g, "--out", h]) == 2
+        assert "error: oversampling factor must be positive and finite" in \
+            capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "g.json", "g.json.manifest.json"]
+
+    def test_nan_claim_exit_2(self, qb_graph, tmp_path, capsys):
+        # a NaN claim failed every comparison: verdict fail, exit 1
+        rep = tmp_path / "rep.json"
+        assert run(["verify", "--g", qb_graph, "--gp", qb_graph, "--demands",
+                    "basis", "--claim", "nan", "--out", rep]) == 2
+        assert "error: claimed quality is NaN" in capsys.readouterr().err
+        assert not rep.exists()
+
+    def test_every_written_file_is_strict_json(self, tmp_path):
+        # an unused --eps nan and an infinite --claim reached the manifests
+        # as NaN and Infinity, which strict JSON has no literal for
+        g, bc = tmp_path / "g.json", tmp_path / "bc.json"
+        commands = [
+            ["gen", "--kind", "quasi-bipartite", "--k", "3", "--n", "8",
+             "--seed", "1", "--out", g],
+            ["gen", "--kind", "bounded-component", "--k", "3", "--n", "10",
+             "--w", "2", "--seed", "1", "--out", bc],
+            ["sparsify", "--method", "sample", "--eps", "nan", "--M", "2",
+             "--graph", g, "--out", tmp_path / "s.json"],
+            ["sparsify", "--method", "sample-grouped", "--w", "2", "--M", "2",
+             "--graph", bc, "--out", tmp_path / "sg.json"],
+            ["sparsify", "--method", "ratio", "--graph", g,
+             "--out", tmp_path / "r.json"],
+            ["verify", "--g", g, "--gp", g, "--demands", "basis", "--claim",
+             "inf", "--cuts", "--out", tmp_path / "v.json"],
+            ["sketch", "build", "--graph", g, "--eps", "0.45",
+             "--out", tmp_path / "g.sk"],
+        ]
+        for args in commands:
+            assert run(args) == 0, args
+
+        def reject(name):
+            raise ValueError(f"non-finite number {name}")
+        docs = {p.name: json.loads(p.read_text(), parse_constant=reject)
+                for p in tmp_path.iterdir()}
+        assert sum(name.endswith(".manifest.json") for name in docs) == 7
+        assert docs["s.json.manifest.json"]["parameters"]["eps"] is None
+        assert docs["v.json.manifest.json"]["parameters"]["claim"] is None
+        assert docs["v.json"]["claimed_quality"] is None
+
     def test_sp_on_non_sp_graph_exit_2(self, tmp_path):
         vs = ["a", "b", "c", "d"]
         edges = [(u, v, 1) for i, u in enumerate(vs) for v in vs[i + 1:]]
@@ -351,6 +407,8 @@ class TestSketchCli:
 MALFORMED_DEMANDS = {
     "row-without-d": [{"s": "s", "t": "t"}],
     "list-of-numbers": [1, 2, 3],
+    # sketch query printed nothing and exited 0 on this file
+    "empty-list": [],
 }
 
 

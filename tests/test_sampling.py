@@ -1,4 +1,5 @@
 import hashlib
+import math
 import random
 import warnings
 from fractions import Fraction
@@ -11,7 +12,6 @@ from flowsparse.generators import gen_bounded_component, gen_quasi_bipartite
 from flowsparse.sampling import (
     SamplingError,
     grouped_sample_sparsifier,
-    grouped_sampling_plan,
     plan_oversampling,
     sample_sparsifier,
     sampling_plan,
@@ -99,6 +99,16 @@ class TestPlan:
         with pytest.raises(SamplingError):
             sampling_plan(net, 0.0, 1)
 
+    @pytest.mark.parametrize("M", [math.nan, math.inf])
+    @pytest.mark.parametrize("w", [1, 2])
+    def test_rejects_non_finite_M(self, M, w):
+        # a NaN or infinite M kept every vertex and wrote NaN or Infinity
+        # into the sample's params
+        net = TerminalNetwork.make(["s", "v", "t"], ["s", "t"],
+                                   [("s", "v", 1), ("v", "t", 1)])
+        with pytest.raises(SamplingError, match="finite"):
+            sampling_plan(net, M, 1, w)
+
 
 class TestSample:
     def test_all_kept_identity(self):
@@ -146,19 +156,34 @@ class TestSample:
 
 class TestGrouped:
     def test_w1_reduces_to_vertex_sampling(self):
+        # at w = 1 each unit is one vertex v, kept with p_v = min(1, M * max_st
+        # F_{st,v} / F_st) as two_hop_maxflows gives them, its edges divided
+        # by p_v
         net = gen_quasi_bipartite(4, 30, seed=6)
-        a = sample_sparsifier(net, 1.7, 11)
-        b = grouped_sample_sparsifier(net, 1, 1.7, 11)
-        assert a.net == b.net
+        M, seed = 1.7, 11
+        ratio: dict[str, float] = {}
+        for fst, per_v in two_hop_maxflows(net).values():
+            for v, share in per_v.items():
+                ratio[v] = max(ratio.get(v, 0.0), float(share / fst))
+        p = {v: min(1.0, M * r) for v, r in ratio.items()}
+        kept = {v for v, pv in p.items() if unit_uniform(seed, v) < pv}
+        assert 0 < len(kept) < len(p) and min(p.values()) < 1
+        ts = net.terminal_set
+        edges = [(a, b, c / Fraction(p[v])) for a, b, c in net.edges
+                 for v in [b if a in ts else a] if v in kept]
+        expected = TerminalNetwork.make(sorted(ts | kept), net.terminals,
+                                        edges, allow_disconnected=True)
+        assert grouped_sample_sparsifier(net, 1, M, seed).net == expected
+        assert sample_sparsifier(net, M, seed).net == expected
 
     def test_single_component_probability(self):
         net = TerminalNetwork.make(
             ["s", "t", "u", "w"], ["s", "t"],
             [("s", "u", 2), ("u", "w", 2), ("w", "t", 2)])
-        plan = grouped_sampling_plan(net, 2, 0.4, 1)
+        plan = sampling_plan(net, 0.4, 1, 2)
         (unit,) = plan.units
         assert unit.p == pytest.approx(0.4)   # only component, ratio 1
-        plan2 = grouped_sampling_plan(net, 2, 5.0, 1)
+        plan2 = sampling_plan(net, 5.0, 1, 2)
         assert plan2.units[0].p == 1.0
 
     def test_component_cut_value(self):
@@ -166,15 +191,15 @@ class TestGrouped:
         net = TerminalNetwork.make(
             ["s", "t", "u", "w"], ["s", "t"],
             [("s", "u", 5), ("u", "w", 1), ("w", "t", 5)])
-        plan = grouped_sampling_plan(net, 2, 1.0, 1)
+        plan = sampling_plan(net, 1.0, 1, 2)
         assert plan.units[0].p_raw == pytest.approx(1.0)  # ratio 1 (only comp)
         net2 = gen_bounded_component(3, 16, 3, seed=7)
-        grouped_sampling_plan(net2, 3, 1.0, 1)   # must not raise
+        sampling_plan(net2, 1.0, 1, 3)   # must not raise
 
     def test_size_guard(self):
         net = gen_bounded_component(3, 16, 3, seed=8)
         with pytest.raises(SamplingError):
-            grouped_sampling_plan(net, 1, 1.0, 1)
+            sampling_plan(net, 1.0, 1, 1)
 
     def test_internal_edges_scaled_once(self):
         net = TerminalNetwork.make(
@@ -192,9 +217,9 @@ class TestGrouped:
         assert res.net is net
 
 
-# sha256 of the reprs of grouped_sampling_plan(gen_bounded_component(4, 24,
-# w, seed), w, M, seed) over seeds 0-7, as given by cutting each (component,
-# pair) subnetwork from the whole edge list.
+# sha256 of the reprs of sampling_plan(gen_bounded_component(4, 24, w, seed),
+# M, seed, w) over seeds 0-7, as given by cutting each (component, pair)
+# subnetwork from the whole edge list.
 PINNED_GROUPED_PLANS = {
     (1, 0.4): "2db99b83660a9a730b94bea0dbd7c3c70bbd1450db7fe449a4a16620d35a977a",
     (1, 2): "f8606f0bc1601565436f91d17a2aa1f02d51b9b00ff53f8bdba8c2e5ef341fb4",
@@ -212,8 +237,43 @@ def test_grouped_plans_are_pinned(w, M):
         warnings.simplefilter("ignore")
         for seed in range(8):
             net = gen_bounded_component(4, 24, w, seed)
-            digest.update(repr(grouped_sampling_plan(net, w, M, seed)).encode())
+            digest.update(repr(sampling_plan(net, M, seed, w)).encode())
     assert digest.hexdigest() == PINNED_GROUPED_PLANS[(w, M)]
+
+
+def _vertex_pin_net(seed: int) -> TerminalNetwork:
+    """gen_quasi_bipartite(4, 24, seed); an odd seed adds an edge between
+    each two consecutive terminals and an isolated non-terminal "z"."""
+    net = gen_quasi_bipartite(4, 24, seed)
+    if seed % 2 == 0:
+        return net
+    ts = net.terminals
+    edges = list(net.edges) + [(a, b, seed) for a, b in zip(ts, ts[1:])]
+    return TerminalNetwork.make(net.vertices + ("z",), ts, edges,
+                                allow_disconnected=True)
+
+
+# sha256 of the reprs of sampling_plan(_vertex_pin_net(seed), M, seed) over
+# seeds 0-7, as given by the per-vertex planner over two_hop_maxflows.
+PINNED_VERTEX_PLANS = {
+    0.4: "d2732f51babaa1dc2c45dadf8ec8087b836f22a888527137eccef0fdac83d197",
+    2: "77af841d046338dd0762a55c3d5114bf91a951a503e3bed567688b3837d17d26",
+    8: "52bc16b4d4eef671740e74ac32e77c01bcafe6ff27d5fccdac28c580ca107cd9",
+}
+
+
+@pytest.mark.parametrize("M", sorted(PINNED_VERTEX_PLANS))
+def test_vertex_plans_are_pinned(M):
+    digest = hashlib.sha256()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for seed in range(8):
+            plan = sampling_plan(_vertex_pin_net(seed), M, seed)
+            assert ("z" in plan.dropped) == (seed % 2 == 1)
+            digest.update(repr(plan).encode())
+    assert sum("2-hop" in str(w.message) for w in caught) == 4
+    assert digest.hexdigest() == PINNED_VERTEX_PLANS[M]
+
 
 class TestChernoffPlanner:
     def test_planner_inversion(self):

@@ -143,6 +143,12 @@ class TestCertify:
         with pytest.raises(VerifyError):
             certify(g, other, basis_demands(g), 1.0)
 
+    def test_nan_claim_raises(self):
+        # a NaN claim failed every comparison, so it read as a failed verdict
+        net = star()
+        with pytest.raises(VerifyError, match="NaN"):
+            certify(net, net, basis_demands(net), float("nan"))
+
     def test_disconnected_candidate_is_a_failed_verdict(self):
         g = gen_quasi_bipartite(5, 60, seed=1)
         gp = sample_sparsifier(g, 0.5, 0).net
