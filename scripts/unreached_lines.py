@@ -39,7 +39,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 METHOD_FORMS = [
     "verify --g g.json --gp sample.json --demands random:10:1 --claim 1.5 --out sample.rep.json",
     "gen --kind bounded-component --k 4 --n 40 --w 3 --seed 4 --out bc.json",
-    "sparsify --method sample-grouped --w 3 --M 50 --seed 7 --graph bc.json --out grouped.json",
+    "sparsify --method sample --w 3 --M 50 --seed 7 --graph bc.json --out grouped.json",
     "verify --g bc.json --gp grouped.json --demands random:10:1 --claim 1.5 --out grouped.rep.json",
     "sparsify --method sp --graph sp.json --out sp.h.json",
     "verify --g sp.json --gp sp.h.json --demands basis --claim 1 --cuts --out sp.rep.json",

@@ -22,7 +22,6 @@ from .sketch import DemandSketch, build_sketch
 from .merging import profile_bucket_sparsifier, ratio_type_sparsifier
 from .splice import FlowDecomposition, FlowPath, compose, splice, unsplice_route
 from .sampling import (
-    grouped_sample_sparsifier,
     plan_oversampling,
     sample_sparsifier,
     sampling_plan,

@@ -22,11 +22,7 @@ from .generators import (
 from .jsonio import load_demands, load_net, read_json, save_net, write_manifest
 from .lp import LPError
 from .merging import profile_bucket_sparsifier, ratio_type_sparsifier
-from .sampling import (
-    grouped_sample_sparsifier,
-    plan_oversampling,
-    sample_sparsifier,
-)
+from .sampling import plan_oversampling, sample_sparsifier
 from .sketch import BudgetExceeded, DemandSketch, build_sketch
 from .structured import (
     SpTree,
@@ -70,7 +66,8 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["quasi-bipartite", "sp", "bounded-component",
                             "treewidth", "tree"])
     g.add_argument("--k", type=int, required=True)
-    g.add_argument("--n", type=int, default=0)
+    g.add_argument("--n", type=int,
+                   help="vertices (default 50; 30 for treewidth and tree)")
     g.add_argument("--leaves", type=int, default=16)
     g.add_argument("--w", type=int, default=2)
     g.add_argument("--seed", type=int, default=0)
@@ -81,14 +78,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("sparsify", help="construct a sparsifier")
     s.add_argument("--method", required=True,
-                   choices=["clump", "ratio", "sample", "sample-grouped",
-                            "sp", "treewidth"])
+                   choices=["clump", "ratio", "sample", "sp", "treewidth"])
     s.add_argument("--graph", required=True)
     s.add_argument("--out", required=True)
     s.add_argument("--eps", type=float, default=0.25)
     s.add_argument("--M", type=float, default=50.0)
     s.add_argument("--seed", type=int, default=0)
-    s.add_argument("--w", type=int, default=1)
+    s.add_argument("--w", type=int, default=1,
+                   help="--method sample: most vertices per terminal-free "
+                        "component (1 samples single vertices)")
     s.add_argument("--sptree")
     s.add_argument("--tdec")
     s.add_argument("--leaf", default="identity", choices=["identity", "mimick"])
@@ -129,8 +127,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_gen(args) -> int:
     started = time.time()
+    n = args.n
+    if n is None:
+        n = 30 if args.kind in ("treewidth", "tree") else 50
     if args.kind == "quasi-bipartite":
-        net = gen_quasi_bipartite(args.k, args.n or 50, args.seed)
+        net = gen_quasi_bipartite(args.k, n, args.seed)
         extra = {}
     elif args.kind == "sp":
         net, tree = gen_series_parallel(args.leaves, args.k, args.seed)
@@ -140,11 +141,11 @@ def cmd_gen(args) -> int:
                 json.dump(tree.to_json_dict(), fh, indent=1, sort_keys=True)
             extra["sptree"] = args.sptree_out
     elif args.kind == "bounded-component":
-        net = gen_bounded_component(args.k, args.n or 50, args.w, args.seed)
+        net = gen_bounded_component(args.k, n, args.w, args.seed)
         extra = {}
     else:
         w = 1 if args.kind == "tree" else args.w
-        net, tdec = gen_treewidth(args.k, args.n or 30, w, args.seed)
+        net, tdec = gen_treewidth(args.k, n, w, args.seed)
         extra = {}
         if args.tdec_out:
             with open(args.tdec_out, "w") as fh:
@@ -167,9 +168,7 @@ def cmd_sparsify(args) -> int:
     elif args.method == "ratio":
         res = ratio_type_sparsifier(net, args.eps)
     elif args.method == "sample":
-        res = sample_sparsifier(net, args.M, args.seed)
-    elif args.method == "sample-grouped":
-        res = grouped_sample_sparsifier(net, args.w, args.M, args.seed)
+        res = sample_sparsifier(net, args.M, args.seed, args.w)
     elif args.method == "sp":
         tree = None
         if args.sptree:

@@ -154,9 +154,9 @@ def ratio_type_sparsifier(net: TerminalNetwork, epsilon) -> SparsifierResult:
     rounded up), so the output only ever gains capacity: together with
     merging this keeps the sparsifier one-sided (never loses flow).
     """
-    eps = Fraction(epsilon) if not isinstance(epsilon, Fraction) else epsilon
-    if not (0 < eps < Fraction(1, 3)):
+    if not (math.isfinite(epsilon) and 0 < Fraction(epsilon) < Fraction(1, 3)):
         raise MergeError("epsilon must be in (0, 1/3)")
+    eps = Fraction(epsilon)
     if not net.is_quasi_bipartite():
         raise MergeError("ratio types need a quasi-bipartite network")
     q = 1 + eps

@@ -1,15 +1,16 @@
 """Importance sampling of non-terminals in quasi-bipartite networks, and the
-bounded-component extension, planned by one function.
+bounded-component extension, planned by one function and applied by one.
 
 `sampling_plan` makes one sampling unit per component of the network minus
 its terminals.  At w = 1 a unit is one non-terminal v, which carries 2-hop
 flow min(c_sv, c_vt) for a pair (s,t); a larger component carries its s-t
 max flow over its own edges.  A unit's sampling probability is the
 oversampling factor M times the largest share it contributes to any pair's
-flow summed over all units.  Kept units have their incident capacities
-scaled by the inverse keep probability, which makes the sampled flow an
-unbiased estimator of the original.  An edge between two terminals belongs
-to no unit, so it is kept at its full capacity.
+flow summed over all units.  `sample_sparsifier` keeps each unit with that
+probability and scales the kept units' incident capacities by its inverse,
+which makes the sampled flow an unbiased estimator of the original.  An
+edge between two terminals belongs to no unit, so it is kept at its full
+capacity.
 
 Randomness is a counter-mode PRF (BLAKE2b over "seed:unit"), one independent
 substream per sampled unit, so adding or removing vertices never perturbs
@@ -137,12 +138,18 @@ def sampling_plan(net: TerminalNetwork, M: float, seed: int,
                         dropped=tuple(dropped))
 
 
-def _apply_plan(net: TerminalNetwork, plan: SamplingPlan, method: str,
-                extra_params: dict, notes: tuple[str, ...]) -> SparsifierResult:
-    """Delete the members of every unit not kept, and divide each remaining
-    edge once by the keep probability of each unit it touches.  When no
-    vertex goes and every unit is kept at p = 1, the sample is `net` itself,
-    with its flow record."""
+def sample_sparsifier(net: TerminalNetwork, M: float, seed: int,
+                      w: int = 1) -> SparsifierResult:
+    """Keep each unit of `sampling_plan(net, M, seed, w)` with its plan
+    probability; deterministic under a fixed seed.
+
+    The members of every unit not kept are deleted, and each remaining edge
+    is divided once by the keep probability of each unit it touches, so at
+    w > 1 a component's internal edges are scaled like its terminal edges.
+    When no vertex goes and every unit is kept at p = 1, the sample is `net`
+    itself, with its flow record.
+    """
+    plan = sampling_plan(net, M, seed, w)
     keep = plan.keep_decisions()
     drop_set = set(plan.dropped)
     unit_of: dict[str, UnitPlan] = {}
@@ -167,33 +174,13 @@ def _apply_plan(net: TerminalNetwork, plan: SamplingPlan, method: str,
                                        allow_disconnected=True)
     params = {"M": plan.M, "seed": plan.seed,
               "kept_units": sum(keep.values()), "units": len(plan.units)}
-    params.update(extra_params)
-    return SparsifierResult.of(sampled, method, float("nan"),
+    notes = ("vertex-level importance sampling",)
+    if w > 1:
+        params["w"] = w
+        notes = ("component-level importance sampling",
+                 "internal component edges scaled like terminal-incident ones")
+    return SparsifierResult.of(sampled, "sample", float("nan"),
                                params=params, notes=notes)
-
-
-def sample_sparsifier(net: TerminalNetwork, M: float, seed: int) -> SparsifierResult:
-    """Keep each non-terminal with its plan probability and rescale incident
-    capacities by the inverse; deterministic under a fixed seed."""
-    plan = sampling_plan(net, M, seed)
-    return _apply_plan(net, plan, "sample", {},
-                       notes=("vertex-level importance sampling",))
-
-
-def grouped_sample_sparsifier(net: TerminalNetwork, w: int, M: float,
-                              seed: int) -> SparsifierResult:
-    """Component-level sampling for graphs whose terminal-free components
-    have at most w vertices; w=1 coincides with vertex-level sampling.
-
-    All edges incident to a kept component (terminal-incident and internal)
-    are scaled by the same inverse keep probability; the internal-edge
-    scaling is an interpretation choice recorded in the result notes.
-    """
-    plan = sampling_plan(net, M, seed, w)
-    return _apply_plan(
-        net, plan, "sample-grouped", {"w": w},
-        notes=("component-level importance sampling",
-               "internal component edges scaled like terminal-incident ones",))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Acceptance suite: one test per criterion, each printing a pass/fail line.
 
-Run with `pytest tests/test_acceptance.py -v -s` (or scripts/run_acceptance.py).
+Run with `pytest tests/test_acceptance.py -v -s`.
 Every tolerance is pinned here; each criterion also enforces its own wall
 clock budget.  All randomness is seeded.
 """

@@ -56,10 +56,26 @@ class TestGen:
         net = load_net(str(g))
         assert all(len(c) <= 3 for c in components(net, net.terminal_set))
 
+    @pytest.mark.parametrize("kind", ["quasi-bipartite", "bounded-component",
+                                      "treewidth"])
+    def test_explicit_n_0_exit_2(self, kind, tmp_path, capsys):
+        # --n 0 fell back to the default size and wrote that net
+        g = tmp_path / "g.json"
+        assert run(["gen", "--kind", kind, "--k", "3", "--n", "0",
+                    "--out", g]) == 2
+        assert "error: need k >= 2" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_manifest_written(self, qb_graph):
         manifest = json.loads(Path(f"{qb_graph}.manifest.json").read_text())
         assert manifest["command"] == "gen"
         assert manifest["seed"] == 1
+
+
+# the sample forms of sparsify: vertex sampling, and components of up to
+# three vertices
+SAMPLE_FORMS = {"sample": ["--method", "sample"],
+                "sample-w3": ["--method", "sample", "--w", "3"]}
 
 
 class TestSparsifyVerify:
@@ -153,12 +169,12 @@ class TestSparsifyVerify:
         assert rc == 2
         assert "error: duality gap" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("method", ["sample", "sample-grouped"])
-    def test_sampled_graph_is_strict_json(self, method, tmp_path):
+    @pytest.mark.parametrize("form", sorted(SAMPLE_FORMS))
+    def test_sampled_graph_is_strict_json(self, form, tmp_path):
         g, h = tmp_path / "g.json", tmp_path / "h.json"
         assert run(["gen", "--kind", "quasi-bipartite", "--k", "3", "--n", "8",
                     "--seed", "1", "--out", g]) == 0
-        assert run(["sparsify", "--method", method, "--M", "2", "--seed", "0",
+        assert run(["sparsify", *SAMPLE_FORMS[form], "--M", "2", "--seed", "0",
                     "--graph", g, "--out", h]) == 0
 
         def reject(name):
@@ -167,20 +183,53 @@ class TestSparsifyVerify:
         assert doc["meta"]["claimed_quality"] is None
 
     @pytest.mark.parametrize("M", ["nan", "inf"])
-    @pytest.mark.parametrize("method", ["sample", "sample-grouped"])
-    def test_non_finite_M_exit_2(self, method, M, tmp_path, capsys):
+    @pytest.mark.parametrize("form", sorted(SAMPLE_FORMS))
+    def test_non_finite_M_exit_2(self, form, M, tmp_path, capsys):
         # each kept every vertex, exited 0 and wrote NaN or Infinity into the
         # graph's meta and the manifest
         g, h = tmp_path / "g.json", tmp_path / "h.json"
         assert run(["gen", "--kind", "quasi-bipartite", "--k", "3", "--n", "8",
                     "--seed", "1", "--out", g]) == 0
         capsys.readouterr()
-        assert run(["sparsify", "--method", method, "--M", M,
+        assert run(["sparsify", *SAMPLE_FORMS[form], "--M", M,
                     "--graph", g, "--out", h]) == 2
         assert "error: oversampling factor must be positive and finite" in \
             capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "g.json", "g.json.manifest.json"]
+
+    @pytest.mark.parametrize("eps", ["nan", "inf"])
+    def test_non_finite_ratio_eps_exit_2(self, eps, qb_graph, tmp_path, capsys):
+        # a Fraction conversion failed first: "cannot convert NaN to integer
+        # ratio"
+        h = tmp_path / "h.json"
+        capsys.readouterr()
+        assert run(["sparsify", "--method", "ratio", "--eps", eps,
+                    "--graph", qb_graph, "--out", h]) == 2
+        assert "error: epsilon must be in (0, 1/3)" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "g.json", "g.json.manifest.json"]
+
+    def test_sample_reads_w(self, tmp_path):
+        # --method sample ignored --w and refused every two-vertex component
+        g, h = tmp_path / "g.json", tmp_path / "h.json"
+        assert run(["gen", "--kind", "bounded-component", "--k", "4", "--n",
+                    "20", "--w", "3", "--seed", "1", "--out", g]) == 0
+        assert run(["sparsify", "--method", "sample", "--w", "3", "--M", "2",
+                    "--seed", "3", "--graph", g, "--out", h]) == 0
+        meta = json.loads(h.read_text())["meta"]
+        assert meta["method"] == "sample" and meta["params"]["w"] == 3
+        assert meta["notes"][0] == "component-level importance sampling"
+        assert run(["sparsify", "--method", "sample", "--M", "2", "--seed",
+                    "3", "--graph", g, "--out", h]) == 2
+
+    def test_sample_w1_is_the_default(self, qb_graph, tmp_path):
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        for out, w in ((a, []), (b, ["--w", "1"])):
+            assert run(["sparsify", "--method", "sample", *w, "--M", "3",
+                        "--seed", "5", "--graph", qb_graph, "--out", out]) == 0
+        assert a.read_text() == b.read_text()
+        assert "w" not in json.loads(a.read_text())["meta"]["params"]
 
     def test_nan_claim_exit_2(self, qb_graph, tmp_path, capsys):
         # a NaN claim failed every comparison: verdict fail, exit 1
@@ -201,7 +250,7 @@ class TestSparsifyVerify:
              "--w", "2", "--seed", "1", "--out", bc],
             ["sparsify", "--method", "sample", "--eps", "nan", "--M", "2",
              "--graph", g, "--out", tmp_path / "s.json"],
-            ["sparsify", "--method", "sample-grouped", "--w", "2", "--M", "2",
+            ["sparsify", "--method", "sample", "--w", "2", "--M", "2",
              "--graph", bc, "--out", tmp_path / "sg.json"],
             ["sparsify", "--method", "ratio", "--graph", g,
              "--out", tmp_path / "r.json"],

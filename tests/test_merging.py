@@ -23,7 +23,7 @@ from flowsparse.merging import (
     ratio_type_sparsifier,
     _pow_floor_exact,
 )
-from flowsparse.sampling import grouped_sample_sparsifier, sample_sparsifier
+from flowsparse.sampling import sample_sparsifier
 from flowsparse.sketch import BudgetExceeded
 from flowsparse.verify import certify, disc_demands, random_demands
 from flowsparse.generators import gen_quasi_bipartite
@@ -179,7 +179,6 @@ def with_terminal_edges(seed):
 
 PASS_THROUGH = {
     "sample": lambda net, ds: sample_sparsifier(net, 8, 1),
-    "sample-grouped": lambda net, ds: grouped_sample_sparsifier(net, 1, 8, 1),
     "ratio": lambda net, ds: ratio_type_sparsifier(net, Fraction(1, 4)),
     "clump": lambda net, ds: profile_bucket_sparsifier(net, 0.25, ds),
 }

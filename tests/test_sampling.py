@@ -11,7 +11,6 @@ from flowsparse import TerminalNetwork
 from flowsparse.generators import gen_bounded_component, gen_quasi_bipartite
 from flowsparse.sampling import (
     SamplingError,
-    grouped_sample_sparsifier,
     plan_oversampling,
     sample_sparsifier,
     sampling_plan,
@@ -173,7 +172,6 @@ class TestGrouped:
                  for v in [b if a in ts else a] if v in kept]
         expected = TerminalNetwork.make(sorted(ts | kept), net.terminals,
                                         edges, allow_disconnected=True)
-        assert grouped_sample_sparsifier(net, 1, M, seed).net == expected
         assert sample_sparsifier(net, M, seed).net == expected
 
     def test_single_component_probability(self):
@@ -205,15 +203,30 @@ class TestGrouped:
         net = TerminalNetwork.make(
             ["s", "t", "u", "w"], ["s", "t"],
             [("s", "u", 2), ("u", "w", 2), ("w", "t", 2)])
-        res = grouped_sample_sparsifier(net, 2, 0.4, seed=2)
+        res = sample_sparsifier(net, 0.4, seed=2, w=2)
         assert len(res.net.vertices) == 4    # seed 2 draws 0.167 < p = 0.4
         factor = Fraction(1) / Fraction(0.4)
         assert res.net.cap("u", "w") == Fraction(2) * factor
         assert res.net.cap("s", "u") == Fraction(2) * factor
 
+    def test_result_fields(self):
+        net = gen_bounded_component(4, 24, 3, seed=5)
+        res = sample_sparsifier(net, 2, 5, 3)
+        assert res.method == "sample" and math.isnan(res.claimed_quality)
+        params = res.params_dict()
+        assert sorted(params) == ["M", "kept_units", "seed", "units", "w"]
+        assert (params["M"], params["seed"], params["w"]) == (2.0, 5, 3)
+        assert 0 < params["kept_units"] < params["units"]
+        assert res.notes == (
+            "component-level importance sampling",
+            "internal component edges scaled like terminal-incident ones")
+        vertex = sample_sparsifier(gen_quasi_bipartite(4, 24, 5), 2, 5)
+        assert sorted(vertex.params_dict()) == ["M", "kept_units", "seed", "units"]
+        assert vertex.notes == ("vertex-level importance sampling",)
+
     def test_grouped_preserves_flow_when_all_kept(self):
         net = gen_bounded_component(4, 20, 3, seed=9)
-        res = grouped_sample_sparsifier(net, 3, 1e9, 1)
+        res = sample_sparsifier(net, 1e9, 1, 3)
         assert res.net is net
 
 
@@ -239,6 +252,40 @@ def test_grouped_plans_are_pinned(w, M):
             net = gen_bounded_component(4, 24, w, seed)
             digest.update(repr(sampling_plan(net, M, seed, w)).encode())
     assert digest.hexdigest() == PINNED_GROUPED_PLANS[(w, M)]
+
+
+def _canonical_fields(net: TerminalNetwork) -> str:
+    return repr((net.vertices, net.terminals,
+                 tuple((a, b, f"{c.numerator}/{c.denominator}")
+                       for a, b, c in net.edges)))
+
+
+# sha256 of the canonical fields (capacities as p/q) of
+# sample_sparsifier(gen_bounded_component(4, 24, w, seed), M, seed, w).net
+# over seeds 0-7, as given by the component-level sparsifier before vertex
+# and component sampling were one function.
+PINNED_GROUPED_SAMPLES = {
+    (1, 0.4): "eba94925a85c94ab90b6aedf8fc6e2169e3730b348149cd3aba481da550f745b",
+    (1, 2): "5fdbe9d372ee9c7849b8ecba775340e0b49abf086c0416a366d0a8e05cc4f64f",
+    (3, 0.4): "453e879d3e0105cad84496368e01382b1ae2f8a1ce2a45d2164e01e8e36a9a7b",
+    (3, 2): "9386ab9267ec4cb54c068776cd0f8a2840f760939c0312ce49ae8bb24505e21c",
+}
+
+
+@pytest.mark.parametrize("w, M", sorted(PINNED_GROUPED_SAMPLES))
+def test_grouped_samples_are_pinned(w, M):
+    digest = hashlib.sha256()
+    dropped = scaled = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for seed in range(8):
+            net = gen_bounded_component(4, 24, w, seed)
+            res = sample_sparsifier(net, M, seed, w)
+            dropped += len(res.net.vertices) < len(net.vertices)
+            scaled += res.net.edges != net.edges
+            digest.update(_canonical_fields(res.net).encode())
+    assert dropped and scaled       # the pins reach deletion and rescaling
+    assert digest.hexdigest() == PINNED_GROUPED_SAMPLES[(w, M)]
 
 
 def _vertex_pin_net(seed: int) -> TerminalNetwork:
