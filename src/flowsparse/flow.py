@@ -2,14 +2,27 @@
 
 `concurrent_flow` computes the concurrent multicommodity-flow value of a
 demand vector (the largest multiple of the demand that routes within the
-capacities) by solving the edge-length dual with delayed constraint
-generation: path constraints are priced by Dijkstra and added only when
-violated.  The primal flow is recovered from the multipliers of the
-generated path rows.
+capacities), with a primal flow and an edge-length dual.  It solves on the
+network's reduced view, `cut_view`, by one of two methods, chosen by the
+structure of that view alone:
 
-Unrestricted solves run on the network's reduced view, `cut_view`: there
-non-terminals of degree at most 3 are eliminated (dropped, series-contracted,
-or replaced by a triangle), which keeps every terminal concurrent flow value.
+- the star oracle (`stars`), where the view keeps non-terminals and each is
+  a star: its neighbours are terminals, at most five of them.  A
+  quasi-bipartite net's view is one when its stars touch at most five
+  terminals.  Kelley's cutting planes over metrics on the terminals solve
+  it with a master LP of 1 + k(k-1)/2 rows, whatever the number of stars;
+  `rounds` counts the cuts and `pivots` the master's simplex pivots.
+- column generation everywhere else: a view with adjacent non-terminals or
+  a star on six or more terminals, and a view of the terminals alone.  It
+  solves the edge-length dual by delayed constraint generation: path
+  constraints are priced by Dijkstra and added only when violated, and the
+  primal flow comes from the multipliers of the generated path rows;
+  `rounds` counts the pricing rounds and `pivots` the simplex pivots over
+  all of them.
+
+In the view, non-terminals of degree at most 3 are eliminated (dropped,
+series-contracted, or replaced by a triangle), which keeps every terminal
+concurrent flow value.
 The solve's dual is lifted back, so callers and the memo see edge lengths
 on the network's own edges: a reduced edge's length is split over an
 eliminated vertex's sides so that no terminal distance changes and
@@ -21,11 +34,12 @@ order.
 The oracle keeps one record per network, on the network object: it is
 built on the first solve, as `cut_view` is, and freed with the network.  It
 holds a memo of finished results by demand; a path pool, the reduced-net
-paths that carried flow in earlier solves, which seed the next solve's
-columns; and what a solve needs of the network alone, built once: the
-reduced LP shape (canonical edges with parallel edges summed, float
-capacities, arc lists, arc-to-edge map), the lift, one BFS start path per
-pair, and each pooled path's edge rows.  A failed solve memoizes nothing.
+paths that carried flow in earlier column-generation solves, which seed the
+next solve's columns; and what a solve needs of the network alone, built
+once: the reduced LP shape (canonical edges with parallel edges summed,
+float capacities, arc lists, arc-to-edge map), the lift, the star oracle's
+table, one BFS start path per pair, and each pooled path's edge rows.  A
+failed solve memoizes nothing.
 
 Also here: exact max flow between two vertices or two vertex sets, on
 integers (the rational capacities scaled by the LCM of their denominators,
@@ -44,6 +58,7 @@ augmenting paths (Edmonds-Karp) find the flow.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import threading
 from collections import deque
@@ -143,31 +158,36 @@ class ConcurrentFlowResult:
     value: float
     dual: DualSolution
     duality_gap: float
-    rounds: int
+    rounds: int     # column-generation rounds, or Kelley cuts on the star path
     pivots: int     # simplex pivots over all rounds
     # what lifting the primal needs, and nothing of the network itself:
-    # (reduced shape, lift, per pair (pair, value * d_p, ((reduced path,
-    # flow), ...)) over the paths that carry more than 1e-12)
+    # (reduced shape, lift, a call giving per demanded pair (pair, reduced
+    # arc flows {(a, b): f}) that route value * d_p)
     _primal: tuple = field(compare=False, repr=False)
 
     @cached_property
     def flow(self) -> FlowSolution:
-        """The primal flow on the network's edges, lifted on first read.
+        """The primal flow on the network's edges, lifted on first read:
+        the reduced arc flows are made, then `_Lift.flows` maps them to the
+        network's arcs."""
+        shape, lift, routed = self._primal
+        return FlowSolution(lam=self.value, arc_flows=lift.flows(shape, routed()))
 
-        A pair whose paths carry more than value * d_p is scaled down to it;
-        then `_Lift.flows` maps the reduced arc flows to the network's arcs.
-        """
-        shape, lift, paths = self._primal
-        reduced_flows = []
-        for p, want, carried in paths:
-            got = sum(f for _, f in carried)
-            scale = want / got if got > want and got > 0 else 1.0
-            acc: dict[tuple[str, str], float] = {}
-            for path, f in carried:
-                for u, v in zip(path, path[1:]):
-                    acc[(u, v)] = acc.get((u, v), 0.0) + f * scale
-            reduced_flows.append((p, acc))
-        return FlowSolution(lam=self.value, arc_flows=lift.flows(shape, reduced_flows))
+
+def _arc_flows(carried: dict, wants: dict) -> list:
+    """Per pair p of `wants`, (p, the arc flows of its (path, rows, flow)
+    columns in `carried`); a pair whose paths carry more than wants[p] is
+    scaled down to it."""
+    out = []
+    for p, want in wants.items():
+        got = sum(f for _, _, f in carried[p])
+        scale = want / got if got > want and got > 0 else 1.0
+        acc: dict[tuple[str, str], float] = {}
+        for path, _, f in carried[p]:
+            for u, v in zip(path, path[1:]):
+                acc[(u, v)] = acc.get((u, v), 0.0) + f * scale
+        out.append((p, acc))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -522,12 +542,13 @@ class _NetState:
     `memo` maps demand entries to the frozen result, its dual lifted to the
     network;
     `pool` maps a pair to the reduced-net paths that carried flow for it in
-    earlier solves, in first-use order, each with its edge-index rows (dict
-    keys and values).  Only memoized solves feed the pool.  `shape`, the
-    shape of the network's `cut_view`, and `lift`, which maps its
-    certificates back, are built on the first solve; `starts` holds per pair
-    its reduced-net BFS path and rows.  All three depend on the network
-    alone; every solve uses them.  Nothing here refers to the network, so
+    earlier column-generation solves, in first-use order, each with its
+    edge-index rows (dict keys and values).  Only memoized solves feed the
+    pool.  `shape`, the shape of the network's `cut_view`, `lift`, which
+    maps its certificates back, and `stars`, the star oracle's table (None
+    where the view is not star-shaped), are built on the first solve;
+    `starts` holds per pair its reduced-net BFS path and rows.  All four
+    depend on the network alone.  Nothing here refers to the network, so
     the record leaves with it.
     """
 
@@ -535,6 +556,7 @@ class _NetState:
     pool: dict = field(default_factory=dict)
     shape: _Shape | None = None
     lift: _Lift | None = None
+    stars: object = None        # a `stars._Stars`, or None
     starts: dict = field(default_factory=dict)
 
 
@@ -547,6 +569,18 @@ def _state(net: TerminalNetwork) -> _NetState:
     state = net.__dict__.get("_flow_state")
     if state is None:
         state = net.__dict__["_flow_state"] = _NetState()
+    return state
+
+
+def _prepared(net: TerminalNetwork) -> _NetState:
+    """The network's record, with its shape, lift and star table built."""
+    with _cache_lock:
+        state = _state(net)
+        if state.shape is None:
+            state.shape = _shape_of(net.cut_view)
+            state.lift = _lift_of(net, state.shape)
+            from .stars import _stars_of
+            state.stars = _stars_of(net, state.shape)
     return state
 
 
@@ -564,7 +598,12 @@ def concurrent_flow(net: TerminalNetwork, demand: DemandVector | dict) -> Concur
     """Concurrent-flow value of the demand, with primal and dual solutions
     (the primal lifted to the network on first read of `.flow`).
 
-    Raises FlowError on the all-zero demand (the value is unbounded there).
+    The star oracle (`stars`) solves it where the network's `cut_view` has
+    non-terminals and each is a star: only terminals are its neighbours, at
+    most `stars._STAR_MAX_SUPPORT` of them.  Column generation solves it
+    everywhere else, on a view of the terminals alone too, which is a
+    k-vertex LP already.  Raises FlowError on the all-zero demand (the
+    value is unbounded there).
     """
     demand = _checked_demand(net, demand)
     with _cache_lock:
@@ -572,17 +611,49 @@ def concurrent_flow(net: TerminalNetwork, demand: DemandVector | dict) -> Concur
     if hit is not None:
         return hit
 
-    result = _concurrent_flow_uncached(net, demand)
+    from .stars import _star_oracle
+    stars = _prepared(net).stars
+    solve = _star_oracle if stars is not None and stars.names else _column_generation
+    result = solve(net, demand)
     with _cache_lock:
         _state(net).memo.setdefault(demand.entries, result)
     return result
 
 
+def _lifted_dual(net, shape: _Shape, lift: _Lift, lengths: list, lam: float,
+                 trees: dict) -> tuple[DualSolution, float]:
+    """(dual, duality gap): the reduced edge lengths lifted to the network,
+    with every terminal pair's distance under them, taken from the Dijkstra
+    trees by source in `trees` or run here.  Raises LPError when the gap
+    between sum(c * l) and `lam` exceeds OPT_TOL."""
+    edge_lengths = lift.lengths(lengths)
+    dual_obj = float(sum(c * l for c, l in zip(lift.cap, edge_lengths)))
+    gap = abs(dual_obj - lam) / max(1.0, abs(lam))
+    if gap > OPT_TOL:
+        raise LPError(f"duality gap {gap:.3g} exceeds {OPT_TOL:g}")
+    by_source = {s: tree[0] for s, tree in trees.items()}
+    dist_rows = []
+    for p in net.terminal_pairs():
+        s, t = p
+        if s not in by_source:
+            by_source[s] = _dijkstra(shape.arcs, lengths, s)[0]
+        dist_rows.append((p, float(by_source[s].get(t, np.inf))))
+    dual = DualSolution(lengths=tuple(sorted(zip(lift.edges, edge_lengths))),
+                        dists=tuple(dist_rows), value=dual_obj)
+    return dual, gap
+
+
+# ---------------------------------------------------------------------------
+# Column generation on the path form
+# ---------------------------------------------------------------------------
+
 _PATHS_PER_PAIR_PER_ROUND = 16
 
 
-def _concurrent_flow_uncached(net, demand) -> ConcurrentFlowResult:
-    """Column generation on the path form of maximum concurrent flow.
+def _path_lp(shape: _Shape, pairs: list, dvals: list, starts: list) -> tuple:
+    """Column generation on the path form of maximum concurrent flow over
+    the edges of `shape`, demand `dvals[i]` on `pairs[i]`, from the
+    (pair, path, edge rows) columns `starts`.
 
     Rows are fixed (#pairs demand rows + #edges capacity rows), so a path
     column appended between rounds leaves the current basis and its inverse
@@ -590,19 +661,13 @@ def _concurrent_flow_uncached(net, demand) -> ConcurrentFlowResult:
     exactly the edge lengths / pair distances of the edge-length dual, and
     Dijkstra under those lengths prices out violated paths.
 
-    The solve runs on the network's reduced view (`cut_view`, which keeps
-    every concurrent flow value): it takes the view's shape, its lift and
-    each pair's BFS start path from the record, building them on first use,
-    starts from the pooled paths as well, adds the paths that carry flow to
-    the pool, and returns the dual lifted back to the network.  The result
-    keeps the per-pair path flows with the shape and the lift, not the
-    network, and lifts the primal when `.flow` is first read.
-
-    Raises LPError when the duality gap exceeds OPT_TOL.
+    Returns (value, columns, x, lengths, trees, rounds, pivots): column
+    j >= 1 is a (pair, path, rows) triple carrying flow x[j], `lengths` are
+    the final lengths by edge index, and `trees` the last pricing round's
+    Dijkstra trees by source, run under those lengths.
     """
     from .lp import simplex_min
 
-    pairs = demand.pairs()
     pidx = {p: i for i, p in enumerate(pairs)}
     # columns: lambda | path flows ... | slacks (identity)
     col_paths: list[tuple[tuple[str, str], tuple[str, ...], tuple[int, ...]] | None] = [None]
@@ -615,22 +680,8 @@ def _concurrent_flow_uncached(net, demand) -> ConcurrentFlowResult:
         col_paths.append((pair, path, rows))
         return True
 
-    with _cache_lock:
-        state = _state(net)
-        if state.shape is None:
-            state.shape = _shape_of(net.cut_view)
-            state.lift = _lift_of(net, state.shape)
-        shape, lift = state.shape, state.lift
-        for p in pairs:
-            if p not in state.starts:
-                path = _bfs_path(shape.arcs, *p)
-                if path is None:
-                    raise FlowError(f"no path between {p[0]} and {p[1]}")
-                state.starts[p] = path, shape.rows(path)
-            add_path(p, *state.starts[p])
-        for p in pairs:
-            for path, rows in state.pool.get(p, {}).items():
-                add_path(p, path, rows)
+    for col in starts:
+        add_path(*col)
 
     arcs = shape.arcs
     np_ = len(pairs)
@@ -654,7 +705,7 @@ def _concurrent_flow_uncached(net, demand) -> ConcurrentFlowResult:
         grown[[pidx[col_paths[j][0]] for j in new], new] = -1.0
         grown[np_:][ones_r, ones_c] = 1.0
         if n_old == 0:
-            grown[:np_, 0] = [demand[p] for p in pairs]
+            grown[:np_, 0] = dvals
         rows = np.arange(m)
         grown[rows, n_struct + rows] = 1.0
         return grown
@@ -718,41 +769,58 @@ def _concurrent_flow_uncached(net, demand) -> ConcurrentFlowResult:
                     added = True
         if not added:
             break
+    return -value, col_paths, x.tolist(), lengths, src_cache, rounds, pivots
 
-    lam = -value
-    edge_lengths = lift.lengths(lengths)
-    dual_obj = float(sum(c * l for c, l in zip(lift.cap, edge_lengths)))
-    gap = abs(dual_obj - lam) / max(1.0, abs(lam))
-    if gap > OPT_TOL:
-        raise LPError(f"duality gap {gap:.3g} exceeds {OPT_TOL:g}")
 
-    xs = x.tolist()
-    per_pair_paths: dict[tuple[str, str], list] = {p: [] for p in pairs}
-    for col, f in zip(col_paths[1:], xs[1:]):
+def _carried(pairs: list, columns: list, x: list) -> dict:
+    """Per pair, the (path, rows, flow) of its columns carrying more than
+    1e-12."""
+    out: dict[tuple[str, str], list] = {p: [] for p in pairs}
+    for (p, path, rows), f in zip(columns[1:], x[1:]):
         if f > 1e-12:
-            per_pair_paths[col[0]].append((col, f))
+            out[p].append((path, rows, f))
+    return out
+
+
+def _column_generation(net, demand) -> ConcurrentFlowResult:
+    """The concurrent flow by `_path_lp` on the network's reduced view
+    (`cut_view`, which keeps every concurrent flow value).
+
+    It takes the view's shape, its lift and each pair's BFS start path from
+    the record, starts from the pooled paths as well, adds the paths that
+    carry flow to the pool, and returns the dual lifted back to the
+    network.  The result keeps the per-pair path flows with the shape and
+    the lift, not the network, and lifts the primal when `.flow` is first
+    read.
+
+    Raises LPError when the duality gap exceeds OPT_TOL.
+    """
+    pairs = demand.pairs()
+    state = _prepared(net)
+    shape, lift = state.shape, state.lift
+    starts = []
+    with _cache_lock:
+        for p in pairs:
+            if p not in state.starts:
+                path = _bfs_path(shape.arcs, *p)
+                if path is None:
+                    raise FlowError(f"no path between {p[0]} and {p[1]}")
+                state.starts[p] = path, shape.rows(path)
+            starts.append((p, *state.starts[p]))
+        for p in pairs:
+            starts += [(p, path, rows) for path, rows in state.pool.get(p, {}).items()]
+
+    lam, columns, xs, lengths, trees, rounds, pivots = _path_lp(
+        shape, pairs, [demand[p] for p in pairs], starts)
+    dual, gap = _lifted_dual(net, shape, lift, lengths, lam, trees)
+    carried = _carried(pairs, columns, xs)
     with _cache_lock:
         pool = _state(net).pool
         for p in pairs:
-            pool.setdefault(p, {}).update(
-                (path, rows) for (_, path, rows), _ in per_pair_paths[p])
-
-    # the last pricing round ran Dijkstra under these same final lengths
-    by_source = {s: tree[0] for s, tree in src_cache.items()}
-    dist_rows = []
-    for p in net.terminal_pairs():
-        s, t = p
-        if s not in by_source:
-            by_source[s] = _dijkstra(arcs, lengths, s)[0]
-        dist_rows.append((p, float(by_source[s].get(t, np.inf))))
-
-    dual = DualSolution(lengths=tuple(sorted(zip(lift.edges, edge_lengths))),
-                        dists=tuple(dist_rows), value=dual_obj)
-    primal = (shape, lift, tuple(
-        (p, lam * demand[p], tuple((path, f) for (_, path, _), f in per_pair_paths[p]))
-        for p in pairs))
+            pool.setdefault(p, {}).update((path, rows) for path, rows, _ in carried[p])
+    routed = functools.partial(_arc_flows, carried, {p: lam * demand[p] for p in pairs})
     return ConcurrentFlowResult(value=lam, dual=dual, duality_gap=gap, rounds=rounds,
-                                pivots=pivots, _primal=primal)
+                                pivots=pivots, _primal=(shape, lift, routed))
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,9 @@
 """The package's LP kernel: a float revised simplex.
 
-`simplex_min` (float, numpy) serves column generation in the flow oracle:
-it continues the simplex from a feasible basis after columns are appended.
-Per pivot it prices every column once and computes `Binv @ b` once; at
-_SPARSE_UPDATE_ROWS rows or more, its rank-1 update of `Binv` skips the
-rows where the entering column is zero.  None of this changes a pivot or a
-rounding: the skipped work recomputed equal values or subtracted zeros.
+`simplex_min` (float, numpy) serves the flow oracle's column generation
+and the star oracle's master: it continues the simplex from a feasible
+basis after columns are appended.  Per pivot it prices every column once
+and computes `Binv @ b` once.
 
 Conventions
 -----------
@@ -24,7 +22,6 @@ import numpy as np
 _TOL = 1e-9            # pricing, ratio-test and stall tolerance
 _REFACTOR_EVERY = 100
 _STALL_LIMIT = 60
-_SPARSE_UPDATE_ROWS = 100  # measured crossover: below it the full update is faster
 
 
 class LPError(Exception):
@@ -51,10 +48,7 @@ def simplex_min(cost, A, b, basis, *, Binv=None):
     Each pivot computes the basic solution `Binv @ b` once: the one taken
     for the stall test after a pivot is the next pivot's ratio-test input,
     and the last one gives x.  The ratio test runs over the rows where the
-    entering column is positive.  With at least _SPARSE_UPDATE_ROWS rows,
-    the rank-1 update of `Binv` touches only the rows where that column is
-    nonzero; on the other rows it would subtract zeros, which changes no
-    value (at most the sign of a zero entry, which no comparison sees).
+    entering column is positive.
     """
     cost = np.asarray(cost, dtype=float)
     A = np.asarray(A, dtype=float)
@@ -64,7 +58,6 @@ def simplex_min(cost, A, b, basis, *, Binv=None):
     basis = np.array(basis, dtype=int)
     if Binv is None:
         Binv = _factorize(A, basis)
-    sparse_update = m >= _SPARSE_UPDATE_ROWS
     bland = False
     stall = 0
     last_obj = np.inf
@@ -97,11 +90,7 @@ def simplex_min(cost, A, b, basis, *, Binv=None):
 
         piv = d[l]
         binv_l = Binv[l].copy()
-        if sparse_update:
-            rows = d.nonzero()[0]
-            Binv[rows] -= np.outer(d[rows] / piv, binv_l)
-        else:
-            Binv -= np.outer(d / piv, binv_l)
+        Binv -= np.outer(d / piv, binv_l)
         Binv[l] = binv_l / piv
         basis[l] = j
 

@@ -1,0 +1,340 @@
+"""The star oracle: concurrent flow on quasi-bipartite views by Kelley's
+cutting planes over metrics on the terminals.
+
+`flow.concurrent_flow` solves here when a network's `cut_view` has at least
+one non-terminal and each is a star: its neighbours are terminals, at most
+`_STAR_MAX_SUPPORT` of them.  Write mu for a metric on the k terminals.  LP
+duality on the edge-length form gives
+
+    lambda(d) = min { F(mu) : mu a metric on the terminals, d . mu = 1 }
+    F(mu) = sum over stars v of phi_v(mu) + c_T . mu
+    phi_v(mu) = max { mu . g : g >= 0, sum_w g_uw <= c_v(u) for every u }
+              = min { c_v . y : y_u + y_w >= mu_uw, y >= 0 }
+
+with c_T the terminal-terminal capacities.  F is convex, piecewise linear
+and has k(k-1)/2 coordinates whatever the number of stars, so Kelley's
+method solves it with a master LP of 1 + k(k-1)/2 rows.  A star's packing
+polytope has its vertices among its basic solutions, linear maps of c_v
+fixed per support size (`_basis_maps`), so the network's stars are one
+table of vertices, built once and kept in the flow oracle's record, and
+one evaluation of F is one product with that table.
+
+The result keeps the flow oracle's contract.  The dual lengths are each
+star's covering lengths y at the final mu, and mu on terminal-terminal
+edges, lifted to the network as column generation's are.  The primal is
+made on first read of `.flow`: the stars' flows, weighted by the master's
+cut multipliers, give each pair of terminals a link, and the demand is
+routed over those links.
+"""
+
+from __future__ import annotations
+
+import functools
+import itertools
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from .flow import (_MAX_SEPARATION_ROUNDS, ConcurrentFlowResult, FlowError,
+                   _arc_flows, _bfs_path, _carried, _lifted_dual, _path_lp, _prepared,
+                   _Shape)
+from .network import DemandVector, TerminalNetwork, _pair
+
+_STAR_MAX_SUPPORT = 5
+_CUT_TOL = 1e-12            # relative: F(mu) above z by less ends Kelley's method
+_BATCH_ENTRIES = 1 << 20    # entries of one batch of star vertex products
+
+
+@functools.cache
+def _basis_maps(s: int) -> np.ndarray:
+    """Per basis of a star's packing LP on s terminals, twice its basic
+    solution as a linear map of the capacities c: an int array (bases,
+    pairs + s, s) whose rows are the s(s-1)/2 pair flows, in `combinations`
+    order, then the s slacks.
+
+    The LP is {g >= 0 : sum_w g_uw + slack_u = c_u}.  A basis matrix is an
+    incidence matrix of a subgraph of K_s with slack columns, and its
+    inverse has entries in {0, +-1/2, +-1}, so twice a basic solution is
+    integer for integer capacities.  Read the other way, mu @ map / 2, with
+    mu on the pair rows, is the basis's dual solution y, the star's lengths.
+    There are 3, 17, 141 and 1 548 bases for s = 2 to 5.
+    """
+    pairs = list(itertools.combinations(range(s), 2))
+    p = len(pairs)
+    A = np.hstack([np.zeros((s, p)), np.eye(s)])
+    for e, (u, w) in enumerate(pairs):
+        A[u, e] = A[w, e] = 1.0
+    cols = np.array(list(itertools.combinations(range(p + s), s)))
+    B = A[:, cols].transpose(1, 0, 2)
+    keep = np.abs(np.linalg.det(B)) > 0.5
+    cols = cols[keep]
+    maps = np.zeros((len(cols), p + s, s))
+    maps[np.arange(len(cols))[:, None], cols] = np.linalg.inv(B[keep])
+    return np.rint(2 * maps).astype(np.int64)
+
+
+@functools.cache
+def _triangles(k: int) -> np.ndarray:
+    """The triangle rows over k terminals' pairs, in `combinations` order:
+    per triple and long side ac, via b, e_ac - e_ab - e_bc."""
+    at = {q: i for i, q in enumerate(itertools.combinations(range(k), 2))}
+    rows = np.zeros((3 * math.comb(k, 3), len(at)))
+    for i, (a, b, c) in enumerate(itertools.combinations(range(k), 3)):
+        for j, (x, y, z) in enumerate(((a, c, b), (a, b, c), (b, c, a))):
+            row = rows[3 * i + j]
+            row[at[(x, y)]] = 1.0
+            row[at[_pair(x, z)]] = row[at[_pair(y, z)]] = -1.0
+    return rows
+
+
+@dataclass(frozen=True, eq=False)
+class _Stars:
+    """A quasi-bipartite `cut_view` as the star oracle reads it.
+
+    Every non-terminal of the view is a star: its neighbours are terminals,
+    at most `_STAR_MAX_SUPPORT` of them.  Coordinates are the terminal
+    pairs in `terminal_pairs` order (`pair_index`), and `direct` holds the
+    terminal-terminal capacities.  `table` stacks each star's feasible
+    packing vertices (flows per pair), star by star: `row_star` is a row's
+    star and `starts` each star's first row.  The stars are numbered by
+    support: `groups` holds per support (its pair columns, the float
+    capacities of its stars, one row per star), and `names` each star's
+    vertex.  `edge_at` gives, per edge of the view's shape, the index of its
+    length in [mu | the stars' covering lengths, star by star].
+    `component` labels each vertex of the view by its connected component.
+    """
+
+    pairs: list
+    pair_index: dict
+    direct: np.ndarray
+    table: np.ndarray
+    row_star: np.ndarray
+    starts: np.ndarray
+    groups: list
+    names: list
+    edge_at: np.ndarray
+    component: dict
+
+
+def _stars_of(net: TerminalNetwork, shape: _Shape) -> _Stars | None:
+    """The star table of the network's `cut_view`, whose `_Shape` is
+    `shape`, or None where some non-terminal there has a non-terminal
+    neighbour or more than `_STAR_MAX_SUPPORT` neighbours.
+
+    A star's feasible vertices are its basic solutions (`_basis_maps`)
+    that are nonnegative up to rounding: each entry, a sum of at most five
+    terms +-c_u or +-2 c_u, may lie below zero by at most 1e-15 of the sum
+    of its terms' magnitudes, which bounds its float rounding error (about
+    4.4e-16 of it).  One batched product per support takes them for a
+    batch of stars.
+    """
+    position = {t: i for i, t in enumerate(net.terminals)}
+    supports: dict[tuple, list] = {}
+    for v, out in shape.arcs.items():
+        if v in position:
+            continue
+        if len(out) > _STAR_MAX_SUPPORT or not all(u in position for u, _ in out):
+            return None
+        supports.setdefault(tuple(sorted(position[u] for u, _ in out)), []).append(v)
+    pairs = net.terminal_pairs()
+    at = {q: i for i, q in enumerate(itertools.combinations(range(net.k), 2))}
+    blocks, row_star, groups, names = [], [], [], []
+    y_at: dict[tuple[str, str], int] = {}    # (star, terminal) -> covering index
+    for support, members in sorted(supports.items()):
+        maps = _basis_maps(len(support))
+        cols = [at[q] for q in itertools.combinations(support, 2)]
+        ends = [net.terminals[u] for u in support]
+        caps = np.array([[shape.caps[shape.arc_edge[(v, t)]] for t in ends]
+                         for v in members])
+        batch = max(1, _BATCH_ENTRIES // maps[:, :, 0].size)
+        for lo in range(0, len(members), batch):
+            part = caps[lo:lo + batch]
+            twice = np.matmul(maps, part.T).transpose(2, 0, 1)
+            terms = np.matmul(np.abs(maps), part.T).transpose(2, 0, 1)
+            ok = (twice >= -1e-15 * terms).all(2)
+            block = np.zeros((int(ok.sum()), len(pairs)))
+            block[:, cols] = twice[ok][:, :len(cols)] / 2
+            blocks.append(block)
+            row_star.append(len(names) + lo + np.repeat(np.arange(len(ok)), ok.sum(1)))
+        for v in members:
+            for t in ends:
+                y_at[(v, t)] = len(pairs) + len(y_at)
+        names += members
+        groups.append((cols, caps))
+    row_star = np.concatenate(row_star) if row_star else np.zeros(0, dtype=int)
+    direct = np.zeros(len(pairs))
+    pair_index = {p: i for i, p in enumerate(pairs)}
+    edge_at = []
+    for e, (a, b) in enumerate(shape.edges):
+        if (a, b) in pair_index:
+            direct[pair_index[(a, b)]] = shape.caps[e]
+            edge_at.append(pair_index[(a, b)])
+        else:
+            edge_at.append(y_at[(a, b)] if (a, b) in y_at else y_at[(b, a)])
+    component: dict[str, str] = {}
+    for root in shape.arcs:
+        if root not in component:
+            component[root] = root
+            stack = [root]
+            while stack:
+                for u, _ in shape.arcs[stack.pop()]:
+                    if u not in component:
+                        component[u] = root
+                        stack.append(u)
+    return _Stars(pairs=pairs, pair_index=pair_index, direct=direct,
+                  table=np.concatenate(blocks) if blocks else np.zeros((0, len(pairs))),
+                  row_star=row_star, starts=np.searchsorted(row_star, np.arange(len(names))),
+                  groups=groups, names=names, edge_at=np.array(edge_at, dtype=int),
+                  component=component)
+
+
+def _star_cut(stars: _Stars, mu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, s) at the metric mu: per star the first table row that
+    maximises mu . g, and the cut s = those vertices' sum plus the
+    terminal-terminal capacities.  F(mu) = s . mu, and F >= s . mu' at
+    every mu', so s is a subgradient of F there."""
+    vals = stars.table @ mu
+    top = np.maximum.reduceat(vals, stars.starts)
+    hit = np.flatnonzero(vals == top[stars.row_star])
+    star = stars.row_star[hit]
+    rows = hit[np.r_[True, star[1:] != star[:-1]]] if hit.size else hit
+    return rows, stars.table[rows].sum(0) + stars.direct
+
+
+def _covering(stars: _Stars, mu: np.ndarray) -> np.ndarray:
+    """[mu | each star's covering lengths y at mu, star by star], the
+    lengths `edge_at` indexes.  A star's y is a least c . y over y >= 0
+    with y_u + y_w >= mu_uw, so c . y is its packing value at mu by LP
+    duality; the least is taken over the dual solutions of `_basis_maps`'
+    bases that are feasible at mu, up to a rounding tolerance."""
+    out = []
+    tol = 1e-12 * max(1.0, float(mu.max(initial=0.0)))
+    for cols, caps in stars.groups:
+        maps = _basis_maps(caps.shape[1])
+        us, ws = np.array(list(itertools.combinations(range(caps.shape[1]), 2))).T
+        m = mu[cols]
+        y = np.einsum("e,bes->bs", m, maps[:, :len(cols)]) / 2
+        y = y[(y >= -tol).all(1) & (y[:, us] + y[:, ws] >= m - tol).all(1)]
+        out.append(np.maximum(y[(caps @ y.T).argmin(1)], 0.0).ravel())
+    return np.concatenate([mu, *out])
+
+
+def _star_oracle(net, demand) -> ConcurrentFlowResult:
+    """The concurrent flow on a quasi-bipartite `cut_view` by Kelley's
+    cutting planes over metrics mu on the terminals.
+
+    lambda(d) = min F(mu) over metrics with d . mu = 1, where F(mu) is the
+    stars' packing values plus c_T . mu; `_star_cut` gives F and a cut s
+    with F >= s . mu everywhere.  The master is the dual of Kelley's: max z
+    subject to sum(alpha) = 1 and sum(alpha_i s_i) + sum(beta_j tri_j)
+    - z d - surplus = 0, over columns z | surpluses | triangles | cuts,
+    continued by `simplex_min` from the start alpha_1 = 1 with surpluses as
+    cut columns are appended.  Its row multipliers are the next mu; a round
+    adds the cut at mu until F(mu) is within _CUT_TOL of z, relative.
+
+    The dual lengths are the stars' covering lengths at the last mu (mu on
+    terminal-terminal edges), lifted to the network.  The primal routes
+    z d over the terminal link graph that the cuts' flows, weighted by
+    alpha, give (`_star_routes`), on first read of `.flow`.
+
+    Raises FlowError for a demanded pair in two components, LPError when
+    the duality gap exceeds OPT_TOL.
+    """
+    from .lp import simplex_min
+
+    state = _prepared(net)
+    stars = state.stars
+    for s, t in demand.pairs():
+        if stars.component[s] != stars.component[t]:
+            raise FlowError(f"no path between {s} and {t}")
+    P = len(stars.pairs)
+    d = np.zeros(P)
+    for p, v in demand.items():
+        d[stars.pair_index[p]] = v
+    tri = _triangles(net.k)
+    A = np.zeros((1 + P, 1 + P + len(tri)))
+    A[1:, 0] = -d
+    A[1:, 1:P + 1] = -np.eye(P)
+    A[1:, P + 1:] = tri.T
+    b = np.zeros(1 + P)
+    b[0] = 1.0
+    cuts = []
+    rows, s = _star_cut(stars, d)
+    basis = Binv = None
+    rounds = pivots = 0
+    while True:
+        rounds += 1
+        if rounds > _MAX_SEPARATION_ROUNDS:
+            raise FlowError("Kelley's cutting planes did not converge")
+        cuts.append(rows)
+        A = np.column_stack([A, np.r_[1.0, s]])
+        if basis is None:
+            basis = [A.shape[1] - 1, *range(1, P + 1)]
+        cost = np.zeros(A.shape[1])
+        cost[0] = -1.0
+        x, value, y, basis, Binv, it = simplex_min(cost, A, b, basis, Binv=Binv)
+        pivots += it
+        lam = -value
+        # the cut is taken at the multipliers as they are: clipping an
+        # entry within the simplex's tolerance below zero would misjudge
+        # the cut's reduced cost t - s . mu by that entry times s there
+        mu = y[1:]
+        rows, s = _star_cut(stars, mu)
+        # done when the cut at mu is within _CUT_TOL of z, or when the last
+        # cut did not move the master: its reduced cost was within the
+        # simplex's tolerance, so the next cut would be the same
+        if s @ mu <= lam + _CUT_TOL * max(1.0, lam) or (it == 0 and rounds > 1):
+            break
+
+    lengths = _covering(stars, np.maximum(mu, 0.0))[stars.edge_at].tolist()
+    dual, gap = _lifted_dual(net, state.shape, state.lift, lengths, lam, {})
+    routed = functools.partial(_star_routes, stars, np.array(cuts),
+                               x[A.shape[1] - len(cuts):], lam, demand)
+    return ConcurrentFlowResult(value=lam, dual=dual, duality_gap=gap, rounds=rounds,
+                                pivots=pivots, _primal=(state.shape, state.lift, routed))
+
+
+def _star_routes(stars: _Stars, cuts: np.ndarray, alpha: np.ndarray, lam: float,
+                 demand: DemandVector) -> list:
+    """Per demanded pair, reduced arc flows that route lam * d_p.
+
+    Star v carries sum_i alpha_i g_v^(i) over the cuts' vertices, so the
+    terminal link graph, whose link uw joins two terminals with capacity
+    c_uw plus every star's flow for uw, routes lam * d: the master's
+    triangle columns say how.  `_path_lp` routes it there; each link's
+    flow is then split over the direct edge and the stars in proportion to
+    what they give the link.
+    """
+    flows = np.tensordot(alpha, stars.table[cuts], 1)      # star x pair
+    links = flows.sum(0) + stars.direct
+    used = np.flatnonzero(links > 0)
+    arcs: dict = {t: [] for p in stars.pairs for t in p}
+    for e, i in enumerate(used):
+        a, b = stars.pairs[i]
+        arcs[a].append((b, e))
+        arcs[b].append((a, e))
+    link = _Shape(edges=[stars.pairs[i] for i in used], caps=links[used].tolist(),
+                  arcs=arcs, arc_edge={(u, v): e for u, out in arcs.items() for v, e in out})
+    pairs = demand.pairs()
+    starts = [(p, path, link.rows(path)) for p in pairs
+              for path in [_bfs_path(arcs, *p)]]
+    _, columns, x, *_ = _path_lp(link, pairs, [demand[p] for p in pairs], starts)
+    routes = _arc_flows(_carried(pairs, columns, x), {p: lam * demand[p] for p in pairs})
+    shares = {}
+    for i in used:
+        through = np.flatnonzero(flows[:, i] > 0)
+        shares[stars.pairs[i]] = (stars.direct[i] / links[i],
+                                  [(stars.names[v], flows[v, i] / links[i]) for v in through])
+    out = []
+    for p, acc in routes:
+        reduced: dict[tuple[str, str], float] = {}
+        for (u, w), f in acc.items():
+            direct, via = shares[_pair(u, w)]
+            if direct > 0:
+                reduced[(u, w)] = reduced.get((u, w), 0.0) + f * direct
+            for v, share in via:
+                reduced[(u, v)] = reduced.get((u, v), 0.0) + f * share
+                reduced[(v, w)] = reduced.get((v, w), 0.0) + f * share
+        out.append((p, reduced))
+    return out

@@ -691,7 +691,9 @@ class TestLift:
 
 
 def _pool_demands():
-    net = gen_quasi_bipartite(5, 40, seed=3)
+    """A net whose reduced view keeps adjacent non-terminals (22 of its 40
+    vertices), so it is solved by column generation, which pools paths."""
+    net = random_connected_net(random.Random(3), 40, 5)
     rng = random.Random(5)
     return net, [random_demand(rng, net) for _ in range(8)]
 
@@ -718,6 +720,7 @@ def _record(net):
 class TestPathPool:
     def test_order_and_history_do_not_change_lambda(self):
         net, demands = _pool_demands()
+        assert flow._prepared(fresh(net)).stars is None
         forward = [concurrent_flow(net, d) for d in demands]
 
         again = fresh(net)
@@ -917,26 +920,29 @@ def _pin_fingerprints():
 # distances))) per solve with one BLAS thread.  Work may be cut from the
 # simplex and the pricing only where these stay equal: a different pivot or
 # rounding changes them.  The groups solve on the reduced view and return
-# lifted certificates; small-connected-4-12, where the view eliminates
-# nothing, keeps the bits of the unreduced solve.
+# lifted certificates.  The qb-* and small-qb-4-* views are star-shaped, so
+# the star oracle solves them (rounds are Kelley cuts, pivots the master's);
+# the small-qb-3-* and small-connected-* ones, whose views keep the
+# terminals alone or adjacent non-terminals, stay on column generation, and
+# small-connected-4-12 keeps the bits of the unreduced solve.
 PINNED_SOLVES = {
     'qb-11': [
-        ('0x1.0e9375daf653fp+5', 5, 54, '9d80a6d579b2da21'),
-        ('0x1.93cc52f01ef7ep+4', 7, 118, '620dce7fb4822bfb'),
-        ('0x1.3de6ec98cf84cp+4', 2, 55, '2a2bc02d5950af4d'),
-        ('0x1.4cdad5112ecc2p+4', 4, 89, '0c151aa4afc51d2a'),
+        ('0x1.0e9375daf6540p+5', 1, 6, 'cc83a43945b335ff'),
+        ('0x1.93cc52f01ef7bp+4', 4, 15, '8297669bbe553cb2'),
+        ('0x1.3de6ec98cf84ap+4', 2, 7, '2ab6a2052a5bfe47'),
+        ('0x1.4cdad5112ecbdp+4', 5, 18, '0daf9e6b6748dfb6'),
     ],
     'qb-12': [
-        ('0x1.2bfa1a5faea08p+4', 10, 160, 'ba3d88ac5753c965'),
-        ('0x1.1450f341c4384p+6', 4, 125, 'f708fdb4d3b124a5'),
-        ('0x1.a02baa4d500e0p+4', 3, 123, 'f368370cd8e5401e'),
-        ('0x1.c0f5e8c934da8p+4', 3, 143, '884f2fa4b11bc639'),
+        ('0x1.2bfa1a5faea09p+4', 1, 5, 'd5d545934c43ee43'),
+        ('0x1.1450f341c438ap+6', 3, 15, '5b9c7679168d45ec'),
+        ('0x1.a02baa4d500dep+4', 2, 13, 'b2a2c62dad3676f4'),
+        ('0x1.c0f5e8c934da5p+4', 1, 7, '11fd55ba16bf0144'),
     ],
     'qb-13': [
-        ('0x1.c3b29bf50a492p+4', 7, 55, 'df3d332e846b3cfe'),
-        ('0x1.9eb3abbaeb8d9p+4', 6, 54, 'da5890d67bda82cf'),
-        ('0x1.9bc922bef3ccbp+4', 5, 90, '0e63b984b832bfa5'),
-        ('0x1.2d653b70f22c5p+5', 3, 91, '3017ee8777ac5140'),
+        ('0x1.c3b29bf50a493p+4', 1, 4, '98ff3e2ac15d814e'),
+        ('0x1.9eb3abbaeb8d7p+4', 1, 5, '63e6f65546791b62'),
+        ('0x1.9bc922bef3cccp+4', 1, 10, 'bf0331924d4a8955'),
+        ('0x1.2d653b70f22c4p+5', 5, 15, '3b1fe4ad1f6c242a'),
     ],
     'small-connected-3-10': [
         ('0x1.6127870c96f7ep+4', 2, 3, '8fed99d8a20bac9e'),
@@ -957,10 +963,10 @@ PINNED_SOLVES = {
         ('0x1.de2073ff9228ep+1', 2, 5, '0f5d6eb539a1d620'),
     ],
     'small-qb-4-16': [
-        ('0x1.3a6a3589c6b09p+3', 4, 36, '88bd1e504caddab7'),
+        ('0x1.3a6a3589c6b06p+3', 1, 3, '869550054e9018ea'),
     ],
     'small-qb-4-20': [
-        ('0x1.e53592c735f2ap+4', 4, 16, 'fda18e62f9e77190'),
+        ('0x1.e53592c735f2ap+4', 1, 3, '3653e55a5274a3e0'),
     ],
 }
 

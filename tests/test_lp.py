@@ -125,3 +125,30 @@ PINNED_SIMPLEX = {
 @pytest.mark.parametrize("seed", range(20))
 def test_simplex_bits_are_pinned(seed):
     assert simplex_digest(seed) == PINNED_SIMPLEX[seed]
+
+
+def test_long_call_refactorizes_and_matches_scipy(monkeypatch):
+    """A call past _REFACTOR_EVERY pivots factorizes its basis afresh and
+    still ends at HiGHS's optimum, with its duals pricing it."""
+    import flowsparse.lp as lp
+    rng = np.random.default_rng(1)
+    m, n = 60, 120
+    A = rng.uniform(0.1, 1.0, (m, n)) * (rng.random((m, n)) < 0.08)
+    A[rng.integers(m, size=n), np.arange(n)] += 0.5      # no empty column
+    b = rng.uniform(1.0, 2.0, m)
+    c = -rng.uniform(0.5, 1.5, n)
+    real = lp._factorize
+    calls = []
+
+    def counting(A, basis):
+        calls.append(len(basis))
+        return real(A, basis)
+    monkeypatch.setattr(lp, "_factorize", counting)
+    x, value, y, _, _, it = simplex_min(np.r_[c, np.zeros(m)], slack_form(A), b,
+                                        list(range(n, n + m)))
+    ref = linprog(c, A_ub=A, b_ub=b, bounds=[(0, None)] * n, method="highs")
+    assert it > lp._REFACTOR_EVERY
+    assert len(calls) == 1 + it // lp._REFACTOR_EVERY
+    assert value == pytest.approx(ref.fun, rel=1e-9)
+    assert slack_form(A) @ x == pytest.approx(b, abs=1e-9)
+    assert y @ b == pytest.approx(value, rel=1e-9)

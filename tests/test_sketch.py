@@ -707,13 +707,15 @@ def sketch_fingerprints():
 # (core kind, sha256 prefix of the sorted-key JSON of to_json_dict()) per
 # build, with one BLAS thread.  The file holds the core's rows: a change to
 # the file format, the cut rows or the hull rows changes them.  Hull rows are
-# the terminal cut rows, then the oracle's per-pair and mix rows.
+# the terminal cut rows, then the oracle's per-pair and mix rows; qb-4-10's
+# oracle rows come from the star oracle (its view is star-shaped), and its
+# cut rows set every answer, as at any k <= 4.
 PINNED_SKETCHES = {
     "qb-2-6": ["GridCore", "d80b7ac6817ceee9"],
     "qb-3-8": ["GridCore", "3b07ba898c1408cd"],
     "connected-3-9": ["GridCore", "f929e37ff4eeef3d"],
     "qb-3-8-budget-10": ["HullCore", "a72b44a4cc399728"],
-    "qb-4-10": ["HullCore", "c4380e2e1a9f1be8"],
+    "qb-4-10": ["HullCore", "9f181882d3b6a2d3"],
 }
 
 

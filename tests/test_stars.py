@@ -1,0 +1,211 @@
+"""The star oracle on quasi-bipartite views, against column generation."""
+
+import itertools
+import random
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from flowsparse import DemandVector, TerminalNetwork, concurrent_flow
+from flowsparse import flow, stars
+from flowsparse.flow import OPT_TOL, FlowError
+from flowsparse.generators import gen_quasi_bipartite
+from flowsparse.merging import profile_bucket_sparsifier, ratio_type_sparsifier
+from flowsparse.sampling import sample_sparsifier
+
+from conftest import fresh, random_demand
+
+
+def _with_terminal_edges(net, rng):
+    """The net with an edge of random capacity between a few terminal pairs."""
+    pairs = rng.sample(list(itertools.combinations(net.terminals, 2)),
+                       min(3, net.k * (net.k - 1) // 2))
+    return TerminalNetwork.make(net.vertices, net.terminals, net.edges + tuple(
+        (s, t, rng.randint(1, 12)) for s, t in pairs))
+
+
+def _full_support_net():
+    """Two stars on all five terminals, one on four, and a terminal edge."""
+    ts = [f"t{i}" for i in range(5)]
+    edges = [("a", t, c) for t, c in zip(ts, (3, 5, 2, 7, 4))]
+    edges += [("b", t, c) for t, c in zip(ts, (6, 1, 4, 4, "5/2"))]
+    edges += [("c", t, c) for t, c in zip(ts[1:], (2, 9, 3, 3))]
+    edges.append(("t0", "t3", 2))
+    return TerminalNetwork.make(ts + ["a", "b", "c"], ts, edges)
+
+
+def _cross_cases():
+    """(name, net, demands) over quasi-bipartite nets, k = 2 to 8: base nets,
+    their sample (M = 8 and 32), ratio and profile candidates, base nets
+    with terminal-terminal edges, and a hand-built net of full-support
+    stars."""
+    cases = []
+    for seed in range(22):
+        k = 2 + seed % 7
+        rng = random.Random(4100 + seed)
+        base = gen_quasi_bipartite(k, rng.randint(k + 8, 30), seed=seed)
+        demands = [random_demand(rng, base) for _ in range(2)]
+        nets = {"base": base,
+                "sample-8": sample_sparsifier(base, 8, seed).net,
+                "sample-32": sample_sparsifier(base, 32, seed).net,
+                "ratio": ratio_type_sparsifier(base, 0.25).net,
+                "profile": profile_bucket_sparsifier(base, 0.25, demands).net,
+                "terminal-edges": _with_terminal_edges(base, rng)}
+        cases += [(f"{name}-{seed}", net, demands) for name, net in nets.items()]
+    net = _full_support_net()
+    rng = random.Random(4099)
+    cases.append(("full-support", net, [random_demand(rng, net) for _ in range(4)]))
+    return cases
+
+
+def test_cross_check_against_column_generation():
+    """Where a net's view is star-shaped, the star oracle's value is column
+    generation's within 1e-12, and its certificates hold on the network."""
+    checked = set()
+    ks = set()
+    for name, net, demands in _cross_cases():
+        if flow._prepared(net).stars is None:
+            continue      # a merged star past five terminals
+        for d in demands:
+            res = stars._star_oracle(net, d)
+            ref = flow._column_generation(fresh(net), d)
+            assert abs(res.value - ref.value) <= 1e-12 * ref.value, name
+            assert res.duality_gap <= OPT_TOL
+            res.flow.check(net, d)
+            res.dual.check(net, d)
+        checked.add(name)
+        ks.add(net.k)
+    assert len(checked) >= 100 and ks == set(range(2, 9))
+    assert {name.rsplit("-", 1)[0] for name in checked} == {
+        "base", "sample-8", "sample-32", "ratio", "profile", "terminal-edges",
+        "full"}
+
+
+@pytest.mark.parametrize("seed", [99, 168, 243])
+def test_capacities_over_fourteen_decades(seed):
+    """Each capacity scaled by its own factor in 10^[-6, 6], times a random
+    fraction: vertex feasibility is judged per entry, so no star carries
+    more than an edge holds, and Kelley stops at HiGHS's value."""
+    from test_flow import scipy_lambda
+    rng = random.Random(seed)
+    k = rng.randint(2, 8)
+    base = gen_quasi_bipartite(k, rng.randint(k + 5, 45), seed=1000 + seed)
+    net = TerminalNetwork.make(base.vertices, base.terminals, [
+        (u, v, c * Fraction(rng.randint(1, 97), rng.randint(1, 89)) * Fraction(10) ** rng.randint(-6, 6))
+        for u, v, c in base.edges])
+    assert flow._prepared(net).stars.names
+    for d in (random_demand(rng, net) for _ in range(2)):
+        res = concurrent_flow(net, d)
+        assert res.value == pytest.approx(scipy_lambda(net, d), rel=1e-12)
+        res.flow.check(net, d)
+        res.dual.check(net, d)
+
+
+def test_full_support_star_is_in_the_table():
+    net = _full_support_net()
+    table = flow._prepared(net).stars
+    assert sorted(len(cols) for cols, _ in table.groups) == [6, 10]
+    assert len(table.names) == 3 and table.direct.sum() == 2.0
+    assert [len(stars._basis_maps(s)) for s in (2, 3, 4, 5)] == [3, 17, 141, 1548]
+
+
+def test_dispatch_follows_the_view():
+    """Star-shaped views with stars take the star oracle; a view of the
+    terminals alone, a star past five terminals and two adjacent
+    non-terminals take column generation."""
+    qb = gen_quasi_bipartite(5, 30, seed=2)
+    terminals_only = gen_quasi_bipartite(3, 12, seed=2)
+    six = TerminalNetwork.make([f"t{i}" for i in range(6)] + ["v"],
+                               [f"t{i}" for i in range(6)],
+                               [("v", f"t{i}", i + 1) for i in range(6)])
+    chained = TerminalNetwork.make(["s", "t", "a", "b", "c", "d"], ["s", "t", "c", "d"],
+                                   [("a", "s", 1), ("a", "t", 1), ("a", "c", 1),
+                                    ("a", "b", 1), ("b", "s", 2), ("b", "t", 1),
+                                    ("b", "d", 1)])
+    assert flow._prepared(qb).stars.names
+    assert not flow._prepared(terminals_only).stars.names
+    assert flow._prepared(six).stars is None
+    assert flow._prepared(chained).stars is None
+    for net, star_path in ((qb, True), (terminals_only, False), (six, False),
+                           (chained, False)):
+        d = random_demand(random.Random(1), net)
+        res = concurrent_flow(net, d)
+        expected = (stars._star_oracle if star_path else flow._column_generation)(fresh(net), d)
+        assert (res.value, res.rounds, res.pivots) == (
+            expected.value, expected.rounds, expected.pivots)
+
+
+def test_disconnected_pair_and_zero_demand_raise_as_before():
+    base = gen_quasi_bipartite(4, 20, seed=5)
+    cut_off = TerminalNetwork.make(
+        base.vertices + ("~x0", "~x1"), base.terminals + ("~x1",),
+        base.edges + (("~x0", "~x1", 1),), allow_disconnected=True)
+    assert flow._prepared(cut_off).stars.names
+    d = {(base.terminals[0], "~x1"): 1, base.terminals[:2]: 1}
+    with pytest.raises(FlowError) as star:
+        concurrent_flow(cut_off, d)
+    with pytest.raises(FlowError) as column:
+        flow._column_generation(fresh(cut_off), DemandVector.of(d))
+    assert str(star.value) == str(column.value) == "no path between t0 and ~x1"
+    for net in (base, cut_off):
+        with pytest.raises(FlowError, match="zero demand"):
+            concurrent_flow(net, {})
+
+
+def test_triangle_rows_hold_on_a_metric():
+    rng = np.random.default_rng(3)
+    points = rng.random((6, 2))
+    mu = np.array([np.abs(points[a] - points[b]).sum()
+                   for a, b in itertools.combinations(range(6), 2)])
+    rows = stars._triangles(6)
+    assert rows.shape == (60, 15) and (rows @ mu <= 1e-12).all()
+
+
+def _qb_demands():
+    net = gen_quasi_bipartite(5, 40, seed=3)
+    rng = random.Random(5)
+    return net, [random_demand(rng, net) for _ in range(8)]
+
+
+class TestStarRecord:
+    """The star path's twins of the column-generation record tests."""
+
+    def test_table_is_built_once_per_network(self, monkeypatch):
+        real = stars._stars_of
+        calls = []
+
+        def counting(net, shape):
+            calls.append(net)
+            return real(net, shape)
+        monkeypatch.setattr(stars, "_stars_of", counting)
+        net, demands = _qb_demands()
+        for d in demands:
+            concurrent_flow(net, d)
+        assert calls == [net]
+        state = flow._state(net)
+        assert state.stars.names and not state.pool and not state.starts
+        assert np.array_equal(state.stars.table, real(net, state.shape).table)
+
+    def test_pivots_sum_the_master_simplex_calls(self, monkeypatch):
+        import flowsparse.lp
+        real = flowsparse.lp.simplex_min
+        seen = []
+
+        def counting(*args, **kwargs):
+            out = real(*args, **kwargs)
+            seen.append((args[1].shape[0], out[5]))
+            return out
+        monkeypatch.setattr(flowsparse.lp, "simplex_min", counting)
+        net, demands = _qb_demands()
+        res = concurrent_flow(net, demands[0])
+        assert len(seen) == res.rounds and res.pivots == sum(it for _, it in seen) > 0
+        assert {rows for rows, _ in seen} == {1 + 10}      # 1 + k(k-1)/2 rows
+        assert concurrent_flow(net, demands[0]) is res     # a memo hit
+        assert len(seen) == res.rounds
+
+    def test_memo_hit_returns_the_same_result(self):
+        net, demands = _qb_demands()
+        first = [concurrent_flow(net, d) for d in demands]
+        assert all(concurrent_flow(net, d) is res for d, res in zip(demands, first))
+        assert first[0].flow is concurrent_flow(net, demands[0]).flow
