@@ -23,13 +23,13 @@ structure of that view alone:
 In the view, non-terminals of degree at most 3 are eliminated (dropped,
 series-contracted, or replaced by a triangle), which keeps every terminal
 concurrent flow value.
-The solve's dual is lifted back, so callers and the memo see edge lengths
-on the network's own edges: a reduced edge's length is split over an
-eliminated vertex's sides so that no terminal distance changes and
-sum(c * l) does not grow.  The primal flow is lifted on first read of
-`ConcurrentFlowResult.flow`, since most callers read only the value and the
-dual: a reduced edge's flow fills the edges and pieces it stands for in
-order.
+Both methods return the reduced solution (the value, reduced edge lengths
+and a call that routes the primal), and the duality gap is checked there.
+Most callers read only the value, so both certificates are lifted to the
+network's edges on first read: `ConcurrentFlowResult.dual` splits a reduced
+edge's length over an eliminated vertex's sides so that no terminal
+distance changes and sum(c * l) does not grow; `.flow` fills the edges and
+pieces a reduced edge stands for in order.
 
 The oracle keeps one record per network, on the network object: it is
 built on the first solve, as `cut_view` is, and freed with the network.  It
@@ -37,9 +37,11 @@ holds a memo of finished results by demand; a path pool, the reduced-net
 paths that carried flow in earlier column-generation solves, which seed the
 next solve's columns; and what a solve needs of the network alone, built
 once: the reduced LP shape (canonical edges with parallel edges summed,
-float capacities, arc lists, arc-to-edge map), the lift, the star oracle's
-table, one BFS start path per pair, and each pooled path's edge rows.  A
-failed solve memoizes nothing.
+float capacities, arc lists, arc-to-edge map), the lift, the view's
+connected components, the star oracle's table, one BFS start path per
+pair, and each pooled path's edge rows.  A demanded pair whose ends lie in
+two components raises before either method runs.  A failed solve memoizes
+nothing.
 
 Also here: exact max flow between two vertices or two vertex sets, on
 integers (the rational capacities scaled by the LCM of their denominators,
@@ -156,22 +158,54 @@ class DualSolution:
 @dataclass(frozen=True)
 class ConcurrentFlowResult:
     value: float
-    dual: DualSolution
-    duality_gap: float
+    duality_gap: float  # |sum(c * l) - value| / max(1, value) on the reduced view
     rounds: int     # column-generation rounds, or Kelley cuts on the star path
     pivots: int     # simplex pivots over all rounds
-    # what lifting the primal needs, and nothing of the network itself:
-    # (reduced shape, lift, a call giving per demanded pair (pair, reduced
+    # what lifting the certificates needs, and nothing of the network itself:
+    # (reduced shape, lift, the network's terminal pairs, reduced edge
+    # lengths by edge index, a call giving per demanded pair (pair, reduced
     # arc flows {(a, b): f}) that route value * d_p)
-    _primal: tuple = field(compare=False, repr=False)
+    _reduced: tuple = field(compare=False, repr=False)
+
+    @cached_property
+    def dual(self) -> DualSolution:
+        """The edge-length dual on the network's edges, lifted on first
+        read: `_Lift.lengths` maps the reduced lengths to the network's
+        edges, and each terminal pair's distance is taken by Dijkstra on
+        the reduced view, since the lift keeps every terminal distance."""
+        shape, lift, pairs, lengths, _ = self._reduced
+        edge_lengths = lift.lengths(lengths)
+        trees = {s: _dijkstra(shape.arcs, lengths, s)[0]
+                 for s in dict.fromkeys(s for s, _ in pairs)}
+        return DualSolution(lengths=tuple(sorted(zip(lift.edges, edge_lengths))),
+                            dists=tuple((p, float(trees[p[0]].get(p[1], np.inf)))
+                                        for p in pairs),
+                            value=float(sum(c * l for c, l in zip(lift.cap, edge_lengths))))
 
     @cached_property
     def flow(self) -> FlowSolution:
         """The primal flow on the network's edges, lifted on first read:
         the reduced arc flows are made, then `_Lift.flows` maps them to the
         network's arcs."""
-        shape, lift, routed = self._primal
+        shape, lift, _, _, routed = self._reduced
         return FlowSolution(lam=self.value, arc_flows=lift.flows(shape, routed()))
+
+
+def _result(net: TerminalNetwork, lam: float, lengths: list, rounds: int, pivots: int,
+            routed) -> ConcurrentFlowResult:
+    """A solve's result from its reduced solution: `lam`, the edge lengths
+    by index of the record's shape, the counts and the `routed` call.
+    Raises LPError when sum(c * l) over the view's edges is off `lam` by
+    more than OPT_TOL; the lift keeps every terminal distance and does not
+    raise sum(c * l), so the lifted dual is as good a certificate."""
+    state = _prepared(net)
+    shape = state.shape
+    gap = abs(sum(c * l for c, l in zip(shape.caps, lengths)) - lam) / max(1.0, abs(lam))
+    if gap > OPT_TOL:
+        raise LPError(f"duality gap {gap:.3g} exceeds {OPT_TOL:g}")
+    return ConcurrentFlowResult(value=lam, duality_gap=gap, rounds=rounds, pivots=pivots,
+                                _reduced=(shape, state.lift, net.terminal_pairs(),
+                                          lengths, routed))
 
 
 def _arc_flows(carried: dict, wants: dict) -> list:
@@ -519,12 +553,12 @@ def _extract_path(parent: dict, t: str) -> tuple[str, ...]:
     return tuple(reversed(path))
 
 
-def _bfs_path(arcs: dict, s: str, t: str) -> tuple[str, ...] | None:
+def _bfs_path(arcs: dict, s: str, t: str) -> tuple[str, ...]:
     """Fewest-edge s-t path over `_Shape.arcs` lists, neighbours taken in
-    name order; None if there is none."""
+    name order; t must be reachable from s."""
     parent = {s: None}
     q = deque([s])
-    while q:
+    while True:
         u = q.popleft()
         if u == t:
             return _extract_path(parent, t)
@@ -532,23 +566,22 @@ def _bfs_path(arcs: dict, s: str, t: str) -> tuple[str, ...] | None:
             if v not in parent:
                 parent[v] = u
                 q.append(v)
-    return None
 
 
 @dataclass
 class _NetState:
     """What the oracle remembers about one network, kept on the network.
 
-    `memo` maps demand entries to the frozen result, its dual lifted to the
-    network;
+    `memo` maps demand entries to the frozen result;
     `pool` maps a pair to the reduced-net paths that carried flow for it in
     earlier column-generation solves, in first-use order, each with its
     edge-index rows (dict keys and values).  Only memoized solves feed the
     pool.  `shape`, the shape of the network's `cut_view`, `lift`, which
-    maps its certificates back, and `stars`, the star oracle's table (None
-    where the view is not star-shaped), are built on the first solve;
-    `starts` holds per pair its reduced-net BFS path and rows.  All four
-    depend on the network alone.  Nothing here refers to the network, so
+    maps its certificates back, `component`, which labels each vertex of
+    the view by its connected component, and `stars`, the star oracle's
+    table (None where the view is not star-shaped), are built on the first
+    solve; `starts` holds per pair its reduced-net BFS path and rows.  All
+    five depend on the network alone.  Nothing here refers to the network, so
     the record leaves with it.
     """
 
@@ -556,6 +589,7 @@ class _NetState:
     pool: dict = field(default_factory=dict)
     shape: _Shape | None = None
     lift: _Lift | None = None
+    component: dict = field(default_factory=dict)
     stars: object = None        # a `stars._Stars`, or None
     starts: dict = field(default_factory=dict)
 
@@ -573,12 +607,23 @@ def _state(net: TerminalNetwork) -> _NetState:
 
 
 def _prepared(net: TerminalNetwork) -> _NetState:
-    """The network's record, with its shape, lift and star table built."""
+    """The network's record, with its shape, lift, components and star
+    table built."""
     with _cache_lock:
         state = _state(net)
         if state.shape is None:
             state.shape = _shape_of(net.cut_view)
             state.lift = _lift_of(net, state.shape)
+            arcs = state.shape.arcs
+            for root in arcs:
+                if root not in state.component:
+                    state.component[root] = root
+                    stack = [root]
+                    while stack:
+                        for u, _ in arcs[stack.pop()]:
+                            if u not in state.component:
+                                state.component[u] = root
+                                stack.append(u)
             from .stars import _stars_of
             state.stars = _stars_of(net, state.shape)
     return state
@@ -603,7 +648,8 @@ def concurrent_flow(net: TerminalNetwork, demand: DemandVector | dict) -> Concur
     most `stars._STAR_MAX_SUPPORT` of them.  Column generation solves it
     everywhere else, on a view of the terminals alone too, which is a
     k-vertex LP already.  Raises FlowError on the all-zero demand (the
-    value is unbounded there).
+    value is unbounded there) and for the first demanded pair whose ends
+    lie in two components of the view.
     """
     demand = _checked_demand(net, demand)
     with _cache_lock:
@@ -612,35 +658,16 @@ def concurrent_flow(net: TerminalNetwork, demand: DemandVector | dict) -> Concur
         return hit
 
     from .stars import _star_oracle
-    stars = _prepared(net).stars
+    state = _prepared(net)
+    for s, t in demand.pairs():
+        if state.component[s] != state.component[t]:
+            raise FlowError(f"no path between {s} and {t}")
+    stars = state.stars
     solve = _star_oracle if stars is not None and stars.names else _column_generation
     result = solve(net, demand)
     with _cache_lock:
         _state(net).memo.setdefault(demand.entries, result)
     return result
-
-
-def _lifted_dual(net, shape: _Shape, lift: _Lift, lengths: list, lam: float,
-                 trees: dict) -> tuple[DualSolution, float]:
-    """(dual, duality gap): the reduced edge lengths lifted to the network,
-    with every terminal pair's distance under them, taken from the Dijkstra
-    trees by source in `trees` or run here.  Raises LPError when the gap
-    between sum(c * l) and `lam` exceeds OPT_TOL."""
-    edge_lengths = lift.lengths(lengths)
-    dual_obj = float(sum(c * l for c, l in zip(lift.cap, edge_lengths)))
-    gap = abs(dual_obj - lam) / max(1.0, abs(lam))
-    if gap > OPT_TOL:
-        raise LPError(f"duality gap {gap:.3g} exceeds {OPT_TOL:g}")
-    by_source = {s: tree[0] for s, tree in trees.items()}
-    dist_rows = []
-    for p in net.terminal_pairs():
-        s, t = p
-        if s not in by_source:
-            by_source[s] = _dijkstra(shape.arcs, lengths, s)[0]
-        dist_rows.append((p, float(by_source[s].get(t, np.inf))))
-    dual = DualSolution(lengths=tuple(sorted(zip(lift.edges, edge_lengths))),
-                        dists=tuple(dist_rows), value=dual_obj)
-    return dual, gap
 
 
 # ---------------------------------------------------------------------------
@@ -661,10 +688,9 @@ def _path_lp(shape: _Shape, pairs: list, dvals: list, starts: list) -> tuple:
     exactly the edge lengths / pair distances of the edge-length dual, and
     Dijkstra under those lengths prices out violated paths.
 
-    Returns (value, columns, x, lengths, trees, rounds, pivots): column
-    j >= 1 is a (pair, path, rows) triple carrying flow x[j], `lengths` are
-    the final lengths by edge index, and `trees` the last pricing round's
-    Dijkstra trees by source, run under those lengths.
+    Returns (value, columns, x, lengths, rounds, pivots): column j >= 1 is
+    a (pair, path, rows) triple carrying flow x[j], and `lengths` are the
+    final lengths by edge index.
     """
     from .lp import simplex_min
 
@@ -769,7 +795,7 @@ def _path_lp(shape: _Shape, pairs: list, dvals: list, starts: list) -> tuple:
                     added = True
         if not added:
             break
-    return -value, col_paths, x.tolist(), lengths, src_cache, rounds, pivots
+    return -value, col_paths, x.tolist(), lengths, rounds, pivots
 
 
 def _carried(pairs: list, columns: list, x: list) -> dict:
@@ -786,41 +812,36 @@ def _column_generation(net, demand) -> ConcurrentFlowResult:
     """The concurrent flow by `_path_lp` on the network's reduced view
     (`cut_view`, which keeps every concurrent flow value).
 
-    It takes the view's shape, its lift and each pair's BFS start path from
-    the record, starts from the pooled paths as well, adds the paths that
-    carry flow to the pool, and returns the dual lifted back to the
-    network.  The result keeps the per-pair path flows with the shape and
-    the lift, not the network, and lifts the primal when `.flow` is first
-    read.
+    It takes the view's shape and each pair's BFS start path from the
+    record, starts from the pooled paths as well, and adds the paths
+    that carry flow to the pool.  The result keeps the final lengths and
+    the per-pair path flows (`_result`).
 
     Raises LPError when the duality gap exceeds OPT_TOL.
     """
     pairs = demand.pairs()
     state = _prepared(net)
-    shape, lift = state.shape, state.lift
+    shape = state.shape
     starts = []
     with _cache_lock:
         for p in pairs:
             if p not in state.starts:
                 path = _bfs_path(shape.arcs, *p)
-                if path is None:
-                    raise FlowError(f"no path between {p[0]} and {p[1]}")
                 state.starts[p] = path, shape.rows(path)
             starts.append((p, *state.starts[p]))
         for p in pairs:
             starts += [(p, path, rows) for path, rows in state.pool.get(p, {}).items()]
 
-    lam, columns, xs, lengths, trees, rounds, pivots = _path_lp(
+    lam, columns, xs, lengths, rounds, pivots = _path_lp(
         shape, pairs, [demand[p] for p in pairs], starts)
-    dual, gap = _lifted_dual(net, shape, lift, lengths, lam, trees)
     carried = _carried(pairs, columns, xs)
+    result = _result(net, lam, lengths, rounds, pivots, functools.partial(
+        _arc_flows, carried, {p: lam * demand[p] for p in pairs}))
     with _cache_lock:
         pool = _state(net).pool
         for p in pairs:
             pool.setdefault(p, {}).update((path, rows) for path, rows, _ in carried[p])
-    routed = functools.partial(_arc_flows, carried, {p: lam * demand[p] for p in pairs})
-    return ConcurrentFlowResult(value=lam, dual=dual, duality_gap=gap, rounds=rounds,
-                                pivots=pivots, _primal=(shape, lift, routed))
+    return result
 
 
 # ---------------------------------------------------------------------------

@@ -123,6 +123,8 @@ def sampling_plan(net: TerminalNetwork, M: float, seed: int,
     plans = []
     dropped: list[str] = []
     for members, flows in units:
+        # kept for hand-written nets: a non-terminal with fewer than two
+        # terminal neighbours carries no flow; gen_quasi_bipartite never makes one
         if not flows:
             dropped.extend(members)
             continue
@@ -131,7 +133,7 @@ def sampling_plan(net: TerminalNetwork, M: float, seed: int,
         p_raw = M * float(ratio)
         plans.append(UnitPlan(unit_id="|".join(members), members=members,
                               p_raw=p_raw, p=min(1.0, p_raw), best_pair=pair))
-    if dropped:
+    if dropped:     # as above, only a hand-written net gets here
         warnings.warn(f"{len(dropped)} non-terminal(s) carry no 2-hop flow "
                       "and are dropped deterministically", stacklevel=2)
     return SamplingPlan(M=float(M), seed=int(seed), units=tuple(plans),

@@ -19,12 +19,12 @@ fixed per support size (`_basis_maps`), so the network's stars are one
 table of vertices, built once and kept in the flow oracle's record, and
 one evaluation of F is one product with that table.
 
-The result keeps the flow oracle's contract.  The dual lengths are each
+The result keeps the flow oracle's contract.  The reduced lengths are each
 star's covering lengths y at the final mu, and mu on terminal-terminal
-edges, lifted to the network as column generation's are.  The primal is
-made on first read of `.flow`: the stars' flows, weighted by the master's
-cut multipliers, give each pair of terminals a link, and the demand is
-routed over those links.
+edges; `.dual` lifts them to the network as it does column generation's.
+The primal is made on first read of `.flow`: the stars' flows, weighted by
+the master's cut multipliers, give each pair of terminals a link, and the
+demand is routed over those links.
 """
 
 from __future__ import annotations
@@ -36,9 +36,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .flow import (_MAX_SEPARATION_ROUNDS, ConcurrentFlowResult, FlowError,
-                   _arc_flows, _bfs_path, _carried, _lifted_dual, _path_lp, _prepared,
-                   _Shape)
+from .flow import (_MAX_SEPARATION_ROUNDS, FlowError, _arc_flows, _bfs_path, _carried,
+                   _path_lp, _prepared, _result, _Shape)
 from .network import DemandVector, TerminalNetwork, _pair
 
 _STAR_MAX_SUPPORT = 5
@@ -102,7 +101,6 @@ class _Stars:
     capacities of its stars, one row per star), and `names` each star's
     vertex.  `edge_at` gives, per edge of the view's shape, the index of its
     length in [mu | the stars' covering lengths, star by star].
-    `component` labels each vertex of the view by its connected component.
     """
 
     pairs: list
@@ -114,7 +112,6 @@ class _Stars:
     groups: list
     names: list
     edge_at: np.ndarray
-    component: dict
 
 
 def _stars_of(net: TerminalNetwork, shape: _Shape) -> _Stars | None:
@@ -172,21 +169,10 @@ def _stars_of(net: TerminalNetwork, shape: _Shape) -> _Stars | None:
             edge_at.append(pair_index[(a, b)])
         else:
             edge_at.append(y_at[(a, b)] if (a, b) in y_at else y_at[(b, a)])
-    component: dict[str, str] = {}
-    for root in shape.arcs:
-        if root not in component:
-            component[root] = root
-            stack = [root]
-            while stack:
-                for u, _ in shape.arcs[stack.pop()]:
-                    if u not in component:
-                        component[u] = root
-                        stack.append(u)
     return _Stars(pairs=pairs, pair_index=pair_index, direct=direct,
                   table=np.concatenate(blocks) if blocks else np.zeros((0, len(pairs))),
                   row_star=row_star, starts=np.searchsorted(row_star, np.arange(len(names))),
-                  groups=groups, names=names, edge_at=np.array(edge_at, dtype=int),
-                  component=component)
+                  groups=groups, names=names, edge_at=np.array(edge_at, dtype=int))
 
 
 def _star_cut(stars: _Stars, mu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -220,7 +206,7 @@ def _covering(stars: _Stars, mu: np.ndarray) -> np.ndarray:
     return np.concatenate([mu, *out])
 
 
-def _star_oracle(net, demand) -> ConcurrentFlowResult:
+def _star_oracle(net, demand):
     """The concurrent flow on a quasi-bipartite `cut_view` by Kelley's
     cutting planes over metrics mu on the terminals.
 
@@ -233,21 +219,17 @@ def _star_oracle(net, demand) -> ConcurrentFlowResult:
     cut columns are appended.  Its row multipliers are the next mu; a round
     adds the cut at mu until F(mu) is within _CUT_TOL of z, relative.
 
-    The dual lengths are the stars' covering lengths at the last mu (mu on
-    terminal-terminal edges), lifted to the network.  The primal routes
-    z d over the terminal link graph that the cuts' flows, weighted by
-    alpha, give (`_star_routes`), on first read of `.flow`.
+    The reduced lengths are the stars' covering lengths at the last mu (mu
+    on terminal-terminal edges).  The primal routes z d over the terminal
+    link graph that the cuts' flows, weighted by alpha, give
+    (`_star_routes`), on first read of `.flow`.  The result comes from
+    `flow._result`.
 
-    Raises FlowError for a demanded pair in two components, LPError when
-    the duality gap exceeds OPT_TOL.
+    Raises LPError when the duality gap exceeds OPT_TOL.
     """
     from .lp import simplex_min
 
-    state = _prepared(net)
-    stars = state.stars
-    for s, t in demand.pairs():
-        if stars.component[s] != stars.component[t]:
-            raise FlowError(f"no path between {s} and {t}")
+    stars = _prepared(net).stars
     P = len(stars.pairs)
     d = np.zeros(P)
     for p, v in demand.items():
@@ -288,11 +270,8 @@ def _star_oracle(net, demand) -> ConcurrentFlowResult:
             break
 
     lengths = _covering(stars, np.maximum(mu, 0.0))[stars.edge_at].tolist()
-    dual, gap = _lifted_dual(net, state.shape, state.lift, lengths, lam, {})
-    routed = functools.partial(_star_routes, stars, np.array(cuts),
-                               x[A.shape[1] - len(cuts):], lam, demand)
-    return ConcurrentFlowResult(value=lam, dual=dual, duality_gap=gap, rounds=rounds,
-                                pivots=pivots, _primal=(state.shape, state.lift, routed))
+    return _result(net, lam, lengths, rounds, pivots, functools.partial(
+        _star_routes, stars, np.array(cuts), x[A.shape[1] - len(cuts):], lam, demand))
 
 
 def _star_routes(stars: _Stars, cuts: np.ndarray, alpha: np.ndarray, lam: float,

@@ -81,10 +81,6 @@ class CutReport:
             records = self._records = records()
         return records
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, CutReport) and (self.beta, self.all_exact, self.records) == (
-            other.beta, other.all_exact, other.records)
-
     def to_json_dict(self) -> dict:
         return {
             "version": 1,

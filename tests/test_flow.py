@@ -813,7 +813,8 @@ class TestPathPool:
 
 
 class TestLazyPrimal:
-    """The primal flow is lifted to the network only when `.flow` is read."""
+    """Both certificates are lifted to the network only when read: the
+    primal flow when `.flow` is, the dual when `.dual` is."""
 
     @pytest.fixture()
     def lifts(self, monkeypatch):
@@ -824,6 +825,24 @@ class TestLazyPrimal:
             calls.append(len(reduced))
             return real(lift, shape, reduced)
         monkeypatch.setattr(flow._Lift, "flows", counting)
+        return calls
+
+    @pytest.fixture()
+    def duals(self, monkeypatch):
+        """The calls, by name, of the dual's lift (`_Lift.lengths`) and of
+        `flow._dijkstra`, which also prices column generation's paths."""
+        real_lengths, real_dijkstra = flow._Lift.lengths, flow._dijkstra
+        calls = []
+
+        def lengths(lift, reduced):
+            calls.append("lengths")
+            return real_lengths(lift, reduced)
+
+        def dijkstra(arcs, lengths, source):
+            calls.append("dijkstra")
+            return real_dijkstra(arcs, lengths, source)
+        monkeypatch.setattr(flow._Lift, "lengths", lengths)
+        monkeypatch.setattr(flow, "_dijkstra", dijkstra)
         return calls
 
     def test_value_only_callers_never_lift(self, lifts):
@@ -846,6 +865,38 @@ class TestLazyPrimal:
                     claim if math.isfinite(claim) else math.inf)
         assert _record(net)[0] and lifts == []
 
+    def test_certify_and_the_sample_and_ratio_constructions_never_lift_the_dual(
+            self, duals):
+        from flowsparse.merging import ratio_type_sparsifier
+        from flowsparse.sampling import sample_sparsifier
+        from flowsparse.verify import certify
+        net = gen_quasi_bipartite(4, 20, seed=3)
+        rng = random.Random(3)
+        demands = [random_demand(rng, net) for _ in range(3)]
+        for cand in (ratio_type_sparsifier(net, 0.25), sample_sparsifier(net, 4, 1)):
+            claim = cand.claimed_quality
+            certify(net, cand.net, demands, claim if math.isfinite(claim) else math.inf)
+            assert flow._prepared(cand.net).stars.names     # the star path solved it
+        assert _record(net)[0] and duals == []
+
+    def test_profile_buckets_lift_one_dual_per_distinct_demand(self, duals):
+        from flowsparse.merging import profile_bucket_sparsifier
+        net = gen_quasi_bipartite(4, 20, seed=3)
+        rng = random.Random(3)
+        demands = [random_demand(rng, net) for _ in range(3)]
+        profile_bucket_sparsifier(net, 0.25, demands + demands[::-1])
+        assert duals.count("lengths") == len(demands)
+
+    def test_dual_is_lifted_once_per_result(self, duals):
+        net, demands = _pool_demands()
+        res = concurrent_flow(net, demands[0])
+        assert "lengths" not in duals
+        first = res.dual
+        assert concurrent_flow(net, demands[0]) is res      # a memo hit
+        assert res.dual is first and concurrent_flow(net, demands[0]).dual is first
+        assert duals.count("lengths") == 1
+        first.check(net, demands[0])
+
     def test_flow_is_lifted_once_per_result(self, lifts):
         net, demands = _pool_demands()
         res = concurrent_flow(net, demands[0])
@@ -858,7 +909,8 @@ class TestLazyPrimal:
 
     def test_memo_keeps_no_network_alive(self):
         """The record, with the memoized results no caller holds, is freed
-        with its network; a result a caller holds still lifts its flow."""
+        with its network; a result a caller holds still lifts its flow and
+        its dual."""
         import gc
         import weakref
         net, demands = _pool_demands()
@@ -868,7 +920,8 @@ class TestLazyPrimal:
         del net
         gc.collect()
         assert [ref() for ref in refs] == [None] * 3
-        assert res.flow.arc_flows        # the lift needs no network
+        assert res.flow.arc_flows        # the lifts need no network
+        assert res.dual.lengths and res.dual.dists
 
 
 def _pin_groups():
