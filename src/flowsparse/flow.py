@@ -20,6 +20,11 @@ structure of that view alone:
   `rounds` counts the pricing rounds and `pivots` the simplex pivots over
   all of them.
 
+Both methods run one loop, `_columns`: over an LP whose rows are fixed,
+it continues `lp.simplex_min` from the last basis while the method's
+pricer inserts columns (paths, or the master's cuts), and stops when the
+pricer has none.
+
 In the view, non-terminals of degree at most 3 are eliminated (dropped,
 series-contracted, or replaced by a triangle), which keeps every terminal
 concurrent flow value.
@@ -37,11 +42,12 @@ holds a memo of finished results by demand; a path pool, the reduced-net
 paths that carried flow in earlier column-generation solves, which seed the
 next solve's columns; and what a solve needs of the network alone, built
 once: the reduced LP shape (canonical edges with parallel edges summed,
-float capacities, arc lists, arc-to-edge map), the lift, the view's
-connected components, the star oracle's table, one BFS start path per
-pair, and each pooled path's edge rows.  A demanded pair whose ends lie in
-two components raises before either method runs.  A failed solve memoizes
-nothing.
+float capacities, arc lists, arc-to-edge map), the lift, the star
+oracle's table, one BFS start path per pair, and each pooled path's edge
+rows.  A demanded pair whose ends lie in two components of the network
+(`TerminalNetwork.component_of`, labelled once per network) raises before
+either method runs; the reduction never splits connected terminals, so
+the view's components agree.  A failed solve memoizes nothing.
 
 Also here: exact max flow between two vertices or two vertex sets, on
 integers (the rational capacities scaled by the LCM of their denominators,
@@ -577,11 +583,10 @@ class _NetState:
     earlier column-generation solves, in first-use order, each with its
     edge-index rows (dict keys and values).  Only memoized solves feed the
     pool.  `shape`, the shape of the network's `cut_view`, `lift`, which
-    maps its certificates back, `component`, which labels each vertex of
-    the view by its connected component, and `stars`, the star oracle's
-    table (None where the view is not star-shaped), are built on the first
-    solve; `starts` holds per pair its reduced-net BFS path and rows.  All
-    five depend on the network alone.  Nothing here refers to the network, so
+    maps its certificates back, and `stars`, the star oracle's table (None
+    where the view is not star-shaped), are built on the first solve;
+    `starts` holds per pair its reduced-net BFS path and rows.  All four
+    depend on the network alone.  Nothing here refers to the network, so
     the record leaves with it.
     """
 
@@ -589,7 +594,6 @@ class _NetState:
     pool: dict = field(default_factory=dict)
     shape: _Shape | None = None
     lift: _Lift | None = None
-    component: dict = field(default_factory=dict)
     stars: object = None        # a `stars._Stars`, or None
     starts: dict = field(default_factory=dict)
 
@@ -607,23 +611,12 @@ def _state(net: TerminalNetwork) -> _NetState:
 
 
 def _prepared(net: TerminalNetwork) -> _NetState:
-    """The network's record, with its shape, lift, components and star
-    table built."""
+    """The network's record, with its shape, lift and star table built."""
     with _cache_lock:
         state = _state(net)
         if state.shape is None:
             state.shape = _shape_of(net.cut_view)
             state.lift = _lift_of(net, state.shape)
-            arcs = state.shape.arcs
-            for root in arcs:
-                if root not in state.component:
-                    state.component[root] = root
-                    stack = [root]
-                    while stack:
-                        for u, _ in arcs[stack.pop()]:
-                            if u not in state.component:
-                                state.component[u] = root
-                                stack.append(u)
             from .stars import _stars_of
             state.stars = _stars_of(net, state.shape)
     return state
@@ -649,7 +642,7 @@ def concurrent_flow(net: TerminalNetwork, demand: DemandVector | dict) -> Concur
     everywhere else, on a view of the terminals alone too, which is a
     k-vertex LP already.  Raises FlowError on the all-zero demand (the
     value is unbounded there) and for the first demanded pair whose ends
-    lie in two components of the view.
+    lie in two components of the network.
     """
     demand = _checked_demand(net, demand)
     with _cache_lock:
@@ -658,11 +651,11 @@ def concurrent_flow(net: TerminalNetwork, demand: DemandVector | dict) -> Concur
         return hit
 
     from .stars import _star_oracle
-    state = _prepared(net)
+    component_of = net.component_of
     for s, t in demand.pairs():
-        if state.component[s] != state.component[t]:
+        if component_of[s] != component_of[t]:
             raise FlowError(f"no path between {s} and {t}")
-    stars = state.stars
+    stars = _prepared(net).stars
     solve = _star_oracle if stars is not None and stars.names else _column_generation
     result = solve(net, demand)
     with _cache_lock:
@@ -677,14 +670,44 @@ def concurrent_flow(net: TerminalNetwork, demand: DemandVector | dict) -> Concur
 _PATHS_PER_PAIR_PER_ROUND = 16
 
 
+def _columns(A, b, basis, at, price) -> tuple:
+    """Maximise x[0] subject to A x = b, x >= 0 from the feasible basis
+    `basis` by column generation: the one loop of both methods.
+
+    Rows are fixed, so each `simplex_min` call continues from the last basis
+    and its inverse.  After each, `price(x, lam, y, pivots)` returns new
+    columns, one per row, or None to stop.  They go in at index `at`, after
+    the columns generated earlier, and basis indices from `at` on shift past
+    them.  Returns (lam, x, y, rounds, pivots), `rounds` counting the
+    calls; raises FlowError past _MAX_SEPARATION_ROUNDS of them.
+    """
+    from .lp import simplex_min     # looked up per call: a wrapper set on lp sees it
+
+    Binv = None
+    rounds = pivots = 0
+    while True:
+        rounds += 1
+        if rounds > _MAX_SEPARATION_ROUNDS:
+            raise FlowError("column generation did not converge")
+        cost = np.zeros(A.shape[1])
+        cost[0] = -1.0
+        x, value, y, basis, Binv, it = simplex_min(cost, A, b, basis, Binv=Binv)
+        pivots += it
+        new = price(x, -value, y, it)
+        if new is None:
+            return -value, x, y, rounds, pivots
+        A = np.concatenate([A[:, :at], new.T, A[:, at:]], axis=1)
+        basis[basis >= at] += len(new)
+        at += len(new)
+
+
 def _path_lp(shape: _Shape, pairs: list, dvals: list, starts: list) -> tuple:
     """Column generation on the path form of maximum concurrent flow over
     the edges of `shape`, demand `dvals[i]` on `pairs[i]`, from the
-    (pair, path, edge rows) columns `starts`.
+    (pair, path, edge rows) columns `starts`, as a pricer of `_columns`.
 
-    Rows are fixed (#pairs demand rows + #edges capacity rows), so a path
-    column appended between rounds leaves the current basis and its inverse
-    valid; each round just continues the simplex.  The row multipliers are
+    Columns are lambda, then paths, then the slacks, which are the first
+    basis; new paths go in before the slacks.  The row multipliers are
     exactly the edge lengths / pair distances of the edge-length dual, and
     Dijkstra under those lengths prices out violated paths.
 
@@ -692,10 +715,7 @@ def _path_lp(shape: _Shape, pairs: list, dvals: list, starts: list) -> tuple:
     a (pair, path, rows) triple carrying flow x[j], and `lengths` are the
     final lengths by edge index.
     """
-    from .lp import simplex_min
-
     pidx = {p: i for i, p in enumerate(pairs)}
-    # columns: lambda | path flows ... | slacks (identity)
     col_paths: list[tuple[tuple[str, str], tuple[str, ...], tuple[int, ...]] | None] = [None]
     seen_paths = set()
 
@@ -712,58 +732,20 @@ def _path_lp(shape: _Shape, pairs: list, dvals: list, starts: list) -> tuple:
     arcs = shape.arcs
     np_ = len(pairs)
     m = np_ + len(shape.edges)
-    b = np.concatenate([np.zeros(np_), shape.caps])
 
-    def grow(A, n_old, n_struct):
-        """[A's structural block | columns n_old..n_struct-1 | identity].
+    def as_columns(new: list) -> np.ndarray:
+        """One row per (pair, path, rows) column: -1 in its pair's row and 1
+        in each edge's row; a simple path uses an edge at most once."""
+        out = np.zeros((len(new), m))
+        out[np.arange(len(new)), [pidx[p] for p, _, _ in new]] = -1.0
+        out[[j for j, (_, _, rows) in enumerate(new) for _ in rows],
+            [np_ + e for _, _, rows in new for e in rows]] = 1.0
+        return out
 
-        A path column holds -1 in its pair's row and 1 in each edge's row;
-        a simple path uses an edge at most once."""
-        grown = np.zeros((m, n_struct + m))
-        grown[:, :n_old] = A[:, :n_old]
-        new = range(max(n_old, 1), n_struct)
-        ones_r: list[int] = []
-        ones_c: list[int] = []
-        for j in new:
-            edge_rows = col_paths[j][2]
-            ones_r += edge_rows
-            ones_c += [j] * len(edge_rows)
-        grown[[pidx[col_paths[j][0]] for j in new], new] = -1.0
-        grown[np_:][ones_r, ones_c] = 1.0
-        if n_old == 0:
-            grown[:np_, 0] = dvals
-        rows = np.arange(m)
-        grown[rows, n_struct + rows] = 1.0
-        return grown
-
-    A = np.zeros((m, 0))
-    basis = np.arange(m)
-    Binv = np.eye(m)
-    rounds = pivots = 0
-    n_struct_prev = 0
-    while True:
-        rounds += 1
-        if rounds > _MAX_SEPARATION_ROUNDS:
-            raise FlowError("column generation did not converge")
-        n_struct = len(col_paths)
-        A = grow(A, n_struct_prev, n_struct)
-        c_full = np.zeros(n_struct + m)
-        c_full[0] = -1.0
-        if rounds == 1:
-            basis = np.arange(n_struct, n_struct + m)
-            Binv = np.eye(m)
-        else:
-            # slack block moved right by the freshly appended columns
-            shift = n_struct - n_struct_prev
-            basis = np.where(basis >= n_struct_prev, basis + shift, basis)
-        x, value, y, basis, Binv, it = simplex_min(c_full, A, b, basis, Binv=Binv)
-        pivots += it
-        n_struct_prev = n_struct
-
+    def price(x, lam, y, pivots):
         deltas = np.maximum(-y[:np_], 0.0).tolist()
         lengths = np.maximum(-y[np_:], 0.0).tolist()   # per edge index
-
-        added = False
+        n_old = len(col_paths)
         src_cache: dict[str, tuple[dict, dict]] = {}
         for p, target in zip(pairs, deltas):
             s, t = p
@@ -792,10 +774,16 @@ def _path_lp(shape: _Shape, pairs: list, dvals: list, starts: list) -> tuple:
                     continue
                 if add_path(p, path, shape.rows(path)):
                     taken += 1
-                    added = True
-        if not added:
-            break
-    return -value, col_paths, x.tolist(), lengths, rounds, pivots
+        return as_columns(col_paths[n_old:]) if len(col_paths) > n_old else None
+
+    n = len(col_paths)
+    lam_col = np.zeros((m, 1))
+    lam_col[:np_, 0] = dvals
+    A = np.concatenate([lam_col, as_columns(col_paths[1:]).T, np.eye(m)], axis=1)
+    b = np.concatenate([np.zeros(np_), shape.caps])
+    lam, x, y, rounds, pivots = _columns(A, b, np.arange(n, n + m), n, price)
+    return (lam, col_paths, x.tolist(), np.maximum(-y[np_:], 0.0).tolist(),
+            rounds, pivots)
 
 
 def _carried(pairs: list, columns: list, x: list) -> dict:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .network import TerminalNetwork, components
+from .network import TerminalNetwork
 from .structured import (
     SpLeaf,
     SpParallel,
@@ -54,10 +54,9 @@ def gen_quasi_bipartite(k: int, n: int, seed: int) -> TerminalNetwork:
 
 def _component_terminals(net: TerminalNetwork) -> list[str]:
     """The first terminal, in terminal order, of each component holding one."""
-    component_of = {v: i for i, comp in enumerate(components(net)) for v in comp}
     reps: dict[int, str] = {}
     for t in net.terminals:
-        reps.setdefault(component_of[t], t)
+        reps.setdefault(net.component_of[t], t)
     return list(reps.values())
 
 

@@ -1,8 +1,9 @@
 """The package's LP kernel: a float revised simplex.
 
-`simplex_min` (float, numpy) serves the flow oracle's column generation
-and the star oracle's master: it continues the simplex from a feasible
-basis after columns are appended.  Per pivot it prices every column once
+`simplex_min` (float, numpy) has one caller, `flow._columns`, the loop
+of both flow oracle methods (column generation and the star oracle's
+master): it continues the simplex from a feasible basis after columns are
+inserted.  Per pivot it prices every column once
 and computes `Binv @ b` once.
 
 Conventions
@@ -41,8 +42,8 @@ def simplex_min(cost, A, b, basis, *, Binv=None):
 
     Revised simplex with Dantzig pricing; Bland's rule kicks in on stalls.
     Intended for column generation: rows are fixed, columns may have been
-    appended since the last call, and `basis`/`Binv` from that call remain
-    valid.  Returns (x, value, y, basis, Binv, iterations); raises
+    inserted since the last call, and `Binv` from that call remains valid
+    for its `basis`, with indices shifted past the inserted columns.  Returns (x, value, y, basis, Binv, iterations); raises
     LPUnbounded / LPIterationLimit / LPError on a singular basis.
 
     Each pivot computes the basic solution `Binv @ b` once: the one taken

@@ -320,6 +320,11 @@ class TerminalNetwork:
         return view, tuple(steps)
 
     @cached_property
+    def component_of(self) -> dict[str, int]:
+        """Each vertex's connected component, numbered in `components` order."""
+        return {v: i for i, comp in enumerate(components(self)) for v in comp}
+
+    @cached_property
     def terminal_set(self) -> frozenset[str]:
         return frozenset(self.terminals)
 
@@ -338,7 +343,7 @@ class TerminalNetwork:
         return len(self.terminals)
 
     def is_connected(self) -> bool:
-        return len(components(self)) <= 1
+        return max(self.component_of.values(), default=0) == 0
 
     def is_quasi_bipartite(self) -> bool:
         """Non-terminals form an independent set."""

@@ -13,8 +13,8 @@ class SparsifierResult:
     """A constructed sparsifier plus its provenance.
 
     `claimed_quality` is what the construction promises (to be certified by
-    the verify module, never trusted blindly); NaN when it promises nothing,
-    written as null by `meta`.
+    the verify module, never trusted blindly); infinite when it promises
+    nothing, written as null by `meta`.
     """
 
     net: TerminalNetwork

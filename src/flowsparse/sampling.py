@@ -181,7 +181,7 @@ def sample_sparsifier(net: TerminalNetwork, M: float, seed: int,
         params["w"] = w
         notes = ("component-level importance sampling",
                  "internal component edges scaled like terminal-incident ones")
-    return SparsifierResult.of(sampled, "sample", float("nan"),
+    return SparsifierResult.of(sampled, "sample", math.inf,
                                params=params, notes=notes)
 
 

@@ -17,7 +17,10 @@ method solves it with a master LP of 1 + k(k-1)/2 rows.  A star's packing
 polytope has its vertices among its basic solutions, linear maps of c_v
 fixed per support size (`_basis_maps`), so the network's stars are one
 table of vertices, built once and kept in the flow oracle's record, and
-one evaluation of F is one product with that table.
+one evaluation of F is one product with that table.  Kelley's master is
+column generation on the dual, so it runs in the flow oracle's one loop,
+`flow._columns`, with the cut at the master's multipliers as the new
+column.
 
 The result keeps the flow oracle's contract.  The reduced lengths are each
 star's covering lengths y at the final mu, and mu on terminal-terminal
@@ -36,8 +39,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .flow import (_MAX_SEPARATION_ROUNDS, FlowError, _arc_flows, _bfs_path, _carried,
-                   _path_lp, _prepared, _result, _Shape)
+from .flow import (_arc_flows, _bfs_path, _carried, _columns, _path_lp, _prepared,
+                   _result, _Shape)
 from .network import DemandVector, TerminalNetwork, _pair
 
 _STAR_MAX_SUPPORT = 5
@@ -215,9 +218,10 @@ def _star_oracle(net, demand):
     with F >= s . mu everywhere.  The master is the dual of Kelley's: max z
     subject to sum(alpha) = 1 and sum(alpha_i s_i) + sum(beta_j tri_j)
     - z d - surplus = 0, over columns z | surpluses | triangles | cuts,
-    continued by `simplex_min` from the start alpha_1 = 1 with surpluses as
-    cut columns are appended.  Its row multipliers are the next mu; a round
-    adds the cut at mu until F(mu) is within _CUT_TOL of z, relative.
+    from the start alpha_1 = 1 with surpluses.  It is a pricer of
+    `flow._columns`, which appends each new cut: the master's row
+    multipliers are the next mu, and a round adds the cut at mu until F(mu)
+    is within _CUT_TOL of z, relative.
 
     The reduced lengths are the stars' covering lengths at the last mu (mu
     on terminal-terminal edges).  The primal routes z d over the terminal
@@ -227,37 +231,23 @@ def _star_oracle(net, demand):
 
     Raises LPError when the duality gap exceeds OPT_TOL.
     """
-    from .lp import simplex_min
-
     stars = _prepared(net).stars
     P = len(stars.pairs)
     d = np.zeros(P)
     for p, v in demand.items():
         d[stars.pair_index[p]] = v
     tri = _triangles(net.k)
-    A = np.zeros((1 + P, 1 + P + len(tri)))
+    rows, s = _star_cut(stars, d)
+    cuts = [rows]
+    A = np.zeros((1 + P, 2 + P + len(tri)))
     A[1:, 0] = -d
     A[1:, 1:P + 1] = -np.eye(P)
-    A[1:, P + 1:] = tri.T
+    A[1:, P + 1:-1] = tri.T
+    A[:, -1] = np.r_[1.0, s]
     b = np.zeros(1 + P)
     b[0] = 1.0
-    cuts = []
-    rows, s = _star_cut(stars, d)
-    basis = Binv = None
-    rounds = pivots = 0
-    while True:
-        rounds += 1
-        if rounds > _MAX_SEPARATION_ROUNDS:
-            raise FlowError("Kelley's cutting planes did not converge")
-        cuts.append(rows)
-        A = np.column_stack([A, np.r_[1.0, s]])
-        if basis is None:
-            basis = [A.shape[1] - 1, *range(1, P + 1)]
-        cost = np.zeros(A.shape[1])
-        cost[0] = -1.0
-        x, value, y, basis, Binv, it = simplex_min(cost, A, b, basis, Binv=Binv)
-        pivots += it
-        lam = -value
+
+    def price(x, lam, y, pivots):
         # the cut is taken at the multipliers as they are: clipping an
         # entry within the simplex's tolerance below zero would misjudge
         # the cut's reduced cost t - s . mu by that entry times s there
@@ -266,12 +256,16 @@ def _star_oracle(net, demand):
         # done when the cut at mu is within _CUT_TOL of z, or when the last
         # cut did not move the master: its reduced cost was within the
         # simplex's tolerance, so the next cut would be the same
-        if s @ mu <= lam + _CUT_TOL * max(1.0, lam) or (it == 0 and rounds > 1):
-            break
+        if s @ mu <= lam + _CUT_TOL * max(1.0, lam) or (pivots == 0 and len(cuts) > 1):
+            return None
+        cuts.append(rows)
+        return np.r_[1.0, s][None]
 
-    lengths = _covering(stars, np.maximum(mu, 0.0))[stars.edge_at].tolist()
+    lam, x, y, rounds, pivots = _columns(
+        A, b, np.array([A.shape[1] - 1, *range(1, P + 1)]), A.shape[1], price)
+    lengths = _covering(stars, np.maximum(y[1:], 0.0))[stars.edge_at].tolist()
     return _result(net, lam, lengths, rounds, pivots, functools.partial(
-        _star_routes, stars, np.array(cuts), x[A.shape[1] - len(cuts):], lam, demand))
+        _star_routes, stars, np.array(cuts), x[-len(cuts):], lam, demand))
 
 
 def _star_routes(stars: _Stars, cuts: np.ndarray, alpha: np.ndarray, lam: float,

@@ -14,8 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .flow import concurrent_flow, finite_or_none, max_flow, mincut_partition
-from .network import (DemandVector, TerminalNetwork, components,
-                      terminal_bipartitions, to_float)
+from .network import DemandVector, TerminalNetwork, terminal_bipartitions, to_float
 from .sketch import _grid_exponents
 
 DEFAULT_TOL = 1e-6        # certify's relative slack on both quality bounds
@@ -186,7 +185,7 @@ def certify(g: TerminalNetwork, gp: TerminalNetwork,
         raise VerifyError("empty demand set")
     if math.isnan(claimed_q):
         raise VerifyError("claimed quality is NaN")
-    component_of = {v: i for i, comp in enumerate(components(gp)) for v in comp}
+    component_of = gp.component_of
 
     records = []
     for d in demands:

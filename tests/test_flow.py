@@ -717,6 +717,24 @@ def _record(net):
     return dict(state.memo), {p: list(paths) for p, paths in state.pool.items()}
 
 
+@pytest.mark.parametrize("star_path", [True, False])
+def test_round_cap_raises_and_memoizes_nothing(monkeypatch, star_path):
+    """A solve that needs a second simplex call raises once the cap is one
+    call, on either method, and leaves no memo entry or pooled path."""
+    if star_path:
+        net = gen_quasi_bipartite(6, 30, seed=1)
+        rng = random.Random(5)
+        demands = [random_demand(rng, net) for _ in range(2)]
+    else:
+        net, demands = _pool_demands()
+    d = next(d for d in demands if concurrent_flow(fresh(net), d).rounds > 1)
+    assert (flow._prepared(net).stars is not None) == star_path
+    monkeypatch.setattr(flow, "_MAX_SEPARATION_ROUNDS", 1)
+    with pytest.raises(FlowError, match="did not converge"):
+        concurrent_flow(net, d)
+    assert _record(net) == ({}, {})
+
+
 class TestPathPool:
     def test_order_and_history_do_not_change_lambda(self):
         net, demands = _pool_demands()
@@ -858,11 +876,7 @@ class TestLazyPrimal:
                       profile_bucket_sparsifier(net, 0.25, demands),
                       sample_sparsifier(net, 4, 1)]
         for cand in candidates:
-            # a sample promises no quality (NaN), so it is certified against
-            # an unbounded claim, as the benchmark's jobs do
-            claim = cand.claimed_quality
-            certify(net, cand.net, demands,
-                    claim if math.isfinite(claim) else math.inf)
+            certify(net, cand.net, demands, cand.claimed_quality)
         assert _record(net)[0] and lifts == []
 
     def test_certify_and_the_sample_and_ratio_constructions_never_lift_the_dual(
@@ -874,8 +888,7 @@ class TestLazyPrimal:
         rng = random.Random(3)
         demands = [random_demand(rng, net) for _ in range(3)]
         for cand in (ratio_type_sparsifier(net, 0.25), sample_sparsifier(net, 4, 1)):
-            claim = cand.claimed_quality
-            certify(net, cand.net, demands, claim if math.isfinite(claim) else math.inf)
+            certify(net, cand.net, demands, cand.claimed_quality)
             assert flow._prepared(cand.net).stars.names     # the star path solved it
         assert _record(net)[0] and duals == []
 

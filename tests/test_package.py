@@ -99,6 +99,24 @@ def test_no_src_function_is_test_only():
     assert not TEST_ONLY_ALLOWED.keys() - unused, "these now have a caller"
 
 
+def test_src_imports_only_what_it_uses():
+    """Every name a src module imports is read there; the package's
+    `__init__` imports to re-export, so it is not checked."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if (isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__"):
+                found += [f"{path.name}:{node.lineno} {name}" for name in
+                          (alias.asname or alias.name.split(".")[0] for alias in node.names)
+                          if name not in used]
+    assert not found, "these imports are never used"
+
+
 def test_src_reads_no_environment():
     """The package has no environment knobs: what a caller can set is an
     argument, and everything else is a module constant."""

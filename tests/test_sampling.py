@@ -212,7 +212,7 @@ class TestGrouped:
     def test_result_fields(self):
         net = gen_bounded_component(4, 24, 3, seed=5)
         res = sample_sparsifier(net, 2, 5, 3)
-        assert res.method == "sample" and math.isnan(res.claimed_quality)
+        assert res.method == "sample" and math.isinf(res.claimed_quality)
         params = res.params_dict()
         assert sorted(params) == ["M", "kept_units", "seed", "units", "w"]
         assert (params["M"], params["seed"], params["w"]) == (2.0, 5, 3)

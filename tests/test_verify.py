@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -168,6 +169,23 @@ class TestCertify:
         rep = certify(g, gp, [ab, ac], 1.0)
         assert [r.lam_candidate for r in rep.records] == [2.0, 0.0]
         assert rep.upper == 1.0 and rep.lower == math.inf and not rep.verdict
+
+    def test_candidate_components_are_labelled_once(self):
+        g = gen_quasi_bipartite(5, 60, seed=1)
+        gp = sample_sparsifier(g, 0.5, 0).net
+        labelled = []
+
+        def profile(frame, event, arg):
+            # a call of `components` under any name it was imported as
+            if event == "call" and frame.f_code is network.components.__code__:
+                labelled.append(frame.f_locals["net"])
+        sys.setprofile(profile)
+        try:
+            for d in demand_grid(g, "random:8:1"):
+                certify(g, gp, [d], math.inf)
+        finally:
+            sys.setprofile(None)
+        assert sum(net is gp for net in labelled) <= 1
 
     def test_report_serializes(self):
         net = star()
