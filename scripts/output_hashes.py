@@ -14,6 +14,13 @@ A fourth line, `sketch-probes`, hashes `query_with_stats` (answer and probe
 count) over the same sketch-small queries, since a query job returns the
 answer alone and a change to the probe counts would not show in its hash.
 
+A fifth line, `certificates`, hashes the flow oracle's certificates, which
+no job returns whole: per result its value, rounds, pivots, `.flow.arc_flows`,
+`.dual.lengths` and `.dual.dists`.  After each seed's jobs, in job order, it
+solves every qb-certify certify job's demand on the base and on the
+candidate (unless the candidate splits a demanded pair, where `certify`
+solves nothing), and each sketch-small network's single-pair unit demands.
+
 The outputs depend on the string hash seed and on the BLAS thread count,
 so the script runs with PYTHONHASHSEED=0 and one BLAS thread, as the
 benchmark does: started in any other environment, it runs itself again
@@ -41,7 +48,8 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
 import workloads  # noqa: E402
-from flowsparse.network import TerminalNetwork  # noqa: E402
+from flowsparse.flow import concurrent_flow  # noqa: E402
+from flowsparse.network import DemandVector, TerminalNetwork  # noqa: E402
 
 
 def encode(obj):
@@ -64,15 +72,41 @@ def encode(obj):
     raise TypeError(f"no encoding for a job output of type {type(obj).__name__}")
 
 
+def certified(name: str, jobs: list, outputs: list):
+    """The oracle results the `certificates` line hashes, for one seed's
+    jobs of workload `name` and their outputs."""
+    if name == "qb-certify":
+        for ((_, _, _, net, d), _), out in zip(jobs, outputs):
+            if d is None:
+                cand = out.net
+                continue
+            yield concurrent_flow(net, d)
+            if all(cand.component_of[s] == cand.component_of[t] for s, t in d.pairs()):
+                yield concurrent_flow(cand, d)
+    elif name == "sketch-small":
+        for ((_, net, q), _), _ in zip(jobs, outputs):
+            if q is None:
+                for p in net.terminal_pairs():
+                    yield concurrent_flow(net, DemandVector.of({p: 1.0}))
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--seeds", type=int, nargs="+", default=[1])
     args = ap.parse_args()
+    certificates = hashlib.sha256()
     for name, (make, _) in workloads.WORKLOADS.items():
         digest = hashlib.sha256()
         for seed in args.seeds:
-            for _, job in make(seed, workloads.REF_SECONDS):
-                digest.update(json.dumps(encode(job()), sort_keys=True).encode() + b"\n")
+            jobs = make(seed, workloads.REF_SECONDS)
+            outputs = []
+            for _, job in jobs:
+                outputs.append(job())
+                digest.update(json.dumps(encode(outputs[-1]), sort_keys=True).encode() + b"\n")
+            for res in certified(name, jobs, outputs):
+                certificates.update(json.dumps(encode(
+                    [res.value, res.rounds, res.pivots, res.flow.arc_flows,
+                     res.dual.lengths, res.dual.dists])).encode() + b"\n")
         print(f"{name} {digest.hexdigest()}")
     digest = hashlib.sha256()
     for seed in args.seeds:
@@ -82,6 +116,7 @@ def main() -> int:
             else:
                 digest.update(json.dumps(encode(sketch.query_with_stats(query))).encode() + b"\n")
     print(f"sketch-probes {digest.hexdigest()}")
+    print(f"certificates {certificates.hexdigest()}")
     return 0
 
 

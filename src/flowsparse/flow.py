@@ -36,15 +36,17 @@ edge's length over an eliminated vertex's sides so that no terminal
 distance changes and sum(c * l) does not grow; `.flow` fills the edges and
 pieces a reduced edge stands for in order.
 
-The oracle keeps one record per network, on the network object: it is
-built on the first solve, as `cut_view` is, and freed with the network.  It
+The oracle keeps one record per network, on the network object (`_record`):
+it is built whole on the first solve, as `cut_view` is, and freed with the
+network; `concurrent_flow` fetches it once per solve and passes it to the
+method that solves.  It holds what a solve needs of the network alone,
+built with it: the reduced LP shape (canonical edges with parallel edges
+summed, float capacities, arc lists, arc-to-edge map), the lift, and the
+star oracle's table, which exists only where that oracle solves.  It also
 holds a memo of finished results by demand; a path pool, the reduced-net
 paths that carried flow in earlier column-generation solves, which seed the
-next solve's columns; and what a solve needs of the network alone, built
-once: the reduced LP shape (canonical edges with parallel edges summed,
-float capacities, arc lists, arc-to-edge map), the lift, the star
-oracle's table, one BFS start path per pair, and each pooled path's edge
-rows.  A demanded pair whose ends lie in two components of the network
+next solve's columns; one BFS start path per pair, and each pooled path's
+edge rows.  A demanded pair whose ends lie in two components of the network
 (`TerminalNetwork.component_of`, labelled once per network) raises before
 either method runs; the reduction never splits connected terminals, so
 the view's components agree.  A failed solve memoizes nothing.
@@ -197,14 +199,13 @@ class ConcurrentFlowResult:
         return FlowSolution(lam=self.value, arc_flows=lift.flows(shape, routed()))
 
 
-def _result(net: TerminalNetwork, lam: float, lengths: list, rounds: int, pivots: int,
-            routed) -> ConcurrentFlowResult:
+def _result(net: TerminalNetwork, state: _NetState, lam: float, lengths: list, rounds: int,
+            pivots: int, routed) -> ConcurrentFlowResult:
     """A solve's result from its reduced solution: `lam`, the edge lengths
-    by index of the record's shape, the counts and the `routed` call.
-    Raises LPError when sum(c * l) over the view's edges is off `lam` by
-    more than OPT_TOL; the lift keeps every terminal distance and does not
-    raise sum(c * l), so the lifted dual is as good a certificate."""
-    state = _prepared(net)
+    by index of the network's record's shape, the counts and the `routed`
+    call.  Raises LPError when sum(c * l) over the view's edges is off `lam`
+    by more than OPT_TOL; the lift keeps every terminal distance and does
+    not raise sum(c * l), so the lifted dual is as good a certificate."""
     shape = state.shape
     gap = abs(sum(c * l for c, l in zip(shape.caps, lengths)) - lam) / max(1.0, abs(lam))
     if gap > OPT_TOL:
@@ -578,47 +579,38 @@ def _bfs_path(arcs: dict, s: str, t: str) -> tuple[str, ...]:
 class _NetState:
     """What the oracle remembers about one network, kept on the network.
 
-    `memo` maps demand entries to the frozen result;
-    `pool` maps a pair to the reduced-net paths that carried flow for it in
-    earlier column-generation solves, in first-use order, each with its
-    edge-index rows (dict keys and values).  Only memoized solves feed the
-    pool.  `shape`, the shape of the network's `cut_view`, `lift`, which
-    maps its certificates back, and `stars`, the star oracle's table (None
-    where the view is not star-shaped), are built on the first solve;
-    `starts` holds per pair its reduced-net BFS path and rows.  All four
-    depend on the network alone.  Nothing here refers to the network, so
-    the record leaves with it.
+    `shape`, the shape of the network's `cut_view`, `lift`, which maps its
+    certificates back, and `stars`, the star oracle's table (None where the
+    star oracle does not solve), are built with the record.  `memo` maps
+    demand entries to the frozen result; `pool` maps a pair to the
+    reduced-net paths that carried flow for it in earlier
+    column-generation solves, in first-use order, each with its edge-index
+    rows (dict keys and values); only memoized solves feed the pool.
+    `starts` holds per pair its reduced-net BFS path and rows.  Nothing
+    here refers to the network, so the record leaves with it.
     """
 
+    shape: _Shape
+    lift: _Lift
+    stars: object               # a `stars._Stars`, or None
     memo: dict = field(default_factory=dict)
     pool: dict = field(default_factory=dict)
-    shape: _Shape | None = None
-    lift: _Lift | None = None
-    stars: object = None        # a `stars._Stars`, or None
     starts: dict = field(default_factory=dict)
 
 
 _cache_lock = threading.Lock()    # threads solving on one network share its record
 
 
-def _state(net: TerminalNetwork) -> _NetState:
+def _record(net: TerminalNetwork) -> _NetState:
     """The network's record, kept in its instance dict as `cached_property`
-    keeps `cut_view`, and made on first use; call under the lock."""
-    state = net.__dict__.get("_flow_state")
-    if state is None:
-        state = net.__dict__["_flow_state"] = _NetState()
-    return state
-
-
-def _prepared(net: TerminalNetwork) -> _NetState:
-    """The network's record, with its shape, lift and star table built."""
+    keeps `cut_view`, and built whole on first use."""
     with _cache_lock:
-        state = _state(net)
-        if state.shape is None:
-            state.shape = _shape_of(net.cut_view)
-            state.lift = _lift_of(net, state.shape)
+        state = net.__dict__.get("_flow_state")
+        if state is None:
             from .stars import _stars_of
-            state.stars = _stars_of(net, state.shape)
+            shape = _shape_of(net.cut_view)
+            state = net.__dict__["_flow_state"] = _NetState(
+                shape, _lift_of(net, shape), _stars_of(net, shape))
     return state
 
 
@@ -636,17 +628,21 @@ def concurrent_flow(net: TerminalNetwork, demand: DemandVector | dict) -> Concur
     """Concurrent-flow value of the demand, with primal and dual solutions
     (the primal lifted to the network on first read of `.flow`).
 
-    The star oracle (`stars`) solves it where the network's `cut_view` has
-    non-terminals and each is a star: only terminals are its neighbours, at
-    most `stars._STAR_MAX_SUPPORT` of them.  Column generation solves it
-    everywhere else, on a view of the terminals alone too, which is a
-    k-vertex LP already.  Raises FlowError on the all-zero demand (the
-    value is unbounded there) and for the first demanded pair whose ends
-    lie in two components of the network.
+    The network's record (`_record`) is fetched once, built on the first
+    solve, and passed to the method that solves.  The star oracle (`stars`)
+    solves it where the record has a star table: the network's `cut_view`
+    has non-terminals and each is a star, only terminals are its
+    neighbours, at most `stars._STAR_MAX_SUPPORT` of them.  Column
+    generation solves it everywhere else, on a view of the terminals alone
+    too, which is a k-vertex LP already.  A memo hit returns before the
+    connectivity check.  Raises FlowError on the all-zero demand (the value
+    is unbounded there) and for the first demanded pair whose ends lie in
+    two components of the network.
     """
     demand = _checked_demand(net, demand)
+    state = _record(net)
     with _cache_lock:
-        hit = _state(net).memo.get(demand.entries)
+        hit = state.memo.get(demand.entries)
     if hit is not None:
         return hit
 
@@ -655,11 +651,10 @@ def concurrent_flow(net: TerminalNetwork, demand: DemandVector | dict) -> Concur
     for s, t in demand.pairs():
         if component_of[s] != component_of[t]:
             raise FlowError(f"no path between {s} and {t}")
-    stars = _prepared(net).stars
-    solve = _star_oracle if stars is not None and stars.names else _column_generation
-    result = solve(net, demand)
+    solve = _column_generation if state.stars is None else _star_oracle
+    result = solve(net, state, demand)
     with _cache_lock:
-        _state(net).memo.setdefault(demand.entries, result)
+        state.memo.setdefault(demand.entries, result)
     return result
 
 
@@ -711,12 +706,12 @@ def _path_lp(shape: _Shape, pairs: list, dvals: list, starts: list) -> tuple:
     exactly the edge lengths / pair distances of the edge-length dual, and
     Dijkstra under those lengths prices out violated paths.
 
-    Returns (value, columns, x, lengths, rounds, pivots): column j >= 1 is
-    a (pair, path, rows) triple carrying flow x[j], and `lengths` are the
-    final lengths by edge index.
+    Returns (value, carried, lengths, rounds, pivots): `carried` gives per
+    pair the (path, rows, flow) of its columns carrying more than 1e-12,
+    and `lengths` are the final lengths by edge index.
     """
     pidx = {p: i for i, p in enumerate(pairs)}
-    col_paths: list[tuple[tuple[str, str], tuple[str, ...], tuple[int, ...]] | None] = [None]
+    col_paths: list[tuple[tuple[str, str], tuple[str, ...], tuple[int, ...]]] = []
     seen_paths = set()
 
     def add_path(pair, path, rows):
@@ -776,39 +771,31 @@ def _path_lp(shape: _Shape, pairs: list, dvals: list, starts: list) -> tuple:
                     taken += 1
         return as_columns(col_paths[n_old:]) if len(col_paths) > n_old else None
 
-    n = len(col_paths)
+    n = 1 + len(col_paths)
     lam_col = np.zeros((m, 1))
     lam_col[:np_, 0] = dvals
-    A = np.concatenate([lam_col, as_columns(col_paths[1:]).T, np.eye(m)], axis=1)
+    A = np.concatenate([lam_col, as_columns(col_paths).T, np.eye(m)], axis=1)
     b = np.concatenate([np.zeros(np_), shape.caps])
     lam, x, y, rounds, pivots = _columns(A, b, np.arange(n, n + m), n, price)
-    return (lam, col_paths, x.tolist(), np.maximum(-y[np_:], 0.0).tolist(),
-            rounds, pivots)
-
-
-def _carried(pairs: list, columns: list, x: list) -> dict:
-    """Per pair, the (path, rows, flow) of its columns carrying more than
-    1e-12."""
-    out: dict[tuple[str, str], list] = {p: [] for p in pairs}
-    for (p, path, rows), f in zip(columns[1:], x[1:]):
+    carried: dict[tuple[str, str], list] = {p: [] for p in pairs}
+    for (p, path, rows), f in zip(col_paths, x[1:].tolist()):
         if f > 1e-12:
-            out[p].append((path, rows, f))
-    return out
+            carried[p].append((path, rows, f))
+    return lam, carried, np.maximum(-y[np_:], 0.0).tolist(), rounds, pivots
 
 
-def _column_generation(net, demand) -> ConcurrentFlowResult:
+def _column_generation(net, state, demand) -> ConcurrentFlowResult:
     """The concurrent flow by `_path_lp` on the network's reduced view
     (`cut_view`, which keeps every concurrent flow value).
 
     It takes the view's shape and each pair's BFS start path from the
-    record, starts from the pooled paths as well, and adds the paths
-    that carry flow to the pool.  The result keeps the final lengths and
-    the per-pair path flows (`_result`).
+    network's record `state`, starts from the pooled paths as well, and
+    adds the paths that carry flow to the pool.  The result keeps the final
+    lengths and the per-pair path flows (`_result`).
 
     Raises LPError when the duality gap exceeds OPT_TOL.
     """
     pairs = demand.pairs()
-    state = _prepared(net)
     shape = state.shape
     starts = []
     with _cache_lock:
@@ -820,15 +807,13 @@ def _column_generation(net, demand) -> ConcurrentFlowResult:
         for p in pairs:
             starts += [(p, path, rows) for path, rows in state.pool.get(p, {}).items()]
 
-    lam, columns, xs, lengths, rounds, pivots = _path_lp(
+    lam, carried, lengths, rounds, pivots = _path_lp(
         shape, pairs, [demand[p] for p in pairs], starts)
-    carried = _carried(pairs, columns, xs)
-    result = _result(net, lam, lengths, rounds, pivots, functools.partial(
+    result = _result(net, state, lam, lengths, rounds, pivots, functools.partial(
         _arc_flows, carried, {p: lam * demand[p] for p in pairs}))
     with _cache_lock:
-        pool = _state(net).pool
         for p in pairs:
-            pool.setdefault(p, {}).update((path, rows) for path, rows, _ in carried[p])
+            state.pool.setdefault(p, {}).update((path, rows) for path, rows, _ in carried[p])
     return result
 
 

@@ -71,10 +71,10 @@ def load_demands(path: str) -> list[DemandVector]:
     if isinstance(data[0], dict):
         data = [data]
     try:
-        return [DemandVector.of({(row["s"], row["t"]): row["d"] for row in vec})
-                for vec in data]
-    except (KeyError, TypeError) as exc:
+        vectors = [{(row["s"], row["t"]): float(row["d"]) for row in vec} for vec in data]
+    except (KeyError, TypeError, ValueError) as exc:
         raise NetworkError(f"malformed demand file: {exc!r}") from exc
+    return [DemandVector.of(vec) for vec in vectors]
 
 
 def sha256_file(path: str) -> str:

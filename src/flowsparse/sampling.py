@@ -91,6 +91,8 @@ def sampling_plan(net: TerminalNetwork, M: float, seed: int,
     """
     if not 0 < M < math.inf:
         raise SamplingError("oversampling factor must be positive and finite")
+    if w < 1:
+        raise SamplingError(f"w must be at least 1, not {w}")
     ts = net.terminal_set
     pairs = net.terminal_pairs()
     units = []

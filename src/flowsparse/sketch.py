@@ -323,7 +323,9 @@ class DemandSketch:
             epsilon, eps_internal = float(d["epsilon"]), float(d["eps_internal"])
             terminals, pairs = tuple(d["terminals"]), tuple((s, t) for s, t in d["pairs"])
             maxflows = tuple(float(x) for x in d["maxflows"])
-        except (KeyError, TypeError, AttributeError, OverflowError) as exc:
+        except SketchError:
+            raise
+        except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
             raise SketchError(f"malformed sketch JSON: {exc!r}") from exc
         n = len(pairs)
         # no build writes a file these reject; they are the input-error contract

@@ -39,8 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .flow import (_arc_flows, _bfs_path, _carried, _columns, _path_lp, _prepared,
-                   _result, _Shape)
+from .flow import _arc_flows, _bfs_path, _columns, _path_lp, _result, _Shape
 from .network import DemandVector, TerminalNetwork, _pair
 
 _STAR_MAX_SUPPORT = 5
@@ -119,8 +118,10 @@ class _Stars:
 
 def _stars_of(net: TerminalNetwork, shape: _Shape) -> _Stars | None:
     """The star table of the network's `cut_view`, whose `_Shape` is
-    `shape`, or None where some non-terminal there has a non-terminal
-    neighbour or more than `_STAR_MAX_SUPPORT` neighbours.
+    `shape`, or None where the view has no non-terminal, or where some
+    non-terminal there has a non-terminal neighbour or more than
+    `_STAR_MAX_SUPPORT` neighbours: the star oracle solves where it is not
+    None.
 
     A star's feasible vertices are its basic solutions (`_basis_maps`)
     that are nonnegative up to rounding: each entry, a sum of at most five
@@ -137,6 +138,8 @@ def _stars_of(net: TerminalNetwork, shape: _Shape) -> _Stars | None:
         if len(out) > _STAR_MAX_SUPPORT or not all(u in position for u, _ in out):
             return None
         supports.setdefault(tuple(sorted(position[u] for u, _ in out)), []).append(v)
+    if not supports:
+        return None
     pairs = net.terminal_pairs()
     at = {q: i for i, q in enumerate(itertools.combinations(range(net.k), 2))}
     blocks, row_star, groups, names = [], [], [], []
@@ -162,7 +165,7 @@ def _stars_of(net: TerminalNetwork, shape: _Shape) -> _Stars | None:
                 y_at[(v, t)] = len(pairs) + len(y_at)
         names += members
         groups.append((cols, caps))
-    row_star = np.concatenate(row_star) if row_star else np.zeros(0, dtype=int)
+    row_star = np.concatenate(row_star)
     direct = np.zeros(len(pairs))
     pair_index = {p: i for i, p in enumerate(pairs)}
     edge_at = []
@@ -173,7 +176,7 @@ def _stars_of(net: TerminalNetwork, shape: _Shape) -> _Stars | None:
         else:
             edge_at.append(y_at[(a, b)] if (a, b) in y_at else y_at[(b, a)])
     return _Stars(pairs=pairs, pair_index=pair_index, direct=direct,
-                  table=np.concatenate(blocks) if blocks else np.zeros((0, len(pairs))),
+                  table=np.concatenate(blocks),
                   row_star=row_star, starts=np.searchsorted(row_star, np.arange(len(names))),
                   groups=groups, names=names, edge_at=np.array(edge_at, dtype=int))
 
@@ -209,7 +212,7 @@ def _covering(stars: _Stars, mu: np.ndarray) -> np.ndarray:
     return np.concatenate([mu, *out])
 
 
-def _star_oracle(net, demand):
+def _star_oracle(net, state, demand):
     """The concurrent flow on a quasi-bipartite `cut_view` by Kelley's
     cutting planes over metrics mu on the terminals.
 
@@ -223,15 +226,16 @@ def _star_oracle(net, demand):
     multipliers are the next mu, and a round adds the cut at mu until F(mu)
     is within _CUT_TOL of z, relative.
 
-    The reduced lengths are the stars' covering lengths at the last mu (mu
-    on terminal-terminal edges).  The primal routes z d over the terminal
+    `state` is the network's record, whose `stars` table is not None.  The
+    reduced lengths are the stars' covering lengths at the last mu (mu on
+    terminal-terminal edges).  The primal routes z d over the terminal
     link graph that the cuts' flows, weighted by alpha, give
     (`_star_routes`), on first read of `.flow`.  The result comes from
     `flow._result`.
 
     Raises LPError when the duality gap exceeds OPT_TOL.
     """
-    stars = _prepared(net).stars
+    stars = state.stars
     P = len(stars.pairs)
     d = np.zeros(P)
     for p, v in demand.items():
@@ -264,7 +268,7 @@ def _star_oracle(net, demand):
     lam, x, y, rounds, pivots = _columns(
         A, b, np.array([A.shape[1] - 1, *range(1, P + 1)]), A.shape[1], price)
     lengths = _covering(stars, np.maximum(y[1:], 0.0))[stars.edge_at].tolist()
-    return _result(net, lam, lengths, rounds, pivots, functools.partial(
+    return _result(net, state, lam, lengths, rounds, pivots, functools.partial(
         _star_routes, stars, np.array(cuts), x[-len(cuts):], lam, demand))
 
 
@@ -292,8 +296,8 @@ def _star_routes(stars: _Stars, cuts: np.ndarray, alpha: np.ndarray, lam: float,
     pairs = demand.pairs()
     starts = [(p, path, link.rows(path)) for p in pairs
               for path in [_bfs_path(arcs, *p)]]
-    _, columns, x, *_ = _path_lp(link, pairs, [demand[p] for p in pairs], starts)
-    routes = _arc_flows(_carried(pairs, columns, x), {p: lam * demand[p] for p in pairs})
+    _, carried, *_ = _path_lp(link, pairs, [demand[p] for p in pairs], starts)
+    routes = _arc_flows(carried, {p: lam * demand[p] for p in pairs})
     shares = {}
     for i in used:
         through = np.flatnonzero(flows[:, i] > 0)

@@ -185,7 +185,9 @@ class SpTree:
             return SpParallel(left=left, right=right, u=nd["u"], v=nd["v"])
         try:
             return SpTree(root=dec(d["root"]))
-        except (KeyError, TypeError, AttributeError) as exc:
+        except StructureError:
+            raise
+        except (KeyError, TypeError, ValueError, AttributeError) as exc:
             raise StructureError(f"malformed SP-tree JSON: {exc!r}") from exc
 
 
@@ -431,7 +433,7 @@ class TreeDecomposition:
             return TreeDecomposition(
                 bags=tuple(frozenset(b) for b in d["bags"]),
                 edges=tuple((int(i), int(j)) for i, j in d["edges"]))
-        except (KeyError, TypeError, AttributeError) as exc:
+        except (KeyError, TypeError, ValueError, AttributeError) as exc:
             raise StructureError(f"malformed tree decomposition JSON: {exc!r}") from exc
 
 

@@ -145,18 +145,19 @@ def disc_demands(net: TerminalNetwork, eps: float, eta: float) -> list[DemandVec
 
 def demand_grid(net: TerminalNetwork, spec: str) -> list[DemandVector]:
     """Dispatch on a spec string: "basis" | "random:N:SEED" | "disc:EPS:ETA"."""
-    parts = spec.split(":")
-    if parts[0] == "basis":
+    kind, *args = spec.split(":")
+    if spec == "basis":
         return basis_demands(net)
-    if parts[0] == "random":
-        if len(parts) != 3:
-            raise VerifyError("random spec is random:N:SEED")
-        return random_demands(net, int(parts[1]), int(parts[2]))
-    if parts[0] == "disc":
-        if len(parts) != 3:
-            raise VerifyError("disc spec is disc:EPS:ETA")
-        return disc_demands(net, float(parts[1]), float(parts[2]))
-    raise VerifyError(f"unknown demand spec {spec!r}")
+    forms = {"random": (random_demands, int, "random:N:SEED"),
+             "disc": (disc_demands, float, "disc:EPS:ETA")}
+    if kind not in forms:
+        raise VerifyError(f"unknown demand spec {spec!r}")
+    make, number, form = forms[kind]
+    try:
+        a, b = map(number, args)
+    except ValueError:
+        raise VerifyError(f"{kind} spec is {form}") from None
+    return make(net, a, b)
 
 
 # ---------------------------------------------------------------------------

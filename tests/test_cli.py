@@ -223,6 +223,24 @@ class TestSparsifyVerify:
         assert run(["sparsify", "--method", "sample", "--M", "2", "--seed",
                     "3", "--graph", g, "--out", h]) == 2
 
+    def test_sample_w0_is_rejected_by_name(self, qb_graph, tmp_path, capsys):
+        # w = 0 refused the first vertex as a component past w
+        assert run(["sparsify", "--method", "sample", "--w", "0", "--M", "3",
+                    "--graph", qb_graph, "--out", tmp_path / "h.json"]) == 2
+        assert "error: w must be at least 1, not 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("spec, message", [
+        ("random:x:1", "random spec is random:N:SEED"),
+        ("disc:0.5:x", "disc spec is disc:EPS:ETA"),
+        ("basis:x", "unknown demand spec 'basis:x'")])
+    def test_malformed_spec_gets_its_usage(self, spec, message, qb_graph, tmp_path,
+                                           capsys):
+        # int("x") and float("x") ended in their bare messages, and basis:x
+        # ran the basis demands
+        assert run(["verify", "--g", qb_graph, "--gp", qb_graph, "--demands", spec,
+                    "--claim", "1.5", "--out", tmp_path / "rep.json"]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_sample_w1_is_the_default(self, qb_graph, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         for out, w in ((a, []), (b, ["--w", "1"])):
@@ -458,6 +476,8 @@ MALFORMED_DEMANDS = {
     "list-of-numbers": [1, 2, 3],
     # sketch query printed nothing and exited 0 on this file
     "empty-list": [],
+    # this and the malformed values below exited 2 with a bare message
+    "d-not-a-number": [{"s": "s", "t": "t", "d": "abc"}],
 }
 
 
@@ -481,6 +501,22 @@ MALFORMED_SKETCHES = {
     # 1 + 1e-17 is 1.0: loading this ended in a ZeroDivisionError traceback
     "eps-internal-below-float-resolution": {
         "version": 2, "epsilon": 4e-17, "eps_internal": 1e-17,
+        "terminals": ["s", "t"], "pairs": [["s", "t"]], "maxflows": [10.0],
+        "rows": [[0.1]]},
+    "rows-ragged": {
+        "version": 2, "epsilon": 0.25, "eps_internal": 0.0625,
+        "terminals": ["s", "t"], "pairs": [["s", "t"]], "maxflows": [10.0],
+        "rows": [[0.1], [0.1, 0.2]]},
+    "row-entry-not-a-number": {
+        "version": 2, "epsilon": 0.25, "eps_internal": 0.0625,
+        "terminals": ["s", "t"], "pairs": [["s", "t"]], "maxflows": [10.0],
+        "rows": [["abc"]]},
+    "pair-of-one-name": {
+        "version": 2, "epsilon": 0.25, "eps_internal": 0.0625,
+        "terminals": ["s", "t"], "pairs": [["s"]], "maxflows": [10.0],
+        "rows": [[0.1]]},
+    "epsilon-not-a-number": {
+        "version": 2, "epsilon": "x", "eps_internal": 0.0625,
         "terminals": ["s", "t"], "pairs": [["s", "t"]], "maxflows": [10.0],
         "rows": [[0.1]]},
 }
@@ -597,7 +633,15 @@ MALFORMED_STRUCTURES = {
         "type": "serial", "u": "s", "v": "t",
         "left": {"type": "leaf", "u": "s", "v": "t", "cap": "4"},
         "right": {"type": "leaf", "u": "s", "v": "t", "cap": "6"}}},
-        "malformed SP-tree JSON"),
+        "malformed SP-tree JSON: node type 'serial'"),
+    # these three exited 2 with a bare message
+    "tdec-edge-of-names": ("treewidth", "--tdec",
+                           {"bags": [["s", "t"]], "edges": [["a", "b"]]},
+                           "malformed tree decomposition JSON"),
+    "tdec-edge-of-one-bag": ("treewidth", "--tdec", {"bags": [["s", "t"]], "edges": [[0]]},
+                             "malformed tree decomposition JSON"),
+    "sptree-cap-not-a-number": ("sp", "--sptree", {"root": {
+        "type": "leaf", "u": "s", "v": "t", "cap": "abc"}}, "malformed SP-tree JSON"),
 }
 
 

@@ -711,9 +711,9 @@ def _count_calls(monkeypatch, name):
     return calls
 
 
-def _record(net):
+def _memo_and_pool(net):
     """The oracle's memo and path pool on `net`, as plain copies."""
-    state = flow._state(net)
+    state = flow._record(net)
     return dict(state.memo), {p: list(paths) for p, paths in state.pool.items()}
 
 
@@ -728,17 +728,17 @@ def test_round_cap_raises_and_memoizes_nothing(monkeypatch, star_path):
     else:
         net, demands = _pool_demands()
     d = next(d for d in demands if concurrent_flow(fresh(net), d).rounds > 1)
-    assert (flow._prepared(net).stars is not None) == star_path
+    assert (flow._record(net).stars is not None) == star_path
     monkeypatch.setattr(flow, "_MAX_SEPARATION_ROUNDS", 1)
     with pytest.raises(FlowError, match="did not converge"):
         concurrent_flow(net, d)
-    assert _record(net) == ({}, {})
+    assert _memo_and_pool(net) == ({}, {})
 
 
 class TestPathPool:
     def test_order_and_history_do_not_change_lambda(self):
         net, demands = _pool_demands()
-        assert flow._prepared(fresh(net)).stars is None
+        assert flow._record(fresh(net)).stars is None
         forward = [concurrent_flow(net, d) for d in demands]
 
         again = fresh(net)
@@ -768,7 +768,7 @@ class TestPathPool:
         pairs = {p for d in demands for p in d.pairs()}
         assert built == [net.cut_view] and lifts == [net]
         assert sorted(bfs) == sorted(pairs)
-        state = flow._state(net)
+        state = flow._record(net)
         # the record holds the reduced shape, and its paths are reduced-net paths
         assert state.shape == flow._shape_of(net.cut_view)
         assert len(state.shape.arcs) < len(net.vertices)
@@ -792,13 +792,13 @@ class TestPathPool:
                     concurrent_flow(net, d)
             except Exception as exc:     # surfaced by the assertion below
                 errors.append(exc)
-        real_state = flow._state
+        real_record = flow._record
 
-        def yielding_state(net):   # give other threads a turn mid-update
-            state = real_state(net)
+        def yielding_record(net):   # give other threads a turn mid-update
+            state = real_record(net)
             time.sleep(0)
             return state
-        monkeypatch.setattr(flow, "_state", yielding_state)
+        monkeypatch.setattr(flow, "_record", yielding_record)
         old = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -812,7 +812,7 @@ class TestPathPool:
         assert not any(t.is_alive() for t in threads) and not errors
         # every job's result is memoized on its network, none lost to a race
         for net in nets:
-            state = flow._state(net)
+            state = flow._record(net)
             assert set(state.memo) == {d.entries for n, d in jobs if n is net}
             assert state.shape == flow._shape_of(net.cut_view)
             assert state.lift == flow._lift_of(net, state.shape)
@@ -827,7 +827,7 @@ class TestPathPool:
         net, demands = _pool_demands()
         with pytest.raises(LPError, match="duality gap"):
             concurrent_flow(net, demands[0])
-        assert _record(net) == ({}, {})     # nothing memoized, nothing pooled
+        assert _memo_and_pool(net) == ({}, {})     # nothing memoized, nothing pooled
 
 
 class TestLazyPrimal:
@@ -877,7 +877,7 @@ class TestLazyPrimal:
                       sample_sparsifier(net, 4, 1)]
         for cand in candidates:
             certify(net, cand.net, demands, cand.claimed_quality)
-        assert _record(net)[0] and lifts == []
+        assert _memo_and_pool(net)[0] and lifts == []
 
     def test_certify_and_the_sample_and_ratio_constructions_never_lift_the_dual(
             self, duals):
@@ -889,8 +889,8 @@ class TestLazyPrimal:
         demands = [random_demand(rng, net) for _ in range(3)]
         for cand in (ratio_type_sparsifier(net, 0.25), sample_sparsifier(net, 4, 1)):
             certify(net, cand.net, demands, cand.claimed_quality)
-            assert flow._prepared(cand.net).stars.names     # the star path solved it
-        assert _record(net)[0] and duals == []
+            assert flow._record(cand.net).stars is not None     # the star path solved it
+        assert _memo_and_pool(net)[0] and duals == []
 
     def test_profile_buckets_lift_one_dual_per_distinct_demand(self, duals):
         from flowsparse.merging import profile_bucket_sparsifier
@@ -928,7 +928,7 @@ class TestLazyPrimal:
         import weakref
         net, demands = _pool_demands()
         res = concurrent_flow(net, demands[0])
-        refs = [weakref.ref(x) for x in (net, flow._state(net),
+        refs = [weakref.ref(x) for x in (net, flow._record(net),
                                          concurrent_flow(net, demands[1]))]
         del net
         gc.collect()
