@@ -25,7 +25,6 @@ from .sampling import (
     plan_oversampling,
     sample_sparsifier,
     sampling_plan,
-    two_hop_maxflows,
 )
 from .structured import (
     SpTree,

@@ -93,6 +93,8 @@ def profile_bucket_sparsifier(
     """
     if not (0 < epsilon < 1 / 3):
         raise MergeError("epsilon must be in (0, 1/3)")
+    if 1.0 + epsilon == 1.0:
+        raise MergeError("epsilon is too small: 1 + epsilon rounds to 1")
     if not net.is_quasi_bipartite():
         raise MergeError("profile buckets need a quasi-bipartite network")
 
@@ -157,6 +159,8 @@ def ratio_type_sparsifier(net: TerminalNetwork, epsilon) -> SparsifierResult:
     if not (math.isfinite(epsilon) and 0 < Fraction(epsilon) < Fraction(1, 3)):
         raise MergeError("epsilon must be in (0, 1/3)")
     eps = Fraction(epsilon)
+    if float(1 + eps) == 1.0:
+        raise MergeError("epsilon is too small: 1 + epsilon rounds to 1")
     if not net.is_quasi_bipartite():
         raise MergeError("ratio types need a quasi-bipartite network")
     q = 1 + eps

@@ -40,23 +40,6 @@ def unit_uniform(seed: int, unit_id: str) -> float:
     return int.from_bytes(digest, "big") / 2.0 ** 64
 
 
-def two_hop_maxflows(net: TerminalNetwork):
-    """Per pair: (F_st, {v: min(c_sv, c_vt)}), the 2-hop max flow and its
-    edge-disjoint per-middle-vertex split."""
-    if not net.is_quasi_bipartite():
-        raise SamplingError("sampling needs a quasi-bipartite network")
-    ts = net.terminal_set
-    out = {}
-    for s, t in net.terminal_pairs():
-        per_v = {}
-        for v, c1 in net.adjacency[s].items():
-            c2 = net.cap(v, t)
-            if v not in ts and c2 > 0:
-                per_v[v] = min(c1, c2)
-        out[(s, t)] = (sum(per_v.values(), Fraction(0)), per_v)
-    return out
-
-
 @dataclass(frozen=True)
 class UnitPlan:
     unit_id: str
@@ -78,33 +61,28 @@ class SamplingPlan:
                 for u in self.units}
 
 
-def sampling_plan(net: TerminalNetwork, M: float, seed: int,
-                  w: int = 1) -> SamplingPlan:
-    """One unit per component of `net` minus its terminals, each of at most
-    w vertices, kept with p = M * its largest share of a pair's flow.
-
-    A single vertex v carries min(c_sv, c_vt) for a pair (s, t), its 2-hop
-    flow; a larger component carries its s-t max flow over its own edges
-    and those to s and t.  A pair's total is its flow summed over all
-    units, and ties go to the first pair in terminal-pair order.  Units
-    that carry no flow are dropped.
-    """
-    if not 0 < M < math.inf:
-        raise SamplingError("oversampling factor must be positive and finite")
+def unit_flows(net: TerminalNetwork, w: int = 1):
+    """(scale, units, totals): per unit, (members, {pair: flow}) over the
+    pairs it carries flow for, and per pair its total over all units, as
+    ints at `net.integer_view`'s scale.  A unit is a component of `net`
+    minus its terminals, of at most w vertices.  A single vertex v carries
+    min(c_sv, c_vt) for a pair (s, t); a larger component its s-t max flow
+    over its own edges, an int here since its scale divides this one."""
     if w < 1:
         raise SamplingError(f"w must be at least 1, not {w}")
+    scale, index, arcs = net.integer_view
     ts = net.terminal_set
     pairs = net.terminal_pairs()
+    ends = [(p, index[p[0]], index[p[1]]) for p in pairs]
     units = []
-    totals = dict.fromkeys(pairs, Fraction(0))
+    totals = dict.fromkeys(pairs, 0)
     for comp in components(net, ts):
         if len(comp) > w:
             raise SamplingError(
                 f"component {sorted(comp)} has {len(comp)} > w = {w} vertices")
         if len(comp) == 1:
-            adj = net.adjacency[next(iter(comp))]
-            flows = {(s, t): min(adj[s], adj[t]) for s, t in pairs
-                     if s in adj and t in adj}
+            a = arcs[index[next(iter(comp))]]
+            flows = {p: min(a[i], a[j]) for p, i, j in ends if i in a and j in a}
         else:
             flows = {}
             near = {u for v in comp for u in net.adjacency[v] if u in ts}
@@ -118,10 +96,22 @@ def sampling_plan(net: TerminalNetwork, M: float, seed: int,
                                            edges, allow_disconnected=True)
                 val = max_flow(sub, s, t)
                 if val > 0:
-                    flows[(s, t)] = val
+                    flows[(s, t)] = val.numerator * (scale // val.denominator)
         for pair, val in flows.items():
             totals[pair] += val
         units.append((tuple(sorted(comp)), flows))
+    return scale, units, totals
+
+
+def sampling_plan(net: TerminalNetwork, M: float, seed: int,
+                  w: int = 1) -> SamplingPlan:
+    """One unit per component of `net` minus its terminals, each of at most
+    w vertices, kept with p = M * its largest share of a pair's total in
+    `unit_flows`; ties go to the first pair in terminal-pair order, and
+    units that carry no flow are dropped."""
+    if not 0 < M < math.inf:
+        raise SamplingError("oversampling factor must be positive and finite")
+    _, units, totals = unit_flows(net, w)
     plans = []
     dropped: list[str] = []
     for members, flows in units:
@@ -130,9 +120,12 @@ def sampling_plan(net: TerminalNetwork, M: float, seed: int,
         if not flows:
             dropped.extend(members)
             continue
-        ratio, pair = max(((val / totals[p], p) for p, val in flows.items()),
-                          key=lambda rp: rp[0])
-        p_raw = M * float(ratio)
+        pair = next(iter(flows))
+        for p, val in flows.items():
+            if val * totals[pair] > flows[pair] * totals[p]:
+                pair = p
+        # int / int is correctly rounded, as float() of the exact share is
+        p_raw = M * (flows[pair] / totals[pair])
         plans.append(UnitPlan(unit_id="|".join(members), members=members,
                               p_raw=p_raw, p=min(1.0, p_raw), best_pair=pair))
     if dropped:     # as above, only a hand-written net gets here
@@ -224,11 +217,19 @@ def plan_oversampling(eps: float, k: int, target_failure: float) -> PlanReport:
         raise SamplingError("k must be at least 2")
     if not (0 < target_failure < 1):
         raise SamplingError("target failure must be in (0,1)")
-    eta = eps / (k * k)
-    pairs = k * (k - 1) / 2
-    per_coord = 2 + math.log(1 / eta) / math.log(1 + eps)
-    dlb = per_coord ** pairs
-    union_count = dlb * pairs
+    if 1 + eps == 1:
+        raise SamplingError("eps is too small: 1 + eps rounds to 1")
+    try:
+        eta = eps / (k * k)
+        pairs = k * (k - 1) / 2
+        per_coord = 2 + math.log(1 / eta) / math.log(1 + eps)
+        dlb = per_coord ** pairs
+        union_count = dlb * pairs
+        if union_count == math.inf:     # a float product overflows silently
+            raise OverflowError
+    except (OverflowError, ZeroDivisionError):
+        raise SamplingError(f"k = {k} at eps = {eps} puts the demand family's "
+                            "size past the float range") from None
     M = 2 * math.log(union_count / target_failure) / (eps * eps * eta)
     pf_lower = union_count * math.exp(-eps * eps * eta * M / 2)
     pf_upper = dlb * math.exp(-eps * eps * eta * M / (k * k))

@@ -15,6 +15,7 @@ from fractions import Fraction
 
 from .flow import concurrent_flow, finite_or_none, max_flow, mincut_partition
 from .network import DemandVector, TerminalNetwork, terminal_bipartitions, to_float
+from .sampling import unit_flows
 from .sketch import _grid_exponents
 
 DEFAULT_TOL = 1e-6        # certify's relative slack on both quality bounds
@@ -125,12 +126,15 @@ def disc_demands(net: TerminalNetwork, eps: float, eta: float) -> list[DemandVec
     """Per pair in sorted order, every power of 1+eps in [eta * F, F],
     largest first, times the pair's basis vector (F the pair's 2-hop max flow
     in quasi-bipartite nets, otherwise its max flow)."""
-    if not (0 < eps) or not (0 < eta < 1):
-        raise VerifyError("need eps > 0 and eta in (0,1)")
+    if not (0 < eps < math.inf) or not (0 < eta < 1):
+        raise VerifyError("need finite eps > 0 and eta in (0,1)")
+    if 1 + eps == 1:
+        raise VerifyError("epsilon is too small: 1 + eps rounds to 1, so the "
+                          "grid has no base")
     if net.is_quasi_bipartite() and net.terminals_independent():
-        from .sampling import two_hop_maxflows
-        flows = {p: to_float(f, "2-hop max flow", p)
-                 for p, (f, _) in two_hop_maxflows(net).items()}
+        scale, _, totals = unit_flows(net)
+        flows = {p: to_float(f, "2-hop max flow", p, scale)
+                 for p, f in totals.items()}
     else:
         flows = {p: to_float(max_flow(net, *p), "max flow", p)
                  for p in net.terminal_pairs()}

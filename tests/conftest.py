@@ -102,6 +102,32 @@ def random_quasi_bipartite(rng: random.Random, k: int, n: int,
     return net
 
 
+PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+
+
+def with_prime_denominators(rng: random.Random, net: TerminalNetwork) -> TerminalNetwork:
+    """`net` with its capacities replaced by Fraction(a, p) in lowest terms,
+    the primes p up to 50 dealt to the edges in a shuffled cycle, so that
+    the integer view's scale is a product of many distinct primes (about
+    6e17 once every prime is dealt)."""
+    primes = rng.sample(PRIMES, len(PRIMES))
+    edges = []
+    for i, (u, v, _) in enumerate(net.edges):
+        p = primes[i % len(primes)]
+        edges.append((u, v, Fraction(p * rng.randint(0, 3) + rng.randint(1, p - 1), p)))
+    return TerminalNetwork.make(net.vertices, net.terminals, edges)
+
+
+def two_hop_split(net: TerminalNetwork) -> dict:
+    """Per terminal pair (s, t), {v: min(c_sv, c_vt)} over the non-terminals
+    v joined to both, in s's adjacency order: the split of the pair's 2-hop
+    max flow over its middle vertices, as Fractions."""
+    ts = net.terminal_set
+    return {(s, t): {v: min(c, net.cap(v, t)) for v, c in net.adjacency[s].items()
+                     if v not in ts and net.cap(v, t) > 0}
+            for s, t in net.terminal_pairs()}
+
+
 def _terminal_components(net):
     comps = []
     seen = set()

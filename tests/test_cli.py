@@ -10,6 +10,7 @@ import pytest
 from flowsparse.cli import main
 from flowsparse.jsonio import load_net, save_net
 from flowsparse.network import TerminalNetwork
+from flowsparse.sampling import plan_oversampling
 
 from conftest import child_env, skew_duality_gap
 
@@ -240,6 +241,36 @@ class TestSparsifyVerify:
         assert run(["verify", "--g", qb_graph, "--gp", qb_graph, "--demands", spec,
                     "--claim", "1.5", "--out", tmp_path / "rep.json"]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("args", [
+        ["verify", "--gp", "{g}", "--demands", "disc:1e-17:0.1", "--claim", "2"],
+        ["sparsify", "--method", "clump", "--eps", "1e-17", "--demands",
+         "random:3:1"],
+        ["sparsify", "--method", "ratio", "--eps", "1e-17"]],
+        ids=["disc", "clump", "ratio"])
+    def test_eps_below_float_resolution_exit_2(self, args, qb_graph, tmp_path,
+                                                capsys):
+        # 1 + 1e-17 is 1.0, so log(1 + eps) is 0: each of these ended in a
+        # ZeroDivisionError traceback with exit 1
+        flag = "--g" if args[0] == "verify" else "--graph"
+        argv = [a.format(g=qb_graph) for a in args]
+        assert run(argv + [flag, qb_graph, "--out", tmp_path / "out.json"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: epsilon is too small: 1 + eps")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("args", [
+        ["verify", "--g", "{g}", "--gp", "{g}", "--claim", "2"],
+        ["sparsify", "--method", "clump", "--eps", "0.1", "--graph", "{g}"]],
+        ids=["verify", "clump"])
+    def test_infinite_disc_eps_exit_2(self, args, qb_graph, tmp_path, capsys):
+        # disc:inf:0.1 passed the eps > 0 check and built no demand, so both
+        # exited 2 with "empty demand set"
+        argv = [a.format(g=qb_graph) for a in args]
+        assert run(argv + ["--demands", "disc:inf:0.1",
+                           "--out", tmp_path / "out.json"]) == 2
+        assert capsys.readouterr().err == (
+            "error: need finite eps > 0 and eta in (0,1)\n")
 
     def test_sample_w1_is_the_default(self, qb_graph, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -743,6 +774,24 @@ class TestPlan:
         assert run(["plan", "--eps", "0.5", "--k", "5", "--fail", "0.1"]) == 0
         out = capsys.readouterr().out
         assert "M " in out and "predicted failure" in out
+        # acceptance 3's M, to the bit
+        assert plan_oversampling(0.5, 5, 0.1).M == 11662.687043232918
+
+    def test_eps_below_float_resolution_exit_2(self, capsys):
+        # log(1 + 1e-17) is 0: a ZeroDivisionError traceback with exit 1
+        assert run(["plan", "--eps", "1e-17", "--k", "5", "--fail", "0.1"]) == 2
+        assert capsys.readouterr().err == (
+            "error: eps is too small: 1 + eps rounds to 1\n")
+
+    @pytest.mark.parametrize("eps, k", [(0.5, 23), (0.1, 19), (0.012, 15)])
+    def test_family_past_the_float_range_exit_2(self, eps, k, capsys):
+        # per_coord ** pairs overflowed at the first two, printing
+        # "error: (34, 'Numerical result out of range')"; at the third the
+        # union count overflowed to inf and M was printed as inf
+        assert run(["plan", "--eps", eps, "--k", k, "--fail", "0.1"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: k = {k} at eps = {eps} puts the demand family's size "
+            "past the float range\n")
 
 
 def test_console_entrypoint_runs():

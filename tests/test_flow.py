@@ -31,11 +31,11 @@ from flowsparse.generators import (gen_quasi_bipartite, gen_series_parallel,
                                    gen_treewidth)
 from flowsparse.lp import LPError
 from flowsparse.network import _CUT_TABLE_MAX_ENTRIES, _pair, terminal_bipartitions
-from flowsparse.sampling import two_hop_maxflows
 
 from conftest import (ONE_BLAS_THREAD, child_env, fresh, random_connected_net,
                       random_demand, random_quasi_bipartite, rational_net,
-                      skew_duality_gap, sparsest_cut)
+                      skew_duality_gap, sparsest_cut, two_hop_split,
+                      with_prime_denominators)
 
 
 def scipy_lambda(net, demand, terminal_free=False):
@@ -98,20 +98,10 @@ def nx_set_flow(net, S, T):
     return nx.maximum_flow_value(g, "_S", "_T")
 
 
-PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
-
-
 def prime_denominator_net(rng, n, k):
-    """Random connected net whose capacities are Fraction(a, p) in lowest
-    terms, the primes p up to 50 dealt to the edges in a shuffled cycle, so
-    that the integer view's scale is a product of many distinct primes."""
-    net = random_connected_net(rng, n, k)
-    primes = rng.sample(PRIMES, len(PRIMES))
-    edges = []
-    for i, (u, v, _) in enumerate(net.edges):
-        p = primes[i % len(primes)]
-        edges.append((u, v, Fraction(p * rng.randint(0, 3) + rng.randint(1, p - 1), p)))
-    return TerminalNetwork.make(net.vertices, net.terminals, edges)
+    """Random connected net with prime-denominator capacities (see
+    `with_prime_denominators`)."""
+    return with_prime_denominators(rng, random_connected_net(rng, n, k))
 
 
 class TestMaxFlow:
@@ -1105,8 +1095,8 @@ def _pair_only(net, s, t):
 
 class TestRestrictedAgainstScipy:
     """The terminal-free (2-hop) concurrent flow of a HiGHS arc-flow LP on
-    quasi-bipartite nets with independent terminals, against the planner's
-    closed-form 2-hop max flows and the oracle's solve and dual on each pair's
+    quasi-bipartite nets with independent terminals, against the closed-form
+    2-hop max flows and the oracle's solve and dual on each pair's
     net without the other terminals."""
 
     @pytest.mark.parametrize("seed", range(100))
@@ -1116,8 +1106,9 @@ class TestRestrictedAgainstScipy:
         net = random_quasi_bipartite(rng, k, rng.randint(k + 3, 16))
         d = random_demand(rng, net)
         ref = scipy_lambda(net, d, terminal_free=True)
-        flows = {p: (float(f), {v: float(c) for v, c in per_v.items()})
-                 for p, (f, per_v) in two_hop_maxflows(net).items()}
+        flows = {p: (float(sum(per_v.values())),
+                     {v: float(c) for v, c in per_v.items()})
+                 for p, per_v in two_hop_split(net).items()}
         # a 2-hop flow is a flow of the whole net
         assert ref <= concurrent_flow(net, d).value * (1 + 1e-7) + 1e-9
         if any(flows[p][0] == 0 for p in d.pairs()):

@@ -9,30 +9,38 @@ import pytest
 
 from flowsparse import TerminalNetwork
 from flowsparse.generators import gen_bounded_component, gen_quasi_bipartite
+from flowsparse.network import components
 from flowsparse.sampling import (
     SamplingError,
     plan_oversampling,
     sample_sparsifier,
     sampling_plan,
-    two_hop_maxflows,
+    unit_flows,
     unit_uniform,
 )
 
+from conftest import two_hop_split, with_prime_denominators
+
 
 class TestTwoHopMaxflows:
+    """The 2-hop max flows as `unit_flows` gives them: per-unit ints and
+    pair totals at the integer view's scale."""
+
     def test_single_middle(self):
         net = TerminalNetwork.make(["s", "v", "t"], ["s", "t"],
                                    [("s", "v", 2), ("v", "t", 5)])
-        flows = two_hop_maxflows(net)
-        assert flows[("s", "t")][0] == 2
+        scale, _, totals = unit_flows(net)
+        assert totals == {("s", "t"): 2 * scale}
 
     def test_two_middles_sum(self):
         net = TerminalNetwork.make(
             ["s", "t", "u", "w"], ["s", "t"],
-            [("s", "u", 2), ("u", "t", 5), ("s", "w", 3), ("w", "t", 3)])
-        fst, per_v = flows = two_hop_maxflows(net)[("s", "t")]
-        assert fst == 5
-        assert per_v == {"u": 2, "w": 3}
+            [("s", "u", 2), ("u", "t", 5), ("s", "w", 3), ("w", "t", Fraction(7, 2))])
+        scale, units, totals = unit_flows(net)
+        assert scale == 2
+        assert totals == {("s", "t"): 5 * scale}
+        assert units == [(("u",), {("s", "t"): 2 * scale}),
+                         (("w",), {("s", "t"): 3 * scale})]
 
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_networkx_without_other_terminals(self, seed):
@@ -40,20 +48,21 @@ class TestTwoHopMaxflows:
         # that avoid every other terminal are exactly the paths s-v-t
         net = gen_quasi_bipartite(4, random.Random(seed).randint(8, 20), seed)
         assert net.is_quasi_bipartite() and net.terminals_independent()
-        flows = two_hop_maxflows(net)
-        for (s, t), (fst, _) in list(flows.items())[:3]:
+        scale, _, totals = unit_flows(net)
+        for s, t in list(totals)[:3]:
             g = nx.Graph()
             g.add_nodes_from((s, t))
             others = net.terminal_set - {s, t}
             g.add_edges_from((u, v, {"capacity": c}) for u, v, c in net.edges
                              if u not in others and v not in others)
-            assert nx.maximum_flow_value(g, s, t) == fst
+            assert nx.maximum_flow_value(g, s, t) == Fraction(totals[(s, t)], scale)
 
     def test_rejects_non_quasi_bipartite(self):
+        # at w = 1 the two adjacent non-terminals are a unit too large
         net = TerminalNetwork.make(["s", "t", "u", "w"], ["s", "t"],
                                    [("s", "u", 1), ("u", "w", 1), ("w", "t", 1)])
         with pytest.raises(SamplingError):
-            two_hop_maxflows(net)
+            unit_flows(net)
 
 
 class TestPlan:
@@ -135,11 +144,11 @@ class TestSample:
     def test_unbiased_estimator(self):
         # E[I_v/p_v * F_stv] = F_stv; check the empirical mean over draws
         net = gen_quasi_bipartite(4, 30, seed=5)
-        flows = two_hop_maxflows(net)
         plan = sampling_plan(net, 6.0, 0)
         pmap = {u.unit_id: u.p for u in plan.units}
         draws = 3000
-        for pair, (fst, per_v) in list(flows.items())[:3]:
+        for pair, per_v in list(two_hop_split(net).items())[:3]:
+            fst = sum(per_v.values())
             if fst == 0:
                 continue
             total = 0.0
@@ -156,12 +165,13 @@ class TestSample:
 class TestGrouped:
     def test_w1_reduces_to_vertex_sampling(self):
         # at w = 1 each unit is one vertex v, kept with p_v = min(1, M * max_st
-        # F_{st,v} / F_st) as two_hop_maxflows gives them, its edges divided
-        # by p_v
+        # F_{st,v} / F_st), F_{st,v} = min(c_sv, c_vt) and F_st their sum,
+        # its edges divided by p_v
         net = gen_quasi_bipartite(4, 30, seed=6)
         M, seed = 1.7, 11
         ratio: dict[str, float] = {}
-        for fst, per_v in two_hop_maxflows(net).values():
+        for per_v in two_hop_split(net).values():
+            fst = sum(per_v.values())
             for v, share in per_v.items():
                 ratio[v] = max(ratio.get(v, 0.0), float(share / fst))
         p = {v: min(1.0, M * r) for v, r in ratio.items()}
@@ -301,7 +311,7 @@ def _vertex_pin_net(seed: int) -> TerminalNetwork:
 
 
 # sha256 of the reprs of sampling_plan(_vertex_pin_net(seed), M, seed) over
-# seeds 0-7, as given by the per-vertex planner over two_hop_maxflows.
+# seeds 0-7, as given by the per-vertex planner over Fraction 2-hop flows.
 PINNED_VERTEX_PLANS = {
     0.4: "d2732f51babaa1dc2c45dadf8ec8087b836f22a888527137eccef0fdac83d197",
     2: "77af841d046338dd0762a55c3d5114bf91a951a503e3bed567688b3837d17d26",
@@ -320,6 +330,97 @@ def test_vertex_plans_are_pinned(M):
             digest.update(repr(plan).encode())
     assert sum("2-hop" in str(w.message) for w in caught) == 4
     assert digest.hexdigest() == PINNED_VERTEX_PLANS[M]
+
+
+def _fraction_plan(net, M, w):
+    """sampling_plan's fields recomputed on Fractions: per unit its members,
+    p_raw as float.hex and best pair, then the dropped vertices.  A unit's
+    flow per pair is networkx's max flow over the unit's own edges with
+    Fraction capacities, and its best pair the first of the largest shares."""
+    pairs = net.terminal_pairs()
+    units = []
+    for comp in components(net, net.terminal_set):
+        assert len(comp) <= w
+        g = nx.Graph()
+        g.add_edges_from((u, v, {"capacity": c}) for u, v, c in net.edges
+                         if u in comp or v in comp)
+        flows = {}
+        for s, t in pairs:
+            if s in g and t in g:
+                f = nx.maximum_flow_value(g.subgraph(comp | {s, t}), s, t)
+                if f > 0:
+                    flows[(s, t)] = f
+        units.append((tuple(sorted(comp)), flows))
+    totals = {p: sum((f.get(p, 0) for _, f in units), Fraction(0)) for p in pairs}
+    planned, dropped, ties = [], [], 0
+    for members, flows in units:
+        if not flows:
+            dropped.extend(members)
+            continue
+        shares = {p: f / totals[p] for p, f in flows.items()}
+        best = max(shares.values())
+        pair = next(p for p, share in shares.items() if share == best)
+        ties += sum(share == best for share in shares.values()) > 1
+        planned.append((members, (M * float(best)).hex(), pair))
+    return planned, tuple(dropped), ties
+
+
+def _plan_fields(net, M, w):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        plan = sampling_plan(net, M, 0, w)
+    assert all(u.p == min(1.0, u.p_raw) for u in plan.units)
+    return ([(u.members, u.p_raw.hex(), u.best_pair) for u in plan.units],
+            plan.dropped)
+
+
+def _rotated_net(rng, k, w, bases):
+    """`bases` random units of at most w vertices, each copied under every
+    rotation of the k terminals, so that the pairs of one rotation orbit
+    have equal totals; capacities take three values, so shares tie often."""
+    caps = [Fraction(1, 3), Fraction(2, 7), Fraction(5, 11)]
+    terms = [f"t{i}" for i in range(k)]
+    edges = []
+    for b in range(bases):
+        size = rng.randint(1, w)
+        inner = [(i, rng.randrange(i), rng.choice(caps)) for i in range(1, size)]
+        anchors = [(rng.randrange(size), a, rng.choice(caps))
+                   for a in rng.sample(range(k), rng.randint(2, k))]
+        for r in range(k):
+            edges += [(f"u{b}_{r}_{i}", f"u{b}_{r}_{j}", c) for i, j, c in inner]
+            edges += [(f"u{b}_{r}_{i}", terms[(a + r) % k], c) for i, a, c in anchors]
+    inner_vs = sorted({v for e in edges for v in e[:2]} - set(terms))
+    return TerminalNetwork.make(terms + inner_vs, terms, edges,
+                                allow_disconnected=True)
+
+
+class TestIntegerPlanner:
+    """sampling_plan on ints against the same plan on Fractions, on nets the
+    pins do not reach."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("w", [1, 3])
+    def test_prime_denominators_match_fractions(self, w, seed):
+        rng = random.Random(4500 + seed)
+        base = (gen_quasi_bipartite(4, 22, seed) if w == 1
+                else gen_bounded_component(4, 24, 3, seed))
+        # "z" hangs off one terminal, so it carries no flow and is dropped
+        base = TerminalNetwork.make(base.vertices + ("z",), base.terminals,
+                                    list(base.edges) + [("z", "t0", 1)])
+        net = with_prime_denominators(rng, base)
+        assert net.integer_view[0] > 10 ** 17
+        for M in (8, 11662.687043232918):
+            planned, dropped, _ = _fraction_plan(net, M, w)
+            assert dropped == ("z",)
+            assert _plan_fields(net, M, w) == (planned, dropped)
+
+    @pytest.mark.parametrize("w", [1, 3])
+    def test_tied_shares_go_to_the_first_pair(self, w):
+        net = _rotated_net(random.Random(45 + w), 4, w, 12)
+        for M in (0.4, 8):
+            planned, dropped, ties = _fraction_plan(net, M, w)
+            assert ties > 0
+            assert _plan_fields(net, M, w) == (planned, dropped)
 
 
 class TestChernoffPlanner:
