@@ -34,19 +34,23 @@ Most callers read only the value, so both certificates are lifted to the
 network's edges on first read: `ConcurrentFlowResult.dual` splits a reduced
 edge's length over an eliminated vertex's sides so that no terminal
 distance changes and sum(c * l) does not grow; `.flow` fills the edges and
-pieces a reduced edge stands for in order.
+pieces a reduced edge stands for in order.  The lift both read groups the
+network's edges with the edges each elimination joined, as
+`TerminalNetwork.reduction` records them.
 
 The oracle keeps one record per network, on the network object (`_record`):
 it is built whole on the first solve, as `cut_view` is, and freed with the
 network; `concurrent_flow` fetches it once per solve and passes it to the
 method that solves.  It holds what a solve needs of the network alone,
 built with it: the reduced LP shape (canonical edges with parallel edges
-summed, float capacities, arc lists, arc-to-edge map), the lift, and the
-star oracle's table, which exists only where that oracle solves.  It also
-holds a memo of finished results by demand; a path pool, the reduced-net
-paths that carried flow in earlier column-generation solves, which seed the
-next solve's columns; one BFS start path per pair, and each pooled path's
-edge rows.  A demanded pair whose ends lie in two components of the network
+summed, float capacities, arc lists, arc-to-edge map) and the star
+oracle's table, which exists only where that oracle solves; the lift is
+built once per network on the first certificate read, from the network's
+vertices, edges and eliminations.  It also holds a memo of
+finished results by demand; a path pool, the reduced-net paths that
+carried flow in earlier column-generation solves, which seed the next
+solve's columns; one BFS start path per pair, and each pooled path's edge
+rows.  A demanded pair whose ends lie in two components of the network
 (`TerminalNetwork.component_of`, labelled once per network) raises before
 either method runs; the reduction never splits connected terminals, so
 the view's components agree.  A failed solve memoizes nothing.
@@ -70,6 +74,7 @@ from __future__ import annotations
 
 import functools
 import heapq
+import itertools
 import threading
 from collections import deque
 from dataclasses import dataclass, field
@@ -170,9 +175,9 @@ class ConcurrentFlowResult:
     rounds: int     # column-generation rounds, or Kelley cuts on the star path
     pivots: int     # simplex pivots over all rounds
     # what lifting the certificates needs, and nothing of the network itself:
-    # (reduced shape, lift, the network's terminal pairs, reduced edge
-    # lengths by edge index, a call giving per demanded pair (pair, reduced
-    # arc flows {(a, b): f}) that route value * d_p)
+    # (reduced shape, the record's lift call, the network's terminal pairs,
+    # reduced edge lengths by edge index, a call giving per demanded pair
+    # (pair, reduced arc flows {(a, b): f}) that route value * d_p)
     _reduced: tuple = field(compare=False, repr=False)
 
     @cached_property
@@ -182,6 +187,8 @@ class ConcurrentFlowResult:
         edges, and each terminal pair's distance is taken by Dijkstra on
         the reduced view, since the lift keeps every terminal distance."""
         shape, lift, pairs, lengths, _ = self._reduced
+        with _cache_lock:       # the record's lift: built by the first reader
+            lift = lift()
         edge_lengths = lift.lengths(lengths)
         trees = {s: _dijkstra(shape.arcs, lengths, s)[0]
                  for s in dict.fromkeys(s for s, _ in pairs)}
@@ -196,6 +203,8 @@ class ConcurrentFlowResult:
         the reduced arc flows are made, then `_Lift.flows` maps them to the
         network's arcs."""
         shape, lift, _, _, routed = self._reduced
+        with _cache_lock:
+            lift = lift()
         return FlowSolution(lam=self.value, arc_flows=lift.flows(shape, routed()))
 
 
@@ -343,30 +352,24 @@ class _Shape:
         return tuple(map(self.arc_edge.__getitem__, zip(path, path[1:])))
 
 
-def _edge_index(view) -> tuple[list, dict, list]:
-    """(vertex names, canonical pair -> edge index, float capacities) of a
-    (scale, index, arcs) view.  Edges come in first-occurrence order over
-    the vertex numbering, which for a network's `integer_view` is its
-    sorted edge order."""
-    scale, index, arcs = view
+def _shape_of(view) -> _Shape:
+    """The shape of a network view: `cut_view` for the oracle's solves,
+    `integer_view` for distances on the network.  Edges come in
+    first-occurrence order over the vertex numbering, which for a network's
+    `integer_view` is its sorted edge order."""
+    scale, index, nbrs_of = view
     names = list(index)
     eidx: dict = {}
     caps = []
-    for i, nbrs in enumerate(arcs):
+    arcs = {}
+    for i, nbrs in enumerate(nbrs_of):
+        out = arcs[names[i]] = []
         for j, c in nbrs.items():
             e = _pair(names[i], names[j])
             if e not in eidx:
                 eidx[e] = len(caps)
                 caps.append(to_float(c, "capacity", e, scale))
-    return names, eidx, caps
-
-
-def _shape_of(view) -> _Shape:
-    """The shape of a network view: `cut_view` for the oracle's solves,
-    `integer_view` for distances on the network."""
-    names, eidx, caps = _edge_index(view)
-    arcs = {names[i]: [(names[j], eidx[_pair(names[i], names[j])]) for j in nbrs]
-            for i, nbrs in enumerate(view[2])}
+            out.append((names[j], eidx[e]))
     return _Shape(edges=list(eidx), caps=caps, arcs=arcs,
                   arc_edge={(u, v): i for u, out in arcs.items() for v, i in out})
 
@@ -375,17 +378,17 @@ def _shape_of(view) -> _Shape:
 class _Lift:
     """How the edges of a network's `cut_view` stand for its own edges.
 
-    Replaying `TerminalNetwork.reduction`, every edge of the network being
-    reduced is a group of constituents: the original edge between its ends,
-    then one piece per eliminated vertex v whose series or triangle edge
-    a-b was merged into it, in elimination order.  Constituent c < len(edges)
-    is original edge c; constituent len(edges) + p is piece p, which runs
-    a-v-b through v's side groups a-v and v-b.  A group ends as an edge of
-    the reduced net (`top`) or as a side of the first of its ends to be
-    eliminated, so the groups form a forest that both lifts walk.
+    Following `TerminalNetwork.reduction`'s record, every edge of the
+    network being reduced is a group of constituents: the original edge
+    between its ends, then one piece per eliminated vertex v whose rule
+    joined an edge a-b into it, in elimination order.  Constituent
+    c < len(edges) is original edge c; constituent len(edges) + p is piece p,
+    which runs a-v-b through v's side groups a-v and v-b.  A group ends as
+    an edge of the reduced net (`top`) or as a side of the first of its ends
+    to be eliminated, so the groups form a forest that both lifts walk.
     """
 
-    edges: list     # the network's canonical pairs, as `_edge_index` gives them
+    edges: list     # the network's canonical pairs, in its edge order
     cap: list       # per constituent, its float capacity; edges first
     owner: list     # per constituent, its group
     members: list   # per group, its constituents in the order they joined
@@ -445,9 +448,9 @@ class _Lift:
         v's pieces.  Degree 2: the piece's length goes to the side of smaller
         capacity (the first in name order on a tie), 0 to the other.
         Degree 3: close the piece lengths d under the triangle inequality (a
-        missing piece is infinite); if c_a >= c_b + c_c, then l_a = 0,
-        l_b = d_ab and l_c = d_ac; otherwise l_a = (d_ab + d_ac - d_bc) / 2
-        and likewise.  Degree <= 1: 0.
+        missing piece is infinite).  The rule joins no b-c piece exactly when
+        c_a >= c_b + c_c; then l_a = 0, l_b = d_ab and l_c = d_ac.  Otherwise
+        l_a = (d_ab + d_ac - d_bc) / 2 and likewise.  Degree <= 1: 0.
         """
         glen = [0.0] * len(self.members)
         for g, length in zip(self.top, reduced):
@@ -462,66 +465,51 @@ class _Lift:
                 d01, d02, d12 = (inf if p is None else glen[owner[p]] for p in pp)
                 d01, d02, d12 = (min(d01, d02 + d12), min(d02, d01 + d12),
                                  min(d12, d01 + d02))
-                (g0, c0), (g1, c1), (g2, c2) = sides
-                if c0 >= c1 + c2:
-                    ls = (0.0, d01, d02)
-                elif c1 >= c0 + c2:
-                    ls = (d01, 0.0, d12)
-                elif c2 >= c0 + c1:
-                    ls = (d02, d12, 0.0)
+                if None in pp:      # piece i of 01, 02, 12 missing: side 2 - i takes 0
+                    ls = ((0.0, d01, d02), (d01, 0.0, d12), (d02, d12, 0.0))[2 - pp.index(None)]
                 else:
                     ls = ((d01 + d02 - d12) / 2, (d01 + d12 - d02) / 2,
                           (d02 + d12 - d01) / 2)
-                glen[g0], glen[g1], glen[g2] = (max(x, 0.0) for x in ls)
+                for (g, _), x in zip(sides, ls):
+                    glen[g] = max(x, 0.0)
         return [glen[g] for g in owner[:len(self.edges)]]
 
 
-def _lift_of(net: TerminalNetwork, reduced: _Shape) -> _Lift:
-    """Replay the network's eliminations into groups of constituents."""
-    names, eidx, cap = _edge_index(net.integer_view)
+def _lift_of(vertices: tuple, edges: tuple, steps: tuple, top: list) -> _Lift:
+    """Group a network's edges with the edges its eliminations joined, from
+    its `vertices`, `edges` and `reduction[1]`; `top` lists the reduced
+    shape's edges."""
+    cap: list = []
     owner: list[int] = []
     members: list[list[int]] = []
     live: dict = {}       # canonical pair -> its group, while both ends live
     pieces = []
 
-    def join(e):
+    def join(e, c, piece=None):
         g = live.get(e)
         if g is None:
             g = live[e] = len(members)
             members.append([])
         members[g].append(len(owner))
         owner.append(g)
-
-    for e in eidx:
-        join(e)
-
-    def piece(a, v, b, ga, gb, x):
-        cap.append(x)
-        pieces.append((a, v, ga, gb))
-        join(_pair(a, b))
+        cap.append(c)
+        if piece:
+            pieces.append(piece)
         return len(cap) - 1
 
-    steps = []
-    for v, nbrs, scale in net.reduction[1]:
-        v = names[v]
-        sides = sorted((names[u], live.pop(_pair(v, names[u])), c) for u, c in nbrs)
-        if len(sides) == 2:
-            (a, ga, ca), (b, gb, cb) = sides
-            pp = (piece(a, v, b, ga, gb, min(ca, cb) / scale),)
-        elif len(sides) == 3:
-            total = sum(c for _, _, c in sides)
-            clipped = [min(c, total - c) for _, _, c in sides]
-            pp = []
-            for i, j, k in ((0, 1, 2), (0, 2, 1), (1, 2, 0)):
-                x = clipped[i] + clipped[j] - clipped[k]
-                pp.append(piece(sides[i][0], v, sides[j][0], sides[i][1],
-                                sides[j][1], x / (2 * scale)) if x > 0 else None)
-        else:
-            pp = ()
-        steps.append((tuple((g, c) for _, g, c in sides), tuple(pp)))
-    return _Lift(edges=list(eidx), cap=cap, owner=owner,
-                 members=members, top=[live[e] for e in reduced.edges],
-                 pieces=pieces, steps=steps)
+    for u, w, c in edges:
+        join((u, w), to_float(c, "capacity", (u, w)))
+    lift_steps = []
+    for v, nbrs, joined, scale in steps:
+        x = {_pair(vertices[a], vertices[b]): c / scale for a, b, c in joined}
+        v = vertices[v]
+        sides = sorted((vertices[u], live.pop(_pair(v, vertices[u])), c) for u, c in nbrs)
+        pp = [join((a, b), x[a, b], (a, v, ga, gb)) if (a, b) in x else None
+              for (a, ga, _), (b, gb, _) in itertools.combinations(sides, 2)]
+        lift_steps.append((tuple((g, c) for _, g, c in sides), pp))
+    return _Lift(edges=[(u, w) for u, w, _ in edges], cap=cap, owner=owner,
+                 members=members, top=[live[e] for e in top],
+                 pieces=pieces, steps=lift_steps)
 
 
 def _dijkstra(arcs: dict, lengths: list, source: str):
@@ -579,9 +567,10 @@ def _bfs_path(arcs: dict, s: str, t: str) -> tuple[str, ...]:
 class _NetState:
     """What the oracle remembers about one network, kept on the network.
 
-    `shape`, the shape of the network's `cut_view`, `lift`, which maps its
-    certificates back, and `stars`, the star oracle's table (None where the
-    star oracle does not solve), are built with the record.  `memo` maps
+    `shape`, the shape of the network's `cut_view`, and `stars`, the star
+    oracle's table (None where the star oracle does not solve), are built
+    with the record; `lift` is a cached call, made under `_cache_lock`,
+    that builds the `_Lift`, which maps the certificates back.  `memo` maps
     demand entries to the frozen result; `pool` maps a pair to the
     reduced-net paths that carried flow for it in earlier
     column-generation solves, in first-use order, each with its edge-index
@@ -591,7 +580,7 @@ class _NetState:
     """
 
     shape: _Shape
-    lift: _Lift
+    lift: object
     stars: object               # a `stars._Stars`, or None
     memo: dict = field(default_factory=dict)
     pool: dict = field(default_factory=dict)
@@ -609,8 +598,10 @@ def _record(net: TerminalNetwork) -> _NetState:
         if state is None:
             from .stars import _stars_of
             shape = _shape_of(net.cut_view)
-            state = net.__dict__["_flow_state"] = _NetState(
-                shape, _lift_of(net, shape), _stars_of(net, shape))
+            lift = functools.cache(functools.partial(
+                _lift_of, net.vertices, net.edges, net.reduction[1], shape.edges))
+            state = net.__dict__["_flow_state"] = _NetState(shape, lift,
+                                                            _stars_of(net, shape))
     return state
 
 

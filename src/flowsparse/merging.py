@@ -25,7 +25,8 @@ from fractions import Fraction
 from .flow import concurrent_flow
 from .network import DemandVector, TerminalNetwork, merge_vertices
 from .results import SparsifierResult
-from .sketch import BudgetExceeded, _exponent_floor, _grid_exponents, grid_demands, grid_sketch
+from .sketch import (DEFAULT_BUDGET, BudgetExceeded, _exponent_floor, _grid_exponents,
+                     grid_demands, grid_sketch)
 
 ZERO = "zero"
 ABSENT = "absent"
@@ -52,12 +53,13 @@ def _merge_by_key(net: TerminalNetwork, key_of) -> TerminalNetwork:
 # ---------------------------------------------------------------------------
 
 def _gamma_exponents(eps: float, demand_values: list[float]) -> list[int]:
-    """Sorted exponents j with (1+eps)^j inside some [eps*d, d], d > 0."""
-    exps: set[int] = set()
-    for d in demand_values:
-        if d > 0:
-            exps.update(_grid_exponents(eps * d, d, 1.0 + eps))
-    return sorted(exps)
+    """Sorted exponents j with (1+eps)^j inside some [eps*d, d], d > 0;
+    `BudgetExceeded` when the ranges hold more than DEFAULT_BUDGET in all."""
+    ranges = [_grid_exponents(eps * d, d, 1.0 + eps) for d in demand_values if d > 0]
+    if sum(map(len, ranges)) > DEFAULT_BUDGET:
+        raise BudgetExceeded(f"epsilon {eps:g} gives a length grid past "
+                             f"{DEFAULT_BUDGET} values")
+    return sorted(set().union(*ranges))
 
 
 def _round_down_to_gamma(value: float, eps: float, exps: list[int]):
@@ -136,10 +138,14 @@ def profile_bucket_sparsifier(
 # ---------------------------------------------------------------------------
 
 def _pow_floor_exact(value: Fraction, q: Fraction) -> int:
-    """Largest j with q**j <= value, exact."""
+    """Largest j with q**j <= value, exact.  `BudgetExceeded` when
+    q**(j + 1) would hold more than DEFAULT_BUDGET bits, before any power."""
     if value <= 0:
         raise MergeError("positive capacity required")
     j = int(math.floor(math.log(float(value)) / math.log(float(q)) + 1e-9))
+    if (abs(j) + 1) * (q.numerator.bit_length() + q.denominator.bit_length()) > DEFAULT_BUDGET:
+        raise BudgetExceeded(f"epsilon {float(q - 1):g} needs (1 + epsilon)**{j}, "
+                             f"past {DEFAULT_BUDGET} bits")
     while q ** j > value:
         j -= 1
     while q ** (j + 1) <= value:
@@ -169,19 +175,21 @@ def ratio_type_sparsifier(net: TerminalNetwork, epsilon) -> SparsifierResult:
     cap_exp = _pow_floor_exact(m_cap, q)   # ratios with exponent > cap_exp clip
 
     rounded_edges = []
+    ends: dict[str, list] = {v: [] for v in net.vertices}   # (-j, neighbour)
     for u, v, c in net.edges:
         j = _pow_floor_exact(c, q)
         rounded_edges.append((u, v, q ** (j + 1)))
+        ends[u].append((-j, v))
+        ends[v].append((-j, u))
     rounded = TerminalNetwork.make(net.vertices, net.terminals, rounded_edges,
                                    allow_disconnected=True)
 
     def ratio_type(v):
         """v's terminals by falling capacity, then the thresholded exponents
-        of the consecutive capacity ratios."""
-        nbrs = sorted(((c, t) for t, c in rounded.adjacency[v].items()),
-                      key=lambda ct: (-ct[0], ct[1]))
-        ratios = tuple(min(_pow_floor_exact(c_hi / c_lo, q), cap_exp + 1)
-                       for (c_hi, _), (c_lo, _) in zip(nbrs, nbrs[1:]))
+        of the consecutive capacity ratios: q**(i + 1) / q**(j + 1) is
+        exactly q**(i - j), the difference of the sorted keys -j and -i."""
+        nbrs = sorted(ends[v])
+        ratios = tuple(min(b - a, cap_exp + 1) for (a, _), (b, _) in zip(nbrs, nbrs[1:]))
         return tuple(t for _, t in nbrs), ratios
 
     merged = _merge_by_key(rounded, ratio_type)

@@ -252,9 +252,12 @@ class TerminalNetwork:
     @cached_property
     def reduction(self) -> tuple[tuple, tuple]:
         """(`cut_view`, eliminations): the eliminations, in order, as
-        (v, ((u, c_u), ...), scale) with `integer_view` vertex numbers and
-        v's current integer capacities at the scale in force, before the
-        rule ran.
+        (v, ((u, c_u), ...), ((a, b, x), ...), scale) with `integer_view`
+        vertex numbers: v's neighbours and capacities as the rule found
+        them, each edge a-b the rule joined with its capacity x > 0, and the
+        scale after the rule.  Each x is an int at that scale; the c_u are at
+        the scale before, which a degree-3 rule may double.  The flow
+        oracle's lift groups the network's edges with these joined ones.
 
         Three rules run through a worklist until none applies; the degree
         of a non-terminal v is its number of distinct neighbours.  Each
@@ -285,6 +288,7 @@ class TerminalNetwork:
             if c > 0:
                 adj[i][j] = adj[i].get(j, 0) + c
                 adj[j][i] = adj[j].get(i, 0) + c
+                joined.append((i, j, c))
 
         work = deque(i for i in range(len(adj)) if i not in fixed)
         while work:
@@ -292,7 +296,7 @@ class TerminalNetwork:
             if not alive[v] or len(adj[v]) > 3:
                 continue
             nbrs = tuple(adj[v].items())
-            steps.append((v, nbrs, scale))
+            joined = []
             alive[v] = False
             adj[v] = {}
             for u, _ in nbrs:
@@ -312,6 +316,7 @@ class TerminalNetwork:
                 join(a, b, (ca + cb - cc) // 2)
                 join(a, c, (ca + cc - cb) // 2)
                 join(b, c, (cb + cc - ca) // 2)
+            steps.append((v, nbrs, tuple(joined), scale))
             work.extend(u for u, _ in nbrs if u not in fixed)
         kept = [i for i in range(len(adj)) if alive[i]]
         renumber = {i: n for n, i in enumerate(kept)}

@@ -16,7 +16,7 @@ from fractions import Fraction
 from .flow import concurrent_flow, finite_or_none, max_flow, mincut_partition
 from .network import DemandVector, TerminalNetwork, terminal_bipartitions, to_float
 from .sampling import unit_flows
-from .sketch import _grid_exponents
+from .sketch import DEFAULT_BUDGET, BudgetExceeded, _grid_exponents
 
 DEFAULT_TOL = 1e-6        # certify's relative slack on both quality bounds
 _MAX_CUT_TERMINALS = 16   # certify_cuts enumerates 2^(k-1) - 1 bipartitions
@@ -125,7 +125,8 @@ def random_demands(net: TerminalNetwork, n: int, seed: int) -> list[DemandVector
 def disc_demands(net: TerminalNetwork, eps: float, eta: float) -> list[DemandVector]:
     """Per pair in sorted order, every power of 1+eps in [eta * F, F],
     largest first, times the pair's basis vector (F the pair's 2-hop max flow
-    in quasi-bipartite nets, otherwise its max flow)."""
+    in quasi-bipartite nets, otherwise its max flow).  `BudgetExceeded` when
+    that is more than DEFAULT_BUDGET vectors, before any is built."""
     if not (0 < eps < math.inf) or not (0 < eta < 1):
         raise VerifyError("need finite eps > 0 and eta in (0,1)")
     if 1 + eps == 1:
@@ -138,13 +139,12 @@ def disc_demands(net: TerminalNetwork, eps: float, eta: float) -> list[DemandVec
     else:
         flows = {p: to_float(max_flow(net, *p), "max flow", p)
                  for p in net.terminal_pairs()}
-    out = []
-    for p, F in sorted(flows.items()):
-        if F <= 0:
-            continue
-        for j in reversed(_grid_exponents(eta * F, F, 1 + eps)):
-            out.append(DemandVector.of({p: (1 + eps) ** j}))
-    return out
+    grids = [(p, _grid_exponents(eta * F, F, 1 + eps))
+             for p, F in sorted(flows.items()) if F > 0]
+    if sum(len(r) for _, r in grids) > DEFAULT_BUDGET:
+        raise BudgetExceeded(f"epsilon {eps:g} gives more than {DEFAULT_BUDGET} "
+                             f"disc demands")
+    return [DemandVector.of({p: (1 + eps) ** j}) for p, r in grids for j in reversed(r)]
 
 
 def demand_grid(net: TerminalNetwork, spec: str) -> list[DemandVector]:

@@ -3,6 +3,7 @@ import math
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -427,6 +428,30 @@ class TestBudgetExit:
         rc, err = self._clump_default_demands(tmp_path, capsys, monkeypatch, 5, 40, 1)
         assert rc == 3
         assert err.startswith("budget exceeded: ") and "--demands" in err
+
+
+    @pytest.mark.parametrize("args, message", [
+        (["verify", "--g", "{g}", "--gp", "{g}", "--demands", "disc:1e-15:0.1",
+          "--claim", "2"], "epsilon 1e-15 gives more than 1000000 disc demands"),
+        (["sparsify", "--method", "clump", "--eps", "1e-15", "--demands",
+          "random:3:1", "--graph", "{g}"],
+         "epsilon 1e-15 gives a length grid past 1000000 values"),
+        (["sparsify", "--method", "ratio", "--eps", "1e-6", "--graph", "{g}"],
+         "epsilon 1e-06 needs (1 + epsilon)**")],
+        ids=["disc", "clump", "ratio"])
+    def test_grid_past_the_budget_exit_3(self, args, message, qb_graph, tmp_path,
+                                         capsys):
+        # each built its grid (2.07e15 disc demands, as many Gamma exponents)
+        # or a power of (1 + eps) of about 10^8 bits, and did not return
+        out = tmp_path / "out.json"
+        capsys.readouterr()
+        start = time.process_time()
+        assert run([a.format(g=qb_graph) for a in args] + ["--out", out]) == 3
+        assert time.process_time() - start < 1.0
+        err = capsys.readouterr().err
+        assert err.startswith(f"budget exceeded: {message}")
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "g.json", "g.json.manifest.json"]
 
 
 class TestSketchCli:

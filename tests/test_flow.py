@@ -749,20 +749,26 @@ class TestPathPool:
             res.dual.check(net, d)
 
     def test_shape_and_start_paths_are_built_once_per_network(self, monkeypatch):
+        """The shape and each pair's start path are built once per network,
+        the lift not before a certificate is read and then once, whichever
+        result reads it."""
         built = _count_calls(monkeypatch, "_shape_of")
         lifts = _count_calls(monkeypatch, "_lift_of")
         bfs = _count_calls(monkeypatch, "_bfs_path")
         net, demands = _pool_demands()
-        for d in demands:
-            concurrent_flow(net, d)
+        results = [concurrent_flow(net, d) for d in demands]
         pairs = {p for d in demands for p in d.pairs()}
-        assert built == [net.cut_view] and lifts == [net]
+        assert built == [net.cut_view] and lifts == []
         assert sorted(bfs) == sorted(pairs)
+        assert results[0].dual and results[1].flow and results[-1].dual
+        assert concurrent_flow(net, demands[1]).dual      # a memo hit
+        assert lifts == [net.vertices]
         state = flow._record(net)
         # the record holds the reduced shape, and its paths are reduced-net paths
         assert state.shape == flow._shape_of(net.cut_view)
         assert len(state.shape.arcs) < len(net.vertices)
-        assert state.lift == flow._lift_of(net, state.shape)
+        assert state.lift() == flow._lift_of(net.vertices, net.edges, net.reduction[1],
+                                             state.shape.edges)
         for p, (path, rows) in state.starts.items():
             assert path == flow._bfs_path(state.shape.arcs, *p)
             assert rows == state.shape.rows(path)
@@ -774,15 +780,30 @@ class TestPathPool:
         nets = [random_connected_net(rng, 7, 3) for _ in range(4)]
         jobs = [(net, random_demand(rng, net)) for net in nets for _ in range(6)]
         errors = []
+        barrier = threading.Barrier(4)
 
         def work(offset):
             try:
                 for i in range(len(jobs)):
                     net, d = jobs[(i + offset) % len(jobs)]
                     concurrent_flow(net, d)
+                # then the threads read each network's certificates at once,
+                # half the primal, half the dual (one `cached_property` would
+                # hold the others back)
+                barrier.wait(timeout=60)
+                for i, (net, d) in enumerate(jobs):
+                    res = concurrent_flow(net, d)      # a memo hit
+                    assert res.flow if (i + offset) % 2 else res.dual
             except Exception as exc:     # surfaced by the assertion below
                 errors.append(exc)
-        real_record = flow._record
+        real_record, real_lift = flow._record, flow._lift_of
+        lifts = []
+
+        def slow_lift(vertices, *args):     # widen the window a second build needs
+            lifts.append(vertices)
+            time.sleep(0.01)
+            return real_lift(vertices, *args)
+        monkeypatch.setattr(flow, "_lift_of", slow_lift)
 
         def yielding_record(net):   # give other threads a turn mid-update
             state = real_record(net)
@@ -800,12 +821,15 @@ class TestPathPool:
         finally:
             sys.setswitchinterval(old)
         assert not any(t.is_alive() for t in threads) and not errors
+        # one lift per network, whichever thread read a certificate first
+        assert sorted(map(id, lifts)) == sorted(id(net.vertices) for net in nets)
         # every job's result is memoized on its network, none lost to a race
         for net in nets:
             state = flow._record(net)
             assert set(state.memo) == {d.entries for n, d in jobs if n is net}
             assert state.shape == flow._shape_of(net.cut_view)
-            assert state.lift == flow._lift_of(net, state.shape)
+            assert state.lift() == flow._lift_of(net.vertices, net.edges, net.reduction[1],
+                                                 state.shape.edges)
             assert all(start == (flow._bfs_path(state.shape.arcs, *p),
                                  state.shape.rows(start[0]))
                        for p, start in state.starts.items())
@@ -870,17 +894,18 @@ class TestLazyPrimal:
         assert _memo_and_pool(net)[0] and lifts == []
 
     def test_certify_and_the_sample_and_ratio_constructions_never_lift_the_dual(
-            self, duals):
+            self, duals, monkeypatch):
         from flowsparse.merging import ratio_type_sparsifier
         from flowsparse.sampling import sample_sparsifier
         from flowsparse.verify import certify
+        lifts = _count_calls(monkeypatch, "_lift_of")
         net = gen_quasi_bipartite(4, 20, seed=3)
         rng = random.Random(3)
         demands = [random_demand(rng, net) for _ in range(3)]
         for cand in (ratio_type_sparsifier(net, 0.25), sample_sparsifier(net, 4, 1)):
             certify(net, cand.net, demands, cand.claimed_quality)
             assert flow._record(cand.net).stars is not None     # the star path solved it
-        assert _memo_and_pool(net)[0] and duals == []
+        assert _memo_and_pool(net)[0] and duals == [] and lifts == []
 
     def test_profile_buckets_lift_one_dual_per_distinct_demand(self, duals):
         from flowsparse.merging import profile_bucket_sparsifier

@@ -180,9 +180,10 @@ def test_disconnected_pair_and_zero_demand_raise_as_before():
 
 
 def test_record_is_built_once_per_network(monkeypatch):
-    """`_shape_of`, `_lift_of` and `_stars_of` run once per network, on the
-    star path and on column generation, over split-pair errors, several
-    solves and a memo hit."""
+    """`_shape_of` and `_stars_of` run once per network, on the star path
+    and on column generation, over split-pair errors, several solves and a
+    memo hit; `_lift_of` runs only once a certificate is read, and then
+    once, over several results and a memo hit."""
     calls = []
     for module, name in ((flow, "_shape_of"), (flow, "_lift_of"), (stars, "_stars_of")):
         def counting(*args, real=getattr(module, name), name=name):
@@ -201,6 +202,9 @@ def test_record_is_built_once_per_network(monkeypatch):
         assert concurrent_flow(net, demands[0]) is results[0]     # a memo hit
         with pytest.raises(FlowError, match="no path"):
             concurrent_flow(net, split)
+        assert sorted(calls) == ["_shape_of", "_stars_of"]
+        assert results[1].dual and results[0].flow and results[2].dual
+        assert concurrent_flow(net, demands[0]).flow is results[0].flow
         assert sorted(calls) == ["_lift_of", "_shape_of", "_stars_of"]
         assert (flow._record(net).stars is not None) == star_path
 
