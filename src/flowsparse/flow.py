@@ -28,10 +28,12 @@ pricer has none.
 In the view, non-terminals of degree at most 3 are eliminated (dropped,
 series-contracted, or replaced by a triangle), which keeps every terminal
 concurrent flow value.
-Both methods return the reduced solution (the value, reduced edge lengths
-and a call that routes the primal), and the duality gap is checked there.
-Most callers read only the value, so both certificates are lifted to the
-network's edges on first read: `ConcurrentFlowResult.dual` splits a reduced
+Both methods return the reduced solution (the value, a bracket on it, a
+call that gives the reduced edge lengths and one that routes the primal),
+and `_result` checks the bracket: column generation's primal lambda and
+sum(c * l) over the view, or the star oracle's Kelley bracket.  Most
+callers read only the value, so both certificates are made and lifted to
+the network's edges on first read: `ConcurrentFlowResult.dual` splits a reduced
 edge's length over an eliminated vertex's sides so that no terminal
 distance changes and sum(c * l) does not grow; `.flow` fills the edges and
 pieces a reduced edge stands for in order.  The lift both read groups the
@@ -78,7 +80,6 @@ import itertools
 import threading
 from collections import deque
 from dataclasses import dataclass, field
-from functools import cached_property
 from fractions import Fraction
 
 import numpy as np
@@ -168,27 +169,47 @@ class DualSolution:
                 raise FlowError(f"distance above shortest path for {pair}")
 
 
+class _first_read:
+    """A property built on first read and kept in the instance's dict, as
+    Python 3.12's `functools.cached_property` keeps it: 3.11's takes one
+    lock per property for all instances, so first reads of two results
+    would run one at a time.  Two threads reading one result at once may
+    both build it; the first stored is kept."""
+
+    def __init__(self, build):
+        self.build, self.__doc__ = build, build.__doc__
+
+    def __get__(self, obj, owner=None):
+        # read on the class, it is the descriptor itself
+        return self if obj is None else obj.__dict__.setdefault(
+            self.build.__name__, self.build(obj))
+
+
 @dataclass(frozen=True)
 class ConcurrentFlowResult:
     value: float
-    duality_gap: float  # |sum(c * l) - value| / max(1, value) on the reduced view
+    # (max - min of lo, hi and value) / max(1, |value|), over the method's
+    # bracket [lo, hi] on value (`_result`)
+    duality_gap: float
     rounds: int     # column-generation rounds, or Kelley cuts on the star path
     pivots: int     # simplex pivots over all rounds
     # what lifting the certificates needs, and nothing of the network itself:
     # (reduced shape, the record's lift call, the network's terminal pairs,
-    # reduced edge lengths by edge index, a call giving per demanded pair
-    # (pair, reduced arc flows {(a, b): f}) that route value * d_p)
+    # a call giving the reduced edge lengths by edge index, a call giving per
+    # demanded pair (pair, reduced arc flows {(a, b): f}) that route value * d_p)
     _reduced: tuple = field(compare=False, repr=False)
 
-    @cached_property
+    @_first_read
     def dual(self) -> DualSolution:
-        """The edge-length dual on the network's edges, lifted on first
-        read: `_Lift.lengths` maps the reduced lengths to the network's
-        edges, and each terminal pair's distance is taken by Dijkstra on
-        the reduced view, since the lift keeps every terminal distance."""
+        """The edge-length dual on the network's edges, made on first read:
+        the reduced lengths are taken, `_Lift.lengths` maps them to the
+        network's edges, and each terminal pair's distance is taken by
+        Dijkstra on the reduced view, since the lift keeps every terminal
+        distance."""
         shape, lift, pairs, lengths, _ = self._reduced
         with _cache_lock:       # the record's lift: built by the first reader
             lift = lift()
+        lengths = lengths()
         edge_lengths = lift.lengths(lengths)
         trees = {s: _dijkstra(shape.arcs, lengths, s)[0]
                  for s in dict.fromkeys(s for s, _ in pairs)}
@@ -197,7 +218,7 @@ class ConcurrentFlowResult:
                                         for p in pairs),
                             value=float(sum(c * l for c, l in zip(lift.cap, edge_lengths))))
 
-    @cached_property
+    @_first_read
     def flow(self) -> FlowSolution:
         """The primal flow on the network's edges, lifted on first read:
         the reduced arc flows are made, then `_Lift.flows` maps them to the
@@ -208,19 +229,23 @@ class ConcurrentFlowResult:
         return FlowSolution(lam=self.value, arc_flows=lift.flows(shape, routed()))
 
 
-def _result(net: TerminalNetwork, state: _NetState, lam: float, lengths: list, rounds: int,
-            pivots: int, routed) -> ConcurrentFlowResult:
-    """A solve's result from its reduced solution: `lam`, the edge lengths
-    by index of the network's record's shape, the counts and the `routed`
-    call.  Raises LPError when sum(c * l) over the view's edges is off `lam`
-    by more than OPT_TOL; the lift keeps every terminal distance and does
-    not raise sum(c * l), so the lifted dual is as good a certificate."""
-    shape = state.shape
-    gap = abs(sum(c * l for c, l in zip(shape.caps, lengths)) - lam) / max(1.0, abs(lam))
-    if gap > OPT_TOL:
+def _result(net: TerminalNetwork, state: _NetState, lam: float, lo: float, hi: float,
+            lengths, rounds: int, pivots: int, routed) -> ConcurrentFlowResult:
+    """A solve's result from its reduced solution: `lam`, the method's
+    bracket [lo, hi] on it, the call that gives the edge lengths by index of
+    the network's record's shape, the counts and the `routed` call.
+
+    Raises LPError when lo, hi and lam spread over more than OPT_TOL of
+    max(1, |lam|); lam stays in the check, so a value off its own bracket
+    fails too.  Column generation's bracket is its primal lambda and
+    sum(c * l) over the view's edges, whose lift keeps every terminal
+    distance and does not raise sum(c * l), so the lifted dual is as good a
+    certificate; the star oracle's is Kelley's (`stars._star_oracle`)."""
+    gap = float(max(lo, hi, lam) - min(lo, hi, lam)) / max(1.0, abs(lam))
+    if not gap <= OPT_TOL:
         raise LPError(f"duality gap {gap:.3g} exceeds {OPT_TOL:g}")
     return ConcurrentFlowResult(value=lam, duality_gap=gap, rounds=rounds, pivots=pivots,
-                                _reduced=(shape, state.lift, net.terminal_pairs(),
+                                _reduced=(state.shape, state.lift, net.terminal_pairs(),
                                           lengths, routed))
 
 
@@ -697,9 +722,10 @@ def _path_lp(shape: _Shape, pairs: list, dvals: list, starts: list) -> tuple:
     exactly the edge lengths / pair distances of the edge-length dual, and
     Dijkstra under those lengths prices out violated paths.
 
-    Returns (value, carried, lengths, rounds, pivots): `carried` gives per
-    pair the (path, rows, flow) of its columns carrying more than 1e-12,
-    and `lengths` are the final lengths by edge index.
+    Returns (value, primal, carried, lengths, rounds, pivots): `primal` is
+    the lambda column's entry, `carried` gives per pair the (path, rows,
+    flow) of its columns carrying more than 1e-12, and `lengths` are the
+    final lengths by edge index.
     """
     pidx = {p: i for i, p in enumerate(pairs)}
     col_paths: list[tuple[tuple[str, str], tuple[str, ...], tuple[int, ...]]] = []
@@ -772,7 +798,7 @@ def _path_lp(shape: _Shape, pairs: list, dvals: list, starts: list) -> tuple:
     for (p, path, rows), f in zip(col_paths, x[1:].tolist()):
         if f > 1e-12:
             carried[p].append((path, rows, f))
-    return lam, carried, np.maximum(-y[np_:], 0.0).tolist(), rounds, pivots
+    return lam, x[0], carried, np.maximum(-y[np_:], 0.0).tolist(), rounds, pivots
 
 
 def _column_generation(net, state, demand) -> ConcurrentFlowResult:
@@ -784,7 +810,8 @@ def _column_generation(net, state, demand) -> ConcurrentFlowResult:
     adds the paths that carry flow to the pool.  The result keeps the final
     lengths and the per-pair path flows (`_result`).
 
-    Raises LPError when the duality gap exceeds OPT_TOL.
+    Raises LPError when the primal lambda, sum(c * l) over the view's edges
+    and the value spread over more than OPT_TOL, relative.
     """
     pairs = demand.pairs()
     shape = state.shape
@@ -798,10 +825,11 @@ def _column_generation(net, state, demand) -> ConcurrentFlowResult:
         for p in pairs:
             starts += [(p, path, rows) for path, rows in state.pool.get(p, {}).items()]
 
-    lam, carried, lengths, rounds, pivots = _path_lp(
+    lam, primal, carried, lengths, rounds, pivots = _path_lp(
         shape, pairs, [demand[p] for p in pairs], starts)
-    result = _result(net, state, lam, lengths, rounds, pivots, functools.partial(
-        _arc_flows, carried, {p: lam * demand[p] for p in pairs}))
+    result = _result(net, state, lam, primal, sum(c * l for c, l in zip(shape.caps, lengths)),
+                     lambda: lengths, rounds, pivots, functools.partial(
+                         _arc_flows, carried, {p: lam * demand[p] for p in pairs}))
     with _cache_lock:
         for p in pairs:
             state.pool.setdefault(p, {}).update((path, rows) for path, rows, _ in carried[p])

@@ -22,9 +22,13 @@ column generation on the dual, so it runs in the flow oracle's one loop,
 `flow._columns`, with the cut at the master's multipliers as the new
 column.
 
-The result keeps the flow oracle's contract.  The reduced lengths are each
-star's covering lengths y at the final mu, and mu on terminal-terminal
-edges; `.dual` lifts them to the network as it does column generation's.
+The result keeps the flow oracle's contract.  Its certificate is the
+bracket the master already holds, checked by `flow._result` before the
+result is memoized: below, the cut and triangle weights of the master's
+solution; above, F at the final mu closed into a metric, one more cut.
+The reduced lengths are each star's covering lengths y at the final mu,
+and mu on terminal-terminal edges; they are taken on first read of
+`.dual`, which lifts them to the network as it does column generation's.
 The primal is made on first read of `.flow`: the stars' flows, weighted by
 the master's cut multipliers, give each pair of terminals a link, and the
 demand is routed over those links.
@@ -39,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .flow import _arc_flows, _bfs_path, _columns, _path_lp, _result, _Shape
+from .flow import OPT_TOL, _arc_flows, _bfs_path, _columns, _path_lp, _result, _Shape
 from .network import DemandVector, TerminalNetwork, _pair
 
 _STAR_MAX_SUPPORT = 5
@@ -194,12 +198,13 @@ def _star_cut(stars: _Stars, mu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return rows, stars.table[rows].sum(0) + stars.direct
 
 
-def _covering(stars: _Stars, mu: np.ndarray) -> np.ndarray:
-    """[mu | each star's covering lengths y at mu, star by star], the
-    lengths `edge_at` indexes.  A star's y is a least c . y over y >= 0
-    with y_u + y_w >= mu_uw, so c . y is its packing value at mu by LP
-    duality; the least is taken over the dual solutions of `_basis_maps`'
-    bases that are feasible at mu, up to a rounding tolerance."""
+def _covering(stars: _Stars, mu: np.ndarray) -> list:
+    """The reduced edge lengths at mu, by edge of the view's shape: mu on
+    terminal-terminal edges, each star's covering lengths y at mu on its
+    edges (`edge_at`).  A star's y is a least c . y over y >= 0 with
+    y_u + y_w >= mu_uw, so c . y is its packing value at mu by LP duality;
+    the least is taken over the dual solutions of `_basis_maps`' bases that
+    are feasible at mu, up to a rounding tolerance."""
     out = []
     tol = 1e-12 * max(1.0, float(mu.max(initial=0.0)))
     for cols, caps in stars.groups:
@@ -209,7 +214,19 @@ def _covering(stars: _Stars, mu: np.ndarray) -> np.ndarray:
         y = np.einsum("e,bes->bs", m, maps[:, :len(cols)]) / 2
         y = y[(y >= -tol).all(1) & (y[:, us] + y[:, ws] >= m - tol).all(1)]
         out.append(np.maximum(y[(caps @ y.T).argmin(1)], 0.0).ravel())
-    return np.concatenate([mu, *out])
+    return np.concatenate([mu, *out])[stars.edge_at].tolist()
+
+
+def _closure(mu: np.ndarray, k: int) -> np.ndarray:
+    """mu, over the k terminals' pairs in `combinations` order, closed under
+    the triangle inequality by Floyd-Warshall."""
+    at = np.triu_indices(k, 1)
+    m = np.zeros((k, k))
+    m[at] = mu
+    m += m.T
+    for t in range(k):
+        m = np.minimum(m, m[:, t, None] + m[t])
+    return m[at]
 
 
 def _star_oracle(net, state, demand):
@@ -227,13 +244,21 @@ def _star_oracle(net, state, demand):
     is within _CUT_TOL of z, relative.
 
     `state` is the network's record, whose `stars` table is not None.  The
-    reduced lengths are the stars' covering lengths at the last mu (mu on
-    terminal-terminal edges).  The primal routes z d over the terminal
-    link graph that the cuts' flows, weighted by alpha, give
-    (`_star_routes`), on first read of `.flow`.  The result comes from
-    `flow._result`.
+    certificate is Kelley's own bracket on lambda, which `flow._result`
+    checks.  Below: with v = sum(alpha_i s_i) + sum(beta_j tri_j) from the
+    master's solution and the kept cut vectors, every metric mu with
+    d . mu = 1 has F(mu) >= v . mu >= min over d_p > 0 of v_p / d_p, given
+    v_p >= 0 where d_p = 0 (an entry below -OPT_TOL * max(1, lambda) fails
+    the certificate).  Above: F(mu) / (d . mu) at the master's clipped
+    multipliers closed into a metric, one `_star_cut`.  The reduced
+    lengths, each star's covering lengths at the clipped multipliers and
+    those on terminal-terminal edges (`_covering`), are taken on first read
+    of `.dual`; the primal routes z d over the terminal link graph that the
+    cuts' flows, weighted by alpha, give (`_star_routes`), on first read of
+    `.flow`.
 
-    Raises LPError when the duality gap exceeds OPT_TOL.
+    Raises LPError when the bracket and lambda spread over more than
+    OPT_TOL, relative.
     """
     stars = state.stars
     P = len(stars.pairs)
@@ -242,7 +267,7 @@ def _star_oracle(net, state, demand):
         d[stars.pair_index[p]] = v
     tri = _triangles(net.k)
     rows, s = _star_cut(stars, d)
-    cuts = [rows]
+    cuts, vecs = [rows], [s]
     A = np.zeros((1 + P, 2 + P + len(tri)))
     A[1:, 0] = -d
     A[1:, 1:P + 1] = -np.eye(P)
@@ -263,13 +288,23 @@ def _star_oracle(net, state, demand):
         if s @ mu <= lam + _CUT_TOL * max(1.0, lam) or (pivots == 0 and len(cuts) > 1):
             return None
         cuts.append(rows)
+        vecs.append(s)
         return np.r_[1.0, s][None]
 
     lam, x, y, rounds, pivots = _columns(
         A, b, np.array([A.shape[1] - 1, *range(1, P + 1)]), A.shape[1], price)
-    lengths = _covering(stars, np.maximum(y[1:], 0.0))[stars.edge_at].tolist()
-    return _result(net, state, lam, lengths, rounds, pivots, functools.partial(
-        _star_routes, stars, np.array(cuts), x[-len(cuts):], lam, demand))
+    alpha = x[-len(cuts):]
+    v = alpha @ np.array(vecs) + x[P + 1:P + 1 + len(tri)] @ tri
+    # an undemanded pair's entry below zero, beyond rounding, fails the bound
+    lo = ((v[d > 0] / d[d > 0]).min() if (v[d == 0] >= -OPT_TOL * max(1.0, lam)).all()
+          else -np.inf)
+    mu = np.maximum(y[1:], 0.0)
+    metric = _closure(mu, net.k)
+    scale = d @ metric
+    hi = _star_cut(stars, metric)[1] @ metric / scale if scale > 0 else np.inf
+    return _result(net, state, lam, lo, hi, functools.partial(_covering, stars, mu),
+                   rounds, pivots, functools.partial(
+                       _star_routes, stars, np.array(cuts), alpha, lam, demand))
 
 
 def _star_routes(stars: _Stars, cuts: np.ndarray, alpha: np.ndarray, lam: float,
@@ -296,7 +331,7 @@ def _star_routes(stars: _Stars, cuts: np.ndarray, alpha: np.ndarray, lam: float,
     pairs = demand.pairs()
     starts = [(p, path, link.rows(path)) for p in pairs
               for path in [_bfs_path(arcs, *p)]]
-    _, carried, *_ = _path_lp(link, pairs, [demand[p] for p in pairs], starts)
+    _, _, carried, *_ = _path_lp(link, pairs, [demand[p] for p in pairs], starts)
     routes = _arc_flows(carried, {p: lam * demand[p] for p in pairs})
     shares = {}
     for i in used:

@@ -788,8 +788,7 @@ class TestPathPool:
                     net, d = jobs[(i + offset) % len(jobs)]
                     concurrent_flow(net, d)
                 # then the threads read each network's certificates at once,
-                # half the primal, half the dual (one `cached_property` would
-                # hold the others back)
+                # half the primal, half the dual
                 barrier.wait(timeout=60)
                 for i, (net, d) in enumerate(jobs):
                     res = concurrent_flow(net, d)      # a memo hit
@@ -837,11 +836,18 @@ class TestPathPool:
                        for paths in state.pool.values() for path, rows in paths.items())
 
     def test_duality_gap_above_tolerance_raises(self, monkeypatch):
+        """A simplex value 1% off its own solution fails the bracket check
+        on either method: against the primal lambda and sum(c * l) on
+        column generation, against Kelley's bracket on the star path."""
         skew_duality_gap(monkeypatch)
         net, demands = _pool_demands()
-        with pytest.raises(LPError, match="duality gap"):
-            concurrent_flow(net, demands[0])
-        assert _memo_and_pool(net) == ({}, {})     # nothing memoized, nothing pooled
+        star_net = gen_quasi_bipartite(5, 40, seed=3)
+        for net, d, star_path in ((net, demands[0], False),
+                                  (star_net, random_demand(random.Random(5), star_net), True)):
+            assert (flow._record(net).stars is not None) == star_path
+            with pytest.raises(LPError, match="duality gap"):
+                concurrent_flow(net, d)
+            assert _memo_and_pool(net) == ({}, {})     # nothing memoized, nothing pooled
 
 
 class TestLazyPrimal:
@@ -906,6 +912,83 @@ class TestLazyPrimal:
             certify(net, cand.net, demands, cand.claimed_quality)
             assert flow._record(cand.net).stars is not None     # the star path solved it
         assert _memo_and_pool(net)[0] and duals == [] and lifts == []
+
+    @pytest.fixture()
+    def coverings(self, monkeypatch):
+        """The calls of `stars._covering`, which gives the star path's
+        reduced lengths; set before the solves, which keep the call."""
+        from flowsparse import stars
+        real, calls = stars._covering, []
+
+        def counting(table, mu):
+            calls.append(mu)
+            return real(table, mu)
+        monkeypatch.setattr(stars, "_covering", counting)
+        return calls
+
+    def test_certify_and_the_sample_and_ratio_constructions_take_no_covering_lengths(
+            self, coverings):
+        from flowsparse.merging import ratio_type_sparsifier
+        from flowsparse.sampling import sample_sparsifier
+        from flowsparse.verify import certify
+        net = gen_quasi_bipartite(4, 20, seed=3)
+        rng = random.Random(3)
+        demands = [random_demand(rng, net) for _ in range(3)]
+        for cand in (ratio_type_sparsifier(net, 0.25), sample_sparsifier(net, 4, 1)):
+            certify(net, cand.net, demands, cand.claimed_quality)
+            assert flow._record(cand.net).stars is not None     # the star path solved it
+        assert flow._record(net).stars is not None and _memo_and_pool(net)[0]
+        assert coverings == []
+
+    def test_covering_lengths_are_taken_once_per_result(self, coverings):
+        """On the star path the reduced lengths are taken on the first read
+        of `.dual` alone, also across a memo hit; the profile buckets take
+        them once per distinct demand."""
+        from flowsparse.merging import profile_bucket_sparsifier
+        net = gen_quasi_bipartite(4, 20, seed=3)
+        rng = random.Random(3)
+        demands = [random_demand(rng, net) for _ in range(3)]
+        res = concurrent_flow(net, demands[0])
+        assert flow._record(net).stars is not None and coverings == []
+        first = res.dual
+        assert res.dual is first and concurrent_flow(net, demands[0]).dual is first
+        assert len(coverings) == 1
+        first.check(net, demands[0])
+        coverings.clear()
+        profile_bucket_sparsifier(fresh(net), 0.25, demands + demands[::-1])
+        assert len(coverings) == len(demands)
+
+    def test_first_dual_reads_of_two_results_run_at_once(self, monkeypatch):
+        """Two threads reading `.dual` of two results meet inside
+        `stars._covering`: no lock shared by all results (as Python 3.11's
+        `cached_property` takes one) holds either back.  Were the reads
+        serialised, the barrier would time out and the test fail."""
+        from flowsparse import stars
+        barrier = threading.Barrier(2, timeout=10)
+        real = stars._covering
+
+        def meeting(table, mu):
+            barrier.wait()
+            return real(table, mu)
+        monkeypatch.setattr(stars, "_covering", meeting)
+        rng = random.Random(3)
+        results = [concurrent_flow(net, random_demand(rng, net))
+                   for net in (gen_quasi_bipartite(4, 20, seed=3),
+                               gen_quasi_bipartite(5, 30, seed=2))]
+        errors = []
+
+        def read(res):
+            try:
+                assert res.dual.lengths
+            except Exception as exc:     # surfaced by the assertion below
+                errors.append(exc)
+        threads = [threading.Thread(target=read, args=(res,)) for res in results]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == [] and not barrier.broken
 
     def test_profile_buckets_lift_one_dual_per_distinct_demand(self, duals):
         from flowsparse.merging import profile_bucket_sparsifier

@@ -41,6 +41,29 @@ def _solve(method, net, d):
     return method(net, flow._record(net), d)
 
 
+@pytest.fixture()
+def brackets(monkeypatch):
+    """The (lambda, lo, hi) that each star solve passes `flow._result`."""
+    real, seen = stars._result, []
+
+    def spy(net, state, lam, lo, hi, *rest):
+        seen.append((lam, lo, hi))
+        return real(net, state, lam, lo, hi, *rest)
+    monkeypatch.setattr(stars, "_result", spy)
+    return seen
+
+
+def _assert_bracketed(bracket, *others):
+    """Each end of Kelley's bracket lies within OPT_TOL of its lambda,
+    relative, and each of `others` (the value from another solver) lies
+    inside the bracket to within OPT_TOL."""
+    lam, lo, hi = bracket
+    tol = OPT_TOL * max(1.0, abs(lam))
+    assert abs(lo - lam) <= tol and abs(hi - lam) <= tol
+    for value in others:
+        assert lo - tol <= value <= hi + tol
+
+
 def _cross_cases():
     """(name, net, demands) over quasi-bipartite nets, k = 2 to 8: base nets,
     their sample (M = 8 and 32), ratio and profile candidates, base nets
@@ -65,9 +88,10 @@ def _cross_cases():
     return cases
 
 
-def test_cross_check_against_column_generation():
+def test_cross_check_against_column_generation(brackets):
     """Where a net's view is star-shaped, the star oracle's value is column
-    generation's within 1e-12, and its certificates hold on the network."""
+    generation's within 1e-12, its bracket holds both values, and its
+    certificates hold on the network."""
     checked = set()
     ks = set()
     for name, net, demands in _cross_cases():
@@ -79,9 +103,12 @@ def test_cross_check_against_column_generation():
             assert net.k <= 3 and not degrees or max(degrees, default=0) > 5, name
             continue
         for d in demands:
+            brackets.clear()
             res = _solve(stars._star_oracle, net, d)
             ref = _solve(flow._column_generation, fresh(net), d)
             assert abs(res.value - ref.value) <= 1e-12 * ref.value, name
+            assert len(brackets) == 1 and brackets[0][0] == res.value
+            _assert_bracketed(brackets[0], ref.value)
             assert res.duality_gap <= OPT_TOL
             res.flow.check(net, d)
             res.dual.check(net, d)
@@ -94,10 +121,11 @@ def test_cross_check_against_column_generation():
 
 
 @pytest.mark.parametrize("seed", [99, 168, 243])
-def test_capacities_over_fourteen_decades(seed):
+def test_capacities_over_fourteen_decades(seed, brackets):
     """Each capacity scaled by its own factor in 10^[-6, 6], times a random
     fraction: vertex feasibility is judged per entry, so no star carries
-    more than an edge holds, and Kelley stops at HiGHS's value."""
+    more than an edge holds, and Kelley stops at HiGHS's value, which its
+    bracket holds."""
     from test_flow import scipy_lambda
     rng = random.Random(seed)
     k = rng.randint(2, 8)
@@ -107,8 +135,12 @@ def test_capacities_over_fourteen_decades(seed):
         for u, v, c in base.edges])
     assert flow._record(net).stars is not None
     for d in (random_demand(rng, net) for _ in range(2)):
+        brackets.clear()
         res = concurrent_flow(net, d)
-        assert res.value == pytest.approx(scipy_lambda(net, d), rel=1e-12)
+        ref = scipy_lambda(net, d)
+        assert res.value == pytest.approx(ref, rel=1e-12)
+        assert len(brackets) == 1 and brackets[0][0] == res.value
+        _assert_bracketed(brackets[0], ref)
         res.flow.check(net, d)
         res.dual.check(net, d)
 
