@@ -20,6 +20,9 @@ no job returns whole: per result its value, rounds, pivots, `.flow.arc_flows`,
 solves every qb-certify certify job's demand on the base and on the
 candidate (unless the candidate splits a demanded pair, where `certify`
 solves nothing), and each sketch-small network's single-pair unit demands.
+A sixth line, `certificate-values`, hashes the `value.hex()` of exactly
+those solves, so a change that routes certificates otherwise but keeps
+every value shows as a moved fifth line beside an equal sixth.
 
 The outputs depend on the string hash seed and on the BLAS thread count,
 so the script runs with PYTHONHASHSEED=0 and one BLAS thread, as the
@@ -94,7 +97,7 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--seeds", type=int, nargs="+", default=[1])
     args = ap.parse_args()
-    certificates = hashlib.sha256()
+    certificates, values = hashlib.sha256(), hashlib.sha256()
     for name, (make, _) in workloads.WORKLOADS.items():
         digest = hashlib.sha256()
         for seed in args.seeds:
@@ -107,6 +110,7 @@ def main() -> int:
                 certificates.update(json.dumps(encode(
                     [res.value, res.rounds, res.pivots, res.flow.arc_flows,
                      res.dual.lengths, res.dual.dists])).encode() + b"\n")
+                values.update(res.value.hex().encode() + b"\n")
         print(f"{name} {digest.hexdigest()}")
     digest = hashlib.sha256()
     for seed in args.seeds:
@@ -117,6 +121,7 @@ def main() -> int:
                 digest.update(json.dumps(encode(sketch.query_with_stats(query))).encode() + b"\n")
     print(f"sketch-probes {digest.hexdigest()}")
     print(f"certificates {certificates.hexdigest()}")
+    print(f"certificate-values {values.hexdigest()}")
     return 0
 
 

@@ -14,11 +14,10 @@ structure of that view alone:
   `rounds` counts the cuts and `pivots` the master's simplex pivots.
 - column generation everywhere else: a view with adjacent non-terminals or
   a star on six or more terminals, and a view of the terminals alone.  It
-  solves the edge-length dual by delayed constraint generation: path
-  constraints are priced by Dijkstra and added only when violated, and the
-  primal flow comes from the multipliers of the generated path rows;
-  `rounds` counts the pricing rounds and `pivots` the simplex pivots over
-  all of them.
+  solves the edge-length dual by delayed constraint generation: Dijkstra
+  adds one shortest path per violated pair and round, and the primal flow
+  comes from the multipliers of the generated path rows; `rounds` counts
+  the pricing rounds and `pivots` the simplex pivots over all of them.
 
 Both methods run one loop, `_columns`: over an LP whose rows are fixed,
 it continues `lp.simplex_min` from the last basis while the method's
@@ -678,9 +677,6 @@ def concurrent_flow(net: TerminalNetwork, demand: DemandVector | dict) -> Concur
 # Column generation on the path form
 # ---------------------------------------------------------------------------
 
-_PATHS_PER_PAIR_PER_ROUND = 16
-
-
 def _columns(A, b, basis, at, price) -> tuple:
     """Maximise x[0] subject to A x = b, x >= 0 from the feasible basis
     `basis` by column generation: the one loop of both methods.
@@ -719,8 +715,11 @@ def _path_lp(shape: _Shape, pairs: list, dvals: list, starts: list) -> tuple:
 
     Columns are lambda, then paths, then the slacks, which are the first
     basis; new paths go in before the slacks.  The row multipliers are
-    exactly the edge lengths / pair distances of the edge-length dual, and
-    Dijkstra under those lengths prices out violated paths.
+    exactly the edge lengths / pair distances of the edge-length dual.  Each
+    round adds one shortest path per violated pair, as Ford and Fulkerson's
+    path form does: one Dijkstra per distinct source under those lengths,
+    and a pair's path where it is shorter than the pair's multiplier by
+    more than FEAS_TOL.
 
     Returns (value, primal, carried, lengths, rounds, pivots): `primal` is
     the lambda column's entry, `carried` gives per pair the (path, rows,
@@ -728,74 +727,45 @@ def _path_lp(shape: _Shape, pairs: list, dvals: list, starts: list) -> tuple:
     final lengths by edge index.
     """
     pidx = {p: i for i, p in enumerate(pairs)}
-    col_paths: list[tuple[tuple[str, str], tuple[str, ...], tuple[int, ...]]] = []
-    seen_paths = set()
-
-    def add_path(pair, path, rows):
-        if (pair, path) in seen_paths:
-            return False
-        seen_paths.add((pair, path))
-        col_paths.append((pair, path, rows))
-        return True
-
-    for col in starts:
-        add_path(*col)
-
+    cols = {(p, path): rows for p, path, rows in starts}    # path columns, in order
     arcs = shape.arcs
     np_ = len(pairs)
     m = np_ + len(shape.edges)
 
     def as_columns(new: list) -> np.ndarray:
-        """One row per (pair, path, rows) column: -1 in its pair's row and 1
-        in each edge's row; a simple path uses an edge at most once."""
+        """One row per ((pair, path), rows) column: -1 in its pair's row and
+        1 in each edge's row; a simple path uses an edge at most once."""
         out = np.zeros((len(new), m))
-        out[np.arange(len(new)), [pidx[p] for p, _, _ in new]] = -1.0
-        out[[j for j, (_, _, rows) in enumerate(new) for _ in rows],
-            [np_ + e for _, _, rows in new for e in rows]] = 1.0
+        out[np.arange(len(new)), [pidx[p] for (p, _), _ in new]] = -1.0
+        out[[j for j, (_, rows) in enumerate(new) for _ in rows],
+            [np_ + e for _, rows in new for e in rows]] = 1.0
         return out
 
     def price(x, lam, y, pivots):
         deltas = np.maximum(-y[:np_], 0.0).tolist()
         lengths = np.maximum(-y[np_:], 0.0).tolist()   # per edge index
-        n_old = len(col_paths)
-        src_cache: dict[str, tuple[dict, dict]] = {}
-        for p, target in zip(pairs, deltas):
-            s, t = p
+        n_old = len(cols)
+        trees: dict[str, tuple[dict, dict]] = {}
+        for (s, t), target in zip(pairs, deltas):
             if target <= FEAS_TOL:
                 continue
-            if s not in src_cache:
-                src_cache[s] = _dijkstra(arcs, lengths, s)
-            ds, parent_s = src_cache[s]
-            if ds.get(t, np.inf) >= target - FEAS_TOL:
-                continue
-            if t not in src_cache:
-                src_cache[t] = _dijkstra(arcs, lengths, t)
-            dt, parent_t = src_cache[t]
-            # candidate midpoints give many violated paths per round
-            cand = sorted(arcs,
-                          key=lambda v: ds.get(v, np.inf) + dt.get(v, np.inf))
-            taken = 0
-            for v in cand:
-                via = ds.get(v, np.inf) + dt.get(v, np.inf)
-                if via >= target - FEAS_TOL or taken >= _PATHS_PER_PAIR_PER_ROUND:
-                    break
-                left = _extract_path(parent_s, v)
-                right = _extract_path(parent_t, v)
-                path = left + tuple(reversed(right[:-1]))
-                if len(set(path)) != len(path):
-                    continue
-                if add_path(p, path, shape.rows(path)):
-                    taken += 1
-        return as_columns(col_paths[n_old:]) if len(col_paths) > n_old else None
+            if s not in trees:
+                trees[s] = _dijkstra(arcs, lengths, s)
+            dist, parent = trees[s]
+            if dist.get(t, np.inf) < target - FEAS_TOL:
+                path = _extract_path(parent, t)
+                cols.setdefault(((s, t), path), shape.rows(path))
+        new = list(cols.items())[n_old:]
+        return as_columns(new) if new else None
 
-    n = 1 + len(col_paths)
+    n = 1 + len(cols)
     lam_col = np.zeros((m, 1))
     lam_col[:np_, 0] = dvals
-    A = np.concatenate([lam_col, as_columns(col_paths).T, np.eye(m)], axis=1)
+    A = np.concatenate([lam_col, as_columns(list(cols.items())).T, np.eye(m)], axis=1)
     b = np.concatenate([np.zeros(np_), shape.caps])
     lam, x, y, rounds, pivots = _columns(A, b, np.arange(n, n + m), n, price)
     carried: dict[tuple[str, str], list] = {p: [] for p in pairs}
-    for (p, path, rows), f in zip(col_paths, x[1:].tolist()):
+    for ((p, path), rows), f in zip(cols.items(), x[1:].tolist()):
         if f > 1e-12:
             carried[p].append((path, rows, f))
     return lam, x[0], carried, np.maximum(-y[np_:], 0.0).tolist(), rounds, pivots

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .flow import FlowError
-from .network import TerminalNetwork, _pair
+from .network import TerminalNetwork, _pair, phi_merge
 
 _CAPACITY_REL_TOL = Fraction(1, 10**6)
 
@@ -220,8 +220,6 @@ def _simplify_walk(walk):
 def compose(g1p: TerminalNetwork, g2p: TerminalNetwork, phi,
             q1: float, q2: float) -> tuple[TerminalNetwork, float]:
     """Glue two sparsifiers along phi; the claimed quality is max(q1, q2)."""
-    from .network import phi_merge
-
     if q1 < 1 or q2 < 1:
         raise FlowError("sparsifier qualities must be >= 1")
     return phi_merge(g1p, g2p, phi), max(q1, q2)

@@ -93,6 +93,15 @@ def _triangles(k: int) -> np.ndarray:
     return rows
 
 
+@functools.cache
+def _pair_ends(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """`np.triu_indices(k, 1)`, read-only and taken once per k: the ends
+    (u, w) of k terminals' pairs in `combinations` order."""
+    us, ws = np.triu_indices(k, 1)
+    us.flags.writeable = ws.flags.writeable = False     # shared by every call
+    return us, ws
+
+
 @dataclass(frozen=True, eq=False)
 class _Stars:
     """A quasi-bipartite `cut_view` as the star oracle reads it.
@@ -209,7 +218,7 @@ def _covering(stars: _Stars, mu: np.ndarray) -> list:
     tol = 1e-12 * max(1.0, float(mu.max(initial=0.0)))
     for cols, caps in stars.groups:
         maps = _basis_maps(caps.shape[1])
-        us, ws = np.array(list(itertools.combinations(range(caps.shape[1]), 2))).T
+        us, ws = _pair_ends(caps.shape[1])
         m = mu[cols]
         y = np.einsum("e,bes->bs", m, maps[:, :len(cols)]) / 2
         y = y[(y >= -tol).all(1) & (y[:, us] + y[:, ws] >= m - tol).all(1)]
@@ -220,7 +229,7 @@ def _covering(stars: _Stars, mu: np.ndarray) -> list:
 def _closure(mu: np.ndarray, k: int) -> np.ndarray:
     """mu, over the k terminals' pairs in `combinations` order, closed under
     the triangle inequality by Floyd-Warshall."""
-    at = np.triu_indices(k, 1)
+    at = _pair_ends(k)
     m = np.zeros((k, k))
     m[at] = mu
     m += m.T

@@ -480,6 +480,16 @@ class TestClosedFormMaxFlow:
         assert max_flow(path, "s", {"t", "x"}) == 1 == nx_set_flow(path, "s", "tx")
 
 
+# Seeded non-star nets whose reduced views keep at least 30 vertices, with
+# k >= 8: (seed, make(rng, seed)), the demand drawn from the same rng.
+LARGE_VIEWS = {
+    "random-60-8-seed1": (1, lambda rng, seed: random_connected_net(rng, 60, 8)),
+    "random-60-8-seed5": (5, lambda rng, seed: random_connected_net(rng, 60, 8)),
+    "treewidth-8-50-5": (0, lambda rng, seed: gen_treewidth(8, 50, 5, seed)[0]),
+    "treewidth-9-60-4": (2, lambda rng, seed: gen_treewidth(9, 60, 4, seed)[0]),
+}
+
+
 class TestConcurrentFlow:
     def test_single_edge(self):
         net = TerminalNetwork.make(["s", "t"], ["s", "t"], [("s", "t", 10)])
@@ -550,6 +560,20 @@ class TestConcurrentFlow:
         ours = concurrent_flow(net, d).value
         ref = scipy_lambda(net, d)
         assert ours == pytest.approx(ref, rel=1e-7, abs=1e-9)
+
+    @pytest.mark.parametrize("name", sorted(LARGE_VIEWS))
+    def test_matches_independent_oracle_on_large_views(self, name):
+        seed, make = LARGE_VIEWS[name]
+        rng = random.Random(seed)
+        net = make(rng, seed)
+        assert len(net.cut_view[1]) >= 30 and net.k >= 8
+        assert flow._record(net).stars is None      # column generation solves it
+        d = random_demand(rng, net)
+        res = concurrent_flow(net, d)
+        assert res.value == pytest.approx(scipy_lambda(net, d), rel=1e-7, abs=1e-9)
+        assert res.duality_gap <= OPT_TOL
+        res.flow.check(net, d)
+        res.dual.check(net, d)
 
     def test_down_monotonicity(self):
         rng = random.Random(21)
@@ -1088,31 +1112,34 @@ def _pin_fingerprints():
 # the star oracle solves them (rounds are Kelley cuts, pivots the master's);
 # the small-qb-3-* and small-connected-* ones, whose views keep the
 # terminals alone or adjacent non-terminals, stay on column generation, and
-# small-connected-4-12 keeps the bits of the unreduced solve.
+# small-connected-4-12 keeps the bits of the unreduced solve.  Column
+# generation adds one shortest path per violated pair and round, on those
+# views and on the star oracle's terminal link graph, whose routing the
+# qb-* and small-qb-4-* digests pin.
 PINNED_SOLVES = {
     'qb-11': [
-        ('0x1.0e9375daf6540p+5', 1, 6, 'cc83a43945b335ff'),
-        ('0x1.93cc52f01ef7bp+4', 4, 15, '8297669bbe553cb2'),
+        ('0x1.0e9375daf6540p+5', 1, 6, '9ad0446b4ff90bd2'),
+        ('0x1.93cc52f01ef7bp+4', 4, 15, 'f4c32b550c7d2fce'),
         ('0x1.3de6ec98cf84ap+4', 2, 7, '2ab6a2052a5bfe47'),
-        ('0x1.4cdad5112ecbdp+4', 5, 18, '0daf9e6b6748dfb6'),
+        ('0x1.4cdad5112ecbdp+4', 5, 18, '05400ee93837665b'),
     ],
     'qb-12': [
         ('0x1.2bfa1a5faea09p+4', 1, 5, 'd5d545934c43ee43'),
-        ('0x1.1450f341c438ap+6', 3, 15, '5b9c7679168d45ec'),
-        ('0x1.a02baa4d500dep+4', 2, 13, 'b2a2c62dad3676f4'),
-        ('0x1.c0f5e8c934da5p+4', 1, 7, '11fd55ba16bf0144'),
+        ('0x1.1450f341c438ap+6', 3, 15, '150533f7527895ab'),
+        ('0x1.a02baa4d500dep+4', 2, 13, '1f2965d59a976469'),
+        ('0x1.c0f5e8c934da5p+4', 1, 7, 'f048d818002d3442'),
     ],
     'qb-13': [
-        ('0x1.c3b29bf50a493p+4', 1, 4, '98ff3e2ac15d814e'),
-        ('0x1.9eb3abbaeb8d7p+4', 1, 5, '63e6f65546791b62'),
-        ('0x1.9bc922bef3cccp+4', 1, 10, 'bf0331924d4a8955'),
-        ('0x1.2d653b70f22c4p+5', 5, 15, '3b1fe4ad1f6c242a'),
+        ('0x1.c3b29bf50a493p+4', 1, 4, '587cbbb4f2b27ad6'),
+        ('0x1.9eb3abbaeb8d7p+4', 1, 5, 'fe462fe153168721'),
+        ('0x1.9bc922bef3cccp+4', 1, 10, '07cef5ae9c9dd774'),
+        ('0x1.2d653b70f22c4p+5', 5, 15, 'f13b25e523d5c6c5'),
     ],
     'small-connected-3-10': [
         ('0x1.6127870c96f7ep+4', 2, 3, '8fed99d8a20bac9e'),
     ],
     'small-connected-3-14': [
-        ('0x1.bb16d124ce8fbp+2', 3, 11, 'b9c699511848e852'),
+        ('0x1.bb16d124ce8fbp+2', 5, 10, 'd62fdf4f30176bb2'),
     ],
     'small-connected-4-12': [
         ('0x1.eb9efc64055b2p-3', 1, 6, '08d2f344932e900c'),
@@ -1127,7 +1154,7 @@ PINNED_SOLVES = {
         ('0x1.de2073ff9228ep+1', 2, 5, '0f5d6eb539a1d620'),
     ],
     'small-qb-4-16': [
-        ('0x1.3a6a3589c6b06p+3', 1, 3, '869550054e9018ea'),
+        ('0x1.3a6a3589c6b06p+3', 1, 3, 'f9deb72d8d0f6e0f'),
     ],
     'small-qb-4-20': [
         ('0x1.e53592c735f2ap+4', 1, 3, '3653e55a5274a3e0'),
