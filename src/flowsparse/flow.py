@@ -29,15 +29,16 @@ series-contracted, or replaced by a triangle), which keeps every terminal
 concurrent flow value.
 Both methods return the reduced solution (the value, a bracket on it, a
 call that gives the reduced edge lengths and one that routes the primal),
-and `_result` checks the bracket: column generation's primal lambda and
-sum(c * l) over the view, or the star oracle's Kelley bracket.  Most
-callers read only the value, so both certificates are made and lifted to
-the network's edges on first read: `ConcurrentFlowResult.dual` splits a reduced
-edge's length over an eliminated vertex's sides so that no terminal
-distance changes and sum(c * l) does not grow; `.flow` fills the edges and
-pieces a reduced edge stands for in order.  The lift both read groups the
-network's edges with the edges each elimination joined, as
-`TerminalNetwork.reduction` records them.
+and `_result` checks the bracket by one rule: column generation's primal
+lambda and sum(c * l) / sum(d_p * dist_l(p)) at its final lengths, or the
+star oracle's Kelley bracket.  Most callers read only the value, so both
+certificates are made and lifted to the network's edges on first read:
+`ConcurrentFlowResult.dual` splits a reduced edge's length over an
+eliminated vertex's sides so that no terminal distance changes and
+sum(c * l) does not grow; `.flow` fills the edges and pieces a reduced edge
+stands for in order.  The lift both read groups the network's edges with
+the edges each elimination joined, as `TerminalNetwork.reduction` records
+them.
 
 The oracle keeps one record per network, on the network object (`_record`):
 it is built whole on the first solve, as `cut_view` is, and freed with the
@@ -103,39 +104,9 @@ def finite_or_none(x: float) -> float | None:
 
 @dataclass(frozen=True)
 class FlowSolution:
-    """Per-commodity directed arc flows achieving concurrent value `lam`."""
+    """Per-commodity directed arc flows that route value * d_p for each pair."""
 
-    lam: float
     arc_flows: tuple[tuple[tuple[str, str], tuple[tuple[tuple[str, str], float], ...]], ...]
-
-    def edge_loads(self) -> dict[tuple[str, str], float]:
-        loads: dict[tuple[str, str], float] = {}
-        for _, arcs in self.arc_flows:
-            for (u, v), f in arcs:
-                e = _pair(u, v)
-                loads[e] = loads.get(e, 0.0) + f
-        return loads
-
-    def check(self, net: TerminalNetwork, demand: DemandVector,
-              tol: float = 1e-6) -> None:
-        for e, load in self.edge_loads().items():
-            cap = float(net.cap(*e))
-            if load > cap + tol * max(1.0, cap):
-                raise FlowError(f"capacity violated on {e}")
-        for pair, arcs in self.arc_flows:
-            s, t = pair
-            balance: dict[str, float] = {}
-            for (u, v), f in arcs:
-                balance[u] = balance.get(u, 0.0) + f
-                balance[v] = balance.get(v, 0.0) - f
-            for v, bal in balance.items():
-                if v == s or v == t:
-                    continue
-                if abs(bal) > tol * max(1.0, self.lam):
-                    raise FlowError(f"conservation violated at {v} for {pair}")
-            want = self.lam * demand[pair]
-            if abs(balance.get(s, 0.0) - want) > tol * max(1.0, want):
-                raise FlowError(f"routed amount mismatch for {pair}")
 
 
 @dataclass(frozen=True)
@@ -155,17 +126,6 @@ class DualSolution:
 
     def dist_map(self) -> dict[tuple[str, str], float]:
         return dict(self.dists)
-
-    def check(self, net: TerminalNetwork, demand: DemandVector,
-              tol: float = 1e-6) -> None:
-        lengths = self.length_map()
-        total = sum(demand[p] * d for p, d in self.dists)
-        if total < 1.0 - tol:
-            raise FlowError("dual demand constraint violated")
-        for pair, d in self.dists:
-            dist = _dijkstra_pair(net, lengths, pair[0], pair[1])
-            if d > dist + tol:
-                raise FlowError(f"distance above shortest path for {pair}")
 
 
 class _first_read:
@@ -225,7 +185,7 @@ class ConcurrentFlowResult:
         shape, lift, _, _, routed = self._reduced
         with _cache_lock:
             lift = lift()
-        return FlowSolution(lam=self.value, arc_flows=lift.flows(shape, routed()))
+        return FlowSolution(arc_flows=lift.flows(shape, routed()))
 
 
 def _result(net: TerminalNetwork, state: _NetState, lam: float, lo: float, hi: float,
@@ -236,10 +196,11 @@ def _result(net: TerminalNetwork, state: _NetState, lam: float, lo: float, hi: f
 
     Raises LPError when lo, hi and lam spread over more than OPT_TOL of
     max(1, |lam|); lam stays in the check, so a value off its own bracket
-    fails too.  Column generation's bracket is its primal lambda and
-    sum(c * l) over the view's edges, whose lift keeps every terminal
-    distance and does not raise sum(c * l), so the lifted dual is as good a
-    certificate; the star oracle's is Kelley's (`stars._star_oracle`)."""
+    fails too.  Column generation's bracket is its primal lambda and the
+    weak-duality bound of `_path_lp`, sum(c * l) / sum(d_p * dist_l(p));
+    the lift keeps every terminal distance and does not raise sum(c * l),
+    so the lifted dual is as good a certificate.  The star oracle's is
+    Kelley's (`stars._star_oracle`)."""
     gap = float(max(lo, hi, lam) - min(lo, hi, lam)) / max(1.0, abs(lam))
     if not gap <= OPT_TOL:
         raise LPError(f"duality gap {gap:.3g} exceeds {OPT_TOL:g}")
@@ -377,10 +338,9 @@ class _Shape:
 
 
 def _shape_of(view) -> _Shape:
-    """The shape of a network view: `cut_view` for the oracle's solves,
-    `integer_view` for distances on the network.  Edges come in
-    first-occurrence order over the vertex numbering, which for a network's
-    `integer_view` is its sorted edge order."""
+    """The shape of a (scale, index, arcs) network view, the `cut_view` the
+    oracle solves on.  Edges come in first-occurrence order over the vertex
+    numbering."""
     scale, index, nbrs_of = view
     names = list(index)
     eidx: dict = {}
@@ -558,13 +518,6 @@ def _dijkstra(arcs: dict, lengths: list, source: str):
     return dist, parent
 
 
-def _dijkstra_pair(net: TerminalNetwork, lengths: dict, s: str, t: str) -> float:
-    """s-t distance; an edge missing from `lengths` has length 0."""
-    shape = _shape_of(net.integer_view)
-    dist, _ = _dijkstra(shape.arcs, [lengths.get(e, 0.0) for e in shape.edges], s)
-    return dist.get(t, np.inf)
-
-
 def _extract_path(parent: dict, t: str) -> tuple[str, ...]:
     path = [t]
     while parent[path[-1]] is not None:
@@ -721,10 +674,16 @@ def _path_lp(shape: _Shape, pairs: list, dvals: list, starts: list) -> tuple:
     and a pair's path where it is shorter than the pair's multiplier by
     more than FEAS_TOL.
 
-    Returns (value, primal, carried, lengths, rounds, pivots): `primal` is
-    the lambda column's entry, `carried` gives per pair the (path, rows,
-    flow) of its columns carrying more than 1e-12, and `lengths` are the
-    final lengths by edge index.
+    After the last round, which priced no path, the pricer's trees give
+    dist_l(p) at the final lengths l (a source that round skipped gets one
+    Dijkstra), and weak duality bounds lambda by sum(c * l) / sum(d_p *
+    dist_l(p)) whether or not pricing found every violated pair.
+
+    Returns (value, primal, carried, lengths, hi, rounds, pivots): `primal`
+    is the lambda column's entry, `carried` gives per pair the (path, rows,
+    flow) of its columns carrying more than 1e-12, `lengths` are the final
+    lengths by edge index, and `hi` is sum(c * l) / sum(d_p * dist_l(p))
+    at them, infinite when the denominator is not positive.
     """
     pidx = {p: i for i, p in enumerate(pairs)}
     cols = {(p, path): rows for p, path, rows in starts}    # path columns, in order
@@ -741,11 +700,13 @@ def _path_lp(shape: _Shape, pairs: list, dvals: list, starts: list) -> tuple:
             [np_ + e for _, rows in new for e in rows]] = 1.0
         return out
 
+    trees: dict[str, tuple[dict, dict]] = {}   # the last round's, by source
+
     def price(x, lam, y, pivots):
         deltas = np.maximum(-y[:np_], 0.0).tolist()
         lengths = np.maximum(-y[np_:], 0.0).tolist()   # per edge index
         n_old = len(cols)
-        trees: dict[str, tuple[dict, dict]] = {}
+        trees.clear()
         for (s, t), target in zip(pairs, deltas):
             if target <= FEAS_TOL:
                 continue
@@ -764,11 +725,17 @@ def _path_lp(shape: _Shape, pairs: list, dvals: list, starts: list) -> tuple:
     A = np.concatenate([lam_col, as_columns(list(cols.items())).T, np.eye(m)], axis=1)
     b = np.concatenate([np.zeros(np_), shape.caps])
     lam, x, y, rounds, pivots = _columns(A, b, np.arange(n, n + m), n, price)
+    lengths = np.maximum(-y[np_:], 0.0).tolist()
+    for s, _ in pairs:
+        if s not in trees:
+            trees[s] = _dijkstra(arcs, lengths, s)
+    routed = sum(d * trees[s][0].get(t, np.inf) for (s, t), d in zip(pairs, dvals))
+    hi = sum(c * l for c, l in zip(shape.caps, lengths)) / routed if routed > 0 else np.inf
     carried: dict[tuple[str, str], list] = {p: [] for p in pairs}
     for ((p, path), rows), f in zip(cols.items(), x[1:].tolist()):
         if f > 1e-12:
             carried[p].append((path, rows, f))
-    return lam, x[0], carried, np.maximum(-y[np_:], 0.0).tolist(), rounds, pivots
+    return lam, x[0], carried, lengths, hi, rounds, pivots
 
 
 def _column_generation(net, state, demand) -> ConcurrentFlowResult:
@@ -780,8 +747,8 @@ def _column_generation(net, state, demand) -> ConcurrentFlowResult:
     adds the paths that carry flow to the pool.  The result keeps the final
     lengths and the per-pair path flows (`_result`).
 
-    Raises LPError when the primal lambda, sum(c * l) over the view's edges
-    and the value spread over more than OPT_TOL, relative.
+    Raises LPError when the value, the primal lambda and the weak-duality
+    bound `hi` of `_path_lp` spread over more than OPT_TOL, relative.
     """
     pairs = demand.pairs()
     shape = state.shape
@@ -795,11 +762,11 @@ def _column_generation(net, state, demand) -> ConcurrentFlowResult:
         for p in pairs:
             starts += [(p, path, rows) for path, rows in state.pool.get(p, {}).items()]
 
-    lam, primal, carried, lengths, rounds, pivots = _path_lp(
+    lam, primal, carried, lengths, hi, rounds, pivots = _path_lp(
         shape, pairs, [demand[p] for p in pairs], starts)
-    result = _result(net, state, lam, primal, sum(c * l for c, l in zip(shape.caps, lengths)),
-                     lambda: lengths, rounds, pivots, functools.partial(
-                         _arc_flows, carried, {p: lam * demand[p] for p in pairs}))
+    result = _result(net, state, lam, primal, hi, lambda: lengths, rounds, pivots,
+                     functools.partial(_arc_flows, carried,
+                                       {p: lam * demand[p] for p in pairs}))
     with _cache_lock:
         for p in pairs:
             state.pool.setdefault(p, {}).update((path, rows) for path, rows, _ in carried[p])

@@ -1,3 +1,4 @@
+import heapq
 import itertools
 import os
 import random
@@ -47,6 +48,70 @@ def skew_duality_gap(monkeypatch):
         x, value, y, basis, Binv, it = real(*args, **kwargs)
         return x, value - 0.01 * max(1.0, abs(value)), y, basis, Binv, it
     monkeypatch.setattr(flowsparse.lp, "simplex_min", skewed)
+
+
+def _shortest(net: TerminalNetwork, lengths: dict, source: str) -> dict:
+    """Dijkstra from `source` over `net.adjacency`; an edge missing from
+    `lengths` has length 0."""
+    dist = {source: 0.0}
+    heap = [(0.0, source)]
+    while heap:
+        d, u = heapq.heappop(heap)
+        if d > dist[u]:
+            continue
+        for v in net.adjacency[u]:
+            nd = d + lengths.get((u, v) if u <= v else (v, u), 0.0)
+            if nd < dist.get(v, np.inf):
+                dist[v] = nd
+                heapq.heappush(heap, (nd, v))
+    return dist
+
+
+def check_certificates(net: TerminalNetwork, demand, res, tol: float = 1e-6) -> dict:
+    """Check a concurrent-flow result's certificates on the network itself,
+    apart from the oracle's own code, and return the primal's edge loads.
+
+    The primal `res.flow` must conserve each pair's flow, send value * d_p
+    from s and load no edge past its capacity.  The dual `res.dual` must
+    report no pair distance above the shortest path under its lengths, and
+    sum(d_p * dist_p) >= 1.  By weak duality the value is then at most
+    sum(c * l) / sum(d_p * dist_l(p)), which must lie within tol of it.
+    """
+    if not isinstance(demand, DemandVector):
+        demand = DemandVector.of(demand)
+    lam = res.value
+    loads: dict = {}
+    for (s, t), arcs in res.flow.arc_flows:
+        balance: dict = {}
+        for (u, v), f in arcs:
+            e = (u, v) if u <= v else (v, u)
+            loads[e] = loads.get(e, 0.0) + f
+            balance[u] = balance.get(u, 0.0) + f
+            balance[v] = balance.get(v, 0.0) - f
+        for v, bal in balance.items():
+            assert v in (s, t) or abs(bal) <= tol * max(1.0, lam), \
+                f"conservation violated at {v} for {(s, t)}"
+        want = lam * demand[(s, t)]
+        assert abs(balance.get(s, 0.0) - want) <= tol * max(1.0, want), \
+            f"routed amount mismatch for {(s, t)}"
+    for e, load in loads.items():
+        cap = float(net.cap(*e))
+        assert load <= cap + tol * max(1.0, cap), f"capacity violated on {e}"
+    lengths = res.dual.length_map()
+    trees: dict = {}
+    routed = reported = 0.0
+    for (s, t), d in res.dual.dists:
+        if s not in trees:
+            trees[s] = _shortest(net, lengths, s)
+        dist, want = trees[s].get(t, np.inf), demand[(s, t)]
+        assert d <= dist + tol, f"distance above shortest path for {(s, t)}"
+        if want:        # an undemanded pair may be out of reach
+            routed += want * dist
+            reported += want * d
+    assert reported >= 1.0 - tol, "dual demand constraint violated"
+    cost = sum(float(net.cap(*e)) * l for e, l in lengths.items())
+    assert abs(cost / routed - lam) <= tol * max(1.0, lam), "weak-duality bound off the value"
+    return loads
 
 
 def random_connected_net(rng: random.Random, n: int, k: int,

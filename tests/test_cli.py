@@ -171,6 +171,26 @@ class TestSparsifyVerify:
         assert rc == 2
         assert "error: duality gap" in capsys.readouterr().err
 
+    def test_demands_past_the_solver_scale_exit_2(self, tmp_path, capsys):
+        """Demands 10^9 times the capacities leave column generation's
+        lengths below its absolute tolerances; the weak-duality end of its
+        bracket sees the pricing stop short, so the solve fails its
+        certificate and no report is written."""
+        import itertools
+        import random
+        g, d, rep = tmp_path / "g.json", tmp_path / "d.json", tmp_path / "rep.json"
+        assert run(["gen", "--kind", "treewidth", "--k", "8", "--n", "50", "--w", "5",
+                    "--seed", "0", "--out", g]) == 0
+        rng = random.Random(0)
+        d.write_text(json.dumps([
+            {"s": s, "t": t, "d": rng.uniform(1e9, 5e9)}
+            for s, t in itertools.combinations(json.loads(g.read_text())["terminals"], 2)]))
+        rc = run(["verify", "--g", g, "--gp", g, "--demands", d, "--claim", "1",
+                  "--out", rep])
+        assert rc == 2
+        assert "duality gap" in capsys.readouterr().err
+        assert not rep.exists()
+
     @pytest.mark.parametrize("form", sorted(SAMPLE_FORMS))
     def test_sampled_graph_is_strict_json(self, form, tmp_path):
         g, h = tmp_path / "g.json", tmp_path / "h.json"

@@ -32,9 +32,9 @@ from flowsparse.generators import (gen_quasi_bipartite, gen_series_parallel,
 from flowsparse.lp import LPError
 from flowsparse.network import _CUT_TABLE_MAX_ENTRIES, _pair, terminal_bipartitions
 
-from conftest import (ONE_BLAS_THREAD, child_env, fresh, random_connected_net,
-                      random_demand, random_quasi_bipartite, rational_net,
-                      skew_duality_gap, sparsest_cut, two_hop_split,
+from conftest import (ONE_BLAS_THREAD, check_certificates, child_env, fresh,
+                      random_connected_net, random_demand, random_quasi_bipartite,
+                      rational_net, skew_duality_gap, sparsest_cut, two_hop_split,
                       with_prime_denominators)
 
 
@@ -490,6 +490,27 @@ LARGE_VIEWS = {
 }
 
 
+@pytest.fixture()
+def cg_brackets(monkeypatch):
+    """The (lambda, lo, hi) that each column-generation solve passes
+    `flow._result`; the star oracle calls its own import of `_result`."""
+    real, seen = flow._result, []
+
+    def spy(net, state, lam, lo, hi, *rest):
+        seen.append((lam, lo, hi))
+        return real(net, state, lam, lo, hi, *rest)
+    monkeypatch.setattr(flow, "_result", spy)
+    return seen
+
+
+def assert_brackets_hold(brackets, ref):
+    """`ref`, HiGHS's lambda, lies in each bracket [lo, hi] to within
+    OPT_TOL * max(1, lambda)."""
+    for lam, lo, hi in brackets:
+        tol = OPT_TOL * max(1.0, lam)
+        assert lo - tol <= ref <= hi + tol, (lam, lo, hi, ref)
+
+
 class TestConcurrentFlow:
     def test_single_edge(self):
         net = TerminalNetwork.make(["s", "t"], ["s", "t"], [("s", "t", 10)])
@@ -534,8 +555,7 @@ class TestConcurrentFlow:
         d = DemandVector.of({("a", "b"): 1})
         res = concurrent_flow(raw, d)
         assert res.value == max_flow(raw, "a", "b") == concurrent_flow(made, d).value == 2.0
-        res.flow.check(raw, d)
-        res.dual.check(raw, d)
+        check_certificates(raw, d, res)
 
     def test_zero_demand_rejected(self):
         net = TerminalNetwork.make(["s", "t"], ["s", "t"], [("s", "t", 1)])
@@ -549,20 +569,21 @@ class TestConcurrentFlow:
             d = random_demand(rng, net)
             res = concurrent_flow(net, d)
             assert res.duality_gap <= 1e-6 * max(1.0, res.value)
-            res.flow.check(net, d)
-            res.dual.check(net, d)
+            check_certificates(net, d, res)
 
     @pytest.mark.parametrize("seed", range(12))
-    def test_matches_independent_oracle(self, seed):
+    def test_matches_independent_oracle(self, seed, cg_brackets):
         rng = random.Random(100 + seed)
         net = random_connected_net(rng, rng.randint(4, 11), rng.randint(2, 4))
         d = random_demand(rng, net)
         ours = concurrent_flow(net, d).value
         ref = scipy_lambda(net, d)
         assert ours == pytest.approx(ref, rel=1e-7, abs=1e-9)
+        assert len(cg_brackets) == (flow._record(net).stars is None)
+        assert_brackets_hold(cg_brackets, ref)
 
     @pytest.mark.parametrize("name", sorted(LARGE_VIEWS))
-    def test_matches_independent_oracle_on_large_views(self, name):
+    def test_matches_independent_oracle_on_large_views(self, name, cg_brackets):
         seed, make = LARGE_VIEWS[name]
         rng = random.Random(seed)
         net = make(rng, seed)
@@ -570,10 +591,30 @@ class TestConcurrentFlow:
         assert flow._record(net).stars is None      # column generation solves it
         d = random_demand(rng, net)
         res = concurrent_flow(net, d)
-        assert res.value == pytest.approx(scipy_lambda(net, d), rel=1e-7, abs=1e-9)
+        ref = scipy_lambda(net, d)
+        assert res.value == pytest.approx(ref, rel=1e-7, abs=1e-9)
         assert res.duality_gap <= OPT_TOL
-        res.flow.check(net, d)
-        res.dual.check(net, d)
+        assert len(cg_brackets) == 1
+        assert_brackets_hold(cg_brackets, ref)
+        check_certificates(net, d, res)
+
+    @pytest.mark.parametrize("name", sorted(LARGE_VIEWS))
+    def test_demand_scale(self, name):
+        """Scaling the demand by s scales lambda by 1/s to within 1e-12 up
+        to s = 1e7.  From 1e8 on the lengths fall below column generation's
+        absolute tolerances (`FEAS_TOL`, the simplex's), pricing stops
+        short, and the weak-duality end of the bracket makes the solve
+        raise rather than return a wrong lambda."""
+        seed, make = LARGE_VIEWS[name]
+        rng = random.Random(seed)
+        net = make(rng, seed)
+        d = random_demand(rng, net)
+        base = concurrent_flow(net, d).value
+        for s in (1e-6, 1e-3, 1e3, 1e6, 1e7):
+            assert concurrent_flow(net, d.scaled(s)).value * s == pytest.approx(base, rel=1e-12)
+        for s in (1e8, 1e9):
+            with pytest.raises(LPError, match="duality gap"):
+                concurrent_flow(net, d.scaled(s))
 
     def test_down_monotonicity(self):
         rng = random.Random(21)
@@ -610,16 +651,18 @@ def assert_lifted(net, d):
     under the lifted lengths."""
     res = concurrent_flow(net, d)
     assert res.value == pytest.approx(scipy_lambda(net, d), rel=1e-7, abs=1e-9)
-    res.flow.check(net, d)
-    res.dual.check(net, d)
+    loads = check_certificates(net, d, res)
     lengths = res.dual.length_map()
     assert lengths.keys() == {(u, v) if u <= v else (v, u) for u, v, _ in net.edges}
-    assert res.flow.edge_loads().keys() <= lengths.keys()
+    assert loads.keys() <= lengths.keys()
     cost = sum(float(net.cap(*e)) * l for e, l in lengths.items())
     assert abs(cost - res.value) <= OPT_TOL * max(1.0, res.value)
     assert res.dual.value == cost
+    graph = nx.Graph()
+    graph.add_nodes_from(net.vertices)
+    graph.add_weighted_edges_from((u, v, l) for (u, v), l in lengths.items())
     for (s, t), dist in res.dual.dists:
-        assert flow._dijkstra_pair(net, lengths, s, t) == pytest.approx(dist, rel=1e-9)
+        assert nx.dijkstra_path_length(graph, s, t) == pytest.approx(dist, rel=1e-9)
     return res
 
 
@@ -769,8 +812,7 @@ class TestPathPool:
         for d in demands:
             res = concurrent_flow(net, d)
             assert res.duality_gap <= OPT_TOL
-            res.flow.check(net, d)
-            res.dual.check(net, d)
+            check_certificates(net, d, res)
 
     def test_shape_and_start_paths_are_built_once_per_network(self, monkeypatch):
         """The shape and each pair's start path are built once per network,
@@ -977,7 +1019,7 @@ class TestLazyPrimal:
         first = res.dual
         assert res.dual is first and concurrent_flow(net, demands[0]).dual is first
         assert len(coverings) == 1
-        first.check(net, demands[0])
+        check_certificates(net, demands[0], res)
         coverings.clear()
         profile_bucket_sparsifier(fresh(net), 0.25, demands + demands[::-1])
         assert len(coverings) == len(demands)
@@ -1030,7 +1072,7 @@ class TestLazyPrimal:
         assert concurrent_flow(net, demands[0]) is res      # a memo hit
         assert res.dual is first and concurrent_flow(net, demands[0]).dual is first
         assert duals.count("lengths") == 1
-        first.check(net, demands[0])
+        check_certificates(net, demands[0], res)
 
     def test_flow_is_lifted_once_per_result(self, lifts):
         net, demands = _pool_demands()
@@ -1040,7 +1082,7 @@ class TestLazyPrimal:
         assert concurrent_flow(net, demands[0]) is res      # a memo hit
         assert res.flow is first and concurrent_flow(net, demands[0]).flow is first
         assert lifts == [len(demands[0].pairs())]
-        first.check(net, demands[0])
+        check_certificates(net, demands[0], res)
 
     def test_memo_keeps_no_network_alive(self):
         """The record, with the memoized results no caller holds, is freed
@@ -1266,7 +1308,7 @@ class TestRestrictedAgainstScipy:
             assert res.dual.value == pytest.approx(value, rel=1e-7)
             assert abs(res.dual.value - res.value) <= OPT_TOL * max(1.0, res.value)
             # each middle vertex carries its closed-form share min(c_sv, c_vt)
-            loads = res.flow.edge_loads()
+            loads = check_certificates(sub, {p: 1}, res)
             through = {v: loads.get(_pair(s, v), 0.0) for v in sub.adjacency[s]}
             assert through == pytest.approx({v: per_v.get(v, 0.0) for v in through},
                                             rel=1e-7, abs=1e-9)

@@ -9,8 +9,6 @@ SRC = ROOT / "src" / "flowsparse"
 # Functions that may have no caller in src/, bench/ or scripts/.
 TEST_ONLY_ALLOWED = {
     "sparsest_terminal_cut": "the public exact sparsest cut that flow-equals-cut work builds on",
-    "FlowSolution.check": "primal certificate check, until exact lambda brackets replace it",
-    "DualSolution.check": "dual certificate check, until exact lambda brackets replace it",
 }
 
 

@@ -14,7 +14,7 @@ from flowsparse.generators import gen_quasi_bipartite
 from flowsparse.merging import profile_bucket_sparsifier, ratio_type_sparsifier
 from flowsparse.sampling import sample_sparsifier
 
-from conftest import fresh, random_demand
+from conftest import check_certificates, fresh, random_demand
 
 
 def _with_terminal_edges(net, rng):
@@ -110,8 +110,7 @@ def test_cross_check_against_column_generation(brackets):
             assert len(brackets) == 1 and brackets[0][0] == res.value
             _assert_bracketed(brackets[0], ref.value)
             assert res.duality_gap <= OPT_TOL
-            res.flow.check(net, d)
-            res.dual.check(net, d)
+            check_certificates(net, d, res)
         checked.add(name)
         ks.add(net.k)
     assert len(checked) >= 100 and ks == set(range(4, 9))
@@ -141,8 +140,7 @@ def test_capacities_over_fourteen_decades(seed, brackets):
         assert res.value == pytest.approx(ref, rel=1e-12)
         assert len(brackets) == 1 and brackets[0][0] == res.value
         _assert_bracketed(brackets[0], ref)
-        res.flow.check(net, d)
-        res.dual.check(net, d)
+        check_certificates(net, d, res)
 
 
 def test_full_support_star_is_in_the_table():
