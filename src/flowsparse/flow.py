@@ -197,10 +197,10 @@ def _result(net: TerminalNetwork, state: _NetState, lam: float, lo: float, hi: f
     Raises LPError when lo, hi and lam spread over more than OPT_TOL of
     max(1, |lam|); lam stays in the check, so a value off its own bracket
     fails too.  Column generation's bracket is its primal lambda and the
-    weak-duality bound of `_path_lp`, sum(c * l) / sum(d_p * dist_l(p));
-    the lift keeps every terminal distance and does not raise sum(c * l),
-    so the lifted dual is as good a certificate.  The star oracle's is
-    Kelley's (`stars._star_oracle`)."""
+    weak-duality bound at `_path_lp`'s final lengths, sum(c * l) / sum(d_p
+    * dist_l(p)); the lift keeps every terminal distance and does not
+    raise sum(c * l), so the lifted dual is as good a certificate.  The
+    star oracle's is Kelley's (`stars._star_oracle`)."""
     gap = float(max(lo, hi, lam) - min(lo, hi, lam)) / max(1.0, abs(lam))
     if not gap <= OPT_TOL:
         raise LPError(f"duality gap {gap:.3g} exceeds {OPT_TOL:g}")
@@ -674,16 +674,12 @@ def _path_lp(shape: _Shape, pairs: list, dvals: list, starts: list) -> tuple:
     and a pair's path where it is shorter than the pair's multiplier by
     more than FEAS_TOL.
 
-    After the last round, which priced no path, the pricer's trees give
-    dist_l(p) at the final lengths l (a source that round skipped gets one
-    Dijkstra), and weak duality bounds lambda by sum(c * l) / sum(d_p *
-    dist_l(p)) whether or not pricing found every violated pair.
-
-    Returns (value, primal, carried, lengths, hi, rounds, pivots): `primal`
-    is the lambda column's entry, `carried` gives per pair the (path, rows,
-    flow) of its columns carrying more than 1e-12, `lengths` are the final
-    lengths by edge index, and `hi` is sum(c * l) / sum(d_p * dist_l(p))
-    at them, infinite when the denominator is not positive.
+    Returns (value, primal, carried, lengths, trees, rounds, pivots):
+    `primal` is the lambda column's entry, `carried` gives per pair the
+    (path, rows, flow) of its columns carrying more than 1e-12, `lengths`
+    are the final lengths by edge index, and `trees` holds the last round's
+    shortest-path trees under them, by source, for the sources that round
+    priced.
     """
     pidx = {p: i for i, p in enumerate(pairs)}
     cols = {(p, path): rows for p, path, rows in starts}    # path columns, in order
@@ -725,17 +721,11 @@ def _path_lp(shape: _Shape, pairs: list, dvals: list, starts: list) -> tuple:
     A = np.concatenate([lam_col, as_columns(list(cols.items())).T, np.eye(m)], axis=1)
     b = np.concatenate([np.zeros(np_), shape.caps])
     lam, x, y, rounds, pivots = _columns(A, b, np.arange(n, n + m), n, price)
-    lengths = np.maximum(-y[np_:], 0.0).tolist()
-    for s, _ in pairs:
-        if s not in trees:
-            trees[s] = _dijkstra(arcs, lengths, s)
-    routed = sum(d * trees[s][0].get(t, np.inf) for (s, t), d in zip(pairs, dvals))
-    hi = sum(c * l for c, l in zip(shape.caps, lengths)) / routed if routed > 0 else np.inf
     carried: dict[tuple[str, str], list] = {p: [] for p in pairs}
     for ((p, path), rows), f in zip(cols.items(), x[1:].tolist()):
         if f > 1e-12:
             carried[p].append((path, rows, f))
-    return lam, x[0], carried, lengths, hi, rounds, pivots
+    return lam, x[0], carried, np.maximum(-y[np_:], 0.0).tolist(), trees, rounds, pivots
 
 
 def _column_generation(net, state, demand) -> ConcurrentFlowResult:
@@ -747,8 +737,13 @@ def _column_generation(net, state, demand) -> ConcurrentFlowResult:
     adds the paths that carry flow to the pool.  The result keeps the final
     lengths and the per-pair path flows (`_result`).
 
-    Raises LPError when the value, the primal lambda and the weak-duality
-    bound `hi` of `_path_lp` spread over more than OPT_TOL, relative.
+    After `_path_lp`'s last round, which priced no path, its trees give
+    dist_l(p) at the final lengths l (a source that round skipped gets one
+    Dijkstra), and weak duality bounds lambda by hi = sum(c * l) / sum(d_p
+    * dist_l(p)) whether or not pricing found every violated pair; hi is
+    infinite when the denominator is not positive.  Raises LPError when
+    the value, the primal lambda and hi spread over more than OPT_TOL,
+    relative.
     """
     pairs = demand.pairs()
     shape = state.shape
@@ -762,8 +757,13 @@ def _column_generation(net, state, demand) -> ConcurrentFlowResult:
         for p in pairs:
             starts += [(p, path, rows) for path, rows in state.pool.get(p, {}).items()]
 
-    lam, primal, carried, lengths, hi, rounds, pivots = _path_lp(
-        shape, pairs, [demand[p] for p in pairs], starts)
+    dvals = [demand[p] for p in pairs]
+    lam, primal, carried, lengths, trees, rounds, pivots = _path_lp(shape, pairs, dvals, starts)
+    for s, _ in pairs:
+        if s not in trees:
+            trees[s] = _dijkstra(shape.arcs, lengths, s)
+    routed = sum(d * trees[s][0].get(t, np.inf) for (s, t), d in zip(pairs, dvals))
+    hi = sum(c * l for c, l in zip(shape.caps, lengths)) / routed if routed > 0 else np.inf
     result = _result(net, state, lam, primal, hi, lambda: lengths, rounds, pivots,
                      functools.partial(_arc_flows, carried,
                                        {p: lam * demand[p] for p in pairs}))

@@ -3,8 +3,8 @@
 `simplex_min` (float, numpy) has one caller, `flow._columns`, the loop
 of both flow oracle methods (column generation and the star oracle's
 master): it continues the simplex from a feasible basis after columns are
-inserted.  Per pivot it prices every column once
-and computes `Binv @ b` once.
+inserted.  Per pivot it prices every column once, computes `Binv @ b`
+once and breaks ratio-test ties only where more than one row qualifies.
 
 Conventions
 -----------
@@ -49,7 +49,8 @@ def simplex_min(cost, A, b, basis, *, Binv=None):
     Each pivot computes the basic solution `Binv @ b` once: the one taken
     for the stall test after a pivot is the next pivot's ratio-test input,
     and the last one gives x.  The ratio test runs over the rows where the
-    entering column is positive.
+    entering column is positive; where more than one is, the rows of least
+    ratio, up to _TOL, tie and the least basis index among them leaves.
     """
     cost = np.asarray(cost, dtype=float)
     A = np.asarray(A, dtype=float)
@@ -85,13 +86,14 @@ def simplex_min(cost, A, b, basis, *, Binv=None):
         pos = (d > _TOL).nonzero()[0]
         if pos.size == 0:
             raise LPUnbounded("improving direction is unbounded")
-        ratios = np.maximum(xB[pos], 0.0) / d[pos]
-        ties = pos[ratios <= ratios.min() + _TOL]
-        l = int(ties[basis[ties].argmin()])
+        if pos.size > 1:
+            ratios = np.maximum(xB[pos], 0.0) / d[pos]
+            pos = pos[ratios <= ratios.min() + _TOL]
+        l = int(pos[0] if pos.size == 1 else pos[basis[pos].argmin()])
 
         piv = d[l]
         binv_l = Binv[l].copy()
-        Binv -= np.outer(d / piv, binv_l)
+        Binv -= (d / piv)[:, None] * binv_l
         Binv[l] = binv_l / piv
         basis[l] = j
 

@@ -51,6 +51,14 @@ _CUT_TOL = 1e-12            # relative: F(mu) above z by less ends Kelley's meth
 _BATCH_ENTRIES = 1 << 20    # entries of one batch of star vertex products
 
 
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The arrays, read-only: a table cached per size is shared by every
+    call."""
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
 @functools.cache
 def _basis_maps(s: int) -> np.ndarray:
     """Per basis of a star's packing LP on s terminals, twice its basic
@@ -80,6 +88,20 @@ def _basis_maps(s: int) -> np.ndarray:
 
 
 @functools.cache
+def _basis_floats(s: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`_basis_maps(s)` as floats, read-only, in the layouts the star
+    kernels multiply by: (F.T, |F|.T, M), with F the maps' rows stacked,
+    (bases * (pairs + s), s), and M their pair rows as a (pairs, bases, s)
+    block.  F.T is the transposed view, not a copy: a product of one star's
+    capacities with it goes through BLAS's matrix-vector kernel, as the
+    per-basis products it replaced did, and a copy rounds otherwise."""
+    maps = _basis_maps(s).astype(float)
+    flat = maps.reshape(-1, s)
+    return _read_only(flat.T, np.abs(flat).T,
+                      maps[:, :s * (s - 1) // 2].transpose(1, 0, 2).copy())
+
+
+@functools.cache
 def _triangles(k: int) -> np.ndarray:
     """The triangle rows over k terminals' pairs, in `combinations` order:
     per triple and long side ac, via b, e_ac - e_ab - e_bc."""
@@ -97,9 +119,25 @@ def _triangles(k: int) -> np.ndarray:
 def _pair_ends(k: int) -> tuple[np.ndarray, np.ndarray]:
     """`np.triu_indices(k, 1)`, read-only and taken once per k: the ends
     (u, w) of k terminals' pairs in `combinations` order."""
-    us, ws = np.triu_indices(k, 1)
-    us.flags.writeable = ws.flags.writeable = False     # shared by every call
-    return us, ws
+    return _read_only(*np.triu_indices(k, 1))
+
+
+@functools.cache
+def _master(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only templates of Kelley's master on k terminals, (A, b,
+    basis): columns z | surpluses | triangles | the first cut, rows
+    sum(alpha) = 1 then one per pair, and the start basis of the cut and
+    the surpluses.  A solve copies A and sets its z column, -d, and its
+    cut's pair rows."""
+    P = math.comb(k, 2)
+    tri = _triangles(k)
+    A = np.zeros((1 + P, 2 + P + len(tri)))
+    A[1:, 1:P + 1] = -np.eye(P)
+    A[1:, P + 1:-1] = tri.T
+    A[0, -1] = 1.0
+    b = np.zeros(1 + P)
+    b[0] = 1.0
+    return _read_only(A, b, np.array([A.shape[1] - 1, *range(1, P + 1)]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,11 +149,12 @@ class _Stars:
     pairs in `terminal_pairs` order (`pair_index`), and `direct` holds the
     terminal-terminal capacities.  `table` stacks each star's feasible
     packing vertices (flows per pair), star by star: `row_star` is a row's
-    star and `starts` each star's first row.  The stars are numbered by
-    support: `groups` holds per support (its pair columns, the float
-    capacities of its stars, one row per star), and `names` each star's
-    vertex.  `edge_at` gives, per edge of the view's shape, the index of its
-    length in [mu | the stars' covering lengths, star by star].
+    star, `row_ids` its index, and `starts` each star's first row.  The
+    stars are numbered by support: `groups` holds per support (its pair
+    columns, the float capacities of its stars, one row per star), and
+    `names` each star's vertex.  `edge_at` gives, per edge of the view's
+    shape, the index of its length in [mu | the stars' covering lengths,
+    star by star].
     """
 
     pairs: list
@@ -123,6 +162,7 @@ class _Stars:
     direct: np.ndarray
     table: np.ndarray
     row_star: np.ndarray
+    row_ids: np.ndarray
     starts: np.ndarray
     groups: list
     names: list
@@ -140,8 +180,9 @@ def _stars_of(net: TerminalNetwork, shape: _Shape) -> _Stars | None:
     that are nonnegative up to rounding: each entry, a sum of at most five
     terms +-c_u or +-2 c_u, may lie below zero by at most 1e-15 of the sum
     of its terms' magnitudes, which bounds its float rounding error (about
-    4.4e-16 of it).  One batched product per support takes them for a
-    batch of stars.
+    4.4e-16 of it).  Per batch of a support's stars, two 2-D products
+    take them all, the stars' capacities times the stacked basis maps and
+    times their magnitudes (`_basis_floats`).
     """
     position = {t: i for i, t in enumerate(net.terminals)}
     supports: dict[tuple, list] = {}
@@ -158,17 +199,20 @@ def _stars_of(net: TerminalNetwork, shape: _Shape) -> _Stars | None:
     blocks, row_star, groups, names = [], [], [], []
     y_at: dict[tuple[str, str], int] = {}    # (star, terminal) -> covering index
     for support, members in sorted(supports.items()):
-        maps = _basis_maps(len(support))
+        flat, flat_abs, _ = _basis_floats(len(support))
+        width = len(support) * (len(support) + 1) // 2      # pairs + slacks
         cols = [at[q] for q in itertools.combinations(support, 2)]
         ends = [net.terminals[u] for u in support]
         caps = np.array([[shape.caps[shape.arc_edge[(v, t)]] for t in ends]
                          for v in members])
-        batch = max(1, _BATCH_ENTRIES // maps[:, :, 0].size)
+        batch = max(1, _BATCH_ENTRIES // flat.shape[1])
         for lo in range(0, len(members), batch):
             part = caps[lo:lo + batch]
-            twice = np.matmul(maps, part.T).transpose(2, 0, 1)
-            terms = np.matmul(np.abs(maps), part.T).transpose(2, 0, 1)
-            ok = (twice >= -1e-15 * terms).all(2)
+            twice = (part @ flat).reshape(len(part), -1, width)
+            terms = (part @ flat_abs).reshape(len(part), -1, width)
+            # a basis is feasible where all `width` of its entries are: a
+            # product counts them, far quicker than `all` over so short an axis
+            ok = (twice >= -1e-15 * terms).view(np.uint8) @ np.ones(width, np.uint8) == width
             block = np.zeros((int(ok.sum()), len(pairs)))
             block[:, cols] = twice[ok][:, :len(cols)] / 2
             blocks.append(block)
@@ -189,21 +233,22 @@ def _stars_of(net: TerminalNetwork, shape: _Shape) -> _Stars | None:
         else:
             edge_at.append(y_at[(a, b)] if (a, b) in y_at else y_at[(b, a)])
     return _Stars(pairs=pairs, pair_index=pair_index, direct=direct,
-                  table=np.concatenate(blocks),
-                  row_star=row_star, starts=np.searchsorted(row_star, np.arange(len(names))),
+                  table=np.concatenate(blocks), row_star=row_star,
+                  row_ids=np.arange(len(row_star)),
+                  starts=np.searchsorted(row_star, np.arange(len(names))),
                   groups=groups, names=names, edge_at=np.array(edge_at, dtype=int))
 
 
 def _star_cut(stars: _Stars, mu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(rows, s) at the metric mu: per star the first table row that
-    maximises mu . g, and the cut s = those vertices' sum plus the
+    maximises mu . g, the least index among its maximisers by one
+    `minimum.reduceat`, and the cut s = those vertices' sum plus the
     terminal-terminal capacities.  F(mu) = s . mu, and F >= s . mu' at
     every mu', so s is a subgradient of F there."""
     vals = stars.table @ mu
     top = np.maximum.reduceat(vals, stars.starts)
-    hit = np.flatnonzero(vals == top[stars.row_star])
-    star = stars.row_star[hit]
-    rows = hit[np.r_[True, star[1:] != star[:-1]]] if hit.size else hit
+    rows = np.minimum.reduceat(np.where(vals == top[stars.row_star], stars.row_ids,
+                                        len(vals)), stars.starts)
     return rows, stars.table[rows].sum(0) + stars.direct
 
 
@@ -213,14 +258,15 @@ def _covering(stars: _Stars, mu: np.ndarray) -> list:
     edges (`edge_at`).  A star's y is a least c . y over y >= 0 with
     y_u + y_w >= mu_uw, so c . y is its packing value at mu by LP duality;
     the least is taken over the dual solutions of `_basis_maps`' bases that
-    are feasible at mu, up to a rounding tolerance."""
+    are feasible at mu, up to a rounding tolerance.  A group's dual
+    solutions are one sum over its pairs of mu times the pair's block of
+    the maps (`_basis_floats`)."""
     out = []
     tol = 1e-12 * max(1.0, float(mu.max(initial=0.0)))
     for cols, caps in stars.groups:
-        maps = _basis_maps(caps.shape[1])
         us, ws = _pair_ends(caps.shape[1])
         m = mu[cols]
-        y = np.einsum("e,bes->bs", m, maps[:, :len(cols)]) / 2
+        y = (m[:, None, None] * _basis_floats(caps.shape[1])[2]).sum(0) / 2
         y = y[(y >= -tol).all(1) & (y[:, us] + y[:, ws] >= m - tol).all(1)]
         out.append(np.maximum(y[(caps @ y.T).argmin(1)], 0.0).ravel())
     return np.concatenate([mu, *out])[stars.edge_at].tolist()
@@ -247,7 +293,8 @@ def _star_oracle(net, state, demand):
     with F >= s . mu everywhere.  The master is the dual of Kelley's: max z
     subject to sum(alpha) = 1 and sum(alpha_i s_i) + sum(beta_j tri_j)
     - z d - surplus = 0, over columns z | surpluses | triangles | cuts,
-    from the start alpha_1 = 1 with surpluses.  It is a pricer of
+    from the start alpha_1 = 1 with surpluses, copied from a read-only
+    template per k (`_master`).  It is a pricer of
     `flow._columns`, which appends each new cut: the master's row
     multipliers are the next mu, and a round adds the cut at mu until F(mu)
     is within _CUT_TOL of z, relative.
@@ -277,13 +324,10 @@ def _star_oracle(net, state, demand):
     tri = _triangles(net.k)
     rows, s = _star_cut(stars, d)
     cuts, vecs = [rows], [s]
-    A = np.zeros((1 + P, 2 + P + len(tri)))
+    A, b, basis = _master(net.k)
+    A = A.copy()
     A[1:, 0] = -d
-    A[1:, 1:P + 1] = -np.eye(P)
-    A[1:, P + 1:-1] = tri.T
-    A[:, -1] = np.r_[1.0, s]
-    b = np.zeros(1 + P)
-    b[0] = 1.0
+    A[1:, -1] = s
 
     def price(x, lam, y, pivots):
         # the cut is taken at the multipliers as they are: clipping an
@@ -298,10 +342,9 @@ def _star_oracle(net, state, demand):
             return None
         cuts.append(rows)
         vecs.append(s)
-        return np.r_[1.0, s][None]
+        return np.concatenate(([1.0], s))[None]
 
-    lam, x, y, rounds, pivots = _columns(
-        A, b, np.array([A.shape[1] - 1, *range(1, P + 1)]), A.shape[1], price)
+    lam, x, y, rounds, pivots = _columns(A, b, basis, A.shape[1], price)
     alpha = x[-len(cuts):]
     v = alpha @ np.array(vecs) + x[P + 1:P + 1 + len(tri)] @ tri
     # an undemanded pair's entry below zero, beyond rounding, fails the bound

@@ -152,3 +152,73 @@ def test_long_call_refactorizes_and_matches_scipy(monkeypatch):
     assert value == pytest.approx(ref.fun, rel=1e-9)
     assert slack_form(A) @ x == pytest.approx(b, abs=1e-9)
     assert y @ b == pytest.approx(value, rel=1e-9)
+
+
+def _simplex_unshortened(cost, A, b, basis):
+    """`simplex_min`'s Dantzig pivots with the ratio test written out whole,
+    every ratio and then the ties' least basis index, for an LP that neither
+    stalls into Bland's rule nor reaches a refactorization.  Returns (x, y,
+    basis, pivots, ties), `ties` holding (tied rows, leaving row) for each
+    ratio test that tied."""
+    basis = np.array(basis)
+    Binv = np.linalg.inv(A[:, basis])
+    xB = Binv @ b
+    it, ties = 0, []
+    while True:
+        y = cost[basis] @ Binv
+        z = cost - y @ A
+        z[basis] = 0.0
+        j = int(z.argmin())
+        if z[j] >= -1e-9:
+            break
+        d = Binv @ A[:, j]
+        pos = (d > 1e-9).nonzero()[0]
+        ratios = np.maximum(xB[pos], 0.0) / d[pos]
+        tied = pos[ratios <= ratios.min() + 1e-9]
+        l = int(tied[basis[tied].argmin()])
+        if tied.size > 1:
+            ties.append((tied.tolist(), l))
+        piv = d[l]
+        binv_l = Binv[l].copy()
+        Binv -= np.outer(d / piv, binv_l)
+        Binv[l] = binv_l / piv
+        basis[l] = j
+        it += 1
+        xB = Binv @ b
+    x = np.zeros(A.shape[1])
+    x[basis] = xB
+    return x, y, basis, it, ties
+
+
+def degenerate_lp(seed):
+    """(cost, A, b, basis): min c.x s.t. A x <= b, x >= 0 with small integer
+    entries and zeros in b, so that ratio tests tie, and the slack of row i
+    at a shuffled column, so that a tie's least basis index need not be its
+    first row; the slacks are the basis."""
+    rng = np.random.default_rng(seed)
+    m = n = 6
+    perm = rng.permutation(m)
+    slacks = np.zeros((m, m))
+    slacks[np.arange(m), perm] = 1.0
+    A = np.hstack([rng.integers(0, 3, (m, n)).astype(float), slacks])
+    b = rng.integers(0, 3, m).astype(float)
+    cost = np.r_[-rng.integers(1, 5, n).astype(float), np.zeros(m)]
+    return cost, A, b, n + perm
+
+
+def test_tied_ratio_tests_leave_the_least_basis_index():
+    """On degenerate LPs whose ratio tests tie across rows, `simplex_min`
+    (which skips the tie-break where one row qualifies) leaves each tie's
+    least basis index: x, y, the basis and the pivot count are those of the
+    ratio test written out whole, bit for bit."""
+    import flowsparse.lp as lp
+    off_first_row = 0
+    for seed in range(10):
+        cost, A, b, basis = degenerate_lp(seed)
+        x, y, ref_basis, it, ties = _simplex_unshortened(cost, A, b, basis)
+        assert it < min(lp._STALL_LIMIT, lp._REFACTOR_EVERY)
+        got = simplex_min(cost, A, b, basis)
+        assert (got[0].tobytes(), got[2].tobytes(), got[3].tolist(), got[5]) == (
+            x.tobytes(), y.tobytes(), ref_basis.tolist(), it)
+        off_first_row += sum(leaving != rows[0] for rows, leaving in ties)
+    assert off_first_row > 0

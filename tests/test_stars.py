@@ -295,3 +295,159 @@ class TestStarRecord:
         first = [concurrent_flow(net, d) for d in demands]
         assert all(concurrent_flow(net, d) is res for d, res in zip(demands, first))
         assert first[0].flow is concurrent_flow(net, demands[0]).flow
+
+
+def test_flow_read_runs_only_the_pricing_dijkstras(monkeypatch):
+    """A star result's `.flow` read routes over the terminal link graph by
+    `flow._path_lp`, and every `flow._dijkstra` it runs is a pricing round's:
+    the weak-duality bound, which column generation's solves take from the
+    last round's trees, costs the read nothing, so a source that round
+    skipped gets no Dijkstra."""
+    calls, pricing = {True: 0, False: 0}, [False]
+    real_dijkstra, real_columns = flow._dijkstra, flow._columns
+
+    def dijkstra(*args):
+        calls[pricing[0]] += 1
+        return real_dijkstra(*args)
+
+    def columns(A, b, basis, at, price):
+        def marked(*args):
+            pricing[0] = True
+            try:
+                return price(*args)
+            finally:
+                pricing[0] = False
+        return real_columns(A, b, basis, at, marked)
+    monkeypatch.setattr(flow, "_dijkstra", dijkstra)
+    monkeypatch.setattr(flow, "_columns", columns)
+    for seed in range(1, 4):
+        net = gen_quasi_bipartite(5, 40, seed=seed)
+        rng = random.Random(seed)
+        for d in (random_demand(rng, net) for _ in range(3)):
+            res = concurrent_flow(net, d)
+            calls.update({True: 0, False: 0})
+            assert res.flow.arc_flows
+            assert calls[True] > 0 and calls[False] == 0
+
+
+# ---------------------------------------------------------------------------
+# The star kernels against the forms they replaced, kept here as they were
+# written, bit for bit
+# ---------------------------------------------------------------------------
+
+def _table_by_basis(table):
+    """(rows, row_star) of a star table as one batched product per support
+    group made them, with one BLAS call per basis."""
+    blocks, row_star, first = [], [], 0
+    for cols, caps in table.groups:
+        maps = stars._basis_maps(caps.shape[1])
+        twice = np.matmul(maps, caps.T).transpose(2, 0, 1)
+        terms = np.matmul(np.abs(maps), caps.T).transpose(2, 0, 1)
+        ok = (twice >= -1e-15 * terms).all(2)
+        block = np.zeros((int(ok.sum()), len(table.pairs)))
+        block[:, cols] = twice[ok][:, :len(cols)] / 2
+        blocks.append(block)
+        row_star.append(first + np.repeat(np.arange(len(ok)), ok.sum(1)))
+        first += len(caps)
+    return np.concatenate(blocks), np.concatenate(row_star)
+
+
+def _covering_by_einsum(table, mu):
+    """`stars._covering` with each group's dual solutions taken by einsum."""
+    out = []
+    tol = 1e-12 * max(1.0, float(mu.max(initial=0.0)))
+    for cols, caps in table.groups:
+        maps = stars._basis_maps(caps.shape[1])
+        us, ws = stars._pair_ends(caps.shape[1])
+        m = mu[cols]
+        y = np.einsum("e,bes->bs", m, maps[:, :len(cols)]) / 2
+        y = y[(y >= -tol).all(1) & (y[:, us] + y[:, ws] >= m - tol).all(1)]
+        out.append(np.maximum(y[(caps @ y.T).argmin(1)], 0.0).ravel())
+    return np.concatenate([mu, *out])[table.edge_at].tolist()
+
+
+def _first_maximisers_by_flatnonzero(table, mu):
+    """Per star, the first table row that maximises mu . g, by flatnonzero."""
+    vals = table.table @ mu
+    top = np.maximum.reduceat(vals, table.starts)
+    hit = np.flatnonzero(vals == top[table.row_star])
+    star = table.row_star[hit]
+    return hit[np.r_[True, star[1:] != star[:-1]]] if hit.size else hit
+
+
+def _kernel_tables():
+    """Star tables of seeded nets whose non-terminals are stars on 2 to 5
+    terminals, with capacities over twelve decades, each read on its
+    unreduced view (the reduction eliminates the stars on at most three
+    terminals); and `_full_support_net`'s table, on its reduced view."""
+    tables = []
+    for seed in range(10):
+        rng = random.Random(5200 + seed)
+        ts = [f"t{i}" for i in range(rng.randint(5, 8))]
+        mids = [f"v{i}" for i in range(rng.randint(4, 30))]
+        edges = [(v, t, Fraction(rng.randint(1, 97), rng.randint(1, 89))
+                  * Fraction(10) ** rng.randint(-6, 6))
+                 for v in mids for t in rng.sample(ts, rng.randint(2, 5))]
+        net = TerminalNetwork.make(ts + mids, ts, edges, allow_disconnected=True)
+        tables.append(stars._stars_of(net, flow._shape_of(net.integer_view)))
+    tables.append(flow._record(_full_support_net()).stars)
+    return tables
+
+
+def _points(rng, pairs, count):
+    """`count` points mu on `pairs` coordinates: zero, then in turn uniform,
+    log-uniform over twelve decades and small integers, at which many star
+    vertices tie."""
+    out = [np.zeros(pairs)]
+    for i in range(count - 1):
+        out.append(rng.random(pairs) if i % 3 == 0 else
+                   10.0 ** rng.uniform(-6, 6, pairs) if i % 3 == 1 else
+                   rng.integers(0, 4, pairs).astype(float))
+    return out
+
+
+def test_table_is_the_per_basis_products():
+    """`_stars_of` takes each batch's vertices by one 2-D product with the
+    stacked basis maps: the same rows, bit for bit, as one product per
+    basis, over supports on 2 to 5 terminals, with groups of one star and
+    of several."""
+    sizes = set()
+    for table in _kernel_tables():
+        for _, caps in table.groups:
+            s = caps.shape[1]
+            sizes.add((s, len(caps) == 1))
+            assert len(caps) * stars._basis_maps(s)[:, :, 0].size <= stars._BATCH_ENTRIES
+        rows, row_star = _table_by_basis(table)
+        assert np.array_equal(table.table, rows)
+        assert np.array_equal(table.row_star, row_star)
+    assert sizes == {(s, one) for s in range(2, 6) for one in (True, False)}
+
+
+def test_covering_lengths_are_the_einsum_ones():
+    """`_covering` takes each group's dual solutions as a sum of mu-weighted
+    pair blocks: the same lengths, bit for bit, as the einsum over the
+    basis maps."""
+    rng = np.random.default_rng(52)
+    for table in _kernel_tables():
+        for mu in _points(rng, len(table.pairs), 60):
+            assert stars._covering(table, mu) == _covering_by_einsum(table, mu)
+
+
+def test_star_cut_takes_the_first_maximiser():
+    """`_star_cut`'s rows are each star's first maximising row, as
+    flatnonzero took them, where a star's vertices tie as well; at mu = 0
+    every vertex ties and each star's first row is taken."""
+    rng = np.random.default_rng(53)
+    tied = 0
+    for table in _kernel_tables():
+        assert np.array_equal(stars._star_cut(table, np.zeros(len(table.pairs)))[0],
+                              table.starts)
+        for mu in _points(rng, len(table.pairs), 60):
+            rows, cut = stars._star_cut(table, mu)
+            assert np.array_equal(rows, _first_maximisers_by_flatnonzero(table, mu))
+            assert np.array_equal(cut, table.table[rows].sum(0) + table.direct)
+            vals = table.table @ mu
+            top = np.maximum.reduceat(vals, table.starts)
+            tied += int((np.bincount(table.row_star[vals == top[table.row_star]])
+                         > 1).sum())
+    assert tied > 0
