@@ -81,6 +81,7 @@ import threading
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Callable
 
 import numpy as np
 
@@ -109,30 +110,11 @@ class FlowSolution:
     arc_flows: tuple[tuple[tuple[str, str], tuple[tuple[tuple[str, str], float], ...]], ...]
 
 
-@dataclass(frozen=True)
-class DualSolution:
-    """Edge lengths and induced terminal distances; value = sum(c_e * l_e).
-
-    Distances are canonicalised to shortest-path distances under the
-    lengths, which is itself an optimal choice.
-    """
-
-    lengths: tuple[tuple[tuple[str, str], float], ...]
-    dists: tuple[tuple[tuple[str, str], float], ...]
-    value: float
-
-    def length_map(self) -> dict[tuple[str, str], float]:
-        return dict(self.lengths)
-
-    def dist_map(self) -> dict[tuple[str, str], float]:
-        return dict(self.dists)
-
-
 class _first_read:
     """A property built on first read and kept in the instance's dict, as
     Python 3.12's `functools.cached_property` keeps it: 3.11's takes one
-    lock per property for all instances, so first reads of two results
-    would run one at a time.  Two threads reading one result at once may
+    lock per property for all instances, so first reads on two objects
+    would run one at a time.  Two threads reading one object at once may
     both build it; the first stored is kept."""
 
     def __init__(self, build):
@@ -145,10 +127,35 @@ class _first_read:
 
 
 @dataclass(frozen=True)
+class DualSolution:
+    """Edge lengths and induced terminal distances; value = sum(c_e * l_e).
+
+    Distances are canonicalised to shortest-path distances under the
+    lengths, which is itself an optimal choice.
+    """
+
+    lengths: tuple[tuple[tuple[str, str], float], ...]
+    value: float
+    # a call giving `dists`, made on their first read
+    _dists: Callable = field(compare=False, repr=False)
+
+    @_first_read
+    def dists(self) -> tuple[tuple[tuple[str, str], float], ...]:
+        """Each terminal pair's distance, in `terminal_pairs` order."""
+        return self._dists()
+
+    def length_map(self) -> dict[tuple[str, str], float]:
+        return dict(self.lengths)
+
+    def dist_map(self) -> dict[tuple[str, str], float]:
+        return dict(self.dists)
+
+
+@dataclass(frozen=True)
 class ConcurrentFlowResult:
     value: float
-    # (max - min of lo, hi and value) / max(1, |value|), over the method's
-    # bracket [lo, hi] on value (`_result`)
+    # (max - min of lo, hi and value) / |value|, or that spread itself at
+    # value 0, over the method's bracket [lo, hi] on value (`_result`)
     duality_gap: float
     rounds: int     # column-generation rounds, or Kelley cuts on the star path
     pivots: int     # simplex pivots over all rounds
@@ -161,21 +168,18 @@ class ConcurrentFlowResult:
     @_first_read
     def dual(self) -> DualSolution:
         """The edge-length dual on the network's edges, made on first read:
-        the reduced lengths are taken, `_Lift.lengths` maps them to the
-        network's edges, and each terminal pair's distance is taken by
-        Dijkstra on the reduced view, since the lift keeps every terminal
-        distance."""
+        the reduced lengths are taken and `_Lift.lengths` maps them to the
+        network's edges.  The terminal distances wait for their own first
+        read (`DualSolution.dists`)."""
         shape, lift, pairs, lengths, _ = self._reduced
         with _cache_lock:       # the record's lift: built by the first reader
             lift = lift()
         lengths = lengths()
         edge_lengths = lift.lengths(lengths)
-        trees = {s: _dijkstra(shape.arcs, lengths, s)[0]
-                 for s in dict.fromkeys(s for s, _ in pairs)}
         return DualSolution(lengths=tuple(sorted(zip(lift.edges, edge_lengths))),
-                            dists=tuple((p, float(trees[p[0]].get(p[1], np.inf)))
-                                        for p in pairs),
-                            value=float(sum(c * l for c, l in zip(lift.cap, edge_lengths))))
+                            value=float(sum(c * l for c, l in zip(lift.cap, edge_lengths))),
+                            _dists=functools.partial(_terminal_distances, shape.arcs,
+                                                     lengths, pairs))
 
     @_first_read
     def flow(self) -> FlowSolution:
@@ -188,6 +192,13 @@ class ConcurrentFlowResult:
         return FlowSolution(arc_flows=lift.flows(shape, routed()))
 
 
+def _terminal_distances(arcs: dict, lengths: list, pairs: list) -> tuple:
+    """(pair, distance) for each of `pairs`, by one Dijkstra per distinct
+    source on the reduced view: the lift keeps every terminal distance."""
+    trees = {s: _dijkstra(arcs, lengths, s)[0] for s in dict.fromkeys(s for s, _ in pairs)}
+    return tuple((p, float(trees[p[0]].get(p[1], np.inf))) for p in pairs)
+
+
 def _result(net: TerminalNetwork, state: _NetState, lam: float, lo: float, hi: float,
             lengths, rounds: int, pivots: int, routed) -> ConcurrentFlowResult:
     """A solve's result from its reduced solution: `lam`, the method's
@@ -195,13 +206,16 @@ def _result(net: TerminalNetwork, state: _NetState, lam: float, lo: float, hi: f
     the network's record's shape, the counts and the `routed` call.
 
     Raises LPError when lo, hi and lam spread over more than OPT_TOL of
-    max(1, |lam|); lam stays in the check, so a value off its own bracket
-    fails too.  Column generation's bracket is its primal lambda and the
-    weak-duality bound at `_path_lp`'s final lengths, sum(c * l) / sum(d_p
-    * dist_l(p)); the lift keeps every terminal distance and does not
-    raise sum(c * l), so the lifted dual is as good a certificate.  The
-    star oracle's is Kelley's (`stars._star_oracle`)."""
-    gap = float(max(lo, hi, lam) - min(lo, hi, lam)) / max(1.0, abs(lam))
+    |lam| (over more than OPT_TOL where lam = 0), so the rule does not
+    loosen for demands far above the capacities; lam stays in the check,
+    so a value off its own bracket fails too.  Column generation's bracket
+    is its primal lambda and the weak-duality bound at `_path_lp`'s final
+    lengths, sum(c * l) / sum(d_p * dist_l(p)); the lift keeps every
+    terminal distance and does not raise sum(c * l), so the lifted dual is
+    as good a certificate.  The star oracle's is Kelley's
+    (`stars._star_oracle`)."""
+    spread = float(max(lo, hi, lam) - min(lo, hi, lam))
+    gap = spread / abs(lam) if lam else spread
     if not gap <= OPT_TOL:
         raise LPError(f"duality gap {gap:.3g} exceeds {OPT_TOL:g}")
     return ConcurrentFlowResult(value=lam, duality_gap=gap, rounds=rounds, pivots=pivots,

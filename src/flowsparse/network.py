@@ -14,10 +14,10 @@ from __future__ import annotations
 import itertools
 import math
 from collections import deque
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
-from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -33,13 +33,16 @@ class NetworkError(ValueError):
     pass
 
 
-def _as_capacity(value) -> Fraction:
+def _as_capacity(value, u: str, v: str) -> Fraction:
+    """The capacity `value` of edge u-v as a `Fraction`, or `NetworkError`
+    naming the edge ("1/0" has a zero denominator)."""
     if isinstance(value, Fraction):
         return value
     try:
         return Fraction(value)
-    except (ValueError, OverflowError, TypeError) as exc:
-        raise NetworkError(f"capacity {value!r} is not a finite number") from exc
+    except (ValueError, OverflowError, TypeError, ZeroDivisionError) as exc:
+        raise NetworkError(f"capacity {value!r} is not a finite number "
+                           f"on {u!r}-{v!r}") from exc
 
 
 def to_float(value, quantity: str, ends: tuple, scale: int = 1) -> float:
@@ -108,7 +111,8 @@ class TerminalNetwork:
                 raise NetworkError(f"terminal {t!r} is not a vertex")
         merged: dict[tuple[str, str], Fraction] = {}
         for e in self.edges:
-            u, v, cap = str(e[0]), str(e[1]), _as_capacity(e[2])
+            u, v = str(e[0]), str(e[1])
+            cap = _as_capacity(e[2], u, v)
             if u == v:
                 raise NetworkError(f"self-loop at {u!r}")
             if u not in vset or v not in vset:
@@ -370,6 +374,7 @@ class DemandVector:
     def of(mapping: Mapping | Iterable) -> "DemandVector":
         items = mapping.items() if isinstance(mapping, Mapping) else mapping
         acc: dict[tuple[str, str], float] = {}
+        get = acc.get
         for pair, val in items:
             s, t = pair
             if s == t:
@@ -379,9 +384,13 @@ class DemandVector:
                 raise NetworkError(f"demand on {pair} is not a finite number")
             if val < 0:
                 raise NetworkError(f"negative demand on {pair}")
-            key = _pair(str(s), str(t))
-            acc[key] = acc.get(key, 0.0) + val
-        return DemandVector(tuple(sorted((k, v) for k, v in acc.items() if v > 0)))
+            s = s if type(s) is str else str(s)
+            t = t if type(t) is str else str(t)
+            key = (s, t) if s <= t else (t, s)
+            acc[key] = get(key, 0.0) + val
+        entries = [item for item in acc.items() if item[1] > 0]
+        entries.sort()
+        return DemandVector(tuple(entries))
 
     def __getitem__(self, pair) -> float:
         key = _pair(str(pair[0]), str(pair[1]))

@@ -7,11 +7,12 @@ candidate flow values base**j; each probe rescales the demand, zeroes
 negligible coordinates, rounds the rest down to grid powers, and asks the
 membership structure.  A probe's verdict is monotone in j, so the query
 walks from one exponent above its bound 1 / max(rows . d), up while probes
-accept or else down, and mostly ends after one or two probes.  The rounding
-takes one log per demanded pair per query; after it, a probe costs one
-integer add per pair.  Only a pair whose log in the grid base lies within
-float dust of an integer (a unit demand, an exact grid power) is rounded
-afresh, exactly, at every probe.
+accept or else down, and mostly ends after one or two probes.  What a query
+needs of the sketch is worked out once, on the sketch's first query; a
+query takes one pass over the demand's entries, with one log per demanded
+pair, and after it a probe costs one integer add per pair.  Only a pair
+whose log in the grid base lies within float dust of an integer (a unit
+demand, an exact grid power) is rounded afresh, exactly, at every probe.
 
 The user-facing accuracy is (1+eps): internally the grid runs at eps/4,
 absorbing the extra (1+2*eps_int) factor the two-step decision costs.
@@ -48,6 +49,7 @@ import random
 import sys
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -142,6 +144,21 @@ class HullCore:
         return int(len(self.rows))
 
 
+class _QueryPlan(NamedTuple):
+    """What a sketch's queries read of it, the same for every query."""
+
+    base: float
+    log_base: float
+    margin: float           # how far from an integer a pair's log must lie to shift
+    k2: int                 # k * k
+    normal: bool            # the least negligible floor is a normal float
+    grid: bool
+    # pair -> (index, max flow, negligible floor, grid axis shift, grid axis
+    # count, row column); the last three are None on a hull
+    pairs: dict
+    array: np.ndarray       # the grid's feasible array, or the hull's rows
+
+
 @dataclass(frozen=True)
 class DemandSketch:
     epsilon: float                       # user-facing accuracy parameter
@@ -160,13 +177,23 @@ class DemandSketch:
         return 1.0 + self.eps_internal
 
     @cached_property
-    def pair_index(self) -> dict[tuple[str, str], int]:
-        return {p: i for i, p in enumerate(self.pairs)}
-
-    @cached_property
-    def _row_columns(self) -> list[list[float]]:
-        """The core's rows, one list of floats per pair."""
-        return self.core.rows.T.tolist()
+    def _query_plan(self) -> _QueryPlan:
+        """What every query reads of the sketch, worked out on its first."""
+        base, k2 = self.base, self.k * self.k
+        log_base = math.log(base)
+        negligible = 2 * self.eps_internal / k2
+        core, maxflows = self.core, self.maxflows
+        grid = isinstance(core, GridCore)
+        if grid:
+            # exponent e of pair i lies at index e + 1 - jmin on its grid axis
+            axes = zip([1 - j for j in core.jmins], core.counts, core.rows.T.tolist())
+        else:
+            axes = itertools.repeat((None, None, None))
+        pairs = {p: (i, maxflows[i], negligible * maxflows[i]) + axis
+                 for i, (p, axis) in enumerate(zip(self.pairs, axes))}
+        return _QueryPlan(base, log_base, 1e-10 / log_base, k2,
+                          negligible * min(maxflows) >= sys.float_info.min, grid,
+                          pairs, core.feasible if grid else core.rows)
 
     # -- query -------------------------------------------------------------
 
@@ -180,32 +207,16 @@ class DemandSketch:
         down to a grid exponent, or zeroes it when it is at most
         2 eps_int / k^2 of its pair's max flow, and asks the core whether
         the rounded vector is feasible; the zero vector always is.  What a
-        probe needs besides lam is worked out once per query.
+        probe needs of the sketch is in its query plan; what it needs of
+        the demand is worked out in one pass over the demand's entries.
         """
         if not isinstance(demand, DemandVector):
             demand = DemandVector.of(demand)
-        if demand.is_zero:
+        entries = demand.entries
+        if not entries:
             raise SketchError("query demand must be nonzero")
-        pidx = self.pair_index
-        for p, _ in demand.entries:
-            if p not in pidx:
-                raise SketchError(f"demand pair {p} is not a terminal pair")
-        base = self.base
-        k = self.k
-        maxflows = self.maxflows
-        beta = min(maxflows[pidx[p]] / v for p, v in demand.entries)
-        try:
-            jlo = _exponent_ceil(beta / (k * k), base)
-            jhi = _exponent_floor(beta, base)
-        except OverflowError:
-            # beta is inf, or a grid power next to it is past the float range
-            raise SketchError(f"query demand is too small: max flow / demand "
-                              f"= {beta!r} overflows the grid") from None
-        if jhi < jlo:
-            jhi = jlo
-
-        log_base = math.log(base)
-        negligible = 2 * self.eps_internal / (k * k)
+        base, log_base, margin, k2, normal, grid, pairs, array = self._query_plan
+        n = len(pairs)
         # A probe at lam = base**j rounds lam * d_i down to the exponent
         # floor(log_base(lam * d_i) + tol), where tol = 1e-12 / ln(base) is
         # _exponent_floor's dust tolerance.  That is j + floor(f_i + tol),
@@ -217,26 +228,40 @@ class DemandSketch:
         # margin is some 3e5 times the rounding of the power and the product.
         # The rest, unit demands and exact grid powers among them, call
         # _exponent_floor at every probe.
-        margin = 1e-10 / log_base
-        normal = min(base ** (jlo - 3), negligible * min(maxflows)) >= sys.float_info.min
+        beta = math.inf
         terms = []
-        columns = self._row_columns
-        scores = None                            # rows . d, one per row
-        for p, dv in demand.entries:
-            i = pidx[p]
+        scores = None                            # grid: rows . d, one per row
+        vec = [0.0] * n                          # hull: d in pair order
+        for p, dv in entries:
+            at = pairs.get(p)
+            if at is None:
+                raise SketchError(f"demand pair {p} is not a terminal pair")
+            i, maxflow, floor, shift, count, column = at
+            ratio = maxflow / dv
+            if ratio < beta:
+                beta = ratio
             f = math.log(dv) / log_base
             c = math.floor(f)
-            terms.append((dv, negligible * maxflows[i],
-                          c if normal and margin < f - c < 1 - margin else None, i))
-            column = columns[i]
-            scores = ([r * dv for r in column] if scores is None
-                      else [s + r * dv for s, r in zip(scores, column)])
+            terms.append((dv, floor, c if margin < f - c < 1 - margin else None,
+                          i, shift, count))
+            if grid:
+                scores = ([r * dv for r in column] if scores is None
+                          else [s + r * dv for s, r in zip(scores, column)])
+            else:
+                vec[i] = dv
+        try:
+            jlo = _exponent_ceil(beta / k2, base)
+            jhi = _exponent_floor(beta, base)
+        except OverflowError:
+            # beta is inf, or a grid power next to it is past the float range
+            raise SketchError(f"query demand is too small: max flow / demand "
+                              f"= {beta!r} overflows the grid") from None
+        if jhi < jlo:
+            jhi = jlo
+        # where lam or an undropped lam * d_i may be subnormal, no pair shifts
+        terms = terms if normal and base ** (jlo - 3) >= sys.float_info.min else [
+            (dv, floor, None, i, shift, count) for dv, floor, _, i, shift, count in terms]
         core = self.core
-        grid = isinstance(core, GridCore)
-        if grid:
-            # exponent e of pair i lies at index e - jmin + 1 on axis i
-            feasible, jmins, counts = core.feasible, core.jmins, core.counts
-
         probes = 0
 
         def decide(j: int) -> bool:
@@ -244,22 +269,22 @@ class DemandSketch:
             probes += 1
             lam = base ** j
             # per pair: its axis index on a grid, its rounded value on a hull
-            key = [0] * len(maxflows)
+            key = [0] * n
             rounded = False
-            for dv, floor, c, i in terms:
+            for dv, floor, c, i, shift, count in terms:
                 val = lam * dv
                 if val <= floor:
                     continue
                 e = j + c if c is not None else _exponent_floor(val, base, log_base)
                 if grid:
-                    e += 1 - jmins[i]
-                    if e < 0 or e > counts[i]:
+                    e += shift
+                    if e < 0 or e > count:
                         return False
                     key[i] = e
                 else:
                     key[i] = base ** e
                 rounded = True
-            return not rounded or (bool(feasible[tuple(key)]) if grid
+            return not rounded or (bool(array[tuple(key)]) if grid
                                    else core.contains(key))
 
         # A probe's verdict is monotone in j: the rounded vector only grows
@@ -271,7 +296,11 @@ class DemandSketch:
         # bound's and mostly ends after one or two probes.  Where the bound
         # is no positive finite float (a pair whose rows are all 0, rows . d
         # past the float range), it starts at jhi.
-        top = max(scores)
+        if grid:
+            top = max(scores)
+        else:
+            with np.errstate(over="ignore"):    # inf where rows . d overflows
+                top = float((array @ vec).max())
         j = jhi
         if 0 < top < math.inf:
             j = min(max(math.floor(-math.log(top) / log_base) + 1, jlo), jhi)
@@ -322,6 +351,9 @@ class DemandSketch:
             rows = np.array(d["rows"], dtype=float)
             epsilon, eps_internal = float(d["epsilon"]), float(d["eps_internal"])
             terminals, pairs = tuple(d["terminals"]), tuple((s, t) for s, t in d["pairs"])
+            if not all(isinstance(name, str) for name in itertools.chain(terminals, *pairs)):
+                raise SketchError("malformed sketch JSON: terminals and pairs must "
+                                  "hold strings")
             maxflows = tuple(float(x) for x in d["maxflows"])
         except SketchError:
             raise

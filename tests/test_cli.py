@@ -747,6 +747,31 @@ def test_non_finite_capacity_exit_2(cap, tmp_path, capsys):
     assert "error: capacity inf is not a finite number" in capsys.readouterr().err
 
 
+def test_zero_denominator_capacity_exit_2(tmp_path, capsys):
+    # Fraction("1/0") raised ZeroDivisionError: a traceback and exit 1
+    g = tmp_path / "zero.json"
+    g.write_text(json.dumps({"vertices": ["s", "t"], "terminals": ["s", "t"],
+                             "edges": [{"u": "s", "v": "t", "cap": "1/0"}]}))
+    rc = run(["sketch", "build", "--graph", g, "--eps", "0.1", "--out", tmp_path / "g.sk"])
+    err = capsys.readouterr().err
+    assert rc == 2 and "Traceback" not in err
+    assert "error: capacity '1/0' is not a finite number on 's'-'t'" in err
+
+
+@pytest.mark.parametrize("where", ["terminals", "pairs"])
+def test_sketch_name_not_a_string_exit_2(where, k3_grid_sketch, tmp_path, capsys):
+    # a terminal 7 raised TypeError from the pair check: a traceback and exit 1
+    sk, d = tmp_path / "g.sk", tmp_path / "d.json"
+    doc = json.loads(k3_grid_sketch)
+    doc[where][0] = 7 if where == "terminals" else [7, "t1"]
+    sk.write_text(json.dumps(doc))
+    d.write_text(json.dumps([{"s": "t0", "t": "t1", "d": 1.0}]))
+    rc = run(["sketch", "query", "--sk", sk, "--demand", d])
+    err = capsys.readouterr().err
+    assert rc == 2 and "Traceback" not in err
+    assert "error: malformed sketch JSON: terminals and pairs must hold strings" in err
+
+
 NON_FINITE_DEMANDS = ["NaN", "Infinity"]
 
 

@@ -616,6 +616,16 @@ class TestConcurrentFlow:
             with pytest.raises(LPError, match="duality gap"):
                 concurrent_flow(net, d.scaled(s))
 
+    def test_gap_is_relative_to_a_tiny_lambda(self):
+        """A demand 1e9 times its draw on a star view: the star oracle's
+        lambda is 0.57% off the unscaled one / 1e9, with a bracket 4.7e-11
+        wide.  Measured against max(1, lambda) that passed; against lambda
+        it raises."""
+        net = gen_quasi_bipartite(5, 30, 5)
+        d = random_demand(random.Random(5), net).scaled(1e9)
+        with pytest.raises(LPError, match="duality gap"):
+            concurrent_flow(gen_quasi_bipartite(5, 30, 5), d)
+
     def test_down_monotonicity(self):
         rng = random.Random(21)
         for _ in range(6):
@@ -978,6 +988,43 @@ class TestLazyPrimal:
             certify(net, cand.net, demands, cand.claimed_quality)
             assert flow._record(cand.net).stars is not None     # the star path solved it
         assert _memo_and_pool(net)[0] and duals == [] and lifts == []
+
+    def test_profile_buckets_take_no_distances(self, duals):
+        """The profile buckets read the dual's lengths alone: on the star
+        path, whose solves price no paths, the build lifts one dual per
+        demand and runs no Dijkstra."""
+        from flowsparse.merging import profile_bucket_sparsifier
+        net = gen_quasi_bipartite(4, 20, seed=3)
+        rng = random.Random(3)
+        demands = [random_demand(rng, net) for _ in range(3)]
+        profile_bucket_sparsifier(net, 0.25, demands)
+        assert flow._record(net).stars is not None
+        assert duals == ["lengths"] * len(demands)
+
+    @pytest.mark.parametrize("star_path,pinned", [
+        (True, "71ff02678a80f60b2f213749544d9c82c8a5ab0936b268f112cf93922240f68e"),
+        (False, "7467c377f70e161c361905d1fe8e2f28500b8a824426147711470747314f1677")])
+    def test_distances_are_taken_on_their_first_read(self, star_path, pinned, duals):
+        """`.dual` takes no distance; the first read of `dists` takes them
+        all, one Dijkstra per distinct source, and keeps them.  They hash
+        as pinned from the `.dual` read that took them before, on both
+        solve methods, and `dist_map()` holds the same values."""
+        rng = random.Random(8)
+        digest = hashlib.sha256()
+        for i in range(4):
+            net = gen_quasi_bipartite(4, 20, seed=i) if star_path else random_connected_net(rng, 12, 4)
+            res = concurrent_flow(net, random_demand(rng, net))
+            assert (flow._record(net).stars is not None) == star_path
+            del duals[:]
+            dual = res.dual
+            assert duals == ["lengths"]
+            dists = dual.dists
+            sources = {s for s, _ in net.terminal_pairs()}
+            assert duals.count("dijkstra") == len(sources)
+            assert dual.dists is dists and dual.dist_map() == dict(dists)
+            assert duals.count("dijkstra") == len(sources)
+            digest.update(repr(dists).encode())
+        assert digest.hexdigest() == pinned
 
     @pytest.fixture()
     def coverings(self, monkeypatch):

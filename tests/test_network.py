@@ -1,5 +1,7 @@
+import math
 import pickle
 import random
+from collections.abc import Mapping
 from fractions import Fraction
 
 import pytest
@@ -14,7 +16,7 @@ from flowsparse import (
     phi_merge,
 )
 from flowsparse.flow import concurrent_flow, max_flow
-from flowsparse.network import components, terminal_bipartitions
+from flowsparse.network import _pair, components, terminal_bipartitions
 
 from conftest import random_connected_net, random_demand
 
@@ -383,6 +385,62 @@ class TestDemandVector:
     def test_scaling(self, alpha):
         d = DemandVector.of({("a", "b"): 2.0, ("b", "c"): 1.0})
         assert d.scaled(alpha)[("a", "b")] == pytest.approx(2.0 * alpha)
+
+    def test_of_matches_the_two_pass_loop(self):
+        """`of` in one pass gives what its earlier loop gave, a copy of which
+        is `_demand_of_before`: the same entries, bit for bit, or the same
+        error.  Seeded mappings and item lists mix int and str names, both
+        orientations of a pair, repeated pairs and zero entries; each error
+        (identical endpoints, a value that is not finite, a negative one) is
+        met among them."""
+        rng = random.Random(51)
+        names = [0, 1, 2, 10, "0", "1", "a", "b", "B"]
+        kinds = ("identical endpoints", "not a finite number", "negative demand")
+        errors = set()
+        for trial in range(600):
+            items = []
+            for _ in range(rng.randint(0, 8)):
+                s, t = rng.sample(names, 2)
+                value = rng.choice([0, 0.0, 1, rng.uniform(0, 5), rng.uniform(0, 1e-300),
+                                    3, "2.5", rng.uniform(1, 2)])
+                items.append(((s, t), value))
+                if rng.random() < 0.3:
+                    items.append(((t, s), rng.uniform(0, 2)))
+            if trial % 20 == 0:
+                bad = rng.choice([(("a", "a"), 1.0), ((2, 2), 1.0), (("a", "b"), math.nan),
+                                  (("a", 1), math.inf), ((0, "b"), -1e-9), (("b", "a"), -2)])
+                items.insert(rng.randrange(len(items) + 1), bad)
+            for given_as in (items, dict(items)):
+                try:
+                    want = _demand_of_before(given_as)
+                except NetworkError as exc:
+                    with pytest.raises(NetworkError) as got:
+                        DemandVector.of(given_as)
+                    assert str(got.value) == str(exc)
+                    errors.update(kind for kind in kinds if kind in str(exc))
+                    continue
+                got = DemandVector.of(given_as)
+                assert [(p, v.hex()) for p, v in got.entries] == \
+                    [(p, v.hex()) for p, v in want.entries]
+        assert errors == set(kinds)
+
+
+def _demand_of_before(mapping):
+    """`DemandVector.of` as it was before it took one pass."""
+    items = mapping.items() if isinstance(mapping, Mapping) else mapping
+    acc = {}
+    for pair, val in items:
+        s, t = pair
+        if s == t:
+            raise NetworkError(f"demand on identical endpoints {s!r}")
+        val = float(val)
+        if not math.isfinite(val):
+            raise NetworkError(f"demand on {pair} is not a finite number")
+        if val < 0:
+            raise NetworkError(f"negative demand on {pair}")
+        key = _pair(str(s), str(t))
+        acc[key] = acc.get(key, 0.0) + val
+    return DemandVector(tuple(sorted((k, v) for k, v in acc.items() if v > 0)))
 
 
 def test_surgeries_preserve_flow_relations_on_100_demands():

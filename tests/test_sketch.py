@@ -97,13 +97,12 @@ class TestBuild:
         demands = grid_demands(sk)
         assert demands, "dictionary should not be empty on a connected net"
         k = sk.k
-        pidx = sk.pair_index
         sample = random.Random(1).sample(demands, min(25, len(demands)))
         for d in sample:
             lam = concurrent_flow(net, d).value
             assert lam >= 1.0 - 1e-6
             for p, v in d.items():
-                L = sk.maxflows[pidx[p]]
+                L = sk.maxflows[sk.pairs.index(p)]
                 assert sk.eps_internal / k**2 * L * (1 - 1e-9) <= v <= L * (1 + 1e-9)
                 j = round(math.log(v) / math.log(sk.base))
                 assert v == pytest.approx(sk.base ** j, rel=1e-9)
@@ -264,7 +263,7 @@ def _query_probe_by_probe(sk, demand):
     base, k, n = sk.base, sk.k, len(sk.pairs)
     dvals = [0.0] * n
     for p, v in DemandVector.of(demand).items():
-        dvals[sk.pair_index[p]] = v
+        dvals[sk.pairs.index(p)] = v
     beta = min(m / v for m, v in zip(sk.maxflows, dvals) if v > 0)
     jlo = sketch._exponent_ceil(beta / (k * k), base)
     jhi = max(jlo, _exponent_floor(beta, base))
@@ -407,16 +406,21 @@ def test_exponent_shift_matches_rounding_at_every_probe(monkeypatch):
 
 @pytest.mark.parametrize("scale", [1e-6, 1e6])
 def test_walk_answers_alike_from_any_start(scale):
-    """The walk's answer does not depend on where it starts: with the row
-    columns behind its start scaled by 1e-6 it starts at jhi and walks down,
-    and by 1e6 it starts at jlo and walks up; either way every answer is
-    the binary search's.  The last sketch, at eps = 0.001, is left out: its
-    range is some 9 000 steps long."""
+    """The walk's answer does not depend on where it starts: with the rows
+    behind its start in the query plan scaled by 1e-6 it starts at jhi and
+    walks down, and by 1e6 it starts at jlo and walks up; either way every
+    answer is the binary search's.  A grid's start reads the plan's row
+    columns and a hull's its rows; the probes read the core.  The last
+    sketch, at eps = 0.001, is left out: its range is some 9 000 steps
+    long."""
     rng = random.Random(34)
     for sk in _shift_test_sketches()[:-1]:
         moved = dataclasses.replace(sk)
-        moved.__dict__["_row_columns"] = [[r * scale for r in column]
-                                          for column in sk._row_columns]
+        plan = sk._query_plan
+        moved.__dict__["_query_plan"] = (
+            plan._replace(pairs={p: at[:-1] + ([r * scale for r in at[-1]],)
+                                 for p, at in plan.pairs.items()}) if plan.grid
+            else plan._replace(array=plan.array * scale))
         for demand in _shift_test_demands(sk, rng, 20):
             want = _query_probe_by_probe(sk, demand)[0].hex()
             assert moved.query(demand).hex() == sk.query(demand).hex() == want, demand
