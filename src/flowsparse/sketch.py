@@ -152,11 +152,10 @@ class _QueryPlan(NamedTuple):
     margin: float           # how far from an integer a pair's log must lie to shift
     k2: int                 # k * k
     normal: bool            # the least negligible floor is a normal float
-    grid: bool
     # pair -> (index, max flow, negligible floor, grid axis shift, grid axis
-    # count, row column); the last three are None on a hull
+    # count, row column); the shift and count are None on a hull
     pairs: dict
-    array: np.ndarray       # the grid's feasible array, or the hull's rows
+    feasible: np.ndarray | None     # the grid's array; None on a hull
 
 
 @dataclass(frozen=True)
@@ -183,17 +182,17 @@ class DemandSketch:
         log_base = math.log(base)
         negligible = 2 * self.eps_internal / k2
         core, maxflows = self.core, self.maxflows
-        grid = isinstance(core, GridCore)
-        if grid:
+        if isinstance(core, GridCore):
             # exponent e of pair i lies at index e + 1 - jmin on its grid axis
-            axes = zip([1 - j for j in core.jmins], core.counts, core.rows.T.tolist())
+            axes, feasible = zip([1 - j for j in core.jmins], core.counts), core.feasible
         else:
-            axes = itertools.repeat((None, None, None))
-        pairs = {p: (i, maxflows[i], negligible * maxflows[i]) + axis
-                 for i, (p, axis) in enumerate(zip(self.pairs, axes))}
+            axes, feasible = itertools.repeat((None, None)), None
+        pairs = {p: (i, maxflows[i], negligible * maxflows[i]) + axis + (column,)
+                 for i, (p, axis, column) in enumerate(zip(self.pairs, axes,
+                                                           core.rows.T.tolist()))}
         return _QueryPlan(base, log_base, 1e-10 / log_base, k2,
-                          negligible * min(maxflows) >= sys.float_info.min, grid,
-                          pairs, core.feasible if grid else core.rows)
+                          negligible * min(maxflows) >= sys.float_info.min,
+                          pairs, feasible)
 
     # -- query -------------------------------------------------------------
 
@@ -215,8 +214,8 @@ class DemandSketch:
         entries = demand.entries
         if not entries:
             raise SketchError("query demand must be nonzero")
-        base, log_base, margin, k2, normal, grid, pairs, array = self._query_plan
-        n = len(pairs)
+        base, log_base, margin, k2, normal, pairs, feasible = self._query_plan
+        grid = feasible is not None
         # A probe at lam = base**j rounds lam * d_i down to the exponent
         # floor(log_base(lam * d_i) + tol), where tol = 1e-12 / ln(base) is
         # _exponent_floor's dust tolerance.  That is j + floor(f_i + tol),
@@ -230,8 +229,7 @@ class DemandSketch:
         # _exponent_floor at every probe.
         beta = math.inf
         terms = []
-        scores = None                            # grid: rows . d, one per row
-        vec = [0.0] * n                          # hull: d in pair order
+        scores = None                            # rows . d, one per row
         for p, dv in entries:
             at = pairs.get(p)
             if at is None:
@@ -244,11 +242,8 @@ class DemandSketch:
             c = math.floor(f)
             terms.append((dv, floor, c if margin < f - c < 1 - margin else None,
                           i, shift, count))
-            if grid:
-                scores = ([r * dv for r in column] if scores is None
-                          else [s + r * dv for s, r in zip(scores, column)])
-            else:
-                vec[i] = dv
+            scores = ([r * dv for r in column] if scores is None
+                      else [s + r * dv for s, r in zip(scores, column)])
         try:
             jlo = _exponent_ceil(beta / k2, base)
             jhi = _exponent_floor(beta, base)
@@ -261,7 +256,7 @@ class DemandSketch:
         # where lam or an undropped lam * d_i may be subnormal, no pair shifts
         terms = terms if normal and base ** (jlo - 3) >= sys.float_info.min else [
             (dv, floor, None, i, shift, count) for dv, floor, _, i, shift, count in terms]
-        core = self.core
+        core, n = self.core, len(pairs)
         probes = 0
 
         def decide(j: int) -> bool:
@@ -284,7 +279,7 @@ class DemandSketch:
                 else:
                     key[i] = base ** e
                 rounded = True
-            return not rounded or (bool(array[tuple(key)]) if grid
+            return not rounded or (bool(feasible[tuple(key)]) if grid
                                    else core.contains(key))
 
         # A probe's verdict is monotone in j: the rounded vector only grows
@@ -296,11 +291,7 @@ class DemandSketch:
         # bound's and mostly ends after one or two probes.  Where the bound
         # is no positive finite float (a pair whose rows are all 0, rows . d
         # past the float range), it starts at jhi.
-        if grid:
-            top = max(scores)
-        else:
-            with np.errstate(over="ignore"):    # inf where rows . d overflows
-                top = float((array @ vec).max())
+        top = max(scores)
         j = jhi
         if 0 < top < math.inf:
             j = min(max(math.floor(-math.log(top) / log_base) + 1, jlo), jhi)

@@ -616,6 +616,28 @@ class TestConcurrentFlow:
             with pytest.raises(LPError, match="duality gap"):
                 concurrent_flow(net, d.scaled(s))
 
+    @pytest.mark.parametrize("k,n,seed", [(5, 30, 5), (4, 40, 0), (6, 60, 3)])
+    def test_demand_scale_on_star_views(self, k, n, seed):
+        """The star oracle under the certificate rule relative to lambda:
+        scaling the demand by s scales lambda by 1/s to within 1e-12 up to
+        s = 1e7.  Kelley's stop rule and its undemanded-entry check are
+        relative to max(1, lambda), so further up a solve may stop at a
+        bracket the rule rejects; it then raises, and never returns a
+        wrong lambda (at 1e9 the first net raises, the second returns)."""
+        net = gen_quasi_bipartite(k, n, seed)
+        assert flow._record(net).stars is not None  # the star oracle solves it
+        d = random_demand(random.Random(seed), net)
+        base = concurrent_flow(net, d).value
+        for s in (1e-6, 1e-3, 1e3, 1e6, 1e7):
+            assert concurrent_flow(net, d.scaled(s)).value * s == pytest.approx(base, rel=1e-12)
+        for s in (1e8, 1e9):
+            try:
+                value = concurrent_flow(net, d.scaled(s)).value
+            except LPError as e:
+                assert "duality gap" in str(e)
+            else:
+                assert value * s == pytest.approx(base, rel=1e-12)
+
     def test_gap_is_relative_to_a_tiny_lambda(self):
         """A demand 1e9 times its draw on a star view: the star oracle's
         lambda is 0.57% off the unscaled one / 1e9, with a bracket 4.7e-11

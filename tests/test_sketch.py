@@ -406,21 +406,18 @@ def test_exponent_shift_matches_rounding_at_every_probe(monkeypatch):
 
 @pytest.mark.parametrize("scale", [1e-6, 1e6])
 def test_walk_answers_alike_from_any_start(scale):
-    """The walk's answer does not depend on where it starts: with the rows
-    behind its start in the query plan scaled by 1e-6 it starts at jhi and
-    walks down, and by 1e6 it starts at jlo and walks up; either way every
-    answer is the binary search's.  A grid's start reads the plan's row
-    columns and a hull's its rows; the probes read the core.  The last
-    sketch, at eps = 0.001, is left out: its range is some 9 000 steps
-    long."""
+    """The walk's answer does not depend on where it starts: with the row
+    columns behind its start in the query plan scaled by 1e-6 it starts at
+    jhi and walks down, and by 1e6 it starts at jlo and walks up; either
+    way every answer is the binary search's.  The probes read the core.
+    The last sketch, at eps = 0.001, is left out: its range is some 9 000
+    steps long."""
     rng = random.Random(34)
     for sk in _shift_test_sketches()[:-1]:
         moved = dataclasses.replace(sk)
         plan = sk._query_plan
-        moved.__dict__["_query_plan"] = (
-            plan._replace(pairs={p: at[:-1] + ([r * scale for r in at[-1]],)
-                                 for p, at in plan.pairs.items()}) if plan.grid
-            else plan._replace(array=plan.array * scale))
+        moved.__dict__["_query_plan"] = plan._replace(
+            pairs={p: at[:-1] + ([r * scale for r in at[-1]],) for p, at in plan.pairs.items()})
         for demand in _shift_test_demands(sk, rng, 20):
             want = _query_probe_by_probe(sk, demand)[0].hex()
             assert moved.query(demand).hex() == sk.query(demand).hex() == want, demand
