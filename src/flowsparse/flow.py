@@ -86,8 +86,8 @@ from typing import Callable
 import numpy as np
 
 from .lp import LPError
-from .network import (DemandVector, TerminalNetwork, _bipartition_sides, _pair,
-                      terminal_bipartitions, to_float)
+from .network import (DemandVector, TerminalNetwork, _bipartition_sides, _first_read,
+                      _pair, terminal_bipartitions, to_float)
 
 FEAS_TOL = 1e-9       # absolute feasibility / separation tolerance
 OPT_TOL = 1e-6        # relative optimality tolerance
@@ -108,22 +108,6 @@ class FlowSolution:
     """Per-commodity directed arc flows that route value * d_p for each pair."""
 
     arc_flows: tuple[tuple[tuple[str, str], tuple[tuple[tuple[str, str], float], ...]], ...]
-
-
-class _first_read:
-    """A property built on first read and kept in the instance's dict, as
-    Python 3.12's `functools.cached_property` keeps it: 3.11's takes one
-    lock per property for all instances, so first reads on two objects
-    would run one at a time.  Two threads reading one object at once may
-    both build it; the first stored is kept."""
-
-    def __init__(self, build):
-        self.build, self.__doc__ = build, build.__doc__
-
-    def __get__(self, obj, owner=None):
-        # read on the class, it is the descriptor itself
-        return self if obj is None else obj.__dict__.setdefault(
-            self.build.__name__, self.build(obj))
 
 
 @dataclass(frozen=True)
@@ -582,8 +566,11 @@ _cache_lock = threading.Lock()    # threads solving on one network share its rec
 
 
 def _record(net: TerminalNetwork) -> _NetState:
-    """The network's record, kept in its instance dict as `cached_property`
-    keeps `cut_view`, and built whole on first use."""
+    """The network's record, kept in its instance dict and built whole on
+    first use, under `_cache_lock` and not as a `_first_read`: one network
+    gets one record and one lift even when two threads solve on it at once,
+    and `network.py` cannot name the record.  Results hold the record's lift
+    call, not the record, or memo and result would form a reference cycle."""
     with _cache_lock:
         state = net.__dict__.get("_flow_state")
         if state is None:

@@ -23,7 +23,7 @@ import math
 from fractions import Fraction
 
 from .flow import concurrent_flow
-from .network import DemandVector, TerminalNetwork, merge_vertices
+from .network import DemandVector, TerminalNetwork, _pair, merge_vertices
 from .results import SparsifierResult
 from .sketch import (DEFAULT_BUDGET, BudgetExceeded, _exponent_floor, _grid_exponents,
                      grid_demands, grid_sketch)
@@ -78,7 +78,7 @@ def _length_profile(net, v, lengths, lam, eps, exps) -> tuple:
         if t not in net.adjacency[v]:   # `make` keeps positive capacities only
             profile.append(ABSENT)
         else:
-            lv = lengths.get(tuple(sorted((v, t))), 0.0) / lam
+            lv = lengths.get(_pair(v, t), 0.0) / lam
             profile.append(_round_down_to_gamma(lv, eps, exps))
     return tuple(profile)
 

@@ -17,7 +17,7 @@ from collections import deque
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cache
 
 import numpy as np
 
@@ -57,6 +57,22 @@ def to_float(value, quantity: str, ends: tuple, scale: int = 1) -> float:
 
 def _pair(u: str, v: str) -> tuple[str, str]:
     return (u, v) if u <= v else (v, u)
+
+
+class _first_read:
+    """A property built on first read and kept in the instance's dict.  The
+    `functools.cached_property` of Python 3.10 and 3.11 takes one lock per
+    property for all instances, so first reads on two objects run one at a
+    time; 3.12's takes none and can replace this once the floor is 3.12.
+    Two threads reading one object at once may both build; both get the first."""
+
+    def __init__(self, build):
+        self.build, self.__doc__ = build, build.__doc__
+
+    def __get__(self, obj, owner=None):
+        # read on the class, it is the descriptor itself
+        return self if obj is None else obj.__dict__.setdefault(
+            self.build.__name__, self.build(obj))
 
 
 class _HashedKey:
@@ -137,14 +153,14 @@ class TerminalNetwork:
 
     # -- basic structure ---------------------------------------------------
 
-    @cached_property
+    @_first_read
     def adjacency(self) -> dict[str, dict[str, Fraction]]:
         adj: dict[str, dict[str, Fraction]] = {v: {} for v in self.vertices}
         for u, v, c in self.edges:
             adj[u][v] = adj[v][u] = c
         return adj
 
-    @cached_property
+    @_first_read
     def integer_view(self) -> tuple[int, dict[str, int], list[dict[int, int]]]:
         """(scale, index, arcs): the capacities times `scale`, the LCM of
         their denominators, as ints.  `index` numbers the vertices and
@@ -158,7 +174,7 @@ class TerminalNetwork:
             arcs[i][j] = arcs[j][i] = c.numerator * (scale // c.denominator)
         return scale, index, arcs
 
-    @cached_property
+    @_first_read
     def cut_view(self) -> tuple[int, dict[str, int], list[dict[int, int]]]:
         """`integer_view` with non-terminals eliminated, in the same
         (scale, index, arcs) layout: `index` numbers only the surviving
@@ -168,7 +184,7 @@ class TerminalNetwork:
         and lifts its certificates back through the second half."""
         return self.reduction[0]
 
-    @cached_property
+    @_first_read
     def bipartition_cuts(self) -> tuple[int, ...] | None:
         """The min cut of every terminal bipartition in `cut_view`, as ints at
         the view's scale, in `terminal_bipartitions` order; None where the
@@ -253,7 +269,7 @@ class TerminalNetwork:
             cuts += np.minimum(W, attach.sum(1)[:, None] - W).sum(0)
         return tuple(cuts.tolist())
 
-    @cached_property
+    @_first_read
     def reduction(self) -> tuple[tuple, tuple]:
         """(`cut_view`, eliminations): the eliminations, in order, as
         (v, ((u, c_u), ...), ((a, b, x), ...), scale) with `integer_view`
@@ -328,16 +344,16 @@ class TerminalNetwork:
                 [{renumber[j]: c for j, c in adj[i].items()} for i in kept])
         return view, tuple(steps)
 
-    @cached_property
+    @_first_read
     def component_of(self) -> dict[str, int]:
         """Each vertex's connected component, numbered in `components` order."""
         return {v: i for i, comp in enumerate(components(self)) for v in comp}
 
-    @cached_property
+    @_first_read
     def terminal_set(self) -> frozenset[str]:
         return frozenset(self.terminals)
 
-    @cached_property
+    @_first_read
     def cache_key(self) -> "_HashedKey":
         return _HashedKey((self.terminals, self.edges, self.vertices))
 

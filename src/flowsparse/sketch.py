@@ -48,15 +48,14 @@ import math
 import random
 import sys
 from dataclasses import dataclass
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
 from .flow import concurrent_flow, max_flow
 from .jsonio import read_json
-from .network import (DemandVector, TerminalNetwork, _pair, terminal_bipartitions,
-                      to_float)
+from .network import (DemandVector, TerminalNetwork, _first_read, _pair,
+                      terminal_bipartitions, to_float)
 
 DEFAULT_BUDGET = 1_000_000
 _MEMBER_TOL = 1e-9
@@ -175,7 +174,7 @@ class DemandSketch:
     def base(self) -> float:
         return 1.0 + self.eps_internal
 
-    @cached_property
+    @_first_read
     def _query_plan(self) -> _QueryPlan:
         """What every query reads of the sketch, worked out on its first."""
         base, k2 = self.base, self.k * self.k

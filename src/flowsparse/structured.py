@@ -17,11 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .flow import mincut_partition
-from .network import (
-    TerminalNetwork,
-    components,
-    terminal_bipartitions,
-)
+from .network import TerminalNetwork, _as_capacity, _pair, components, terminal_bipartitions
 from .results import SparsifierResult
 from .splice import compose
 
@@ -91,7 +87,7 @@ def _fit_clique_star(terminals, scale, targets):
     min-cut function can break either bound, and raise.
     """
     f = {frozenset(side): val for sides, val in targets for side in sides}
-    pairs = [tuple(sorted(p)) for p in itertools.combinations(terminals, 2)]
+    pairs = [_pair(*p) for p in itertools.combinations(terminals, 2)]
     caps = [f[frozenset([i])] + f[frozenset([j])] - f.get(frozenset([i, j]), 0)
             for i, j in pairs]
     star = 0
@@ -173,16 +169,18 @@ class SpTree:
     @staticmethod
     def from_json_dict(d: dict) -> "SpTree":
         def dec(nd):
-            kind = nd["type"]
+            kind, u, v = nd["type"], nd["u"], nd["v"]
+            for key in ("u", "v", "middle")[:3 if kind == "series" else 2]:
+                if not isinstance(nd[key], str):
+                    raise StructureError(f"malformed SP-tree JSON: {key!r} is not a string")
             if kind == "leaf":
-                return SpLeaf(u=nd["u"], v=nd["v"], cap=Fraction(nd["cap"]))
+                return SpLeaf(u=u, v=v, cap=_as_capacity(nd["cap"], u, v))
             if kind not in ("series", "parallel"):
                 raise StructureError(f"malformed SP-tree JSON: node type {kind!r}")
             left, right = dec(nd["left"]), dec(nd["right"])
             if kind == "series":
-                return SpSeries(left=left, right=right, middle=nd["middle"],
-                                u=nd["u"], v=nd["v"])
-            return SpParallel(left=left, right=right, u=nd["u"], v=nd["v"])
+                return SpSeries(left=left, right=right, middle=nd["middle"], u=u, v=v)
+            return SpParallel(left=left, right=right, u=u, v=v)
         try:
             return SpTree(root=dec(d["root"]))
         except StructureError:
@@ -430,6 +428,8 @@ class TreeDecomposition:
     @staticmethod
     def from_json_dict(d: dict) -> "TreeDecomposition":
         try:
+            if not all(type(b) is list and all(type(x) is str for x in b) for b in d["bags"]):
+                raise TypeError("a bag is not a list of vertex names")
             return TreeDecomposition(
                 bags=tuple(frozenset(b) for b in d["bags"]),
                 edges=tuple((int(i), int(j)) for i, j in d["edges"]))

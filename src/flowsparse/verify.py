@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .flow import concurrent_flow, finite_or_none, max_flow, mincut_partition
-from .network import DemandVector, TerminalNetwork, terminal_bipartitions, to_float
+from .network import DemandVector, TerminalNetwork, _first_read, terminal_bipartitions, to_float
 from .sampling import unit_flows
 from .sketch import DEFAULT_BUDGET, BudgetExceeded, _grid_exponents
 
@@ -69,17 +69,15 @@ class CutRecord:
 
 
 class CutReport:
-    """beta, all_exact and one `CutRecord` per bipartition.  `records` may be
-    given as a function returning them, called on the first read."""
+    """beta, all_exact and one `CutRecord` per bipartition, which the call
+    `records` gives on their first read."""
 
     def __init__(self, beta: float, all_exact: bool, records):
         self.beta, self.all_exact, self._records = beta, all_exact, records
 
-    @property
+    @_first_read
     def records(self) -> tuple[CutRecord, ...]:
-        if callable(records := self._records):
-            records = self._records = records()
-        return records
+        return self._records()
 
     def to_json_dict(self) -> dict:
         return {

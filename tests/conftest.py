@@ -2,6 +2,7 @@ import heapq
 import itertools
 import os
 import random
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -48,6 +49,35 @@ def skew_duality_gap(monkeypatch):
         x, value, y, basis, Binv, it = real(*args, **kwargs)
         return x, value - 0.01 * max(1.0, abs(value)), y, basis, Binv, it
     monkeypatch.setattr(flowsparse.lp, "simplex_min", skewed)
+
+
+def first_reads_meet(monkeypatch, module, name: str, read, objects) -> None:
+    """Two threads, each running `read` on one of two `objects`, meet inside
+    `module.name`, which the reads reach while they build: a barrier there
+    waits for both.  No lock shared by all objects (as Python 3.11's
+    `cached_property` takes one per property) may hold either back; were
+    the reads serialised, the barrier would time out and this fail."""
+    barrier = threading.Barrier(2, timeout=10)
+    real = getattr(module, name)
+
+    def meeting(*args):
+        barrier.wait()
+        return real(*args)
+    monkeypatch.setattr(module, name, meeting)
+    errors = []
+
+    def run(obj):
+        try:
+            read(obj)
+        except Exception as exc:     # surfaced by the assertion below
+            errors.append(exc)
+    threads = [threading.Thread(target=run, args=(obj,)) for obj in objects]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == [] and not barrier.broken
 
 
 def _shortest(net: TerminalNetwork, lengths: dict, source: str) -> dict:

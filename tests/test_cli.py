@@ -1,12 +1,18 @@
+import contextlib
+import functools
+import io
 import json
 import math
 import re
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from flowsparse.cli import main
 from flowsparse.jsonio import load_net, save_net
@@ -718,6 +724,18 @@ MALFORMED_STRUCTURES = {
                              "malformed tree decomposition JSON"),
     "sptree-cap-not-a-number": ("sp", "--sptree", {"root": {
         "type": "leaf", "u": "s", "v": "t", "cap": "abc"}}, "malformed SP-tree JSON"),
+    # Fraction("1/0") raised ZeroDivisionError: a traceback and exit 1
+    "sptree-cap-zero-denominator": ("sp", "--sptree", {"root": {
+        "type": "leaf", "u": "s", "v": "t", "cap": "1/0"}},
+        "malformed SP-tree JSON: NetworkError(\"capacity '1/0' is not a finite number"),
+    # a null member read "vertex t in no bag"; a string bag was read as its letters
+    "tdec-bag-member-null": ("treewidth", "--tdec", {"bags": [["s", None], ["t"]],
+                                                     "edges": [[0, 1]]},
+                             "malformed tree decomposition JSON: TypeError('a bag is not "
+                             "a list of vertex names')"),
+    "tdec-bag-a-string": ("treewidth", "--tdec", {"bags": ["st"], "edges": []},
+                          "malformed tree decomposition JSON: TypeError('a bag is not "
+                          "a list of vertex names')"),
 }
 
 
@@ -731,6 +749,26 @@ def test_malformed_structure_file_exit_2(kind, tmp_path, capsys):
               "--out", tmp_path / "h.json"])
     assert rc == 2
     assert f"error: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value", [("u", ["s"]), ("u", {"a": 1}), ("v", None),
+                                        ("middle", 7)])
+def test_sp_tree_name_not_a_string_exit_2(key, value, tmp_path, capsys):
+    # a list or dict as the root's u raised TypeError (unhashable) in
+    # sp_validate: a traceback and exit 1
+    g, t = tmp_path / "sp.json", tmp_path / "sp.tree.json"
+    assert run(["gen", "--kind", "sp", "--k", "4", "--leaves", "6", "--seed", "2",
+                "--out", g, "--sptree-out", t]) == 0
+    doc = json.loads(t.read_text())
+    assert doc["root"]["type"] == "series"
+    doc["root"][key] = value
+    t.write_text(json.dumps(doc))
+    capsys.readouterr()
+    rc = run(["sparsify", "--method", "sp", "--graph", g, "--sptree", t,
+              "--out", tmp_path / "h.json"])
+    err = capsys.readouterr().err
+    assert rc == 2 and "Traceback" not in err
+    assert f"error: malformed SP-tree JSON: {key!r} is not a string" in err
 
 
 NON_FINITE_CAPS = ["Infinity", "1e400"]
@@ -870,3 +908,84 @@ def test_console_entrypoint_runs():
                           capture_output=True, text=True, env=child_env())
     assert proc.returncode == 0
     assert "M " in proc.stdout
+
+
+# One value of a small valid input file is replaced by one of these, or deleted.
+FUZZ_VALUES = [None, True, -1, 0, 7, 1e400, "", "x", "1/0", [], {}, ["s"], {"a": 1}]
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(tmp_path_factory):
+    """Small valid files of each kind, with the commands that read each:
+    every {} in a command is the file after its mutation."""
+    d = tmp_path_factory.mktemp("fuzz")
+    g, sk, dem = d / "g.json", d / "g.sk", d / "d.json"
+    sp, tree, tw, tdec = d / "sp.json", d / "sp.tree.json", d / "tw.json", d / "tw.tdec.json"
+    for args in (["gen", "--kind", "quasi-bipartite", "--k", "3", "--n", "6", "--seed", "1",
+                  "--out", g],
+                 ["sketch", "build", "--graph", g, "--eps", "0.45", "--out", sk],
+                 ["gen", "--kind", "sp", "--k", "3", "--leaves", "5", "--seed", "2",
+                  "--out", sp, "--sptree-out", tree],
+                 ["gen", "--kind", "treewidth", "--k", "3", "--n", "8", "--w", "1",
+                  "--seed", "1", "--out", tw, "--tdec-out", tdec]):
+        assert run(args) == 0
+    dem.write_text(json.dumps([{"s": "t0", "t": "t1", "d": 1.0},
+                               {"s": "t1", "t": "t2", "d": 2.5}]))
+
+    def verify(base, candidate, demands):
+        return ["verify", "--g", base, "--gp", candidate, "--claim", "1.5", "--demands", demands]
+    return {
+        g: [["sparsify", "--method", "sample", "--M", "5", "--graph", "{}"],
+            ["sparsify", "--method", "ratio", "--eps", "0.45", "--graph", "{}"],
+            ["sketch", "build", "--eps", "0.45", "--graph", "{}"],
+            verify("{}", g, "basis"), verify(g, "{}", "basis")],
+        dem: [verify(g, g, "{}"), ["sketch", "query", "--sk", sk, "--demand", "{}"]],
+        sk: [["sketch", "query", "--sk", "{}", "--demand", dem]],
+        tree: [["sparsify", "--method", "sp", "--graph", sp, "--sptree", "{}"]],
+        tdec: [["sparsify", "--method", "treewidth", "--leaf", "mimick", "--graph", tw,
+                "--tdec", "{}"]],
+    }
+
+
+def _places(doc, path=()):
+    """The path to every value in a JSON document, the document's own first."""
+    yield path
+    if isinstance(doc, (dict, list)):
+        for key, value in doc.items() if isinstance(doc, dict) else enumerate(doc):
+            yield from _places(value, path + (key,))
+
+
+@pytest.mark.filterwarnings("ignore:.*carry no 2-hop flow:UserWarning")
+@settings(max_examples=400, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_one_mutated_value_keeps_the_exit_code_contract(fuzz_inputs, data):
+    """A valid file of each kind with one value replaced or deleted: the
+    exit code is 0, 1, 2 or 3, 1 only from `verify` with its report
+    written, and no exception escapes `main`."""
+    source = data.draw(st.sampled_from(sorted(fuzz_inputs)))
+    command = data.draw(st.sampled_from(fuzz_inputs[source]))
+    doc = json.loads(source.read_text())
+    path = data.draw(st.sampled_from(list(_places(doc))))
+    delete = bool(path) and data.draw(st.booleans())
+    value = None if delete else data.draw(st.sampled_from(FUZZ_VALUES))
+    if not path:
+        doc = value
+    else:
+        parent = functools.reduce(lambda node, key: node[key], path[:-1], doc)
+        if delete:
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        mutated, out = Path(tmp) / source.name, Path(tmp) / "out.json"
+        mutated.write_text(json.dumps(doc))
+        args = [mutated if a == "{}" else a for a in command]
+        if command[0] != "sketch" or command[1] == "build":
+            args += ["--out", out]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            rc = run(args)
+        assert rc in (0, 1, 2, 3), (args, rc)
+        assert rc != 1 or (command[0] == "verify" and out.exists()), (args, rc)
+        assert "Traceback" not in err.getvalue()

@@ -32,7 +32,7 @@ from flowsparse.generators import (gen_quasi_bipartite, gen_series_parallel,
 from flowsparse.lp import LPError
 from flowsparse.network import _CUT_TABLE_MAX_ENTRIES, _pair, terminal_bipartitions
 
-from conftest import (ONE_BLAS_THREAD, check_certificates, child_env, fresh,
+from conftest import (ONE_BLAS_THREAD, check_certificates, child_env, first_reads_meet, fresh,
                       random_connected_net, random_demand, random_quasi_bipartite,
                       rational_net, skew_duality_gap, sparsest_cut, two_hop_split,
                       with_prime_denominators)
@@ -1095,35 +1095,14 @@ class TestLazyPrimal:
 
     def test_first_dual_reads_of_two_results_run_at_once(self, monkeypatch):
         """Two threads reading `.dual` of two results meet inside
-        `stars._covering`: no lock shared by all results (as Python 3.11's
-        `cached_property` takes one) holds either back.  Were the reads
-        serialised, the barrier would time out and the test fail."""
+        `stars._covering`."""
         from flowsparse import stars
-        barrier = threading.Barrier(2, timeout=10)
-        real = stars._covering
-
-        def meeting(table, mu):
-            barrier.wait()
-            return real(table, mu)
-        monkeypatch.setattr(stars, "_covering", meeting)
         rng = random.Random(3)
         results = [concurrent_flow(net, random_demand(rng, net))
                    for net in (gen_quasi_bipartite(4, 20, seed=3),
                                gen_quasi_bipartite(5, 30, seed=2))]
-        errors = []
-
-        def read(res):
-            try:
-                assert res.dual.lengths
-            except Exception as exc:     # surfaced by the assertion below
-                errors.append(exc)
-        threads = [threading.Thread(target=read, args=(res,)) for res in results]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-        assert not any(t.is_alive() for t in threads)
-        assert errors == [] and not barrier.broken
+        first_reads_meet(monkeypatch, stars, "_covering", lambda res: res.dual, results)
+        assert all(res.dual.lengths for res in results)
 
     def test_profile_buckets_lift_one_dual_per_distinct_demand(self, duals):
         from flowsparse.merging import profile_bucket_sparsifier

@@ -18,7 +18,7 @@ from flowsparse import (
 from flowsparse.flow import concurrent_flow, max_flow
 from flowsparse.network import _pair, components, terminal_bipartitions
 
-from conftest import random_connected_net, random_demand
+from conftest import first_reads_meet, fresh, random_connected_net, random_demand
 
 
 def net_of(vertices, terminals, edges, **kw):
@@ -185,6 +185,17 @@ class TestIntegerView:
     def test_cached_per_network(self):
         net = net_of(["a", "b"], ["a", "b"], [("a", "b", "3/4")])
         assert net.integer_view is net.integer_view
+
+    def test_first_reads_of_two_networks_run_at_once(self, monkeypatch):
+        """Two threads reading `bipartition_cuts` of two networks meet inside
+        `_bipartition_sides`, which the table's build calls."""
+        from flowsparse import network
+        from flowsparse.generators import gen_quasi_bipartite
+        nets = [gen_quasi_bipartite(4, 20, seed=3), gen_quasi_bipartite(5, 30, seed=2)]
+        want = [fresh(net).bipartition_cuts for net in nets]
+        first_reads_meet(monkeypatch, network, "_bipartition_sides",
+                         lambda net: net.bipartition_cuts, nets)
+        assert [net.bipartition_cuts for net in nets] == want
 
     def test_scales_are_pinned(self):
         # (integer_view, cut_view) scales of rational nets with parallel

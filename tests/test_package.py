@@ -160,3 +160,22 @@ def test_src_builds_networks_through_make():
         builds.visit(ast.parse(path.read_text(), filename=str(path)))
         found += [f"{path.name}:{where}" for where in builds.found]
     assert found == ["network.py:TerminalNetwork.make"]
+
+
+def test_first_reads_have_one_mechanism():
+    """Every per-object value src builds on first read is a `_first_read`:
+    no module imports `functools.cached_property`, whose lock on Python 3.10
+    and 3.11 runs first reads of two objects one at a time, and
+    `_first_read` is defined once, in `network.py`."""
+    imports, defined = [], []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            names = ([alias.name for alias in node.names]
+                     if isinstance(node, (ast.Import, ast.ImportFrom)) else
+                     [node.attr] if isinstance(node, ast.Attribute) else [])
+            imports += [f"{path.name}:{node.lineno}" for name in names
+                        if name.rsplit(".", 1)[-1] == "cached_property"]
+            if isinstance(node, (ast.ClassDef, ast.FunctionDef)) and node.name == "_first_read":
+                defined.append(path.name)
+    assert not imports, "these use functools.cached_property"
+    assert defined == ["network.py"]

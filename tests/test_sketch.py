@@ -28,7 +28,8 @@ from flowsparse.sketch import (
     grid_demands,
 )
 
-from conftest import ONE_BLAS_THREAD, child_env, random_connected_net, random_demand
+from conftest import (ONE_BLAS_THREAD, child_env, first_reads_meet, random_connected_net,
+                      random_demand)
 
 
 def single_edge(cap=10):
@@ -378,6 +379,15 @@ def _check_against_probe_by_probe(sk, demand, calls):
     want = _query_probe_by_probe(sk, demand)
     assert got[0].hex() == want[0].hex(), demand
     return exact, got[1], want[1]
+
+
+def test_first_query_plans_of_two_sketches_run_at_once(monkeypatch):
+    """Two threads taking the query plans of two sketches meet inside the
+    plans' build, at `_QueryPlan`."""
+    sketches = [build_sketch(gen_quasi_bipartite(3, 6, seed=seed), 0.45) for seed in (1, 2)]
+    plan = sketch._QueryPlan
+    first_reads_meet(monkeypatch, sketch, "_QueryPlan", lambda sk: sk._query_plan, sketches)
+    assert all(type(sk._query_plan) is plan for sk in sketches)
 
 
 def test_exponent_shift_matches_rounding_at_every_probe(monkeypatch):

@@ -243,7 +243,7 @@ def certify_cuts_per_split(g, gp):
             beta = max(beta, cand / base)
         elif cand > 0:
             beta = math.inf
-    return CutReport(beta=float(beta), all_exact=all_exact, records=tuple(records))
+    return CutReport(beta=float(beta), all_exact=all_exact, records=lambda: tuple(records))
 
 
 def cut_certificate_cases():
