@@ -67,7 +67,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "treewidth", "tree"])
     g.add_argument("--k", type=int, required=True)
     g.add_argument("--n", type=int,
-                   help="vertices (default 50; 30 for treewidth and tree)")
+                   help="vertices (default 50; 30 for treewidth and tree), "
+                        "plus one hub per extra terminal component of a draw")
     g.add_argument("--leaves", type=int, default=16)
     g.add_argument("--w", type=int, default=2)
     g.add_argument("--seed", type=int, default=0)

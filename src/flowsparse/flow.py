@@ -98,11 +98,6 @@ class FlowError(ValueError):
     pass
 
 
-def finite_or_none(x: float) -> float | None:
-    """JSON has no infinity or NaN; such values are written as null."""
-    return x if np.isfinite(x) else None
-
-
 @dataclass(frozen=True)
 class FlowSolution:
     """Per-commodity directed arc flows that route value * d_p for each pair."""

@@ -13,6 +13,7 @@ from .structured import (
     SpTree,
     TreeDecomposition,
     sp_realize,
+    sp_vertices,
 )
 
 
@@ -37,27 +38,25 @@ def gen_quasi_bipartite(k: int, n: int, seed: int) -> TerminalNetwork:
         deg = rng.randint(2, min(4, k))
         for t in rng.sample(terms, deg):
             edges.append((v, t, _rand_cap(rng)))
-    # deterministically stitch terminal components together; every middle
-    # touches a terminal, so a disconnected net has two or more of them
-    # (kept without a driver: no seeded net needs it, but user seeds may)
+    return _joined(terms + mids, terms, edges, rng, "v")
+
+
+def _joined(vertices: list[str], terms: list[str], edges: list, rng: random.Random,
+            prefix: str) -> TerminalNetwork:
+    """The drawn network, joined up: while it is disconnected, a new hub
+    named `prefix` plus the non-terminal count joins the first terminal to
+    the first terminal outside its component.  Every component of a draw
+    holds a terminal; a hub is a one-vertex component on two terminals.
+    (The loop body has no driver: no seeded net needs it, but user seeds may.)"""
     while True:
-        net = TerminalNetwork.make(terms + mids, terms, edges,
-                                   allow_disconnected=True)
+        net = TerminalNetwork.make(vertices, terms, edges, allow_disconnected=True)
         if net.is_connected():
             return net
-        comp_reps = _component_terminals(net)
-        hub = f"v{len(mids)}"
-        mids.append(hub)
-        edges.append((hub, comp_reps[0], _rand_cap(rng)))
-        edges.append((hub, comp_reps[1], _rand_cap(rng)))
-
-
-def _component_terminals(net: TerminalNetwork) -> list[str]:
-    """The first terminal, in terminal order, of each component holding one."""
-    reps: dict[int, str] = {}
-    for t in net.terminals:
-        reps.setdefault(net.component_of[t], t)
-    return list(reps.values())
+        comp = net.component_of
+        other = next(t for t in terms if comp[t] != comp[terms[0]])
+        hub = f"{prefix}{len(vertices) - len(terms)}"
+        vertices.append(hub)
+        edges += [(hub, terms[0], _rand_cap(rng)), (hub, other, _rand_cap(rng))]
 
 
 def gen_series_parallel(leaves: int, k: int, seed: int):
@@ -85,20 +84,15 @@ def gen_series_parallel(leaves: int, k: int, seed: int):
                           u=u, v=v)
 
     root = build("s", "t", leaves)
-    tree = SpTree(root=root)
-    # realize once to learn the vertex set, then pick internal terminals
-    shell = sp_realize(root, ["s", "t"])
-    internal = [x for x in shell.vertices if x not in ("s", "t")]
+    internal = [x for x in sorted(sp_vertices(root)) if x not in ("s", "t")]
     rng.shuffle(internal)
     terms = ["s", "t"] + sorted(internal[:max(0, k - 2)])
-    net = TerminalNetwork.make(shell.vertices, terms,
-                               [(u, v, c) for u, v, c in shell.edges],
-                               allow_disconnected=True)
-    return net, tree
+    return sp_realize(root, terms), SpTree(root=root)
 
 
 def gen_bounded_component(k: int, n: int, w: int, seed: int) -> TerminalNetwork:
-    """Net whose non-terminal components have at most w vertices each."""
+    """Net whose non-terminal components have at most w vertices each; a
+    disconnected draw gains hubs h<n-k>, h<n-k+1>, ... (`_joined`)."""
     if k < 2 or w < 1 or n <= k:
         raise GeneratorError("need k >= 2, w >= 1, n > k")
     rng = random.Random(seed)
@@ -118,21 +112,7 @@ def gen_bounded_component(k: int, n: int, w: int, seed: int) -> TerminalNetwork:
         anchors = rng.sample(terms, min(k, rng.randint(2, min(4, k))))
         for t in anchors:
             edges.append((rng.choice(comp), t, _rand_cap(rng)))
-    net = TerminalNetwork.make(vertices, terms, edges, allow_disconnected=True)
-    if not net.is_connected():
-        # anchor terminals pairwise through the first component (kept without
-        # a driver: no seeded net needs it, but user seeds may)
-        first = [v for v in vertices if v.startswith("c0_")][0]
-        for t in terms:
-            if not net.adjacency[t]:
-                edges.append((first, t, _rand_cap(rng)))
-        net = TerminalNetwork.make(vertices, terms, edges,
-                                   allow_disconnected=True)
-        if not net.is_connected():
-            for t in terms[1:]:
-                edges.append((first, t, _rand_cap(rng)))
-            net = TerminalNetwork.make(vertices, terms, edges)
-    return net
+    return _joined(vertices, terms, edges, rng, "h")
 
 
 def gen_treewidth(k: int, n: int, w: int, seed: int):
@@ -143,13 +123,11 @@ def gen_treewidth(k: int, n: int, w: int, seed: int):
     rng = random.Random(seed)
     verts = [f"v{i}" for i in range(n)]
     edges = []
-    bags: list[frozenset] = []
     bag_edges: list[tuple[int, int]] = []
     base = verts[:w + 1]
     for i in range(len(base)):
         for j in range(i + 1, len(base)):
             edges.append((base[i], base[j], _rand_cap(rng)))
-    bags.append(frozenset(base))
     cliques = [tuple(base)]
     for v in verts[w + 1:]:
         host_idx = rng.randrange(len(cliques))
@@ -157,10 +135,10 @@ def gen_treewidth(k: int, n: int, w: int, seed: int):
         sub = tuple(sorted(rng.sample(host, min(w, len(host)))))
         for u in sub:
             edges.append((v, u, _rand_cap(rng)))
-        bags.append(frozenset(sub + (v,)))
-        bag_edges.append((host_idx, len(bags) - 1))
+        bag_edges.append((host_idx, len(cliques)))
         cliques.append(sub + (v,))
     terms = sorted(rng.sample(verts, k))
     net = TerminalNetwork.make(verts, terms, edges)
-    tdec = TreeDecomposition(bags=tuple(bags), edges=tuple(bag_edges))
+    tdec = TreeDecomposition(bags=tuple(frozenset(c) for c in cliques),
+                             edges=tuple(bag_edges))
     return net, tdec

@@ -5,11 +5,16 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import time
 from fractions import Fraction
 
-from .flow import finite_or_none
 from .network import DemandVector, NetworkError, TerminalNetwork
+
+
+def finite_or_none(x: float) -> float | None:
+    """JSON has no infinity or NaN; such values are written as null."""
+    return x if math.isfinite(x) else None
 
 
 def cap_to_json(c: Fraction):
@@ -30,9 +35,19 @@ def net_to_json_dict(net: TerminalNetwork, meta: dict | None = None) -> dict:
     return d
 
 
+def _require_names(what: str, named) -> None:
+    """`NetworkError` at the first (field, name) whose name is not a string."""
+    for field, name in named:
+        if not isinstance(name, str):
+            raise NetworkError(f"malformed {what}: {field} is {name!r}, not a string")
+
+
 def net_from_json_dict(d: dict, *, allow_disconnected: bool = False) -> TerminalNetwork:
     try:
         edges = [(e["u"], e["v"], e["cap"]) for e in d["edges"]]
+        _require_names("graph JSON", [("vertex", v) for v in d["vertices"]]
+                       + [("terminal", t) for t in d["terminals"]]
+                       + [("edge endpoint", x) for e in edges for x in e[:2]])
         return TerminalNetwork.make(d["vertices"], d["terminals"], edges,
                                     allow_disconnected=allow_disconnected)
     except (KeyError, TypeError) as exc:
@@ -74,6 +89,7 @@ def load_demands(path: str) -> list[DemandVector]:
         vectors = [{(row["s"], row["t"]): float(row["d"]) for row in vec} for vec in data]
     except (KeyError, TypeError, ValueError) as exc:
         raise NetworkError(f"malformed demand file: {exc!r}") from exc
+    _require_names("demand file", ((f, row[f]) for vec in data for row in vec for f in "st"))
     return [DemandVector.of(vec) for vec in vectors]
 
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .flow import finite_or_none
+from .jsonio import finite_or_none
 from .network import TerminalNetwork
 
 

@@ -13,7 +13,8 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .flow import concurrent_flow, finite_or_none, max_flow, mincut_partition
+from .flow import concurrent_flow, max_flow, mincut_partition
+from .jsonio import finite_or_none
 from .network import DemandVector, TerminalNetwork, _first_read, terminal_bipartitions, to_float
 from .sampling import unit_flows
 from .sketch import DEFAULT_BUDGET, BudgetExceeded, _grid_exponents

@@ -771,6 +771,43 @@ def test_sp_tree_name_not_a_string_exit_2(key, value, tmp_path, capsys):
     assert f"error: malformed SP-tree JSON: {key!r} is not a string" in err
 
 
+@pytest.mark.parametrize("field, value", [("vertex", 7), ("terminal", None),
+                                          ("edge endpoint", None)])
+def test_graph_name_not_a_string_exit_2(field, value, tmp_path, capsys):
+    # str() turned each into a name: a vertex "None" or "7", written out
+    # with exit 0
+    names = {"vertex": ["7", "t", "a"], "terminal": ["7", "t"], "edge endpoint": ["7"]}
+    names[field][0] = value
+    g, h = tmp_path / "g.json", tmp_path / "h.json"
+    g.write_text(json.dumps({
+        "vertices": names["vertex"], "terminals": names["terminal"],
+        "edges": [{"u": names["edge endpoint"][0], "v": "a", "cap": 1},
+                  {"u": "a", "v": "t", "cap": 2}]}))
+    rc = run(["sparsify", "--method", "sample", "--M", "5", "--seed", "1", "--graph", g,
+              "--out", h])
+    assert rc == 2 and not h.exists()
+    assert capsys.readouterr().err == (
+        f"error: malformed graph JSON: {field} is {value!r}, not a string\n")
+
+
+@pytest.mark.parametrize("field", ["s", "t"])
+def test_demand_name_not_a_string_exit_2(field, tmp_path, capsys):
+    # a null s named the terminal "None": verify and sketch query exited 0
+    g, sk, d = tmp_path / "g.json", tmp_path / "g.sk", tmp_path / "d.json"
+    save_net(TerminalNetwork.make(["None", "7"], ["None", "7"], [("None", "7", 10)]), str(g))
+    d.write_text(json.dumps([{"s": None if field == "s" else "None",
+                              "t": 7 if field == "t" else "7", "d": 1}]))
+    assert run(["sketch", "build", "--graph", g, "--eps", "0.1", "--out", sk]) == 0
+    capsys.readouterr()
+    value = None if field == "s" else 7
+    for args in (["verify", "--g", g, "--gp", g, "--demands", d, "--claim", "1.5",
+                  "--out", tmp_path / "rep.json"],
+                 ["sketch", "query", "--sk", sk, "--demand", d]):
+        assert run(args) == 2
+        assert capsys.readouterr().err == (
+            f"error: malformed demand file: {field} is {value!r}, not a string\n")
+
+
 NON_FINITE_CAPS = ["Infinity", "1e400"]
 
 
@@ -912,6 +949,11 @@ def test_console_entrypoint_runs():
 
 # One value of a small valid input file is replaced by one of these, or deleted.
 FUZZ_VALUES = [None, True, -1, 0, 7, 1e400, "", "x", "1/0", [], {}, ["s"], {"a": 1}]
+# Where the graph and demand files hold a name, with None for a list index:
+# a value there that is not a string exits 2.
+NAME_PLACES = {"g.json": {("vertices", None), ("terminals", None), ("edges", None, "u"),
+                          ("edges", None, "v")},
+               "d.json": {(None, "s"), (None, "t")}}
 
 
 @pytest.fixture(scope="module")
@@ -962,7 +1004,8 @@ def _places(doc, path=()):
 def test_one_mutated_value_keeps_the_exit_code_contract(fuzz_inputs, data):
     """A valid file of each kind with one value replaced or deleted: the
     exit code is 0, 1, 2 or 3, 1 only from `verify` with its report
-    written, and no exception escapes `main`."""
+    written, 2 where a graph or demand name is not a string, and no
+    exception escapes `main`."""
     source = data.draw(st.sampled_from(sorted(fuzz_inputs)))
     command = data.draw(st.sampled_from(fuzz_inputs[source]))
     doc = json.loads(source.read_text())
@@ -989,3 +1032,7 @@ def test_one_mutated_value_keeps_the_exit_code_contract(fuzz_inputs, data):
         assert rc in (0, 1, 2, 3), (args, rc)
         assert rc != 1 or (command[0] == "verify" and out.exists()), (args, rc)
         assert "Traceback" not in err.getvalue()
+        shape = tuple(None if isinstance(key, int) else key for key in path)
+        if not delete and not isinstance(value, str) and shape in NAME_PLACES.get(
+                source.name, ()):
+            assert rc == 2, (args, rc)
